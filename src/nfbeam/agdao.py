@@ -5,6 +5,14 @@ from the echo snapshot, by maximizing g(v) = 2 Re{y^H b(v)} - ||b(v)||^2 where
 b(v) is the model echo at the trial velocity. The default optimizer alternates
 axes (x step, then y step with the fresh x); a joint-update variant and a plain
 gradient ascent are included for comparison.
+
+Every entry of the steering vector a~ and of the Doppler vector
+d(v) = exp(-j*rot*(g*vx + q*vy)) has unit modulus, so ||b(v)||^2 = s^2 M |w @ d|^2
+and g(v) and both gradients are scalar functions of six inner products
+W @ d, with W = [w, g o w, q o w, c, g o c, q o c], w = a~ o f and
+c = conj(y) o a~ fixed for the CPI. One evaluation costs one exp over M and
+one 6 x M product; the ascent reuses the evaluation at each new iterate for
+that iteration's objective and the next iteration's gradients.
 """
 from __future__ import annotations
 
@@ -80,44 +88,41 @@ class OptimizerTrace:
 
 
 class _VelocityProblem:
-    """Echo likelihood at one CPI with everything but the velocity frozen."""
+    """Echo likelihood at one CPI with everything but the velocity frozen.
+
+    Holds the six-row W of the module docstring; needs |a~_m| = 1.
+    """
 
     def __init__(self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed):
         f = np.asarray(f)
         check_unit_norm(f)
-        self.y = np.asarray(y)
         atil = geo.steering_vector(geom, p_hat)
-        self.g, self.q = geo.projection_coeffs(geom, p_hat, signed=signed)
-        alpha2 = geo.pathloss(model, p_hat, geo.ROUNDTRIP)
-        self.scale = s_amp * alpha2
+        g, q = geo.projection_coeffs(geom, p_hat, signed=signed)
+        scale = float(s_amp * geo.pathloss(model, p_hat, geo.ROUNDTRIP))
         # phase advance per unit composite speed over the CPI
-        self.rot = geom.wavenumber * num_symbols * symbol_duration
-        self.atil = atil
-        self.w = atil * f          # a^T f        == w @ d
-        self.wg = self.g * self.w  # (g.a)^T f    == wg @ d
-        self.wq = self.q * self.w
-        self.yh = np.conj(self.y)
+        rot = geom.wavenumber * num_symbols * symbol_duration
+        # exponent of d per unit vx (row 0) and vy (row 1)
+        self.exponent = -1j * rot * np.stack([g, q])
+        w = atil * f
+        c = np.conj(np.asarray(y)) * atil
+        self.W = np.stack([w, g * w, q * w, c, g * c, q * c])
+        self.scale = scale
+        self.scale_m = scale * atil.shape[0]
+        self.grad_scale = 2.0 * rot * scale
 
-    def _fields(self, vx, vy):
-        d = np.exp(-1j * self.rot * (self.g * vx + self.q * vy))
-        a = self.atil * d
-        af = self.w @ d
-        b = self.scale * a * af
-        return d, a, af, b
+    def evaluate(self, vx, vy) -> tuple[float, float, float]:
+        """(objective, d/dvx, d/dvy) at one trial velocity: one exp, one W @ d.
 
-    def objective(self, vx, vy) -> float:
-        _, _, _, b = self._fields(vx, vy)
-        return float(2.0 * np.real(self.yh @ b) - np.real(np.vdot(b, b)))
-
-    def gradient(self, vx, vy, axis: int) -> float:
-        d, a, af, b = self._fields(vx, vy)
-        if axis == 0:
-            ca, cf = self.g * a, self.wg @ d
-        else:
-            ca, cf = self.q * a, self.wq @ d
-        db = -1j * self.rot * self.scale * (ca * af + a * cf)
-        resid = self.y - b
-        return float(2.0 * np.real(np.conj(resid) @ db))
+        objective = 2 Re{y^H b} - ||b||^2 = 2 s Re{af yc} - s^2 M |af|^2 with
+        af = w @ d and yc = c @ d. The axis-u gradient is 2 Re{(y - b)^H db/du};
+        its ||b||^2 part carries a real s^2 |af|^2 sum(u) term that drops out.
+        """
+        d = np.exp(np.dot((vx, vy), self.exponent))
+        af, afg, afq, yc, ycg, ycq = (self.W @ d).tolist()
+        s, sm, k = self.scale, self.scale_m, self.grad_scale
+        objective = 2.0 * s * (af * yc).real - s * sm * (af.real**2 + af.imag**2)
+        resid = yc - sm * af.conjugate()
+        return objective, k * (af * ycg + afg * resid).imag, k * (af * ycq + afq * resid).imag
 
 
 def _axis_index(axis) -> int:
@@ -142,7 +147,7 @@ def ml_objective(
 ) -> float:
     """Echo log-likelihood (up to constants) at trial velocity v."""
     prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
-    return prob.objective(float(v[0]), float(v[1]))
+    return prob.evaluate(float(v[0]), float(v[1]))[0]
 
 
 def grad_velocity(
@@ -160,7 +165,7 @@ def grad_velocity(
 ) -> float:
     """Exact derivative of ml_objective along one velocity axis."""
     prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
-    return prob.gradient(float(v[0]), float(v[1]), _axis_index(axis))
+    return prob.evaluate(float(v[0]), float(v[1]))[1 + _axis_index(axis)]
 
 
 class _AdamAxis:
@@ -196,36 +201,39 @@ def _check_finite(k, vx, vy, objective):
 
 
 def _ascend(prob: _VelocityProblem, v_init, hyper: AdamHyper, variant: str):
+    """Run one variant from v_init.
+
+    The evaluation at each new iterate gives that iteration's objective and
+    the next iteration's starting gradients.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     vx, vy = float(v_init[0]), float(v_init[1])
+    objective, gx, gy = prob.evaluate(vx, vy)
     trace = OptimizerTrace()
-    trace.append(0, vx, vy, prob.objective(vx, vy), 0.0, 0.0)
-    if variant in ("adam-ao", "adam-joint"):
+    trace.append(0, vx, vy, objective, 0.0, 0.0)
+    if variant != "plain-gd":
         ax = _AdamAxis(hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
         ay = _AdamAxis(hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon)
     for k in range(1, hyper.max_iters + 1):
-        gx = prob.gradient(vx, vy, 0)
         if variant == "adam-ao":
             vx_new = ax.update(vx, gx)
-            gy = prob.gradient(vx_new, vy, 1)
+            gy = prob.evaluate(vx_new, vy)[2]
             vy_new = ay.update(vy, gy)
         elif variant == "adam-joint":
-            gy = prob.gradient(vx, vy, 1)
             vx_new = ax.update(vx, gx)
             vy_new = ay.update(vy, gy)
-        elif variant == "plain-gd":
-            gy = prob.gradient(vx, vy, 1)
+        else:
             vx_new = vx + hyper.step_x * gx
             vy_new = vy + hyper.step_y * gy
-        else:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        objective = prob.objective(vx_new, vy_new)
+        objective, gx_new, gy_new = prob.evaluate(vx_new, vy_new)
         _check_finite(k, vx_new, vy_new, objective)
         trace.append(k, vx_new, vy_new, objective, gx, gy)
         done = (
             _rel_change(vx_new, vx) < hyper.rel_tol_x
             and _rel_change(vy_new, vy) < hyper.rel_tol_y
         )
-        vx, vy = vx_new, vy_new
+        vx, vy, gx, gy = vx_new, vy_new, gx_new, gy_new
         if done:
             break
     return np.array([vx, vy]), trace

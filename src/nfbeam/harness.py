@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -386,7 +387,8 @@ def _write_rows(path, fieldnames, value_rows) -> None:
 
 def _dataclass_csv(path, row_type, rows) -> None:
     names = [f.name for f in dataclasses.fields(row_type)]
-    _write_rows(path, names, (dataclasses.astuple(r) for r in rows))
+    # a flat field read; astuple would deep-copy every row
+    _write_rows(path, names, map(operator.attrgetter(*names), rows))
 
 
 def write_metrics_csv(path, rows: list[MetricRow]) -> None:

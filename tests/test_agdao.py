@@ -13,18 +13,22 @@ from nfbeam import (
     NoiseConfig,
     adam_ao_estimate,
     agdao_track_step,
+    array_response,
     estimate_velocity,
     gd_estimate,
     generate_trajectory,
     grad_velocity,
     ml_objective,
     observation_mean,
+    pathloss,
     predictive_beamformers,
     projection_coeffs,
     stream,
     synthesize_observation,
 )
+from nfbeam import agdao
 from nfbeam.agdao import VARIANTS
+from nfbeam.geometry import ROUNDTRIP
 
 from helpers import CARRIER, N_SYM, TS, default_model, fd_central, geom_for, sample_state
 
@@ -47,6 +51,42 @@ def make_instance(m, position, v_echo, v_beam, signed=False, noise_power=0.0, se
     else:
         y = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS, signed=signed)
     return geom, model, p, y, bf[-1]
+
+
+def direct_likelihood(y, geom, model, p, v, f, signed=False):
+    """Objective and both gradients from M-length fields, without |a_m| = 1."""
+    eta = MotionState(p[0], p[1], v[0], v[1])
+    b = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS, signed=signed)
+    a = array_response(geom, N_SYM, TS, v, p, signed=signed)
+    scale = pathloss(model, p, ROUNDTRIP)
+    rot = geom.wavenumber * N_SYM * TS
+    resid = y - b
+    out = [float(2.0 * np.vdot(y, b).real - np.vdot(b, b).real)]
+    for u in projection_coeffs(geom, p, signed=signed):
+        da = -1j * rot * u * a
+        db = scale * (da * (a @ f) + a * (da @ f))
+        out.append(float(2.0 * np.vdot(resid, db).real))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [1, 16, 128])
+def test_evaluate_matches_direct_fields(m, signed):
+    rng = np.random.default_rng(300 + m + int(signed))
+    geom = geom_for(m)
+    model = default_model()
+    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+    for _ in range(4):
+        eta = sample_state(rng, geom)
+        p = eta.position
+        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS, signed=signed)
+        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng, signed=signed).y
+        prob = agdao._VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS, signed)
+        v = rng.uniform(-12.0, 12.0, 2)
+        got = prob.evaluate(float(v[0]), float(v[1]))
+        ref = direct_likelihood(y, geom, model, p, v, bf[-1], signed=signed)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-10 * abs(r)
 
 
 def test_objective_two_forms_agree():
@@ -139,13 +179,14 @@ def test_broadside_objective_even_in_vx_default():
         assert abs(left - right) <= 1e-12 * max(1.0, abs(right))
 
 
-def _first_adam_step(step, beta1, beta2, epsilon, grad):
-    # mirror of the in-loop update arithmetic at k=1 (zero moments)
-    m = beta1 * 0.0 + (1.0 - beta1) * grad
-    n = beta2 * 0.0 + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**1)
-    n_hat = n / (1.0 - beta2**1)
-    return step * m_hat / math.sqrt(n_hat + epsilon)
+def _adam_step(state, v, grad, step, beta1, beta2, epsilon):
+    # state = [m, n, t]; the textbook bias-corrected Adam ascent step
+    state[2] += 1
+    state[0] = beta1 * state[0] + (1.0 - beta1) * grad
+    state[1] = beta2 * state[1] + (1.0 - beta2) * grad * grad
+    m_hat = state[0] / (1.0 - beta1 ** state[2])
+    n_hat = state[1] / (1.0 - beta2 ** state[2])
+    return v + step * m_hat / math.sqrt(n_hat + epsilon)
 
 
 @pytest.mark.parametrize("variant", ["adam-joint", "adam-ao"])
@@ -158,8 +199,9 @@ def test_first_iteration_step_from_zero_moments(variant):
         variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     _, vx1, vy1, _, gx, gy = trace.rows[1]
-    assert vx1 == 0.0 + _first_adam_step(hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon, gx)
-    assert vy1 == 0.0 + _first_adam_step(hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon, gy)
+    # mirror of the in-loop update arithmetic at k=1 (zero moments)
+    assert vx1 == _adam_step([0.0, 0.0, 0], 0.0, gx, hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
+    assert vy1 == _adam_step([0.0, 0.0, 0], 0.0, gy, hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon)
     assert abs(vx1) <= hyper.step_x * (1.0 + 1e-12)
     assert abs(vy1) <= hyper.step_y * (1.0 + 1e-12)
     # with a negligible stabilizer the first step is a full alpha toward the slope
@@ -250,6 +292,89 @@ def test_stop_rule_extremes():
     _, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=strict)
     assert len(trace) == 26
     assert trace.rows[-1][0] == 25
+
+
+def reference_ascent(fields, v_init, hyper, variant):
+    """Iterates of one variant with fresh field builds for every gradient and objective."""
+    vx, vy = v_init
+    rows = [(vx, vy, fields(vx, vy)[0])]
+    sx, sy = [0.0, 0.0, 0], [0.0, 0.0, 0]
+    for _ in range(hyper.max_iters):
+        gx = fields(vx, vy)[1]
+        if variant == "adam-ao":
+            vx_new = _adam_step(sx, vx, gx, hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
+            gy = fields(vx_new, vy)[2]
+            vy_new = _adam_step(sy, vy, gy, hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon)
+        elif variant == "adam-joint":
+            gy = fields(vx, vy)[2]
+            vx_new = _adam_step(sx, vx, gx, hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
+            vy_new = _adam_step(sy, vy, gy, hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon)
+        else:
+            gy = fields(vx, vy)[2]
+            vx_new, vy_new = vx + hyper.step_x * gx, vy + hyper.step_y * gy
+        vx, vy = vx_new, vy_new
+        rows.append((vx, vy, fields(vx, vy)[0]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ascent_matches_reference_on_convergence_instance(variant):
+    # the convergence-study instance: head-on, signed, M=512, noisy echo, v_init 0
+    geom, model, p, y, f = make_instance(
+        512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True, noise_power=1e-8, seed=4
+    )
+    hyper = AdamHyper(rel_tol_x=0.0, rel_tol_y=0.0)
+    _, trace = estimate_velocity(
+        variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, signed=True
+    )
+    got = np.array([(r[1], r[2], r[3]) for r in trace.rows])
+    ref = reference_ascent(
+        lambda vx, vy: direct_likelihood(y, geom, model, p, (vx, vy), f, signed=True),
+        (0.0, 0.0), hyper, variant,
+    )
+    assert got.shape == (hyper.max_iters + 1, 3)
+    np.testing.assert_allclose(got[:, :2], ref[:, :2], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(got[:, 2], ref[:, 2], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "variant, step, evals_per_iter",
+    [("adam-ao", 0.05, 2), ("adam-joint", 0.05, 1), ("plain-gd", 200.0, 1)],
+)
+def test_trace_length_counts_iterations_when_stop_rule_fires(
+    variant, step, evals_per_iter, monkeypatch
+):
+    geom, model, p, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
+    calls = []
+    evaluate = agdao._VelocityProblem.evaluate
+
+    def counted(self, vx, vy):
+        calls.append((vx, vy))
+        return evaluate(self, vx, vy)
+
+    monkeypatch.setattr(agdao._VelocityProblem, "evaluate", counted)
+    hyper = AdamHyper(step_x=step, step_y=step)
+    _, trace = estimate_velocity(
+        variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+    )
+    iters = trace.rows[-1][0]
+    assert 1 < iters < hyper.max_iters
+    assert len(trace) - 1 == iters
+    assert [r[0] for r in trace.rows] == list(range(iters + 1))
+    # one evaluation at the init, then evals_per_iter per iteration
+    assert len(calls) == 1 + evals_per_iter * iters
+    (_, vx0, vy0, *_), (_, vx1, vy1, *_) = trace.rows[-2:]
+    assert agdao._rel_change(vx1, vx0) < hyper.rel_tol_x
+    assert agdao._rel_change(vy1, vy0) < hyper.rel_tol_y
+
+
+def test_unknown_variant_rejected_before_any_evaluation():
+    class NoEvaluate:
+        def evaluate(self, vx, vy):
+            raise AssertionError("evaluated before the variant was checked")
+
+    with pytest.raises(ValueError, match="unknown variant"):
+        agdao._ascend(NoEvaluate(), (0.0, 0.0), AdamHyper(), "newton")
 
 
 def test_non_finite_observation_raises():
