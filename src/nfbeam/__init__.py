@@ -33,7 +33,6 @@ from .config import (
     SystemConfig,
     build_config,
     dbm_to_watts,
-    load_config,
     save_config,
 )
 from .ekf import (
@@ -71,7 +70,6 @@ from .harness import (
     SweepRow,
     TraceRow,
     convergence_study,
-    moving_average,
     power_sweep,
     read_metrics_csv,
     run_experiment,
@@ -92,7 +90,6 @@ from .motion import (
 from .signals import (
     BeamNormError,
     NoiseConfig,
-    Observation,
     check_unit_norm,
     complex_gaussian,
     cpi_throughput,

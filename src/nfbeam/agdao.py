@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry as geo
 from .beamforming import predictive_beamformers
-from .signals import Observation, check_unit_norm
+from .signals import check_unit_norm
 
 VARIANTS = ("adam-ao", "adam-joint", "plain-gd")
 
@@ -62,8 +62,10 @@ class AdamHyper:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol_x < 0.0 or self.rel_tol_y < 0.0:
-            raise ValueError("relative tolerances must be nonnegative")
+        for name in ("rel_tol_x", "rel_tol_y"):
+            val = getattr(self, name)
+            if val < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {val}")
 
 
 @dataclass
@@ -81,10 +83,6 @@ class OptimizerTrace:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def final_velocity(self) -> np.ndarray:
-        k, vx, vy, *_ = self.rows[-1]
-        return np.array([vx, vy])
 
 
 class _VelocityProblem:
@@ -304,7 +302,7 @@ def agdao_track_step(
 ):
     """One closed-loop CPI: point from the previous estimate, observe, re-estimate.
 
-    observe maps the transmitted BeamformerSet to this CPI's Observation.
+    observe maps the transmitted beamformers to this CPI's echo snapshot, shape (M,).
     Returns (beamformers, p_hat, v_hat, trace); p_hat is the dead-reckoned
     position also used to point the beam.
     """
@@ -314,11 +312,8 @@ def agdao_track_step(
     bf = predictive_beamformers(
         geom, p_pred, prev_v_hat, num_symbols, symbol_duration, signed=signed
     )
-    obs = observe(bf)
-    if not isinstance(obs, Observation):
-        raise TypeError(f"observe must return an Observation, got {type(obs)!r}")
     v_hat, trace = adam_ao_estimate(
-        obs.y, geom, model, p_pred, prev_v_hat, bf[-1], s_amp,
+        observe(bf), geom, model, p_pred, prev_v_hat, bf[-1], s_amp,
         num_symbols, symbol_duration, hyper=hyper, signed=signed,
     )
     return bf, p_pred, v_hat, trace

@@ -95,10 +95,10 @@ def _spot_instance(rng, geom, model, signed):
     v_trial = rng.uniform(-15.0, 15.0, 2)
     bf = predictive_beamformers(geom, p_hat, v_trial, _N, _TS, signed=signed)
     s_amp = echo_amplitude(1.0)
-    obs = synthesize_observation(
+    y = synthesize_observation(
         geom, model, eta, bf, NoiseConfig(), s_amp, _TS, rng, signed=signed
     )
-    return eta, p_hat, v_trial, bf[-1], s_amp, obs
+    return eta, p_hat, v_trial, bf[-1], s_amp, y
 
 
 def check_gradient(seed: int = 0, trials: int = 20):
@@ -110,12 +110,12 @@ def check_gradient(seed: int = 0, trials: int = 20):
     worst = 0.0
     for t in range(trials):
         signed = bool(t % 2)
-        _, p_hat, v, f, s_amp, obs = _spot_instance(rng, geom, model, signed)
+        _, p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model, signed)
         for axis, e in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
-            hi = ml_objective(obs.y, geom, model, p_hat, v + step * e, f, s_amp, _N, _TS, signed=signed)
-            lo = ml_objective(obs.y, geom, model, p_hat, v - step * e, f, s_amp, _N, _TS, signed=signed)
+            hi = ml_objective(y, geom, model, p_hat, v + step * e, f, s_amp, _N, _TS, signed=signed)
+            lo = ml_objective(y, geom, model, p_hat, v - step * e, f, s_amp, _N, _TS, signed=signed)
             fd = (hi - lo) / (2.0 * step)
-            an = grad_velocity(obs.y, geom, model, p_hat, v, f, s_amp, _N, _TS, axis=axis, signed=signed)
+            an = grad_velocity(y, geom, model, p_hat, v, f, s_amp, _N, _TS, axis=axis, signed=signed)
             worst = max(worst, abs(an - fd) / max(abs(fd), 1e-12))
     return worst < 1e-5, f"max rel error {worst:.2e} over {trials} instances"
 

@@ -186,7 +186,7 @@ def main(argv=None) -> int:
             return cmd_converge(args)
         return cmd_check(args)
     except ConfigError as exc:
-        return _fail("config", exc.field, str(exc))
+        return _fail("config", exc.field, exc.message)
     except ValueError as exc:
         return _fail("validation", "", str(exc))
 

@@ -1,8 +1,14 @@
-"""Experiment configuration: dataclasses, JSON I/O, and --set overrides."""
+"""Experiment configuration: dataclasses, JSON I/O, and --set overrides.
+
+The dataclass fields are the schema. JSON keys, their types and their defaults
+are read from the fields, and each dataclass checks its own ranges when it is
+constructed, so every config in a run has passed the same checks.
+"""
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,11 +22,17 @@ METHODS = ("opt", "ff", "fd", "agdao", "ekf")
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; carries the offending field path."""
+    """Invalid configuration; carries the offending field path and the message apart."""
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
+
+
+def _require(cfg, name: str, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ConfigError(name, f"must be {rule}, got {getattr(cfg, name)!r}")
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -43,6 +55,17 @@ class SystemConfig:
     rcs: float = 1.0
     include_transmit_power: bool = True
     signed_projection: bool = False
+
+    def __post_init__(self) -> None:
+        _require(self, "num_antennas", self.num_antennas >= 1, ">= 1")
+        _require(self, "carrier_freq_hz", self.carrier_freq_hz > 0, "positive")
+        _require(self, "spacing_m", self.spacing_m is None or self.spacing_m > 0, "positive")
+        _require(self, "symbol_duration_s", self.symbol_duration_s > 0, "positive")
+        _require(self, "symbols_per_cpi", self.symbols_per_cpi >= 1, ">= 1")
+        _require(self, "comm_noise_power", self.comm_noise_power > 0, "positive")
+        _require(self, "echo_noise_power", self.echo_noise_power >= 0, "nonnegative")
+        _require(self, "ref_gain", self.ref_gain > 0, "positive")
+        _require(self, "rcs", self.rcs > 0, "positive")
 
     @property
     def wavelength_m(self) -> float:
@@ -92,7 +115,17 @@ class ExperimentConfig:
     ekf_init_cov: float = 0.1
     convergence_state: tuple[float, float, float, float] = (0.0, 10.0, 8.0, 7.0)
     convergence_v_init: tuple[float, float] = (0.0, 0.0)
-    ma_window: int = 20
+
+    def __post_init__(self) -> None:
+        _require(self, "method", self.method in METHODS, f"one of {list(METHODS)}")
+        _require(self, "num_cpis", self.num_cpis >= 1, ">= 1")
+        _require(self, "seed", self.seed >= 0, "nonnegative")
+        _require(self, "motion_var", min(self.motion_var) >= 0, "nonnegative")
+        _require(self, "ekf_init_cov", self.ekf_init_cov > 0, "positive")
+        _require(
+            self, "feedback_period_s", self.feedback_period_cpis >= 1,
+            f"at least one CPI ({self.system.cpi_duration_s} s)",
+        )
 
     @property
     def state0(self) -> MotionState:
@@ -114,161 +147,52 @@ class ExperimentConfig:
         )
 
 
-def _check(cond: bool, field: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(field, message)
-
-
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(field, f"expected true/false, got {value!r}")
-    return value
-
-
-def _as_tuple(value, length: int, field: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ConfigError(field, f"expected a list of {length} numbers, got {value!r}")
-    return tuple(_as_float(v, field) for v in value)
-
-
-def _take(section: dict, defaults, prefix: str):
-    """Pop known keys from a dict of overrides for one dataclass."""
-    unknown = set(section) - {f.name for f in dataclasses.fields(defaults)}
+def _from_dict(cls, raw: dict, prefix: str = ""):
+    """Build dataclass cls from a JSON object; keys and types come from its fields."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{prefix}{key}", "unknown key")
-    return section
-
-
-def system_from_dict(raw: dict) -> SystemConfig:
-    defaults = SystemConfig()
-    raw = _take(dict(raw), defaults, "system.")
-    kwargs = {}
-    if "num_antennas" in raw:
-        kwargs["num_antennas"] = _as_int(raw["num_antennas"], "system.num_antennas")
-    for name in (
-        "carrier_freq_hz", "symbol_duration_s", "tx_power_dbm", "comm_noise_power",
-        "echo_noise_power", "ref_gain", "rcs",
-    ):
-        if name in raw:
-            kwargs[name] = _as_float(raw[name], f"system.{name}")
-    if "spacing_m" in raw and raw["spacing_m"] is not None:
-        kwargs["spacing_m"] = _as_float(raw["spacing_m"], "system.spacing_m")
-    if "symbols_per_cpi" in raw:
-        kwargs["symbols_per_cpi"] = _as_int(raw["symbols_per_cpi"], "system.symbols_per_cpi")
-    for name in ("include_transmit_power", "signed_projection"):
-        if name in raw:
-            kwargs[name] = _as_bool(raw[name], f"system.{name}")
-    cfg = dataclasses.replace(defaults, **kwargs)
-    _check(cfg.num_antennas >= 1, "system.num_antennas", "must be >= 1")
-    _check(cfg.carrier_freq_hz > 0, "system.carrier_freq_hz", "must be positive")
-    _check(cfg.spacing > 0, "system.spacing_m", "must be positive")
-    _check(cfg.symbol_duration_s > 0, "system.symbol_duration_s", "must be positive")
-    _check(cfg.symbols_per_cpi >= 1, "system.symbols_per_cpi", "must be >= 1")
-    _check(cfg.comm_noise_power > 0, "system.comm_noise_power", "must be positive")
-    _check(cfg.echo_noise_power >= 0, "system.echo_noise_power", "must be nonnegative")
-    _check(cfg.ref_gain > 0, "system.ref_gain", "must be positive")
-    _check(cfg.rcs > 0, "system.rcs", "must be positive")
-    return cfg
-
-
-def adam_from_dict(raw: dict) -> AdamHyper:
-    defaults = AdamHyper()
-    raw = _take(dict(raw), defaults, "adam.")
-    kwargs = {}
-    for f in dataclasses.fields(AdamHyper):
-        if f.name not in raw:
-            continue
-        if f.name == "max_iters":
-            kwargs[f.name] = _as_int(raw[f.name], "adam.max_iters")
-        else:
-            kwargs[f.name] = _as_float(raw[f.name], f"adam.{f.name}")
+        raise ConfigError(prefix + unknown[0], "unknown key")
+    kwargs = {name: _from_json(hints[name], value, prefix + name) for name, value in raw.items()}
     try:
-        return dataclasses.replace(defaults, **kwargs)
-    except ValueError as exc:
-        raise ConfigError("adam", str(exc)) from exc
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.field, exc.message) from None
+    except ValueError as exc:  # AdamHyper checks its own ranges with plain ValueErrors
+        raise ConfigError(prefix.rstrip("."), str(exc)) from None
 
 
-def experiment_from_dict(raw: dict) -> ExperimentConfig:
-    defaults = ExperimentConfig()
-    raw = _take(dict(raw), defaults, "")
-    kwargs = {}
-    if "system" in raw:
-        if not isinstance(raw["system"], dict):
-            raise ConfigError("system", f"expected an object, got {raw['system']!r}")
-        kwargs["system"] = system_from_dict(raw["system"])
-    if "adam" in raw:
-        if not isinstance(raw["adam"], dict):
-            raise ConfigError("adam", f"expected an object, got {raw['adam']!r}")
-        kwargs["adam"] = adam_from_dict(raw["adam"])
-    if "method" in raw:
-        if raw["method"] not in METHODS:
-            raise ConfigError("method", f"must be one of {list(METHODS)}, got {raw['method']!r}")
-        kwargs["method"] = raw["method"]
-    for name in ("num_cpis", "seed", "ma_window"):
-        if name in raw:
-            kwargs[name] = _as_int(raw[name], name)
-    for name in ("feedback_period_s", "ekf_init_cov"):
-        if name in raw:
-            kwargs[name] = _as_float(raw[name], name)
-    if "initial_state" in raw:
-        kwargs["initial_state"] = _as_tuple(raw["initial_state"], 4, "initial_state")
-    if "convergence_state" in raw:
-        kwargs["convergence_state"] = _as_tuple(raw["convergence_state"], 4, "convergence_state")
-    if "convergence_v_init" in raw:
-        kwargs["convergence_v_init"] = _as_tuple(raw["convergence_v_init"], 2, "convergence_v_init")
-    if "motion_var" in raw:
-        mv = _as_tuple(raw["motion_var"], 2, "motion_var")
-        _check(mv[0] >= 0 and mv[1] >= 0, "motion_var", "must be nonnegative")
-        kwargs["motion_var"] = mv
-    cfg = dataclasses.replace(defaults, **kwargs)
-    _check(cfg.num_cpis >= 1, "num_cpis", "must be >= 1")
-    _check(cfg.seed >= 0, "seed", "must be nonnegative")
-    _check(cfg.ma_window >= 1, "ma_window", "must be >= 1")
-    _check(cfg.ekf_init_cov > 0, "ekf_init_cov", "must be positive")
-    _check(
-        cfg.feedback_period_cpis >= 1,
-        "feedback_period_s",
-        f"must cover at least one CPI ({cfg.system.cpi_duration_s} s)",
-    )
-    return cfg
+# JSON types each leaf type accepts, and how a rejection names the type
+_LEAVES = {
+    bool: (bool, "true/false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+}
 
 
-def experiment_to_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["initial_state"] = list(cfg.initial_state)
-    d["convergence_state"] = list(cfg.convergence_state)
-    d["convergence_v_init"] = list(cfg.convergence_v_init)
-    d["motion_var"] = list(cfg.motion_var)
-    return d
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    return experiment_from_dict(raw)
+def _from_json(tp, value, field: str):
+    """One JSON value checked against a field's type; ints widen to float."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(field, f"expected an object, got {value!r}")
+        return _from_dict(tp, value, field + ".")
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(field, f"expected a list of {len(args)} numbers, got {value!r}")
+        return tuple(_from_json(arg, v, field) for arg, v in zip(args, value))
+    if args:  # T | None
+        return None if value is None else _from_json(args[0], value, field)
+    accepts, name = _LEAVES[tp]
+    # bool is an int subclass: only a bool field takes true/false
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepts):
+        raise ConfigError(field, f"expected {name}, got {value!r}")
+    return tp(value)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(experiment_to_dict(cfg), indent=2) + "\n")
+    Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")
 
 
 def _parse_override_value(text: str):
@@ -317,4 +241,4 @@ def build_config(
     for key, value in direct.items():
         if value is not None:
             raw[key] = value
-    return experiment_from_dict(raw)
+    return _from_dict(ExperimentConfig, raw)

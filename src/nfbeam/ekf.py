@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry as geo
 from .beamforming import predictive_beamformers
 from .motion import MotionNoise, MotionState, kinematic_forecast, transition_matrix
-from .signals import Observation, check_unit_norm, observation_mean
+from .signals import check_unit_norm, observation_mean
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL_FACTOR = 1e-9
@@ -196,7 +196,7 @@ def ekf_track_step(
 ):
     """One closed-loop CPI: forecast, point from the forecast, observe, assimilate.
 
-    observe maps the transmitted BeamformerSet to this CPI's Observation.
+    observe maps the transmitted beamformers to this CPI's echo snapshot, shape (M,).
     Returns (beamformers, posterior, diagnostics).
     """
     prior = ekf_forecast(belief, cpi_duration, config.process_noise)
@@ -204,9 +204,7 @@ def ekf_track_step(
         geom, prior.mean.position, prior.mean.velocity, num_symbols, symbol_duration,
         signed=signed,
     )
-    obs = observe(bf)
-    if not isinstance(obs, Observation):
-        raise TypeError(f"observe must return an Observation, got {type(obs)!r}")
+    y = observe(bf)
     f_last = bf[-1]
     check_unit_norm(f_last)
     h_bar = observation_mean(
@@ -215,5 +213,5 @@ def ekf_track_step(
     jac = observation_jacobian(
         geom, model, prior.mean, f_last, s_amp, num_symbols, symbol_duration, signed=signed
     )
-    posterior, diag = kalman_update(prior, obs.y, jac, h_bar, config.echo_noise_power)
+    posterior, diag = kalman_update(prior, y, jac, h_bar, config.echo_noise_power)
     return bf, posterior, diag

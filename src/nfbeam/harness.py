@@ -15,7 +15,7 @@ from .beamforming import (
     opt_beamformers,
     predictive_beamformers,
 )
-from .config import METHODS, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .ekf import TrackerBelief, ekf_track_step, initial_belief
 from .motion import MotionState, generate_trajectory
 from .signals import cpi_throughput, echo_amplitude, synthesize_observation
@@ -149,8 +149,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     the trackers start consuming echoes at CPI 2. Opt/FF/FD throughputs are
     logged alongside whichever method ran, on the shared trajectory.
     """
-    if config.method not in METHODS:
-        raise ConfigError("method", f"must be one of {list(METHODS)}, got {config.method!r}")
     sys_cfg = config.system
     geom = sys_cfg.geometry()
     model = sys_cfg.pathloss_model()
@@ -173,6 +171,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     def throughput(bf, eta):
         return cpi_throughput(
             geom, model, eta, bf, ts, power_w, sys_cfg.comm_noise_power, signed=signed
+        )
+
+    def observe(bf):  # reads the current CPI's true state eta
+        return synthesize_observation(
+            geom, model, eta, bf, noise, s_amp, ts, echo_rng, signed=signed
         )
 
     rows: list[MetricRow] = []
@@ -209,24 +212,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         elif method == "fd":
             bf, est = bf_fd, fd_state
         elif method == "agdao":
-            def observe(b):
-                return synthesize_observation(
-                    geom, model, eta, b, noise, s_amp, ts, echo_rng,
-                    cpi_index=cpi, signed=signed,
-                )
-
             bf, p_hat, v_hat, _ = agdao_track_step(
                 p_hat, v_hat, observe, geom, model, s_amp, num_symbols, ts, dt,
                 hyper=config.adam, signed=signed,
             )
             est = MotionState(p_hat[0], p_hat[1], v_hat[0], v_hat[1])
         else:  # ekf
-            def observe(b):
-                return synthesize_observation(
-                    geom, model, eta, b, noise, s_amp, ts, echo_rng,
-                    cpi_index=cpi, signed=signed,
-                )
-
             bf, belief, diag = ekf_track_step(
                 belief, observe, geom, model, config.ekf_config(),
                 s_amp, num_symbols, ts, dt, signed=signed,
@@ -261,19 +252,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     )
 
 
-def moving_average(series, window: int) -> np.ndarray:
-    """Trailing mean over full windows only; output length len - window + 1."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"series must be 1-D, got shape {x.shape}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if window > x.size:
-        # no full window fits
-        return np.zeros(0)
-    return np.convolve(x, np.full(window, 1.0 / window), mode="valid")
-
-
 def power_sweep(
     config: ExperimentConfig,
     powers_dbm=(10.0, 20.0, 30.0, 40.0),
@@ -285,8 +263,6 @@ def power_sweep(
         raise ConfigError("powers", "at least one power level is required")
     rows: list[SweepRow] = []
     for method in methods:
-        if method not in METHODS:
-            raise ConfigError("method", f"must be one of {list(METHODS)}, got {method!r}")
         for dbm in powers_dbm:
             cfg = dataclasses.replace(
                 config,
@@ -347,8 +323,8 @@ def convergence_study(
     rows: list[TraceRow] = []
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
-        obs = synthesize_observation(
-            geom, model, eta_gt, bf, noise, s_amp, ts, rng, cpi_index=1, signed=signed
+        y = synthesize_observation(
+            geom, model, eta_gt, bf, noise, s_amp, ts, rng, signed=signed
         )
         for variant in variants:
             if variant not in VARIANTS:
@@ -356,7 +332,7 @@ def convergence_study(
                     "variant", f"must be one of {list(VARIANTS)}, got {variant!r}"
                 )
             _, trace = estimate_velocity(
-                variant, obs.y, geom, model, eta_gt.position, v_init, bf[-1],
+                variant, y, geom, model, eta_gt.position, v_init, bf[-1],
                 s_amp, num_symbols, ts, hyper=hyper, signed=signed,
             )
             for k, vx, vy, objective, gx, gy in trace.rows:

@@ -34,14 +34,6 @@ class NoiseConfig:
             )
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Echo snapshot taken at the last symbol of a CPI."""
-
-    y: np.ndarray
-    cpi_index: int = 0
-
-
 def check_unit_norm(f: np.ndarray, tol: float = BEAM_NORM_TOL) -> None:
     """Raise BeamNormError unless every beamformer row has unit 2-norm."""
     f = np.asarray(f)
@@ -93,10 +85,9 @@ def synthesize_observation(
     s_amp: float,
     symbol_duration: float,
     rng: np.random.Generator,
-    cpi_index: int = 0,
     signed: bool = False,
-) -> Observation:
-    """Echo received at the last symbol, transmitted with beamformers[N-1]."""
+) -> np.ndarray:
+    """Echo snapshot, shape (M,), at the last symbol, sent with beamformers[N-1]."""
     beamformers = np.asarray(beamformers)
     if beamformers.ndim != 2 or beamformers.shape[1] != geom.num_antennas:
         raise ValueError(
@@ -108,7 +99,7 @@ def synthesize_observation(
         geom, model, eta, beamformers[-1], s_amp, num_symbols, symbol_duration, signed=signed
     )
     z = complex_gaussian(rng, geom.num_antennas, noise.echo_noise_power)
-    return Observation(y=mean + z, cpi_index=cpi_index)
+    return mean + z
 
 
 def received_snr(

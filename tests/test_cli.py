@@ -107,9 +107,10 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     code = main(["track", "--out", str(tmp_path), "--set", "num_cpis=0", *SMALL])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    payload = json.loads(err[-1])
-    assert payload["error"] == "config"
-    assert payload["field"] == "num_cpis"
+    # the line the README shows: the message does not repeat the field
+    assert err[-1] == (
+        '{"error": "config", "field": "num_cpis", "message": "must be >= 1, got 0"}'
+    )
     assert not (tmp_path / "metrics.csv").exists()
 
 

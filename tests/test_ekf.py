@@ -285,25 +285,20 @@ def test_track_step_composes_forecast_beam_update():
         geom, prior.mean.position, prior.mean.velocity, N_SYM, TS
     )
     noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
-    obs = synthesize_observation(
-        geom, model, truth, bf_ref, noise, 1.0, TS, np.random.default_rng(4), cpi_index=2
+    y = synthesize_observation(
+        geom, model, truth, bf_ref, noise, 1.0, TS, np.random.default_rng(4)
     )
     h_bar = observation_mean(geom, model, prior.mean, bf_ref[-1], 1.0, N_SYM, TS)
     jac = observation_jacobian(geom, model, prior.mean, bf_ref[-1], 1.0, N_SYM, TS)
-    want, want_diag = kalman_update(prior, obs.y, jac, h_bar, cfg.echo_noise_power)
+    want, want_diag = kalman_update(prior, y, jac, h_bar, cfg.echo_noise_power)
 
     bf, post, diag = ekf_track_step(
-        belief, lambda b: obs, geom, model, cfg, 1.0, N_SYM, TS, DT
+        belief, lambda b: y, geom, model, cfg, 1.0, N_SYM, TS, DT
     )
     np.testing.assert_array_equal(bf, bf_ref)
     np.testing.assert_array_equal(post.mean.as_array(), want.mean.as_array())
     np.testing.assert_array_equal(post.covariance, want.covariance)
     assert diag == want_diag
-
-    with pytest.raises(TypeError):
-        ekf_track_step(
-            belief, lambda b: obs.y, geom, model, cfg, 1.0, N_SYM, TS, DT
-        )
 
 
 def test_track_step_noiseless_fixed_point():
@@ -320,9 +315,9 @@ def test_track_step_noiseless_fixed_point():
     for l in range(1, 100):
         eta = traj[l]
 
-        def observe(bf, eta=eta, l=l):
+        def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta, bf, noise, 1.0, TS, rng, cpi_index=l
+                geom, model, eta, bf, noise, 1.0, TS, rng
             )
 
         bf, belief, diag = ekf_track_step(
@@ -355,9 +350,9 @@ def test_track_step_throughput_near_matched():
     for l in range(1, cpis):
         eta = traj[l]
 
-        def observe(bf, eta=eta, l=l):
+        def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta, bf, noise, 1.0, TS, noise_rng, cpi_index=l
+                geom, model, eta, bf, noise, 1.0, TS, noise_rng
             )
 
         bf, belief, diag = ekf_track_step(
@@ -386,9 +381,9 @@ def test_belief_sequence_deterministic():
         for l in range(1, 40):
             eta = traj[l]
 
-            def observe(bf, eta=eta, l=l):
+            def observe(bf, eta=eta):
                 return synthesize_observation(
-                    geom, model, eta, bf, noise, 1.0, TS, noise_rng, cpi_index=l
+                    geom, model, eta, bf, noise, 1.0, TS, noise_rng
                 )
 
             bf, belief, diag = ekf_track_step(

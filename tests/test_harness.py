@@ -1,19 +1,19 @@
-"""Experiment harness: RNG streams, closed-loop runs, smoothing, sweeps, CSV io."""
+"""Experiment harness: RNG streams, closed-loop runs, sweeps, CSV io, config parsing."""
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from nfbeam import (
+    AdamHyper,
     ConfigError,
     ExperimentConfig,
     SystemConfig,
     build_config,
     convergence_study,
     dbm_to_watts,
-    load_config,
-    moving_average,
     pathloss,
     power_sweep,
     run_experiment,
@@ -111,19 +111,6 @@ def test_unknown_method_rejected():
         run_experiment(dataclasses.replace(small_config(), method="oracle"))
 
 
-def test_moving_average_examples():
-    ramp = np.arange(1.0, 11.0)
-    np.testing.assert_array_equal(moving_average(ramp, 2), np.arange(1.5, 10.0))
-    np.testing.assert_array_equal(moving_average(ramp, 1), ramp)
-    np.testing.assert_allclose(moving_average(np.full(7, 3.25), 4), np.full(4, 3.25))
-    assert moving_average(ramp, 11).size == 0
-    assert moving_average(ramp, 10).shape == (1,)
-    with pytest.raises(ValueError):
-        moving_average(ramp, 0)
-    with pytest.raises(ValueError):
-        moving_average(ramp.reshape(2, 5), 2)
-
-
 def test_power_sweep_single_cell_matches_run():
     cfg = small_config(num_cpis=12)
     rows = power_sweep(cfg, powers_dbm=(30.0,), methods=("ekf",))
@@ -209,50 +196,135 @@ def test_config_defaults_match_operating_point():
     assert cfg.motion_var == (0.01, 0.01)
     assert cfg.adam.step_x == 0.05 and cfg.adam.max_iters == 500
     assert cfg.ekf_init_cov == 0.1
-    assert cfg.ma_window == 20
     assert cfg.convergence_state == (0.0, 10.0, 8.0, 7.0)
     assert cfg.feedback_period_cpis == 1000
     assert dbm_to_watts(30.0) == pytest.approx(1.0)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3)
 
 
+# Every settable value away from its default; the round-trip test checks
+# that this stays true as fields are added.
+NON_DEFAULT = ExperimentConfig(
+    system=SystemConfig(
+        num_antennas=64,
+        carrier_freq_hz=28.0e9,
+        spacing_m=0.006,
+        symbol_duration_s=2.0e-5,
+        symbols_per_cpi=8,
+        tx_power_dbm=20.0,
+        comm_noise_power=2.0e-8,
+        echo_noise_power=3.0e-8,
+        ref_gain=0.5,
+        rcs=2.0,
+        include_transmit_power=False,
+        signed_projection=True,
+    ),
+    method="agdao",
+    num_cpis=7,
+    seed=3,
+    initial_state=(4.0, 12.0, -1.0, 2.5),
+    motion_var=(0.02, 0.03),
+    feedback_period_s=0.05,
+    adam=AdamHyper(
+        step_x=0.01, step_y=0.02, beta1_x=0.8, beta1_y=0.7, beta2_x=0.99,
+        beta2_y=0.98, epsilon=1e-6, max_iters=40, rel_tol_x=1e-4, rel_tol_y=2e-4,
+    ),
+    ekf_init_cov=0.2,
+    convergence_state=(1.0, 9.0, 3.0, 4.0),
+    convergence_v_init=(0.5, -0.5),
+)
+
+
+def _leaves(node, prefix=""):
+    """Dotted path -> value for every settable leaf of a config dict."""
+    out = {}
+    for key, value in node.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+DEFAULT_LEAVES = _leaves(dataclasses.asdict(ExperimentConfig()))
+
+
 def test_config_file_round_trip(tmp_path):
-    cfg = small_config(method="agdao", seed=3)
+    changed = _leaves(dataclasses.asdict(NON_DEFAULT))
+    assert changed.keys() == DEFAULT_LEAVES.keys()
+    assert [k for k in changed if changed[k] == DEFAULT_LEAVES[k]] == []
     path = tmp_path / "config.json"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
+    save_config(NON_DEFAULT, path)
+    assert build_config(path) == NON_DEFAULT
+
+
+def _wrong_types(default):
+    """--set values of the wrong JSON type for a leaf with this default."""
+    if isinstance(default, bool):
+        return ["1", '"yes"']
+    if isinstance(default, int):
+        return ["2.5", "true", '"3"']
+    if isinstance(default, float):
+        return ["true", "fast", "[1.0]"]
+    if default is None:  # spacing_m: a number or null
+        return ["true", "half"]
+    if isinstance(default, str):
+        return ["5", "null"]
+    wrong_element = json.dumps(["x"] * len(default))
+    return ["5", "[1.0]", wrong_element, "{}"]
+
+
+@pytest.mark.parametrize("path", sorted(DEFAULT_LEAVES))
+def test_wrong_type_names_the_field(path):
+    for text in _wrong_types(DEFAULT_LEAVES[path]):
+        with pytest.raises(ConfigError) as err:
+            build_config(None, [f"{path}={text}"])
+        assert err.value.field == path, text
+
+
+def test_direct_construction_is_checked():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(num_cpis=0)
+    assert (err.value.field, err.value.message) == ("num_cpis", "must be >= 1, got 0")
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(ExperimentConfig().system, symbols_per_cpi=0)
+    assert (err.value.field, err.value.message) == ("symbols_per_cpi", "must be >= 1, got 0")
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(ExperimentConfig(), motion_var=(-0.01, 0.01))
+    assert err.value.message == "must be nonnegative, got (-0.01, 0.01)"
 
 
 def test_config_rejections(tmp_path):
-    from nfbeam.config import experiment_from_dict
-
     with pytest.raises(ConfigError) as err:
-        experiment_from_dict({"system": {"num_antenas": 4}})
-    assert "num_antenas" in str(err.value)
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"num_cpis": True})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"num_cpis": 0})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"seed": -1})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"ma_window": 0})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"method": "oracle"})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"motion_var": [-0.01, 0.01]})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"feedback_period_s": 1e-6})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"system": {"num_antennas": 0}})
-    with pytest.raises(ConfigError):
-        experiment_from_dict({"system": {"comm_noise_power": 0.0}})
+        build_config(None, ["system.num_antenas=4"])
+    assert err.value.field == "system.num_antenas"
+    for assignment, field in (
+        ("num_cpis=true", "num_cpis"),
+        ("num_cpis=0", "num_cpis"),
+        ("seed=-1", "seed"),
+        ("method=oracle", "method"),
+        ("motion_var=[-0.01, 0.01]", "motion_var"),
+        ("feedback_period_s=1e-6", "feedback_period_s"),
+        ("system.num_antennas=0", "system.num_antennas"),
+        ("system.comm_noise_power=0.0", "system.comm_noise_power"),
+        ("system.spacing_m=0", "system.spacing_m"),
+        ("system=4", "system"),
+        ("adam.step_x=0", "adam"),
+        ("ma_window=20", "ma_window"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build_config(None, [assignment])
+        assert err.value.field == field, assignment
+        assert "got" in err.value.message or err.value.message == "unknown key", assignment
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_config(bad)
+        build_config(bad)
     with pytest.raises(ConfigError):
-        load_config(tmp_path / "missing.json")
+        build_config(tmp_path / "missing.json")
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigError):
+        build_config(bad)
 
 
 def test_build_config_layering(tmp_path):

@@ -10,7 +10,6 @@ from nfbeam.motion import MotionState
 from nfbeam.signals import (
     BeamNormError,
     NoiseConfig,
-    Observation,
     check_unit_norm,
     complex_gaussian,
     cpi_throughput,
@@ -90,11 +89,9 @@ def test_synthesize_observation_noiseless_equals_mean():
     eta = sample_state(rng, geom)
     bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
     noise = NoiseConfig(echo_noise_power=0.0)
-    obs = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng, cpi_index=4)
-    assert isinstance(obs, Observation)
-    assert obs.cpi_index == 4
+    y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
     mean = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS)
-    np.testing.assert_array_equal(obs.y, mean)
+    np.testing.assert_array_equal(y, mean)
 
 
 def test_synthesize_observation_validates_input():
@@ -118,7 +115,7 @@ def test_synthesize_observation_deterministic():
     noise = NoiseConfig(echo_noise_power=1e-8)
     a = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(9))
     b = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.y, b.y)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_matched_beamformer_hits_closed_form_snr():
