@@ -8,7 +8,6 @@ transmit beamformer, with genie/far-field/periodic-feedback baselines.
 """
 
 from .agdao import (
-    AdamHyper,
     DivergenceError,
     OptimizerTrace,
     VARIANTS,
@@ -28,6 +27,7 @@ from .beamforming import (
 )
 from .config import (
     METHODS,
+    AdamHyper,
     ConfigError,
     ExperimentConfig,
     SystemConfig,
@@ -82,6 +82,7 @@ from .harness import (
 from .motion import (
     MotionNoise,
     MotionState,
+    StateBatch,
     generate_trajectory,
     kinematic_forecast,
     step_motion,

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import geometry as geo
 from .beamforming import predictive_beamformers
+from .config import AdamHyper
 from .signals import check_unit_norm
 
 VARIANTS = ("adam-ao", "adam-joint", "plain-gd")
@@ -33,39 +34,6 @@ REL_CHANGE_FLOOR = 1e-6
 
 class DivergenceError(RuntimeError):
     """Optimizer produced a non-finite iterate or objective."""
-
-
-@dataclass(frozen=True)
-class AdamHyper:
-    """Per-axis ascent hyperparameters and the shared stop rule."""
-
-    step_x: float = 0.05
-    step_y: float = 0.05
-    beta1_x: float = 0.9
-    beta1_y: float = 0.9
-    beta2_x: float = 0.999
-    beta2_y: float = 0.999
-    epsilon: float = 1e-8
-    max_iters: int = 500
-    rel_tol_x: float = 1e-5
-    rel_tol_y: float = 1e-5
-
-    def __post_init__(self) -> None:
-        for name in ("step_x", "step_y"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("beta1_x", "beta1_y", "beta2_x", "beta2_y"):
-            val = getattr(self, name)
-            if not 0.0 <= val < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {val}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("rel_tol_x", "rel_tol_y"):
-            val = getattr(self, name)
-            if val < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {val}")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .motion import MotionState
+from .motion import MotionState, StateBatch
 
 
 def predictive_beamformers(
@@ -20,20 +20,25 @@ def predictive_beamformers(
     """Matched filter to the channel implied by an already-predicted state.
 
     Row n-1 is f(n) = conj(a_tilde(p_pred) * d(n; v_pred)) / sqrt(M); each row
-    has unit norm. Shape (num_symbols, M).
+    has unit norm. Shape (num_symbols, M), or (..., num_symbols, M) for
+    states of shape (..., 2).
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     atil = geo.steering_vector(geom, p_pred)
     vm = geo.radial_speeds(geom, v_pred, p_pred, signed=signed)
     n = np.arange(1, num_symbols + 1)
-    d = np.exp(-1j * geom.wavenumber * symbol_duration * np.outer(n, vm))
-    return np.conj(atil[None, :] * d) / math.sqrt(geom.num_antennas)
+    f = np.exp(-1j * geom.wavenumber * symbol_duration * (n[:, None] * vm[..., None, :]))
+    # f = conj(atil * d) / sqrt(M), built in place
+    np.multiply(atil[..., None, :], f, out=f)
+    np.conjugate(f, out=f)
+    f /= math.sqrt(geom.num_antennas)
+    return f
 
 
 def opt_beamformers(
     geom: geo.ArrayGeometry,
-    eta_true: MotionState,
+    eta_true: MotionState | StateBatch,
     num_symbols: int,
     symbol_duration: float,
     signed: bool = False,
@@ -44,31 +49,42 @@ def opt_beamformers(
     )
 
 
+def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of 2-vectors along the last axis, shape (...).
+
+    A stack of (1, 2) @ (2, 1) products: numpy's matmul gives each the same
+    BLAS dot that a @ b takes for one pair, so a batch rounds as its rows do.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def ff_beamformers(
     geom: geo.ArrayGeometry,
-    eta_true: MotionState,
+    eta_true: MotionState | StateBatch,
     num_symbols: int,
     symbol_duration: float,
 ) -> np.ndarray:
     """Far-field codebook at the true state: planar phases along u = p/||p||
-    plus a common radial-Doppler rotation per symbol."""
+    plus a common radial-Doppler rotation per symbol.
+
+    Shape (num_symbols, M), or (..., num_symbols, M) for a StateBatch.
+    """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    p = eta_true.position
-    rnorm = float(np.linalg.norm(p))
-    if rnorm < geo.MIN_RANGE:
-        raise geo.DegeneratePositionError(
-            f"position {p.tolist()} is within {geo.MIN_RANGE} m of the array center"
-        )
-    u = p / rnorm
-    v_radial = float(eta_true.velocity @ u)
+    p = geo.as_points(eta_true.position, "position")
+    rnorm = np.sqrt(_dot2(p, p))
+    geo.reject_degenerate(p, rnorm, geo.MIN_RANGE, "the array center")
+    u = p / rnorm[..., None]
+    v_radial = _dot2(geo.as_points(eta_true.velocity, "velocity"), u)
     n = np.arange(1, num_symbols + 1)
     # antennas sit on the x-axis, so u^T k_m reduces to u_x * k_m1
-    spatial = geo.element_offsets(geom) * u[0]
+    spatial = geo.element_offsets(geom) * u[..., 0, None]
     phase = geom.wavenumber * (
-        n[:, None] * symbol_duration * v_radial + spatial[None, :]
+        n[:, None] * symbol_duration * v_radial[..., None, None] + spatial[..., None, :]
     )
-    return np.exp(-1j * phase) / math.sqrt(geom.num_antennas)
+    f = np.exp(-1j * phase)
+    f /= math.sqrt(geom.num_antennas)
+    return f
 
 
 def feedback_latch_index(cpi_index: int, period_cpis: int) -> int:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .agdao import AdamHyper
 from .ekf import EkfConfig
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, PathlossModel
 from .motion import MotionNoise, MotionState
@@ -101,6 +101,31 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
+class AdamHyper:
+    """Per-axis ascent hyperparameters and the shared stop rule of AGD-AO."""
+
+    step_x: float = 0.05
+    step_y: float = 0.05
+    beta1_x: float = 0.9
+    beta1_y: float = 0.9
+    beta2_x: float = 0.999
+    beta2_y: float = 0.999
+    epsilon: float = 1e-8
+    max_iters: int = 500
+    rel_tol_x: float = 1e-5
+    rel_tol_y: float = 1e-5
+
+    def __post_init__(self) -> None:
+        for name in ("step_x", "step_y", "epsilon"):
+            _require(self, name, getattr(self, name) > 0, "positive")
+        for name in ("beta1_x", "beta1_y", "beta2_x", "beta2_y"):
+            _require(self, name, 0 <= getattr(self, name) < 1, "in [0, 1)")
+        _require(self, "max_iters", self.max_iters >= 1, ">= 1")
+        for name in ("rel_tol_x", "rel_tol_y"):
+            _require(self, name, getattr(self, name) >= 0, "nonnegative")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A full tracking experiment over num_cpis CPIs."""
 
@@ -158,8 +183,6 @@ def _from_dict(cls, raw: dict, prefix: str = ""):
         return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(prefix + exc.field, exc.message) from None
-    except ValueError as exc:  # AdamHyper checks its own ranges with plain ValueErrors
-        raise ConfigError(prefix.rstrip("."), str(exc)) from None
 
 
 # JSON types each leaf type accepts, and how a rejection names the type
@@ -188,6 +211,9 @@ def _from_json(tp, value, field: str):
     # bool is an int subclass: only a bool field takes true/false
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepts):
         raise ConfigError(field, f"expected {name}, got {value!r}")
+    # json.loads reads NaN and Infinity, which no range check below would catch
+    if tp is float and not math.isfinite(value):
+        raise ConfigError(field, f"must be finite, got {value!r}")
     return tp(value)
 
 

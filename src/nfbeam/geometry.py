@@ -81,26 +81,37 @@ def _as_position(p) -> np.ndarray:
     return p
 
 
-def _as_velocity(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2,):
-        raise ValueError(f"velocity must have shape (2,), got {v.shape}")
-    return v
+def as_points(x, what: str) -> np.ndarray:
+    """One 2-vector, shape (2,), or a batch of them, shape (..., 2)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 2:
+        raise ValueError(f"{what} must have shape (..., 2), got {x.shape}")
+    return x
+
+
+def reject_degenerate(p: np.ndarray, dist, limit: float, where: str) -> None:
+    """Raise DegeneratePositionError if any dist is below limit, naming the first.
+
+    dist holds one value per position of p: the shape of p without its last axis.
+    """
+    bad = dist < limit
+    if np.count_nonzero(bad):
+        first = p.reshape(-1, 2)[np.flatnonzero(bad)[0]]
+        raise DegeneratePositionError(
+            f"position {first.tolist()} is within {MIN_RANGE} m of {where}"
+        )
 
 
 def element_distances(geom: ArrayGeometry, p) -> np.ndarray:
-    """Exact per-antenna distances to position p, shape (M,)."""
-    p = _as_position(p)
-    r = np.hypot(p[0] - element_offsets(geom), p[1])
-    if np.min(r) < MIN_RANGE:
-        raise DegeneratePositionError(
-            f"position {p.tolist()} is within {MIN_RANGE} m of an antenna"
-        )
+    """Exact per-antenna distances to position(s) p of shape (..., 2): (..., M)."""
+    p = as_points(p, "position")
+    r = np.hypot(p[..., 0, None] - element_offsets(geom), p[..., 1, None])
+    reject_degenerate(p, r.min(axis=-1), MIN_RANGE, "an antenna")
     return r
 
 
 def steering_vector(geom: ArrayGeometry, p) -> np.ndarray:
-    """Near-field phase profile exp(-j * 2pi/lambda * r_m), shape (M,)."""
+    """Near-field phase profile exp(-j * 2pi/lambda * r_m), shape (..., M)."""
     return np.exp(-1j * geom.wavenumber * element_distances(geom, p))
 
 
@@ -109,21 +120,22 @@ def projection_coeffs(geom: ArrayGeometry, p, signed: bool = False):
 
     Default uses magnitude numerators |x - k_m1| / r_m and |y| / r_m; with
     signed=True the numerators keep their signs. Either way g^2 + q^2 = 1.
+    Each has shape (..., M) for positions of shape (..., 2).
     """
-    p = _as_position(p)
+    p = as_points(p, "position")
     r = element_distances(geom, p)
-    ux = p[0] - element_offsets(geom)
-    uy = p[1]
+    ux = p[..., 0, None] - element_offsets(geom)
+    uy = p[..., 1, None]
     if signed:
         return ux / r, uy / r
-    return np.abs(ux) / r, abs(uy) / r
+    return np.abs(ux) / r, np.abs(uy) / r
 
 
 def radial_speeds(geom: ArrayGeometry, v, p, signed: bool = False) -> np.ndarray:
-    """Composite per-antenna speed g_m * vx + q_m * vy, shape (M,)."""
-    v = _as_velocity(v)
+    """Composite per-antenna speed g_m * vx + q_m * vy, shape (..., M)."""
+    v = as_points(v, "velocity")
     g, q = projection_coeffs(geom, p, signed=signed)
-    return g * v[0] + q * v[1]
+    return g * v[..., 0, None] + q * v[..., 1, None]
 
 
 def doppler_vector(
@@ -157,14 +169,15 @@ class PathlossModel:
             raise ValueError(f"rcs must be positive, got {self.rcs}")
 
 
-def pathloss(model: PathlossModel, p, kind: str) -> float:
-    """Amplitude gain to position p: downlink (one-way) or roundtrip (echo)."""
-    p = _as_position(p)
-    rr = p[0] * p[0] + p[1] * p[1]
-    if rr < MIN_RANGE * MIN_RANGE:
-        raise DegeneratePositionError(
-            f"position {p.tolist()} is within {MIN_RANGE} m of the array center"
-        )
+def pathloss(model: PathlossModel, p, kind: str):
+    """Amplitude gain to position(s) p: downlink (one-way) or roundtrip (echo).
+
+    A float for one position; shape (...) for positions of shape (..., 2).
+    """
+    p = as_points(p, "position")
+    x, y = p[..., 0], p[..., 1]
+    rr = x * x + y * y
+    reject_degenerate(p, rr, MIN_RANGE * MIN_RANGE, "the array center")
     if kind == DOWNLINK:
         return model.ref_gain / rr
     if kind == ROUNDTRIP:
@@ -176,10 +189,7 @@ def pathloss_gradient(model: PathlossModel, p):
     """Spatial gradient (d/dx, d/dy) of the roundtrip gain."""
     p = _as_position(p)
     rr = p[0] * p[0] + p[1] * p[1]
-    if rr < MIN_RANGE * MIN_RANGE:
-        raise DegeneratePositionError(
-            f"position {p.tolist()} is within {MIN_RANGE} m of the array center"
-        )
+    reject_degenerate(p, rr, MIN_RANGE * MIN_RANGE, "the array center")
     c = -model.rcs * model.ref_gain / (2.0 * rr * rr)
     return c * p[0], c * p[1]
 

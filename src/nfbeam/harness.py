@@ -17,11 +17,15 @@ from .beamforming import (
 )
 from .config import ConfigError, ExperimentConfig
 from .ekf import TrackerBelief, ekf_track_step, initial_belief
-from .motion import MotionState, generate_trajectory
+from .motion import MotionState, StateBatch, generate_trajectory
 from .signals import cpi_throughput, echo_amplitude, synthesize_observation
 
 # Fixed ids keep the fan-out stable if stream names are ever added or reordered.
 STREAM_IDS = {"trajectory": 0, "echo-noise": 1, "estimator-init": 2}
+
+# The baseline pass handles K CPIs a call with K * N * M at most this many
+# (complex) elements, about 0.5 MB an array; K = 6 at N = 10, M = 512.
+BASELINE_CHUNK_ELEMENTS = 2**15
 
 
 def stream(master_seed: int, name: str, *extra: int) -> np.random.Generator:
@@ -147,7 +151,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
 
     CPI 1 points with the true initial state for every method (initial access);
     the trackers start consuming echoes at CPI 2. Opt/FF/FD throughputs are
-    logged alongside whichever method ran, on the shared trajectory.
+    logged alongside whichever method ran, on the shared trajectory; they
+    depend on the trajectory alone, so they are computed before the loop.
     """
     sys_cfg = config.system
     geom = sys_cfg.geometry()
@@ -159,7 +164,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     dt = sys_cfg.cpi_duration_s
     power_w = sys_cfg.tx_power_w
     s_amp = echo_amplitude(power_w, sys_cfg.include_transmit_power)
-    period = config.feedback_period_cpis
     method = config.method
 
     traj = generate_trajectory(
@@ -178,6 +182,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             geom, model, eta, bf, noise, s_amp, ts, echo_rng, signed=signed
         )
 
+    fd_states = [
+        fd_predicted_state(traj, cpi, config.feedback_period_cpis, dt)
+        for cpi in range(1, config.num_cpis + 1)
+    ]
+    baseline = _baseline_rates(geom, traj, fd_states, num_symbols, ts, signed, throughput)
+
     rows: list[MetricRow] = []
     belief_rows: list[BeliefRow] = []
     beliefs: list[TrackerBelief] = []
@@ -187,42 +197,29 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
 
     for cpi in range(1, config.num_cpis + 1):
         eta = traj[cpi - 1]
-        bf_opt = opt_beamformers(geom, eta, num_symbols, ts, signed=signed)
         if cpi == 1:
             # initial access: every pointer starts from the reported true state
-            bf_ff = bf_opt
-            bf_fd = bf_opt
-            fd_state = eta
-        else:
-            bf_ff = ff_beamformers(geom, eta, num_symbols, ts)
-            fd_p, fd_v = fd_predicted_state(traj, cpi, period, dt)
-            bf_fd = predictive_beamformers(geom, fd_p, fd_v, num_symbols, ts, signed=signed)
-            fd_state = MotionState(fd_p[0], fd_p[1], fd_v[0], fd_v[1])
-
-        if cpi == 1:
-            bf = bf_opt
-            est = eta
+            rate, est = baseline["opt"][0], eta
             if method == "ekf":
                 beliefs.append(belief)
                 belief_rows.append(_belief_row(1, belief, 0.0, False))
-        elif method == "opt":
-            bf, est = bf_opt, eta
-        elif method == "ff":
-            bf, est = bf_ff, eta
+        elif method in ("opt", "ff"):
+            rate, est = baseline[method][cpi - 1], eta
         elif method == "fd":
-            bf, est = bf_fd, fd_state
+            fd_p, fd_v = fd_states[cpi - 1]
+            rate, est = baseline["fd"][cpi - 1], MotionState(fd_p[0], fd_p[1], fd_v[0], fd_v[1])
         elif method == "agdao":
             bf, p_hat, v_hat, _ = agdao_track_step(
                 p_hat, v_hat, observe, geom, model, s_amp, num_symbols, ts, dt,
                 hyper=config.adam, signed=signed,
             )
-            est = MotionState(p_hat[0], p_hat[1], v_hat[0], v_hat[1])
+            rate, est = throughput(bf, eta), MotionState(p_hat[0], p_hat[1], v_hat[0], v_hat[1])
         else:  # ekf
             bf, belief, diag = ekf_track_step(
                 belief, observe, geom, model, config.ekf_config(),
                 s_amp, num_symbols, ts, dt, signed=signed,
             )
-            est = belief.mean
+            rate, est = throughput(bf, eta), belief.mean
             beliefs.append(belief)
             belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
 
@@ -232,10 +229,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
                 x=float(eta.x), y=float(eta.y), vx=float(eta.vx), vy=float(eta.vy),
                 x_hat=float(est.x), y_hat=float(est.y),
                 vx_hat=float(est.vx), vy_hat=float(est.vy),
-                rate=throughput(bf, eta),
-                rate_opt=throughput(bf_opt, eta),
-                rate_ff=throughput(bf_ff, eta),
-                rate_fd=throughput(bf_fd, eta),
+                rate=float(rate),
+                rate_opt=float(baseline["opt"][cpi - 1]),
+                rate_ff=float(baseline["ff"][cpi - 1]),
+                rate_fd=float(baseline["fd"][cpi - 1]),
                 verr_x=abs(float(eta.vx) - float(est.vx)),
                 verr_y=abs(float(eta.vy) - float(est.vy)),
             )
@@ -250,6 +247,34 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         belief_rows=belief_rows if is_ekf else None,
         beliefs=beliefs if is_ekf else None,
     )
+
+
+def _baseline_rates(geom, traj, fd_states, num_symbols, ts, signed, throughput) -> dict:
+    """Opt, FF and FD rate of every CPI of the trajectory, shape (T,) each.
+
+    A chunk of K CPIs takes one batched call per beamformer and one
+    throughput call that scores all three beams on one build of the true
+    channel; K * N * M stays at most BASELINE_CHUNK_ELEMENTS.
+    """
+    num_cpis = len(traj)
+    truth = StateBatch.stack(traj)
+    fd_p = np.array([p for p, _ in fd_states])
+    fd_v = np.array([v for _, v in fd_states])
+    chunk = max(1, BASELINE_CHUNK_ELEMENTS // (num_symbols * geom.num_antennas))
+    beams = np.empty((3, min(chunk, num_cpis), num_symbols, geom.num_antennas), dtype=complex)
+    rates = np.empty((3, num_cpis))
+    for lo in range(0, num_cpis, chunk):
+        part = slice(lo, lo + chunk)
+        eta = truth[part]
+        bf = beams[:, : len(eta.position)]
+        bf[0] = opt_beamformers(geom, eta, num_symbols, ts, signed=signed)
+        bf[1] = ff_beamformers(geom, eta, num_symbols, ts)
+        bf[2] = predictive_beamformers(geom, fd_p[part], fd_v[part], num_symbols, ts, signed=signed)
+        rates[:, part] = throughput(bf, eta)
+    # CPI 1 is initial access: the far-field and feedback pointers start from
+    # the true state, so they point the genie beam
+    rates[1:, 0] = rates[0, 0]
+    return dict(zip(("opt", "ff", "fd"), rates))
 
 
 def power_sweep(

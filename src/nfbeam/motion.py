@@ -36,6 +36,26 @@ class MotionState:
 
 
 @dataclass(frozen=True)
+class StateBatch:
+    """Motion states stacked on leading axes: position and velocity of shape (..., 2).
+
+    Stands in for a MotionState where only .position and .velocity are read,
+    so the beamformers and cpi_throughput handle a whole batch in one call.
+    """
+
+    position: np.ndarray
+    velocity: np.ndarray
+
+    @classmethod
+    def stack(cls, states: list[MotionState]) -> "StateBatch":
+        eta = np.array([s.as_array() for s in states])
+        return cls(eta[:, :2], eta[:, 2:])
+
+    def __getitem__(self, index) -> "StateBatch":
+        return StateBatch(self.position[index], self.velocity[index])
+
+
+@dataclass(frozen=True)
 class MotionNoise:
     """Variances of the independent per-interval velocity kicks."""
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .motion import MotionState
+from .motion import MotionState, StateBatch
 
 BEAM_NORM_TOL = 1e-9
 
@@ -123,21 +123,29 @@ def received_snr(
 def cpi_throughput(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState,
+    eta: MotionState | StateBatch,
     beamformers: np.ndarray,
     symbol_duration: float,
     tx_power_w: float,
     comm_noise_power: float,
     signed: bool = False,
-) -> float:
-    """Average rate over the CPI's symbols, bits/s/Hz."""
+):
+    """Average rate over the CPI's symbols, bits/s/Hz.
+
+    A float for one state and beamformers of shape (N, M). A StateBatch of
+    K states takes beamformers whose leading axes broadcast against (K,):
+    (K, N, M) gives K rates, (B, K, N, M) gives B rates per state from one
+    build of each state's channel.
+    """
     beamformers = np.asarray(beamformers)
-    num_symbols = beamformers.shape[0]
+    num_symbols = beamformers.shape[-2]
     atil = geo.steering_vector(geom, eta.position)
     vm = geo.radial_speeds(geom, eta.velocity, eta.position, signed=signed)
     n = np.arange(1, num_symbols + 1)
-    phases = np.exp(-1j * geom.wavenumber * symbol_duration * np.outer(n, vm))
+    h = np.exp(-1j * geom.wavenumber * symbol_duration * (n[:, None] * vm[..., None, :]))
+    np.multiply(h, atil[..., None, :], out=h)  # the channel up to alpha1
     alpha1 = geo.pathloss(model, eta.position, geo.DOWNLINK)
-    gains = alpha1 * np.einsum("nm,nm->n", phases * atil[None, :], beamformers)
+    gains = alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)
     snr = tx_power_w * np.abs(gains) ** 2 / comm_noise_power
-    return float(np.mean(np.log2(1.0 + snr)))
+    rate = np.mean(np.log2(1.0 + snr), axis=-1)
+    return float(rate) if rate.ndim == 0 else rate

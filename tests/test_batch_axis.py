@@ -1,0 +1,144 @@
+"""The leading batch axis of the per-position functions.
+
+A batch of K states must give, bit for bit, what K single-state calls give,
+and must fail as a single call would on any one bad position.
+"""
+import re
+
+import numpy as np
+import pytest
+
+from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamformers
+from nfbeam.geometry import (
+    DegeneratePositionError,
+    PathlossModel,
+    antenna_positions,
+    element_distances,
+    pathloss,
+    projection_coeffs,
+    radial_speeds,
+    steering_vector,
+)
+from nfbeam.motion import StateBatch
+from nfbeam.signals import cpi_throughput
+
+from helpers import N_SYM, TS, geom_for, sample_broadside_state, sample_state
+
+GEOM = geom_for(32)
+MODEL = PathlossModel(ref_gain=1.5, rcs=2.0)
+K = 7
+
+
+def _states(seed):
+    rng = np.random.default_rng(seed)
+    # broadside states put antennas on both sides, where the conventions differ
+    return [sample_state(rng, GEOM) if k % 2 else sample_broadside_state(rng) for k in range(K)]
+
+
+def _calls(signed):
+    """name -> one call that takes a MotionState or a StateBatch."""
+    return {
+        "element_distances": lambda s: element_distances(GEOM, s.position),
+        "steering_vector": lambda s: steering_vector(GEOM, s.position),
+        "projection_coeffs": lambda s: np.stack(
+            projection_coeffs(GEOM, s.position, signed=signed), axis=-2
+        ),
+        "radial_speeds": lambda s: radial_speeds(GEOM, s.velocity, s.position, signed=signed),
+        "pathloss_downlink": lambda s: pathloss(MODEL, s.position, "downlink"),
+        "pathloss_roundtrip": lambda s: pathloss(MODEL, s.position, "roundtrip"),
+        "predictive_beamformers": lambda s: predictive_beamformers(
+            GEOM, s.position, s.velocity, N_SYM, TS, signed=signed
+        ),
+        "opt_beamformers": lambda s: opt_beamformers(GEOM, s, N_SYM, TS, signed=signed),
+        "ff_beamformers": lambda s: ff_beamformers(GEOM, s, N_SYM, TS),
+        # the far-field beam: partial gains, and no check on antenna contact
+        "cpi_throughput": lambda s: cpi_throughput(
+            GEOM, MODEL, s, ff_beamformers(GEOM, s, N_SYM, TS), TS, 2.0, 1e-8, signed=signed
+        ),
+    }
+
+
+NAMES = sorted(_calls(False))
+POSITION_ONLY = {
+    "element_distances", "steering_vector", "projection_coeffs",
+    "pathloss_downlink", "pathloss_roundtrip",
+}
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("name", NAMES)
+def test_batch_equals_stacked_single_calls(name, signed):
+    states = _states(11)
+    call = _calls(signed)[name]
+    batched = call(StateBatch.stack(states))
+    stacked = np.stack([call(s) for s in states])
+    assert batched.shape == stacked.shape
+    np.testing.assert_array_equal(batched, stacked)
+    # and with two batch axes
+    flat = StateBatch.stack(states[:6])
+    grid = StateBatch(flat.position.reshape(2, 3, 2), flat.velocity.reshape(2, 3, 2))
+    np.testing.assert_array_equal(call(grid).reshape(stacked[:6].shape), stacked[:6])
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_throughput_scores_stacked_beams_on_each_state(signed):
+    # the harness scores the opt, ff and fd beams of a chunk in one call
+    states = _states(16)
+    batch = StateBatch.stack(states)
+    beams = np.stack([
+        opt_beamformers(GEOM, batch, N_SYM, TS, signed=signed),
+        ff_beamformers(GEOM, batch, N_SYM, TS),
+    ])
+    rates = cpi_throughput(GEOM, MODEL, batch, beams, TS, 2.0, 1e-8, signed=signed)
+    want = [
+        [cpi_throughput(GEOM, MODEL, s, bf, TS, 2.0, 1e-8, signed=signed)
+         for s, bf in zip(states, beams[b])]
+        for b in range(2)
+    ]
+    np.testing.assert_array_equal(rates, want)
+
+
+def test_single_state_keeps_its_types():
+    eta = _states(12)[0]
+    assert type(pathloss(MODEL, eta.position, "downlink")) is np.float64
+    bf = opt_beamformers(GEOM, eta, N_SYM, TS)
+    assert type(cpi_throughput(GEOM, MODEL, eta, bf, TS, 1.0, 1e-8)) is float
+    assert bf.shape == (N_SYM, GEOM.num_antennas)
+
+
+def _batch_with(*bad):
+    """A batch of K states with the given (index, position) pairs swapped in."""
+    batch = StateBatch.stack(_states(14))
+    for k, p in bad:
+        batch.position[k] = p
+    return batch
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in NAMES if not n.startswith("pathloss") and n != "ff_beamformers"]
+)
+def test_batch_with_a_position_on_an_antenna_is_rejected(name):
+    first, second = antenna_positions(GEOM)[[5, 9]]
+    batch = _batch_with((4, first), (6, second))
+    # the message names the first degenerate position of the batch
+    with pytest.raises(DegeneratePositionError, match=re.escape(str(first.tolist()))):
+        _calls(False)[name](batch)
+
+
+@pytest.mark.parametrize("name", ["pathloss_downlink", "pathloss_roundtrip", "ff_beamformers"])
+def test_batch_with_a_position_at_the_origin_is_rejected(name):
+    batch = _batch_with((3, (0.0, 0.0)))
+    with pytest.raises(DegeneratePositionError, match=re.escape("[0.0, 0.0]")):
+        _calls(False)[name](batch)
+
+
+@pytest.mark.parametrize("shape", [(3,), (K, 3), ()])
+@pytest.mark.parametrize("name", NAMES)
+def test_wrong_trailing_axis_is_rejected(name, shape):
+    good = StateBatch.stack(_states(15)[:1])[0]
+    call = _calls(False)[name]
+    with pytest.raises(ValueError, match=r"must have shape \(\.\.\., 2\)"):
+        call(StateBatch(np.ones(shape), good.velocity))
+    if name not in POSITION_ONLY:
+        with pytest.raises(ValueError, match=r"velocity must have shape \(\.\.\., 2\)"):
+            call(StateBatch(good.position, np.ones(shape)))

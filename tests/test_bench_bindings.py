@@ -67,3 +67,25 @@ def test_agdao_track_step_gets_hyper_by_keyword(monkeypatch):
     cfg = ExperimentConfig(system=SystemConfig(num_antennas=16), method="agdao", num_cpis=3)
     harness.run_experiment(cfg)
     assert seen == [cfg.adam, cfg.adam]
+
+
+def test_baselines_are_batched_through_the_spanned_bindings(monkeypatch):
+    # the traced split reads these five harness bindings; the baseline work
+    # must still pass through them, a chunk of CPIs per call
+    names = ("opt_beamformers", "ff_beamformers", "predictive_beamformers",
+             "cpi_throughput", "fd_predicted_state")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    cpis = 50
+    harness.run_experiment(ExperimentConfig(method="ekf", num_cpis=cpis))
+    assert all(n >= 1 for n in calls.values()), calls
+    # one call per CPI for the tracker's own beam, a few per chunk for opt/ff/fd
+    assert calls["cpi_throughput"] < 2 * cpis, calls

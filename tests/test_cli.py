@@ -114,6 +114,22 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     assert not (tmp_path / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "assignment,field,message",
+    [
+        ("system.tx_power_dbm=NaN", "system.tx_power_dbm", "must be finite, got nan"),
+        ("initial_state=[NaN,10,8,7]", "initial_state", "must be finite, got nan"),
+        ("feedback_period_s=NaN", "feedback_period_s", "must be finite, got nan"),
+        ("adam.step_x=0", "adam.step_x", "must be positive, got 0.0"),
+    ],
+)
+def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message):
+    code = main(["track", "--out", str(tmp_path), *SMALL, "--set", assignment])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "config", "field": field, "message": message}
+
+
 def test_unknown_config_key_is_reported(tmp_path, capsys):
     code = main(["track", "--out", str(tmp_path), "--set", "system.antennas=4"])
     assert code == 2

@@ -24,7 +24,16 @@ from nfbeam import (
     write_summary_csv,
     write_trace_csv,
 )
+from nfbeam import harness
+from nfbeam.beamforming import (
+    fd_predicted_state,
+    ff_beamformers,
+    opt_beamformers,
+    predictive_beamformers,
+)
 from nfbeam.harness import read_metrics_csv
+from nfbeam.motion import generate_trajectory
+from nfbeam.signals import cpi_throughput
 
 
 def small_config(**kw):
@@ -74,6 +83,55 @@ def test_matched_method_rides_the_opt_column():
     for row in result.rows:
         assert row.rate == row.rate_opt
         assert row.verr_x == 0.0 and row.verr_y == 0.0
+
+
+def _per_cpi_baseline_rates(cfg):
+    """(opt, ff, fd) rates built one CPI at a time with single-state calls."""
+    sys_cfg = cfg.system
+    geom, model = sys_cfg.geometry(), sys_cfg.pathloss_model()
+    n_sym, ts, dt = sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s, sys_cfg.cpi_duration_s
+    signed = sys_cfg.signed_projection
+    traj = generate_trajectory(
+        cfg.state0, cfg.motion_noise, dt, cfg.num_cpis, stream(cfg.seed, "trajectory")
+    )
+
+    def rate(bf, eta):
+        return cpi_throughput(
+            geom, model, eta, bf, ts, sys_cfg.tx_power_w, sys_cfg.comm_noise_power, signed=signed
+        )
+
+    out = []
+    for cpi, eta in enumerate(traj, start=1):
+        bf_opt = opt_beamformers(geom, eta, n_sym, ts, signed=signed)
+        if cpi == 1:
+            bf_ff = bf_fd = bf_opt
+        else:
+            bf_ff = ff_beamformers(geom, eta, n_sym, ts)
+            fd_p, fd_v = fd_predicted_state(traj, cpi, cfg.feedback_period_cpis, dt)
+            bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts, signed=signed)
+        out.append((rate(bf_opt, eta), rate(bf_ff, eta), rate(bf_fd, eta)))
+    return out
+
+
+# CPIs a chunk of the batched baseline pass at the default M = 512, N = 10
+CHUNK = harness.BASELINE_CHUNK_ELEMENTS // (10 * 512)
+
+
+@pytest.mark.parametrize("num_cpis", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("signed", [False, True])
+def test_batched_baselines_equal_the_per_cpi_loop(num_cpis, signed):
+    assert CHUNK > 2
+    # feedback every 4 CPIs latches inside the chunks of 6; a start in front of
+    # the aperture puts antennas on both sides, where the conventions differ
+    cfg = ExperimentConfig(
+        system=SystemConfig(signed_projection=signed), method="fd", num_cpis=num_cpis,
+        seed=3, feedback_period_s=4e-4, initial_state=(0.5, 6.0, 8.0, 7.0),
+    )
+    assert cfg.feedback_period_cpis == 4
+    rows = run_experiment(cfg).rows
+    want = _per_cpi_baseline_rates(cfg)
+    assert [(r.rate_opt, r.rate_ff, r.rate_fd) for r in rows] == want
+    assert [r.rate for r in rows] == [fd for _, _, fd in want]
 
 
 def test_opt_column_closed_form_and_dominance():
@@ -294,6 +352,13 @@ def test_direct_construction_is_checked():
     assert err.value.message == "must be nonnegative, got (-0.01, 0.01)"
 
 
+def test_adam_hyper_import_paths():
+    # it lives in config, next to the configs that nest it; agdao imports it
+    from nfbeam import agdao, config
+
+    assert agdao.AdamHyper is config.AdamHyper is AdamHyper
+
+
 def test_config_rejections(tmp_path):
     with pytest.raises(ConfigError) as err:
         build_config(None, ["system.num_antenas=4"])
@@ -309,7 +374,8 @@ def test_config_rejections(tmp_path):
         ("system.comm_noise_power=0.0", "system.comm_noise_power"),
         ("system.spacing_m=0", "system.spacing_m"),
         ("system=4", "system"),
-        ("adam.step_x=0", "adam"),
+        ("adam.step_x=0", "adam.step_x"),
+        ("adam.beta2_y=1", "adam.beta2_y"),
         ("ma_window=20", "ma_window"),
     ):
         with pytest.raises(ConfigError) as err:
