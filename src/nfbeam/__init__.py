@@ -50,6 +50,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     DegeneratePositionError,
+    NearField,
     PathlossModel,
     ProjectionKinkError,
     antenna_positions,
@@ -62,6 +63,7 @@ from .geometry import (
     projection_coeffs,
     roundtrip_channel,
     steering_vector,
+    unit_phasor,
 )
 from .harness import (
     BeliefRow,

@@ -38,33 +38,42 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class OptimizerTrace:
-    """Iterates (k, vx, vy, objective, grad_x, grad_y); row 0 is the init."""
+    """Iterates (k, vx, vy, objective, grad_x, grad_y); row 0 is the init.
+
+    len() counts the iterates. With record=False only that count is kept and
+    rows stays empty, as in tracking, which reads the final velocity alone.
+    """
 
     rows: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
     )
+    record: bool = True
+    count: int = field(default=0, init=False)
 
     def append(self, k, vx, vy, objective, grad_x, grad_y) -> None:
-        self.rows.append(
-            (int(k), float(vx), float(vy), float(objective), float(grad_x), float(grad_y))
-        )
+        self.count += 1
+        if self.record:
+            self.rows.append(
+                (int(k), float(vx), float(vy), float(objective), float(grad_x), float(grad_y))
+            )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.count
 
 
 class _VelocityProblem:
     """Echo likelihood at one CPI with everything but the velocity frozen.
 
-    Holds the six-row W of the module docstring; needs |a~_m| = 1.
+    Holds the six-row W of the module docstring; needs |a~_m| = 1. p_hat may
+    be its geo.NearField snapshot.
     """
 
     def __init__(self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed):
         f = np.asarray(f)
         check_unit_norm(f)
-        atil = geo.steering_vector(geom, p_hat)
-        g, q = geo.projection_coeffs(geom, p_hat, signed=signed)
-        scale = float(s_amp * geo.pathloss(model, p_hat, geo.ROUNDTRIP))
+        nf = geo.near_field(geom, p_hat, signed)
+        atil, g, q = nf.steering, nf.g, nf.q
+        scale = float(s_amp * geo.pathloss(model, nf.position, geo.ROUNDTRIP))
         # phase advance per unit composite speed over the CPI
         rot = geom.wavenumber * num_symbols * symbol_duration
         # exponent of d per unit vx (row 0) and vy (row 1)
@@ -166,8 +175,8 @@ def _check_finite(k, vx, vy, objective):
         )
 
 
-def _ascend(prob: _VelocityProblem, v_init, hyper: AdamHyper, variant: str):
-    """Run one variant from v_init.
+def _ascend(prob: _VelocityProblem, v_init, hyper: AdamHyper, variant: str, record: bool = True):
+    """Run one variant from v_init; record=False keeps only the iterate count.
 
     The evaluation at each new iterate gives that iteration's objective and
     the next iteration's starting gradients.
@@ -176,7 +185,7 @@ def _ascend(prob: _VelocityProblem, v_init, hyper: AdamHyper, variant: str):
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     vx, vy = float(v_init[0]), float(v_init[1])
     objective, gx, gy = prob.evaluate(vx, vy)
-    trace = OptimizerTrace()
+    trace = OptimizerTrace(record=record)
     trace.append(0, vx, vy, objective, 0.0, 0.0)
     if variant != "plain-gd":
         ax = _AdamAxis(hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
@@ -217,14 +226,16 @@ def adam_ao_estimate(
     symbol_duration: float,
     hyper: AdamHyper = AdamHyper(),
     signed: bool = False,
+    record: bool = True,
 ):
     """Alternating Adam ascent: x moves first, y sees the fresh x each iteration.
 
     Returns (v_hat, trace). Stops at max_iters or once both axes' relative
-    changes drop below their tolerances.
+    changes drop below their tolerances. record=False leaves the trace's
+    rows empty and keeps only its length.
     """
     prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
-    return _ascend(prob, v_init, hyper, "adam-ao")
+    return _ascend(prob, v_init, hyper, "adam-ao", record)
 
 
 def gd_estimate(
@@ -272,16 +283,18 @@ def agdao_track_step(
 
     observe maps the transmitted beamformers to this CPI's echo snapshot, shape (M,).
     Returns (beamformers, p_hat, v_hat, trace); p_hat is the dead-reckoned
-    position also used to point the beam.
+    position also used to point the beam, and one near-field snapshot of it
+    serves both. The trace keeps its length (iterations + 1) but no rows.
     """
     prev_p_hat = np.asarray(prev_p_hat, dtype=float)
     prev_v_hat = np.asarray(prev_v_hat, dtype=float)
     p_pred = prev_p_hat + cpi_duration * prev_v_hat
+    near = geo.NearField(geom, p_pred, signed)
     bf = predictive_beamformers(
-        geom, p_pred, prev_v_hat, num_symbols, symbol_duration, signed=signed
+        geom, near, prev_v_hat, num_symbols, symbol_duration, signed=signed
     )
     v_hat, trace = adam_ao_estimate(
-        observe(bf), geom, model, p_pred, prev_v_hat, bf[-1], s_amp,
-        num_symbols, symbol_duration, hyper=hyper, signed=signed,
+        observe(bf), geom, model, near, prev_v_hat, bf[-1], s_amp,
+        num_symbols, symbol_duration, hyper=hyper, signed=signed, record=False,
     )
     return bf, p_pred, v_hat, trace

@@ -21,16 +21,14 @@ def predictive_beamformers(
 
     Row n-1 is f(n) = conj(a_tilde(p_pred) * d(n; v_pred)) / sqrt(M); each row
     has unit norm. Shape (num_symbols, M), or (..., num_symbols, M) for
-    states of shape (..., 2).
+    states of shape (..., 2). p_pred may be its geo.NearField snapshot.
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    atil = geo.steering_vector(geom, p_pred)
-    vm = geo.radial_speeds(geom, v_pred, p_pred, signed=signed)
-    n = np.arange(1, num_symbols + 1)
-    f = np.exp(-1j * geom.wavenumber * symbol_duration * (n[:, None] * vm[..., None, :]))
+    nf = geo.near_field(geom, p_pred, signed)
+    f = geo.symbol_dopplers(geom, num_symbols, symbol_duration, v_pred, nf, signed=signed)
     # f = conj(atil * d) / sqrt(M), built in place
-    np.multiply(atil[..., None, :], f, out=f)
+    np.multiply(nf.steering[..., None, :], f, out=f)
     np.conjugate(f, out=f)
     f /= math.sqrt(geom.num_antennas)
     return f
@@ -82,7 +80,7 @@ def ff_beamformers(
     phase = geom.wavenumber * (
         n[:, None] * symbol_duration * v_radial[..., None, None] + spatial[..., None, :]
     )
-    f = np.exp(-1j * phase)
+    f = geo.unit_phasor(-phase)
     f /= math.sqrt(geom.num_antennas)
     return f
 

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import geometry as geo
 from .beamforming import predictive_beamformers
-from .motion import MotionNoise, MotionState, kinematic_forecast, transition_matrix
+from .motion import (
+    MotionNoise,
+    MotionState,
+    StateBatch,
+    kinematic_forecast,
+    transition_matrix,
+)
 from .signals import check_unit_norm, observation_mean
 
 SYMMETRY_TOL = 1e-10
@@ -93,34 +99,32 @@ def ekf_forecast(belief: TrackerBelief, dt: float, noise: MotionNoise) -> Tracke
 def observation_jacobian(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState,
+    eta: MotionState | StateBatch,
     f: np.ndarray,
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
     signed: bool = False,
 ) -> np.ndarray:
-    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy], shape (M, 4)."""
+    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy], shape (M, 4).
+
+    eta.position may be its geo.NearField snapshot; the array response is the
+    one observation_mean builds.
+    """
     f = np.asarray(f)
-    p = eta.position
+    nf = geo.near_field(geom, eta.position, signed)
+    p, r, ux, uy, g, q = nf.position, nf.r, nf.ux, nf.uy, nf.g, nf.q
     v = eta.velocity
-    offsets = geo.element_offsets(geom)
-    r = geo.element_distances(geom, p)
-    ux = p[0] - offsets
-    uy = p[1]
     kappa = geom.wavenumber
     dtt = num_symbols * symbol_duration
 
-    atil = np.exp(-1j * kappa * r)
-    g, q = geo.projection_coeffs(geom, p, signed=signed)
-    d = np.exp(-1j * kappa * dtt * (g * v[0] + q * v[1]))
-    a = atil * d
+    a = geo.array_response(geom, num_symbols, symbol_duration, v, nf, signed=signed)
     af = a @ f
     core = a * af
 
     alpha2 = geo.pathloss(model, p, geo.ROUNDTRIP)
     da2_dx, da2_dy = geo.pathloss_gradient(model, p)
-    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(geom, p, signed=signed)
+    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(geom, nf, signed=signed)
 
     # da/dx = -j*kappa*a*(dtt * d(v_m)/dx + dr/dx); likewise for y
     da_dx = -1j * kappa * a * (dtt * (v[0] * dg_dx + v[1] * dq_dx) + ux / r)
@@ -197,21 +201,24 @@ def ekf_track_step(
     """One closed-loop CPI: forecast, point from the forecast, observe, assimilate.
 
     observe maps the transmitted beamformers to this CPI's echo snapshot, shape (M,).
-    Returns (beamformers, posterior, diagnostics).
+    Returns (beamformers, posterior, diagnostics). One near-field snapshot at
+    the prior mean serves the beam, the echo mean and the Jacobian.
     """
     prior = ekf_forecast(belief, cpi_duration, config.process_noise)
+    at = StateBatch(
+        geo.NearField(geom, prior.mean.position, signed), prior.mean.velocity
+    )
     bf = predictive_beamformers(
-        geom, prior.mean.position, prior.mean.velocity, num_symbols, symbol_duration,
-        signed=signed,
+        geom, at.position, at.velocity, num_symbols, symbol_duration, signed=signed
     )
     y = observe(bf)
     f_last = bf[-1]
     check_unit_norm(f_last)
     h_bar = observation_mean(
-        geom, model, prior.mean, f_last, s_amp, num_symbols, symbol_duration, signed=signed
+        geom, model, at, f_last, s_amp, num_symbols, symbol_duration, signed=signed
     )
     jac = observation_jacobian(
-        geom, model, prior.mean, f_last, s_amp, num_symbols, symbol_duration, signed=signed
+        geom, model, at, f_last, s_amp, num_symbols, symbol_duration, signed=signed
     )
     posterior, diag = kalman_update(prior, y, jac, h_bar, config.echo_noise_power)
     return bf, posterior, diag

@@ -110,9 +110,77 @@ def element_distances(geom: ArrayGeometry, p) -> np.ndarray:
     return r
 
 
+def unit_phasor(theta) -> np.ndarray:
+    """exp(j * theta) for real theta, from one cos and one sin.
+
+    Skips forming 1j * theta and the complex exp. Where numpy's sin and cos
+    round as the sincos behind its complex exp does (glibc), the result
+    equals np.exp(1j * theta) bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+class NearField:
+    """Near-field model of the array at position(s) p of shape (..., 2), built once.
+
+    Holds the per-antenna ranges r, the offsets ux = x - k_m1 and uy = y, the
+    steering phasor a_tilde = exp(-j * 2pi/lambda * r) and the projections
+    (g, q) under one convention; every array is (..., M) except uy, (..., 1).
+    Every function that reads more than the ranges or the steering phasor
+    takes a snapshot wherever it takes a position, so the beamformer, the
+    echo model, its Jacobian and the throughput of one CPI share one build.
+    Indexing the leading axes gives the snapshot of a subset.
+    """
+
+    __slots__ = ("geom", "signed", "position", "r", "ux", "uy", "steering", "g", "q")
+
+    def __init__(self, geom: ArrayGeometry, p, signed: bool = False):
+        p = as_points(p, "position")
+        r = element_distances(geom, p)
+        ux = p[..., 0, None] - element_offsets(geom)
+        uy = p[..., 1, None]
+        if signed:
+            g, q = ux / r, uy / r
+        else:
+            g, q = np.abs(ux) / r, np.abs(uy) / r
+        self._set(geom, signed, p, r, ux, uy, unit_phasor(-geom.wavenumber * r), g, q)
+
+    def _set(self, geom, signed, *arrays) -> None:
+        self.geom, self.signed = geom, signed
+        self.position, self.r, self.ux, self.uy, self.steering, self.g, self.q = arrays
+
+    def __getitem__(self, index) -> "NearField":
+        part = object.__new__(NearField)
+        part._set(
+            self.geom, self.signed, self.position[index], self.r[index], self.ux[index],
+            self.uy[index], self.steering[index], self.g[index], self.q[index],
+        )
+        return part
+
+
+def near_field(geom: ArrayGeometry, p, signed: bool) -> NearField:
+    """The snapshot at p: p itself if it already is one, else a new build.
+
+    A snapshot must come from the same array and the same projection convention.
+    """
+    if not isinstance(p, NearField):
+        return NearField(geom, p, signed)
+    if p.geom is not geom and p.geom != geom:
+        raise ValueError(f"snapshot was built for {p.geom}, not {geom}")
+    if p.signed != signed:
+        raise ValueError(
+            f"snapshot was built with signed={p.signed}, the call asks for signed={signed}"
+        )
+    return p
+
+
 def steering_vector(geom: ArrayGeometry, p) -> np.ndarray:
     """Near-field phase profile exp(-j * 2pi/lambda * r_m), shape (..., M)."""
-    return np.exp(-1j * geom.wavenumber * element_distances(geom, p))
+    return NearField(geom, p).steering
 
 
 def projection_coeffs(geom: ArrayGeometry, p, signed: bool = False):
@@ -122,37 +190,40 @@ def projection_coeffs(geom: ArrayGeometry, p, signed: bool = False):
     signed=True the numerators keep their signs. Either way g^2 + q^2 = 1.
     Each has shape (..., M) for positions of shape (..., 2).
     """
-    p = as_points(p, "position")
-    r = element_distances(geom, p)
-    ux = p[..., 0, None] - element_offsets(geom)
-    uy = p[..., 1, None]
-    if signed:
-        return ux / r, uy / r
-    return np.abs(ux) / r, np.abs(uy) / r
+    nf = near_field(geom, p, signed)
+    return nf.g, nf.q
 
 
 def radial_speeds(geom: ArrayGeometry, v, p, signed: bool = False) -> np.ndarray:
     """Composite per-antenna speed g_m * vx + q_m * vy, shape (..., M)."""
     v = as_points(v, "velocity")
-    g, q = projection_coeffs(geom, p, signed=signed)
-    return g * v[..., 0, None] + q * v[..., 1, None]
+    nf = near_field(geom, p, signed)
+    return nf.g * v[..., 0, None] + nf.q * v[..., 1, None]
 
 
 def doppler_vector(
     geom: ArrayGeometry, n: int, symbol_duration: float, v, p, signed: bool = False
 ) -> np.ndarray:
-    """Doppler rotation accumulated after n symbol periods, shape (M,)."""
+    """Doppler rotation accumulated after n symbol periods, shape (..., M)."""
     vm = radial_speeds(geom, v, p, signed=signed)
-    return np.exp(-1j * geom.wavenumber * n * symbol_duration * vm)
+    return unit_phasor((-geom.wavenumber * n * symbol_duration) * vm)
+
+
+def symbol_dopplers(
+    geom: ArrayGeometry, num_symbols: int, symbol_duration: float, v, p, signed: bool = False
+) -> np.ndarray:
+    """Doppler rotations of symbols n = 1..num_symbols, shape (..., num_symbols, M)."""
+    vm = radial_speeds(geom, v, p, signed=signed)
+    n = np.arange(1, num_symbols + 1)
+    return unit_phasor((-geom.wavenumber * symbol_duration) * (n[:, None] * vm[..., None, :]))
 
 
 def array_response(
     geom: ArrayGeometry, n: int, symbol_duration: float, v, p, signed: bool = False
 ) -> np.ndarray:
     """Steering vector times Doppler at symbol n: a = a_tilde * d(n)."""
-    return steering_vector(geom, p) * doppler_vector(
-        geom, n, symbol_duration, v, p, signed=signed
-    )
+    nf = near_field(geom, p, signed)
+    return nf.steering * doppler_vector(geom, n, symbol_duration, v, nf, signed=signed)
 
 
 @dataclass(frozen=True)
@@ -204,8 +275,9 @@ def downlink_channel(
     signed: bool = False,
 ) -> np.ndarray:
     """One-way channel h(n) = alpha1 * a(n), shape (M,)."""
-    return pathloss(model, p, DOWNLINK) * array_response(
-        geom, n, symbol_duration, v, p, signed=signed
+    nf = near_field(geom, p, signed)
+    return pathloss(model, nf.position, DOWNLINK) * array_response(
+        geom, n, symbol_duration, v, nf, signed=signed
     )
 
 
@@ -219,8 +291,9 @@ def roundtrip_channel(
     signed: bool = False,
 ) -> np.ndarray:
     """Echo channel H(n) = alpha2 * a(n) a(n)^T, shape (M, M), symmetric rank 1."""
-    a = array_response(geom, n, symbol_duration, v, p, signed=signed)
-    h = pathloss(model, p, ROUNDTRIP) * np.outer(a, a)
+    nf = near_field(geom, p, signed)
+    a = array_response(geom, n, symbol_duration, v, nf, signed=signed)
+    h = pathloss(model, nf.position, ROUNDTRIP) * np.outer(a, a)
     # complex multiply can contract to FMA, leaving H_ij and H_ji a ulp
     # apart; mirror the upper triangle so symmetry holds bit-exactly
     low = np.tril_indices(geom.num_antennas, -1)
@@ -235,10 +308,9 @@ def projection_coeff_gradients(geom: ArrayGeometry, p, signed: bool = False):
     x crosses an antenna (or y crosses the array plane); those points raise
     ProjectionKinkError.
     """
-    p = _as_position(p)
-    r = element_distances(geom, p)
-    ux = p[0] - element_offsets(geom)
-    uy = p[1]
+    nf = near_field(geom, p, signed)
+    p = _as_position(nf.position)
+    r, ux, uy = nf.r, nf.ux, p[1]
     r3 = r ** 3
     if signed:
         dg_dx = uy * uy / r3

@@ -17,15 +17,19 @@ from .beamforming import (
 )
 from .config import ConfigError, ExperimentConfig
 from .ekf import TrackerBelief, ekf_track_step, initial_belief
+from .geometry import NearField
 from .motion import MotionState, StateBatch, generate_trajectory
 from .signals import cpi_throughput, echo_amplitude, synthesize_observation
 
 # Fixed ids keep the fan-out stable if stream names are ever added or reordered.
 STREAM_IDS = {"trajectory": 0, "echo-noise": 1, "estimator-init": 2}
 
-# The baseline pass handles K CPIs a call with K * N * M at most this many
-# (complex) elements, about 0.5 MB an array; K = 6 at N = 10, M = 512.
+# The loop handles K CPIs a chunk with K * N * M at most this many (complex)
+# elements, about 0.5 MB a beam slot; K = 6 at N = 10, M = 512.
 BASELINE_CHUNK_ELEMENTS = 2**15
+
+# Beam slots of the chunk array; a tracker's own beams take the slot after.
+SLOTS = {"opt": 0, "ff": 1, "fd": 2}
 
 
 def stream(master_seed: int, name: str, *extra: int) -> np.random.Generator:
@@ -151,8 +155,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
 
     CPI 1 points with the true initial state for every method (initial access);
     the trackers start consuming echoes at CPI 2. Opt/FF/FD throughputs are
-    logged alongside whichever method ran, on the shared trajectory; they
-    depend on the trajectory alone, so they are computed before the loop.
+    logged alongside whichever method ran, on the shared trajectory.
+
+    The loop walks chunks of K CPIs, K * N * M at most BASELINE_CHUNK_ELEMENTS.
+    Per chunk it builds one near-field snapshot of the true positions and the
+    opt/ff/fd beams (one batched call each), runs the tracker CPI by CPI with
+    each echo drawn from the snapshot, and writes the tracker's beams into a
+    fourth slot; one cpi_throughput call then scores every slot on one build
+    of each true channel. progress(cpi, num_cpis) is called once per CPI.
     """
     sys_cfg = config.system
     geom = sys_cfg.geometry()
@@ -165,29 +175,27 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     power_w = sys_cfg.tx_power_w
     s_amp = echo_amplitude(power_w, sys_cfg.include_transmit_power)
     method = config.method
+    num_cpis = config.num_cpis
 
     traj = generate_trajectory(
-        config.state0, config.motion_noise, dt, config.num_cpis,
-        stream(config.seed, "trajectory"),
+        config.state0, config.motion_noise, dt, num_cpis, stream(config.seed, "trajectory"),
     )
     echo_rng = stream(config.seed, "echo-noise")
-
-    def throughput(bf, eta):
-        return cpi_throughput(
-            geom, model, eta, bf, ts, power_w, sys_cfg.comm_noise_power, signed=signed
-        )
-
-    def observe(bf):  # reads the current CPI's true state eta
-        return synthesize_observation(
-            geom, model, eta, bf, noise, s_amp, ts, echo_rng, signed=signed
-        )
-
+    truth = StateBatch.stack(traj)
     fd_states = [
         fd_predicted_state(traj, cpi, config.feedback_period_cpis, dt)
-        for cpi in range(1, config.num_cpis + 1)
+        for cpi in range(1, num_cpis + 1)
     ]
-    baseline = _baseline_rates(geom, traj, fd_states, num_symbols, ts, signed, throughput)
+    fd_p = np.array([p for p, _ in fd_states])
+    fd_v = np.array([v for _, v in fd_states])
 
+    tracked = method not in SLOTS
+    slot = len(SLOTS) if tracked else SLOTS[method]
+    chunk = max(1, BASELINE_CHUNK_ELEMENTS // (num_symbols * geom.num_antennas))
+    beams = np.empty(
+        (len(SLOTS) + tracked, min(chunk, num_cpis), num_symbols, geom.num_antennas),
+        dtype=complex,
+    )
     rows: list[MetricRow] = []
     belief_rows: list[BeliefRow] = []
     beliefs: list[TrackerBelief] = []
@@ -195,50 +203,72 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     v_hat = traj[0].velocity
     belief = initial_belief(traj[0], config.ekf_init_cov)
 
-    for cpi in range(1, config.num_cpis + 1):
-        eta = traj[cpi - 1]
-        if cpi == 1:
-            # initial access: every pointer starts from the reported true state
-            rate, est = baseline["opt"][0], eta
-            if method == "ekf":
-                beliefs.append(belief)
-                belief_rows.append(_belief_row(1, belief, 0.0, False))
-        elif method in ("opt", "ff"):
-            rate, est = baseline[method][cpi - 1], eta
-        elif method == "fd":
-            fd_p, fd_v = fd_states[cpi - 1]
-            rate, est = baseline["fd"][cpi - 1], MotionState(fd_p[0], fd_p[1], fd_v[0], fd_v[1])
-        elif method == "agdao":
-            bf, p_hat, v_hat, _ = agdao_track_step(
-                p_hat, v_hat, observe, geom, model, s_amp, num_symbols, ts, dt,
-                hyper=config.adam, signed=signed,
-            )
-            rate, est = throughput(bf, eta), MotionState(p_hat[0], p_hat[1], v_hat[0], v_hat[1])
-        else:  # ekf
-            bf, belief, diag = ekf_track_step(
-                belief, observe, geom, model, config.ekf_config(),
-                s_amp, num_symbols, ts, dt, signed=signed,
-            )
-            rate, est = throughput(bf, eta), belief.mean
-            beliefs.append(belief)
-            belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
-
-        rows.append(
-            MetricRow(
-                cpi=cpi,
-                x=float(eta.x), y=float(eta.y), vx=float(eta.vx), vy=float(eta.vy),
-                x_hat=float(est.x), y_hat=float(est.y),
-                vx_hat=float(est.vx), vy_hat=float(est.vy),
-                rate=float(rate),
-                rate_opt=float(baseline["opt"][cpi - 1]),
-                rate_ff=float(baseline["ff"][cpi - 1]),
-                rate_fd=float(baseline["fd"][cpi - 1]),
-                verr_x=abs(float(eta.vx) - float(est.vx)),
-                verr_y=abs(float(eta.vy) - float(est.vy)),
-            )
+    def observe(bf):  # reads the current CPI's true state, now
+        return synthesize_observation(
+            geom, model, now, bf, noise, s_amp, ts, echo_rng, signed=signed
         )
-        if progress is not None:
-            progress(cpi, config.num_cpis)
+
+    for lo in range(0, num_cpis, chunk):
+        part = slice(lo, lo + chunk)
+        eta = truth[part]
+        near = StateBatch(NearField(geom, eta.position, signed), eta.velocity)
+        bf = beams[:, : len(eta.position)]
+        bf[0] = opt_beamformers(geom, near, num_symbols, ts, signed=signed)
+        bf[1] = ff_beamformers(geom, eta, num_symbols, ts)
+        bf[2] = predictive_beamformers(geom, fd_p[part], fd_v[part], num_symbols, ts, signed=signed)
+        estimates = []
+        for i in range(len(bf[0])):
+            cpi = lo + i + 1
+            now = near[i]
+            if cpi == 1:
+                # initial access: every pointer starts from the reported true
+                # state, so every slot holds the genie beam
+                bf[1:, 0] = bf[0, 0]
+                est = traj[0]
+                if method == "ekf":
+                    beliefs.append(belief)
+                    belief_rows.append(_belief_row(1, belief, 0.0, False))
+            elif method == "agdao":
+                bf[slot, i], p_hat, v_hat, _ = agdao_track_step(
+                    p_hat, v_hat, observe, geom, model, s_amp, num_symbols, ts, dt,
+                    hyper=config.adam, signed=signed,
+                )
+                est = MotionState(p_hat[0], p_hat[1], v_hat[0], v_hat[1])
+            elif method == "ekf":
+                bf[slot, i], belief, diag = ekf_track_step(
+                    belief, observe, geom, model, config.ekf_config(),
+                    s_amp, num_symbols, ts, dt, signed=signed,
+                )
+                est = belief.mean
+                beliefs.append(belief)
+                belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
+            elif method == "fd":
+                (x, y), (vx, vy) = fd_states[cpi - 1]
+                est = MotionState(x, y, vx, vy)
+            else:  # opt, ff
+                est = traj[cpi - 1]
+            estimates.append(est)
+            if progress is not None:
+                progress(cpi, num_cpis)
+
+        rates = cpi_throughput(
+            geom, model, near, bf, ts, power_w, sys_cfg.comm_noise_power, signed=signed
+        )
+        for i, (true, est) in enumerate(zip(traj[part], estimates)):
+            rows.append(
+                MetricRow(
+                    cpi=lo + i + 1,
+                    x=float(true.x), y=float(true.y), vx=float(true.vx), vy=float(true.vy),
+                    x_hat=float(est.x), y_hat=float(est.y),
+                    vx_hat=float(est.vx), vy_hat=float(est.vy),
+                    rate=float(rates[slot, i]),
+                    rate_opt=float(rates[0, i]),
+                    rate_ff=float(rates[1, i]),
+                    rate_fd=float(rates[2, i]),
+                    verr_x=abs(float(true.vx) - float(est.vx)),
+                    verr_y=abs(float(true.vy) - float(est.vy)),
+                )
+            )
 
     is_ekf = method == "ekf"
     return RunResult(
@@ -247,34 +277,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         belief_rows=belief_rows if is_ekf else None,
         beliefs=beliefs if is_ekf else None,
     )
-
-
-def _baseline_rates(geom, traj, fd_states, num_symbols, ts, signed, throughput) -> dict:
-    """Opt, FF and FD rate of every CPI of the trajectory, shape (T,) each.
-
-    A chunk of K CPIs takes one batched call per beamformer and one
-    throughput call that scores all three beams on one build of the true
-    channel; K * N * M stays at most BASELINE_CHUNK_ELEMENTS.
-    """
-    num_cpis = len(traj)
-    truth = StateBatch.stack(traj)
-    fd_p = np.array([p for p, _ in fd_states])
-    fd_v = np.array([v for _, v in fd_states])
-    chunk = max(1, BASELINE_CHUNK_ELEMENTS // (num_symbols * geom.num_antennas))
-    beams = np.empty((3, min(chunk, num_cpis), num_symbols, geom.num_antennas), dtype=complex)
-    rates = np.empty((3, num_cpis))
-    for lo in range(0, num_cpis, chunk):
-        part = slice(lo, lo + chunk)
-        eta = truth[part]
-        bf = beams[:, : len(eta.position)]
-        bf[0] = opt_beamformers(geom, eta, num_symbols, ts, signed=signed)
-        bf[1] = ff_beamformers(geom, eta, num_symbols, ts)
-        bf[2] = predictive_beamformers(geom, fd_p[part], fd_v[part], num_symbols, ts, signed=signed)
-        rates[:, part] = throughput(bf, eta)
-    # CPI 1 is initial access: the far-field and feedback pointers start from
-    # the true state, so they point the genie beam
-    rates[1:, 0] = rates[0, 0]
-    return dict(zip(("opt", "ff", "fd"), rates))
 
 
 def power_sweep(

@@ -41,6 +41,8 @@ class StateBatch:
 
     Stands in for a MotionState where only .position and .velocity are read,
     so the beamformers and cpi_throughput handle a whole batch in one call.
+    The position may instead be the geometry.NearField snapshot of the
+    positions, which indexing slices along with the velocity.
     """
 
     position: np.ndarray

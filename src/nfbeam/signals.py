@@ -61,25 +61,27 @@ def complex_gaussian(rng: np.random.Generator, size: int, power: float) -> np.nd
 def observation_mean(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState,
+    eta: MotionState | StateBatch,
     f: np.ndarray,
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
     signed: bool = False,
 ) -> np.ndarray:
-    """Noise-free echo s * H(N) f at the CPI's last symbol, shape (M,)."""
-    a = geo.array_response(
-        geom, num_symbols, symbol_duration, eta.velocity, eta.position, signed=signed
-    )
-    alpha2 = geo.pathloss(model, eta.position, geo.ROUNDTRIP)
+    """Noise-free echo s * H(N) f at the CPI's last symbol, shape (M,).
+
+    eta.position may be its geo.NearField snapshot.
+    """
+    nf = geo.near_field(geom, eta.position, signed)
+    a = geo.array_response(geom, num_symbols, symbol_duration, eta.velocity, nf, signed=signed)
+    alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
     return s_amp * alpha2 * a * (a @ f)
 
 
 def synthesize_observation(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState,
+    eta: MotionState | StateBatch,
     beamformers: np.ndarray,
     noise: NoiseConfig,
     s_amp: float,
@@ -135,16 +137,16 @@ def cpi_throughput(
     A float for one state and beamformers of shape (N, M). A StateBatch of
     K states takes beamformers whose leading axes broadcast against (K,):
     (K, N, M) gives K rates, (B, K, N, M) gives B rates per state from one
-    build of each state's channel.
+    build of each state's channel. eta.position may be its geo.NearField
+    snapshot.
     """
     beamformers = np.asarray(beamformers)
-    num_symbols = beamformers.shape[-2]
-    atil = geo.steering_vector(geom, eta.position)
-    vm = geo.radial_speeds(geom, eta.velocity, eta.position, signed=signed)
-    n = np.arange(1, num_symbols + 1)
-    h = np.exp(-1j * geom.wavenumber * symbol_duration * (n[:, None] * vm[..., None, :]))
-    np.multiply(h, atil[..., None, :], out=h)  # the channel up to alpha1
-    alpha1 = geo.pathloss(model, eta.position, geo.DOWNLINK)
+    nf = geo.near_field(geom, eta.position, signed)
+    h = geo.symbol_dopplers(
+        geom, beamformers.shape[-2], symbol_duration, eta.velocity, nf, signed=signed
+    )
+    np.multiply(h, nf.steering[..., None, :], out=h)  # the channel up to alpha1
+    alpha1 = geo.pathloss(model, nf.position, geo.DOWNLINK)
     gains = alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)
     snr = tx_power_w * np.abs(gains) ** 2 / comm_noise_power
     rate = np.mean(np.log2(1.0 + snr), axis=-1)

@@ -502,3 +502,50 @@ def test_track_error_grows_with_range():
     early = float(np.mean(verr[:400]))
     late = float(np.mean(verr[-400:]))
     assert late > 1.3 * early
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
+    # tracking reads only the final velocity: the step's trace keeps its
+    # length (the benchmark counts iterations as len - 1) but no rows, still
+    # goes through adam_ao_estimate and checks every iterate for finiteness
+    geom = geom_for(32)
+    model = default_model()
+    p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
+    dt = N_SYM * TS
+    eta = MotionState(*(p_prev + dt * v_prev), *V_TRUE)
+    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+    echoes = []
+
+    def observe(bf):
+        echoes.append(synthesize_observation(
+            geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(2), signed=signed
+        ))
+        return echoes[-1]
+
+    estimates, checks = [], []
+    estimate, check = agdao.adam_ao_estimate, agdao._check_finite
+
+    def spy_estimate(*args, **kwargs):
+        estimates.append(kwargs.get("record", True))
+        return estimate(*args, **kwargs)
+
+    def spy_check(*args):
+        checks.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(agdao, "adam_ao_estimate", spy_estimate)
+    monkeypatch.setattr(agdao, "_check_finite", spy_check)
+    bf, p_hat, v_hat, trace = agdao_track_step(
+        p_prev, v_prev, observe, geom, model, 1.0, N_SYM, TS, dt, signed=signed
+    )
+    assert estimates == [False]
+    assert trace.rows == [] and not trace.record
+    assert checks == list(range(1, len(trace)))
+
+    v_rec, recorded = estimate(
+        echoes[0], geom, model, p_hat, v_prev, bf[-1], 1.0, N_SYM, TS, signed=signed
+    )
+    assert len(trace) == len(recorded.rows) == recorded.rows[-1][0] + 1
+    assert 2 < len(trace) <= AdamHyper().max_iters + 1
+    np.testing.assert_array_equal(v_hat, v_rec)

@@ -87,5 +87,56 @@ def test_baselines_are_batched_through_the_spanned_bindings(monkeypatch):
     cpis = 50
     harness.run_experiment(ExperimentConfig(method="ekf", num_cpis=cpis))
     assert all(n >= 1 for n in calls.values()), calls
-    # one call per CPI for the tracker's own beam, a few per chunk for opt/ff/fd
+    # a few calls per chunk of CPIs, not one or more per CPI
     assert calls["cpi_throughput"] < 2 * cpis, calls
+
+
+def test_traced_split_reads_one_snapshot_per_tracked_cpi(monkeypatch):
+    # the traced split's per-CPI counts: throughput once per chunk, the EKF's
+    # three model calls once per tracked CPI, all on one snapshot of the prior
+    # mean, and few near-field builds a CPI
+    import nfbeam.ekf as ekf
+    import nfbeam.geometry as geometry
+
+    calls = {"cpi_throughput": 0, "element_distances": 0}
+    snapshots = {"predictive_beamformers": [], "observation_mean": [],
+                 "observation_jacobian": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recorded(name, fn, position_of):
+        def wrapper(*args, **kwargs):
+            snapshots[name].append(position_of(args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        harness, "cpi_throughput", counted("cpi_throughput", harness.cpi_throughput)
+    )
+    monkeypatch.setattr(
+        geometry, "element_distances", counted("element_distances", geometry.element_distances)
+    )
+    monkeypatch.setattr(ekf, "predictive_beamformers", recorded(
+        "predictive_beamformers", ekf.predictive_beamformers, lambda args: args[1]
+    ))
+    for name in ("observation_mean", "observation_jacobian"):
+        monkeypatch.setattr(
+            ekf, name, recorded(name, getattr(ekf, name), lambda args: args[2].position)
+        )
+
+    cpis = 50
+    cfg = ExperimentConfig(method="ekf", num_cpis=cpis)
+    harness.run_experiment(cfg)
+    system = cfg.system
+    chunk = harness.BASELINE_CHUNK_ELEMENTS // (system.symbols_per_cpi * system.num_antennas)
+    assert calls["cpi_throughput"] == -(-cpis // chunk), calls
+    for name, seen in snapshots.items():
+        assert len(seen) == cpis - 1, name
+        assert all(isinstance(s, geometry.NearField) for s in seen), name
+    for per_cpi in zip(*snapshots.values()):
+        assert per_cpi[0] is per_cpi[1] is per_cpi[2]
+    assert calls["element_distances"] <= 3 * cpis, calls

@@ -85,21 +85,29 @@ def test_matched_method_rides_the_opt_column():
         assert row.verr_x == 0.0 and row.verr_y == 0.0
 
 
+def _trajectory(cfg):
+    return generate_trajectory(
+        cfg.state0, cfg.motion_noise, cfg.system.cpi_duration_s, cfg.num_cpis,
+        stream(cfg.seed, "trajectory"),
+    )
+
+
+def _single_rate(cfg, bf, eta):
+    """cpi_throughput of one beam at one true state."""
+    sys_cfg = cfg.system
+    return cpi_throughput(
+        sys_cfg.geometry(), sys_cfg.pathloss_model(), eta, bf, sys_cfg.symbol_duration_s,
+        sys_cfg.tx_power_w, sys_cfg.comm_noise_power, signed=sys_cfg.signed_projection,
+    )
+
+
 def _per_cpi_baseline_rates(cfg):
     """(opt, ff, fd) rates built one CPI at a time with single-state calls."""
     sys_cfg = cfg.system
-    geom, model = sys_cfg.geometry(), sys_cfg.pathloss_model()
+    geom = sys_cfg.geometry()
     n_sym, ts, dt = sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s, sys_cfg.cpi_duration_s
     signed = sys_cfg.signed_projection
-    traj = generate_trajectory(
-        cfg.state0, cfg.motion_noise, dt, cfg.num_cpis, stream(cfg.seed, "trajectory")
-    )
-
-    def rate(bf, eta):
-        return cpi_throughput(
-            geom, model, eta, bf, ts, sys_cfg.tx_power_w, sys_cfg.comm_noise_power, signed=signed
-        )
-
+    traj = _trajectory(cfg)
     out = []
     for cpi, eta in enumerate(traj, start=1):
         bf_opt = opt_beamformers(geom, eta, n_sym, ts, signed=signed)
@@ -109,11 +117,11 @@ def _per_cpi_baseline_rates(cfg):
             bf_ff = ff_beamformers(geom, eta, n_sym, ts)
             fd_p, fd_v = fd_predicted_state(traj, cpi, cfg.feedback_period_cpis, dt)
             bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts, signed=signed)
-        out.append((rate(bf_opt, eta), rate(bf_ff, eta), rate(bf_fd, eta)))
+        out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
     return out
 
 
-# CPIs a chunk of the batched baseline pass at the default M = 512, N = 10
+# CPIs a chunk of the loop at the default M = 512, N = 10
 CHUNK = harness.BASELINE_CHUNK_ELEMENTS // (10 * 512)
 
 
@@ -132,6 +140,42 @@ def test_batched_baselines_equal_the_per_cpi_loop(num_cpis, signed):
     want = _per_cpi_baseline_rates(cfg)
     assert [(r.rate_opt, r.rate_ff, r.rate_fd) for r in rows] == want
     assert [r.rate for r in rows] == [fd for _, _, fd in want]
+
+
+def _spy_beams(monkeypatch, method):
+    """Copies of the beams the tracker's step returns, one per tracked CPI."""
+    name = f"{method}_track_step"
+    step = getattr(harness, name)
+    beams = []
+
+    def spy(*args, **kwargs):
+        out = step(*args, **kwargs)
+        beams.append(np.array(out[0]))
+        return out
+
+    monkeypatch.setattr(harness, name, spy)
+    return beams
+
+
+@pytest.mark.parametrize("num_cpis", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("method", ["ekf", "agdao"])
+def test_tracker_rate_is_its_beam_scored_alone(method, signed, num_cpis, monkeypatch):
+    # the loop scores the tracker's beams in a fourth slot of each chunk; each
+    # must land on its own CPI, chunk edges included
+    cfg = ExperimentConfig(
+        system=SystemConfig(signed_projection=signed), method=method, num_cpis=num_cpis,
+        seed=3, feedback_period_s=4e-4, initial_state=(0.5, 6.0, 8.0, 7.0),
+    )
+    beams = _spy_beams(monkeypatch, method)
+    rows = run_experiment(cfg).rows
+    assert len(beams) == num_cpis - 1
+    baselines = _per_cpi_baseline_rates(cfg)
+    traj = _trajectory(cfg)
+    # CPI 1 is initial access: the tracker points the genie beam
+    want = [baselines[0][0]] + [_single_rate(cfg, bf, eta) for bf, eta in zip(beams, traj[1:])]
+    assert [r.rate for r in rows] == want
+    assert [(r.rate_opt, r.rate_ff, r.rate_fd) for r in rows] == baselines
 
 
 def test_opt_column_closed_form_and_dominance():

@@ -1,0 +1,198 @@
+"""The per-position near-field snapshot and the cos/sin phasor.
+
+Every consumer that takes a position must give, bit for bit, the same result
+when fed the geo.NearField snapshot of that position; a snapshot built under
+the other projection convention, or for another array, is refused.
+"""
+import re
+
+import numpy as np
+import pytest
+
+from nfbeam import agdao
+from nfbeam.beamforming import opt_beamformers, predictive_beamformers
+from nfbeam.ekf import observation_jacobian
+from nfbeam.geometry import (
+    DegeneratePositionError,
+    NearField,
+    PathlossModel,
+    antenna_positions,
+    array_response,
+    doppler_vector,
+    downlink_channel,
+    element_distances,
+    projection_coeff_gradients,
+    projection_coeffs,
+    radial_speeds,
+    roundtrip_channel,
+    steering_vector,
+    unit_phasor,
+)
+from nfbeam.motion import StateBatch
+from nfbeam.signals import (
+    NoiseConfig,
+    cpi_throughput,
+    observation_mean,
+    synthesize_observation,
+)
+
+from helpers import N_SYM, TS, geom_for, sample_broadside_state, sample_state
+
+GEOM = geom_for(32)
+MODEL = PathlossModel(ref_gain=1.5, rcs=2.0)
+NOISE = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-6)
+
+
+def _state(signed):
+    # broadside puts antennas on both sides, where the conventions differ;
+    # the magnitude convention needs a state clear of its kinks
+    rng = np.random.default_rng(41 + int(signed))
+    return sample_broadside_state(rng) if signed else sample_state(rng, GEOM)
+
+
+def _with_position(eta, position):
+    return StateBatch(position, eta.velocity)
+
+
+def _calls(signed):
+    """name -> call(eta), where eta.position is a position or its snapshot."""
+    f = predictive_beamformers(GEOM, (1.0, 9.0), (3.0, -2.0), N_SYM, TS, signed=signed)
+    y = np.random.default_rng(7).standard_normal(GEOM.num_antennas) * (1 + 1j)
+
+    def velocity_problem(eta):
+        prob = agdao._VelocityProblem(
+            y, GEOM, MODEL, eta.position, f[-1], 2.0, N_SYM, TS, signed
+        )
+        return np.concatenate([prob.W.ravel(), prob.exponent.ravel(), [prob.scale]])
+
+    return {
+        "projection_coeffs": lambda e: np.stack(
+            projection_coeffs(GEOM, e.position, signed=signed)
+        ),
+        "radial_speeds": lambda e: radial_speeds(GEOM, e.velocity, e.position, signed=signed),
+        "doppler_vector": lambda e: doppler_vector(
+            GEOM, N_SYM, TS, e.velocity, e.position, signed=signed
+        ),
+        "array_response": lambda e: array_response(
+            GEOM, N_SYM, TS, e.velocity, e.position, signed=signed
+        ),
+        "downlink_channel": lambda e: downlink_channel(
+            GEOM, MODEL, 3, TS, e.velocity, e.position, signed=signed
+        ),
+        "roundtrip_channel": lambda e: roundtrip_channel(
+            GEOM, MODEL, 3, TS, e.velocity, e.position, signed=signed
+        ),
+        "projection_coeff_gradients": lambda e: np.stack(
+            projection_coeff_gradients(GEOM, e.position, signed=signed)
+        ),
+        "predictive_beamformers": lambda e: predictive_beamformers(
+            GEOM, e.position, e.velocity, N_SYM, TS, signed=signed
+        ),
+        "opt_beamformers": lambda e: opt_beamformers(GEOM, e, N_SYM, TS, signed=signed),
+        "observation_mean": lambda e: observation_mean(
+            GEOM, MODEL, e, f[-1], 2.0, N_SYM, TS, signed=signed
+        ),
+        "observation_jacobian": lambda e: observation_jacobian(
+            GEOM, MODEL, e, f[-1], 2.0, N_SYM, TS, signed=signed
+        ),
+        "synthesize_observation": lambda e: synthesize_observation(
+            GEOM, MODEL, e, f, NOISE, 2.0, TS, np.random.default_rng(5), signed=signed
+        ),
+        "cpi_throughput": lambda e: cpi_throughput(
+            GEOM, MODEL, e, f, TS, 2.0, 1e-8, signed=signed
+        ),
+        "velocity_problem": velocity_problem,
+    }
+
+
+NAMES = sorted(_calls(False))
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("name", NAMES)
+def test_snapshot_equals_position_call(name, signed):
+    eta = _state(signed)
+    call = _calls(signed)[name]
+    want = call(eta)
+    got = call(_with_position(eta, NearField(GEOM, eta.position, signed)))
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("name", NAMES)
+def test_snapshot_under_the_other_convention_is_refused(name, signed):
+    eta = _state(True)  # broadside: the magnitude kinks stay clear anyway
+    other = _with_position(eta, NearField(GEOM, eta.position, not signed))
+    with pytest.raises(ValueError, match="signed="):
+        _calls(signed)[name](other)
+
+
+def test_snapshot_of_another_array_is_refused():
+    eta = _state(False)
+    near = NearField(geom_for(16), eta.position)
+    with pytest.raises(ValueError, match="snapshot was built for"):
+        predictive_beamformers(GEOM, near, eta.velocity, N_SYM, TS)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_snapshot_fields_match_the_geometry_functions(signed):
+    rng = np.random.default_rng(3)
+    points = np.array([sample_broadside_state(rng).position for _ in range(5)])
+    near = NearField(GEOM, points, signed)
+    np.testing.assert_array_equal(near.r, element_distances(GEOM, points))
+    np.testing.assert_array_equal(near.steering, steering_vector(GEOM, points))
+    np.testing.assert_array_equal(
+        near.steering, np.exp(-1j * GEOM.wavenumber * element_distances(GEOM, points))
+    )
+    g, q = projection_coeffs(GEOM, points, signed=signed)
+    np.testing.assert_array_equal(near.g, g)
+    np.testing.assert_array_equal(near.q, q)
+    assert near.position.shape == (5, 2) and near.uy.shape == (5, 1)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_indexed_snapshot_equals_a_single_build(signed):
+    rng = np.random.default_rng(4)
+    points = np.array([sample_broadside_state(rng).position for _ in range(6)])
+    near = NearField(GEOM, points.reshape(2, 3, 2), signed)
+    part = near[1, 2]
+    single = NearField(GEOM, points[5], signed)
+    assert (part.geom, part.signed) == (GEOM, signed)
+    for name in ("position", "r", "ux", "uy", "steering", "g", "q"):
+        np.testing.assert_array_equal(getattr(part, name), getattr(single, name))
+    # a batch state indexes its snapshot along with its velocity
+    batch = StateBatch(near, np.ones((2, 3, 2)))
+    assert isinstance(batch[1].position, NearField)
+    assert batch[1].position.r.shape == (3, GEOM.num_antennas)
+
+
+@pytest.mark.parametrize("where", ["single", "batch"])
+def test_degenerate_position_in_a_snapshot_is_rejected(where):
+    on_antenna = antenna_positions(GEOM)[4]
+    later = antenna_positions(GEOM)[9]
+    p = on_antenna if where == "single" else np.array([[3.0, 9.0], on_antenna, later])
+    first = re.escape(f"position {on_antenna.tolist()}")
+    with pytest.raises(DegeneratePositionError, match=first):
+        NearField(GEOM, p)
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (GEOM.num_antennas,), (4, N_SYM, GEOM.num_antennas)]
+)
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_unit_phasor_matches_complex_exp(shape, scale):
+    rng = np.random.default_rng(int(scale) % 1000 + len(shape))
+    theta = rng.uniform(-scale, scale, shape)
+    got = unit_phasor(theta)
+    want = np.exp(1j * theta)
+    assert got.shape == np.shape(want) and got.dtype == np.complex128
+    np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+    np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
+
+def test_unit_phasor_exact_points():
+    got = unit_phasor([0.0, -0.0, np.pi / 2])
+    assert got[0] == 1.0 and got[1] == 1.0
+    assert np.signbit(got[1].imag) and not np.signbit(got[0].imag)
+    assert abs(got[2] - 1j) < 1e-15
