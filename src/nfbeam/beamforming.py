@@ -65,6 +65,9 @@ def ff_beamformers(
     """Far-field codebook at the true state: planar phases along u = p/||p||
     plus a common radial-Doppler rotation per symbol.
 
+    The phase is a symbol term plus an element term, so the beam is the outer
+    product of N and M phasors, within about eps * max|phase| of exact.
+
     Shape (num_symbols, M), or (..., num_symbols, M) for a StateBatch.
     """
     if num_symbols < 1:
@@ -75,14 +78,11 @@ def ff_beamformers(
     u = p / rnorm[..., None]
     v_radial = _dot2(geo.as_points(eta_true.velocity, "velocity"), u)
     n = np.arange(1, num_symbols + 1)
+    symbol = geo.unit_phasor((-geom.wavenumber * symbol_duration) * (n * v_radial[..., None]))
     # antennas sit on the x-axis, so u^T k_m reduces to u_x * k_m1
-    spatial = geo.element_offsets(geom) * u[..., 0, None]
-    phase = geom.wavenumber * (
-        n[:, None] * symbol_duration * v_radial[..., None, None] + spatial[..., None, :]
-    )
-    f = geo.unit_phasor(-phase)
-    f /= math.sqrt(geom.num_antennas)
-    return f
+    element = geo.unit_phasor((-geom.wavenumber * geo.element_offsets(geom)) * u[..., 0, None])
+    element /= math.sqrt(geom.num_antennas)
+    return symbol[..., :, None] * element[..., None, :]
 
 
 def feedback_latch_index(cpi_index: int, period_cpis: int) -> int:

@@ -1,7 +1,8 @@
 """Built-in oracle suites behind the `check` subcommand.
 
 Quick independent cross-checks of the analytic pieces: geometry identities,
-the closed-form matched-filter SNR, finite differences against the velocity
+the beam and channel phasor rows against their direct phases, the
+closed-form matched-filter SNR, finite differences against the velocity
 gradient and the observation Jacobian, and the dense stacked-real Kalman
 update against the production low-rank form.
 """
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import geometry as geo
 from .agdao import grad_velocity, ml_objective
-from .beamforming import predictive_beamformers
+from .beamforming import ff_beamformers, predictive_beamformers
 from .ekf import TrackerBelief, kalman_update, observation_jacobian
 from .motion import MotionState
 from .signals import (
@@ -69,6 +70,34 @@ def check_geometry(seed: int = 0, trials: int = 200):
         f"modulus {worst_mod:.2e}, g^2+q^2 {worst_proj:.2e}, "
         f"symmetry {worst_sym:.2e}, rank-1 residual {worst_rank:.2e}"
     )
+
+
+def check_beam_phasors(seed: int = 0, trials: int = 40):
+    """Doppler rows built by recurrence and far-field beams built as outer
+    products, each against the phasor of its direct phase."""
+    rng = np.random.default_rng(seed)
+    geom = _geom(128)
+    num_symbols = 64  # the recurrence's error grows with the row index
+    n = np.arange(1, num_symbols + 1)
+    x_m = geo.element_offsets(geom)
+    worst_dop = 0.0
+    worst_ff = 0.0
+    for t in range(trials):
+        eta = _random_state(rng)
+        signed = bool(t % 2)
+        nf = geo.NearField(geom, eta.position, signed)
+        d = geo.symbol_dopplers(geom, num_symbols, _TS, eta.velocity, nf, signed=signed)
+        for row, sym in zip(d, n.tolist()):
+            direct = geo.doppler_vector(geom, sym, _TS, eta.velocity, nf, signed=signed)
+            worst_dop = max(worst_dop, float(np.max(np.abs(row - direct))))
+        u = eta.position / np.linalg.norm(eta.position)
+        v_r = float(eta.velocity @ u)
+        phase = geom.wavenumber * (n[:, None] * _TS * v_r + x_m * u[0])
+        want = np.exp(-1j * phase) / np.sqrt(geom.num_antennas)
+        got = ff_beamformers(geom, eta, num_symbols, _TS)
+        worst_ff = max(worst_ff, float(np.max(np.abs(got - want))))
+    ok = worst_dop < 1e-12 and worst_ff < 1e-12
+    return ok, f"Doppler rows {worst_dop:.2e}, far-field beams {worst_ff:.2e} over {trials} states"
 
 
 def check_mrt_snr(seed: int = 0, trials: int = 100):
@@ -215,6 +244,7 @@ def run_all(seed: int = 0):
     """All suites; returns [(name, ok, detail)]."""
     return [
         ("geometry-identities", *check_geometry(seed)),
+        ("beam-phasors", *check_beam_phasors(seed)),
         ("matched-filter-snr", *check_mrt_snr(seed)),
         ("velocity-gradient-fd", *check_gradient(seed)),
         ("observation-jacobian-fd", *check_jacobian(seed)),

@@ -212,10 +212,18 @@ def doppler_vector(
 def symbol_dopplers(
     geom: ArrayGeometry, num_symbols: int, symbol_duration: float, v, p, signed: bool = False
 ) -> np.ndarray:
-    """Doppler rotations of symbols n = 1..num_symbols, shape (..., num_symbols, M)."""
+    """Doppler rotations of symbols n = 1..num_symbols, shape (..., num_symbols, M).
+
+    Built by the recurrence d(n) = d(n-1) * d(1): row 1 is doppler_vector(geom,
+    1, ...) bit for bit, and row n is within about 0.5 * n * eps of exact.
+    """
     vm = radial_speeds(geom, v, p, signed=signed)
-    n = np.arange(1, num_symbols + 1)
-    return unit_phasor((-geom.wavenumber * symbol_duration) * (n[:, None] * vm[..., None, :]))
+    d1 = unit_phasor((-geom.wavenumber * symbol_duration) * vm)
+    out = np.empty(vm.shape[:-1] + (num_symbols, vm.shape[-1]), dtype=complex)
+    out[..., 0, :] = d1
+    for n in range(1, num_symbols):
+        np.multiply(out[..., n - 1, :], d1, out=out[..., n, :])
+    return out
 
 
 def array_response(

@@ -140,3 +140,26 @@ def test_traced_split_reads_one_snapshot_per_tracked_cpi(monkeypatch):
     for per_cpi in zip(*snapshots.values()):
         assert per_cpi[0] is per_cpi[1] is per_cpi[2]
     assert calls["element_distances"] <= 3 * cpis, calls
+
+
+@pytest.mark.parametrize("num_antennas", [64, 512])
+def test_phasor_elements_per_cpi_stay_a_few_rows(monkeypatch, num_antennas):
+    # each N x M beam or channel matrix is built from M-length phasor rows
+    # (symbol Dopplers by recurrence, far-field beams as an outer product),
+    # so a CPI feeds cos/sin about eleven rows of M, not five N x M blocks
+    import nfbeam.geometry as geometry
+
+    fed = []
+    phasor = geometry.unit_phasor
+
+    def spy(theta):
+        out = phasor(theta)
+        fed.append(out.size)
+        return out
+
+    monkeypatch.setattr(geometry, "unit_phasor", spy)
+    cpis = 50
+    harness.run_experiment(ExperimentConfig(
+        system=SystemConfig(num_antennas=num_antennas), method="ekf", num_cpis=cpis
+    ))
+    assert sum(fed) <= 12 * num_antennas * cpis, sum(fed) / (num_antennas * cpis)

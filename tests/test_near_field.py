@@ -1,16 +1,17 @@
-"""The per-position near-field snapshot and the cos/sin phasor.
+"""The per-position near-field snapshot, the cos/sin phasor, and the N×M phasor builds.
 
 Every consumer that takes a position must give, bit for bit, the same result
 when fed the geo.NearField snapshot of that position; a snapshot built under
 the other projection convention, or for another array, is refused.
 """
+import math
 import re
 
 import numpy as np
 import pytest
 
 from nfbeam import agdao
-from nfbeam.beamforming import opt_beamformers, predictive_beamformers
+from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamformers
 from nfbeam.ekf import observation_jacobian
 from nfbeam.geometry import (
     DegeneratePositionError,
@@ -21,11 +22,13 @@ from nfbeam.geometry import (
     doppler_vector,
     downlink_channel,
     element_distances,
+    element_offsets,
     projection_coeff_gradients,
     projection_coeffs,
     radial_speeds,
     roundtrip_channel,
     steering_vector,
+    symbol_dopplers,
     unit_phasor,
 )
 from nfbeam.motion import StateBatch
@@ -196,3 +199,66 @@ def test_unit_phasor_exact_points():
     assert got[0] == 1.0 and got[1] == 1.0
     assert np.signbit(got[1].imag) and not np.signbit(got[0].imag)
     assert abs(got[2] - 1j) < 1e-15
+
+
+EPS = np.finfo(float).eps
+BATCHES = [(), (3,), (2, 3)]
+
+
+def _states_both_sides(rng, geom, batch):
+    # x beyond either array edge, speeds up to 50 m/s on each axis
+    edge = geom.aperture / 2.0
+    x = rng.choice([-1.0, 1.0], batch) * rng.uniform(edge + 0.5, edge + 8.0, batch)
+    p = np.stack([x, rng.uniform(3.0, 30.0, batch)], axis=-1)
+    return p, rng.uniform(-50.0, 50.0, batch + (2,))
+
+
+def _ld_phasor(theta):
+    theta = np.asarray(theta, dtype=np.longdouble)
+    return np.cos(theta), np.sin(theta)
+
+
+def _ld_error(z, re, im):
+    """|z - (re + j im)| with the difference taken in long double."""
+    dre = z.real.astype(np.longdouble) - re
+    dim = z.imag.astype(np.longdouble) - im
+    return float(np.max(np.sqrt(dre * dre + dim * dim)))
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("num_symbols", [1, 2, 10, 64, 256])
+def test_symbol_doppler_recurrence_against_long_double(num_symbols, signed, batch):
+    rng = np.random.default_rng(num_symbols + 7 * len(batch) + 100 * signed)
+    p, v = _states_both_sides(rng, GEOM, batch)
+    d = symbol_dopplers(GEOM, num_symbols, TS, v, p, signed=signed)
+    assert d.shape == batch + (num_symbols, GEOM.num_antennas)
+    assert np.array_equal(d[..., 0, :], doppler_vector(GEOM, 1, TS, v, p, signed=signed))
+    vm = radial_speeds(GEOM, v, p, signed=signed).astype(np.longdouble)
+    n = np.arange(1, num_symbols + 1, dtype=np.longdouble)
+    k_ts = np.longdouble(GEOM.wavenumber) * np.longdouble(TS)
+    re, im = _ld_phasor(-k_ts * n[:, None] * vm[..., None, :])
+    bound = 2.0 * num_symbols * EPS
+    assert _ld_error(d, re, im) <= bound
+    assert np.max(np.abs(np.abs(d) - 1.0)) <= bound
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("num_symbols", [1, 10, 64])
+def test_ff_outer_product_against_long_double(num_symbols, batch):
+    geom = geom_for(512)
+    rng = np.random.default_rng(num_symbols + 7 * len(batch))
+    p, v = _states_both_sides(rng, geom, batch)
+    f = ff_beamformers(geom, StateBatch(p, v), num_symbols, TS)
+    assert f.shape == batch + (num_symbols, geom.num_antennas)
+    p, v = p.astype(np.longdouble), v.astype(np.longdouble)
+    u = p / np.sqrt(np.sum(p * p, axis=-1))[..., None]
+    v_r = np.sum(v * u, axis=-1)
+    n = np.arange(1, num_symbols + 1, dtype=np.longdouble)
+    x = element_offsets(geom).astype(np.longdouble)
+    phase = np.longdouble(geom.wavenumber) * (
+        n[:, None] * np.longdouble(TS) * v_r[..., None, None] + x * u[..., 0, None, None]
+    )
+    re, im = _ld_phasor(-phase)
+    scale = math.sqrt(geom.num_antennas)
+    assert scale * _ld_error(f, re / scale, im / scale) <= 8.0 * EPS * float(np.max(np.abs(phase)))

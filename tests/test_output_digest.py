@@ -1,7 +1,12 @@
-"""tools/output_digest.py: one sha256 per stdout and per CSV, independent of OUT_DIR."""
+"""tools/output_digest.py: one sha256 per stdout and per CSV, independent of OUT_DIR,
+and --compare, the largest relative deviation per numeric CSV column of two runs."""
+import csv
 import importlib.util
 import re
+import shutil
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -30,3 +35,58 @@ def test_command_list_covers_the_acceptance_runs():
     names = [name for name, _ in _tool().COMMANDS]
     assert len(names) == len(set(names)) == 13
     assert names[0] == "track" and "converge-signed" in names
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """One small digest run, plus a CSV with a string column."""
+    out = tmp_path_factory.mktemp("digest") / "run"
+    _tool().digests(out, [("track-ekf", ("track", "--cpis", "5", "--set", "system.num_antennas=16"))])
+    (out / "converge").mkdir()
+    (out / "converge" / "trace.csv").write_text("variant,k,vx\nadam-ao,0,0.5\nplain-gd,1,0.25\n")
+    return out
+
+
+def test_compare_against_itself_reads_zero(digest_run):
+    tool = _tool()
+    lines, problems = tool.compare(digest_run, digest_run)
+    assert problems == []
+    assert "0.00e+00  track-ekf/metrics.csv:rate_ff" in lines
+    assert "0.00e+00  converge/trace.csv:vx" in lines
+    assert not any(line.endswith(":variant") for line in lines)
+    assert all(line.startswith("0.00e+00  ") for line in lines)
+    assert tool.main(["--compare", str(digest_run), str(digest_run)]) == 0
+
+
+def test_compare_reports_a_perturbed_cell_under_its_column(digest_run, tmp_path):
+    other = shutil.copytree(digest_run, tmp_path / "other")
+    metrics = other / "track-ekf" / "metrics.csv"
+    rows = list(csv.reader(metrics.open(newline="")))
+    column = rows[0].index("rate_ff")
+    rows[3][column] = repr(float(rows[3][column]) * (1.0 + 3e-9))
+    with metrics.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    lines, problems = _tool().compare(digest_run, other)
+    assert problems == []
+    moved = [line for line in lines if not line.startswith("0.00e+00")]
+    assert len(moved) == 1 and moved[0].endswith("  track-ekf/metrics.csv:rate_ff")
+    assert float(moved[0].split()[0]) == pytest.approx(3e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("fault", ["missing file", "header", "row count", "string cell"])
+def test_compare_fails_on_incomparable_runs(digest_run, tmp_path, fault):
+    tool = _tool()
+    other = shutil.copytree(digest_run, tmp_path / "other")
+    metrics = other / "track-ekf" / "metrics.csv"
+    trace = other / "converge" / "trace.csv"
+    if fault == "missing file":
+        metrics.unlink()
+    elif fault == "header":
+        metrics.write_text(metrics.read_text().replace("rate_ff", "rate_far", 1))
+    elif fault == "row count":
+        metrics.write_text("".join(metrics.read_text().splitlines(True)[:-1]))
+    else:
+        trace.write_text(trace.read_text().replace("plain-gd", "adam-joint"))
+    _, problems = tool.compare(digest_run, other)
+    assert len(problems) == 1
+    assert tool.main(["--compare", str(digest_run), str(other)]) == 1
