@@ -92,7 +92,6 @@ from .motion import (
 )
 from .signals import (
     BeamNormError,
-    NoiseConfig,
     check_unit_norm,
     complex_gaussian,
     cpi_throughput,

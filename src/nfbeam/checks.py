@@ -16,7 +16,6 @@ from .beamforming import ff_beamformers, predictive_beamformers
 from .ekf import TrackerBelief, kalman_update, observation_jacobian
 from .motion import MotionState
 from .signals import (
-    NoiseConfig,
     cpi_throughput,
     echo_amplitude,
     observation_mean,
@@ -123,9 +122,9 @@ def _spot_instance(rng, geom, model, signed):
     p_hat = eta.position + rng.normal(0.0, 0.05, 2)
     v_trial = rng.uniform(-15.0, 15.0, 2)
     bf = predictive_beamformers(geom, p_hat, v_trial, _N, _TS, signed=signed)
-    s_amp = echo_amplitude(1.0)
+    s_amp, sigma_e2 = echo_amplitude(1.0), 1e-8
     y = synthesize_observation(
-        geom, model, eta, bf, NoiseConfig(), s_amp, _TS, rng, signed=signed
+        geom, model, eta, bf, sigma_e2, s_amp, _TS, rng, signed=signed
     )
     return eta, p_hat, v_trial, bf[-1], s_amp, y
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from .ekf import EkfConfig
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, PathlossModel
 from .motion import MotionNoise, MotionState
-from .signals import NoiseConfig
 
 METHODS = ("opt", "ff", "fd", "agdao", "ekf")
 
@@ -93,12 +92,6 @@ class SystemConfig:
     def pathloss_model(self) -> PathlossModel:
         return PathlossModel(ref_gain=self.ref_gain, rcs=self.rcs)
 
-    def noise(self) -> NoiseConfig:
-        return NoiseConfig(
-            comm_noise_power=self.comm_noise_power,
-            echo_noise_power=self.echo_noise_power,
-        )
-
 
 @dataclass(frozen=True)
 class AdamHyper:
@@ -168,7 +161,6 @@ class ExperimentConfig:
         return EkfConfig(
             process_noise=self.motion_noise,
             echo_noise_power=self.system.echo_noise_power,
-            init_cov=self.ekf_init_cov,
         )
 
 

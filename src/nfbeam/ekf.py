@@ -61,19 +61,16 @@ class TrackerBelief:
 
 @dataclass(frozen=True)
 class EkfConfig:
-    """Filter model: process noise, echo noise power, initial covariance scale."""
+    """Filter model: process noise and echo noise power."""
 
     process_noise: MotionNoise = MotionNoise()
     echo_noise_power: float = 1e-8
-    init_cov: float = 0.1
 
     def __post_init__(self) -> None:
         if self.echo_noise_power < 0.0:
             raise ValueError(
                 f"echo_noise_power must be nonnegative, got {self.echo_noise_power}"
             )
-        if self.init_cov <= 0.0:
-            raise ValueError(f"init_cov must be positive, got {self.init_cov}")
 
 
 @dataclass(frozen=True)

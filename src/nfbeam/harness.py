@@ -28,10 +28,6 @@ STREAM_IDS = {"trajectory": 0, "echo-noise": 1, "estimator-init": 2}
 # elements, about 0.5 MB a beam slot; K = 6 at N = 10, M = 512.
 BASELINE_CHUNK_ELEMENTS = 2**15
 
-# Beam slots of the chunk array; a tracker's own beams take the slot after.
-SLOTS = {"opt": 0, "ff": 1, "fd": 2}
-
-
 def stream(master_seed: int, name: str, *extra: int) -> np.random.Generator:
     """Named generator fanned out from one master seed.
 
@@ -157,23 +153,30 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     the trackers start consuming echoes at CPI 2. Opt/FF/FD throughputs are
     logged alongside whichever method ran, on the shared trajectory.
 
+    The run keeps three (num_cpis, 4) tables of [x, y, vx, vy]: the true
+    trajectory, the feedback pointer's dead-reckoned states, and the method's
+    estimates. The baselines' estimates are the truth (opt, ff) or the
+    feedback table (fd); a tracker starts from the truth and overwrites rows
+    2..num_cpis (AGD-AO steps from its previous row, the EKF from its belief).
+
     The loop walks chunks of K CPIs, K * N * M at most BASELINE_CHUNK_ELEMENTS.
     Per chunk it builds one near-field snapshot of the true positions and the
     opt/ff/fd beams (one batched call each), runs the tracker CPI by CPI with
     each echo drawn from the snapshot, and writes the tracker's beams into a
     fourth slot; one cpi_throughput call then scores every slot on one build
-    of each true channel. progress(cpi, num_cpis) is called once per CPI.
+    of each true channel, and the chunk's rows are read off the tables and
+    rates. progress(cpi, num_cpis) is called once per CPI.
     """
     sys_cfg = config.system
     geom = sys_cfg.geometry()
     model = sys_cfg.pathloss_model()
-    noise = sys_cfg.noise()
     signed = sys_cfg.signed_projection
     num_symbols = sys_cfg.symbols_per_cpi
     ts = sys_cfg.symbol_duration_s
     dt = sys_cfg.cpi_duration_s
     power_w = sys_cfg.tx_power_w
     s_amp = echo_amplitude(power_w, sys_cfg.include_transmit_power)
+    ekf_cfg = config.ekf_config()
     method = config.method
     num_cpis = config.num_cpis
 
@@ -181,94 +184,71 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         config.state0, config.motion_noise, dt, num_cpis, stream(config.seed, "trajectory"),
     )
     echo_rng = stream(config.seed, "echo-noise")
-    truth = StateBatch.stack(traj)
-    fd_states = [
-        fd_predicted_state(traj, cpi, config.feedback_period_cpis, dt)
+    truth = np.array([s.as_array() for s in traj])
+    fd = np.array([
+        np.concatenate(fd_predicted_state(traj, cpi, config.feedback_period_cpis, dt))
         for cpi in range(1, num_cpis + 1)
-    ]
-    fd_p = np.array([p for p, _ in fd_states])
-    fd_v = np.array([v for _, v in fd_states])
+    ])
+    est = (fd if method == "fd" else truth).copy()
 
-    tracked = method not in SLOTS
-    slot = len(SLOTS) if tracked else SLOTS[method]
+    # beam slots of a chunk: opt, ff, fd, and a tracker's own beams after them
+    slots = tuple(dict.fromkeys(("opt", "ff", "fd", method)))
+    slot = slots.index(method)
     chunk = max(1, BASELINE_CHUNK_ELEMENTS // (num_symbols * geom.num_antennas))
     beams = np.empty(
-        (len(SLOTS) + tracked, min(chunk, num_cpis), num_symbols, geom.num_antennas),
-        dtype=complex,
+        (len(slots), min(chunk, num_cpis), num_symbols, geom.num_antennas), dtype=complex
     )
-    rows: list[MetricRow] = []
-    belief_rows: list[BeliefRow] = []
-    beliefs: list[TrackerBelief] = []
-    p_hat = traj[0].position
-    v_hat = traj[0].velocity
     belief = initial_belief(traj[0], config.ekf_init_cov)
+    beliefs = [belief]
+    belief_rows = [_belief_row(1, belief, 0.0, False)]
+    rows: list[MetricRow] = []
 
     def observe(bf):  # reads the current CPI's true state, now
         return synthesize_observation(
-            geom, model, now, bf, noise, s_amp, ts, echo_rng, signed=signed
+            geom, model, now, bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng, signed=signed
         )
 
     for lo in range(0, num_cpis, chunk):
         part = slice(lo, lo + chunk)
-        eta = truth[part]
+        eta = StateBatch(truth[part, :2], truth[part, 2:])
         near = StateBatch(NearField(geom, eta.position, signed), eta.velocity)
         bf = beams[:, : len(eta.position)]
         bf[0] = opt_beamformers(geom, near, num_symbols, ts, signed=signed)
         bf[1] = ff_beamformers(geom, eta, num_symbols, ts)
-        bf[2] = predictive_beamformers(geom, fd_p[part], fd_v[part], num_symbols, ts, signed=signed)
-        estimates = []
+        bf[2] = predictive_beamformers(
+            geom, fd[part, :2], fd[part, 2:], num_symbols, ts, signed=signed
+        )
+        if lo == 0:
+            # initial access: every pointer starts from the reported true
+            # state, so every slot holds the genie beam
+            bf[1:, 0] = bf[0, 0]
         for i in range(len(bf[0])):
             cpi = lo + i + 1
             now = near[i]
-            if cpi == 1:
-                # initial access: every pointer starts from the reported true
-                # state, so every slot holds the genie beam
-                bf[1:, 0] = bf[0, 0]
-                est = traj[0]
-                if method == "ekf":
-                    beliefs.append(belief)
-                    belief_rows.append(_belief_row(1, belief, 0.0, False))
-            elif method == "agdao":
-                bf[slot, i], p_hat, v_hat, _ = agdao_track_step(
-                    p_hat, v_hat, observe, geom, model, s_amp, num_symbols, ts, dt,
-                    hyper=config.adam, signed=signed,
+            if method == "agdao" and cpi > 1:
+                bf[slot, i], est[cpi - 1, :2], est[cpi - 1, 2:], _ = agdao_track_step(
+                    est[cpi - 2, :2], est[cpi - 2, 2:], observe, geom, model, s_amp,
+                    num_symbols, ts, dt, hyper=config.adam, signed=signed,
                 )
-                est = MotionState(p_hat[0], p_hat[1], v_hat[0], v_hat[1])
-            elif method == "ekf":
+            elif method == "ekf" and cpi > 1:
                 bf[slot, i], belief, diag = ekf_track_step(
-                    belief, observe, geom, model, config.ekf_config(),
-                    s_amp, num_symbols, ts, dt, signed=signed,
+                    belief, observe, geom, model, ekf_cfg, s_amp, num_symbols, ts, dt,
+                    signed=signed,
                 )
-                est = belief.mean
+                est[cpi - 1] = belief.mean.as_array()
                 beliefs.append(belief)
                 belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
-            elif method == "fd":
-                (x, y), (vx, vy) = fd_states[cpi - 1]
-                est = MotionState(x, y, vx, vy)
-            else:  # opt, ff
-                est = traj[cpi - 1]
-            estimates.append(est)
             if progress is not None:
                 progress(cpi, num_cpis)
 
         rates = cpi_throughput(
             geom, model, near, bf, ts, power_w, sys_cfg.comm_noise_power, signed=signed
         )
-        for i, (true, est) in enumerate(zip(traj[part], estimates)):
-            rows.append(
-                MetricRow(
-                    cpi=lo + i + 1,
-                    x=float(true.x), y=float(true.y), vx=float(true.vx), vy=float(true.vy),
-                    x_hat=float(est.x), y_hat=float(est.y),
-                    vx_hat=float(est.vx), vy_hat=float(est.vy),
-                    rate=float(rates[slot, i]),
-                    rate_opt=float(rates[0, i]),
-                    rate_ff=float(rates[1, i]),
-                    rate_fd=float(rates[2, i]),
-                    verr_x=abs(float(true.vx) - float(est.vx)),
-                    verr_y=abs(float(true.vy) - float(est.vy)),
-                )
-            )
+        table = np.column_stack([
+            truth[part], est[part], rates[[slot, 0, 1, 2]].T,
+            np.abs(truth[part, 2:] - est[part, 2:]),
+        ])
+        rows += [MetricRow(cpi, *cells) for cpi, cells in enumerate(table.tolist(), lo + 1)]
 
     is_ekf = method == "ekf"
     return RunResult(
@@ -288,6 +268,7 @@ def power_sweep(
     """One tracking run per (method, power) cell on the shared trajectory seed."""
     if len(powers_dbm) == 0:
         raise ConfigError("powers", "at least one power level is required")
+    names = [f.name for f in dataclasses.fields(SweepRow)]
     rows: list[SweepRow] = []
     for method in methods:
         for dbm in powers_dbm:
@@ -297,18 +278,7 @@ def power_sweep(
                 system=dataclasses.replace(config.system, tx_power_dbm=float(dbm)),
             )
             summary = run_experiment(cfg).summary()
-            rows.append(
-                SweepRow(
-                    method=method,
-                    tx_power_dbm=float(dbm),
-                    mean_rate=summary["mean_rate"],
-                    mean_rate_opt=summary["mean_rate_opt"],
-                    mean_rate_ff=summary["mean_rate_ff"],
-                    mean_rate_fd=summary["mean_rate_fd"],
-                    mean_verr_x=summary["mean_verr_x"],
-                    mean_verr_y=summary["mean_verr_y"],
-                )
-            )
+            rows.append(SweepRow(**{name: summary[name] for name in names}))
             if progress is not None:
                 progress(method, float(dbm))
     return rows
@@ -328,10 +298,12 @@ def convergence_study(
     """
     if num_seeds < 1:
         raise ConfigError("seeds", f"must be >= 1, got {num_seeds}")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ConfigError("variant", f"must be one of {list(VARIANTS)}, got {variant!r}")
     sys_cfg = config.system
     geom = sys_cfg.geometry()
     model = sys_cfg.pathloss_model()
-    noise = sys_cfg.noise()
     signed = sys_cfg.signed_projection
     num_symbols = sys_cfg.symbols_per_cpi
     ts = sys_cfg.symbol_duration_s
@@ -351,13 +323,9 @@ def convergence_study(
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
         y = synthesize_observation(
-            geom, model, eta_gt, bf, noise, s_amp, ts, rng, signed=signed
+            geom, model, eta_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng, signed=signed
         )
         for variant in variants:
-            if variant not in VARIANTS:
-                raise ConfigError(
-                    "variant", f"must be one of {list(VARIANTS)}, got {variant!r}"
-                )
             _, trace = estimate_velocity(
                 variant, y, geom, model, eta_gt.position, v_init, bf[-1],
                 s_amp, num_symbols, ts, hyper=hyper, signed=signed,

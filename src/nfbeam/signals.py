@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,24 +13,6 @@ BEAM_NORM_TOL = 1e-9
 
 class BeamNormError(ValueError):
     """Transmit beamformer is not unit norm."""
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Noise powers: comm link (sigma_c^2) and echo receiver (sigma_e^2)."""
-
-    comm_noise_power: float = 1e-8
-    echo_noise_power: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.comm_noise_power <= 0.0:
-            raise ValueError(
-                f"comm_noise_power must be positive, got {self.comm_noise_power}"
-            )
-        if self.echo_noise_power < 0.0:
-            raise ValueError(
-                f"echo_noise_power must be nonnegative, got {self.echo_noise_power}"
-            )
 
 
 def check_unit_norm(f: np.ndarray, tol: float = BEAM_NORM_TOL) -> None:
@@ -83,7 +64,7 @@ def synthesize_observation(
     model: geo.PathlossModel,
     eta: MotionState | StateBatch,
     beamformers: np.ndarray,
-    noise: NoiseConfig,
+    echo_noise_power: float,
     s_amp: float,
     symbol_duration: float,
     rng: np.random.Generator,
@@ -100,7 +81,7 @@ def synthesize_observation(
     mean = observation_mean(
         geom, model, eta, beamformers[-1], s_amp, num_symbols, symbol_duration, signed=signed
     )
-    z = complex_gaussian(rng, geom.num_antennas, noise.echo_noise_power)
+    z = complex_gaussian(rng, geom.num_antennas, echo_noise_power)
     return mean + z
 
 

@@ -10,7 +10,6 @@ from nfbeam import (
     DivergenceError,
     MotionNoise,
     MotionState,
-    NoiseConfig,
     adam_ao_estimate,
     agdao_track_step,
     array_response,
@@ -43,10 +42,9 @@ def make_instance(m, position, v_echo, v_beam, signed=False, noise_power=0.0, se
     eta = MotionState(p[0], p[1], v_echo[0], v_echo[1])
     bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS, signed=signed)
     if noise_power > 0.0:
-        noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=noise_power)
         rng = np.random.default_rng(seed)
         y = synthesize_observation(
-            geom, model, eta, bf, noise, 1.0, TS, rng, signed=signed
+            geom, model, eta, bf, noise_power, 1.0, TS, rng, signed=signed
         )
     else:
         y = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS, signed=signed)
@@ -75,7 +73,7 @@ def test_evaluate_matches_direct_fields(m, signed):
     rng = np.random.default_rng(300 + m + int(signed))
     geom = geom_for(m)
     model = default_model()
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+    noise = 1e-8
     for _ in range(4):
         eta = sample_state(rng, geom)
         p = eta.position
@@ -97,7 +95,7 @@ def test_objective_two_forms_agree():
         eta = sample_state(rng, geom)
         p = eta.position
         bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
-        noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+        noise = 1e-8
         y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
         got = ml_objective(y, geom, model, p, v, bf[-1], 1.0, N_SYM, TS)
@@ -134,7 +132,7 @@ def test_gradient_matches_finite_difference(m, signed):
         eta = sample_state(rng, geom)
         p = eta.position
         bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS, signed=signed)
-        noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+        noise = 1e-8
         y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng, signed=signed)
         v = rng.uniform(-12.0, 12.0, 2)
         for axis, name in ((0, "x"), (1, "y")):
@@ -441,7 +439,7 @@ def test_track_step_noiseless_closed_loop():
     geom = geom_for(64)
     model = default_model()
     dt = N_SYM * TS
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=0.0)
+    noise = 0.0
     rng = np.random.default_rng(0)
     traj = generate_trajectory(
         MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), dt, 2000, rng
@@ -483,7 +481,7 @@ def test_track_error_grows_with_range():
     traj = generate_trajectory(
         MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), dt, cpis, traj_rng
     )
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+    noise = 1e-8
     p_hat = np.array([5.0, 10.0])
     v_hat = np.array([8.0, 7.0])
     verr = []
@@ -514,7 +512,7 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
     dt = N_SYM * TS
     eta = MotionState(*(p_prev + dt * v_prev), *V_TRUE)
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+    noise = 1e-8
     echoes = []
 
     def observe(bf):

@@ -12,6 +12,7 @@ import pytest
 
 import nfbeam.harness as harness
 from nfbeam import ExperimentConfig, SystemConfig
+from nfbeam.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,6 +53,33 @@ def test_probe_bindings_found():
 @pytest.mark.parametrize("module,attr", _bindings())
 def test_benchmark_binding_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_every_span_sees_calls(monkeypatch, tmp_path):
+    # a binding that the program stops calling would not crash the traced run;
+    # its layer would only read 0. Counters through monkeypatch, unlike
+    # Tracer.install, are undone after the test.
+    spans = _spans_module()
+    calls = dict.fromkeys((name for _, _, name in spans.SPANS), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, name in spans.SPANS:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr)))
+    small = ["--set", "system.num_antennas=16", "--out", str(tmp_path)]
+    for argv in (
+        ["track", "--cpis", "4"],
+        ["track", "--cpis", "4", "--method", "agdao"],
+        ["sweep-power", "--cpis", "2", "--powers", "10"],
+        ["converge", "--seeds", "1"],
+    ):
+        assert main(argv + small) == 0, argv
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_agdao_track_step_gets_hyper_by_keyword(monkeypatch):

@@ -10,7 +10,6 @@ from nfbeam import (
     FilterHealthError,
     MotionNoise,
     MotionState,
-    NoiseConfig,
     ProjectionKinkError,
     TrackerBelief,
     UpdateDiagnostics,
@@ -267,8 +266,6 @@ def test_belief_validation_rejects_bad_covariance():
 def test_config_validation():
     with pytest.raises(ValueError):
         EkfConfig(echo_noise_power=-1e-9)
-    with pytest.raises(ValueError):
-        EkfConfig(init_cov=0.0)
     belief = initial_belief(MotionState(5.0, 10.0, 8.0, 7.0))
     np.testing.assert_array_equal(belief.covariance, 0.1 * np.eye(4))
 
@@ -284,7 +281,7 @@ def test_track_step_composes_forecast_beam_update():
     bf_ref = predictive_beamformers(
         geom, prior.mean.position, prior.mean.velocity, N_SYM, TS
     )
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
+    noise = 1e-8
     y = synthesize_observation(
         geom, model, truth, bf_ref, noise, 1.0, TS, np.random.default_rng(4)
     )
@@ -309,8 +306,8 @@ def test_track_step_noiseless_fixed_point():
     traj = generate_trajectory(
         MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), DT, 100, rng
     )
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=0.0)
-    belief = initial_belief(traj[0], cfg.init_cov)
+    noise = 0.0
+    belief = initial_belief(traj[0], 0.1)
     worst = 0.0
     for l in range(1, 100):
         eta = traj[l]
@@ -344,8 +341,8 @@ def test_track_step_throughput_near_matched():
     traj = generate_trajectory(
         MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, cpis, traj_rng
     )
-    noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
-    belief = initial_belief(traj[0], cfg.init_cov)
+    noise = 1e-8
+    belief = initial_belief(traj[0], 0.1)
     rates, opts = [], []
     for l in range(1, cpis):
         eta = traj[l]
@@ -375,8 +372,8 @@ def test_belief_sequence_deterministic():
         traj = generate_trajectory(
             MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, 40, traj_rng
         )
-        noise = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-8)
-        belief = initial_belief(traj[0], cfg.init_cov)
+        noise = 1e-8
+        belief = initial_belief(traj[0], 0.1)
         means = []
         for l in range(1, 40):
             eta = traj[l]

@@ -178,6 +178,51 @@ def test_tracker_rate_is_its_beam_scored_alone(method, signed, num_cpis, monkeyp
     assert [(r.rate_opt, r.rate_ff, r.rate_fd) for r in rows] == baselines
 
 
+@pytest.mark.parametrize("num_cpis", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("method", ["opt", "ff", "fd", "ekf", "agdao"])
+def test_estimate_columns_of_every_method(method, signed, num_cpis, monkeypatch):
+    # the baselines' estimates are the truth (opt, ff) or the feedback pointer's
+    # dead-reckoned state (fd); a tracker's are its own outputs from CPI 2 on
+    cfg = ExperimentConfig(
+        system=SystemConfig(signed_projection=signed), method=method, num_cpis=num_cpis,
+        seed=3, feedback_period_s=4e-4, initial_state=(0.5, 6.0, 8.0, 7.0),
+    )
+    steps = []
+    if method == "agdao":
+        step = harness.agdao_track_step
+
+        def spy(*args, **kwargs):
+            out = step(*args, **kwargs)
+            steps.append((*out[1], *out[2]))
+            return out
+
+        monkeypatch.setattr(harness, "agdao_track_step", spy)
+    result = run_experiment(cfg)
+    traj = _trajectory(cfg)
+    truth = [(s.x, s.y, s.vx, s.vy) for s in traj]
+    if method == "fd":
+        want = []
+        for cpi in range(1, num_cpis + 1):
+            p, v = fd_predicted_state(
+                traj, cpi, cfg.feedback_period_cpis, cfg.system.cpi_duration_s
+            )
+            want.append((*p, *v))
+    elif method == "ekf":
+        want = [(b.x, b.y, b.vx, b.vy) for b in result.belief_rows]
+    elif method == "agdao":
+        want = truth[:1] + steps
+    else:
+        want = truth
+    rows = result.rows
+    assert len(steps) == (num_cpis - 1 if method == "agdao" else 0)
+    assert [(r.x, r.y, r.vx, r.vy) for r in rows] == truth
+    assert [(r.x_hat, r.y_hat, r.vx_hat, r.vy_hat) for r in rows] == want
+    assert [(r.verr_x, r.verr_y) for r in rows] == [
+        (abs(r.vx - r.vx_hat), abs(r.vy - r.vy_hat)) for r in rows
+    ]
+
+
 def test_opt_column_closed_form_and_dominance():
     cfg = small_config(method="ekf", num_cpis=20)
     result = run_experiment(cfg)
@@ -252,6 +297,15 @@ def test_convergence_study_shape_and_determinism():
         convergence_study(cfg, num_seeds=0)
     with pytest.raises(ConfigError):
         convergence_study(cfg, variants=("newton",), num_seeds=1, max_iters=5)
+
+
+def test_convergence_study_checks_variants_before_any_ascent(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "estimate_velocity", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError) as err:
+        convergence_study(small_config(), variants=("adam-ao", "bogus"), num_seeds=2)
+    assert err.value.field == "variant"
+    assert calls == []
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -416,6 +470,8 @@ def test_config_rejections(tmp_path):
         ("feedback_period_s=1e-6", "feedback_period_s"),
         ("system.num_antennas=0", "system.num_antennas"),
         ("system.comm_noise_power=0.0", "system.comm_noise_power"),
+        ("system.echo_noise_power=-1e-9", "system.echo_noise_power"),
+        ("ekf_init_cov=0", "ekf_init_cov"),
         ("system.spacing_m=0", "system.spacing_m"),
         ("system=4", "system"),
         ("adam.step_x=0", "adam.step_x"),

@@ -33,7 +33,6 @@ from nfbeam.geometry import (
 )
 from nfbeam.motion import StateBatch
 from nfbeam.signals import (
-    NoiseConfig,
     cpi_throughput,
     observation_mean,
     synthesize_observation,
@@ -43,7 +42,7 @@ from helpers import N_SYM, TS, geom_for, sample_broadside_state, sample_state
 
 GEOM = geom_for(32)
 MODEL = PathlossModel(ref_gain=1.5, rcs=2.0)
-NOISE = NoiseConfig(comm_noise_power=1e-8, echo_noise_power=1e-6)
+NOISE = 1e-6
 
 
 def _state(signed):

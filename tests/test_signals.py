@@ -9,7 +9,6 @@ from nfbeam.geometry import PathlossModel, array_response, pathloss, steering_ve
 from nfbeam.motion import MotionState
 from nfbeam.signals import (
     BeamNormError,
-    NoiseConfig,
     check_unit_norm,
     complex_gaussian,
     cpi_throughput,
@@ -35,12 +34,16 @@ def test_check_unit_norm_accepts_and_rejects():
         check_unit_norm(rows)
 
 
-def test_noise_config_validation():
-    NoiseConfig(comm_noise_power=1e-8, echo_noise_power=0.0)
-    with pytest.raises(ValueError):
-        NoiseConfig(comm_noise_power=0.0)
-    with pytest.raises(ValueError):
-        NoiseConfig(echo_noise_power=-1e-9)
+def test_synthesize_observation_checks_echo_noise_power():
+    geom = geom_for(8)
+    model = default_model()
+    eta = MotionState(2.0, 9.0, 4.0, -1.0)
+    bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        synthesize_observation(geom, model, eta, bf, -1e-9, 1.0, TS, rng)
+    y = synthesize_observation(geom, model, eta, bf, 0.0, 1.0, TS, rng)
+    assert y.shape == (8,)
 
 
 def test_echo_amplitude_flag():
@@ -88,7 +91,7 @@ def test_synthesize_observation_noiseless_equals_mean():
     model = default_model()
     eta = sample_state(rng, geom)
     bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
-    noise = NoiseConfig(echo_noise_power=0.0)
+    noise = 0.0
     y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
     mean = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS)
     np.testing.assert_array_equal(y, mean)
@@ -99,7 +102,7 @@ def test_synthesize_observation_validates_input():
     geom = geom_for(8)
     model = default_model()
     eta = sample_state(rng, geom)
-    noise = NoiseConfig()
+    noise = 1e-8
     bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
     with pytest.raises(ValueError):
         synthesize_observation(geom, model, eta, bf[:, :4], noise, 1.0, TS, rng)
@@ -112,7 +115,7 @@ def test_synthesize_observation_deterministic():
     model = default_model()
     eta = MotionState(2.0, 9.0, 4.0, -1.0)
     bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
-    noise = NoiseConfig(echo_noise_power=1e-8)
+    noise = 1e-8
     a = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(9))
     b = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
