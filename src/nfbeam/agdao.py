@@ -68,10 +68,10 @@ class _VelocityProblem:
     be its geo.NearField snapshot.
     """
 
-    def __init__(self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed):
+    def __init__(self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration):
         f = np.asarray(f)
         check_unit_norm(f)
-        nf = geo.near_field(geom, p_hat, signed)
+        nf = geo.near_field(geom, p_hat)
         atil, g, q = nf.steering, nf.g, nf.q
         scale = float(s_amp * geo.pathloss(model, nf.position, geo.ROUNDTRIP))
         # phase advance per unit composite speed over the CPI
@@ -118,10 +118,9 @@ def ml_objective(
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
-    signed: bool = False,
 ) -> float:
     """Echo log-likelihood (up to constants) at trial velocity v."""
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
+    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return prob.evaluate(float(v[0]), float(v[1]))[0]
 
 
@@ -136,10 +135,9 @@ def grad_velocity(
     num_symbols: int,
     symbol_duration: float,
     axis="x",
-    signed: bool = False,
 ) -> float:
     """Exact derivative of ml_objective along one velocity axis."""
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
+    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return prob.evaluate(float(v[0]), float(v[1]))[1 + _axis_index(axis)]
 
 
@@ -225,7 +223,6 @@ def adam_ao_estimate(
     num_symbols: int,
     symbol_duration: float,
     hyper: AdamHyper = AdamHyper(),
-    signed: bool = False,
     record: bool = True,
 ):
     """Alternating Adam ascent: x moves first, y sees the fresh x each iteration.
@@ -234,7 +231,7 @@ def adam_ao_estimate(
     changes drop below their tolerances. record=False leaves the trace's
     rows empty and keeps only its length.
     """
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
+    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, "adam-ao", record)
 
 
@@ -250,12 +247,11 @@ def gd_estimate(
     symbol_duration: float,
     hyper: AdamHyper = AdamHyper(),
     variant: str = "plain-gd",
-    signed: bool = False,
 ):
     """Comparison optimizers on the same objective: plain-gd or adam-joint."""
     if variant not in ("plain-gd", "adam-joint"):
         raise ValueError(f"variant must be 'plain-gd' or 'adam-joint', got {variant!r}")
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, signed)
+    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, variant)
 
 
@@ -277,7 +273,6 @@ def agdao_track_step(
     symbol_duration: float,
     cpi_duration: float,
     hyper: AdamHyper = AdamHyper(),
-    signed: bool = False,
 ):
     """One closed-loop CPI: point from the previous estimate, observe, re-estimate.
 
@@ -289,12 +284,10 @@ def agdao_track_step(
     prev_p_hat = np.asarray(prev_p_hat, dtype=float)
     prev_v_hat = np.asarray(prev_v_hat, dtype=float)
     p_pred = prev_p_hat + cpi_duration * prev_v_hat
-    near = geo.NearField(geom, p_pred, signed)
-    bf = predictive_beamformers(
-        geom, near, prev_v_hat, num_symbols, symbol_duration, signed=signed
-    )
+    near = geo.NearField(geom, p_pred)
+    bf = predictive_beamformers(geom, near, prev_v_hat, num_symbols, symbol_duration)
     v_hat, trace = adam_ao_estimate(
         observe(bf), geom, model, near, prev_v_hat, bf[-1], s_amp,
-        num_symbols, symbol_duration, hyper=hyper, signed=signed, record=False,
+        num_symbols, symbol_duration, hyper=hyper, record=False,
     )
     return bf, p_pred, v_hat, trace

@@ -15,7 +15,6 @@ def predictive_beamformers(
     v_pred,
     num_symbols: int,
     symbol_duration: float,
-    signed: bool = False,
 ) -> np.ndarray:
     """Matched filter to the channel implied by an already-predicted state.
 
@@ -25,8 +24,8 @@ def predictive_beamformers(
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    nf = geo.near_field(geom, p_pred, signed)
-    f = geo.symbol_dopplers(geom, num_symbols, symbol_duration, v_pred, nf, signed=signed)
+    nf = geo.near_field(geom, p_pred)
+    f = geo.symbol_dopplers(geom, num_symbols, symbol_duration, v_pred, nf)
     # f = conj(atil * d) / sqrt(M), built in place
     np.multiply(nf.steering[..., None, :], f, out=f)
     np.conjugate(f, out=f)
@@ -39,11 +38,10 @@ def opt_beamformers(
     eta_true: MotionState | StateBatch,
     num_symbols: int,
     symbol_duration: float,
-    signed: bool = False,
 ) -> np.ndarray:
     """Genie matched filter: the predictive beamformer fed the true state."""
     return predictive_beamformers(
-        geom, eta_true.position, eta_true.velocity, num_symbols, symbol_duration, signed=signed
+        geom, eta_true.position, eta_true.velocity, num_symbols, symbol_duration
     )
 
 

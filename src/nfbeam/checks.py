@@ -8,6 +8,8 @@ update against the production low-rank form.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import geometry as geo
@@ -32,6 +34,12 @@ def _geom(m: int) -> geo.ArrayGeometry:
     return geo.ArrayGeometry.half_wavelength(m, _CARRIER)
 
 
+def _conventions(m: int) -> tuple[geo.ArrayGeometry, geo.ArrayGeometry]:
+    """The m-antenna array under the magnitude and under the signed projection."""
+    geom = _geom(m)
+    return geom, dataclasses.replace(geom, signed_projection=True)
+
+
 def _random_state(rng) -> MotionState:
     # x kept beyond the aperture so magnitude-projection kinks stay far away
     return MotionState(
@@ -45,22 +53,22 @@ def _random_state(rng) -> MotionState:
 def check_geometry(seed: int = 0, trials: int = 200):
     """Unit modulus, projection identity, and echo-channel rank-1 symmetry."""
     rng = np.random.default_rng(seed)
-    geom = _geom(64)
+    geoms = _conventions(64)
     model = geo.PathlossModel()
     worst_mod = 0.0
     worst_proj = 0.0
     worst_rank = 0.0
     worst_sym = 0.0
-    small = _geom(16)
+    smalls = _conventions(16)
     for t in range(trials):
         eta = _random_state(rng)
-        signed = bool(t % 2)
-        a = geo.array_response(geom, _N, _TS, eta.velocity, eta.position, signed=signed)
+        geom = geoms[t % 2]
+        a = geo.array_response(geom, _N, _TS, eta.velocity, eta.position)
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
-        g, q = geo.projection_coeffs(geom, eta.position, signed=signed)
+        g, q = geo.projection_coeffs(geom, eta.position)
         worst_proj = max(worst_proj, float(np.max(np.abs(g * g + q * q - 1.0))))
         if t < 20:
-            h = geo.roundtrip_channel(small, model, _N, _TS, eta.velocity, eta.position, signed=signed)
+            h = geo.roundtrip_channel(smalls[t % 2], model, _N, _TS, eta.velocity, eta.position)
             worst_sym = max(worst_sym, float(np.max(np.abs(h - h.T))))
             s = np.linalg.svd(h, compute_uv=False)
             worst_rank = max(worst_rank, float(s[1] / np.linalg.norm(h)))
@@ -75,19 +83,19 @@ def check_beam_phasors(seed: int = 0, trials: int = 40):
     """Doppler rows built by recurrence and far-field beams built as outer
     products, each against the phasor of its direct phase."""
     rng = np.random.default_rng(seed)
-    geom = _geom(128)
+    geoms = _conventions(128)
     num_symbols = 64  # the recurrence's error grows with the row index
     n = np.arange(1, num_symbols + 1)
-    x_m = geo.element_offsets(geom)
+    x_m = geo.element_offsets(geoms[0])
     worst_dop = 0.0
     worst_ff = 0.0
     for t in range(trials):
         eta = _random_state(rng)
-        signed = bool(t % 2)
-        nf = geo.NearField(geom, eta.position, signed)
-        d = geo.symbol_dopplers(geom, num_symbols, _TS, eta.velocity, nf, signed=signed)
+        geom = geoms[t % 2]
+        nf = geo.NearField(geom, eta.position)
+        d = geo.symbol_dopplers(geom, num_symbols, _TS, eta.velocity, nf)
         for row, sym in zip(d, n.tolist()):
-            direct = geo.doppler_vector(geom, sym, _TS, eta.velocity, nf, signed=signed)
+            direct = geo.doppler_vector(geom, sym, _TS, eta.velocity, nf)
             worst_dop = max(worst_dop, float(np.max(np.abs(row - direct))))
         u = eta.position / np.linalg.norm(eta.position)
         v_r = float(eta.velocity @ u)
@@ -117,33 +125,31 @@ def check_mrt_snr(seed: int = 0, trials: int = 100):
     return worst < 1e-9, f"max rel error {worst:.2e} over {trials} states"
 
 
-def _spot_instance(rng, geom, model, signed):
+def _spot_instance(rng, geom, model):
     eta = _random_state(rng)
     p_hat = eta.position + rng.normal(0.0, 0.05, 2)
     v_trial = rng.uniform(-15.0, 15.0, 2)
-    bf = predictive_beamformers(geom, p_hat, v_trial, _N, _TS, signed=signed)
+    bf = predictive_beamformers(geom, p_hat, v_trial, _N, _TS)
     s_amp, sigma_e2 = echo_amplitude(1.0), 1e-8
-    y = synthesize_observation(
-        geom, model, eta, bf, sigma_e2, s_amp, _TS, rng, signed=signed
-    )
+    y = synthesize_observation(geom, model, eta, bf, sigma_e2, s_amp, _TS, rng)
     return eta, p_hat, v_trial, bf[-1], s_amp, y
 
 
 def check_gradient(seed: int = 0, trials: int = 20):
     """Analytic velocity gradient vs central differences of the objective."""
     rng = np.random.default_rng(seed)
-    geom = _geom(64)
+    geoms = _conventions(64)
     model = geo.PathlossModel()
     step = 1e-4
     worst = 0.0
     for t in range(trials):
-        signed = bool(t % 2)
-        _, p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model, signed)
+        geom = geoms[t % 2]
+        _, p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
         for axis, e in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
-            hi = ml_objective(y, geom, model, p_hat, v + step * e, f, s_amp, _N, _TS, signed=signed)
-            lo = ml_objective(y, geom, model, p_hat, v - step * e, f, s_amp, _N, _TS, signed=signed)
+            hi = ml_objective(y, geom, model, p_hat, v + step * e, f, s_amp, _N, _TS)
+            lo = ml_objective(y, geom, model, p_hat, v - step * e, f, s_amp, _N, _TS)
             fd = (hi - lo) / (2.0 * step)
-            an = grad_velocity(y, geom, model, p_hat, v, f, s_amp, _N, _TS, axis=axis, signed=signed)
+            an = grad_velocity(y, geom, model, p_hat, v, f, s_amp, _N, _TS, axis=axis)
             worst = max(worst, abs(an - fd) / max(abs(fd), 1e-12))
     return worst < 1e-5, f"max rel error {worst:.2e} over {trials} instances"
 
@@ -158,21 +164,21 @@ def _fd4(fun, x0, step):
 def check_jacobian(seed: int = 0, trials: int = 10):
     """Analytic observation Jacobian vs finite differences, all four columns."""
     rng = np.random.default_rng(seed)
-    geom = _geom(64)
+    geoms = _conventions(64)
     model = geo.PathlossModel()
     s_amp = echo_amplitude(1.0)
     pos_step, vel_step = 1e-4, 1e-4
     worst = 0.0
     for t in range(trials):
-        signed = bool(t % 2)
+        geom = geoms[t % 2]
         eta = _random_state(rng)
-        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS, signed=signed)
+        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS)
         f = bf[-1]
-        jac = observation_jacobian(geom, model, eta, f, s_amp, _N, _TS, signed=signed)
+        jac = observation_jacobian(geom, model, eta, f, s_amp, _N, _TS)
 
         def mean_at(state_vec):
             st = MotionState.from_array(state_vec)
-            return observation_mean(geom, model, st, f, s_amp, _N, _TS, signed=signed)
+            return observation_mean(geom, model, st, f, s_amp, _N, _TS)
 
         base = eta.as_array()
         for col in range(4):
@@ -210,18 +216,18 @@ def check_kalman(seed: int = 0, trials: int = 10):
     caps double-precision agreement near 1e-7.
     """
     rng = np.random.default_rng(seed)
-    geom = _geom(8)
+    geoms = _conventions(8)
     model = geo.PathlossModel()
     s_amp = echo_amplitude(1.0)
     worst_sharp = 0.0
     worst_op = 0.0
     for t in range(trials):
-        signed = bool(t % 2)
+        geom = geoms[t % 2]
         eta = _random_state(rng)
-        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS, signed=signed)
+        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS)
         f = bf[-1]
-        h_bar = observation_mean(geom, model, eta, f, s_amp, _N, _TS, signed=signed)
-        jac = observation_jacobian(geom, model, eta, f, s_amp, _N, _TS, signed=signed)
+        h_bar = observation_mean(geom, model, eta, f, s_amp, _N, _TS)
+        jac = observation_jacobian(geom, model, eta, f, s_amp, _N, _TS)
         y = h_bar + (rng.normal(0, 1e-4, geom.num_antennas) + 1j * rng.normal(0, 1e-4, geom.num_antennas))
         prior = TrackerBelief(mean=eta, covariance=0.1 * np.eye(4))
         for sigma_e2 in (1e-2, 1e-8):

@@ -87,6 +87,7 @@ class SystemConfig:
             num_antennas=self.num_antennas,
             spacing=self.spacing,
             wavelength=self.wavelength_m,
+            signed_projection=self.signed_projection,
         )
 
     def pathloss_model(self) -> PathlossModel:

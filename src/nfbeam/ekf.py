@@ -101,7 +101,6 @@ def observation_jacobian(
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
-    signed: bool = False,
 ) -> np.ndarray:
     """Derivative of the noise-free echo w.r.t. [x, y, vx, vy], shape (M, 4).
 
@@ -109,19 +108,19 @@ def observation_jacobian(
     one observation_mean builds.
     """
     f = np.asarray(f)
-    nf = geo.near_field(geom, eta.position, signed)
+    nf = geo.near_field(geom, eta.position)
     p, r, ux, uy, g, q = nf.position, nf.r, nf.ux, nf.uy, nf.g, nf.q
     v = eta.velocity
     kappa = geom.wavenumber
     dtt = num_symbols * symbol_duration
 
-    a = geo.array_response(geom, num_symbols, symbol_duration, v, nf, signed=signed)
+    a = geo.array_response(geom, num_symbols, symbol_duration, v, nf)
     af = a @ f
     core = a * af
 
     alpha2 = geo.pathloss(model, p, geo.ROUNDTRIP)
     da2_dx, da2_dy = geo.pathloss_gradient(model, p)
-    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(geom, nf, signed=signed)
+    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(geom, nf)
 
     # da/dx = -j*kappa*a*(dtt * d(v_m)/dx + dr/dx); likewise for y
     da_dx = -1j * kappa * a * (dtt * (v[0] * dg_dx + v[1] * dq_dx) + ux / r)
@@ -193,7 +192,6 @@ def ekf_track_step(
     num_symbols: int,
     symbol_duration: float,
     cpi_duration: float,
-    signed: bool = False,
 ):
     """One closed-loop CPI: forecast, point from the forecast, observe, assimilate.
 
@@ -202,20 +200,12 @@ def ekf_track_step(
     the prior mean serves the beam, the echo mean and the Jacobian.
     """
     prior = ekf_forecast(belief, cpi_duration, config.process_noise)
-    at = StateBatch(
-        geo.NearField(geom, prior.mean.position, signed), prior.mean.velocity
-    )
-    bf = predictive_beamformers(
-        geom, at.position, at.velocity, num_symbols, symbol_duration, signed=signed
-    )
+    at = StateBatch(geo.NearField(geom, prior.mean.position), prior.mean.velocity)
+    bf = predictive_beamformers(geom, at.position, at.velocity, num_symbols, symbol_duration)
     y = observe(bf)
     f_last = bf[-1]
     check_unit_norm(f_last)
-    h_bar = observation_mean(
-        geom, model, at, f_last, s_amp, num_symbols, symbol_duration, signed=signed
-    )
-    jac = observation_jacobian(
-        geom, model, at, f_last, s_amp, num_symbols, symbol_duration, signed=signed
-    )
+    h_bar = observation_mean(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
+    jac = observation_jacobian(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
     posterior, diag = kalman_update(prior, y, jac, h_bar, config.echo_noise_power)
     return bf, posterior, diag

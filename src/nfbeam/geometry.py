@@ -28,12 +28,15 @@ class ProjectionKinkError(ValueError):
 class ArrayGeometry:
     """Uniform linear array along the x-axis, centered on the origin.
 
-    Antenna m (0-based) sits at ((m - (M-1)/2) * spacing, 0).
+    Antenna m (0-based) sits at ((m - (M-1)/2) * spacing, 0). signed_projection
+    picks the convention of the projections (g, q): magnitude numerators
+    |x - k_m1| and |y| by default, signed numerators when True.
     """
 
     num_antennas: int
     spacing: float
     wavelength: float
+    signed_projection: bool = False
 
     def __post_init__(self) -> None:
         if self.num_antennas < 1:
@@ -129,52 +132,45 @@ class NearField:
 
     Holds the per-antenna ranges r, the offsets ux = x - k_m1 and uy = y, the
     steering phasor a_tilde = exp(-j * 2pi/lambda * r) and the projections
-    (g, q) under one convention; every array is (..., M) except uy, (..., 1).
+    (g, q) under geom's convention; every array is (..., M) except uy, (..., 1).
     Every function that reads more than the ranges or the steering phasor
     takes a snapshot wherever it takes a position, so the beamformer, the
     echo model, its Jacobian and the throughput of one CPI share one build.
     Indexing the leading axes gives the snapshot of a subset.
     """
 
-    __slots__ = ("geom", "signed", "position", "r", "ux", "uy", "steering", "g", "q")
+    __slots__ = ("geom", "position", "r", "ux", "uy", "steering", "g", "q")
 
-    def __init__(self, geom: ArrayGeometry, p, signed: bool = False):
+    def __init__(self, geom: ArrayGeometry, p):
         p = as_points(p, "position")
         r = element_distances(geom, p)
         ux = p[..., 0, None] - element_offsets(geom)
         uy = p[..., 1, None]
-        if signed:
+        if geom.signed_projection:
             g, q = ux / r, uy / r
         else:
             g, q = np.abs(ux) / r, np.abs(uy) / r
-        self._set(geom, signed, p, r, ux, uy, unit_phasor(-geom.wavenumber * r), g, q)
+        self._set(geom, p, r, ux, uy, unit_phasor(-geom.wavenumber * r), g, q)
 
-    def _set(self, geom, signed, *arrays) -> None:
-        self.geom, self.signed = geom, signed
+    def _set(self, geom, *arrays) -> None:
+        self.geom = geom
         self.position, self.r, self.ux, self.uy, self.steering, self.g, self.q = arrays
 
     def __getitem__(self, index) -> "NearField":
         part = object.__new__(NearField)
-        part._set(
-            self.geom, self.signed, self.position[index], self.r[index], self.ux[index],
-            self.uy[index], self.steering[index], self.g[index], self.q[index],
-        )
+        part._set(self.geom, *(getattr(self, name)[index] for name in self.__slots__[1:]))
         return part
 
 
-def near_field(geom: ArrayGeometry, p, signed: bool) -> NearField:
+def near_field(geom: ArrayGeometry, p) -> NearField:
     """The snapshot at p: p itself if it already is one, else a new build.
 
-    A snapshot must come from the same array and the same projection convention.
+    A snapshot must come from the same array, projection convention included.
     """
     if not isinstance(p, NearField):
-        return NearField(geom, p, signed)
+        return NearField(geom, p)
     if p.geom is not geom and p.geom != geom:
         raise ValueError(f"snapshot was built for {p.geom}, not {geom}")
-    if p.signed != signed:
-        raise ValueError(
-            f"snapshot was built with signed={p.signed}, the call asks for signed={signed}"
-        )
     return p
 
 
@@ -183,41 +179,39 @@ def steering_vector(geom: ArrayGeometry, p) -> np.ndarray:
     return NearField(geom, p).steering
 
 
-def projection_coeffs(geom: ArrayGeometry, p, signed: bool = False):
+def projection_coeffs(geom: ArrayGeometry, p):
     """Per-antenna projections (g, q) of the two axes onto the line of sight.
 
-    Default uses magnitude numerators |x - k_m1| / r_m and |y| / r_m; with
-    signed=True the numerators keep their signs. Either way g^2 + q^2 = 1.
-    Each has shape (..., M) for positions of shape (..., 2).
+    The magnitude convention uses numerators |x - k_m1| / r_m and |y| / r_m;
+    under geom.signed_projection the numerators keep their signs. Either way
+    g^2 + q^2 = 1. Each has shape (..., M) for positions of shape (..., 2).
     """
-    nf = near_field(geom, p, signed)
+    nf = near_field(geom, p)
     return nf.g, nf.q
 
 
-def radial_speeds(geom: ArrayGeometry, v, p, signed: bool = False) -> np.ndarray:
+def radial_speeds(geom: ArrayGeometry, v, p) -> np.ndarray:
     """Composite per-antenna speed g_m * vx + q_m * vy, shape (..., M)."""
     v = as_points(v, "velocity")
-    nf = near_field(geom, p, signed)
+    nf = near_field(geom, p)
     return nf.g * v[..., 0, None] + nf.q * v[..., 1, None]
 
 
-def doppler_vector(
-    geom: ArrayGeometry, n: int, symbol_duration: float, v, p, signed: bool = False
-) -> np.ndarray:
+def doppler_vector(geom: ArrayGeometry, n: int, symbol_duration: float, v, p) -> np.ndarray:
     """Doppler rotation accumulated after n symbol periods, shape (..., M)."""
-    vm = radial_speeds(geom, v, p, signed=signed)
+    vm = radial_speeds(geom, v, p)
     return unit_phasor((-geom.wavenumber * n * symbol_duration) * vm)
 
 
 def symbol_dopplers(
-    geom: ArrayGeometry, num_symbols: int, symbol_duration: float, v, p, signed: bool = False
+    geom: ArrayGeometry, num_symbols: int, symbol_duration: float, v, p
 ) -> np.ndarray:
     """Doppler rotations of symbols n = 1..num_symbols, shape (..., num_symbols, M).
 
     Built by the recurrence d(n) = d(n-1) * d(1): row 1 is doppler_vector(geom,
     1, ...) bit for bit, and row n is within about 0.5 * n * eps of exact.
     """
-    vm = radial_speeds(geom, v, p, signed=signed)
+    vm = radial_speeds(geom, v, p)
     d1 = unit_phasor((-geom.wavenumber * symbol_duration) * vm)
     out = np.empty(vm.shape[:-1] + (num_symbols, vm.shape[-1]), dtype=complex)
     out[..., 0, :] = d1
@@ -226,12 +220,10 @@ def symbol_dopplers(
     return out
 
 
-def array_response(
-    geom: ArrayGeometry, n: int, symbol_duration: float, v, p, signed: bool = False
-) -> np.ndarray:
+def array_response(geom: ArrayGeometry, n: int, symbol_duration: float, v, p) -> np.ndarray:
     """Steering vector times Doppler at symbol n: a = a_tilde * d(n)."""
-    nf = near_field(geom, p, signed)
-    return nf.steering * doppler_vector(geom, n, symbol_duration, v, nf, signed=signed)
+    nf = near_field(geom, p)
+    return nf.steering * doppler_vector(geom, n, symbol_duration, v, nf)
 
 
 @dataclass(frozen=True)
@@ -274,33 +266,19 @@ def pathloss_gradient(model: PathlossModel, p):
 
 
 def downlink_channel(
-    geom: ArrayGeometry,
-    model: PathlossModel,
-    n: int,
-    symbol_duration: float,
-    v,
-    p,
-    signed: bool = False,
+    geom: ArrayGeometry, model: PathlossModel, n: int, symbol_duration: float, v, p
 ) -> np.ndarray:
     """One-way channel h(n) = alpha1 * a(n), shape (M,)."""
-    nf = near_field(geom, p, signed)
-    return pathloss(model, nf.position, DOWNLINK) * array_response(
-        geom, n, symbol_duration, v, nf, signed=signed
-    )
+    nf = near_field(geom, p)
+    return pathloss(model, nf.position, DOWNLINK) * array_response(geom, n, symbol_duration, v, nf)
 
 
 def roundtrip_channel(
-    geom: ArrayGeometry,
-    model: PathlossModel,
-    n: int,
-    symbol_duration: float,
-    v,
-    p,
-    signed: bool = False,
+    geom: ArrayGeometry, model: PathlossModel, n: int, symbol_duration: float, v, p
 ) -> np.ndarray:
     """Echo channel H(n) = alpha2 * a(n) a(n)^T, shape (M, M), symmetric rank 1."""
-    nf = near_field(geom, p, signed)
-    a = array_response(geom, n, symbol_duration, v, nf, signed=signed)
+    nf = near_field(geom, p)
+    a = array_response(geom, n, symbol_duration, v, nf)
     h = pathloss(model, nf.position, ROUNDTRIP) * np.outer(a, a)
     # complex multiply can contract to FMA, leaving H_ij and H_ji a ulp
     # apart; mirror the upper triangle so symmetry holds bit-exactly
@@ -309,18 +287,18 @@ def roundtrip_channel(
     return h
 
 
-def projection_coeff_gradients(geom: ArrayGeometry, p, signed: bool = False):
+def projection_coeff_gradients(geom: ArrayGeometry, p):
     """Spatial derivatives of (g, q): returns (dg_dx, dq_dx, dg_dy, dq_dy).
 
     Under the default magnitude convention the derivative is undefined where
     x crosses an antenna (or y crosses the array plane); those points raise
     ProjectionKinkError.
     """
-    nf = near_field(geom, p, signed)
+    nf = near_field(geom, p)
     p = _as_position(nf.position)
     r, ux, uy = nf.r, nf.ux, p[1]
     r3 = r ** 3
-    if signed:
+    if geom.signed_projection:
         dg_dx = uy * uy / r3
         dq_dx = -ux * uy / r3
         dg_dy = -ux * uy / r3
@@ -329,7 +307,8 @@ def projection_coeff_gradients(geom: ArrayGeometry, p, signed: bool = False):
     if np.min(np.abs(ux)) < KINK_TOL:
         raise ProjectionKinkError(
             f"x = {p[0]} is within {KINK_TOL} m of an antenna; the magnitude "
-            "projection has no derivative there (use the signed convention)"
+            "projection has no derivative there (set system.signed_projection=true, "
+            "ArrayGeometry.signed_projection)"
         )
     if abs(uy) < KINK_TOL:
         raise ProjectionKinkError(

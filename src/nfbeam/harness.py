@@ -170,7 +170,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     sys_cfg = config.system
     geom = sys_cfg.geometry()
     model = sys_cfg.pathloss_model()
-    signed = sys_cfg.signed_projection
     num_symbols = sys_cfg.symbols_per_cpi
     ts = sys_cfg.symbol_duration_s
     dt = sys_cfg.cpi_duration_s
@@ -205,19 +204,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
 
     def observe(bf):  # reads the current CPI's true state, now
         return synthesize_observation(
-            geom, model, now, bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng, signed=signed
+            geom, model, now, bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng
         )
 
     for lo in range(0, num_cpis, chunk):
         part = slice(lo, lo + chunk)
         eta = StateBatch(truth[part, :2], truth[part, 2:])
-        near = StateBatch(NearField(geom, eta.position, signed), eta.velocity)
+        near = StateBatch(NearField(geom, eta.position), eta.velocity)
         bf = beams[:, : len(eta.position)]
-        bf[0] = opt_beamformers(geom, near, num_symbols, ts, signed=signed)
+        bf[0] = opt_beamformers(geom, near, num_symbols, ts)
         bf[1] = ff_beamformers(geom, eta, num_symbols, ts)
-        bf[2] = predictive_beamformers(
-            geom, fd[part, :2], fd[part, 2:], num_symbols, ts, signed=signed
-        )
+        bf[2] = predictive_beamformers(geom, fd[part, :2], fd[part, 2:], num_symbols, ts)
         if lo == 0:
             # initial access: every pointer starts from the reported true
             # state, so every slot holds the genie beam
@@ -228,12 +225,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             if method == "agdao" and cpi > 1:
                 bf[slot, i], est[cpi - 1, :2], est[cpi - 1, 2:], _ = agdao_track_step(
                     est[cpi - 2, :2], est[cpi - 2, 2:], observe, geom, model, s_amp,
-                    num_symbols, ts, dt, hyper=config.adam, signed=signed,
+                    num_symbols, ts, dt, hyper=config.adam,
                 )
             elif method == "ekf" and cpi > 1:
                 bf[slot, i], belief, diag = ekf_track_step(
-                    belief, observe, geom, model, ekf_cfg, s_amp, num_symbols, ts, dt,
-                    signed=signed,
+                    belief, observe, geom, model, ekf_cfg, s_amp, num_symbols, ts, dt
                 )
                 est[cpi - 1] = belief.mean.as_array()
                 beliefs.append(belief)
@@ -241,9 +237,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             if progress is not None:
                 progress(cpi, num_cpis)
 
-        rates = cpi_throughput(
-            geom, model, near, bf, ts, power_w, sys_cfg.comm_noise_power, signed=signed
-        )
+        rates = cpi_throughput(geom, model, near, bf, ts, power_w, sys_cfg.comm_noise_power)
         table = np.column_stack([
             truth[part], est[part], rates[[slot, 0, 1, 2]].T,
             np.abs(truth[part, 2:] - est[part, 2:]),
@@ -304,7 +298,6 @@ def convergence_study(
     sys_cfg = config.system
     geom = sys_cfg.geometry()
     model = sys_cfg.pathloss_model()
-    signed = sys_cfg.signed_projection
     num_symbols = sys_cfg.symbols_per_cpi
     ts = sys_cfg.symbol_duration_s
     s_amp = echo_amplitude(sys_cfg.tx_power_w, sys_cfg.include_transmit_power)
@@ -316,19 +309,17 @@ def convergence_study(
         overrides["max_iters"] = max_iters
     hyper = dataclasses.replace(config.adam, **overrides)
 
-    bf = predictive_beamformers(
-        geom, eta_gt.position, v_init, num_symbols, ts, signed=signed
-    )
+    bf = predictive_beamformers(geom, eta_gt.position, v_init, num_symbols, ts)
     rows: list[TraceRow] = []
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
         y = synthesize_observation(
-            geom, model, eta_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng, signed=signed
+            geom, model, eta_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng
         )
         for variant in variants:
             _, trace = estimate_velocity(
                 variant, y, geom, model, eta_gt.position, v_init, bf[-1],
-                s_amp, num_symbols, ts, hyper=hyper, signed=signed,
+                s_amp, num_symbols, ts, hyper=hyper,
             )
             for k, vx, vy, objective, gx, gy in trace.rows:
                 rows.append(

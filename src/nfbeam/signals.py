@@ -47,14 +47,13 @@ def observation_mean(
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
-    signed: bool = False,
 ) -> np.ndarray:
     """Noise-free echo s * H(N) f at the CPI's last symbol, shape (M,).
 
     eta.position may be its geo.NearField snapshot.
     """
-    nf = geo.near_field(geom, eta.position, signed)
-    a = geo.array_response(geom, num_symbols, symbol_duration, eta.velocity, nf, signed=signed)
+    nf = geo.near_field(geom, eta.position)
+    a = geo.array_response(geom, num_symbols, symbol_duration, eta.velocity, nf)
     alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
     return s_amp * alpha2 * a * (a @ f)
 
@@ -68,7 +67,6 @@ def synthesize_observation(
     s_amp: float,
     symbol_duration: float,
     rng: np.random.Generator,
-    signed: bool = False,
 ) -> np.ndarray:
     """Echo snapshot, shape (M,), at the last symbol, sent with beamformers[N-1]."""
     beamformers = np.asarray(beamformers)
@@ -78,9 +76,7 @@ def synthesize_observation(
         )
     check_unit_norm(beamformers)
     num_symbols = beamformers.shape[0]
-    mean = observation_mean(
-        geom, model, eta, beamformers[-1], s_amp, num_symbols, symbol_duration, signed=signed
-    )
+    mean = observation_mean(geom, model, eta, beamformers[-1], s_amp, num_symbols, symbol_duration)
     z = complex_gaussian(rng, geom.num_antennas, echo_noise_power)
     return mean + z
 
@@ -94,12 +90,9 @@ def received_snr(
     symbol_duration: float,
     tx_power_w: float,
     comm_noise_power: float,
-    signed: bool = False,
 ) -> float:
     """Downlink SNR at symbol n: P |h(n)^T f|^2 / sigma_c^2."""
-    h = geo.downlink_channel(
-        geom, model, n, symbol_duration, eta.velocity, eta.position, signed=signed
-    )
+    h = geo.downlink_channel(geom, model, n, symbol_duration, eta.velocity, eta.position)
     return tx_power_w * abs(h @ f) ** 2 / comm_noise_power
 
 
@@ -111,7 +104,6 @@ def cpi_throughput(
     symbol_duration: float,
     tx_power_w: float,
     comm_noise_power: float,
-    signed: bool = False,
 ):
     """Average rate over the CPI's symbols, bits/s/Hz.
 
@@ -122,10 +114,8 @@ def cpi_throughput(
     snapshot.
     """
     beamformers = np.asarray(beamformers)
-    nf = geo.near_field(geom, eta.position, signed)
-    h = geo.symbol_dopplers(
-        geom, beamformers.shape[-2], symbol_duration, eta.velocity, nf, signed=signed
-    )
+    nf = geo.near_field(geom, eta.position)
+    h = geo.symbol_dopplers(geom, beamformers.shape[-2], symbol_duration, eta.velocity, nf)
     np.multiply(h, nf.steering[..., None, :], out=h)  # the channel up to alpha1
     alpha1 = geo.pathloss(model, nf.position, geo.DOWNLINK)
     gains = alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)

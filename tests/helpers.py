@@ -1,5 +1,7 @@
 """Shared samplers and independent finite-difference oracles for the tests."""
 
+import dataclasses
+
 import numpy as np
 
 from nfbeam.geometry import ArrayGeometry, PathlossModel
@@ -10,8 +12,10 @@ TS = 1e-5
 N_SYM = 10
 
 
-def geom_for(m: int) -> ArrayGeometry:
-    return ArrayGeometry.half_wavelength(m, CARRIER)
+def geom_for(m: int, signed: bool = False) -> ArrayGeometry:
+    """Half-wavelength array of m antennas; signed picks the signed projection."""
+    geom = ArrayGeometry.half_wavelength(m, CARRIER)
+    return dataclasses.replace(geom, signed_projection=signed)
 
 
 def sample_state(rng: np.random.Generator, geom: ArrayGeometry) -> MotionState:

@@ -92,30 +92,26 @@ def test_criterion_02_velocity_gradient_matches_finite_differences():
     model = default_model()
     worst = 0.0
     for m in (64, 512):
-        geom = geom_for(m)
         for signed in (False, True):
+            geom = geom_for(m, signed)
             rng = np.random.default_rng(1000 + m + int(signed))
             for _ in range(25):
                 eta = sample_state(rng, geom)
                 p = eta.position
                 v_beam = np.asarray(eta.velocity) + rng.uniform(-2.0, 2.0, 2)
-                bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS, signed=signed)
+                bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS)
                 f = bf[-1]
-                mean = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS, signed=signed)
+                mean = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS)
                 scale = 0.01 * np.linalg.norm(mean) / np.sqrt(m)
                 y = mean + scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 v = np.asarray(eta.velocity) + rng.uniform(-3.0, 3.0, 2)
                 for axis, name in ((0, "x"), (1, "y")):
-                    got = grad_velocity(
-                        y, geom, model, p, v, f, 1.0, N_SYM, TS, axis=name, signed=signed
-                    )
+                    got = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis=name)
 
                     def along(t, axis=axis, v=v):
                         vv = v.copy()
                         vv[axis] = t
-                        return ml_objective(
-                            y, geom, model, p, vv, f, 1.0, N_SYM, TS, signed=signed
-                        )
+                        return ml_objective(y, geom, model, p, vv, f, 1.0, N_SYM, TS)
 
                     ref = fd_central(along, v[axis], 1e-4)
                     worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))
@@ -127,25 +123,23 @@ def test_criterion_02_velocity_gradient_matches_finite_differences():
 
 def test_criterion_03_observation_jacobian_matches_finite_differences():
     t0 = time.perf_counter()
-    geom = geom_for(64)
     model = default_model()
     worst = 0.0
     for signed in (False, True):
+        geom = geom_for(64, signed)
         rng = np.random.default_rng(21 + int(signed))
         for _ in range(25):
             eta = sample_state(rng, geom)
-            bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS, signed=signed)
+            bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS)
             f = bf[-1]
-            jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS, signed=signed)
+            jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
 
             base = eta.as_array()
             for col in range(4):
-                def along(t, col=col, signed=signed, f=f):
+                def along(t, col=col, geom=geom, f=f):
                     s = base.copy()
                     s[col] = t
-                    return observation_mean(
-                        geom, model, MotionState(*s), f, 1.0, N_SYM, TS, signed=signed
-                    )
+                    return observation_mean(geom, model, MotionState(*s), f, 1.0, N_SYM, TS)
 
                 # position columns oscillate at carrier scale, so the second-order
                 # difference is all truncation there; use the 5-point stencil
@@ -260,19 +254,19 @@ def test_criterion_07_filter_covariance_stays_healthy():
 
 def test_criterion_08_geometry_identities_hold_in_bulk():
     model = default_model()
-    geom = geom_for(64)
+    geoms = (geom_for(64), geom_for(64, signed=True))
     rng = np.random.default_rng(31)
     worst_a = worst_d = worst_gq = 0.0
     for i in range(1000):
         x = float(rng.uniform(-30.0, 30.0))
         y = float(rng.uniform(2.0, 50.0))
         v = rng.uniform(-20.0, 20.0, 2)
-        signed = bool(i % 2)
+        geom = geoms[i % 2]
         atil = steering_vector(geom, (x, y))
         worst_a = max(worst_a, float(np.max(np.abs(np.abs(atil) - 1.0))))
-        d = doppler_vector(geom, int(rng.integers(1, 11)), TS, v, (x, y), signed=signed)
+        d = doppler_vector(geom, int(rng.integers(1, 11)), TS, v, (x, y))
         worst_d = max(worst_d, float(np.max(np.abs(np.abs(d) - 1.0))))
-        g, q = projection_coeffs(geom, (x, y), signed=signed)
+        g, q = projection_coeffs(geom, (x, y))
         worst_gq = max(worst_gq, float(np.max(np.abs(g**2 + q**2 - 1.0))))
 
     geom16 = geom_for(16)

@@ -36,31 +36,29 @@ V_TRUE = np.array([8.0, 7.0])
 
 def make_instance(m, position, v_echo, v_beam, signed=False, noise_power=0.0, seed=0):
     """Echo snapshot and last-symbol beam for a known-position estimation problem."""
-    geom = geom_for(m)
+    geom = geom_for(m, signed)
     model = default_model()
     p = np.asarray(position, dtype=float)
     eta = MotionState(p[0], p[1], v_echo[0], v_echo[1])
-    bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS, signed=signed)
+    bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS)
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        y = synthesize_observation(
-            geom, model, eta, bf, noise_power, 1.0, TS, rng, signed=signed
-        )
+        y = synthesize_observation(geom, model, eta, bf, noise_power, 1.0, TS, rng)
     else:
-        y = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS, signed=signed)
+        y = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS)
     return geom, model, p, y, bf[-1]
 
 
-def direct_likelihood(y, geom, model, p, v, f, signed=False):
+def direct_likelihood(y, geom, model, p, v, f):
     """Objective and both gradients from M-length fields, without |a_m| = 1."""
     eta = MotionState(p[0], p[1], v[0], v[1])
-    b = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS, signed=signed)
-    a = array_response(geom, N_SYM, TS, v, p, signed=signed)
+    b = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS)
+    a = array_response(geom, N_SYM, TS, v, p)
     scale = pathloss(model, p, ROUNDTRIP)
     rot = geom.wavenumber * N_SYM * TS
     resid = y - b
     out = [float(2.0 * np.vdot(y, b).real - np.vdot(b, b).real)]
-    for u in projection_coeffs(geom, p, signed=signed):
+    for u in projection_coeffs(geom, p):
         da = -1j * rot * u * a
         db = scale * (da * (a @ f) + a * (da @ f))
         out.append(float(2.0 * np.vdot(resid, db).real))
@@ -71,18 +69,18 @@ def direct_likelihood(y, geom, model, p, v, f, signed=False):
 @pytest.mark.parametrize("m", [1, 16, 128])
 def test_evaluate_matches_direct_fields(m, signed):
     rng = np.random.default_rng(300 + m + int(signed))
-    geom = geom_for(m)
+    geom = geom_for(m, signed)
     model = default_model()
     noise = 1e-8
     for _ in range(4):
         eta = sample_state(rng, geom)
         p = eta.position
-        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS, signed=signed)
-        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng, signed=signed)
-        prob = agdao._VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS, signed)
+        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
+        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
+        prob = agdao._VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS)
         v = rng.uniform(-12.0, 12.0, 2)
         got = prob.evaluate(float(v[0]), float(v[1]))
-        ref = direct_likelihood(y, geom, model, p, v, bf[-1], signed=signed)
+        ref = direct_likelihood(y, geom, model, p, v, bf[-1])
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-10 * abs(r)
 
@@ -126,24 +124,22 @@ def test_noiseless_objective_peaks_at_truth():
 @pytest.mark.parametrize("m", [16, 48])
 def test_gradient_matches_finite_difference(m, signed):
     rng = np.random.default_rng(200 + m + int(signed))
-    geom = geom_for(m)
+    geom = geom_for(m, signed)
     model = default_model()
     for _ in range(3):
         eta = sample_state(rng, geom)
         p = eta.position
-        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS, signed=signed)
+        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
         noise = 1e-8
-        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng, signed=signed)
+        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
         for axis, name in ((0, "x"), (1, "y")):
-            got = grad_velocity(
-                y, geom, model, p, v, bf[-1], 1.0, N_SYM, TS, axis=name, signed=signed
-            )
+            got = grad_velocity(y, geom, model, p, v, bf[-1], 1.0, N_SYM, TS, axis=name)
 
             def along(t, axis=axis, v=v):
                 vv = v.copy()
                 vv[axis] = t
-                return ml_objective(y, geom, model, p, vv, bf[-1], 1.0, N_SYM, TS, signed=signed)
+                return ml_objective(y, geom, model, p, vv, bf[-1], 1.0, N_SYM, TS)
 
             ref = fd_central(along, v[axis], 1e-4)
             assert abs(got - ref) <= 1e-5 * max(abs(ref), 1e-12)
@@ -161,8 +157,8 @@ def test_broadside_x_gradient_vanishes_signed():
     # echo and beam are even, so the x-slope cancels pairwise for any vy
     geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
     for v in ((0.0, 0.0), (0.0, 2.5)):
-        gx = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis="x", signed=True)
-        gy = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis="y", signed=True)
+        gx = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis="x")
+        gy = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis="y")
         assert gy != 0.0
         assert abs(gx) <= 1e-10 * abs(gy)
 
@@ -222,9 +218,7 @@ def test_stationary_init_stops_after_one_iteration():
 def test_converges_on_head_on_reference_instance():
     # the well-conditioned convergence geometry: head-on target, signed projection
     geom, model, p, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
-    v_hat, trace = adam_ao_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, signed=True
-    )
+    v_hat, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
     assert len(trace) <= 501
     err = np.abs(v_hat - V_TRUE)
     assert err[0] < 0.05
@@ -266,11 +260,10 @@ def test_joint_equals_alternating_when_x_axis_dormant():
     geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
     hyper = AdamHyper(max_iters=40, rel_tol_x=0.0, rel_tol_y=0.0)
     v_ao, tr_ao = adam_ao_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, signed=True
+        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     v_jt, tr_jt = gd_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS,
-        hyper=hyper, variant="adam-joint", signed=True,
+        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="adam-joint"
     )
     ao = np.array([(r[1], r[2]) for r in tr_ao.rows])
     jt = np.array([(r[1], r[2]) for r in tr_jt.rows])
@@ -323,11 +316,11 @@ def test_ascent_matches_reference_on_convergence_instance(variant):
     )
     hyper = AdamHyper(rel_tol_x=0.0, rel_tol_y=0.0)
     _, trace = estimate_velocity(
-        variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, signed=True
+        variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     got = np.array([(r[1], r[2], r[3]) for r in trace.rows])
     ref = reference_ascent(
-        lambda vx, vy: direct_likelihood(y, geom, model, p, (vx, vy), f, signed=True),
+        lambda vx, vy: direct_likelihood(y, geom, model, p, (vx, vy), f),
         (0.0, 0.0), hyper, variant,
     )
     assert got.shape == (hyper.max_iters + 1, 3)
@@ -386,7 +379,7 @@ def test_bounded_steps_and_mostly_rising_objective():
     geom, model, p, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
     hyper = AdamHyper(rel_tol_x=0.0, rel_tol_y=0.0)
     _, trace = adam_ao_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, signed=True
+        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     rows = np.array([(r[1], r[2], r[3]) for r in trace.rows])
     steps = np.abs(np.diff(rows[:, :2], axis=0))
@@ -507,7 +500,7 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     # tracking reads only the final velocity: the step's trace keeps its
     # length (the benchmark counts iterations as len - 1) but no rows, still
     # goes through adam_ao_estimate and checks every iterate for finiteness
-    geom = geom_for(32)
+    geom = geom_for(32, signed)
     model = default_model()
     p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
     dt = N_SYM * TS
@@ -517,7 +510,7 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
 
     def observe(bf):
         echoes.append(synthesize_observation(
-            geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(2), signed=signed
+            geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(2)
         ))
         return echoes[-1]
 
@@ -535,15 +528,13 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     monkeypatch.setattr(agdao, "adam_ao_estimate", spy_estimate)
     monkeypatch.setattr(agdao, "_check_finite", spy_check)
     bf, p_hat, v_hat, trace = agdao_track_step(
-        p_prev, v_prev, observe, geom, model, 1.0, N_SYM, TS, dt, signed=signed
+        p_prev, v_prev, observe, geom, model, 1.0, N_SYM, TS, dt
     )
     assert estimates == [False]
     assert trace.rows == [] and not trace.record
     assert checks == list(range(1, len(trace)))
 
-    v_rec, recorded = estimate(
-        echoes[0], geom, model, p_hat, v_prev, bf[-1], 1.0, N_SYM, TS, signed=signed
-    )
+    v_rec, recorded = estimate(echoes[0], geom, model, p_hat, v_prev, bf[-1], 1.0, N_SYM, TS)
     assert len(trace) == len(recorded.rows) == recorded.rows[-1][0] + 1
     assert 2 < len(trace) <= AdamHyper().max_iters + 1
     np.testing.assert_array_equal(v_hat, v_rec)

@@ -37,23 +37,22 @@ def _states(seed):
 
 def _calls(signed):
     """name -> one call that takes a MotionState or a StateBatch."""
+    geom = geom_for(32, signed)
     return {
         "element_distances": lambda s: element_distances(GEOM, s.position),
         "steering_vector": lambda s: steering_vector(GEOM, s.position),
-        "projection_coeffs": lambda s: np.stack(
-            projection_coeffs(GEOM, s.position, signed=signed), axis=-2
-        ),
-        "radial_speeds": lambda s: radial_speeds(GEOM, s.velocity, s.position, signed=signed),
+        "projection_coeffs": lambda s: np.stack(projection_coeffs(geom, s.position), axis=-2),
+        "radial_speeds": lambda s: radial_speeds(geom, s.velocity, s.position),
         "pathloss_downlink": lambda s: pathloss(MODEL, s.position, "downlink"),
         "pathloss_roundtrip": lambda s: pathloss(MODEL, s.position, "roundtrip"),
         "predictive_beamformers": lambda s: predictive_beamformers(
-            GEOM, s.position, s.velocity, N_SYM, TS, signed=signed
+            geom, s.position, s.velocity, N_SYM, TS
         ),
-        "opt_beamformers": lambda s: opt_beamformers(GEOM, s, N_SYM, TS, signed=signed),
+        "opt_beamformers": lambda s: opt_beamformers(geom, s, N_SYM, TS),
         "ff_beamformers": lambda s: ff_beamformers(GEOM, s, N_SYM, TS),
         # the far-field beam: partial gains, and no check on antenna contact
         "cpi_throughput": lambda s: cpi_throughput(
-            GEOM, MODEL, s, ff_beamformers(GEOM, s, N_SYM, TS), TS, 2.0, 1e-8, signed=signed
+            geom, MODEL, s, ff_beamformers(GEOM, s, N_SYM, TS), TS, 2.0, 1e-8
         ),
     }
 
@@ -83,15 +82,16 @@ def test_batch_equals_stacked_single_calls(name, signed):
 @pytest.mark.parametrize("signed", [False, True])
 def test_throughput_scores_stacked_beams_on_each_state(signed):
     # the harness scores the opt, ff and fd beams of a chunk in one call
+    geom = geom_for(32, signed)
     states = _states(16)
     batch = StateBatch.stack(states)
     beams = np.stack([
-        opt_beamformers(GEOM, batch, N_SYM, TS, signed=signed),
+        opt_beamformers(geom, batch, N_SYM, TS),
         ff_beamformers(GEOM, batch, N_SYM, TS),
     ])
-    rates = cpi_throughput(GEOM, MODEL, batch, beams, TS, 2.0, 1e-8, signed=signed)
+    rates = cpi_throughput(geom, MODEL, batch, beams, TS, 2.0, 1e-8)
     want = [
-        [cpi_throughput(GEOM, MODEL, s, bf, TS, 2.0, 1e-8, signed=signed)
+        [cpi_throughput(geom, MODEL, s, bf, TS, 2.0, 1e-8)
          for s, bf in zip(states, beams[b])]
         for b in range(2)
     ]

@@ -92,18 +92,16 @@ def test_forecast_reference_values():
 @pytest.mark.parametrize("signed", [False, True])
 def test_jacobian_matches_finite_difference(signed):
     rng = np.random.default_rng(77 + int(signed))
-    geom = geom_for(32)
+    geom = geom_for(32, signed)
     model = default_model()
     for _ in range(6):
         eta = sample_state(rng, geom)
-        bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS, signed=signed)
+        bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS)
         f = bf[-1]
-        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS, signed=signed)
+        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
 
         def mean_at(state):
-            return observation_mean(
-                geom, model, MotionState(*state), f, 1.0, N_SYM, TS, signed=signed
-            )
+            return observation_mean(geom, model, MotionState(*state), f, 1.0, N_SYM, TS)
 
         base = eta.as_array()
         for col in range(4):
@@ -165,7 +163,7 @@ def test_jacobian_kink_guard():
     f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     with pytest.raises(ProjectionKinkError):
         observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
-    observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS, signed=True)
+    observation_jacobian(geom_for(8, signed=True), model, eta, f, 1.0, N_SYM, TS)
 
 
 def test_update_matches_dense_reference():

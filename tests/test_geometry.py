@@ -97,8 +97,8 @@ def test_steering_vector_phase_and_modulus():
     signed=st.booleans(),
 )
 def test_projection_identity(x, y, signed):
-    geom = geom_for(16)
-    g, q = projection_coeffs(geom, (x, y), signed=signed)
+    geom = geom_for(16, signed)
+    g, q = projection_coeffs(geom, (x, y))
     np.testing.assert_allclose(g * g + q * q, 1.0, atol=1e-12)
 
 
@@ -107,22 +107,23 @@ def test_conventions_agree_off_to_the_side():
     # |.| convention and the signed one coincide
     rng = np.random.default_rng(5)
     geom = geom_for(64)
+    geom_signed = geom_for(64, signed=True)
     for _ in range(20):
         eta = sample_state(rng, geom)
-        ga, qa = projection_coeffs(geom, eta.position, signed=False)
-        gs, qs = projection_coeffs(geom, eta.position, signed=True)
+        ga, qa = projection_coeffs(geom, eta.position)
+        gs, qs = projection_coeffs(geom_signed, eta.position)
         np.testing.assert_array_equal(ga, gs)
         np.testing.assert_array_equal(qa, qs)
 
 
 def test_signed_projection_is_physical_cosine():
     rng = np.random.default_rng(6)
-    geom = geom_for(16)
+    geom = geom_for(16, signed=True)
     pos = antenna_positions(geom)
     for _ in range(10):
         p = rng.uniform([-2.0, 2.0], [2.0, 20.0])
         v = rng.uniform(-10.0, 10.0, size=2)
-        vm = radial_speeds(geom, v, p, signed=True)
+        vm = radial_speeds(geom, v, p)
         for m in range(geom.num_antennas):
             u = (p - pos[m]) / np.linalg.norm(p - pos[m])
             assert vm[m] == pytest.approx(float(u @ v), rel=1e-12, abs=1e-12)
@@ -130,14 +131,12 @@ def test_signed_projection_is_physical_cosine():
 
 def test_radial_speeds_compose_projections():
     rng = np.random.default_rng(7)
-    geom = geom_for(16)
     for signed in (False, True):
+        geom = geom_for(16, signed)
         p = rng.uniform([-1.0, 3.0], [1.0, 20.0])
         v = rng.uniform(-10.0, 10.0, size=2)
-        g, q = projection_coeffs(geom, p, signed=signed)
-        np.testing.assert_allclose(
-            radial_speeds(geom, v, p, signed=signed), g * v[0] + q * v[1], rtol=1e-15
-        )
+        g, q = projection_coeffs(geom, p)
+        np.testing.assert_allclose(radial_speeds(geom, v, p), g * v[0] + q * v[1], rtol=1e-15)
 
 
 def test_doppler_vector_basics():
@@ -210,22 +209,22 @@ def test_roundtrip_channel_symmetric_rank_one():
 
 def test_projection_gradients_match_fd():
     rng = np.random.default_rng(10)
-    geom = geom_for(16)
     step = 1e-7
     for signed in (False, True):
+        geom = geom_for(16, signed)
         for _ in range(25):
             p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
-            dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p, signed=signed)
+            dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p)
             for axis, got_g, got_q in ((0, dg_dx, dq_dx), (1, dg_dy, dq_dy)):
                 def g_of(t, axis=axis):
                     q = np.array(p, dtype=float)
                     q[axis] = t
-                    return projection_coeffs(geom, q, signed=signed)[0]
+                    return projection_coeffs(geom, q)[0]
 
                 def q_of(t, axis=axis):
                     q = np.array(p, dtype=float)
                     q[axis] = t
-                    return projection_coeffs(geom, q, signed=signed)[1]
+                    return projection_coeffs(geom, q)[1]
 
                 fd_g = (g_of(p[axis] + step) - g_of(p[axis] - step)) / (2 * step)
                 fd_q = (q_of(p[axis] + step) - q_of(p[axis] - step)) / (2 * step)
@@ -236,11 +235,11 @@ def test_projection_gradients_match_fd():
 def test_projection_gradient_identity():
     # g^2 + q^2 = 1 differentiates to g dg + q dq = 0
     rng = np.random.default_rng(11)
-    geom = geom_for(32)
     for signed in (False, True):
+        geom = geom_for(32, signed)
         p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
-        g, q = projection_coeffs(geom, p, signed=signed)
-        dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p, signed=signed)
+        g, q = projection_coeffs(geom, p)
+        dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p)
         np.testing.assert_allclose(g * dg_dx + q * dq_dx, 0.0, atol=1e-15)
         np.testing.assert_allclose(g * dg_dy + q * dq_dy, 0.0, atol=1e-15)
 
@@ -248,10 +247,10 @@ def test_projection_gradient_identity():
 def test_projection_gradient_kink_guard():
     geom = geom_for(8)
     x_kink = float(element_offsets(geom)[3])
-    with pytest.raises(ProjectionKinkError):
-        projection_coeff_gradients(geom, (x_kink, 10.0), signed=False)
+    with pytest.raises(ProjectionKinkError, match=r"system\.signed_projection=true"):
+        projection_coeff_gradients(geom, (x_kink, 10.0))
     # signed convention has no kink there
-    projection_coeff_gradients(geom, (x_kink, 10.0), signed=True)
+    projection_coeff_gradients(geom_for(8, signed=True), (x_kink, 10.0))
     # y = 0 is a kink for the |.| convention too, but already degenerate
     # geometry for distances; x-aligned antennas are the practical case
 

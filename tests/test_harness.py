@@ -97,7 +97,7 @@ def _single_rate(cfg, bf, eta):
     sys_cfg = cfg.system
     return cpi_throughput(
         sys_cfg.geometry(), sys_cfg.pathloss_model(), eta, bf, sys_cfg.symbol_duration_s,
-        sys_cfg.tx_power_w, sys_cfg.comm_noise_power, signed=sys_cfg.signed_projection,
+        sys_cfg.tx_power_w, sys_cfg.comm_noise_power,
     )
 
 
@@ -106,17 +106,16 @@ def _per_cpi_baseline_rates(cfg):
     sys_cfg = cfg.system
     geom = sys_cfg.geometry()
     n_sym, ts, dt = sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s, sys_cfg.cpi_duration_s
-    signed = sys_cfg.signed_projection
     traj = _trajectory(cfg)
     out = []
     for cpi, eta in enumerate(traj, start=1):
-        bf_opt = opt_beamformers(geom, eta, n_sym, ts, signed=signed)
+        bf_opt = opt_beamformers(geom, eta, n_sym, ts)
         if cpi == 1:
             bf_ff = bf_fd = bf_opt
         else:
             bf_ff = ff_beamformers(geom, eta, n_sym, ts)
             fd_p, fd_v = fd_predicted_state(traj, cpi, cfg.feedback_period_cpis, dt)
-            bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts, signed=signed)
+            bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts)
         out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
     return out
 

@@ -1,8 +1,9 @@
 """The per-position near-field snapshot, the cos/sin phasor, and the N×M phasor builds.
 
 Every consumer that takes a position must give, bit for bit, the same result
-when fed the geo.NearField snapshot of that position; a snapshot built under
-the other projection convention, or for another array, is refused.
+when fed the geo.NearField snapshot of that position; a snapshot built for
+another array, including the same array under the other projection
+convention, is refused.
 """
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from nfbeam import agdao
 from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamformers
+from nfbeam.config import SystemConfig
 from nfbeam.ekf import observation_jacobian
 from nfbeam.geometry import (
     DegeneratePositionError,
@@ -58,51 +60,42 @@ def _with_position(eta, position):
 
 def _calls(signed):
     """name -> call(eta), where eta.position is a position or its snapshot."""
-    f = predictive_beamformers(GEOM, (1.0, 9.0), (3.0, -2.0), N_SYM, TS, signed=signed)
-    y = np.random.default_rng(7).standard_normal(GEOM.num_antennas) * (1 + 1j)
+    geom = geom_for(32, signed)
+    f = predictive_beamformers(geom, (1.0, 9.0), (3.0, -2.0), N_SYM, TS)
+    y = np.random.default_rng(7).standard_normal(geom.num_antennas) * (1 + 1j)
 
     def velocity_problem(eta):
-        prob = agdao._VelocityProblem(
-            y, GEOM, MODEL, eta.position, f[-1], 2.0, N_SYM, TS, signed
-        )
+        prob = agdao._VelocityProblem(y, geom, MODEL, eta.position, f[-1], 2.0, N_SYM, TS)
         return np.concatenate([prob.W.ravel(), prob.exponent.ravel(), [prob.scale]])
 
     return {
-        "projection_coeffs": lambda e: np.stack(
-            projection_coeffs(GEOM, e.position, signed=signed)
-        ),
-        "radial_speeds": lambda e: radial_speeds(GEOM, e.velocity, e.position, signed=signed),
-        "doppler_vector": lambda e: doppler_vector(
-            GEOM, N_SYM, TS, e.velocity, e.position, signed=signed
-        ),
-        "array_response": lambda e: array_response(
-            GEOM, N_SYM, TS, e.velocity, e.position, signed=signed
-        ),
+        "projection_coeffs": lambda e: np.stack(projection_coeffs(geom, e.position)),
+        "radial_speeds": lambda e: radial_speeds(geom, e.velocity, e.position),
+        "doppler_vector": lambda e: doppler_vector(geom, N_SYM, TS, e.velocity, e.position),
+        "array_response": lambda e: array_response(geom, N_SYM, TS, e.velocity, e.position),
         "downlink_channel": lambda e: downlink_channel(
-            GEOM, MODEL, 3, TS, e.velocity, e.position, signed=signed
+            geom, MODEL, 3, TS, e.velocity, e.position
         ),
         "roundtrip_channel": lambda e: roundtrip_channel(
-            GEOM, MODEL, 3, TS, e.velocity, e.position, signed=signed
+            geom, MODEL, 3, TS, e.velocity, e.position
         ),
         "projection_coeff_gradients": lambda e: np.stack(
-            projection_coeff_gradients(GEOM, e.position, signed=signed)
+            projection_coeff_gradients(geom, e.position)
         ),
         "predictive_beamformers": lambda e: predictive_beamformers(
-            GEOM, e.position, e.velocity, N_SYM, TS, signed=signed
+            geom, e.position, e.velocity, N_SYM, TS
         ),
-        "opt_beamformers": lambda e: opt_beamformers(GEOM, e, N_SYM, TS, signed=signed),
+        "opt_beamformers": lambda e: opt_beamformers(geom, e, N_SYM, TS),
         "observation_mean": lambda e: observation_mean(
-            GEOM, MODEL, e, f[-1], 2.0, N_SYM, TS, signed=signed
+            geom, MODEL, e, f[-1], 2.0, N_SYM, TS
         ),
         "observation_jacobian": lambda e: observation_jacobian(
-            GEOM, MODEL, e, f[-1], 2.0, N_SYM, TS, signed=signed
+            geom, MODEL, e, f[-1], 2.0, N_SYM, TS
         ),
         "synthesize_observation": lambda e: synthesize_observation(
-            GEOM, MODEL, e, f, NOISE, 2.0, TS, np.random.default_rng(5), signed=signed
+            geom, MODEL, e, f, NOISE, 2.0, TS, np.random.default_rng(5)
         ),
-        "cpi_throughput": lambda e: cpi_throughput(
-            GEOM, MODEL, e, f, TS, 2.0, 1e-8, signed=signed
-        ),
+        "cpi_throughput": lambda e: cpi_throughput(geom, MODEL, e, f, TS, 2.0, 1e-8),
         "velocity_problem": velocity_problem,
     }
 
@@ -116,7 +109,7 @@ def test_snapshot_equals_position_call(name, signed):
     eta = _state(signed)
     call = _calls(signed)[name]
     want = call(eta)
-    got = call(_with_position(eta, NearField(GEOM, eta.position, signed)))
+    got = call(_with_position(eta, NearField(geom_for(32, signed), eta.position)))
     assert np.shape(got) == np.shape(want)
     np.testing.assert_array_equal(got, want)
 
@@ -125,8 +118,8 @@ def test_snapshot_equals_position_call(name, signed):
 @pytest.mark.parametrize("name", NAMES)
 def test_snapshot_under_the_other_convention_is_refused(name, signed):
     eta = _state(True)  # broadside: the magnitude kinks stay clear anyway
-    other = _with_position(eta, NearField(GEOM, eta.position, not signed))
-    with pytest.raises(ValueError, match="signed="):
+    other = _with_position(eta, NearField(geom_for(32, not signed), eta.position))
+    with pytest.raises(ValueError, match="snapshot was built for"):
         _calls(signed)[name](other)
 
 
@@ -137,17 +130,28 @@ def test_snapshot_of_another_array_is_refused():
         predictive_beamformers(GEOM, near, eta.velocity, N_SYM, TS)
 
 
+def test_config_convention_reaches_the_snapshot():
+    # in front of the aperture antennas sit on both sides of the target, so
+    # only the signed convention gives g both signs
+    front = (0.05, 3.0)
+    signed = NearField(SystemConfig(signed_projection=True, num_antennas=64).geometry(), front)
+    default = NearField(SystemConfig(num_antennas=64).geometry(), front)
+    assert signed.g.min() < 0.0 < signed.g.max()
+    assert default.g.min() >= 0.0
+    np.testing.assert_array_equal(np.abs(signed.g), default.g)
+
+
 @pytest.mark.parametrize("signed", [False, True])
 def test_snapshot_fields_match_the_geometry_functions(signed):
     rng = np.random.default_rng(3)
     points = np.array([sample_broadside_state(rng).position for _ in range(5)])
-    near = NearField(GEOM, points, signed)
+    near = NearField(geom_for(32, signed), points)
     np.testing.assert_array_equal(near.r, element_distances(GEOM, points))
     np.testing.assert_array_equal(near.steering, steering_vector(GEOM, points))
     np.testing.assert_array_equal(
         near.steering, np.exp(-1j * GEOM.wavenumber * element_distances(GEOM, points))
     )
-    g, q = projection_coeffs(GEOM, points, signed=signed)
+    g, q = projection_coeffs(near.geom, points)
     np.testing.assert_array_equal(near.g, g)
     np.testing.assert_array_equal(near.q, q)
     assert near.position.shape == (5, 2) and near.uy.shape == (5, 1)
@@ -157,10 +161,11 @@ def test_snapshot_fields_match_the_geometry_functions(signed):
 def test_indexed_snapshot_equals_a_single_build(signed):
     rng = np.random.default_rng(4)
     points = np.array([sample_broadside_state(rng).position for _ in range(6)])
-    near = NearField(GEOM, points.reshape(2, 3, 2), signed)
+    geom = geom_for(32, signed)
+    near = NearField(geom, points.reshape(2, 3, 2))
     part = near[1, 2]
-    single = NearField(GEOM, points[5], signed)
-    assert (part.geom, part.signed) == (GEOM, signed)
+    single = NearField(geom, points[5])
+    assert part.geom == geom
     for name in ("position", "r", "ux", "uy", "steering", "g", "q"):
         np.testing.assert_array_equal(getattr(part, name), getattr(single, name))
     # a batch state indexes its snapshot along with its velocity
@@ -229,11 +234,12 @@ def _ld_error(z, re, im):
 @pytest.mark.parametrize("num_symbols", [1, 2, 10, 64, 256])
 def test_symbol_doppler_recurrence_against_long_double(num_symbols, signed, batch):
     rng = np.random.default_rng(num_symbols + 7 * len(batch) + 100 * signed)
-    p, v = _states_both_sides(rng, GEOM, batch)
-    d = symbol_dopplers(GEOM, num_symbols, TS, v, p, signed=signed)
+    geom = geom_for(32, signed)
+    p, v = _states_both_sides(rng, geom, batch)
+    d = symbol_dopplers(geom, num_symbols, TS, v, p)
     assert d.shape == batch + (num_symbols, GEOM.num_antennas)
-    assert np.array_equal(d[..., 0, :], doppler_vector(GEOM, 1, TS, v, p, signed=signed))
-    vm = radial_speeds(GEOM, v, p, signed=signed).astype(np.longdouble)
+    assert np.array_equal(d[..., 0, :], doppler_vector(geom, 1, TS, v, p))
+    vm = radial_speeds(geom, v, p).astype(np.longdouble)
     n = np.arange(1, num_symbols + 1, dtype=np.longdouble)
     k_ts = np.longdouble(GEOM.wavenumber) * np.longdouble(TS)
     re, im = _ld_phasor(-k_ts * n[:, None] * vm[..., None, :])

@@ -37,6 +37,18 @@ def test_command_list_covers_the_acceptance_runs():
     assert names[0] == "track" and "converge-signed" in names
 
 
+@pytest.mark.parametrize("name", ["track-ekf-m64-signed", "track-agdao-m64-signed"])
+def test_signed_commands_exercise_the_signed_convention(name, tmp_path):
+    # the same command under the magnitude convention must write other metrics
+    tool = _tool()
+    args = (*dict(tool.COMMANDS)[name], "--cpis", "5")
+    magnitude = (*args, "--set", "system.signed_projection=false")
+    lines = tool.digests(tmp_path, [("signed", args), ("magnitude", magnitude)])
+    metrics = [line.split("  ")[0] for line in lines if line.endswith("/metrics.csv")]
+    assert len(metrics) == 2
+    assert metrics[0] != metrics[1]
+
+
 @pytest.fixture(scope="module")
 def digest_run(tmp_path_factory):
     """One small digest run, plus a CSV with a string column."""

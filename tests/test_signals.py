@@ -72,13 +72,13 @@ def test_complex_gaussian_zero_power():
 
 def test_observation_mean_matches_hand_assembly():
     rng = np.random.default_rng(2)
-    geom = geom_for(6)
     model = default_model()
     for signed in (False, True):
+        geom = geom_for(6, signed)
         eta = sample_state(rng, geom)
-        f = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)[-1]
-        got = observation_mean(geom, model, eta, f, 1.7, N_SYM, TS, signed=signed)
-        a = array_response(geom, N_SYM, TS, eta.velocity, eta.position, signed=signed)
+        f = predictive_beamformers(geom_for(6), eta.position, eta.velocity, N_SYM, TS)[-1]
+        got = observation_mean(geom, model, eta, f, 1.7, N_SYM, TS)
+        a = array_response(geom, N_SYM, TS, eta.velocity, eta.position)
         alpha2 = pathloss(model, eta.position, "roundtrip")
         inner = sum(a[k] * f[k] for k in range(6))
         expect = [1.7 * alpha2 * a[m] * inner for m in range(6)]

@@ -32,6 +32,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _M64 = ("--cpis", "200", "--set", "system.num_antennas=64")
 _SIGNED = ("--set", "system.signed_projection=true")
+# a start in front of the M=64 aperture: antennas on both sides of the target,
+# where the two projection conventions differ (beyond its edge they agree)
+_FRONT = ("--set", "initial_state=[0.05,3.0,8.0,7.0]")
 
 # (name, nfbeam arguments without --out)
 COMMANDS = (
@@ -39,7 +42,7 @@ COMMANDS = (
     *(
         (f"track-{method}-m64{suffix}", ("track", "--method", method, *_M64, *extra))
         for method in ("ekf", "agdao", "opt", "ff", "fd")
-        for suffix, extra in (("", ()), ("-signed", _SIGNED))
+        for suffix, extra in (("", ()), ("-signed", (*_SIGNED, *_FRONT)))
     ),
     ("sweep-power-m128", ("sweep-power", "--cpis", "10", "--set", "system.num_antennas=128")),
     ("converge-signed", ("converge", *_SIGNED)),
