@@ -11,8 +11,9 @@ d(v) = exp(-j*rot*(g*vx + q*vy)) has unit modulus, so ||b(v)||^2 = s^2 M |w @ d|
 and g(v) and both gradients are scalar functions of six inner products
 W @ d, with W = [w, g o w, q o w, c, g o c, q o c], w = a~ o f and
 c = conj(y) o a~ fixed for the CPI. One evaluation costs one exp over M and
-one 6 x M product; the ascent reuses the evaluation at each new iterate for
-that iteration's objective and the next iteration's gradients.
+one 6 x M product, both written into buffers the problem owns; the ascent
+reuses the evaluation at each new iterate for that iteration's objective and
+the next iteration's gradients.
 """
 from __future__ import annotations
 
@@ -50,13 +51,6 @@ class OptimizerTrace:
     record: bool = True
     count: int = field(default=0, init=False)
 
-    def append(self, k, vx, vy, objective, grad_x, grad_y) -> None:
-        self.count += 1
-        if self.record:
-            self.rows.append(
-                (int(k), float(vx), float(vy), float(objective), float(grad_x), float(grad_y))
-            )
-
     def __len__(self) -> int:
         return self.count
 
@@ -84,6 +78,14 @@ class _VelocityProblem:
         self.scale = scale
         self.scale_m = scale * atil.shape[0]
         self.grad_scale = 2.0 * rot * scale
+        # evaluation buffers: the trial velocity, d(v) and W @ d(v); the
+        # velocity is held complex, the exponent's type, so np.dot casts nothing
+        self._v = np.empty(2, dtype=complex)
+        self._d = np.empty(atil.shape[0], dtype=complex)
+        self._r = np.empty(6, dtype=complex)
+        # np.dot(W, d) equals W @ d bit for bit for M >= 2; at M = 1 it rounds
+        # differently from the plain complex product that matmul forms
+        self._product = np.dot if atil.shape[0] > 1 else np.matmul
 
     def evaluate(self, vx, vy) -> tuple[float, float, float]:
         """(objective, d/dvx, d/dvy) at one trial velocity: one exp, one W @ d.
@@ -92,8 +94,12 @@ class _VelocityProblem:
         af = w @ d and yc = c @ d. The axis-u gradient is 2 Re{(y - b)^H db/du};
         its ||b||^2 part carries a real s^2 |af|^2 sum(u) term that drops out.
         """
-        d = np.exp(np.dot((vx, vy), self.exponent))
-        af, afg, afq, yc, ycg, ycq = (self.W @ d).tolist()
+        v, d = self._v, self._d
+        v[0] = vx
+        v[1] = vy
+        np.dot(v, self.exponent, out=d)
+        np.exp(d, out=d)
+        af, afg, afq, yc, ycg, ycq = self._product(self.W, d, out=self._r).tolist()
         s, sm, k = self.scale, self.scale_m, self.grad_scale
         objective = 2.0 * s * (af * yc).real - s * sm * (af.real**2 + af.imag**2)
         resid = yc - sm * af.conjugate()
@@ -141,31 +147,6 @@ def grad_velocity(
     return prob.evaluate(float(v[0]), float(v[1]))[1 + _axis_index(axis)]
 
 
-class _AdamAxis:
-    """Scalar Adam ascent state for one velocity axis."""
-
-    def __init__(self, step, beta1, beta2, epsilon):
-        self.step = step
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.m = 0.0
-        self.n = 0.0
-        self.t = 0
-
-    def update(self, v, grad):
-        self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.n = self.beta2 * self.n + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        n_hat = self.n / (1.0 - self.beta2 ** self.t)
-        return v + self.step * m_hat / math.sqrt(n_hat + self.epsilon)
-
-
-def _rel_change(new, old):
-    return abs(new - old) / max(abs(new), REL_CHANGE_FLOOR)
-
-
 def _check_finite(k, vx, vy, objective):
     if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(objective)):
         raise DivergenceError(
@@ -177,38 +158,52 @@ def _ascend(prob: _VelocityProblem, v_init, hyper: AdamHyper, variant: str, reco
     """Run one variant from v_init; record=False keeps only the iterate count.
 
     The evaluation at each new iterate gives that iteration's objective and
-    the next iteration's starting gradients.
+    the next iteration's starting gradients. Each axis keeps its Adam moments
+    (m, n) as plain floats, bias-corrected at iteration k by 1 - beta**k.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    evaluate = prob.evaluate
+    adam, alternating = variant != "plain-gd", variant == "adam-ao"
+    step_x, beta1_x, beta2_x = hyper.step_x, hyper.beta1_x, hyper.beta2_x
+    step_y, beta1_y, beta2_y = hyper.step_y, hyper.beta1_y, hyper.beta2_y
+    eps, tol_x, tol_y, floor = hyper.epsilon, hyper.rel_tol_x, hyper.rel_tol_y, REL_CHANGE_FLOOR
     vx, vy = float(v_init[0]), float(v_init[1])
-    objective, gx, gy = prob.evaluate(vx, vy)
+    objective, gx, gy = evaluate(vx, vy)
     trace = OptimizerTrace(record=record)
-    trace.append(0, vx, vy, objective, 0.0, 0.0)
-    if variant != "plain-gd":
-        ax = _AdamAxis(hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
-        ay = _AdamAxis(hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon)
+    rows = trace.rows
+    if record:
+        rows.append((0, vx, vy, objective, 0.0, 0.0))
+    mx = nx = my = ny = 0.0
     for k in range(1, hyper.max_iters + 1):
-        if variant == "adam-ao":
-            vx_new = ax.update(vx, gx)
-            gy = prob.evaluate(vx_new, vy)[2]
-            vy_new = ay.update(vy, gy)
-        elif variant == "adam-joint":
-            vx_new = ax.update(vx, gx)
-            vy_new = ay.update(vy, gy)
+        if adam:
+            mx = beta1_x * mx + (1.0 - beta1_x) * gx
+            nx = beta2_x * nx + (1.0 - beta2_x) * gx * gx
+            m_hat = mx / (1.0 - beta1_x ** k)
+            n_hat = nx / (1.0 - beta2_x ** k)
+            vx_new = vx + step_x * m_hat / math.sqrt(n_hat + eps)
+            if alternating:
+                gy = evaluate(vx_new, vy)[2]
+            my = beta1_y * my + (1.0 - beta1_y) * gy
+            ny = beta2_y * ny + (1.0 - beta2_y) * gy * gy
+            m_hat = my / (1.0 - beta1_y ** k)
+            n_hat = ny / (1.0 - beta2_y ** k)
+            vy_new = vy + step_y * m_hat / math.sqrt(n_hat + eps)
         else:
-            vx_new = vx + hyper.step_x * gx
-            vy_new = vy + hyper.step_y * gy
-        objective, gx_new, gy_new = prob.evaluate(vx_new, vy_new)
+            vx_new = vx + step_x * gx
+            vy_new = vy + step_y * gy
+        objective, gx_new, gy_new = evaluate(vx_new, vy_new)
         _check_finite(k, vx_new, vy_new, objective)
-        trace.append(k, vx_new, vy_new, objective, gx, gy)
+        if record:
+            rows.append((k, vx_new, vy_new, objective, gx, gy))
         done = (
-            _rel_change(vx_new, vx) < hyper.rel_tol_x
-            and _rel_change(vy_new, vy) < hyper.rel_tol_y
+            abs(vx_new - vx) / max(abs(vx_new), floor) < tol_x
+            and abs(vy_new - vy) / max(abs(vy_new), floor) < tol_y
         )
         vx, vy, gx, gy = vx_new, vy_new, gx_new, gy_new
         if done:
             break
+    trace.count = k + 1
     return np.array([vx, vy]), trace
 
 

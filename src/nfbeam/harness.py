@@ -333,17 +333,11 @@ def convergence_study(
     return rows
 
 
-def _format_cell(value) -> str:
-    # repr round-trips floats exactly; ints and strings pass through
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path, fieldnames, value_rows) -> None:
+    # str of a float (Python's or numpy's) is its shortest round-trip repr
     lines = [",".join(fieldnames)]
     for row in value_rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        lines.append(",".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -370,7 +364,7 @@ def write_summary_csv(path, rows: list[SweepRow]) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricRow]:
-    """Inverse of write_metrics_csv; exact because cells are repr round-trips."""
+    """Inverse of write_metrics_csv; exact because floats are written as round-trip reprs."""
     text = Path(path).read_text()
     lines = [ln for ln in text.split("\n") if ln]
     expected = [f.name for f in dataclasses.fields(MetricRow)]

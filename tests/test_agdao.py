@@ -1,12 +1,12 @@
 """Velocity estimator: likelihood algebra, Adam mechanics, closed-loop tracking."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nfbeam import (
     AdamHyper,
-    ArrayGeometry,
     DivergenceError,
     MotionNoise,
     MotionState,
@@ -29,7 +29,7 @@ from nfbeam import agdao
 from nfbeam.agdao import VARIANTS
 from nfbeam.geometry import ROUNDTRIP
 
-from helpers import CARRIER, N_SYM, TS, default_model, fd_central, geom_for, sample_state
+from helpers import N_SYM, TS, default_model, fd_central, geom_for, sample_state
 
 V_TRUE = np.array([8.0, 7.0])
 
@@ -328,6 +328,108 @@ def test_ascent_matches_reference_on_convergence_instance(variant):
     np.testing.assert_allclose(got[:, 2], ref[:, 2], rtol=1e-12, atol=0.0)
 
 
+def _reference_evaluate(prob, vx, vy):
+    """prob.evaluate written with a fresh d(v) and a fresh W @ d per call."""
+    d = np.exp(np.dot((vx, vy), prob.exponent))
+    af, afg, afq, yc, ycg, ycq = (prob.W @ d).tolist()
+    s, sm, k = prob.scale, prob.scale_m, prob.grad_scale
+    objective = 2.0 * s * (af * yc).real - s * sm * (af.real**2 + af.imag**2)
+    resid = yc - sm * af.conjugate()
+    return objective, k * (af * ycg + afg * resid).imag, k * (af * ycq + afq * resid).imag
+
+
+def _reference_ascend(prob, v_init, hyper, variant):
+    """_ascend written with per-axis Adam state objects; returns (v_hat, rows)."""
+    vx, vy = float(v_init[0]), float(v_init[1])
+    objective, gx, gy = _reference_evaluate(prob, vx, vy)
+    rows = [(0, vx, vy, objective, 0.0, 0.0)]
+    sx, sy = [0.0, 0.0, 0], [0.0, 0.0, 0]
+    for k in range(1, hyper.max_iters + 1):
+        if variant == "plain-gd":
+            vx_new = vx + hyper.step_x * gx
+            vy_new = vy + hyper.step_y * gy
+        else:
+            vx_new = _adam_step(sx, vx, gx, hyper.step_x, hyper.beta1_x, hyper.beta2_x, hyper.epsilon)
+            if variant == "adam-ao":
+                gy = _reference_evaluate(prob, vx_new, vy)[2]
+            vy_new = _adam_step(sy, vy, gy, hyper.step_y, hyper.beta1_y, hyper.beta2_y, hyper.epsilon)
+        objective, gx_new, gy_new = _reference_evaluate(prob, vx_new, vy_new)
+        if not (math.isfinite(vx_new) and math.isfinite(vy_new) and math.isfinite(objective)):
+            raise DivergenceError(
+                f"non-finite iterate at iteration {k}: v=({vx_new}, {vy_new}), objective={objective}"
+            )
+        rows.append((k, vx_new, vy_new, objective, gx, gy))
+        done = (
+            abs(vx_new - vx) / max(abs(vx_new), agdao.REL_CHANGE_FLOOR) < hyper.rel_tol_x
+            and abs(vy_new - vy) / max(abs(vy_new), agdao.REL_CHANGE_FLOOR) < hyper.rel_tol_y
+        )
+        vx, vy, gx, gy = vx_new, vy_new, gx_new, gy_new
+        if done:
+            break
+    return np.array([vx, vy]), rows
+
+
+def _problem(m, position, v_beam, noise_power, seed, signed=False, echo_scale=1.0):
+    geom, model, p, y, f = make_instance(
+        m, position, V_TRUE, v_beam, signed=signed, noise_power=noise_power, seed=seed
+    )
+    return agdao._VelocityProblem(echo_scale * y, geom, model, p, f, 1.0, N_SYM, TS)
+
+
+@pytest.mark.parametrize("m", [1, 512])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ascent_is_bit_identical_to_the_reference_loop(variant, m):
+    # the convergence-study instance (M=512), stop rule off, every row recorded
+    prob = _problem(m, (0.0, 10.0), (0.0, 0.0), 1e-8, 4, signed=True)
+    hyper = AdamHyper(rel_tol_x=0.0, rel_tol_y=0.0)
+    v_hat, trace = agdao._ascend(prob, (0.0, 0.0), hyper, variant)
+    v_ref, rows = _reference_ascend(prob, (0.0, 0.0), hyper, variant)
+    assert len(trace) == len(rows) == hyper.max_iters + 1
+    np.testing.assert_array_equal(np.array(trace.rows), np.array(rows))
+    np.testing.assert_array_equal(v_hat, v_ref)
+
+
+@pytest.mark.parametrize("variant, step", [("adam-ao", 0.05), ("adam-joint", 0.05), ("plain-gd", 200.0)])
+def test_tracking_ascent_is_bit_identical_to_the_reference_loop(variant, step):
+    # a tracking CPI: beam and start at the previous estimate, stop rule on, count only
+    prob = _problem(64, (5.0, 10.0), (7.5, 7.5), 1e-8, 2)
+    hyper = AdamHyper(step_x=step, step_y=step)
+    v_hat, trace = agdao._ascend(prob, (7.5, 7.5), hyper, variant, record=False)
+    v_ref, rows = _reference_ascend(prob, (7.5, 7.5), hyper, variant)
+    assert trace.rows == []
+    assert 2 < len(trace) == len(rows) < hyper.max_iters + 1
+    np.testing.assert_array_equal(v_hat, v_ref)
+
+
+@pytest.mark.parametrize("variant, echo_scale", [("adam-ao", 1.0), ("adam-joint", 1.0), ("plain-gd", 100.0)])
+def test_divergence_is_bit_identical_to_the_reference_loop(variant, echo_scale):
+    # a step near the largest float overflows an iterate within a few iterations
+    prob = _problem(512, (0.0, 10.0), (0.0, 0.0), 1e-8, 4, signed=True, echo_scale=echo_scale)
+    hyper = AdamHyper(step_x=1e308, step_y=1e308, rel_tol_x=0.0, rel_tol_y=0.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DivergenceError) as want:
+            _reference_ascend(prob, (0.0, 0.0), hyper, variant)
+        with pytest.raises(DivergenceError) as got:
+            agdao._ascend(prob, (0.0, 0.0), hyper, variant)
+    assert str(got.value) == str(want.value)
+
+
+def test_ascent_allocates_no_m_length_array_per_evaluation():
+    m = 4096
+    prob = _problem(m, (5.0, 10.0), (0.0, 0.0), 1e-8, 1)
+    hyper = AdamHyper(max_iters=50, rel_tol_x=0.0, rel_tol_y=0.0)
+    agdao._ascend(prob, (0.0, 0.0), hyper, "adam-ao", record=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        agdao._ascend(prob, (0.0, 0.0), hyper, "adam-ao", record=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 101 evaluations: one fresh complex M-vector each would show as >= 16 M bytes
+    assert peak - base < 16 * m
+
+
 @pytest.mark.parametrize(
     "variant, step, evals_per_iter",
     [("adam-ao", 0.05, 2), ("adam-joint", 0.05, 1), ("plain-gd", 200.0, 1)],
@@ -355,8 +457,8 @@ def test_trace_length_counts_iterations_when_stop_rule_fires(
     # one evaluation at the init, then evals_per_iter per iteration
     assert len(calls) == 1 + evals_per_iter * iters
     (_, vx0, vy0, *_), (_, vx1, vy1, *_) = trace.rows[-2:]
-    assert agdao._rel_change(vx1, vx0) < hyper.rel_tol_x
-    assert agdao._rel_change(vy1, vy0) < hyper.rel_tol_y
+    assert abs(vx1 - vx0) / max(abs(vx1), agdao.REL_CHANGE_FLOOR) < hyper.rel_tol_x
+    assert abs(vy1 - vy0) / max(abs(vy1), agdao.REL_CHANGE_FLOOR) < hyper.rel_tol_y
 
 
 def test_unknown_variant_rejected_before_any_evaluation():

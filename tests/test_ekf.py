@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from nfbeam import (
-    ArrayGeometry,
     EkfConfig,
     FilterHealthError,
     MotionNoise,
     MotionState,
     ProjectionKinkError,
     TrackerBelief,
-    UpdateDiagnostics,
     cpi_throughput,
     ekf_forecast,
     ekf_track_step,

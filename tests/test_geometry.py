@@ -27,7 +27,6 @@ from nfbeam.geometry import (
     roundtrip_channel,
     steering_vector,
 )
-from nfbeam.motion import MotionState
 
 from helpers import CARRIER, TS, fd_central, geom_for, sample_state
 

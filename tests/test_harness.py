@@ -317,6 +317,18 @@ def test_metrics_csv_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_metrics_csv_reads_numpy_floats_back_as_floats(tmp_path):
+    # a cell may arrive as np.float64, whose repr is not a plain number
+    row = run_experiment(small_config(method="ekf", num_cpis=2)).rows[-1]
+    twin = dataclasses.replace(row, **{
+        f.name: np.float64(getattr(row, f.name))
+        for f in dataclasses.fields(row) if f.name != "cpi"
+    })
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [twin])
+    assert read_metrics_csv(path) == [row]
+
+
 def test_all_writers_are_byte_stable(tmp_path):
     cfg = small_config(method="ekf", num_cpis=6)
     result = run_experiment(cfg)

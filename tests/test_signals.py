@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam.geometry import PathlossModel, array_response, pathloss, steering_vector
+from nfbeam.geometry import array_response, pathloss
 from nfbeam.motion import MotionState
 from nfbeam.signals import (
     BeamNormError,
