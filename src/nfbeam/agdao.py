@@ -83,9 +83,6 @@ class _VelocityProblem:
         self._v = np.empty(2, dtype=complex)
         self._d = np.empty(atil.shape[0], dtype=complex)
         self._r = np.empty(6, dtype=complex)
-        # np.dot(W, d) equals W @ d bit for bit for M >= 2; at M = 1 it rounds
-        # differently from the plain complex product that matmul forms
-        self._product = np.dot if atil.shape[0] > 1 else np.matmul
 
     def evaluate(self, vx, vy) -> tuple[float, float, float]:
         """(objective, d/dvx, d/dvy) at one trial velocity: one exp, one W @ d.
@@ -99,7 +96,7 @@ class _VelocityProblem:
         v[1] = vy
         np.dot(v, self.exponent, out=d)
         np.exp(d, out=d)
-        af, afg, afq, yc, ycg, ycq = self._product(self.W, d, out=self._r).tolist()
+        af, afg, afq, yc, ycg, ycq = np.matmul(self.W, d, out=self._r).tolist()
         s, sm, k = self.scale, self.scale_m, self.grad_scale
         objective = 2.0 * s * (af * yc).real - s * sm * (af.real**2 + af.imag**2)
         resid = yc - sm * af.conjugate()

@@ -376,7 +376,7 @@ def _problem(m, position, v_beam, noise_power, seed, signed=False, echo_scale=1.
     return agdao._VelocityProblem(echo_scale * y, geom, model, p, f, 1.0, N_SYM, TS)
 
 
-@pytest.mark.parametrize("m", [1, 512])
+@pytest.mark.parametrize("m", [1, 2, 128, 512])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_ascent_is_bit_identical_to_the_reference_loop(variant, m):
     # the convergence-study instance (M=512), stop rule off, every row recorded
