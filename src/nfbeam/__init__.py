@@ -11,12 +11,11 @@ from .agdao import (
     DivergenceError,
     OptimizerTrace,
     VARIANTS,
+    VelocityProblem,
     adam_ao_estimate,
     agdao_track_step,
     estimate_velocity,
     gd_estimate,
-    grad_velocity,
-    ml_objective,
 )
 from .beamforming import (
     fd_predicted_state,
@@ -36,13 +35,11 @@ from .config import (
     save_config,
 )
 from .ekf import (
-    EkfConfig,
     FilterHealthError,
     TrackerBelief,
     UpdateDiagnostics,
     ekf_forecast,
     ekf_track_step,
-    initial_belief,
     kalman_update,
     observation_jacobian,
 )
@@ -87,7 +84,6 @@ from .motion import (
     StateBatch,
     generate_trajectory,
     kinematic_forecast,
-    step_motion,
     transition_matrix,
 )
 from .signals import (

@@ -55,7 +55,7 @@ class OptimizerTrace:
         return self.count
 
 
-class _VelocityProblem:
+class VelocityProblem:
     """Echo likelihood at one CPI with everything but the velocity frozen.
 
     Holds the six-row W of the module docstring; needs |a~_m| = 1. p_hat may
@@ -103,47 +103,6 @@ class _VelocityProblem:
         return objective, k * (af * ycg + afg * resid).imag, k * (af * ycq + afq * resid).imag
 
 
-def _axis_index(axis) -> int:
-    if axis in (0, "x"):
-        return 0
-    if axis in (1, "y"):
-        return 1
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def ml_objective(
-    y,
-    geom: geo.ArrayGeometry,
-    model: geo.PathlossModel,
-    p_hat,
-    v,
-    f,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
-) -> float:
-    """Echo log-likelihood (up to constants) at trial velocity v."""
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
-    return prob.evaluate(float(v[0]), float(v[1]))[0]
-
-
-def grad_velocity(
-    y,
-    geom: geo.ArrayGeometry,
-    model: geo.PathlossModel,
-    p_hat,
-    v,
-    f,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
-    axis="x",
-) -> float:
-    """Exact derivative of ml_objective along one velocity axis."""
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
-    return prob.evaluate(float(v[0]), float(v[1]))[1 + _axis_index(axis)]
-
-
 def _check_finite(k, vx, vy, objective):
     if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(objective)):
         raise DivergenceError(
@@ -151,7 +110,7 @@ def _check_finite(k, vx, vy, objective):
         )
 
 
-def _ascend(prob: _VelocityProblem, v_init, hyper: AdamHyper, variant: str, record: bool = True):
+def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, record: bool = True):
     """Run one variant from v_init; record=False keeps only the iterate count.
 
     The evaluation at each new iterate gives that iteration's objective and
@@ -223,7 +182,7 @@ def adam_ao_estimate(
     changes drop below their tolerances. record=False leaves the trace's
     rows empty and keeps only its length.
     """
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
+    prob = VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, "adam-ao", record)
 
 
@@ -243,7 +202,7 @@ def gd_estimate(
     """Comparison optimizers on the same objective: plain-gd or adam-joint."""
     if variant not in ("plain-gd", "adam-joint"):
         raise ValueError(f"variant must be 'plain-gd' or 'adam-joint', got {variant!r}")
-    prob = _VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
+    prob = VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, variant)
 
 

@@ -98,14 +98,16 @@ def feedback_latch_index(cpi_index: int, period_cpis: int) -> int:
     return 1 + ((cpi_index - 2) // period_cpis) * period_cpis
 
 
-def fd_predicted_state(
-    trajectory: list[MotionState], cpi_index: int, period_cpis: int, cpi_duration: float
-):
-    """Dead-reckoned (position, velocity) pointing CPI cpi_index between reports.
+def fd_predicted_state(truth: np.ndarray, period_cpis: int, cpi_duration: float) -> np.ndarray:
+    """Dead-reckoned [x, y, vx, vy] pointing each CPI between reports.
 
-    Holds the latched velocity for k = cpi_index - latch intervals.
+    truth is the (num_cpis, 4) trajectory table; so is the result. Row
+    cpi - 1 holds the velocity reported at CPI latch for cpi - latch intervals.
     """
-    latch = feedback_latch_index(cpi_index, period_cpis)
-    held = cpi_index - latch
-    st = trajectory[latch - 1]
-    return st.position + held * cpi_duration * st.velocity, st.velocity
+    fd = np.empty((len(truth), 4))
+    for cpi in range(1, len(truth) + 1):
+        latch = feedback_latch_index(cpi, period_cpis)
+        st = truth[latch - 1]
+        fd[cpi - 1, :2] = st[:2] + (cpi - latch) * cpi_duration * st[2:]
+        fd[cpi - 1, 2:] = st[2:]
+    return fd

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import geometry as geo
-from .agdao import grad_velocity, ml_objective
+from .agdao import VelocityProblem
 from .beamforming import ff_beamformers, predictive_beamformers
 from .ekf import TrackerBelief, kalman_update, observation_jacobian
 from .motion import MotionState
@@ -145,11 +145,12 @@ def check_gradient(seed: int = 0, trials: int = 20):
     for t in range(trials):
         geom = geoms[t % 2]
         _, p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
+        evaluate = VelocityProblem(y, geom, model, p_hat, f, s_amp, _N, _TS).evaluate
         for axis, e in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
-            hi = ml_objective(y, geom, model, p_hat, v + step * e, f, s_amp, _N, _TS)
-            lo = ml_objective(y, geom, model, p_hat, v - step * e, f, s_amp, _N, _TS)
+            hi = evaluate(*(v + step * e))[0]
+            lo = evaluate(*(v - step * e))[0]
             fd = (hi - lo) / (2.0 * step)
-            an = grad_velocity(y, geom, model, p_hat, v, f, s_amp, _N, _TS, axis=axis)
+            an = evaluate(*v)[1 + axis]
             worst = max(worst, abs(an - fd) / max(abs(fd), 1e-12))
     return worst < 1e-5, f"max rel error {worst:.2e} over {trials} instances"
 

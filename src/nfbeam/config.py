@@ -13,7 +13,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ekf import EkfConfig
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, PathlossModel
 from .motion import MotionNoise, MotionState
 
@@ -157,12 +156,6 @@ class ExperimentConfig:
     @property
     def feedback_period_cpis(self) -> int:
         return round(self.feedback_period_s / self.system.cpi_duration_s)
-
-    def ekf_config(self) -> EkfConfig:
-        return EkfConfig(
-            process_noise=self.motion_noise,
-            echo_noise_power=self.system.echo_noise_power,
-        )
 
 
 def _from_dict(cls, raw: dict, prefix: str = ""):

@@ -60,29 +60,11 @@ class TrackerBelief:
 
 
 @dataclass(frozen=True)
-class EkfConfig:
-    """Filter model: process noise and echo noise power."""
-
-    process_noise: MotionNoise = MotionNoise()
-    echo_noise_power: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.echo_noise_power < 0.0:
-            raise ValueError(
-                f"echo_noise_power must be nonnegative, got {self.echo_noise_power}"
-            )
-
-
-@dataclass(frozen=True)
 class UpdateDiagnostics:
     """Per-update health readouts."""
 
     innovation_norm: float
     ridged: bool = False
-
-
-def initial_belief(eta: MotionState, init_cov: float = 0.1) -> TrackerBelief:
-    return TrackerBelief(mean=eta, covariance=init_cov * np.eye(4))
 
 
 def ekf_forecast(belief: TrackerBelief, dt: float, noise: MotionNoise) -> TrackerBelief:
@@ -144,6 +126,8 @@ def kalman_update(
     echo_noise_power: float,
 ):
     """Assimilate one echo snapshot; returns (posterior, UpdateDiagnostics)."""
+    if echo_noise_power < 0.0:
+        raise ValueError(f"echo_noise_power must be nonnegative, got {echo_noise_power}")
     nu = np.asarray(y) - np.asarray(predicted_mean)
     jh = np.conj(jacobian).T
     u = np.real(jh @ nu)
@@ -187,7 +171,8 @@ def ekf_track_step(
     observe,
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    config: EkfConfig,
+    process_noise: MotionNoise,
+    echo_noise_power: float,
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
@@ -199,7 +184,7 @@ def ekf_track_step(
     Returns (beamformers, posterior, diagnostics). One near-field snapshot at
     the prior mean serves the beam, the echo mean and the Jacobian.
     """
-    prior = ekf_forecast(belief, cpi_duration, config.process_noise)
+    prior = ekf_forecast(belief, cpi_duration, process_noise)
     at = StateBatch(geo.NearField(geom, prior.mean.position), prior.mean.velocity)
     bf = predictive_beamformers(geom, at.position, at.velocity, num_symbols, symbol_duration)
     y = observe(bf)
@@ -207,5 +192,5 @@ def ekf_track_step(
     check_unit_norm(f_last)
     h_bar = observation_mean(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
     jac = observation_jacobian(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
-    posterior, diag = kalman_update(prior, y, jac, h_bar, config.echo_noise_power)
+    posterior, diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
     return bf, posterior, diag

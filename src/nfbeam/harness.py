@@ -16,7 +16,7 @@ from .beamforming import (
     predictive_beamformers,
 )
 from .config import ConfigError, ExperimentConfig
-from .ekf import TrackerBelief, ekf_track_step, initial_belief
+from .ekf import TrackerBelief, ekf_track_step
 from .geometry import NearField
 from .motion import MotionState, StateBatch, generate_trajectory
 from .signals import cpi_throughput, echo_amplitude, synthesize_observation
@@ -115,7 +115,6 @@ class RunResult:
     config: ExperimentConfig
     rows: list[MetricRow]
     belief_rows: list[BeliefRow] | None = None
-    beliefs: list[TrackerBelief] | None = None
 
     def mean(self, attr: str) -> float:
         return float(np.mean([getattr(r, attr) for r in self.rows]))
@@ -175,19 +174,15 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     dt = sys_cfg.cpi_duration_s
     power_w = sys_cfg.tx_power_w
     s_amp = echo_amplitude(power_w, sys_cfg.include_transmit_power)
-    ekf_cfg = config.ekf_config()
+    process_noise = config.motion_noise
     method = config.method
     num_cpis = config.num_cpis
 
-    traj = generate_trajectory(
-        config.state0, config.motion_noise, dt, num_cpis, stream(config.seed, "trajectory"),
+    truth = generate_trajectory(
+        config.state0, process_noise, dt, num_cpis, stream(config.seed, "trajectory"),
     )
     echo_rng = stream(config.seed, "echo-noise")
-    truth = np.array([s.as_array() for s in traj])
-    fd = np.array([
-        np.concatenate(fd_predicted_state(traj, cpi, config.feedback_period_cpis, dt))
-        for cpi in range(1, num_cpis + 1)
-    ])
+    fd = fd_predicted_state(truth, config.feedback_period_cpis, dt)
     est = (fd if method == "fd" else truth).copy()
 
     # beam slots of a chunk: opt, ff, fd, and a tracker's own beams after them
@@ -197,8 +192,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     beams = np.empty(
         (len(slots), min(chunk, num_cpis), num_symbols, geom.num_antennas), dtype=complex
     )
-    belief = initial_belief(traj[0], config.ekf_init_cov)
-    beliefs = [belief]
+    belief = TrackerBelief(config.state0, config.ekf_init_cov * np.eye(4))
     belief_rows = [_belief_row(1, belief, 0.0, False)]
     rows: list[MetricRow] = []
 
@@ -229,10 +223,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
                 )
             elif method == "ekf" and cpi > 1:
                 bf[slot, i], belief, diag = ekf_track_step(
-                    belief, observe, geom, model, ekf_cfg, s_amp, num_symbols, ts, dt
+                    belief, observe, geom, model, process_noise, sys_cfg.echo_noise_power,
+                    s_amp, num_symbols, ts, dt,
                 )
                 est[cpi - 1] = belief.mean.as_array()
-                beliefs.append(belief)
                 belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
             if progress is not None:
                 progress(cpi, num_cpis)
@@ -244,13 +238,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         ])
         rows += [MetricRow(cpi, *cells) for cpi, cells in enumerate(table.tolist(), lo + 1)]
 
-    is_ekf = method == "ekf"
-    return RunResult(
-        config=config,
-        rows=rows,
-        belief_rows=belief_rows if is_ekf else None,
-        beliefs=beliefs if is_ekf else None,
-    )
+    return RunResult(config, rows, belief_rows if method == "ekf" else None)
 
 
 def power_sweep(

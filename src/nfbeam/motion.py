@@ -88,27 +88,28 @@ def kinematic_forecast(eta: MotionState, dt: float) -> MotionState:
     return MotionState(eta.x + dt * eta.vx, eta.y + dt * eta.vy, eta.vx, eta.vy)
 
 
-def step_motion(
-    eta: MotionState, noise: MotionNoise, dt: float, rng: np.random.Generator
-) -> MotionState:
-    """One interval: move with the pre-step velocity, then perturb the velocity."""
-    moved = kinematic_forecast(eta, dt)
-    dvx = rng.normal(0.0, math.sqrt(noise.var_vx))
-    dvy = rng.normal(0.0, math.sqrt(noise.var_vy))
-    return MotionState(moved.x, moved.y, moved.vx + dvx, moved.vy + dvy)
-
-
 def generate_trajectory(
     eta0: MotionState,
     noise: MotionNoise,
     dt: float,
     num_cpis: int,
     rng: np.random.Generator,
-) -> list[MotionState]:
-    """States for CPIs 1..num_cpis; the first element is eta0."""
+) -> np.ndarray:
+    """[x, y, vx, vy] for CPIs 1..num_cpis, shape (num_cpis, 4); row 0 is eta0.
+
+    Each interval moves with the pre-step velocity, then perturbs the
+    velocity; the x kick is drawn before the y kick.
+    """
     if num_cpis < 1:
         raise ValueError(f"num_cpis must be >= 1, got {num_cpis}")
-    traj = [eta0]
-    for _ in range(num_cpis - 1):
-        traj.append(step_motion(traj[-1], noise, dt, rng))
+    sd_x, sd_y = math.sqrt(noise.var_vx), math.sqrt(noise.var_vy)
+    x, y, vx, vy = eta0.x, eta0.y, eta0.vx, eta0.vy
+    traj = np.empty((num_cpis, 4))
+    traj[0] = x, y, vx, vy
+    for row in traj[1:]:
+        x += dt * vx
+        vx += rng.normal(0.0, sd_x)
+        y += dt * vy
+        vy += rng.normal(0.0, sd_y)
+        row[:] = x, y, vx, vy
     return traj

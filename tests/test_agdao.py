@@ -10,14 +10,13 @@ from nfbeam import (
     DivergenceError,
     MotionNoise,
     MotionState,
+    VelocityProblem,
     adam_ao_estimate,
     agdao_track_step,
     array_response,
     estimate_velocity,
     gd_estimate,
     generate_trajectory,
-    grad_velocity,
-    ml_objective,
     observation_mean,
     pathloss,
     predictive_beamformers,
@@ -77,7 +76,7 @@ def test_evaluate_matches_direct_fields(m, signed):
         p = eta.position
         bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
         y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
-        prob = agdao._VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS)
+        prob = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS)
         v = rng.uniform(-12.0, 12.0, 2)
         got = prob.evaluate(float(v[0]), float(v[1]))
         ref = direct_likelihood(y, geom, model, p, v, bf[-1])
@@ -96,7 +95,7 @@ def test_objective_two_forms_agree():
         noise = 1e-8
         y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
-        got = ml_objective(y, geom, model, p, v, bf[-1], 1.0, N_SYM, TS)
+        got = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS).evaluate(*v)[0]
         # model echo at the trial velocity, assembled through the public channel path
         b = observation_mean(
             geom, model, MotionState(p[0], p[1], v[0], v[1]), bf[-1], 1.0, N_SYM, TS
@@ -112,12 +111,13 @@ def test_objective_two_forms_agree():
 def test_noiseless_objective_peaks_at_truth():
     geom, model, p, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     yy = float(np.vdot(y, y).real)
-    peak = ml_objective(y, geom, model, p, V_TRUE, f, 1.0, N_SYM, TS)
+    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+    peak = evaluate(*V_TRUE)[0]
     assert abs(peak - yy) <= 1e-12 * yy
     rng = np.random.default_rng(5)
     for _ in range(8):
         v = V_TRUE + rng.uniform(-6.0, 6.0, 2)
-        assert ml_objective(y, geom, model, p, v, f, 1.0, N_SYM, TS) <= peak
+        assert evaluate(*v)[0] <= peak
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -133,13 +133,14 @@ def test_gradient_matches_finite_difference(m, signed):
         noise = 1e-8
         y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
-        for axis, name in ((0, "x"), (1, "y")):
-            got = grad_velocity(y, geom, model, p, v, bf[-1], 1.0, N_SYM, TS, axis=name)
+        evaluate = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS).evaluate
+        for axis in (0, 1):
+            got = evaluate(*v)[1 + axis]
 
             def along(t, axis=axis, v=v):
                 vv = v.copy()
                 vv[axis] = t
-                return ml_objective(y, geom, model, p, vv, bf[-1], 1.0, N_SYM, TS)
+                return evaluate(*vv)[0]
 
             ref = fd_central(along, v[axis], 1e-4)
             assert abs(got - ref) <= 1e-5 * max(abs(ref), 1e-12)
@@ -147,8 +148,9 @@ def test_gradient_matches_finite_difference(m, signed):
 
 def test_gradient_zero_at_noiseless_truth():
     geom, model, p, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
-    for axis in ("x", "y"):
-        g = grad_velocity(y, geom, model, p, V_TRUE, f, 1.0, N_SYM, TS, axis=axis)
+    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+    for axis in (0, 1):
+        g = evaluate(*V_TRUE)[1 + axis]
         assert abs(g) < 1e-9
 
 
@@ -156,9 +158,10 @@ def test_broadside_x_gradient_vanishes_signed():
     # head-on geometry: the signed x-projection is odd across the array while the
     # echo and beam are even, so the x-slope cancels pairwise for any vy
     geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
+    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
     for v in ((0.0, 0.0), (0.0, 2.5)):
-        gx = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis="x")
-        gy = grad_velocity(y, geom, model, p, v, f, 1.0, N_SYM, TS, axis="y")
+        gx = evaluate(*v)[1]
+        gy = evaluate(*v)[2]
         assert gy != 0.0
         assert abs(gx) <= 1e-10 * abs(gy)
 
@@ -167,9 +170,10 @@ def test_broadside_objective_even_in_vx_default():
     # with the default |.| projection the head-on objective cannot tell +vx
     # from -vx when the echo itself carries no transverse motion
     geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 0.0), (0.0, 0.0))
+    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
     for vx in (0.5, 1.7, 6.0):
-        left = ml_objective(y, geom, model, p, (-vx, 0.0), f, 1.0, N_SYM, TS)
-        right = ml_objective(y, geom, model, p, (vx, 0.0), f, 1.0, N_SYM, TS)
+        left = evaluate(-vx, 0.0)[0]
+        right = evaluate(vx, 0.0)[0]
         assert abs(left - right) <= 1e-12 * max(1.0, abs(right))
 
 
@@ -232,7 +236,7 @@ def test_sloppy_geometry_recovers_observable_speeds():
     geom, model, p, y, f = make_instance(512, (5.0, 10.0), V_TRUE, (0.0, 0.0))
     v_hat, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
     yy = float(np.vdot(y, y).real)
-    gap = yy - ml_objective(y, geom, model, p, v_hat, f, 1.0, N_SYM, TS)
+    gap = yy - VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate(*v_hat)[0]
     assert gap <= 1e-4 * yy
     g, q = projection_coeffs(geom, p)
     dv = v_hat - V_TRUE
@@ -373,7 +377,7 @@ def _problem(m, position, v_beam, noise_power, seed, signed=False, echo_scale=1.
     geom, model, p, y, f = make_instance(
         m, position, V_TRUE, v_beam, signed=signed, noise_power=noise_power, seed=seed
     )
-    return agdao._VelocityProblem(echo_scale * y, geom, model, p, f, 1.0, N_SYM, TS)
+    return VelocityProblem(echo_scale * y, geom, model, p, f, 1.0, N_SYM, TS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 128, 512])
@@ -439,13 +443,13 @@ def test_trace_length_counts_iterations_when_stop_rule_fires(
 ):
     geom, model, p, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
     calls = []
-    evaluate = agdao._VelocityProblem.evaluate
+    evaluate = VelocityProblem.evaluate
 
     def counted(self, vx, vy):
         calls.append((vx, vy))
         return evaluate(self, vx, vy)
 
-    monkeypatch.setattr(agdao._VelocityProblem, "evaluate", counted)
+    monkeypatch.setattr(VelocityProblem, "evaluate", counted)
     hyper = AdamHyper(step_x=step, step_y=step)
     _, trace = estimate_velocity(
         variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
@@ -544,7 +548,7 @@ def test_track_step_noiseless_closed_loop():
     worst_p = 0.0
     worst_v = 0.0
     for l in range(1, 2000):
-        eta = traj[l]
+        eta = MotionState.from_array(traj[l])
 
         def observe(bf, eta=eta):
             return synthesize_observation(
@@ -581,7 +585,7 @@ def test_track_error_grows_with_range():
     v_hat = np.array([8.0, 7.0])
     verr = []
     for l in range(1, cpis):
-        eta = traj[l]
+        eta = MotionState.from_array(traj[l])
 
         def observe(bf, eta=eta):
             return synthesize_observation(

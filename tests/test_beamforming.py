@@ -113,11 +113,29 @@ def test_fd_predicted_state_dead_reckons():
     traj = generate_trajectory(
         eta0, MotionNoise(0.01, 0.01), 1e-4, 12, np.random.default_rng(3)
     )
-    p, v = fd_predicted_state(traj, 9, 4, 1e-4)
-    latch = traj[4]  # latch index 5 (1-based) for cpi 9, period 4
+    fd = fd_predicted_state(traj, 4, 1e-4)
+    p, v = fd[8, :2], fd[8, 2:]
+    latch = MotionState.from_array(traj[4])  # latch index 5 (1-based) for cpi 9, period 4
     np.testing.assert_array_equal(v, latch.velocity)
     np.testing.assert_allclose(p, latch.position + 4 * 1e-4 * latch.velocity, rtol=1e-15)
     # within the first period everything reckons from CPI 1
-    p1, v1 = fd_predicted_state(traj, 3, 4, 1e-4)
+    p1, v1 = fd[2, :2], fd[2, 2:]
     np.testing.assert_array_equal(v1, eta0.velocity)
     np.testing.assert_allclose(p1, eta0.position + 2 * 1e-4 * eta0.velocity, rtol=1e-15)
+
+
+@pytest.mark.parametrize("num_cpis", [1, 2, 13])
+@pytest.mark.parametrize("period", [1, 4, 20])
+def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
+    traj = generate_trajectory(
+        MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), 1e-4, num_cpis,
+        np.random.default_rng(5),
+    )
+    want = []
+    for cpi in range(1, num_cpis + 1):
+        latch = feedback_latch_index(cpi, period)
+        st = MotionState.from_array(traj[latch - 1])
+        want.append(np.concatenate([st.position + (cpi - latch) * 1e-4 * st.velocity, st.velocity]))
+    got = fd_predicted_state(traj, period, 1e-4)
+    assert got.shape == (num_cpis, 4)
+    assert got.tobytes() == np.array(want).tobytes()

@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 from nfbeam import (
-    EkfConfig,
+    ExperimentConfig,
     FilterHealthError,
     MotionNoise,
     MotionState,
     ProjectionKinkError,
+    SystemConfig,
     TrackerBelief,
     cpi_throughput,
     ekf_forecast,
     ekf_track_step,
     generate_trajectory,
-    initial_belief,
     kalman_update,
     observation_jacobian,
     observation_mean,
     pathloss,
     predictive_beamformers,
+    run_experiment,
     stream,
     synthesize_observation,
     transition_matrix,
@@ -260,20 +261,24 @@ def test_belief_validation_rejects_bad_covariance():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EkfConfig(echo_noise_power=-1e-9)
-    belief = initial_belief(MotionState(5.0, 10.0, 8.0, 7.0))
-    np.testing.assert_array_equal(belief.covariance, 0.1 * np.eye(4))
+    belief = TrackerBelief(MotionState(5.0, 10.0, 8.0, 7.0), 0.1 * np.eye(4))
+    y = np.zeros(4, dtype=complex)
+    with pytest.raises(ValueError, match="echo_noise_power"):
+        kalman_update(belief, y, np.zeros((4, 4), dtype=complex), y, -1e-9)
+    # a run's initial belief is ekf_init_cov (default 0.1) times the identity
+    cfg = ExperimentConfig(system=SystemConfig(num_antennas=16), num_cpis=1)
+    first = run_experiment(cfg).belief_rows[0]
+    assert (first.var_x, first.var_y, first.var_vx, first.var_vy) == (0.1,) * 4
 
 
 def test_track_step_composes_forecast_beam_update():
     geom = geom_for(32)
     model = default_model()
-    cfg = EkfConfig(process_noise=MotionNoise(0.01, 0.01), echo_noise_power=1e-8)
-    belief = initial_belief(MotionState(5.0, 10.0, 8.0, 7.0))
+    process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
+    belief = TrackerBelief(MotionState(5.0, 10.0, 8.0, 7.0), 0.1 * np.eye(4))
     truth = MotionState(5.0009, 10.0006, 8.1, 6.9)
 
-    prior = ekf_forecast(belief, DT, cfg.process_noise)
+    prior = ekf_forecast(belief, DT, process_noise)
     bf_ref = predictive_beamformers(
         geom, prior.mean.position, prior.mean.velocity, N_SYM, TS
     )
@@ -283,10 +288,10 @@ def test_track_step_composes_forecast_beam_update():
     )
     h_bar = observation_mean(geom, model, prior.mean, bf_ref[-1], 1.0, N_SYM, TS)
     jac = observation_jacobian(geom, model, prior.mean, bf_ref[-1], 1.0, N_SYM, TS)
-    want, want_diag = kalman_update(prior, y, jac, h_bar, cfg.echo_noise_power)
+    want, want_diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
 
     bf, post, diag = ekf_track_step(
-        belief, lambda b: y, geom, model, cfg, 1.0, N_SYM, TS, DT
+        belief, lambda b: y, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
     )
     np.testing.assert_array_equal(bf, bf_ref)
     np.testing.assert_array_equal(post.mean.as_array(), want.mean.as_array())
@@ -297,16 +302,16 @@ def test_track_step_composes_forecast_beam_update():
 def test_track_step_noiseless_fixed_point():
     geom = geom_for(64)
     model = default_model()
-    cfg = EkfConfig(process_noise=MotionNoise(0.0, 0.0), echo_noise_power=0.0)
+    process_noise, echo_noise_power = MotionNoise(0.0, 0.0), 0.0
     rng = np.random.default_rng(0)
     traj = generate_trajectory(
         MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), DT, 100, rng
     )
     noise = 0.0
-    belief = initial_belief(traj[0], 0.1)
+    belief = TrackerBelief(MotionState.from_array(traj[0]), 0.1 * np.eye(4))
     worst = 0.0
     for l in range(1, 100):
-        eta = traj[l]
+        eta = MotionState.from_array(traj[l])
 
         def observe(bf, eta=eta):
             return synthesize_observation(
@@ -314,7 +319,7 @@ def test_track_step_noiseless_fixed_point():
             )
 
         bf, belief, diag = ekf_track_step(
-            belief, observe, geom, model, cfg, 1.0, N_SYM, TS, DT
+            belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
         )
         worst = max(
             worst,
@@ -330,7 +335,7 @@ def test_track_step_throughput_near_matched():
     # matched-filter rate once the filter locks
     geom = geom_for(64)
     model = default_model()
-    cfg = EkfConfig(process_noise=MotionNoise(0.01, 0.01), echo_noise_power=1e-8)
+    process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
     traj_rng = stream(0, "trajectory")
     noise_rng = stream(0, "echo-noise")
     cpis = 600
@@ -338,10 +343,10 @@ def test_track_step_throughput_near_matched():
         MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, cpis, traj_rng
     )
     noise = 1e-8
-    belief = initial_belief(traj[0], 0.1)
+    belief = TrackerBelief(MotionState.from_array(traj[0]), 0.1 * np.eye(4))
     rates, opts = [], []
     for l in range(1, cpis):
-        eta = traj[l]
+        eta = MotionState.from_array(traj[l])
 
         def observe(bf, eta=eta):
             return synthesize_observation(
@@ -349,7 +354,7 @@ def test_track_step_throughput_near_matched():
             )
 
         bf, belief, diag = ekf_track_step(
-            belief, observe, geom, model, cfg, 1.0, N_SYM, TS, DT
+            belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
         )
         rates.append(cpi_throughput(geom, model, eta, bf, TS, 1.0, 1e-8))
         a1 = pathloss(model, eta.position, "downlink")
@@ -360,7 +365,7 @@ def test_track_step_throughput_near_matched():
 def test_belief_sequence_deterministic():
     geom = geom_for(32)
     model = default_model()
-    cfg = EkfConfig(process_noise=MotionNoise(0.01, 0.01), echo_noise_power=1e-8)
+    process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
 
     def run():
         traj_rng = stream(5, "trajectory")
@@ -369,10 +374,10 @@ def test_belief_sequence_deterministic():
             MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, 40, traj_rng
         )
         noise = 1e-8
-        belief = initial_belief(traj[0], 0.1)
+        belief = TrackerBelief(MotionState.from_array(traj[0]), 0.1 * np.eye(4))
         means = []
         for l in range(1, 40):
-            eta = traj[l]
+            eta = MotionState.from_array(traj[l])
 
             def observe(bf, eta=eta):
                 return synthesize_observation(
@@ -380,7 +385,7 @@ def test_belief_sequence_deterministic():
                 )
 
             bf, belief, diag = ekf_track_step(
-                belief, observe, geom, model, cfg, 1.0, N_SYM, TS, DT
+                belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
             )
             means.append(np.concatenate([belief.mean.as_array(), belief.covariance.ravel()]))
         return np.array(means)

@@ -26,13 +26,13 @@ from nfbeam import (
 )
 from nfbeam import harness
 from nfbeam.beamforming import (
-    fd_predicted_state,
+    feedback_latch_index,
     ff_beamformers,
     opt_beamformers,
     predictive_beamformers,
 )
 from nfbeam.harness import read_metrics_csv
-from nfbeam.motion import generate_trajectory
+from nfbeam.motion import MotionState, generate_trajectory
 from nfbeam.signals import cpi_throughput
 
 
@@ -86,10 +86,18 @@ def test_matched_method_rides_the_opt_column():
 
 
 def _trajectory(cfg):
-    return generate_trajectory(
+    table = generate_trajectory(
         cfg.state0, cfg.motion_noise, cfg.system.cpi_duration_s, cfg.num_cpis,
         stream(cfg.seed, "trajectory"),
     )
+    return [MotionState.from_array(row) for row in table]
+
+
+def _fd_state(traj, cpi, period_cpis, dt):
+    """Feedback pointer at one CPI: the latched state, dead-reckoned since its report."""
+    latch = feedback_latch_index(cpi, period_cpis)
+    st = traj[latch - 1]
+    return st.position + (cpi - latch) * dt * st.velocity, st.velocity
 
 
 def _single_rate(cfg, bf, eta):
@@ -114,7 +122,7 @@ def _per_cpi_baseline_rates(cfg):
             bf_ff = bf_fd = bf_opt
         else:
             bf_ff = ff_beamformers(geom, eta, n_sym, ts)
-            fd_p, fd_v = fd_predicted_state(traj, cpi, cfg.feedback_period_cpis, dt)
+            fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, dt)
             bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts)
         out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
     return out
@@ -203,9 +211,7 @@ def test_estimate_columns_of_every_method(method, signed, num_cpis, monkeypatch)
     if method == "fd":
         want = []
         for cpi in range(1, num_cpis + 1):
-            p, v = fd_predicted_state(
-                traj, cpi, cfg.feedback_period_cpis, cfg.system.cpi_duration_s
-            )
+            p, v = _fd_state(traj, cpi, cfg.feedback_period_cpis, cfg.system.cpi_duration_s)
             want.append((*p, *v))
     elif method == "ekf":
         want = [(b.x, b.y, b.vx, b.vy) for b in result.belief_rows]

@@ -1,4 +1,5 @@
 """Kinematics, process noise, and trajectory generation."""
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,19 @@ from nfbeam.motion import (
     MotionState,
     generate_trajectory,
     kinematic_forecast,
-    step_motion,
     transition_matrix,
 )
+
+
+def _reference_trajectory(eta0, noise, dt, num_cpis, rng):
+    """The state-by-state loop: move with the pre-step velocity, then kick it."""
+    traj = [eta0]
+    for _ in range(num_cpis - 1):
+        moved = kinematic_forecast(traj[-1], dt)
+        dvx = rng.normal(0.0, math.sqrt(noise.var_vx))
+        dvy = rng.normal(0.0, math.sqrt(noise.var_vy))
+        traj.append(MotionState(moved.x, moved.y, moved.vx + dvx, moved.vy + dvy))
+    return np.array([s.as_array() for s in traj])
 
 
 def test_state_array_round_trip():
@@ -53,7 +64,7 @@ def test_step_motion_moves_with_pre_step_velocity():
     rng = np.random.default_rng(1)
     eta = MotionState(5.0, 10.0, 8.0, 7.0)
     dt = 1e-4
-    out = step_motion(eta, MotionNoise(0.01, 0.01), dt, rng)
+    out = MotionState.from_array(generate_trajectory(eta, MotionNoise(0.01, 0.01), dt, 2, rng)[1])
     # position must use the old velocity; the perturbation lands on velocity only
     assert out.x == 5.0 + dt * 8.0
     assert out.y == 10.0 + dt * 7.0
@@ -66,7 +77,9 @@ def test_step_motion_moves_with_pre_step_velocity():
 def test_step_motion_zero_noise_is_forecast():
     rng = np.random.default_rng(2)
     eta = MotionState(1.0, 9.0, -3.0, 2.0)
-    stepped = step_motion(eta, MotionNoise(0.0, 0.0), 1e-4, rng)
+    stepped = MotionState.from_array(
+        generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng)[1]
+    )
     assert stepped == kinematic_forecast(eta, 1e-4)
 
 
@@ -75,7 +88,7 @@ def test_trajectory_shape_and_start():
     eta0 = MotionState(5.0, 10.0, 8.0, 7.0)
     traj = generate_trajectory(eta0, MotionNoise(0.01, 0.01), 1e-4, 50, rng)
     assert len(traj) == 50
-    assert traj[0] == eta0
+    assert MotionState.from_array(traj[0]) == eta0
 
 
 def test_trajectory_deterministic_per_seed():
@@ -84,15 +97,15 @@ def test_trajectory_deterministic_per_seed():
     a = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(7))
     b = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(7))
     c = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(8))
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_noiseless_trajectory_is_uniform_motion():
     eta0 = MotionState(2.0, 8.0, -1.5, 3.0)
     dt = 1e-3
     traj = generate_trajectory(eta0, MotionNoise(0.0, 0.0), dt, 200, np.random.default_rng(4))
-    for l, eta in enumerate(traj):
+    for l, eta in enumerate(map(MotionState.from_array, traj)):
         np.testing.assert_allclose(eta.x, 2.0 - 1.5 * l * dt, rtol=1e-12)
         np.testing.assert_allclose(eta.y, 8.0 + 3.0 * l * dt, rtol=1e-12)
         assert eta.vx == -1.5 and eta.vy == 3.0
@@ -103,7 +116,7 @@ def test_velocity_increments_uncorrelated():
     traj = generate_trajectory(
         eta0, MotionNoise(0.01, 0.01), 1e-4, 100_001, np.random.default_rng(5)
     )
-    dvx = np.diff([eta.vx for eta in traj])
+    dvx = np.diff(traj[:, 2])
     dvx -= dvx.mean()
     lag1 = float(np.dot(dvx[1:], dvx[:-1]) / np.dot(dvx, dvx))
     assert abs(lag1) < 0.02
@@ -115,6 +128,20 @@ def test_rng_draw_count_is_stable():
     rng_a = np.random.default_rng(6)
     rng_b = np.random.default_rng(6)
     eta = MotionState(1.0, 5.0, 1.0, 1.0)
-    step_motion(eta, MotionNoise(0.0, 0.0), 1e-4, rng_a)
-    step_motion(eta, MotionNoise(0.01, 0.01), 1e-4, rng_b)
+    generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng_a)
+    generate_trajectory(eta, MotionNoise(0.01, 0.01), 1e-4, 2, rng_b)
+    assert rng_a.normal() == rng_b.normal()
+
+
+@pytest.mark.parametrize("num_cpis", [1, 2, 2000])
+@pytest.mark.parametrize("variances", [(0.0, 0.0), (0.0, 0.02), (0.01, 0.04), (0.01, 0.01)])
+def test_trajectory_is_bit_identical_to_the_state_loop(variances, num_cpis):
+    eta0 = MotionState(5.0, 10.0, 8.0, 7.0)
+    noise = MotionNoise(*variances)
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    got = generate_trajectory(eta0, noise, 1e-4, num_cpis, rng_a)
+    want = _reference_trajectory(eta0, noise, 1e-4, num_cpis, rng_b)
+    assert got.shape == (num_cpis, 4)
+    assert got.tobytes() == want.tobytes()
+    # both drew the same number of kicks, in the same order
     assert rng_a.normal() == rng_b.normal()

@@ -65,7 +65,7 @@ def _calls(signed):
     y = np.random.default_rng(7).standard_normal(geom.num_antennas) * (1 + 1j)
 
     def velocity_problem(eta):
-        prob = agdao._VelocityProblem(y, geom, MODEL, eta.position, f[-1], 2.0, N_SYM, TS)
+        prob = agdao.VelocityProblem(y, geom, MODEL, eta.position, f[-1], 2.0, N_SYM, TS)
         return np.concatenate([prob.W.ravel(), prob.exponent.ravel(), [prob.scale]])
 
     return {

@@ -33,8 +33,8 @@ def test_digests_repeat_across_output_directories(tmp_path):
 
 def test_command_list_covers_the_acceptance_runs():
     names = [name for name, _ in _tool().COMMANDS]
-    assert len(names) == len(set(names)) == 13
-    assert names[0] == "track" and "converge-signed" in names
+    assert len(names) == len(set(names)) == 14
+    assert names[0] == "track" and "converge-signed" in names and "check" in names
 
 
 @pytest.mark.parametrize("name", ["track-ekf-m64-signed", "track-agdao-m64-signed"])

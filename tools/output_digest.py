@@ -7,7 +7,8 @@
 Each command runs as ``python -m nfbeam.cli`` on this checkout's ``src/``,
 with one BLAS thread, inside OUT_DIR and with a relative ``--out``, so the
 paths the commands print, and with them the digests, do not depend on
-OUT_DIR. One line per stdout and per CSV: ``<sha256>  <command>/<file>``.
+OUT_DIR. ``check`` writes no files and takes no ``--out``; its stdout is the
+oracle report. One line per stdout and per CSV: ``<sha256>  <command>/<file>``.
 
 To check that a change leaves every output byte-identical, copy this script
 into the other checkout, run it in both, and diff the two listings.
@@ -36,7 +37,7 @@ _SIGNED = ("--set", "system.signed_projection=true")
 # where the two projection conventions differ (beyond its edge they agree)
 _FRONT = ("--set", "initial_state=[0.05,3.0,8.0,7.0]")
 
-# (name, nfbeam arguments without --out)
+# (name, nfbeam arguments without --out; every command but check gets one)
 COMMANDS = (
     ("track", ("track",)),
     *(
@@ -46,6 +47,7 @@ COMMANDS = (
     ),
     ("sweep-power-m128", ("sweep-power", "--cpis", "10", "--set", "system.num_antennas=128")),
     ("converge-signed", ("converge", *_SIGNED)),
+    ("check", ("check",)),
 )
 
 
@@ -61,8 +63,9 @@ def digests(out_dir, commands=COMMANDS) -> list[str]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     lines = []
     for name, args in commands:
+        out = () if args[0] == "check" else ("--out", name)
         proc = subprocess.run(
-            [sys.executable, "-m", "nfbeam.cli", *args, "--out", name],
+            [sys.executable, "-m", "nfbeam.cli", *args, *out],
             cwd=out_dir, env=env, capture_output=True, check=False,
         )
         if proc.returncode != 0:
