@@ -9,6 +9,18 @@ from . import geometry as geo
 from .motion import MotionState, StateBatch
 
 
+def _scale_by_rsqrt(z: np.ndarray, num_antennas: int) -> np.ndarray:
+    """z / sqrt(M) in place: the division's bits without numpy's complex-division loop."""
+    # numpy divides a complex a + bj by a real c as ((a + b*0) * s, (b - a*0) * s)
+    # with s = 1/c: that is (a*s, b*s), the float view times s, unless a part is
+    # a negative zero. A zero imaginary part beside a positive real part, as in
+    # a phasor at phase 0, keeps its sign here; a complex `z *= s` would turn its
+    # -0 into +0.
+    parts = z.view(np.float64)
+    parts *= 1.0 / math.sqrt(num_antennas)
+    return z
+
+
 def predictive_beamformers(
     geom: geo.ArrayGeometry,
     p_pred,
@@ -21,6 +33,7 @@ def predictive_beamformers(
     Row n-1 is f(n) = conj(a_tilde(p_pred) * d(n; v_pred)) / sqrt(M); each row
     has unit norm. Shape (num_symbols, M), or (..., num_symbols, M) for
     states of shape (..., 2). p_pred may be its geo.NearField snapshot.
+    Scaling by the real 1/sqrt(M) keeps the bits of dividing by sqrt(M).
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
@@ -29,8 +42,7 @@ def predictive_beamformers(
     # f = conj(atil * d) / sqrt(M), built in place
     np.multiply(nf.steering[..., None, :], f, out=f)
     np.conjugate(f, out=f)
-    f /= math.sqrt(geom.num_antennas)
-    return f
+    return _scale_by_rsqrt(f, geom.num_antennas)
 
 
 def opt_beamformers(
@@ -79,7 +91,7 @@ def ff_beamformers(
     symbol = geo.unit_phasor((-geom.wavenumber * symbol_duration) * (n * v_radial[..., None]))
     # antennas sit on the x-axis, so u^T k_m reduces to u_x * k_m1
     element = geo.unit_phasor((-geom.wavenumber * geo.element_offsets(geom)) * u[..., 0, None])
-    element /= math.sqrt(geom.num_antennas)
+    _scale_by_rsqrt(element, geom.num_antennas)
     return symbol[..., :, None] * element[..., None, :]
 
 

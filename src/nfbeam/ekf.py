@@ -12,6 +12,7 @@ covariance. Tests pin it against the dense textbook form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,20 @@ class TrackerBelief:
     covariance: np.ndarray
 
     def validate(self) -> None:
+        m = self.mean
+        if not all(map(math.isfinite, (m.x, m.y, m.vx, m.vy))):
+            raise FilterHealthError(f"non-finite mean {m}")
         p = np.asarray(self.covariance)
         if p.shape != (4, 4):
             raise ValueError(f"covariance must be 4x4, got {p.shape}")
+        # a non-finite entry makes sym_err NaN or inf, which fails here
         sym_err = float(np.max(np.abs(p - p.T)))
-        if sym_err > SYMMETRY_TOL:
-            raise FilterHealthError(f"covariance asymmetry {sym_err:.3e} exceeds {SYMMETRY_TOL}")
-        eigs = np.linalg.eigvalsh(0.5 * (p + p.T))
+        if not sym_err <= SYMMETRY_TOL:
+            raise FilterHealthError(f"covariance asymmetry {sym_err:.3e} not within {SYMMETRY_TOL}")
+        try:
+            eigs = np.linalg.eigvalsh(0.5 * (p + p.T))
+        except np.linalg.LinAlgError as exc:
+            raise FilterHealthError(f"covariance eigenvalues failed: {exc}") from exc
         bound = -(PSD_TOL_FACTOR * max(float(np.trace(p)), 0.0) + PSD_TOL_FLOOR)
         if float(eigs[0]) < bound:
             raise FilterHealthError(f"covariance eigenvalue {eigs[0]:.3e} below {bound:.3e}")

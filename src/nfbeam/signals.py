@@ -19,8 +19,8 @@ def check_unit_norm(f: np.ndarray, tol: float = BEAM_NORM_TOL) -> None:
     """Raise BeamNormError unless every beamformer row has unit 2-norm."""
     f = np.asarray(f)
     norms = np.linalg.norm(f, axis=-1)
-    err = np.max(np.abs(norms - 1.0))
-    if err > tol:
+    err = np.abs(norms - 1.0).max()
+    if not err <= tol:  # a non-finite row makes err NaN, which fails here
         raise BeamNormError(f"beamformer norm deviates from 1 by {err:.3e} (tol {tol})")
 
 
@@ -36,7 +36,10 @@ def complex_gaussian(rng: np.random.Generator, size: int, power: float) -> np.nd
     if power < 0.0:
         raise ValueError(f"noise power must be nonnegative, got {power}")
     s = math.sqrt(power / 2.0)
-    return rng.normal(0.0, s, size) + 1j * rng.normal(0.0, s, size)
+    z = np.empty(size, dtype=complex)
+    z.real = rng.normal(0.0, s, size)
+    z.imag = rng.normal(0.0, s, size)
+    return z
 
 
 def observation_mean(

@@ -12,11 +12,12 @@ from nfbeam.beamforming import (
     opt_beamformers,
     predictive_beamformers,
 )
+from nfbeam import geometry as geo
 from nfbeam.geometry import DegeneratePositionError, array_response, element_offsets
-from nfbeam.motion import MotionNoise, MotionState, generate_trajectory
+from nfbeam.motion import MotionNoise, MotionState, StateBatch, generate_trajectory
 from nfbeam.signals import check_unit_norm, cpi_throughput
 
-from helpers import N_SYM, TS, default_model, geom_for, sample_state
+from helpers import N_SYM, TS, default_model, geom_for, sample_broadside_state, sample_state
 
 
 def test_predictive_rows_match_conjugate_response():
@@ -139,3 +140,50 @@ def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
     got = fd_predicted_state(traj, period, 1e-4)
     assert got.shape == (num_cpis, 4)
     assert got.tobytes() == np.array(want).tobytes()
+
+
+def _divided_predictive(geom, eta):
+    """conj(a_tilde * d(n)) built as predictive_beamformers does, then / sqrt(M)."""
+    nf = geo.near_field(geom, eta.position)
+    d = geo.symbol_dopplers(geom, N_SYM, TS, eta.velocity, nf)
+    return np.conj(nf.steering[..., None, :] * d) / math.sqrt(geom.num_antennas)
+
+
+def _divided_ff(geom, eta):
+    """The far-field beam built as ff_beamformers does, its element phasor / sqrt(M)."""
+    def dot2(a, b):
+        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+    p = geo.as_points(eta.position, "position")
+    u = p / np.sqrt(dot2(p, p))[..., None]
+    v_radial = dot2(geo.as_points(eta.velocity, "velocity"), u)
+    n = np.arange(1, N_SYM + 1)
+    symbol = geo.unit_phasor((-geom.wavenumber * TS) * (n * v_radial[..., None]))
+    element = geo.unit_phasor((-geom.wavenumber * element_offsets(geom)) * u[..., 0, None])
+    element = element / math.sqrt(geom.num_antennas)
+    return symbol[..., :, None] * element[..., None, :]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 128, 512, 1000])
+def test_beams_are_bit_identical_to_dividing_by_sqrt_m(m):
+    """Scaling by 1/sqrt(M) must give the bits of numpy's complex / sqrt(M).
+
+    The broadside states at rest put phase exactly 0 on the far-field
+    element phasors (u_x = 0) and the symbol phasors (v_radial = 0): a zero
+    imaginary part whose sign a complex multiply by 1/sqrt(M) would flip.
+    """
+    geom = geom_for(m)
+    rng = np.random.default_rng(m)
+    states = [
+        sample_state(rng, geom),
+        sample_broadside_state(rng),
+        MotionState(0.0, 10.0, 0.0, 0.0),
+        MotionState(0.0, 10.0, 0.0, -3.0),
+        MotionState(-3.0, 10.0, 0.0, 0.0),
+    ]
+    for eta in [*states, StateBatch.stack(states)]:
+        want = _divided_predictive(geom, eta).tobytes()
+        got = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
+        assert got.tobytes() == want
+        assert opt_beamformers(geom, eta, N_SYM, TS).tobytes() == want
+        assert ff_beamformers(geom, eta, N_SYM, TS).tobytes() == _divided_ff(geom, eta).tobytes()

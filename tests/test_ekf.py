@@ -391,3 +391,42 @@ def test_belief_sequence_deterministic():
         return np.array(means)
 
     np.testing.assert_array_equal(run(), run())
+
+
+@pytest.mark.parametrize("field", ["x", "y", "vx", "vy"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_belief_validation_rejects_non_finite_mean(field, bad):
+    mean = MotionState(**{**dict(x=0.0, y=10.0, vx=0.0, vy=0.0), field: bad})
+    with pytest.raises(FilterHealthError, match="non-finite mean"):
+        TrackerBelief(mean=mean, covariance=np.eye(4)).validate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_belief_validation_rejects_non_finite_covariance(bad):
+    mean = MotionState(0.0, 10.0, 0.0, 0.0)
+    for entry in ((0, 0), (1, 2), (3, 3)):
+        cov = np.eye(4)
+        cov[entry] = cov[entry[::-1]] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(FilterHealthError):
+            TrackerBelief(mean=mean, covariance=cov).validate()
+    with np.errstate(invalid="ignore"), pytest.raises(FilterHealthError):
+        TrackerBelief(mean=mean, covariance=np.full((4, 4), bad)).validate()
+
+
+def test_belief_validation_reports_eigensolver_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(FilterHealthError, match="did not converge"):
+        TrackerBelief(mean=MotionState(0.0, 10.0, 0.0, 0.0), covariance=np.eye(4)).validate()
+
+
+def test_update_refuses_a_non_finite_ridged_solve():
+    # a NaN echo makes the first solve non-finite; the ridged re-solve is too,
+    # and its NaN mean must not leave kalman_update as a posterior
+    prior = TrackerBelief(mean=MotionState(5.0, 10.0, 8.0, 7.0), covariance=np.eye(4))
+    jac = np.zeros((1, 4), complex)
+    jac[0, 0] = 1.0
+    with pytest.raises(FilterHealthError, match="non-finite mean"):
+        kalman_update(prior, np.array([complex(math.nan, 0.0)]), jac, np.array([0j]), 0.1)

@@ -34,6 +34,23 @@ def test_check_unit_norm_accepts_and_rejects():
         check_unit_norm(rows)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_unit_norm_refuses_non_finite_rows(bad):
+    f = np.ones(8, dtype=complex) / math.sqrt(8)
+    rows = np.stack([f, f, f])
+    check_unit_norm(rows)
+    rows[1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(BeamNormError):
+        check_unit_norm(rows)
+    batch = np.stack([np.stack([f, f, f])] * 4)
+    check_unit_norm(batch)
+    batch[2, 0, 3] = complex(0.0, bad)
+    with np.errstate(invalid="ignore"), pytest.raises(BeamNormError):
+        check_unit_norm(batch)
+    with pytest.raises(BeamNormError):
+        check_unit_norm(np.full(8, complex(math.nan, math.nan)))
+
+
 def test_synthesize_observation_checks_echo_noise_power():
     geom = geom_for(8)
     model = default_model()
@@ -63,6 +80,20 @@ def test_complex_gaussian_statistics():
     assert abs(np.var(z.imag) - half) < bound
     assert abs(np.mean(z.real * z.imag)) < 4.0 * half / math.sqrt(n)
     assert np.array_equal(complex_gaussian(np.random.default_rng(0), n, power), z)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1001])
+@pytest.mark.parametrize("size", [1, 7, 512])
+@pytest.mark.parametrize("power", [0.0, 1e-3, 2.5])
+def test_complex_gaussian_is_bit_identical_to_the_sum_of_draws(seed, size, power):
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    s = math.sqrt(power / 2.0)
+    ref = ref_rng.normal(0.0, s, size) + 1j * ref_rng.normal(0.0, s, size)
+    z = complex_gaussian(rng, size, power)
+    assert z.shape == (size,) and z.dtype == np.complex128
+    assert z.tobytes() == ref.tobytes()
+    assert rng.normal() == ref_rng.normal()
 
 
 def test_complex_gaussian_zero_power():
