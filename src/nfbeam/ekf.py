@@ -26,7 +26,7 @@ from .motion import (
     kinematic_forecast,
     transition_matrix,
 )
-from .signals import check_unit_norm, observation_mean
+from .signals import observation_mean
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL_FACTOR = 1e-9
@@ -34,6 +34,8 @@ PSD_TOL_FACTOR = 1e-9
 # collapses P to machine-epsilon scale.
 PSD_TOL_FLOOR = 1e-15
 RIDGE_FACTOR = 1e-12
+_I4 = np.eye(4)
+_I4.flags.writeable = False
 
 
 class FilterHealthError(RuntimeError):
@@ -143,21 +145,22 @@ def kalman_update(
     p = np.asarray(prior.covariance, dtype=float)
     r = echo_noise_power / 2.0
 
-    a = gram @ p + r * np.eye(4)
-    rhs = np.concatenate([u[:, None], np.eye(4)], axis=1)
+    a = gram @ p + r * _I4
+    rhs = np.empty((4, 5))
+    rhs[:, 0], rhs[:, 1:] = u, _I4
     ridged = False
-    if not np.any(a):
+    if not a.any():
         # no sensitivity and no noise: nothing to assimilate
         posterior = TrackerBelief(mean=prior.mean, covariance=p.copy())
         posterior.validate()
         return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), False)
     try:
         x = np.linalg.solve(a, rhs)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise np.linalg.LinAlgError("non-finite solve result")
     except np.linalg.LinAlgError:
         ridged = True
-        a = a + RIDGE_FACTOR * float(np.trace(a)) * np.eye(4)
+        a = a + RIDGE_FACTOR * float(np.trace(a)) * _I4
         x = np.linalg.solve(a, rhs)
 
     delta = p @ x[:, 0]
@@ -166,7 +169,7 @@ def kalman_update(
     mean = MotionState.from_array(prior.mean.as_array() + delta)
     # Joseph form, contracted to 4x4: PSD by construction even when the
     # plain (I - K J) P form cancels catastrophically (r -> 0 collapse).
-    imb = np.eye(4) - gain_jac
+    imb = _I4 - gain_jac
     cov = imb @ p @ imb.T + r * (c @ gram @ c.T)
     cov = 0.5 * (cov + cov.T)
     posterior = TrackerBelief(mean=mean, covariance=cov)
@@ -190,14 +193,14 @@ def ekf_track_step(
 
     observe maps the transmitted beamformers to this CPI's echo snapshot, shape (M,).
     Returns (beamformers, posterior, diagnostics). One near-field snapshot at
-    the prior mean serves the beam, the echo mean and the Jacobian.
+    the prior mean serves the beam, the echo mean and the Jacobian (one array
+    response for both); observe checks the beam's norm, as synthesize_observation does.
     """
     prior = ekf_forecast(belief, cpi_duration, process_noise)
     at = StateBatch(geo.NearField(geom, prior.mean.position), prior.mean.velocity)
     bf = predictive_beamformers(geom, at.position, at.velocity, num_symbols, symbol_duration)
     y = observe(bf)
     f_last = bf[-1]
-    check_unit_norm(f_last)
     h_bar = observation_mean(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
     jac = observation_jacobian(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
     posterior, diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)

@@ -139,7 +139,7 @@ class NearField:
     Indexing the leading axes gives the snapshot of a subset.
     """
 
-    __slots__ = ("geom", "position", "r", "ux", "uy", "steering", "g", "q")
+    __slots__ = ("geom", "position", "r", "ux", "uy", "steering", "g", "q", "response")
 
     def __init__(self, geom: ArrayGeometry, p):
         p = as_points(p, "position")
@@ -155,10 +155,11 @@ class NearField:
     def _set(self, geom, *arrays) -> None:
         self.geom = geom
         self.position, self.r, self.ux, self.uy, self.steering, self.g, self.q = arrays
+        self.response = (None, None)  # (key, a) of the last array_response
 
     def __getitem__(self, index) -> "NearField":
         part = object.__new__(NearField)
-        part._set(self.geom, *(getattr(self, name)[index] for name in self.__slots__[1:]))
+        part._set(self.geom, *(getattr(self, name)[index] for name in self.__slots__[1:-1]))
         return part
 
 
@@ -221,9 +222,20 @@ def symbol_dopplers(
 
 
 def array_response(geom: ArrayGeometry, n: int, symbol_duration: float, v, p) -> np.ndarray:
-    """Steering vector times Doppler at symbol n: a = a_tilde * d(n)."""
+    """Steering vector times Doppler at symbol n: a = a_tilde * d(n), read-only.
+
+    The snapshot keeps the last response and returns it for the same n,
+    symbol_duration and v.
+    """
     nf = near_field(geom, p)
-    return nf.steering * doppler_vector(geom, n, symbol_duration, v, nf)
+    v = as_points(v, "velocity")
+    key = (n, symbol_duration, v.shape, v.tobytes())
+    if nf.response[0] == key:
+        return nf.response[1]
+    a = nf.steering * doppler_vector(geom, n, symbol_duration, v, nf)
+    a.flags.writeable = False
+    nf.response = (key, a)
+    return a
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nfbeam import (
+    BeamNormError,
     ExperimentConfig,
     FilterHealthError,
     MotionNoise,
@@ -26,6 +27,8 @@ from nfbeam import (
     synthesize_observation,
     transition_matrix,
 )
+from nfbeam import ekf
+from nfbeam import geometry as geo
 
 from helpers import (
     N_SYM,
@@ -430,3 +433,109 @@ def test_update_refuses_a_non_finite_ridged_solve():
     jac[0, 0] = 1.0
     with pytest.raises(FilterHealthError, match="non-finite mean"):
         kalman_update(prior, np.array([complex(math.nan, 0.0)]), jac, np.array([0j]), 0.1)
+
+
+def _long_double_jacobian(geom, model, eta, f, s_amp, num_symbols, symbol_duration):
+    """The echo Jacobian's four columns assembled in np.longdouble arithmetic.
+
+    The inputs (array response, ranges, projections and their gradients,
+    pathloss) are the float64 values of the geometry layer; only the
+    assembly of the columns runs in long double, so this is a reference for
+    the round-off of the assembly alone.
+    """
+    dtype = np.longdouble
+    cplx = np.result_type(dtype, 1j).type
+    nf = geo.near_field(geom, eta.position)
+    r, ux, uy, g, q = (np.asarray(x, dtype) for x in (nf.r, nf.ux, nf.uy, nf.g, nf.q))
+    grads = geo.projection_coeff_gradients(geom, nf)
+    dg_dx, dq_dx, dg_dy, dq_dy = (np.asarray(d, dtype) for d in grads)
+    v = np.asarray(eta.velocity, dtype)
+    kappa = dtype(geom.wavenumber)
+    dtt = dtype(num_symbols) * dtype(symbol_duration)
+    s_amp = dtype(s_amp)
+    a = np.asarray(geo.array_response(geom, num_symbols, symbol_duration, eta.velocity, nf), cplx)
+    f = np.asarray(f, cplx)
+    alpha2 = dtype(geo.pathloss(model, nf.position, geo.ROUNDTRIP))
+    da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(model, nf.position))
+    minus_j = -cplx(1j)
+
+    af = a @ f
+    core = a * af
+    da_dx = minus_j * kappa * a * (dtt * (v[0] * dg_dx + v[1] * dq_dx) + ux / r)
+    da_dy = minus_j * kappa * a * (dtt * (v[0] * dg_dy + v[1] * dq_dy) + uy / r)
+    col_x = s_amp * (da2_dx * core + alpha2 * (da_dx * af + a * (da_dx @ f)))
+    col_y = s_amp * (da2_dy * core + alpha2 * (da_dy * af + a * (da_dy @ f)))
+    fac = minus_j * kappa * dtt * alpha2 * s_amp
+    ga, qa = g * a, q * a
+    col_vx = fac * (ga * af + a * (ga @ f))
+    col_vy = fac * (qa * af + a * (qa @ f))
+    return np.column_stack([col_x, col_y, col_vx, col_vy])
+
+
+def _jacobian_cases(m, signed):
+    """Broadside (at rest and moving), off-axis and front-of-aperture states,
+    each with the predictive beam at the state and with a random unit beam."""
+    geom = geom_for(m, signed)
+    states = [
+        MotionState(0.0, 10.0, 0.0, 0.0),
+        MotionState(0.0, 10.0, 3.0, -2.0),
+        MotionState(5.0, 10.0, 8.0, 7.0),
+        MotionState(0.05, 3.0, 8.0, 7.0),
+    ]
+    if not signed and m % 2:
+        states = states[2:]  # x = 0 is the middle antenna: a magnitude kink
+    rng = np.random.default_rng(m + 1000 * int(signed))
+    for eta in states:
+        matched = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)[-1]
+        other = rng.normal(size=m) + 1j * rng.normal(size=m)
+        for f in (matched, other / np.linalg.norm(other)):
+            yield geom, eta, f
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 64, 512])
+def test_jacobian_against_long_double(m, signed):
+    # error of a column: its distance to the long-double assembly over that
+    # column's norm, within a few units of round-off
+    model = default_model()
+    for geom, eta, f in _jacobian_cases(m, signed):
+        exact = _long_double_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        size = np.linalg.norm(exact, axis=0)
+        live = size > 0  # broadside at rest: the x column vanishes
+        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        err = np.linalg.norm(jac - exact, axis=0)
+        assert np.all(err[~live] == 0.0)
+        assert np.all(err[live] < 8 * np.finfo(float).eps * size[live]), (eta, err / size)
+
+
+def test_harness_ekf_refuses_a_non_unit_beam(monkeypatch):
+    # the EKF step leaves the norm check to the echo synthesis, which sees
+    # every beam the tracker sends
+    def stretched(*args, **kwargs):
+        return 1.01 * predictive_beamformers(*args, **kwargs)
+
+    monkeypatch.setattr(ekf, "predictive_beamformers", stretched)
+    cfg = ExperimentConfig(
+        method="ekf", num_cpis=4, system=SystemConfig(num_antennas=16)
+    )
+    with pytest.raises(BeamNormError):
+        run_experiment(cfg)
+
+
+def test_tracked_cpi_builds_two_doppler_vectors(monkeypatch):
+    # one for the echo at the truth, one shared by the echo mean and the
+    # Jacobian at the prior
+    calls = []
+    build = geo.doppler_vector
+
+    def counted(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(geo, "doppler_vector", counted)
+    num_cpis = 7
+    cfg = ExperimentConfig(
+        method="ekf", num_cpis=num_cpis, system=SystemConfig(num_antennas=16)
+    )
+    run_experiment(cfg)
+    assert calls == [N_SYM] * (2 * (num_cpis - 1))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nfbeam import agdao
+from nfbeam import geometry as geo
 from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamformers
 from nfbeam.config import SystemConfig
 from nfbeam.ekf import observation_jacobian
@@ -267,3 +268,70 @@ def test_ff_outer_product_against_long_double(num_symbols, batch):
     re, im = _ld_phasor(-phase)
     scale = math.sqrt(geom.num_antennas)
     assert scale * _ld_error(f, re / scale, im / scale) <= 8.0 * EPS * float(np.max(np.abs(phase)))
+
+
+def _counting_doppler(monkeypatch):
+    calls = []
+    build = doppler_vector
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(geo, "doppler_vector", counted)
+    return calls
+
+
+def test_snapshot_returns_its_array_response_read_only(monkeypatch):
+    calls = _counting_doppler(monkeypatch)
+    eta = _state(True)
+    nf = NearField(GEOM, eta.position)
+    first = array_response(GEOM, N_SYM, TS, eta.velocity, nf)
+    again = array_response(GEOM, N_SYM, TS, tuple(eta.velocity), nf)
+    assert again is first and len(calls) == 1
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    fresh = NearField(GEOM, eta.position)
+    expected = fresh.steering * doppler_vector(GEOM, N_SYM, TS, eta.velocity, fresh)
+    np.testing.assert_array_equal(first, expected)
+
+
+@pytest.mark.parametrize("change", ["n", "symbol_duration", "vx", "vy"])
+def test_snapshot_rebuilds_the_response_when_an_input_changes(monkeypatch, change):
+    eta = _state(False)
+    nf = NearField(GEOM, eta.position)
+    args = {"n": N_SYM, "symbol_duration": TS, "v": np.array(eta.velocity)}
+    first = array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf)
+    if change == "n":
+        args["n"] += 1
+    elif change == "symbol_duration":
+        args["symbol_duration"] *= 1.5
+    else:
+        args["v"][0 if change == "vx" else 1] += 0.25
+    calls = _counting_doppler(monkeypatch)
+    fresh = array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf)
+    assert fresh is not first and len(calls) == 1
+    np.testing.assert_array_equal(
+        fresh,
+        array_response(GEOM, args["n"], args["symbol_duration"], args["v"], eta.position),
+    )
+    assert not np.array_equal(fresh, first)
+    # the snapshot now holds the new response
+    assert array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf) is fresh
+
+
+def test_snapshot_parts_start_without_a_response():
+    rng = np.random.default_rng(8)
+    states = [sample_state(rng, GEOM) for _ in range(3)]
+    p = np.array([s.position for s in states])
+    v = np.array([s.velocity for s in states])
+    nf = NearField(GEOM, p)
+    whole = array_response(GEOM, N_SYM, TS, v, nf)
+    assert nf.response[1] is whole
+    part = nf[1]
+    assert part.response == (None, None)
+    row = array_response(GEOM, N_SYM, TS, v[1], part)
+    assert row is not whole[1] and row.shape == (GEOM.num_antennas,)
+    np.testing.assert_array_equal(row, whole[1])
+
