@@ -4,7 +4,7 @@ Quick independent cross-checks of the analytic pieces: geometry identities,
 the beam and channel phasor rows against their direct phases, the
 closed-form matched-filter SNR, finite differences against the velocity
 gradient and the observation Jacobian, and the dense stacked-real Kalman
-update against the production low-rank form.
+update against the production low-rank form on the factored Jacobian.
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def check_jacobian(seed: int = 0, trials: int = 10):
         eta = _random_state(rng)
         bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS)
         f = bf[-1]
-        jac = observation_jacobian(geom, model, eta, f, s_amp, _N, _TS)
+        jac = np.asarray(observation_jacobian(geom, model, eta, f, s_amp, _N, _TS))
 
         def mean_at(state_vec):
             st = MotionState.from_array(state_vec)
@@ -210,7 +210,8 @@ def _dense_reference_update(prior, y, jac, predicted_mean, echo_noise_power):
 
 
 def check_kalman(seed: int = 0, trials: int = 10):
-    """Low-rank production update vs the dense stacked-real reference.
+    """Low-rank update on the factored Jacobian vs the dense stacked-real
+    reference on its dense expansion.
 
     Two noise regimes: a well-conditioned one where the routes must agree to
     near machine precision, and the operating echo noise where cond(A) ~ 1e9
@@ -233,7 +234,7 @@ def check_kalman(seed: int = 0, trials: int = 10):
         prior = TrackerBelief(mean=eta, covariance=0.1 * np.eye(4))
         for sigma_e2 in (1e-2, 1e-8):
             post, _ = kalman_update(prior, y, jac, h_bar, sigma_e2)
-            ref_mean, ref_cov = _dense_reference_update(prior, y, jac, h_bar, sigma_e2)
+            ref_mean, ref_cov = _dense_reference_update(prior, y, np.asarray(jac), h_bar, sigma_e2)
             dev = max(
                 float(np.max(np.abs(post.mean.as_array() - ref_mean))),
                 float(np.max(np.abs(post.covariance - ref_cov))),

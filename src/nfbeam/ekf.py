@@ -8,10 +8,14 @@ low-rank identity: with G = Re(J^H J), u = Re(J^H nu), r = sigma_e^2 / 2,
     P_post = P - P (G P + r I)^(-1) G P
 
 which costs one 4x4 solve per CPI instead of factorizing a 2M x 2M innovation
-covariance. Tests pin it against the dense textbook form.
+covariance. Tests pin it against the dense textbook form. The Jacobian comes
+factored, J = a[:, None] * Z.T, with a the array response and Z (4, M); as
+|a_m| = 1, G = Zv Zv^T and u = Zv (conj(a) nu).view(float) for the real view
+Zv = Z.view(float), (4, 2M): one real product, no (M, 4) complex J.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,12 +81,41 @@ class UpdateDiagnostics:
     ridged: bool = False
 
 
+@functools.lru_cache(maxsize=8)
+def _forecast_model(dt: float, noise: MotionNoise) -> tuple[np.ndarray, np.ndarray]:
+    """Transition and process-noise matrices (F, Q) of one CPI, read-only."""
+    f, q = transition_matrix(dt), noise.covariance()
+    f.flags.writeable = q.flags.writeable = False
+    return f, q
+
+
 def ekf_forecast(belief: TrackerBelief, dt: float, noise: MotionNoise) -> TrackerBelief:
     """Constant-velocity prediction of mean and covariance over one CPI."""
-    f = transition_matrix(dt)
+    f, q = _forecast_model(dt, noise)
     mean = kinematic_forecast(belief.mean, dt)
-    cov = f @ belief.covariance @ f.T + noise.covariance()
+    cov = f @ belief.covariance @ f.T + q
     return TrackerBelief(mean=mean, covariance=cov)
+
+
+@dataclass(frozen=True)
+class FactoredJacobian:
+    """J = response[:, None] * sensitivity.T: the unit-modulus response a, (M,),
+    and a C-contiguous Z, (4, M). np.asarray gives the dense (M, 4) J."""
+
+    response: np.ndarray
+    sensitivity: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.response[:, None] * self.sensitivity.T, dtype=dtype)
+
+    def gram_and_score(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = Re(J^H J) and u = Re(J^H nu): Z's float view times [Z; conj(a) nu]'s."""
+        z = self.sensitivity
+        rows = np.empty((5, z.shape[1]), complex)
+        rows[:4] = z
+        np.multiply(np.conj(self.response), nu, out=rows[4])
+        prod = z.view(float) @ rows.view(float).T
+        return prod[:, :4], prod[:, 4]
 
 
 def observation_jacobian(
@@ -93,55 +126,53 @@ def observation_jacobian(
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
-) -> np.ndarray:
-    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy], shape (M, 4).
+) -> FactoredJacobian:
+    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy], dense shape (M, 4).
 
     eta.position may be its geo.NearField snapshot; the array response is the
     one observation_mean builds.
     """
-    f = np.asarray(f)
     nf = geo.near_field(geom, eta.position)
-    p, r, ux, uy, g, q = nf.position, nf.r, nf.ux, nf.uy, nf.g, nf.q
-    v = eta.velocity
-    kappa = geom.wavenumber
-    dtt = num_symbols * symbol_duration
-
+    v, dtt = eta.velocity, num_symbols * symbol_duration
     a = geo.array_response(geom, num_symbols, symbol_duration, v, nf)
     af = a @ f
-    core = a * af
-
-    alpha2 = geo.pathloss(model, p, geo.ROUNDTRIP)
-    da2_dx, da2_dy = geo.pathloss_gradient(model, p)
+    alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
+    da2_dx, da2_dy = geo.pathloss_gradient(model, nf.position)
     dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(geom, nf)
 
-    # da/dx = -j*kappa*a*(dtt * d(v_m)/dx + dr/dx); likewise for y
-    da_dx = -1j * kappa * a * (dtt * (v[0] * dg_dx + v[1] * dq_dx) + ux / r)
-    da_dy = -1j * kappa * a * (dtt * (v[0] * dg_dy + v[1] * dq_dy) + uy / r)
-    col_x = s_amp * (da2_dx * core + alpha2 * (da_dx * af + a * (da_dx @ f)))
-    col_y = s_amp * (da2_dy * core + alpha2 * (da_dy * af + a * (da_dy @ f)))
-
-    fac = -1j * kappa * dtt * alpha2 * s_amp
-    ga = g * a
-    qa = q * a
-    col_vx = fac * (ga * af + a * (ga @ f))
-    col_vy = fac * (qa * af + a * (qa @ f))
-    return np.column_stack([col_x, col_y, col_vx, col_vy])
+    # da/d(state_k) = -j*kappa*a*phi_k: phi_x = dtt * d(v_m)/dx + dr/dx (likewise
+    # y), phi_vx = dtt * g and phi_vy = dtt * q
+    vx_dtt, vy_dtt = v[0] * dtt, v[1] * dtt
+    phi = np.empty((4, geom.num_antennas))
+    phi[0] = vx_dtt * dg_dx + vy_dtt * dq_dx + nf.ux / nf.r
+    phi[1] = vx_dtt * dg_dy + vy_dtt * dq_dy + nf.uy / nf.r
+    np.multiply(dtt, nf.g, out=phi[2])
+    np.multiply(dtt, nf.q, out=phi[3])
+    # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
+    c = -1j * geom.wavenumber * alpha2 * s_amp
+    w = (a * f).view(float).reshape(-1, 2)
+    big_a = c * (phi @ w).view(complex)
+    big_a[0] += s_amp * da2_dx * af
+    big_a[1] += s_amp * da2_dy * af
+    z = np.multiply(phi, c * af)
+    z += big_a
+    return FactoredJacobian(a, z)
 
 
 def kalman_update(
     prior: TrackerBelief,
     y: np.ndarray,
-    jacobian: np.ndarray,
+    jacobian: FactoredJacobian | np.ndarray,
     predicted_mean: np.ndarray,
     echo_noise_power: float,
 ):
     """Assimilate one echo snapshot; returns (posterior, UpdateDiagnostics)."""
     if echo_noise_power < 0.0:
         raise ValueError(f"echo_noise_power must be nonnegative, got {echo_noise_power}")
+    if not isinstance(jacobian, FactoredJacobian):  # a dense (M, 4) J: unit response
+        jacobian = FactoredJacobian(np.ones(len(jacobian)), np.asarray(jacobian, complex).T.copy())
     nu = np.asarray(y) - np.asarray(predicted_mean)
-    jh = np.conj(jacobian).T
-    u = np.real(jh @ nu)
-    gram = np.real(jh @ jacobian)
+    gram, u = jacobian.gram_and_score(nu)
     p = np.asarray(prior.covariance, dtype=float)
     r = echo_noise_power / 2.0
 

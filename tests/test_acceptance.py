@@ -146,7 +146,7 @@ def test_criterion_03_observation_jacobian_matches_finite_differences():
             eta = sample_state(rng, geom)
             bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS)
             f = bf[-1]
-            jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+            jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
 
             base = eta.as_array()
             for col in range(4):

@@ -27,7 +27,7 @@ from nfbeam import (
     synthesize_observation,
     transition_matrix,
 )
-from nfbeam import ekf
+from nfbeam import checks, ekf
 from nfbeam import geometry as geo
 
 from helpers import (
@@ -100,7 +100,7 @@ def test_jacobian_matches_finite_difference(signed):
         eta = sample_state(rng, geom)
         bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS)
         f = bf[-1]
-        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
 
         def mean_at(state):
             return observation_mean(geom, model, MotionState(*state), f, 1.0, N_SYM, TS)
@@ -129,7 +129,7 @@ def test_jacobian_velocity_columns_at_rest():
     rng = np.random.default_rng(3)
     f = rng.normal(size=24) + 1j * rng.normal(size=24)
     f /= np.linalg.norm(f)
-    jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+    jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
     from nfbeam import projection_coeffs, steering_vector
 
     atil = steering_vector(geom, eta.position)
@@ -150,8 +150,8 @@ def test_jacobian_linear_in_beam_phase():
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
     f /= np.linalg.norm(f)
     phase = np.exp(1j * 0.83)
-    jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
-    rotated = observation_jacobian(geom, model, eta, phase * f, 1.0, N_SYM, TS)
+    jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
+    rotated = np.asarray(observation_jacobian(geom, model, eta, phase * f, 1.0, N_SYM, TS))
     np.testing.assert_allclose(rotated, phase * jac, rtol=1e-12)
 
 
@@ -502,10 +502,76 @@ def test_jacobian_against_long_double(m, signed):
         exact = _long_double_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
         size = np.linalg.norm(exact, axis=0)
         live = size > 0  # broadside at rest: the x column vanishes
-        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
         err = np.linalg.norm(jac - exact, axis=0)
         assert np.all(err[~live] == 0.0)
         assert np.all(err[live] < 8 * np.finfo(float).eps * size[live]), (eta, err / size)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 64, 512])
+def test_gram_and_score_against_long_double(m, signed):
+    # G = Re(J^H J) and u = Re(J^H nu) from the factored Jacobian against
+    # their long-double assembly from the long-double columns: G_kl within
+    # 16 eps sqrt(G_kk G_ll), u_k within 16 eps sqrt(G_kk) |nu|
+    model = default_model()
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(m + 1000 * int(signed))
+    for geom, eta, f in _jacobian_cases(m, signed):
+        exact = _long_double_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        nu = rng.normal(size=m) + 1j * rng.normal(size=m)
+        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        gram, score = jac.gram_and_score(nu)
+        exact_h = np.conj(exact).T
+        want_gram = np.real(exact_h @ exact)
+        want_score = np.real(exact_h @ nu.astype(exact.dtype))
+        size = np.sqrt(np.diag(want_gram))
+        assert np.all(np.abs(gram - want_gram) <= 16 * eps * np.outer(size, size)), eta
+        assert np.all(
+            np.abs(score - want_score) <= 16 * eps * size * np.linalg.norm(nu)
+        ), eta
+
+
+def _dense_update(prior, y, jac, predicted_mean, echo_noise_power):
+    """kalman_update's signature over the textbook stacked-real update."""
+    mean, cov = checks._dense_reference_update(
+        prior, y, np.asarray(jac), predicted_mean, echo_noise_power
+    )
+    posterior = TrackerBelief(MotionState.from_array(mean), cov)
+    return posterior, ekf.UpdateDiagnostics(float(np.linalg.norm(y - predicted_mean)))
+
+
+@pytest.mark.parametrize("front", [False, True])
+def test_closed_loop_agrees_with_the_dense_update(monkeypatch, front):
+    # 200 CPIs at M=64, from the default start and from the signed
+    # front-of-aperture start: the production update on the factored Jacobian
+    # and the textbook update on its dense expansion keep the same means.
+    # The prior starts at 1e-8 I: from the default 0.1 I, the first 128 x 128
+    # innovation covariance has cond ~5e11, the textbook inverse errs by ~2e-9
+    # there (the low-rank update by ~2e-13), and the loop carries a position
+    # error into velocity about 1e4 times larger
+    system = SystemConfig(num_antennas=64, signed_projection=front)
+    start = (0.05, 3.0, 8.0, 7.0) if front else (5.0, 10.0, 8.0, 7.0)
+    cfg = ExperimentConfig(
+        system=system, method="ekf", num_cpis=200, initial_state=start, ekf_init_cov=1e-8
+    )
+
+    def means():
+        return np.array([(b.x, b.y, b.vx, b.vy) for b in run_experiment(cfg).belief_rows])
+
+    got = means()
+    monkeypatch.setattr(ekf, "kalman_update", _dense_update)
+    want = means()
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+def test_forecast_matrices_are_built_once_and_read_only():
+    noise = MotionNoise(0.02, 0.03)
+    f, q = ekf._forecast_model(DT, noise)
+    assert ekf._forecast_model(DT, MotionNoise(0.02, 0.03))[0] is f
+    assert not f.flags.writeable and not q.flags.writeable
+    np.testing.assert_array_equal(f, transition_matrix(DT))
+    np.testing.assert_array_equal(q, noise.covariance())
 
 
 def test_harness_ekf_refuses_a_non_unit_beam(monkeypatch):

@@ -4,20 +4,23 @@
     python3 tools/cpi_ms.py
 
 Each cell times ``run_experiment`` with every default but the method and
-the number of antennas, over 400 CPIs, and keeps the fastest of 3 calls,
-taken in 3 rounds over all cells. Each call is rescaled, as perfbench's
-child.py rescales a run, to the speed at which its reference loop takes
-REFERENCE_FAST_S. The methods are opt, ff, fd (the baselines and logging
-only), ekf and agdao, at M = 128 and M = 512. Beside each figure the table
-gives the run's mean |verr| (x, y) in m/s. It runs this checkout's ``src/``
-with one BLAS thread and prints the CPU model and the numpy and Python
-versions above the table.
+the number of antennas, over 400 CPIs. Every cell gets the same time
+budget, 10 s, spent in 3 rounds over all cells: in each round a cell repeats
+calls until its third of the budget is spent, at least once. It reports
+the median call and how many calls it made. Each call is rescaled, as
+perfbench's child.py rescales a run, to the speed at which its reference
+loop takes REFERENCE_FAST_S. The methods are opt, ff, fd (the baselines
+and logging only), ekf and agdao, at M = 128 and M = 512. Beside each
+figure the table gives the run's mean |verr| (x, y) in m/s. It runs this
+checkout's ``src/`` with one BLAS thread and prints the CPU model and the
+numpy and Python versions above the table.
 """
 from __future__ import annotations
 
 import importlib.util
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -85,35 +88,47 @@ def timed_run(method: str, num_antennas: int, num_cpis: int) -> tuple[float, np.
     return seconds, np.array([(row.verr_x, row.verr_y) for row in rows]).mean(axis=0)
 
 
-def table(num_cpis: int = 400, antennas=ANTENNAS, repeats: int = 3):
+def table(num_cpis: int = 400, antennas=ANTENNAS, budget_s: float = 10.0, rounds: int = 3):
     """Yield the header lines, then one markdown row per method.
 
-    The repeats are interleaved: each round times every cell once, so the
-    fastest call of a cell is taken from calls spread over the whole run,
-    not from one spell of the host's CPU speed.
+    Each cell repeats calls for budget_s of wall time, so a short cell makes
+    many calls where a long one makes few. The budget is spent in rounds over
+    all cells, so a cell's calls are spread over the whole run, not taken in
+    one spell of the host's CPU speed. The median, not the fastest call:
+    over hundreds of short calls the fastest one is an outlier of the
+    rescaling.
     """
     yield from [
         f"CPU: {cpu_model()}; numpy {np.__version__}; Python {platform.python_version()}",
-        f"ms/CPI: fastest of {repeats} interleaved run_experiment calls of {num_cpis} CPIs, "
-        f"at a reference loop time of {1e3 * child.REFERENCE_FAST_S:.2f} ms",
+        f"ms/CPI: median of the run_experiment calls of {num_cpis} CPIs that fit in "
+        f"{budget_s:g} s per cell, in {rounds} interleaved rounds, at a reference loop "
+        f"time of {1e3 * child.REFERENCE_FAST_S:.2f} ms",
         "",
         "| method | "
-        + " | ".join(f"M={m} ms/CPI | M={m} mean \\|verr\\| x, y (m/s)" for m in antennas)
+        + " | ".join(
+            f"M={m} ms/CPI | M={m} calls | M={m} mean \\|verr\\| x, y (m/s)" for m in antennas
+        )
         + " |",
-        "| --- |" + " --- | --- |" * len(antennas),
+        "| --- |" + " --- | --- | --- |" * len(antennas),
     ]
     cells = [(method, m) for method in METHODS for m in antennas]
-    best = dict.fromkeys(cells, float("inf"))
+    times = {cell: [] for cell in cells}
     verr = {}
-    for _ in range(repeats):
-        for method, m in cells:
-            seconds, verr[method, m] = timed_run(method, m, num_cpis)
-            best[method, m] = min(best[method, m], seconds)
+    for _ in range(rounds):
+        for cell in cells:
+            end = time.perf_counter() + budget_s / rounds
+            while True:
+                seconds, verr[cell] = timed_run(*cell, num_cpis)
+                times[cell].append(seconds)
+                if time.perf_counter() >= end:
+                    break
     for method in METHODS:
         row = []
         for m in antennas:
             vx, vy = verr[method, m]
-            row += [f"{1e3 * best[method, m] / num_cpis:.3f}", f"{vx:.3g}, {vy:.3g}"]
+            cell = times[method, m]
+            row += [f"{1e3 * statistics.median(cell) / num_cpis:.3f}", str(len(cell)),
+                    f"{vx:.3g}, {vy:.3g}"]
         yield f"| {method} | " + " | ".join(row) + " |"
 
 
