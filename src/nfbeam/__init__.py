@@ -80,8 +80,6 @@ from .harness import (
 )
 from .motion import (
     MotionNoise,
-    MotionState,
-    StateBatch,
     generate_trajectory,
     kinematic_forecast,
     transition_matrix,

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .motion import MotionState, StateBatch
 
 
 def _scale_by_rsqrt(z: np.ndarray, num_antennas: int) -> np.ndarray:
@@ -47,14 +46,13 @@ def predictive_beamformers(
 
 def opt_beamformers(
     geom: geo.ArrayGeometry,
-    eta_true: MotionState | StateBatch,
+    p_true,
+    v_true,
     num_symbols: int,
     symbol_duration: float,
 ) -> np.ndarray:
     """Genie matched filter: the predictive beamformer fed the true state."""
-    return predictive_beamformers(
-        geom, eta_true.position, eta_true.velocity, num_symbols, symbol_duration
-    )
+    return predictive_beamformers(geom, p_true, v_true, num_symbols, symbol_duration)
 
 
 def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,7 +66,8 @@ def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ff_beamformers(
     geom: geo.ArrayGeometry,
-    eta_true: MotionState | StateBatch,
+    p_true,
+    v_true,
     num_symbols: int,
     symbol_duration: float,
 ) -> np.ndarray:
@@ -78,15 +77,16 @@ def ff_beamformers(
     The phase is a symbol term plus an element term, so the beam is the outer
     product of N and M phasors, within about eps * max|phase| of exact.
 
-    Shape (num_symbols, M), or (..., num_symbols, M) for a StateBatch.
+    Shape (num_symbols, M), or (..., num_symbols, M) for states of shape
+    (..., 2).
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    p = geo.as_points(eta_true.position, "position")
+    p = geo.as_points(p_true, "position")
     rnorm = np.sqrt(_dot2(p, p))
     geo.reject_degenerate(p, rnorm, geo.MIN_RANGE, "the array center")
     u = p / rnorm[..., None]
-    v_radial = _dot2(geo.as_points(eta_true.velocity, "velocity"), u)
+    v_radial = _dot2(geo.as_points(v_true, "velocity"), u)
     n = np.arange(1, num_symbols + 1)
     symbol = geo.unit_phasor((-geom.wavenumber * symbol_duration) * (n * v_radial[..., None]))
     # antennas sit on the x-axis, so u^T k_m reduces to u_x * k_m1

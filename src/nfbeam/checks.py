@@ -16,7 +16,6 @@ from . import geometry as geo
 from .agdao import VelocityProblem
 from .beamforming import ff_beamformers, predictive_beamformers
 from .ekf import TrackerBelief, kalman_update, observation_jacobian
-from .motion import MotionState
 from .signals import (
     cpi_throughput,
     echo_amplitude,
@@ -40,14 +39,14 @@ def _conventions(m: int) -> tuple[geo.ArrayGeometry, geo.ArrayGeometry]:
     return geom, dataclasses.replace(geom, signed_projection=True)
 
 
-def _random_state(rng) -> MotionState:
+def _random_state(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity, shape (2,) each, of a random [x, y, vx, vy]."""
     # x kept beyond the aperture so magnitude-projection kinks stay far away
-    return MotionState(
-        float(rng.uniform(1.5, 8.0)),
-        float(rng.uniform(5.0, 30.0)),
-        float(rng.uniform(-15.0, 15.0)),
-        float(rng.uniform(-15.0, 15.0)),
-    )
+    eta = np.array([
+        rng.uniform(1.5, 8.0), rng.uniform(5.0, 30.0),
+        rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0),
+    ])
+    return eta[:2], eta[2:]
 
 
 def check_geometry(seed: int = 0, trials: int = 200):
@@ -61,14 +60,14 @@ def check_geometry(seed: int = 0, trials: int = 200):
     worst_sym = 0.0
     smalls = _conventions(16)
     for t in range(trials):
-        eta = _random_state(rng)
+        p, v = _random_state(rng)
         geom = geoms[t % 2]
-        a = geo.array_response(geom, _N, _TS, eta.velocity, eta.position)
+        a = geo.array_response(geom, _N, _TS, v, p)
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
-        g, q = geo.projection_coeffs(geom, eta.position)
+        g, q = geo.projection_coeffs(geom, p)
         worst_proj = max(worst_proj, float(np.max(np.abs(g * g + q * q - 1.0))))
         if t < 20:
-            h = geo.roundtrip_channel(smalls[t % 2], model, _N, _TS, eta.velocity, eta.position)
+            h = geo.roundtrip_channel(smalls[t % 2], model, _N, _TS, v, p)
             worst_sym = max(worst_sym, float(np.max(np.abs(h - h.T))))
             s = np.linalg.svd(h, compute_uv=False)
             worst_rank = max(worst_rank, float(s[1] / np.linalg.norm(h)))
@@ -90,18 +89,18 @@ def check_beam_phasors(seed: int = 0, trials: int = 40):
     worst_dop = 0.0
     worst_ff = 0.0
     for t in range(trials):
-        eta = _random_state(rng)
+        p, v = _random_state(rng)
         geom = geoms[t % 2]
-        nf = geo.NearField(geom, eta.position)
-        d = geo.symbol_dopplers(geom, num_symbols, _TS, eta.velocity, nf)
+        nf = geo.NearField(geom, p)
+        d = geo.symbol_dopplers(geom, num_symbols, _TS, v, nf)
         for row, sym in zip(d, n.tolist()):
-            direct = geo.doppler_vector(geom, sym, _TS, eta.velocity, nf)
+            direct = geo.doppler_vector(geom, sym, _TS, v, nf)
             worst_dop = max(worst_dop, float(np.max(np.abs(row - direct))))
-        u = eta.position / np.linalg.norm(eta.position)
-        v_r = float(eta.velocity @ u)
+        u = p / np.linalg.norm(p)
+        v_r = float(v @ u)
         phase = geom.wavenumber * (n[:, None] * _TS * v_r + x_m * u[0])
         want = np.exp(-1j * phase) / np.sqrt(geom.num_antennas)
-        got = ff_beamformers(geom, eta, num_symbols, _TS)
+        got = ff_beamformers(geom, p, v, num_symbols, _TS)
         worst_ff = max(worst_ff, float(np.max(np.abs(got - want))))
     ok = worst_dop < 1e-12 and worst_ff < 1e-12
     return ok, f"Doppler rows {worst_dop:.2e}, far-field beams {worst_ff:.2e} over {trials} states"
@@ -115,10 +114,10 @@ def check_mrt_snr(seed: int = 0, trials: int = 100):
     power_w, sigma_c2 = 1.0, 1e-8
     worst = 0.0
     for _ in range(trials):
-        eta = _random_state(rng)
-        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS)
-        rate = cpi_throughput(geom, model, eta, bf, _TS, power_w, sigma_c2)
-        alpha1 = geo.pathloss(model, eta.position, geo.DOWNLINK)
+        p, v = _random_state(rng)
+        bf = predictive_beamformers(geom, p, v, _N, _TS)
+        rate = cpi_throughput(geom, model, p, v, bf, _TS, power_w, sigma_c2)
+        alpha1 = geo.pathloss(model, p, geo.DOWNLINK)
         snr = power_w * geom.num_antennas * alpha1 ** 2 / sigma_c2
         expected = float(np.log2(1.0 + snr))
         worst = max(worst, abs(rate - expected) / expected)
@@ -126,13 +125,13 @@ def check_mrt_snr(seed: int = 0, trials: int = 100):
 
 
 def _spot_instance(rng, geom, model):
-    eta = _random_state(rng)
-    p_hat = eta.position + rng.normal(0.0, 0.05, 2)
+    p, v = _random_state(rng)
+    p_hat = p + rng.normal(0.0, 0.05, 2)
     v_trial = rng.uniform(-15.0, 15.0, 2)
     bf = predictive_beamformers(geom, p_hat, v_trial, _N, _TS)
     s_amp, sigma_e2 = echo_amplitude(1.0), 1e-8
-    y = synthesize_observation(geom, model, eta, bf, sigma_e2, s_amp, _TS, rng)
-    return eta, p_hat, v_trial, bf[-1], s_amp, y
+    y = synthesize_observation(geom, model, p, v, bf, sigma_e2, s_amp, _TS, rng)
+    return p_hat, v_trial, bf[-1], s_amp, y
 
 
 def check_gradient(seed: int = 0, trials: int = 20):
@@ -144,7 +143,7 @@ def check_gradient(seed: int = 0, trials: int = 20):
     worst = 0.0
     for t in range(trials):
         geom = geoms[t % 2]
-        _, p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
+        p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
         evaluate = VelocityProblem(y, geom, model, p_hat, f, s_amp, _N, _TS).evaluate
         for axis, e in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
             hi = evaluate(*(v + step * e))[0]
@@ -172,16 +171,15 @@ def check_jacobian(seed: int = 0, trials: int = 10):
     worst = 0.0
     for t in range(trials):
         geom = geoms[t % 2]
-        eta = _random_state(rng)
-        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS)
+        p, v = _random_state(rng)
+        bf = predictive_beamformers(geom, p, v, _N, _TS)
         f = bf[-1]
-        jac = np.asarray(observation_jacobian(geom, model, eta, f, s_amp, _N, _TS))
+        jac = np.asarray(observation_jacobian(geom, model, p, v, f, s_amp, _N, _TS))
 
-        def mean_at(state_vec):
-            st = MotionState.from_array(state_vec)
-            return observation_mean(geom, model, st, f, s_amp, _N, _TS)
+        def mean_at(eta):
+            return observation_mean(geom, model, eta[:2], eta[2:], f, s_amp, _N, _TS)
 
-        base = eta.as_array()
+        base = np.concatenate([p, v])
         for col in range(4):
             e = np.zeros(4)
             e[col] = 1.0
@@ -204,7 +202,7 @@ def _dense_reference_update(prior, y, jac, predicted_mean, echo_noise_power):
     r_cov = (echo_noise_power / 2.0) * np.eye(j_r.shape[0])
     s = j_r @ p @ j_r.T + r_cov
     k = p @ j_r.T @ np.linalg.inv(s)
-    mean = prior.mean.as_array() + k @ nu_r
+    mean = prior.mean + k @ nu_r
     cov = (np.eye(4) - k @ j_r) @ p
     return mean, 0.5 * (cov + cov.T)
 
@@ -225,18 +223,18 @@ def check_kalman(seed: int = 0, trials: int = 10):
     worst_op = 0.0
     for t in range(trials):
         geom = geoms[t % 2]
-        eta = _random_state(rng)
-        bf = predictive_beamformers(geom, eta.position, eta.velocity, _N, _TS)
+        p, v = _random_state(rng)
+        bf = predictive_beamformers(geom, p, v, _N, _TS)
         f = bf[-1]
-        h_bar = observation_mean(geom, model, eta, f, s_amp, _N, _TS)
-        jac = observation_jacobian(geom, model, eta, f, s_amp, _N, _TS)
+        h_bar = observation_mean(geom, model, p, v, f, s_amp, _N, _TS)
+        jac = observation_jacobian(geom, model, p, v, f, s_amp, _N, _TS)
         y = h_bar + (rng.normal(0, 1e-4, geom.num_antennas) + 1j * rng.normal(0, 1e-4, geom.num_antennas))
-        prior = TrackerBelief(mean=eta, covariance=0.1 * np.eye(4))
+        prior = TrackerBelief(mean=np.concatenate([p, v]), covariance=0.1 * np.eye(4))
         for sigma_e2 in (1e-2, 1e-8):
             post, _ = kalman_update(prior, y, jac, h_bar, sigma_e2)
             ref_mean, ref_cov = _dense_reference_update(prior, y, np.asarray(jac), h_bar, sigma_e2)
             dev = max(
-                float(np.max(np.abs(post.mean.as_array() - ref_mean))),
+                float(np.max(np.abs(post.mean - ref_mean))),
                 float(np.max(np.abs(post.covariance - ref_cov))),
             )
             if sigma_e2 == 1e-2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, PathlossModel
-from .motion import MotionNoise, MotionState
+from .motion import MotionNoise
 
 METHODS = ("opt", "ff", "fd", "agdao", "ekf")
 
@@ -144,10 +144,6 @@ class ExperimentConfig:
             self, "feedback_period_s", self.feedback_period_cpis >= 1,
             f"at least one CPI ({self.system.cpi_duration_s} s)",
         )
-
-    @property
-    def state0(self) -> MotionState:
-        return MotionState(*self.initial_state)
 
     @property
     def motion_noise(self) -> MotionNoise:

@@ -16,20 +16,13 @@ Zv = Z.view(float), (4, 2M): one real product, no (M, 4) complex J.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .beamforming import predictive_beamformers
-from .motion import (
-    MotionNoise,
-    MotionState,
-    StateBatch,
-    kinematic_forecast,
-    transition_matrix,
-)
+from .motion import MotionNoise, kinematic_forecast, transition_matrix
 from .signals import observation_mean
 
 SYMMETRY_TOL = 1e-10
@@ -48,14 +41,16 @@ class FilterHealthError(RuntimeError):
 
 @dataclass
 class TrackerBelief:
-    """Gaussian belief over the kinematic state."""
+    """Gaussian belief over the kinematic state: mean [x, y, vx, vy], shape (4,)."""
 
-    mean: MotionState
+    mean: np.ndarray
     covariance: np.ndarray
 
     def validate(self) -> None:
-        m = self.mean
-        if not all(map(math.isfinite, (m.x, m.y, m.vx, m.vy))):
+        m = np.asarray(self.mean)
+        if m.shape != (4,):
+            raise ValueError(f"mean must have shape (4,), got {m.shape}")
+        if not np.isfinite(m).all():
             raise FilterHealthError(f"non-finite mean {m}")
         p = np.asarray(self.covariance)
         if p.shape != (4, 4):
@@ -121,19 +116,21 @@ class FactoredJacobian:
 def observation_jacobian(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState | StateBatch,
+    p,
+    v,
     f: np.ndarray,
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
 ) -> FactoredJacobian:
-    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy], dense shape (M, 4).
+    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy] at position p and
+    velocity v, factored; np.asarray of the result is the dense (M, 4) J.
 
-    eta.position may be its geo.NearField snapshot; the array response is the
-    one observation_mean builds.
+    p may be its geo.NearField snapshot; the array response is the one
+    observation_mean builds.
     """
-    nf = geo.near_field(geom, eta.position)
-    v, dtt = eta.velocity, num_symbols * symbol_duration
+    nf = geo.near_field(geom, p)
+    dtt = num_symbols * symbol_duration
     a = geo.array_response(geom, num_symbols, symbol_duration, v, nf)
     af = a @ f
     alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
@@ -182,7 +179,7 @@ def kalman_update(
     ridged = False
     if not a.any():
         # no sensitivity and no noise: nothing to assimilate
-        posterior = TrackerBelief(mean=prior.mean, covariance=p.copy())
+        posterior = TrackerBelief(mean=prior.mean.copy(), covariance=p.copy())
         posterior.validate()
         return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), False)
     try:
@@ -197,7 +194,7 @@ def kalman_update(
     delta = p @ x[:, 0]
     c = p @ x[:, 1:]                 # K_r J_r^T-free factor: P (G P + r I)^-1
     gain_jac = c @ gram              # K_r J_r
-    mean = MotionState.from_array(prior.mean.as_array() + delta)
+    mean = prior.mean + delta
     # Joseph form, contracted to 4x4: PSD by construction even when the
     # plain (I - K J) P form cancels catastrophically (r -> 0 collapse).
     imb = _I4 - gain_jac
@@ -228,11 +225,11 @@ def ekf_track_step(
     response for both); observe checks the beam's norm, as synthesize_observation does.
     """
     prior = ekf_forecast(belief, cpi_duration, process_noise)
-    at = StateBatch(geo.NearField(geom, prior.mean.position), prior.mean.velocity)
-    bf = predictive_beamformers(geom, at.position, at.velocity, num_symbols, symbol_duration)
+    p, v = geo.NearField(geom, prior.mean[:2]), prior.mean[2:]
+    bf = predictive_beamformers(geom, p, v, num_symbols, symbol_duration)
     y = observe(bf)
     f_last = bf[-1]
-    h_bar = observation_mean(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
-    jac = observation_jacobian(geom, model, at, f_last, s_amp, num_symbols, symbol_duration)
+    h_bar = observation_mean(geom, model, p, v, f_last, s_amp, num_symbols, symbol_duration)
+    jac = observation_jacobian(geom, model, p, v, f_last, s_amp, num_symbols, symbol_duration)
     posterior, diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
     return bf, posterior, diag

@@ -18,11 +18,11 @@ from .beamforming import (
 from .config import ConfigError, ExperimentConfig
 from .ekf import TrackerBelief, ekf_track_step
 from .geometry import NearField
-from .motion import MotionState, StateBatch, generate_trajectory
+from .motion import generate_trajectory
 from .signals import cpi_throughput, echo_amplitude, synthesize_observation
 
 # Fixed ids keep the fan-out stable if stream names are ever added or reordered.
-STREAM_IDS = {"trajectory": 0, "echo-noise": 1, "estimator-init": 2}
+STREAM_IDS = {"trajectory": 0, "echo-noise": 1}
 
 # The loop handles K CPIs a chunk with K * N * M at most this many (complex)
 # elements, about 0.5 MB a beam slot; K = 6 at N = 10, M = 512.
@@ -134,11 +134,11 @@ class RunResult:
 
 
 def _belief_row(cpi: int, belief: TrackerBelief, innovation_norm: float, ridged: bool) -> BeliefRow:
-    m = belief.mean
+    x, y, vx, vy = belief.mean.tolist()
     d = np.diag(belief.covariance)
     return BeliefRow(
         cpi=int(cpi),
-        x=float(m.x), y=float(m.y), vx=float(m.vx), vy=float(m.vy),
+        x=x, y=y, vx=vx, vy=vy,
         var_x=float(d[0]), var_y=float(d[1]), var_vx=float(d[2]), var_vy=float(d[3]),
         innovation_norm=float(innovation_norm),
         ridged=int(bool(ridged)),
@@ -179,7 +179,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     num_cpis = config.num_cpis
 
     truth = generate_trajectory(
-        config.state0, process_noise, dt, num_cpis, stream(config.seed, "trajectory"),
+        config.initial_state, process_noise, dt, num_cpis, stream(config.seed, "trajectory"),
     )
     echo_rng = stream(config.seed, "echo-noise")
     fd = fd_predicted_state(truth, config.feedback_period_cpis, dt)
@@ -192,22 +192,23 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     beams = np.empty(
         (len(slots), min(chunk, num_cpis), num_symbols, geom.num_antennas), dtype=complex
     )
-    belief = TrackerBelief(config.state0, config.ekf_init_cov * np.eye(4))
+    # a fresh array, not a view of truth: the belief never aliases a table
+    belief = TrackerBelief(np.array(config.initial_state, float), config.ekf_init_cov * np.eye(4))
     belief_rows = [_belief_row(1, belief, 0.0, False)]
     rows: list[MetricRow] = []
 
-    def observe(bf):  # reads the current CPI's true state, now
+    def observe(bf):  # reads the current CPI's true state, near[i] and vel[i]
         return synthesize_observation(
-            geom, model, now, bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng
+            geom, model, near[i], vel[i], bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng
         )
 
     for lo in range(0, num_cpis, chunk):
         part = slice(lo, lo + chunk)
-        eta = StateBatch(truth[part, :2], truth[part, 2:])
-        near = StateBatch(NearField(geom, eta.position), eta.velocity)
-        bf = beams[:, : len(eta.position)]
-        bf[0] = opt_beamformers(geom, near, num_symbols, ts)
-        bf[1] = ff_beamformers(geom, eta, num_symbols, ts)
+        pos, vel = truth[part, :2], truth[part, 2:]
+        near = NearField(geom, pos)
+        bf = beams[:, : len(pos)]
+        bf[0] = opt_beamformers(geom, near, vel, num_symbols, ts)
+        bf[1] = ff_beamformers(geom, pos, vel, num_symbols, ts)
         bf[2] = predictive_beamformers(geom, fd[part, :2], fd[part, 2:], num_symbols, ts)
         if lo == 0:
             # initial access: every pointer starts from the reported true
@@ -215,7 +216,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             bf[1:, 0] = bf[0, 0]
         for i in range(len(bf[0])):
             cpi = lo + i + 1
-            now = near[i]
             if method == "agdao" and cpi > 1:
                 bf[slot, i], est[cpi - 1, :2], est[cpi - 1, 2:], _ = agdao_track_step(
                     est[cpi - 2, :2], est[cpi - 2, 2:], observe, geom, model, s_amp,
@@ -226,12 +226,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
                     belief, observe, geom, model, process_noise, sys_cfg.echo_noise_power,
                     s_amp, num_symbols, ts, dt,
                 )
-                est[cpi - 1] = belief.mean.as_array()
+                est[cpi - 1] = belief.mean
                 belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
             if progress is not None:
                 progress(cpi, num_cpis)
 
-        rates = cpi_throughput(geom, model, near, bf, ts, power_w, sys_cfg.comm_noise_power)
+        rates = cpi_throughput(geom, model, near, vel, bf, ts, power_w, sys_cfg.comm_noise_power)
         table = np.column_stack([
             truth[part], est[part], rates[[slot, 0, 1, 2]].T,
             np.abs(truth[part, 2:] - est[part, 2:]),
@@ -289,7 +289,9 @@ def convergence_study(
     num_symbols = sys_cfg.symbols_per_cpi
     ts = sys_cfg.symbol_duration_s
     s_amp = echo_amplitude(sys_cfg.tx_power_w, sys_cfg.include_transmit_power)
-    eta_gt = MotionState(*config.convergence_state)
+    eta_gt = np.array(config.convergence_state, dtype=float)
+    p_gt, v_gt = eta_gt[:2], eta_gt[2:]
+    vx_gt, vy_gt = v_gt.tolist()
     v_init = np.asarray(config.convergence_v_init, dtype=float)
 
     overrides = {"rel_tol_x": 0.0, "rel_tol_y": 0.0}
@@ -297,16 +299,16 @@ def convergence_study(
         overrides["max_iters"] = max_iters
     hyper = dataclasses.replace(config.adam, **overrides)
 
-    bf = predictive_beamformers(geom, eta_gt.position, v_init, num_symbols, ts)
+    bf = predictive_beamformers(geom, p_gt, v_init, num_symbols, ts)
     rows: list[TraceRow] = []
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
         y = synthesize_observation(
-            geom, model, eta_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng
+            geom, model, p_gt, v_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng
         )
         for variant in variants:
             _, trace = estimate_velocity(
-                variant, y, geom, model, eta_gt.position, v_init, bf[-1],
+                variant, y, geom, model, p_gt, v_init, bf[-1],
                 s_amp, num_symbols, ts, hyper=hyper,
             )
             for k, vx, vy, objective, gx, gy in trace.rows:
@@ -315,7 +317,7 @@ def convergence_study(
                         variant=variant, seed=trial, k=k,
                         vx=vx, vy=vy, objective=objective,
                         grad_x=gx, grad_y=gy,
-                        err_vx=abs(vx - eta_gt.vx), err_vy=abs(vy - eta_gt.vy),
+                        err_vx=abs(vx - vx_gt), err_vy=abs(vy - vy_gt),
                     )
                 )
     return rows

@@ -8,56 +8,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MotionState:
-    """Planar kinematic state eta = [x, y, vx, vy]."""
-
-    x: float
-    y: float
-    vx: float
-    vy: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.vx, self.vy])
-
-    @classmethod
-    def from_array(cls, eta) -> "MotionState":
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (4,):
-            raise ValueError(f"state must have shape (4,), got {eta.shape}")
-        return cls(float(eta[0]), float(eta[1]), float(eta[2]), float(eta[3]))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array([self.vx, self.vy])
-
-
-@dataclass(frozen=True)
-class StateBatch:
-    """Motion states stacked on leading axes: position and velocity of shape (..., 2).
-
-    Stands in for a MotionState where only .position and .velocity are read,
-    so the beamformers and cpi_throughput handle a whole batch in one call.
-    The position may instead be the geometry.NearField snapshot of the
-    positions, which indexing slices along with the velocity.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-    @classmethod
-    def stack(cls, states: list[MotionState]) -> "StateBatch":
-        eta = np.array([s.as_array() for s in states])
-        return cls(eta[:, :2], eta[:, 2:])
-
-    def __getitem__(self, index) -> "StateBatch":
-        return StateBatch(self.position[index], self.velocity[index])
-
-
-@dataclass(frozen=True)
 class MotionNoise:
     """Variances of the independent per-interval velocity kicks."""
 
@@ -83,19 +33,23 @@ def transition_matrix(dt: float) -> np.ndarray:
     return f
 
 
-def kinematic_forecast(eta: MotionState, dt: float) -> MotionState:
-    """Noise-free propagation: position moves with the current velocity."""
-    return MotionState(eta.x + dt * eta.vx, eta.y + dt * eta.vy, eta.vx, eta.vy)
+def kinematic_forecast(eta, dt: float) -> np.ndarray:
+    """Noise-free propagation of [x, y, vx, vy] into a new array: position
+    moves with the current velocity. eta itself is not written."""
+    out = np.array(eta, dtype=float)
+    out[:2] += dt * out[2:]
+    return out
 
 
 def generate_trajectory(
-    eta0: MotionState,
+    eta0,
     noise: MotionNoise,
     dt: float,
     num_cpis: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """[x, y, vx, vy] for CPIs 1..num_cpis, shape (num_cpis, 4); row 0 is eta0.
+    """[x, y, vx, vy] for CPIs 1..num_cpis, shape (num_cpis, 4); row 0 is eta0,
+    the initial [x, y, vx, vy].
 
     Each interval moves with the pre-step velocity, then perturbs the
     velocity; the x kick is drawn before the y kick.
@@ -103,7 +57,7 @@ def generate_trajectory(
     if num_cpis < 1:
         raise ValueError(f"num_cpis must be >= 1, got {num_cpis}")
     sd_x, sd_y = math.sqrt(noise.var_vx), math.sqrt(noise.var_vy)
-    x, y, vx, vy = eta0.x, eta0.y, eta0.vx, eta0.vy
+    x, y, vx, vy = map(float, eta0)
     traj = np.empty((num_cpis, 4))
     traj[0] = x, y, vx, vy
     for row in traj[1:]:

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .motion import MotionState, StateBatch
 
 BEAM_NORM_TOL = 1e-9
 
@@ -45,18 +44,20 @@ def complex_gaussian(rng: np.random.Generator, size: int, power: float) -> np.nd
 def observation_mean(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState | StateBatch,
+    p,
+    v,
     f: np.ndarray,
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
 ) -> np.ndarray:
-    """Noise-free echo s * H(N) f at the CPI's last symbol, shape (M,).
+    """Noise-free echo s * H(N) f at the CPI's last symbol, shape (M,), for the
+    state at position p and velocity v, shape (2,).
 
-    eta.position may be its geo.NearField snapshot.
+    p may be its geo.NearField snapshot.
     """
-    nf = geo.near_field(geom, eta.position)
-    a = geo.array_response(geom, num_symbols, symbol_duration, eta.velocity, nf)
+    nf = geo.near_field(geom, p)
+    a = geo.array_response(geom, num_symbols, symbol_duration, v, nf)
     alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
     return s_amp * alpha2 * a * (a @ f)
 
@@ -64,7 +65,8 @@ def observation_mean(
 def synthesize_observation(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState | StateBatch,
+    p,
+    v,
     beamformers: np.ndarray,
     echo_noise_power: float,
     s_amp: float,
@@ -79,7 +81,7 @@ def synthesize_observation(
         )
     check_unit_norm(beamformers)
     num_symbols = beamformers.shape[0]
-    mean = observation_mean(geom, model, eta, beamformers[-1], s_amp, num_symbols, symbol_duration)
+    mean = observation_mean(geom, model, p, v, beamformers[-1], s_amp, num_symbols, symbol_duration)
     z = complex_gaussian(rng, geom.num_antennas, echo_noise_power)
     return mean + z
 
@@ -87,7 +89,8 @@ def synthesize_observation(
 def received_snr(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState,
+    p,
+    v,
     f: np.ndarray,
     n: int,
     symbol_duration: float,
@@ -95,14 +98,15 @@ def received_snr(
     comm_noise_power: float,
 ) -> float:
     """Downlink SNR at symbol n: P |h(n)^T f|^2 / sigma_c^2."""
-    h = geo.downlink_channel(geom, model, n, symbol_duration, eta.velocity, eta.position)
+    h = geo.downlink_channel(geom, model, n, symbol_duration, v, p)
     return tx_power_w * abs(h @ f) ** 2 / comm_noise_power
 
 
 def cpi_throughput(
     geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    eta: MotionState | StateBatch,
+    p,
+    v,
     beamformers: np.ndarray,
     symbol_duration: float,
     tx_power_w: float,
@@ -110,15 +114,15 @@ def cpi_throughput(
 ):
     """Average rate over the CPI's symbols, bits/s/Hz.
 
-    A float for one state and beamformers of shape (N, M). A StateBatch of
-    K states takes beamformers whose leading axes broadcast against (K,):
-    (K, N, M) gives K rates, (B, K, N, M) gives B rates per state from one
-    build of each state's channel. eta.position may be its geo.NearField
-    snapshot.
+    A float for one state, p and v of shape (2,), and beamformers of shape
+    (N, M). K states, p and v of shape (K, 2), take beamformers whose leading
+    axes broadcast against (K,): (K, N, M) gives K rates, (B, K, N, M) gives B
+    rates per state from one build of each state's channel. p may be its
+    geo.NearField snapshot.
     """
     beamformers = np.asarray(beamformers)
-    nf = geo.near_field(geom, eta.position)
-    h = geo.symbol_dopplers(geom, beamformers.shape[-2], symbol_duration, eta.velocity, nf)
+    nf = geo.near_field(geom, p)
+    h = geo.symbol_dopplers(geom, beamformers.shape[-2], symbol_duration, v, nf)
     np.multiply(h, nf.steering[..., None, :], out=h)  # the channel up to alpha1
     alpha1 = geo.pathloss(model, nf.position, geo.DOWNLINK)
     gains = alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)

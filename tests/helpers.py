@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 
 from nfbeam.geometry import ArrayGeometry, PathlossModel
-from nfbeam.motion import MotionState
 
 CARRIER = 30e9
 TS = 1e-5
@@ -18,25 +17,23 @@ def geom_for(m: int, signed: bool = False) -> ArrayGeometry:
     return dataclasses.replace(geom, signed_projection=signed)
 
 
-def sample_state(rng: np.random.Generator, geom: ArrayGeometry) -> MotionState:
-    """Random state clear of the aperture and of |.|-convention kinks.
+def sample_state(rng: np.random.Generator, geom: ArrayGeometry) -> np.ndarray:
+    """Random [x, y, vx, vy] clear of the aperture and of |.|-convention kinks.
 
     x starts beyond the array edge so both projection conventions see the
     same geometry-sign structure and no antenna aligns with the target.
     """
     edge = geom.aperture / 2.0
-    x = float(rng.uniform(edge + 0.5, edge + 8.0))
-    y = float(rng.uniform(5.0, 30.0))
-    vx, vy = rng.uniform(-15.0, 15.0, size=2)
-    return MotionState(x, y, float(vx), float(vy))
+    x = rng.uniform(edge + 0.5, edge + 8.0)
+    y = rng.uniform(5.0, 30.0)
+    return np.array([x, y, *rng.uniform(-15.0, 15.0, size=2)])
 
 
-def sample_broadside_state(rng: np.random.Generator) -> MotionState:
-    """Random state with x near 0, for signed-convention coverage."""
-    x = float(rng.uniform(-2.0, 2.0))
-    y = float(rng.uniform(5.0, 30.0))
-    vx, vy = rng.uniform(-15.0, 15.0, size=2)
-    return MotionState(x, y, float(vx), float(vy))
+def sample_broadside_state(rng: np.random.Generator) -> np.ndarray:
+    """Random [x, y, vx, vy] with x near 0, for signed-convention coverage."""
+    x = rng.uniform(-2.0, 2.0)
+    y = rng.uniform(5.0, 30.0)
+    return np.array([x, y, *rng.uniform(-15.0, 15.0, size=2)])
 
 
 def fd_central(fun, x0: float, step: float) -> float:

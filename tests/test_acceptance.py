@@ -12,7 +12,6 @@ import pytest
 
 from nfbeam import (
     ExperimentConfig,
-    MotionState,
     VelocityProblem,
     convergence_study,
     observation_jacobian,
@@ -85,12 +84,14 @@ def test_criterion_01_matched_beam_snr_closed_form():
     worst = 0.0
     for _ in range(100):
         eta = sample_state(rng, geom)
-        bf = opt_beamformers(geom, eta, sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s)
-        alpha1 = pathloss(model, eta.position, "downlink")
+        bf = opt_beamformers(
+            geom, eta[:2], eta[2:], sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s
+        )
+        alpha1 = pathloss(model, eta[:2], "downlink")
         want = p_w * sys_cfg.num_antennas * alpha1**2 / sys_cfg.comm_noise_power
         for n in range(1, sys_cfg.symbols_per_cpi + 1):
             got = received_snr(
-                geom, model, eta, bf[n - 1], n, sys_cfg.symbol_duration_s,
+                geom, model, eta[:2], eta[2:], bf[n - 1], n, sys_cfg.symbol_duration_s,
                 p_w, sys_cfg.comm_noise_power,
             )
             worst = max(worst, abs(got - want) / want)
@@ -110,14 +111,14 @@ def test_criterion_02_velocity_gradient_matches_finite_differences():
             rng = np.random.default_rng(1000 + m + int(signed))
             for _ in range(25):
                 eta = sample_state(rng, geom)
-                p = eta.position
-                v_beam = np.asarray(eta.velocity) + rng.uniform(-2.0, 2.0, 2)
+                p = eta[:2]
+                v_beam = eta[2:] + rng.uniform(-2.0, 2.0, 2)
                 bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS)
                 f = bf[-1]
-                mean = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS)
+                mean = observation_mean(geom, model, p, eta[2:], f, 1.0, N_SYM, TS)
                 scale = 0.01 * np.linalg.norm(mean) / np.sqrt(m)
                 y = mean + scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-                v = np.asarray(eta.velocity) + rng.uniform(-3.0, 3.0, 2)
+                v = eta[2:] + rng.uniform(-3.0, 3.0, 2)
                 evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
                 for axis in (0, 1):
                     got = evaluate(*v)[1 + axis]
@@ -144,23 +145,22 @@ def test_criterion_03_observation_jacobian_matches_finite_differences():
         rng = np.random.default_rng(21 + int(signed))
         for _ in range(25):
             eta = sample_state(rng, geom)
-            bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS)
+            bf = predictive_beamformers(geom, eta[:2], (0.0, 0.0), N_SYM, TS)
             f = bf[-1]
-            jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
+            jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
 
-            base = eta.as_array()
             for col in range(4):
                 def along(t, col=col, geom=geom, f=f):
-                    s = base.copy()
+                    s = eta.copy()
                     s[col] = t
-                    return observation_mean(geom, model, MotionState(*s), f, 1.0, N_SYM, TS)
+                    return observation_mean(geom, model, s[:2], s[2:], f, 1.0, N_SYM, TS)
 
                 # position columns oscillate at carrier scale, so the second-order
                 # difference is all truncation there; use the 5-point stencil
                 if col < 2:
-                    ref = fd_central4_vec(along, base[col], 1e-4)
+                    ref = fd_central4_vec(along, eta[col], 1e-4)
                 else:
-                    ref = fd_central_vec(along, base[col], 1e-4)
+                    ref = fd_central_vec(along, eta[col], 1e-4)
                 worst = max(
                     worst, np.linalg.norm(jac[:, col] - ref) / np.linalg.norm(ref)
                 )

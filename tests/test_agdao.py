@@ -9,7 +9,6 @@ from nfbeam import (
     AdamHyper,
     DivergenceError,
     MotionNoise,
-    MotionState,
     VelocityProblem,
     adam_ao_estimate,
     agdao_track_step,
@@ -38,20 +37,18 @@ def make_instance(m, position, v_echo, v_beam, signed=False, noise_power=0.0, se
     geom = geom_for(m, signed)
     model = default_model()
     p = np.asarray(position, dtype=float)
-    eta = MotionState(p[0], p[1], v_echo[0], v_echo[1])
     bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS)
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        y = synthesize_observation(geom, model, eta, bf, noise_power, 1.0, TS, rng)
+        y = synthesize_observation(geom, model, p, v_echo, bf, noise_power, 1.0, TS, rng)
     else:
-        y = observation_mean(geom, model, eta, bf[-1], 1.0, N_SYM, TS)
+        y = observation_mean(geom, model, p, v_echo, bf[-1], 1.0, N_SYM, TS)
     return geom, model, p, y, bf[-1]
 
 
 def direct_likelihood(y, geom, model, p, v, f):
     """Objective and both gradients from M-length fields, without |a_m| = 1."""
-    eta = MotionState(p[0], p[1], v[0], v[1])
-    b = observation_mean(geom, model, eta, f, 1.0, N_SYM, TS)
+    b = observation_mean(geom, model, p, v, f, 1.0, N_SYM, TS)
     a = array_response(geom, N_SYM, TS, v, p)
     scale = pathloss(model, p, ROUNDTRIP)
     rot = geom.wavenumber * N_SYM * TS
@@ -73,9 +70,9 @@ def test_evaluate_matches_direct_fields(m, signed):
     noise = 1e-8
     for _ in range(4):
         eta = sample_state(rng, geom)
-        p = eta.position
+        p = eta[:2]
         bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
-        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
+        y = synthesize_observation(geom, model, p, eta[2:], bf, noise, 1.0, TS, rng)
         prob = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS)
         v = rng.uniform(-12.0, 12.0, 2)
         got = prob.evaluate(float(v[0]), float(v[1]))
@@ -90,16 +87,14 @@ def test_objective_two_forms_agree():
     model = default_model()
     for _ in range(6):
         eta = sample_state(rng, geom)
-        p = eta.position
+        p = eta[:2]
         bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
         noise = 1e-8
-        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
+        y = synthesize_observation(geom, model, p, eta[2:], bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
         got = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS).evaluate(*v)[0]
         # model echo at the trial velocity, assembled through the public channel path
-        b = observation_mean(
-            geom, model, MotionState(p[0], p[1], v[0], v[1]), bf[-1], 1.0, N_SYM, TS
-        )
+        b = observation_mean(geom, model, p, v, bf[-1], 1.0, N_SYM, TS)
         yy = float(np.vdot(y, y).real)
         residual_form = yy - float(np.vdot(y - b, y - b).real)
         direct_form = float(2.0 * np.real(np.vdot(y, b).conjugate()) - np.vdot(b, b).real)
@@ -128,10 +123,10 @@ def test_gradient_matches_finite_difference(m, signed):
     model = default_model()
     for _ in range(3):
         eta = sample_state(rng, geom)
-        p = eta.position
+        p = eta[:2]
         bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
         noise = 1e-8
-        y = synthesize_observation(geom, model, eta, bf, noise, 1.0, TS, rng)
+        y = synthesize_observation(geom, model, p, eta[2:], bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
         evaluate = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS).evaluate
         for axis in (0, 1):
@@ -541,18 +536,18 @@ def test_track_step_noiseless_closed_loop():
     noise = 0.0
     rng = np.random.default_rng(0)
     traj = generate_trajectory(
-        MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), dt, 2000, rng
+        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), dt, 2000, rng
     )
     p_hat = np.array([5.0, 10.0])
     v_hat = np.array([8.0, 7.0])
     worst_p = 0.0
     worst_v = 0.0
     for l in range(1, 2000):
-        eta = MotionState.from_array(traj[l])
+        eta = traj[l]
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta, bf, noise, 1.0, TS, rng
+                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, rng
             )
 
         bf, p_hat, v_hat, trace = agdao_track_step(
@@ -560,11 +555,11 @@ def test_track_step_noiseless_closed_loop():
         )
         if l == 1:
             # dead reckoning from the exact previous state lands on the truth
-            assert p_hat[0] == eta.x and p_hat[1] == eta.y
+            assert p_hat[0] == eta[0] and p_hat[1] == eta[1]
             ref = predictive_beamformers(geom, p_hat, (8.0, 7.0), N_SYM, TS)
             np.testing.assert_array_equal(bf, ref)
-        worst_p = max(worst_p, math.hypot(p_hat[0] - eta.x, p_hat[1] - eta.y))
-        worst_v = max(worst_v, math.hypot(v_hat[0] - eta.vx, v_hat[1] - eta.vy))
+        worst_p = max(worst_p, math.hypot(p_hat[0] - eta[0], p_hat[1] - eta[1]))
+        worst_v = max(worst_v, math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
     assert worst_p < 1e-3
     assert worst_v < 1e-6
 
@@ -578,24 +573,24 @@ def test_track_error_grows_with_range():
     traj_rng = stream(0, "trajectory")
     noise_rng = stream(0, "echo-noise")
     traj = generate_trajectory(
-        MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), dt, cpis, traj_rng
+        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), dt, cpis, traj_rng
     )
     noise = 1e-8
     p_hat = np.array([5.0, 10.0])
     v_hat = np.array([8.0, 7.0])
     verr = []
     for l in range(1, cpis):
-        eta = MotionState.from_array(traj[l])
+        eta = traj[l]
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta, bf, noise, 1.0, TS, noise_rng
+                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, noise_rng
             )
 
         bf, p_hat, v_hat, trace = agdao_track_step(
             p_hat, v_hat, observe, geom, model, 1.0, N_SYM, TS, dt
         )
-        verr.append(math.hypot(v_hat[0] - eta.vx, v_hat[1] - eta.vy))
+        verr.append(math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
     early = float(np.mean(verr[:400]))
     late = float(np.mean(verr[-400:]))
     assert late > 1.3 * early
@@ -610,13 +605,13 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     model = default_model()
     p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
     dt = N_SYM * TS
-    eta = MotionState(*(p_prev + dt * v_prev), *V_TRUE)
+    p, v = p_prev + dt * v_prev, V_TRUE
     noise = 1e-8
     echoes = []
 
     def observe(bf):
         echoes.append(synthesize_observation(
-            geom, model, eta, bf, noise, 1.0, TS, np.random.default_rng(2)
+            geom, model, p, v, bf, noise, 1.0, TS, np.random.default_rng(2)
         ))
         return echoes[-1]
 

@@ -19,7 +19,6 @@ from nfbeam.geometry import (
     radial_speeds,
     steering_vector,
 )
-from nfbeam.motion import StateBatch
 from nfbeam.signals import cpi_throughput
 
 from helpers import N_SYM, TS, geom_for, sample_broadside_state, sample_state
@@ -30,29 +29,34 @@ K = 7
 
 
 def _states(seed):
+    """K states [x, y, vx, vy], shape (K, 4)."""
     rng = np.random.default_rng(seed)
     # broadside states put antennas on both sides, where the conventions differ
-    return [sample_state(rng, GEOM) if k % 2 else sample_broadside_state(rng) for k in range(K)]
+    return np.array(
+        [sample_state(rng, GEOM) if k % 2 else sample_broadside_state(rng) for k in range(K)]
+    )
+
+
+def _pv(eta):
+    return eta[..., :2], eta[..., 2:]
 
 
 def _calls(signed):
-    """name -> one call that takes a MotionState or a StateBatch."""
+    """name -> one call (p, v) for one state, shape (2,), or a batch, shape (..., 2)."""
     geom = geom_for(32, signed)
     return {
-        "element_distances": lambda s: element_distances(GEOM, s.position),
-        "steering_vector": lambda s: steering_vector(GEOM, s.position),
-        "projection_coeffs": lambda s: np.stack(projection_coeffs(geom, s.position), axis=-2),
-        "radial_speeds": lambda s: radial_speeds(geom, s.velocity, s.position),
-        "pathloss_downlink": lambda s: pathloss(MODEL, s.position, "downlink"),
-        "pathloss_roundtrip": lambda s: pathloss(MODEL, s.position, "roundtrip"),
-        "predictive_beamformers": lambda s: predictive_beamformers(
-            geom, s.position, s.velocity, N_SYM, TS
-        ),
-        "opt_beamformers": lambda s: opt_beamformers(geom, s, N_SYM, TS),
-        "ff_beamformers": lambda s: ff_beamformers(GEOM, s, N_SYM, TS),
+        "element_distances": lambda p, v: element_distances(GEOM, p),
+        "steering_vector": lambda p, v: steering_vector(GEOM, p),
+        "projection_coeffs": lambda p, v: np.stack(projection_coeffs(geom, p), axis=-2),
+        "radial_speeds": lambda p, v: radial_speeds(geom, v, p),
+        "pathloss_downlink": lambda p, v: pathloss(MODEL, p, "downlink"),
+        "pathloss_roundtrip": lambda p, v: pathloss(MODEL, p, "roundtrip"),
+        "predictive_beamformers": lambda p, v: predictive_beamformers(geom, p, v, N_SYM, TS),
+        "opt_beamformers": lambda p, v: opt_beamformers(geom, p, v, N_SYM, TS),
+        "ff_beamformers": lambda p, v: ff_beamformers(GEOM, p, v, N_SYM, TS),
         # the far-field beam: partial gains, and no check on antenna contact
-        "cpi_throughput": lambda s: cpi_throughput(
-            geom, MODEL, s, ff_beamformers(GEOM, s, N_SYM, TS), TS, 2.0, 1e-8
+        "cpi_throughput": lambda p, v: cpi_throughput(
+            geom, MODEL, p, v, ff_beamformers(GEOM, p, v, N_SYM, TS), TS, 2.0, 1e-8
         ),
     }
 
@@ -69,14 +73,13 @@ POSITION_ONLY = {
 def test_batch_equals_stacked_single_calls(name, signed):
     states = _states(11)
     call = _calls(signed)[name]
-    batched = call(StateBatch.stack(states))
-    stacked = np.stack([call(s) for s in states])
+    batched = call(*_pv(states))
+    stacked = np.stack([call(*_pv(s)) for s in states])
     assert batched.shape == stacked.shape
     np.testing.assert_array_equal(batched, stacked)
     # and with two batch axes
-    flat = StateBatch.stack(states[:6])
-    grid = StateBatch(flat.position.reshape(2, 3, 2), flat.velocity.reshape(2, 3, 2))
-    np.testing.assert_array_equal(call(grid).reshape(stacked[:6].shape), stacked[:6])
+    grid = states[:6].reshape(2, 3, 4)
+    np.testing.assert_array_equal(call(*_pv(grid)).reshape(stacked[:6].shape), stacked[:6])
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -84,14 +87,14 @@ def test_throughput_scores_stacked_beams_on_each_state(signed):
     # the harness scores the opt, ff and fd beams of a chunk in one call
     geom = geom_for(32, signed)
     states = _states(16)
-    batch = StateBatch.stack(states)
+    p, v = _pv(states)
     beams = np.stack([
-        opt_beamformers(geom, batch, N_SYM, TS),
-        ff_beamformers(GEOM, batch, N_SYM, TS),
+        opt_beamformers(geom, p, v, N_SYM, TS),
+        ff_beamformers(GEOM, p, v, N_SYM, TS),
     ])
-    rates = cpi_throughput(geom, MODEL, batch, beams, TS, 2.0, 1e-8)
+    rates = cpi_throughput(geom, MODEL, p, v, beams, TS, 2.0, 1e-8)
     want = [
-        [cpi_throughput(geom, MODEL, s, bf, TS, 2.0, 1e-8)
+        [cpi_throughput(geom, MODEL, *_pv(s), bf, TS, 2.0, 1e-8)
          for s, bf in zip(states, beams[b])]
         for b in range(2)
     ]
@@ -99,19 +102,19 @@ def test_throughput_scores_stacked_beams_on_each_state(signed):
 
 
 def test_single_state_keeps_its_types():
-    eta = _states(12)[0]
-    assert type(pathloss(MODEL, eta.position, "downlink")) is np.float64
-    bf = opt_beamformers(GEOM, eta, N_SYM, TS)
-    assert type(cpi_throughput(GEOM, MODEL, eta, bf, TS, 1.0, 1e-8)) is float
+    p, v = _pv(_states(12)[0])
+    assert type(pathloss(MODEL, p, "downlink")) is np.float64
+    bf = opt_beamformers(GEOM, p, v, N_SYM, TS)
+    assert type(cpi_throughput(GEOM, MODEL, p, v, bf, TS, 1.0, 1e-8)) is float
     assert bf.shape == (N_SYM, GEOM.num_antennas)
 
 
 def _batch_with(*bad):
     """A batch of K states with the given (index, position) pairs swapped in."""
-    batch = StateBatch.stack(_states(14))
+    batch = _states(14)
     for k, p in bad:
-        batch.position[k] = p
-    return batch
+        batch[k, :2] = p
+    return _pv(batch)
 
 
 @pytest.mark.parametrize(
@@ -122,23 +125,23 @@ def test_batch_with_a_position_on_an_antenna_is_rejected(name):
     batch = _batch_with((4, first), (6, second))
     # the message names the first degenerate position of the batch
     with pytest.raises(DegeneratePositionError, match=re.escape(str(first.tolist()))):
-        _calls(False)[name](batch)
+        _calls(False)[name](*batch)
 
 
 @pytest.mark.parametrize("name", ["pathloss_downlink", "pathloss_roundtrip", "ff_beamformers"])
 def test_batch_with_a_position_at_the_origin_is_rejected(name):
     batch = _batch_with((3, (0.0, 0.0)))
     with pytest.raises(DegeneratePositionError, match=re.escape("[0.0, 0.0]")):
-        _calls(False)[name](batch)
+        _calls(False)[name](*batch)
 
 
 @pytest.mark.parametrize("shape", [(3,), (K, 3), ()])
 @pytest.mark.parametrize("name", NAMES)
 def test_wrong_trailing_axis_is_rejected(name, shape):
-    good = StateBatch.stack(_states(15)[:1])[0]
+    p, v = _pv(_states(15)[0])
     call = _calls(False)[name]
     with pytest.raises(ValueError, match=r"must have shape \(\.\.\., 2\)"):
-        call(StateBatch(np.ones(shape), good.velocity))
+        call(np.ones(shape), v)
     if name not in POSITION_ONLY:
         with pytest.raises(ValueError, match=r"velocity must have shape \(\.\.\., 2\)"):
-            call(StateBatch(good.position, np.ones(shape)))
+            call(p, np.ones(shape))

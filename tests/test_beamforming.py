@@ -14,7 +14,7 @@ from nfbeam.beamforming import (
 )
 from nfbeam import geometry as geo
 from nfbeam.geometry import DegeneratePositionError, array_response, element_offsets
-from nfbeam.motion import MotionNoise, MotionState, StateBatch, generate_trajectory
+from nfbeam.motion import MotionNoise, generate_trajectory
 from nfbeam.signals import check_unit_norm, cpi_throughput
 
 from helpers import N_SYM, TS, default_model, geom_for, sample_broadside_state, sample_state
@@ -24,11 +24,11 @@ def test_predictive_rows_match_conjugate_response():
     rng = np.random.default_rng(0)
     geom = geom_for(32)
     eta = sample_state(rng, geom)
-    bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
+    bf = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)
     assert bf.shape == (N_SYM, 32)
     check_unit_norm(bf)
     for n in range(1, N_SYM + 1):
-        a = array_response(geom, n, TS, eta.velocity, eta.position)
+        a = array_response(geom, n, TS, eta[2:], eta[:2])
         np.testing.assert_allclose(bf[n - 1], np.conj(a) / math.sqrt(32), rtol=1e-12)
 
 
@@ -43,25 +43,24 @@ def test_opt_equals_predictive_at_truth():
     geom = geom_for(16)
     eta = sample_state(rng, geom)
     np.testing.assert_array_equal(
-        opt_beamformers(geom, eta, N_SYM, TS),
-        predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS),
+        opt_beamformers(geom, eta[:2], eta[2:], N_SYM, TS),
+        predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS),
     )
 
 
 def test_matched_gain_is_full_and_translation_stable():
     # perfectly matched beam collects gain sqrt(M) whatever the position
     geom = geom_for(64)
+    v = (8.0, 7.0)
     for p in ((0.0, 10.0), (5.0, 10.0), (2.0, 6.0)):
-        eta = MotionState(p[0], p[1], 8.0, 7.0)
-        bf = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
-        a = array_response(geom, N_SYM, TS, eta.velocity, eta.position)
+        bf = predictive_beamformers(geom, p, v, N_SYM, TS)
+        a = array_response(geom, N_SYM, TS, v, p)
         assert abs(a @ bf[-1]) == pytest.approx(math.sqrt(64), rel=1e-12)
 
 
 def test_ff_phases_are_planar():
     geom = geom_for(32)
-    eta = MotionState(3.0, 4.0, 2.0, -1.0)
-    bf = ff_beamformers(geom, eta, N_SYM, TS)
+    bf = ff_beamformers(geom, (3.0, 4.0), (2.0, -1.0), N_SYM, TS)
     check_unit_norm(bf)
     u = np.array([3.0, 4.0]) / 5.0
     v_rad = float(np.array([2.0, -1.0]) @ u)
@@ -76,7 +75,7 @@ def test_ff_phases_are_planar():
 def test_ff_rejects_origin():
     geom = geom_for(8)
     with pytest.raises(DegeneratePositionError):
-        ff_beamformers(geom, MotionState(0.0, 0.0, 1.0, 1.0), N_SYM, TS)
+        ff_beamformers(geom, (0.0, 0.0), (1.0, 1.0), N_SYM, TS)
 
 
 def test_opt_dominates_ff_in_near_field():
@@ -84,12 +83,12 @@ def test_opt_dominates_ff_in_near_field():
     geom = geom_for(128)
     model = default_model()
     for _ in range(10):
-        eta = sample_state(rng, geom)
+        p, v = np.split(sample_state(rng, geom), 2)
         r_opt = cpi_throughput(
-            geom, model, eta, opt_beamformers(geom, eta, N_SYM, TS), TS, 1.0, 1e-8
+            geom, model, p, v, opt_beamformers(geom, p, v, N_SYM, TS), TS, 1.0, 1e-8
         )
         r_ff = cpi_throughput(
-            geom, model, eta, ff_beamformers(geom, eta, N_SYM, TS), TS, 1.0, 1e-8
+            geom, model, p, v, ff_beamformers(geom, p, v, N_SYM, TS), TS, 1.0, 1e-8
         )
         assert r_opt >= r_ff - 1e-12
 
@@ -110,53 +109,53 @@ def test_feedback_latch_schedule():
 
 
 def test_fd_predicted_state_dead_reckons():
-    eta0 = MotionState(5.0, 10.0, 8.0, 7.0)
+    eta0 = np.array([5.0, 10.0, 8.0, 7.0])
     traj = generate_trajectory(
         eta0, MotionNoise(0.01, 0.01), 1e-4, 12, np.random.default_rng(3)
     )
     fd = fd_predicted_state(traj, 4, 1e-4)
     p, v = fd[8, :2], fd[8, 2:]
-    latch = MotionState.from_array(traj[4])  # latch index 5 (1-based) for cpi 9, period 4
-    np.testing.assert_array_equal(v, latch.velocity)
-    np.testing.assert_allclose(p, latch.position + 4 * 1e-4 * latch.velocity, rtol=1e-15)
+    latch = traj[4]  # latch index 5 (1-based) for cpi 9, period 4
+    np.testing.assert_array_equal(v, latch[2:])
+    np.testing.assert_allclose(p, latch[:2] + 4 * 1e-4 * latch[2:], rtol=1e-15)
     # within the first period everything reckons from CPI 1
     p1, v1 = fd[2, :2], fd[2, 2:]
-    np.testing.assert_array_equal(v1, eta0.velocity)
-    np.testing.assert_allclose(p1, eta0.position + 2 * 1e-4 * eta0.velocity, rtol=1e-15)
+    np.testing.assert_array_equal(v1, eta0[2:])
+    np.testing.assert_allclose(p1, eta0[:2] + 2 * 1e-4 * eta0[2:], rtol=1e-15)
 
 
 @pytest.mark.parametrize("num_cpis", [1, 2, 13])
 @pytest.mark.parametrize("period", [1, 4, 20])
 def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
     traj = generate_trajectory(
-        MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), 1e-4, num_cpis,
+        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), 1e-4, num_cpis,
         np.random.default_rng(5),
     )
     want = []
     for cpi in range(1, num_cpis + 1):
         latch = feedback_latch_index(cpi, period)
-        st = MotionState.from_array(traj[latch - 1])
-        want.append(np.concatenate([st.position + (cpi - latch) * 1e-4 * st.velocity, st.velocity]))
+        st = traj[latch - 1]
+        want.append(np.concatenate([st[:2] + (cpi - latch) * 1e-4 * st[2:], st[2:]]))
     got = fd_predicted_state(traj, period, 1e-4)
     assert got.shape == (num_cpis, 4)
     assert got.tobytes() == np.array(want).tobytes()
 
 
-def _divided_predictive(geom, eta):
+def _divided_predictive(geom, p, v):
     """conj(a_tilde * d(n)) built as predictive_beamformers does, then / sqrt(M)."""
-    nf = geo.near_field(geom, eta.position)
-    d = geo.symbol_dopplers(geom, N_SYM, TS, eta.velocity, nf)
+    nf = geo.near_field(geom, p)
+    d = geo.symbol_dopplers(geom, N_SYM, TS, v, nf)
     return np.conj(nf.steering[..., None, :] * d) / math.sqrt(geom.num_antennas)
 
 
-def _divided_ff(geom, eta):
+def _divided_ff(geom, p, v):
     """The far-field beam built as ff_beamformers does, its element phasor / sqrt(M)."""
     def dot2(a, b):
         return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    p = geo.as_points(eta.position, "position")
+    p = geo.as_points(p, "position")
     u = p / np.sqrt(dot2(p, p))[..., None]
-    v_radial = dot2(geo.as_points(eta.velocity, "velocity"), u)
+    v_radial = dot2(geo.as_points(v, "velocity"), u)
     n = np.arange(1, N_SYM + 1)
     symbol = geo.unit_phasor((-geom.wavenumber * TS) * (n * v_radial[..., None]))
     element = geo.unit_phasor((-geom.wavenumber * element_offsets(geom)) * u[..., 0, None])
@@ -177,13 +176,14 @@ def test_beams_are_bit_identical_to_dividing_by_sqrt_m(m):
     states = [
         sample_state(rng, geom),
         sample_broadside_state(rng),
-        MotionState(0.0, 10.0, 0.0, 0.0),
-        MotionState(0.0, 10.0, 0.0, -3.0),
-        MotionState(-3.0, 10.0, 0.0, 0.0),
+        np.array([0.0, 10.0, 0.0, 0.0]),
+        np.array([0.0, 10.0, 0.0, -3.0]),
+        np.array([-3.0, 10.0, 0.0, 0.0]),
     ]
-    for eta in [*states, StateBatch.stack(states)]:
-        want = _divided_predictive(geom, eta).tobytes()
-        got = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)
+    for eta in [*states, np.stack(states)]:
+        p, v = eta[..., :2], eta[..., 2:]
+        want = _divided_predictive(geom, p, v).tobytes()
+        got = predictive_beamformers(geom, p, v, N_SYM, TS)
         assert got.tobytes() == want
-        assert opt_beamformers(geom, eta, N_SYM, TS).tobytes() == want
-        assert ff_beamformers(geom, eta, N_SYM, TS).tobytes() == _divided_ff(geom, eta).tobytes()
+        assert opt_beamformers(geom, p, v, N_SYM, TS).tobytes() == want
+        assert ff_beamformers(geom, p, v, N_SYM, TS).tobytes() == _divided_ff(geom, p, v).tobytes()

@@ -9,7 +9,6 @@ from nfbeam import (
     ExperimentConfig,
     FilterHealthError,
     MotionNoise,
-    MotionState,
     ProjectionKinkError,
     SystemConfig,
     TrackerBelief,
@@ -59,17 +58,17 @@ def make_problem(rng, m=8):
     jac = scale * (rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4)))
     root = rng.normal(size=(4, 4))
     cov = root @ root.T + 0.05 * np.eye(4)
-    prior = TrackerBelief(mean=MotionState(5.0, 10.0, 8.0, 7.0), covariance=cov)
+    prior = TrackerBelief(mean=np.array([5.0, 10.0, 8.0, 7.0]), covariance=cov)
     h = rng.normal(size=m) + 1j * rng.normal(size=m)
     y = h + scale * 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
     return prior, y, jac, h
 
 
 def test_forecast_reference_values():
-    belief = TrackerBelief(mean=MotionState(5.0, 10.0, 8.0, 7.0), covariance=0.1 * np.eye(4))
+    belief = TrackerBelief(mean=np.array([5.0, 10.0, 8.0, 7.0]), covariance=0.1 * np.eye(4))
     prior = ekf_forecast(belief, 1e-4, MotionNoise(0.0, 0.0))
     np.testing.assert_allclose(
-        prior.mean.as_array(), [5.0008, 10.0007, 8.0, 7.0], rtol=1e-12
+        prior.mean, [5.0008, 10.0007, 8.0, 7.0], rtol=1e-12
     )
     assert abs(prior.covariance[0, 0] - (0.1 + 1e-9)) <= 1e-15
     assert abs(prior.covariance[1, 1] - (0.1 + 1e-9)) <= 1e-15
@@ -98,26 +97,25 @@ def test_jacobian_matches_finite_difference(signed):
     model = default_model()
     for _ in range(6):
         eta = sample_state(rng, geom)
-        bf = predictive_beamformers(geom, eta.position, (0.0, 0.0), N_SYM, TS)
+        bf = predictive_beamformers(geom, eta[:2], (0.0, 0.0), N_SYM, TS)
         f = bf[-1]
-        jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
+        jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
 
         def mean_at(state):
-            return observation_mean(geom, model, MotionState(*state), f, 1.0, N_SYM, TS)
+            return observation_mean(geom, model, state[:2], state[2:], f, 1.0, N_SYM, TS)
 
-        base = eta.as_array()
         for col in range(4):
             def along(t, col=col):
-                s = base.copy()
+                s = eta.copy()
                 s[col] = t
                 return mean_at(s)
 
             # position columns oscillate at carrier scale: a plain second-order
             # difference at 1e-4 m is all truncation, the 5-point stencil is not
             if col < 2:
-                ref = fd_central4_vec(along, base[col], 1e-4)
+                ref = fd_central4_vec(along, eta[col], 1e-4)
             else:
-                ref = fd_central_vec(along, base[col], 1e-4)
+                ref = fd_central_vec(along, eta[col], 1e-4)
             err = np.linalg.norm(jac[:, col] - ref) / np.linalg.norm(ref)
             assert err < 1e-4
 
@@ -125,16 +123,16 @@ def test_jacobian_matches_finite_difference(signed):
 def test_jacobian_velocity_columns_at_rest():
     geom = geom_for(24)
     model = default_model()
-    eta = MotionState(4.0, 11.0, 0.0, 0.0)
+    eta = np.array([4.0, 11.0, 0.0, 0.0])
     rng = np.random.default_rng(3)
     f = rng.normal(size=24) + 1j * rng.normal(size=24)
     f /= np.linalg.norm(f)
-    jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
+    jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
     from nfbeam import projection_coeffs, steering_vector
 
-    atil = steering_vector(geom, eta.position)
-    g, q = projection_coeffs(geom, eta.position)
-    alpha2 = pathloss(model, eta.position, "roundtrip")
+    atil = steering_vector(geom, eta[:2])
+    g, q = projection_coeffs(geom, eta[:2])
+    alpha2 = pathloss(model, eta[:2], "roundtrip")
     fac = -1j * geom.wavenumber * DT * alpha2
     af = atil @ f
     for col, proj in ((2, g), (3, q)):
@@ -145,13 +143,15 @@ def test_jacobian_velocity_columns_at_rest():
 def test_jacobian_linear_in_beam_phase():
     geom = geom_for(16)
     model = default_model()
-    eta = MotionState(3.0, 9.0, 4.0, -2.0)
+    eta = np.array([3.0, 9.0, 4.0, -2.0])
     rng = np.random.default_rng(5)
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
     f /= np.linalg.norm(f)
     phase = np.exp(1j * 0.83)
-    jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
-    rotated = np.asarray(observation_jacobian(geom, model, eta, phase * f, 1.0, N_SYM, TS))
+    jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
+    rotated = np.asarray(
+        observation_jacobian(geom, model, eta[:2], eta[2:], phase * f, 1.0, N_SYM, TS)
+    )
     np.testing.assert_allclose(rotated, phase * jac, rtol=1e-12)
 
 
@@ -161,11 +161,11 @@ def test_jacobian_kink_guard():
     from nfbeam import element_offsets
 
     x_on_antenna = float(element_offsets(geom)[2])
-    eta = MotionState(x_on_antenna, 9.0, 1.0, 1.0)
+    p, v = (x_on_antenna, 9.0), (1.0, 1.0)
     f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     with pytest.raises(ProjectionKinkError):
-        observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
-    observation_jacobian(geom_for(8, signed=True), model, eta, f, 1.0, N_SYM, TS)
+        observation_jacobian(geom, model, p, v, f, 1.0, N_SYM, TS)
+    observation_jacobian(geom_for(8, signed=True), model, p, v, f, 1.0, N_SYM, TS)
 
 
 def test_update_matches_dense_reference():
@@ -175,11 +175,11 @@ def test_update_matches_dense_reference():
         for sigma_e2, tol in ((1e-2, 1e-11), (1e-8, 1e-6)):
             post, diag = kalman_update(prior, y, jac, h, sigma_e2)
             ref_mean, ref_cov = reference_update(
-                prior.mean.as_array(), prior.covariance, y, jac, h, sigma_e2
+                prior.mean, prior.covariance, y, jac, h, sigma_e2
             )
             scale = 1.0 + np.linalg.norm(ref_mean) + np.linalg.norm(ref_cov)
             dev = (
-                np.linalg.norm(post.mean.as_array() - ref_mean)
+                np.linalg.norm(post.mean - ref_mean)
                 + np.linalg.norm(post.covariance - ref_cov)
             ) / scale
             # the two algebraic routes drift apart with the conditioning of the
@@ -196,10 +196,10 @@ def test_update_scalar_closed_form():
     nu = 0.11 + 0.05j
     sigma_e2 = 1e-3
     r = sigma_e2 / 2.0
-    prior = TrackerBelief(mean=MotionState(1.0, 2.0, 3.0, 4.0), covariance=p0)
+    prior = TrackerBelief(mean=np.array([1.0, 2.0, 3.0, 4.0]), covariance=p0)
     post, diag = kalman_update(prior, np.array([nu]), jac, np.array([0j]), sigma_e2)
     denom = abs(j1) ** 2 * 0.4 + r
-    assert abs(post.mean.x - (1.0 + 0.4 * (j1.conjugate() * nu).real / denom)) < 1e-12
+    assert abs(post.mean[0] - (1.0 + 0.4 * (j1.conjugate() * nu).real / denom)) < 1e-12
     assert abs(post.covariance[0, 0] - 0.4 * r / denom) < 1e-15
     # untouched states keep their variance
     np.testing.assert_allclose(np.diag(post.covariance)[1:], [0.3, 0.2, 0.1], rtol=1e-12)
@@ -210,7 +210,7 @@ def test_update_infinite_noise_keeps_prior():
     rng = np.random.default_rng(8)
     prior, y, jac, h = make_problem(rng)
     post, _ = kalman_update(prior, y, jac, h, 1e30)
-    np.testing.assert_allclose(post.mean.as_array(), prior.mean.as_array(), atol=1e-12)
+    np.testing.assert_allclose(post.mean, prior.mean, atol=1e-12)
     np.testing.assert_allclose(post.covariance, prior.covariance, rtol=1e-9)
 
 
@@ -218,7 +218,7 @@ def test_update_zero_innovation_keeps_mean_and_contracts():
     rng = np.random.default_rng(9)
     prior, _, jac, h = make_problem(rng)
     post, diag = kalman_update(prior, h.copy(), jac, h, 1e-4)
-    np.testing.assert_array_equal(post.mean.as_array(), prior.mean.as_array())
+    np.testing.assert_array_equal(post.mean, prior.mean)
     assert diag.innovation_norm == 0.0
     assert np.trace(post.covariance) <= np.trace(prior.covariance) * (1.0 + 1e-12)
 
@@ -229,12 +229,12 @@ def test_update_invariant_to_common_phase():
     rot = np.exp(1j * 1.234)
     base, _ = kalman_update(prior, y, jac, h, 1e-4)
     spun, _ = kalman_update(prior, rot * y, rot * jac, rot * h, 1e-4)
-    np.testing.assert_allclose(spun.mean.as_array(), base.mean.as_array(), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(spun.mean, base.mean, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(spun.covariance, base.covariance, rtol=1e-9, atol=1e-12)
 
 
 def test_update_ridge_and_zero_sensitivity_paths():
-    prior = TrackerBelief(mean=MotionState(5.0, 10.0, 8.0, 7.0), covariance=np.eye(4))
+    prior = TrackerBelief(mean=np.array([5.0, 10.0, 8.0, 7.0]), covariance=np.eye(4))
     jac = np.zeros((1, 4), complex)
     jac[0, 0] = 1.0
     # r = 0 with a rank-1 gram: the innovation system is exactly singular
@@ -246,12 +246,12 @@ def test_update_ridge_and_zero_sensitivity_paths():
         prior, np.array([0.3 + 0j]), np.zeros((1, 4), complex), np.array([0j]), 0.0
     )
     assert not diag2.ridged
-    np.testing.assert_array_equal(post2.mean.as_array(), prior.mean.as_array())
+    np.testing.assert_array_equal(post2.mean, prior.mean)
     np.testing.assert_array_equal(post2.covariance, prior.covariance)
 
 
 def test_belief_validation_rejects_bad_covariance():
-    mean = MotionState(0.0, 10.0, 0.0, 0.0)
+    mean = np.array([0.0, 10.0, 0.0, 0.0])
     skew = np.eye(4)
     skew[0, 1] = 1e-6
     with pytest.raises(FilterHealthError):
@@ -264,7 +264,7 @@ def test_belief_validation_rejects_bad_covariance():
 
 
 def test_config_validation():
-    belief = TrackerBelief(MotionState(5.0, 10.0, 8.0, 7.0), 0.1 * np.eye(4))
+    belief = TrackerBelief(np.array([5.0, 10.0, 8.0, 7.0]), 0.1 * np.eye(4))
     y = np.zeros(4, dtype=complex)
     with pytest.raises(ValueError, match="echo_noise_power"):
         kalman_update(belief, y, np.zeros((4, 4), dtype=complex), y, -1e-9)
@@ -278,26 +278,25 @@ def test_track_step_composes_forecast_beam_update():
     geom = geom_for(32)
     model = default_model()
     process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
-    belief = TrackerBelief(MotionState(5.0, 10.0, 8.0, 7.0), 0.1 * np.eye(4))
-    truth = MotionState(5.0009, 10.0006, 8.1, 6.9)
+    belief = TrackerBelief(np.array([5.0, 10.0, 8.0, 7.0]), 0.1 * np.eye(4))
+    truth = np.array([5.0009, 10.0006, 8.1, 6.9])
 
     prior = ekf_forecast(belief, DT, process_noise)
-    bf_ref = predictive_beamformers(
-        geom, prior.mean.position, prior.mean.velocity, N_SYM, TS
-    )
+    p, v = prior.mean[:2], prior.mean[2:]
+    bf_ref = predictive_beamformers(geom, p, v, N_SYM, TS)
     noise = 1e-8
     y = synthesize_observation(
-        geom, model, truth, bf_ref, noise, 1.0, TS, np.random.default_rng(4)
+        geom, model, truth[:2], truth[2:], bf_ref, noise, 1.0, TS, np.random.default_rng(4)
     )
-    h_bar = observation_mean(geom, model, prior.mean, bf_ref[-1], 1.0, N_SYM, TS)
-    jac = observation_jacobian(geom, model, prior.mean, bf_ref[-1], 1.0, N_SYM, TS)
+    h_bar = observation_mean(geom, model, p, v, bf_ref[-1], 1.0, N_SYM, TS)
+    jac = observation_jacobian(geom, model, p, v, bf_ref[-1], 1.0, N_SYM, TS)
     want, want_diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
 
     bf, post, diag = ekf_track_step(
         belief, lambda b: y, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
     )
     np.testing.assert_array_equal(bf, bf_ref)
-    np.testing.assert_array_equal(post.mean.as_array(), want.mean.as_array())
+    np.testing.assert_array_equal(post.mean, want.mean)
     np.testing.assert_array_equal(post.covariance, want.covariance)
     assert diag == want_diag
 
@@ -308,17 +307,17 @@ def test_track_step_noiseless_fixed_point():
     process_noise, echo_noise_power = MotionNoise(0.0, 0.0), 0.0
     rng = np.random.default_rng(0)
     traj = generate_trajectory(
-        MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), DT, 100, rng
+        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), DT, 100, rng
     )
     noise = 0.0
-    belief = TrackerBelief(MotionState.from_array(traj[0]), 0.1 * np.eye(4))
+    belief = TrackerBelief(traj[0].copy(), 0.1 * np.eye(4))
     worst = 0.0
     for l in range(1, 100):
-        eta = MotionState.from_array(traj[l])
+        eta = traj[l]
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta, bf, noise, 1.0, TS, rng
+                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, rng
             )
 
         bf, belief, diag = ekf_track_step(
@@ -326,8 +325,8 @@ def test_track_step_noiseless_fixed_point():
         )
         worst = max(
             worst,
-            math.hypot(belief.mean.x - eta.x, belief.mean.y - eta.y),
-            math.hypot(belief.mean.vx - eta.vx, belief.mean.vy - eta.vy),
+            math.hypot(*(belief.mean[:2] - eta[:2])),
+            math.hypot(*(belief.mean[2:] - eta[2:])),
         )
         belief.validate()
     assert worst < 1e-6
@@ -343,24 +342,24 @@ def test_track_step_throughput_near_matched():
     noise_rng = stream(0, "echo-noise")
     cpis = 600
     traj = generate_trajectory(
-        MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, cpis, traj_rng
+        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, cpis, traj_rng
     )
     noise = 1e-8
-    belief = TrackerBelief(MotionState.from_array(traj[0]), 0.1 * np.eye(4))
+    belief = TrackerBelief(traj[0].copy(), 0.1 * np.eye(4))
     rates, opts = [], []
     for l in range(1, cpis):
-        eta = MotionState.from_array(traj[l])
+        eta = traj[l]
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta, bf, noise, 1.0, TS, noise_rng
+                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, noise_rng
             )
 
         bf, belief, diag = ekf_track_step(
             belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
         )
-        rates.append(cpi_throughput(geom, model, eta, bf, TS, 1.0, 1e-8))
-        a1 = pathloss(model, eta.position, "downlink")
+        rates.append(cpi_throughput(geom, model, eta[:2], eta[2:], bf, TS, 1.0, 1e-8))
+        a1 = pathloss(model, eta[:2], "downlink")
         opts.append(math.log2(1.0 + 64 * a1 * a1 / 1e-8))
     assert np.mean(rates) / np.mean(opts) > 0.98
 
@@ -374,23 +373,23 @@ def test_belief_sequence_deterministic():
         traj_rng = stream(5, "trajectory")
         noise_rng = stream(5, "echo-noise")
         traj = generate_trajectory(
-            MotionState(5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, 40, traj_rng
+            (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, 40, traj_rng
         )
         noise = 1e-8
-        belief = TrackerBelief(MotionState.from_array(traj[0]), 0.1 * np.eye(4))
+        belief = TrackerBelief(traj[0].copy(), 0.1 * np.eye(4))
         means = []
         for l in range(1, 40):
-            eta = MotionState.from_array(traj[l])
+            eta = traj[l]
 
             def observe(bf, eta=eta):
                 return synthesize_observation(
-                    geom, model, eta, bf, noise, 1.0, TS, noise_rng
+                    geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, noise_rng
                 )
 
             bf, belief, diag = ekf_track_step(
                 belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
             )
-            means.append(np.concatenate([belief.mean.as_array(), belief.covariance.ravel()]))
+            means.append(np.concatenate([belief.mean, belief.covariance.ravel()]))
         return np.array(means)
 
     np.testing.assert_array_equal(run(), run())
@@ -399,14 +398,30 @@ def test_belief_sequence_deterministic():
 @pytest.mark.parametrize("field", ["x", "y", "vx", "vy"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_belief_validation_rejects_non_finite_mean(field, bad):
-    mean = MotionState(**{**dict(x=0.0, y=10.0, vx=0.0, vy=0.0), field: bad})
+    mean = np.array([0.0, 10.0, 0.0, 0.0])
+    mean[["x", "y", "vx", "vy"].index(field)] = bad
     with pytest.raises(FilterHealthError, match="non-finite mean"):
         TrackerBelief(mean=mean, covariance=np.eye(4)).validate()
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (5,), (1, 4), (4, 1), (2, 4)])
+def test_belief_validation_rejects_a_mean_not_of_shape_4(shape):
+    with pytest.raises(ValueError, match=r"mean must have shape \(4,\)"):
+        TrackerBelief(mean=np.ones(shape), covariance=np.eye(4)).validate()
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 4)])
+def test_update_refuses_a_prior_mean_that_broadcasts(shape):
+    # prior.mean + delta broadcasts these to a posterior mean that is not (4,)
+    prior = TrackerBelief(mean=np.ones(shape), covariance=np.eye(4))
+    jac = np.ones((3, 4), complex)
+    with pytest.raises(ValueError, match=r"mean must have shape \(4,\)"):
+        kalman_update(prior, np.ones(3, complex), jac, np.zeros(3, complex), 0.1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_belief_validation_rejects_non_finite_covariance(bad):
-    mean = MotionState(0.0, 10.0, 0.0, 0.0)
+    mean = np.array([0.0, 10.0, 0.0, 0.0])
     for entry in ((0, 0), (1, 2), (3, 3)):
         cov = np.eye(4)
         cov[entry] = cov[entry[::-1]] = bad
@@ -422,20 +437,20 @@ def test_belief_validation_reports_eigensolver_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(FilterHealthError, match="did not converge"):
-        TrackerBelief(mean=MotionState(0.0, 10.0, 0.0, 0.0), covariance=np.eye(4)).validate()
+        TrackerBelief(mean=np.array([0.0, 10.0, 0.0, 0.0]), covariance=np.eye(4)).validate()
 
 
 def test_update_refuses_a_non_finite_ridged_solve():
     # a NaN echo makes the first solve non-finite; the ridged re-solve is too,
     # and its NaN mean must not leave kalman_update as a posterior
-    prior = TrackerBelief(mean=MotionState(5.0, 10.0, 8.0, 7.0), covariance=np.eye(4))
+    prior = TrackerBelief(mean=np.array([5.0, 10.0, 8.0, 7.0]), covariance=np.eye(4))
     jac = np.zeros((1, 4), complex)
     jac[0, 0] = 1.0
     with pytest.raises(FilterHealthError, match="non-finite mean"):
         kalman_update(prior, np.array([complex(math.nan, 0.0)]), jac, np.array([0j]), 0.1)
 
 
-def _long_double_jacobian(geom, model, eta, f, s_amp, num_symbols, symbol_duration):
+def _long_double_jacobian(geom, model, p, v, f, s_amp, num_symbols, symbol_duration):
     """The echo Jacobian's four columns assembled in np.longdouble arithmetic.
 
     The inputs (array response, ranges, projections and their gradients,
@@ -445,15 +460,15 @@ def _long_double_jacobian(geom, model, eta, f, s_amp, num_symbols, symbol_durati
     """
     dtype = np.longdouble
     cplx = np.result_type(dtype, 1j).type
-    nf = geo.near_field(geom, eta.position)
+    nf = geo.near_field(geom, p)
     r, ux, uy, g, q = (np.asarray(x, dtype) for x in (nf.r, nf.ux, nf.uy, nf.g, nf.q))
     grads = geo.projection_coeff_gradients(geom, nf)
     dg_dx, dq_dx, dg_dy, dq_dy = (np.asarray(d, dtype) for d in grads)
-    v = np.asarray(eta.velocity, dtype)
+    a = np.asarray(geo.array_response(geom, num_symbols, symbol_duration, v, nf), cplx)
+    v = np.asarray(v, dtype)
     kappa = dtype(geom.wavenumber)
     dtt = dtype(num_symbols) * dtype(symbol_duration)
     s_amp = dtype(s_amp)
-    a = np.asarray(geo.array_response(geom, num_symbols, symbol_duration, eta.velocity, nf), cplx)
     f = np.asarray(f, cplx)
     alpha2 = dtype(geo.pathloss(model, nf.position, geo.ROUNDTRIP))
     da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(model, nf.position))
@@ -477,16 +492,16 @@ def _jacobian_cases(m, signed):
     each with the predictive beam at the state and with a random unit beam."""
     geom = geom_for(m, signed)
     states = [
-        MotionState(0.0, 10.0, 0.0, 0.0),
-        MotionState(0.0, 10.0, 3.0, -2.0),
-        MotionState(5.0, 10.0, 8.0, 7.0),
-        MotionState(0.05, 3.0, 8.0, 7.0),
+        np.array([0.0, 10.0, 0.0, 0.0]),
+        np.array([0.0, 10.0, 3.0, -2.0]),
+        np.array([5.0, 10.0, 8.0, 7.0]),
+        np.array([0.05, 3.0, 8.0, 7.0]),
     ]
     if not signed and m % 2:
         states = states[2:]  # x = 0 is the middle antenna: a magnitude kink
     rng = np.random.default_rng(m + 1000 * int(signed))
     for eta in states:
-        matched = predictive_beamformers(geom, eta.position, eta.velocity, N_SYM, TS)[-1]
+        matched = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)[-1]
         other = rng.normal(size=m) + 1j * rng.normal(size=m)
         for f in (matched, other / np.linalg.norm(other)):
             yield geom, eta, f
@@ -499,10 +514,10 @@ def test_jacobian_against_long_double(m, signed):
     # column's norm, within a few units of round-off
     model = default_model()
     for geom, eta, f in _jacobian_cases(m, signed):
-        exact = _long_double_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        exact = _long_double_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS)
         size = np.linalg.norm(exact, axis=0)
         live = size > 0  # broadside at rest: the x column vanishes
-        jac = np.asarray(observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS))
+        jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
         err = np.linalg.norm(jac - exact, axis=0)
         assert np.all(err[~live] == 0.0)
         assert np.all(err[live] < 8 * np.finfo(float).eps * size[live]), (eta, err / size)
@@ -518,9 +533,9 @@ def test_gram_and_score_against_long_double(m, signed):
     eps = np.finfo(float).eps
     rng = np.random.default_rng(m + 1000 * int(signed))
     for geom, eta, f in _jacobian_cases(m, signed):
-        exact = _long_double_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        exact = _long_double_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS)
         nu = rng.normal(size=m) + 1j * rng.normal(size=m)
-        jac = observation_jacobian(geom, model, eta, f, 1.0, N_SYM, TS)
+        jac = observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS)
         gram, score = jac.gram_and_score(nu)
         exact_h = np.conj(exact).T
         want_gram = np.real(exact_h @ exact)
@@ -537,7 +552,7 @@ def _dense_update(prior, y, jac, predicted_mean, echo_noise_power):
     mean, cov = checks._dense_reference_update(
         prior, y, np.asarray(jac), predicted_mean, echo_noise_power
     )
-    posterior = TrackerBelief(MotionState.from_array(mean), cov)
+    posterior = TrackerBelief(mean, cov)
     return posterior, ekf.UpdateDiagnostics(float(np.linalg.norm(y - predicted_mean)))
 
 

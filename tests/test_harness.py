@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from nfbeam.beamforming import (
     predictive_beamformers,
 )
 from nfbeam.harness import read_metrics_csv
-from nfbeam.motion import MotionState, generate_trajectory
+from nfbeam.motion import generate_trajectory
 from nfbeam.signals import cpi_throughput
 
 
@@ -86,26 +87,25 @@ def test_matched_method_rides_the_opt_column():
 
 
 def _trajectory(cfg):
-    table = generate_trajectory(
-        cfg.state0, cfg.motion_noise, cfg.system.cpi_duration_s, cfg.num_cpis,
+    return generate_trajectory(
+        cfg.initial_state, cfg.motion_noise, cfg.system.cpi_duration_s, cfg.num_cpis,
         stream(cfg.seed, "trajectory"),
     )
-    return [MotionState.from_array(row) for row in table]
 
 
 def _fd_state(traj, cpi, period_cpis, dt):
     """Feedback pointer at one CPI: the latched state, dead-reckoned since its report."""
     latch = feedback_latch_index(cpi, period_cpis)
     st = traj[latch - 1]
-    return st.position + (cpi - latch) * dt * st.velocity, st.velocity
+    return st[:2] + (cpi - latch) * dt * st[2:], st[2:]
 
 
 def _single_rate(cfg, bf, eta):
     """cpi_throughput of one beam at one true state."""
     sys_cfg = cfg.system
     return cpi_throughput(
-        sys_cfg.geometry(), sys_cfg.pathloss_model(), eta, bf, sys_cfg.symbol_duration_s,
-        sys_cfg.tx_power_w, sys_cfg.comm_noise_power,
+        sys_cfg.geometry(), sys_cfg.pathloss_model(), eta[:2], eta[2:], bf,
+        sys_cfg.symbol_duration_s, sys_cfg.tx_power_w, sys_cfg.comm_noise_power,
     )
 
 
@@ -117,11 +117,11 @@ def _per_cpi_baseline_rates(cfg):
     traj = _trajectory(cfg)
     out = []
     for cpi, eta in enumerate(traj, start=1):
-        bf_opt = opt_beamformers(geom, eta, n_sym, ts)
+        bf_opt = opt_beamformers(geom, eta[:2], eta[2:], n_sym, ts)
         if cpi == 1:
             bf_ff = bf_fd = bf_opt
         else:
-            bf_ff = ff_beamformers(geom, eta, n_sym, ts)
+            bf_ff = ff_beamformers(geom, eta[:2], eta[2:], n_sym, ts)
             fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, dt)
             bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts)
         out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
@@ -207,7 +207,7 @@ def test_estimate_columns_of_every_method(method, signed, num_cpis, monkeypatch)
         monkeypatch.setattr(harness, "agdao_track_step", spy)
     result = run_experiment(cfg)
     traj = _trajectory(cfg)
-    truth = [(s.x, s.y, s.vx, s.vy) for s in traj]
+    truth = [tuple(s) for s in traj.tolist()]
     if method == "fd":
         want = []
         for cpi in range(1, num_cpis + 1):
@@ -248,6 +248,42 @@ def test_run_is_deterministic():
     second = run_experiment(cfg)
     assert first.rows == second.rows
     assert first.belief_rows == second.belief_rows
+
+
+def test_ekf_run_shares_no_state_memory(monkeypatch):
+    # states are mutable arrays: the truth table, the estimate table and every
+    # belief mean must be separate buffers, so no in-place write reaches another
+    handed, inputs, outputs = [], [], []
+    step = harness.ekf_track_step
+
+    def spy(belief, *args, **kwargs):
+        handed.append(belief.mean.tobytes())
+        out = step(belief, *args, **kwargs)
+        inputs.append(belief)
+        outputs.append(out[1])
+        return out
+
+    tables = {}
+
+    def keep_locals(frame, event, arg):
+        if event == "return" and frame.f_code is run_experiment.__code__:
+            tables.update(truth=frame.f_locals["truth"], est=frame.f_locals["est"])
+
+    monkeypatch.setattr(harness, "ekf_track_step", spy)
+    cfg = small_config(method="ekf", num_cpis=8)
+    sys.setprofile(keep_locals)
+    try:
+        run_experiment(cfg)
+    finally:
+        sys.setprofile(None)
+    assert all(b is a for a, b in zip(outputs, inputs[1:]))
+    # no step wrote the mean it was handed
+    assert [belief.mean.tobytes() for belief in inputs] == handed
+    arrays = [tables["truth"], tables["est"], inputs[0].mean, *(b.mean for b in outputs)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert tables["truth"].tobytes() == _trajectory(cfg).tobytes()
 
 
 def test_belief_rows_only_for_ekf():

@@ -6,7 +6,6 @@ import pytest
 
 from nfbeam.motion import (
     MotionNoise,
-    MotionState,
     generate_trajectory,
     kinematic_forecast,
     transition_matrix,
@@ -15,22 +14,13 @@ from nfbeam.motion import (
 
 def _reference_trajectory(eta0, noise, dt, num_cpis, rng):
     """The state-by-state loop: move with the pre-step velocity, then kick it."""
-    traj = [eta0]
+    traj = [np.array(eta0)]
     for _ in range(num_cpis - 1):
         moved = kinematic_forecast(traj[-1], dt)
-        dvx = rng.normal(0.0, math.sqrt(noise.var_vx))
-        dvy = rng.normal(0.0, math.sqrt(noise.var_vy))
-        traj.append(MotionState(moved.x, moved.y, moved.vx + dvx, moved.vy + dvy))
-    return np.array([s.as_array() for s in traj])
-
-
-def test_state_array_round_trip():
-    eta = MotionState(1.0, 2.0, 3.0, 4.0)
-    arr = eta.as_array()
-    np.testing.assert_array_equal(arr, [1.0, 2.0, 3.0, 4.0])
-    assert MotionState.from_array(arr) == eta
-    np.testing.assert_array_equal(eta.position, [1.0, 2.0])
-    np.testing.assert_array_equal(eta.velocity, [3.0, 4.0])
+        moved[2] += rng.normal(0.0, math.sqrt(noise.var_vx))
+        moved[3] += rng.normal(0.0, math.sqrt(noise.var_vy))
+        traj.append(moved)
+    return np.array(traj)
 
 
 def test_transition_matrix_matches_forecast():
@@ -40,19 +30,27 @@ def test_transition_matrix_matches_forecast():
     assert f[0, 2] == dt and f[1, 3] == dt
     rng = np.random.default_rng(0)
     for _ in range(10):
-        eta = MotionState(*rng.uniform(-10, 10, size=4))
-        np.testing.assert_allclose(
-            kinematic_forecast(eta, dt).as_array(), f @ eta.as_array(), rtol=1e-15
-        )
+        eta = rng.uniform(-10, 10, size=4)
+        np.testing.assert_allclose(kinematic_forecast(eta, dt), f @ eta, rtol=1e-15)
 
 
 def test_forecast_composes_in_time():
-    eta = MotionState(5.0, 10.0, 8.0, 7.0)
+    eta = np.array([5.0, 10.0, 8.0, 7.0])
     dt = 1e-4
     two = kinematic_forecast(kinematic_forecast(eta, dt), dt)
     one = kinematic_forecast(eta, 2 * dt)
     # float re-association keeps this at ulp level, not bit level
-    np.testing.assert_allclose(two.as_array(), one.as_array(), rtol=1e-14)
+    np.testing.assert_allclose(two, one, rtol=1e-14)
+
+
+def test_forecast_leaves_its_input_unwritten():
+    eta = np.array([5.0, 10.0, 8.0, 7.0])
+    before = eta.tobytes()
+    out = kinematic_forecast(eta, 1e-4)
+    assert eta.tobytes() == before
+    assert not np.shares_memory(out, eta)
+    # x + dt * vx per coordinate, the same two operations as the scalar form
+    assert out.tolist() == [5.0 + 1e-4 * 8.0, 10.0 + 1e-4 * 7.0, 8.0, 7.0]
 
 
 def test_noise_covariance_layout():
@@ -62,37 +60,35 @@ def test_noise_covariance_layout():
 
 def test_step_motion_moves_with_pre_step_velocity():
     rng = np.random.default_rng(1)
-    eta = MotionState(5.0, 10.0, 8.0, 7.0)
+    eta = (5.0, 10.0, 8.0, 7.0)
     dt = 1e-4
-    out = MotionState.from_array(generate_trajectory(eta, MotionNoise(0.01, 0.01), dt, 2, rng)[1])
+    x, y, vx, vy = generate_trajectory(eta, MotionNoise(0.01, 0.01), dt, 2, rng)[1]
     # position must use the old velocity; the perturbation lands on velocity only
-    assert out.x == 5.0 + dt * 8.0
-    assert out.y == 10.0 + dt * 7.0
+    assert x == 5.0 + dt * 8.0
+    assert y == 10.0 + dt * 7.0
     check = np.random.default_rng(1)
     draws = check.normal(0.0, 1.0, size=2)
-    assert out.vx == pytest.approx(8.0 + np.sqrt(0.01) * draws[0], rel=1e-15)
-    assert out.vy == pytest.approx(7.0 + np.sqrt(0.01) * draws[1], rel=1e-15)
+    assert vx == pytest.approx(8.0 + np.sqrt(0.01) * draws[0], rel=1e-15)
+    assert vy == pytest.approx(7.0 + np.sqrt(0.01) * draws[1], rel=1e-15)
 
 
 def test_step_motion_zero_noise_is_forecast():
     rng = np.random.default_rng(2)
-    eta = MotionState(1.0, 9.0, -3.0, 2.0)
-    stepped = MotionState.from_array(
-        generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng)[1]
-    )
-    assert stepped == kinematic_forecast(eta, 1e-4)
+    eta = np.array([1.0, 9.0, -3.0, 2.0])
+    stepped = generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng)[1]
+    np.testing.assert_array_equal(stepped, kinematic_forecast(eta, 1e-4))
 
 
 def test_trajectory_shape_and_start():
     rng = np.random.default_rng(3)
-    eta0 = MotionState(5.0, 10.0, 8.0, 7.0)
+    eta0 = (5.0, 10.0, 8.0, 7.0)
     traj = generate_trajectory(eta0, MotionNoise(0.01, 0.01), 1e-4, 50, rng)
     assert len(traj) == 50
-    assert MotionState.from_array(traj[0]) == eta0
+    assert tuple(traj[0]) == eta0
 
 
 def test_trajectory_deterministic_per_seed():
-    eta0 = MotionState(5.0, 10.0, 8.0, 7.0)
+    eta0 = (5.0, 10.0, 8.0, 7.0)
     noise = MotionNoise(0.01, 0.01)
     a = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(7))
     b = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(7))
@@ -102,17 +98,17 @@ def test_trajectory_deterministic_per_seed():
 
 
 def test_noiseless_trajectory_is_uniform_motion():
-    eta0 = MotionState(2.0, 8.0, -1.5, 3.0)
+    eta0 = (2.0, 8.0, -1.5, 3.0)
     dt = 1e-3
     traj = generate_trajectory(eta0, MotionNoise(0.0, 0.0), dt, 200, np.random.default_rng(4))
-    for l, eta in enumerate(map(MotionState.from_array, traj)):
-        np.testing.assert_allclose(eta.x, 2.0 - 1.5 * l * dt, rtol=1e-12)
-        np.testing.assert_allclose(eta.y, 8.0 + 3.0 * l * dt, rtol=1e-12)
-        assert eta.vx == -1.5 and eta.vy == 3.0
+    for l, (x, y, vx, vy) in enumerate(traj):
+        np.testing.assert_allclose(x, 2.0 - 1.5 * l * dt, rtol=1e-12)
+        np.testing.assert_allclose(y, 8.0 + 3.0 * l * dt, rtol=1e-12)
+        assert vx == -1.5 and vy == 3.0
 
 
 def test_velocity_increments_uncorrelated():
-    eta0 = MotionState(0.0, 10.0, 0.0, 0.0)
+    eta0 = (0.0, 10.0, 0.0, 0.0)
     traj = generate_trajectory(
         eta0, MotionNoise(0.01, 0.01), 1e-4, 100_001, np.random.default_rng(5)
     )
@@ -127,7 +123,7 @@ def test_rng_draw_count_is_stable():
     # ones, so flipping variances never desynchronizes downstream streams
     rng_a = np.random.default_rng(6)
     rng_b = np.random.default_rng(6)
-    eta = MotionState(1.0, 5.0, 1.0, 1.0)
+    eta = (1.0, 5.0, 1.0, 1.0)
     generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng_a)
     generate_trajectory(eta, MotionNoise(0.01, 0.01), 1e-4, 2, rng_b)
     assert rng_a.normal() == rng_b.normal()
@@ -136,7 +132,7 @@ def test_rng_draw_count_is_stable():
 @pytest.mark.parametrize("num_cpis", [1, 2, 2000])
 @pytest.mark.parametrize("variances", [(0.0, 0.0), (0.0, 0.02), (0.01, 0.04), (0.01, 0.01)])
 def test_trajectory_is_bit_identical_to_the_state_loop(variances, num_cpis):
-    eta0 = MotionState(5.0, 10.0, 8.0, 7.0)
+    eta0 = (5.0, 10.0, 8.0, 7.0)
     noise = MotionNoise(*variances)
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     got = generate_trajectory(eta0, noise, 1e-4, num_cpis, rng_a)

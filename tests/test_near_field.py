@@ -34,7 +34,6 @@ from nfbeam.geometry import (
     symbol_dopplers,
     unit_phasor,
 )
-from nfbeam.motion import StateBatch
 from nfbeam.signals import (
     cpi_throughput,
     observation_mean,
@@ -52,51 +51,40 @@ def _state(signed):
     # broadside puts antennas on both sides, where the conventions differ;
     # the magnitude convention needs a state clear of its kinks
     rng = np.random.default_rng(41 + int(signed))
-    return sample_broadside_state(rng) if signed else sample_state(rng, GEOM)
-
-
-def _with_position(eta, position):
-    return StateBatch(position, eta.velocity)
+    eta = sample_broadside_state(rng) if signed else sample_state(rng, GEOM)
+    return eta[:2], eta[2:]
 
 
 def _calls(signed):
-    """name -> call(eta), where eta.position is a position or its snapshot."""
+    """name -> call(p, v), where p is a position or its snapshot."""
     geom = geom_for(32, signed)
     f = predictive_beamformers(geom, (1.0, 9.0), (3.0, -2.0), N_SYM, TS)
     y = np.random.default_rng(7).standard_normal(geom.num_antennas) * (1 + 1j)
 
-    def velocity_problem(eta):
-        prob = agdao.VelocityProblem(y, geom, MODEL, eta.position, f[-1], 2.0, N_SYM, TS)
+    def velocity_problem(p, v):
+        prob = agdao.VelocityProblem(y, geom, MODEL, p, f[-1], 2.0, N_SYM, TS)
         return np.concatenate([prob.W.ravel(), prob.exponent.ravel(), [prob.scale]])
 
     return {
-        "projection_coeffs": lambda e: np.stack(projection_coeffs(geom, e.position)),
-        "radial_speeds": lambda e: radial_speeds(geom, e.velocity, e.position),
-        "doppler_vector": lambda e: doppler_vector(geom, N_SYM, TS, e.velocity, e.position),
-        "array_response": lambda e: array_response(geom, N_SYM, TS, e.velocity, e.position),
-        "downlink_channel": lambda e: downlink_channel(
-            geom, MODEL, 3, TS, e.velocity, e.position
+        "projection_coeffs": lambda p, v: np.stack(projection_coeffs(geom, p)),
+        "radial_speeds": lambda p, v: radial_speeds(geom, v, p),
+        "doppler_vector": lambda p, v: doppler_vector(geom, N_SYM, TS, v, p),
+        "array_response": lambda p, v: array_response(geom, N_SYM, TS, v, p),
+        "downlink_channel": lambda p, v: downlink_channel(geom, MODEL, 3, TS, v, p),
+        "roundtrip_channel": lambda p, v: roundtrip_channel(geom, MODEL, 3, TS, v, p),
+        "projection_coeff_gradients": lambda p, v: np.stack(projection_coeff_gradients(geom, p)),
+        "predictive_beamformers": lambda p, v: predictive_beamformers(geom, p, v, N_SYM, TS),
+        "opt_beamformers": lambda p, v: opt_beamformers(geom, p, v, N_SYM, TS),
+        "observation_mean": lambda p, v: observation_mean(
+            geom, MODEL, p, v, f[-1], 2.0, N_SYM, TS
         ),
-        "roundtrip_channel": lambda e: roundtrip_channel(
-            geom, MODEL, 3, TS, e.velocity, e.position
+        "observation_jacobian": lambda p, v: observation_jacobian(
+            geom, MODEL, p, v, f[-1], 2.0, N_SYM, TS
         ),
-        "projection_coeff_gradients": lambda e: np.stack(
-            projection_coeff_gradients(geom, e.position)
+        "synthesize_observation": lambda p, v: synthesize_observation(
+            geom, MODEL, p, v, f, NOISE, 2.0, TS, np.random.default_rng(5)
         ),
-        "predictive_beamformers": lambda e: predictive_beamformers(
-            geom, e.position, e.velocity, N_SYM, TS
-        ),
-        "opt_beamformers": lambda e: opt_beamformers(geom, e, N_SYM, TS),
-        "observation_mean": lambda e: observation_mean(
-            geom, MODEL, e, f[-1], 2.0, N_SYM, TS
-        ),
-        "observation_jacobian": lambda e: observation_jacobian(
-            geom, MODEL, e, f[-1], 2.0, N_SYM, TS
-        ),
-        "synthesize_observation": lambda e: synthesize_observation(
-            geom, MODEL, e, f, NOISE, 2.0, TS, np.random.default_rng(5)
-        ),
-        "cpi_throughput": lambda e: cpi_throughput(geom, MODEL, e, f, TS, 2.0, 1e-8),
+        "cpi_throughput": lambda p, v: cpi_throughput(geom, MODEL, p, v, f, TS, 2.0, 1e-8),
         "velocity_problem": velocity_problem,
     }
 
@@ -107,10 +95,10 @@ NAMES = sorted(_calls(False))
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("name", NAMES)
 def test_snapshot_equals_position_call(name, signed):
-    eta = _state(signed)
+    p, v = _state(signed)
     call = _calls(signed)[name]
-    want = call(eta)
-    got = call(_with_position(eta, NearField(geom_for(32, signed), eta.position)))
+    want = call(p, v)
+    got = call(NearField(geom_for(32, signed), p), v)
     assert np.shape(got) == np.shape(want)
     np.testing.assert_array_equal(got, want)
 
@@ -118,17 +106,17 @@ def test_snapshot_equals_position_call(name, signed):
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("name", NAMES)
 def test_snapshot_under_the_other_convention_is_refused(name, signed):
-    eta = _state(True)  # broadside: the magnitude kinks stay clear anyway
-    other = _with_position(eta, NearField(geom_for(32, not signed), eta.position))
+    p, v = _state(True)  # broadside: the magnitude kinks stay clear anyway
+    other = NearField(geom_for(32, not signed), p)
     with pytest.raises(ValueError, match="snapshot was built for"):
-        _calls(signed)[name](other)
+        _calls(signed)[name](other, v)
 
 
 def test_snapshot_of_another_array_is_refused():
-    eta = _state(False)
-    near = NearField(geom_for(16), eta.position)
+    p, v = _state(False)
+    near = NearField(geom_for(16), p)
     with pytest.raises(ValueError, match="snapshot was built for"):
-        predictive_beamformers(GEOM, near, eta.velocity, N_SYM, TS)
+        predictive_beamformers(GEOM, near, v, N_SYM, TS)
 
 
 def test_config_convention_reaches_the_snapshot():
@@ -145,7 +133,7 @@ def test_config_convention_reaches_the_snapshot():
 @pytest.mark.parametrize("signed", [False, True])
 def test_snapshot_fields_match_the_geometry_functions(signed):
     rng = np.random.default_rng(3)
-    points = np.array([sample_broadside_state(rng).position for _ in range(5)])
+    points = np.array([sample_broadside_state(rng)[:2] for _ in range(5)])
     near = NearField(geom_for(32, signed), points)
     np.testing.assert_array_equal(near.r, element_distances(GEOM, points))
     np.testing.assert_array_equal(near.steering, steering_vector(GEOM, points))
@@ -161,7 +149,7 @@ def test_snapshot_fields_match_the_geometry_functions(signed):
 @pytest.mark.parametrize("signed", [False, True])
 def test_indexed_snapshot_equals_a_single_build(signed):
     rng = np.random.default_rng(4)
-    points = np.array([sample_broadside_state(rng).position for _ in range(6)])
+    points = np.array([sample_broadside_state(rng)[:2] for _ in range(6)])
     geom = geom_for(32, signed)
     near = NearField(geom, points.reshape(2, 3, 2))
     part = near[1, 2]
@@ -169,10 +157,8 @@ def test_indexed_snapshot_equals_a_single_build(signed):
     assert part.geom == geom
     for name in ("position", "r", "ux", "uy", "steering", "g", "q"):
         np.testing.assert_array_equal(getattr(part, name), getattr(single, name))
-    # a batch state indexes its snapshot along with its velocity
-    batch = StateBatch(near, np.ones((2, 3, 2)))
-    assert isinstance(batch[1].position, NearField)
-    assert batch[1].position.r.shape == (3, GEOM.num_antennas)
+    # indexing fewer axes leaves a batch snapshot
+    assert near[1].r.shape == (3, GEOM.num_antennas)
 
 
 @pytest.mark.parametrize("where", ["single", "batch"])
@@ -255,7 +241,7 @@ def test_ff_outer_product_against_long_double(num_symbols, batch):
     geom = geom_for(512)
     rng = np.random.default_rng(num_symbols + 7 * len(batch))
     p, v = _states_both_sides(rng, geom, batch)
-    f = ff_beamformers(geom, StateBatch(p, v), num_symbols, TS)
+    f = ff_beamformers(geom, p, v, num_symbols, TS)
     assert f.shape == batch + (num_symbols, geom.num_antennas)
     p, v = p.astype(np.longdouble), v.astype(np.longdouble)
     u = p / np.sqrt(np.sum(p * p, axis=-1))[..., None]
@@ -284,24 +270,24 @@ def _counting_doppler(monkeypatch):
 
 def test_snapshot_returns_its_array_response_read_only(monkeypatch):
     calls = _counting_doppler(monkeypatch)
-    eta = _state(True)
-    nf = NearField(GEOM, eta.position)
-    first = array_response(GEOM, N_SYM, TS, eta.velocity, nf)
-    again = array_response(GEOM, N_SYM, TS, tuple(eta.velocity), nf)
+    p, v = _state(True)
+    nf = NearField(GEOM, p)
+    first = array_response(GEOM, N_SYM, TS, v, nf)
+    again = array_response(GEOM, N_SYM, TS, tuple(v), nf)
     assert again is first and len(calls) == 1
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 0.0
-    fresh = NearField(GEOM, eta.position)
-    expected = fresh.steering * doppler_vector(GEOM, N_SYM, TS, eta.velocity, fresh)
+    fresh = NearField(GEOM, p)
+    expected = fresh.steering * doppler_vector(GEOM, N_SYM, TS, v, fresh)
     np.testing.assert_array_equal(first, expected)
 
 
 @pytest.mark.parametrize("change", ["n", "symbol_duration", "vx", "vy"])
 def test_snapshot_rebuilds_the_response_when_an_input_changes(monkeypatch, change):
-    eta = _state(False)
-    nf = NearField(GEOM, eta.position)
-    args = {"n": N_SYM, "symbol_duration": TS, "v": np.array(eta.velocity)}
+    p, v = _state(False)
+    nf = NearField(GEOM, p)
+    args = {"n": N_SYM, "symbol_duration": TS, "v": v.copy()}
     first = array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf)
     if change == "n":
         args["n"] += 1
@@ -314,7 +300,7 @@ def test_snapshot_rebuilds_the_response_when_an_input_changes(monkeypatch, chang
     assert fresh is not first and len(calls) == 1
     np.testing.assert_array_equal(
         fresh,
-        array_response(GEOM, args["n"], args["symbol_duration"], args["v"], eta.position),
+        array_response(GEOM, args["n"], args["symbol_duration"], args["v"], p),
     )
     assert not np.array_equal(fresh, first)
     # the snapshot now holds the new response
@@ -323,9 +309,8 @@ def test_snapshot_rebuilds_the_response_when_an_input_changes(monkeypatch, chang
 
 def test_snapshot_parts_start_without_a_response():
     rng = np.random.default_rng(8)
-    states = [sample_state(rng, GEOM) for _ in range(3)]
-    p = np.array([s.position for s in states])
-    v = np.array([s.velocity for s in states])
+    states = np.array([sample_state(rng, GEOM) for _ in range(3)])
+    p, v = states[:, :2], states[:, 2:]
     nf = NearField(GEOM, p)
     whole = array_response(GEOM, N_SYM, TS, v, nf)
     assert nf.response[1] is whole
