@@ -2,8 +2,10 @@
 
 The position is dead-reckoned between CPIs; only the velocity is re-estimated
 from the echo snapshot, by maximizing g(v) = 2 Re{y^H b(v)} - ||b(v)||^2 where
-b(v) is the model echo at the trial velocity. The default optimizer alternates
-axes (x step, then y step with the fresh x); a joint-update variant and a plain
+b(v) is the model echo at the trial velocity. The estimators ascend along the
+line of sight's transverse and radial axes, t = (-u_y, u_x) and r = u with
+u = p/|p|, where the likelihood's ridge lies. The default optimizer alternates
+axes (t step, then r step with the fresh t); a joint-update variant and a plain
 gradient ascent are included for comparison.
 
 Every entry of the steering vector a~ and of the Doppler vector
@@ -32,6 +34,8 @@ VARIANTS = ("adam-ao", "adam-joint", "plain-gd")
 # Relative-change denominators are floored here to survive v near zero.
 REL_CHANGE_FLOOR = 1e-6
 
+IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
 
 class DivergenceError(RuntimeError):
     """Optimizer produced a non-finite iterate or objective."""
@@ -59,18 +63,27 @@ class VelocityProblem:
     """Echo likelihood at one CPI with everything but the velocity frozen.
 
     Holds the six-row W of the module docstring; needs |a~_m| = 1. p_hat may
-    be its geo.NearField snapshot.
+    be its geo.NearField snapshot. With frame, the rows of a rotation,
+    evaluate works in frame coordinates, else in (vx, vy).
     """
 
-    def __init__(self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration):
+    def __init__(
+        self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, frame=None
+    ):
         f = np.asarray(f)
         check_unit_norm(f)
         nf = geo.near_field(geom, p_hat)
         atil, g, q = nf.steering, nf.g, nf.q
+        if frame is None:
+            frame = IDENTITY
+        else:
+            (tx, ty), (rx, ry) = frame
+            g, q = tx * g + ty * q, rx * g + ry * q
+        self.frame = frame
         scale = float(s_amp * geo.pathloss(model, nf.position, geo.ROUNDTRIP))
         # phase advance per unit composite speed over the CPI
         rot = geom.wavenumber * num_symbols * symbol_duration
-        # exponent of d per unit vx (row 0) and vy (row 1)
+        # exponent of d per unit speed along the frame's first and second axis
         self.exponent = -1j * rot * np.stack([g, q])
         w = atil * f
         c = np.conj(np.asarray(y)) * atil
@@ -103,64 +116,89 @@ class VelocityProblem:
         return objective, k * (af * ycg + afg * resid).imag, k * (af * ycq + afq * resid).imag
 
 
-def _check_finite(k, vx, vy, objective):
-    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(objective)):
+def _check_finite(k, t, r, objective, to_xy):
+    """Raise on a non-finite frame iterate (t, r) or objective, naming (vx, vy)."""
+    if not (math.isfinite(t) and math.isfinite(r) and math.isfinite(objective)):
+        vx, vy = to_xy(t, r)
         raise DivergenceError(
             f"non-finite iterate at iteration {k}: v=({vx}, {vy}), objective={objective}"
         )
 
 
+def line_of_sight_frame(position):
+    """Rows (t, r) of the rotation onto the transverse and radial axes at position."""
+    px, py = np.asarray(position, dtype=float).tolist()
+    norm = math.hypot(px, py)
+    ux, uy = px / norm, py / norm
+    return (-uy, ux), (ux, uy)
+
+
 def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, record: bool = True):
     """Run one variant from v_init; record=False keeps only the iterate count.
 
-    The evaluation at each new iterate gives that iteration's objective and
-    the next iteration's starting gradients. Each axis keeps its Adam moments
-    (m, n) as plain floats, bias-corrected at iteration k by 1 - beta**k.
+    The ascent moves in prob's frame from R v_init, keeping each axis's Adam
+    moments as floats, and stops once |v_k - v_{k-1}| < rel_tol * |v_k|
+    (Euclidean, |v_k| floored). An iterate maps back as
+    v_init + R^T (v' - R v_init): a zero step returns v_init bit for bit.
+    Each new iterate's evaluation also gives the next step's gradients.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     evaluate = prob.evaluate
     adam, alternating = variant != "plain-gd", variant == "adam-ao"
-    step_x, beta1_x, beta2_x = hyper.step_x, hyper.beta1_x, hyper.beta2_x
-    step_y, beta1_y, beta2_y = hyper.step_y, hyper.beta1_y, hyper.beta2_y
-    eps, tol_x, tol_y, floor = hyper.epsilon, hyper.rel_tol_x, hyper.rel_tol_y, REL_CHANGE_FLOOR
-    vx, vy = float(v_init[0]), float(v_init[1])
-    objective, gx, gy = evaluate(vx, vy)
+    step, beta1, beta2, eps = hyper.step, hyper.beta1, hyper.beta2, hyper.epsilon
+    tol, floor = hyper.rel_tol, REL_CHANGE_FLOOR
+    (tx, ty), (rx, ry) = prob.frame
+    x0, y0 = float(v_init[0]), float(v_init[1])
+    t0, r0 = tx * x0 + ty * y0, rx * x0 + ry * y0
+
+    def to_xy(t, r):
+        # a zero entry of R adds nothing, even times an infinite coordinate
+        dt, dr = t - t0, r - r0
+        return (
+            x0 + ((tx * dt if tx else 0.0) + (rx * dr if rx else 0.0)),
+            y0 + ((ty * dt if ty else 0.0) + (ry * dr if ry else 0.0)),
+        )
+
+    t, r = t0, r0
+    objective, gt, gr = evaluate(t, r)
     trace = OptimizerTrace(record=record)
     rows = trace.rows
     if record:
-        rows.append((0, vx, vy, objective, 0.0, 0.0))
-    mx = nx = my = ny = 0.0
+        rows.append((0, x0, y0, objective, 0.0, 0.0))
+    mt = nt = mr = nr = 0.0
     for k in range(1, hyper.max_iters + 1):
         if adam:
-            mx = beta1_x * mx + (1.0 - beta1_x) * gx
-            nx = beta2_x * nx + (1.0 - beta2_x) * gx * gx
-            m_hat = mx / (1.0 - beta1_x ** k)
-            n_hat = nx / (1.0 - beta2_x ** k)
-            vx_new = vx + step_x * m_hat / math.sqrt(n_hat + eps)
+            c1, c2 = 1.0 - beta1 ** k, 1.0 - beta2 ** k
+            mt = beta1 * mt + (1.0 - beta1) * gt
+            nt = beta2 * nt + (1.0 - beta2) * gt * gt
+            t_new = t + step * (mt / c1) / math.sqrt(nt / c2 + eps)
             if alternating:
-                gy = evaluate(vx_new, vy)[2]
-            my = beta1_y * my + (1.0 - beta1_y) * gy
-            ny = beta2_y * ny + (1.0 - beta2_y) * gy * gy
-            m_hat = my / (1.0 - beta1_y ** k)
-            n_hat = ny / (1.0 - beta2_y ** k)
-            vy_new = vy + step_y * m_hat / math.sqrt(n_hat + eps)
+                gr = evaluate(t_new, r)[2]
+            mr = beta1 * mr + (1.0 - beta1) * gr
+            nr = beta2 * nr + (1.0 - beta2) * gr * gr
+            r_new = r + step * (mr / c1) / math.sqrt(nr / c2 + eps)
         else:
-            vx_new = vx + step_x * gx
-            vy_new = vy + step_y * gy
-        objective, gx_new, gy_new = evaluate(vx_new, vy_new)
-        _check_finite(k, vx_new, vy_new, objective)
+            t_new = t + step * gt
+            r_new = r + step * gr
+        objective, gt_new, gr_new = evaluate(t_new, r_new)
+        _check_finite(k, t_new, r_new, objective, to_xy)
         if record:
-            rows.append((k, vx_new, vy_new, objective, gx, gy))
-        done = (
-            abs(vx_new - vx) / max(abs(vx_new), floor) < tol_x
-            and abs(vy_new - vy) / max(abs(vy_new), floor) < tol_y
+            rows.append((k, *to_xy(t_new, r_new), objective, tx * gt + rx * gr, ty * gt + ry * gr))
+        done = tol and (
+            math.hypot(t_new - t, r_new - r) < tol * max(math.hypot(t_new, r_new), floor)
         )
-        vx, vy, gx, gy = vx_new, vy_new, gx_new, gy_new
+        t, r, gt, gr = t_new, r_new, gt_new, gr_new
         if done:
             break
     trace.count = k + 1
-    return np.array([vx, vy]), trace
+    return np.array(to_xy(t, r)), trace
+
+
+def _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration):
+    nf = geo.near_field(geom, p_hat)
+    frame = line_of_sight_frame(nf.position)
+    return VelocityProblem(y, geom, model, nf, f, s_amp, num_symbols, symbol_duration, frame)
 
 
 def adam_ao_estimate(
@@ -176,13 +214,12 @@ def adam_ao_estimate(
     hyper: AdamHyper = AdamHyper(),
     record: bool = True,
 ):
-    """Alternating Adam ascent: x moves first, y sees the fresh x each iteration.
+    """Alternating Adam ascent: t moves first, r sees the fresh t each iteration.
 
-    Returns (v_hat, trace). Stops at max_iters or once both axes' relative
-    changes drop below their tolerances. record=False leaves the trace's
-    rows empty and keeps only its length.
+    Returns (v_hat, trace). Stops at max_iters or by the module's stop rule.
+    record=False leaves the trace's rows empty and keeps only its length.
     """
-    prob = VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
+    prob = _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, "adam-ao", record)
 
 
@@ -202,7 +239,7 @@ def gd_estimate(
     """Comparison optimizers on the same objective: plain-gd or adam-joint."""
     if variant not in ("plain-gd", "adam-joint"):
         raise ValueError(f"variant must be 'plain-gd' or 'adam-joint', got {variant!r}")
-    prob = VelocityProblem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
+    prob = _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, variant)
 
 

@@ -95,27 +95,22 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class AdamHyper:
-    """Per-axis ascent hyperparameters and the shared stop rule of AGD-AO."""
+    """AGD-AO's Adam hyperparameters, shared by both axes, and its stop rule."""
 
-    step_x: float = 0.05
-    step_y: float = 0.05
-    beta1_x: float = 0.9
-    beta1_y: float = 0.9
-    beta2_x: float = 0.999
-    beta2_y: float = 0.999
+    step: float = 0.05
+    beta1: float = 0.9
+    beta2: float = 0.999
     epsilon: float = 1e-8
     max_iters: int = 500
-    rel_tol_x: float = 1e-5
-    rel_tol_y: float = 1e-5
+    rel_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name in ("step_x", "step_y", "epsilon"):
+        for name in ("step", "epsilon"):
             _require(self, name, getattr(self, name) > 0, "positive")
-        for name in ("beta1_x", "beta1_y", "beta2_x", "beta2_y"):
+        for name in ("beta1", "beta2"):
             _require(self, name, 0 <= getattr(self, name) < 1, "in [0, 1)")
         _require(self, "max_iters", self.max_iters >= 1, ">= 1")
-        for name in ("rel_tol_x", "rel_tol_y"):
-            _require(self, name, getattr(self, name) >= 0, "nonnegative")
+        _require(self, "rel_tol", self.rel_tol >= 0, "nonnegative")
 
 
 @dataclass(frozen=True)

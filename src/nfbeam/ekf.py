@@ -166,6 +166,9 @@ def kalman_update(
     """Assimilate one echo snapshot; returns (posterior, UpdateDiagnostics)."""
     if echo_noise_power < 0.0:
         raise ValueError(f"echo_noise_power must be nonnegative, got {echo_noise_power}")
+    # the posterior's mean is prior.mean + delta, which would broadcast any other shape
+    if np.shape(prior.mean) != (4,):
+        raise ValueError(f"prior mean must have shape (4,), got {np.shape(prior.mean)}")
     if not isinstance(jacobian, FactoredJacobian):  # a dense (M, 4) J: unit response
         jacobian = FactoredJacobian(np.ones(len(jacobian)), np.asarray(jacobian, complex).T.copy())
     nu = np.asarray(y) - np.asarray(predicted_mean)

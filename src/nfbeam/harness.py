@@ -294,7 +294,7 @@ def convergence_study(
     vx_gt, vy_gt = v_gt.tolist()
     v_init = np.asarray(config.convergence_v_init, dtype=float)
 
-    overrides = {"rel_tol_x": 0.0, "rel_tol_y": 0.0}
+    overrides = {"rel_tol": 0.0}
     if max_iters is not None:
         overrides["max_iters"] = max_iters
     hyper = dataclasses.replace(config.adam, **overrides)

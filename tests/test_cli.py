@@ -120,7 +120,7 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
         ("system.tx_power_dbm=NaN", "system.tx_power_dbm", "must be finite, got nan"),
         ("initial_state=[NaN,10,8,7]", "initial_state", "must be finite, got nan"),
         ("feedback_period_s=NaN", "feedback_period_s", "must be finite, got nan"),
-        ("adam.step_x=0", "adam.step_x", "must be positive, got 0.0"),
+        ("adam.step=0", "adam.step", "must be positive, got 0.0"),
     ],
 )
 def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message):

@@ -410,9 +410,10 @@ def test_belief_validation_rejects_a_mean_not_of_shape_4(shape):
         TrackerBelief(mean=np.ones(shape), covariance=np.eye(4)).validate()
 
 
-@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 4)])
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 4), (), (1,), (3,)])
 def test_update_refuses_a_prior_mean_that_broadcasts(shape):
-    # prior.mean + delta broadcasts these to a posterior mean that is not (4,)
+    # prior.mean + delta would broadcast () and (1,) to a (4,) posterior
+    # mean, and the others to a posterior mean that is not (4,)
     prior = TrackerBelief(mean=np.ones(shape), covariance=np.eye(4))
     jac = np.ones((3, 4), complex)
     with pytest.raises(ValueError, match=r"mean must have shape \(4,\)"):

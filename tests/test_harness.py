@@ -403,7 +403,7 @@ def test_config_defaults_match_operating_point():
     assert cfg.system.echo_noise_power == 1e-8
     assert cfg.initial_state == (5.0, 10.0, 8.0, 7.0)
     assert cfg.motion_var == (0.01, 0.01)
-    assert cfg.adam.step_x == 0.05 and cfg.adam.max_iters == 500
+    assert cfg.adam.step == 0.05 and cfg.adam.max_iters == 500
     assert cfg.ekf_init_cov == 0.1
     assert cfg.convergence_state == (0.0, 10.0, 8.0, 7.0)
     assert cfg.feedback_period_cpis == 1000
@@ -435,8 +435,7 @@ NON_DEFAULT = ExperimentConfig(
     motion_var=(0.02, 0.03),
     feedback_period_s=0.05,
     adam=AdamHyper(
-        step_x=0.01, step_y=0.02, beta1_x=0.8, beta1_y=0.7, beta2_x=0.99,
-        beta2_y=0.98, epsilon=1e-6, max_iters=40, rel_tol_x=1e-4, rel_tol_y=2e-4,
+        step=0.01, beta1=0.8, beta2=0.99, epsilon=1e-6, max_iters=40, rel_tol=1e-4,
     ),
     ekf_init_cov=0.2,
     convergence_state=(1.0, 9.0, 3.0, 4.0),
@@ -527,8 +526,8 @@ def test_config_rejections(tmp_path):
         ("ekf_init_cov=0", "ekf_init_cov"),
         ("system.spacing_m=0", "system.spacing_m"),
         ("system=4", "system"),
-        ("adam.step_x=0", "adam.step_x"),
-        ("adam.beta2_y=1", "adam.beta2_y"),
+        ("adam.step=0", "adam.step"),
+        ("adam.beta2=1", "adam.beta2"),
         ("ma_window=20", "ma_window"),
     ):
         with pytest.raises(ConfigError) as err:
