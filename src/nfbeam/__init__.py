@@ -67,7 +67,7 @@ from .harness import (
     MetricRow,
     RunResult,
     SweepRow,
-    TraceRow,
+    TRACE_COLUMNS,
     convergence_study,
     power_sweep,
     read_metrics_csv,

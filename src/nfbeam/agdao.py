@@ -15,7 +15,8 @@ W @ d, with W = [w, g o w, q o w, c, g o c, q o c], w = a~ o f and
 c = conj(y) o a~ fixed for the CPI. One evaluation costs one exp over M and
 one 6 x M product, both written into buffers the problem owns; the ascent
 reuses the evaluation at each new iterate for that iteration's objective and
-the next iteration's gradients.
+the next iteration's gradients. The alternating variant's mid-iteration
+radial gradient reads four of the six sums and takes one 4 x M product.
 """
 from __future__ import annotations
 
@@ -88,14 +89,26 @@ class VelocityProblem:
         w = atil * f
         c = np.conj(np.asarray(y)) * atil
         self.W = np.stack([w, g * w, q * w, c, g * c, q * c])
+        # the rows w, q o w, c, q o c that the second-axis gradient reads alone
+        self._W_second = self.W[[0, 2, 3, 5]]
         self.scale = scale
         self.scale_m = scale * atil.shape[0]
         self.grad_scale = 2.0 * rot * scale
-        # evaluation buffers: the trial velocity, d(v) and W @ d(v); the
-        # velocity is held complex, the exponent's type, so np.dot casts nothing
+        # evaluation buffers: the trial velocity, d(v), W @ d(v) and its four
+        # rows; the velocity is held complex, the exponent's type, so np.dot
+        # casts nothing
         self._v = np.empty(2, dtype=complex)
         self._d = np.empty(atil.shape[0], dtype=complex)
         self._r = np.empty(6, dtype=complex)
+        self._r_second = np.empty(4, dtype=complex)
+
+    def _doppler(self, vx, vy):
+        """d(v) at one trial velocity, written into the problem's buffer."""
+        v, d = self._v, self._d
+        v[0] = vx
+        v[1] = vy
+        np.dot(v, self.exponent, out=d)
+        return np.exp(d, out=d)
 
     def evaluate(self, vx, vy) -> tuple[float, float, float]:
         """(objective, d/dvx, d/dvy) at one trial velocity: one exp, one W @ d.
@@ -104,16 +117,19 @@ class VelocityProblem:
         af = w @ d and yc = c @ d. The axis-u gradient is 2 Re{(y - b)^H db/du};
         its ||b||^2 part carries a real s^2 |af|^2 sum(u) term that drops out.
         """
-        v, d = self._v, self._d
-        v[0] = vx
-        v[1] = vy
-        np.dot(v, self.exponent, out=d)
-        np.exp(d, out=d)
+        d = self._doppler(vx, vy)
         af, afg, afq, yc, ycg, ycq = np.matmul(self.W, d, out=self._r).tolist()
         s, sm, k = self.scale, self.scale_m, self.grad_scale
         objective = 2.0 * s * (af * yc).real - s * sm * (af.real**2 + af.imag**2)
         resid = yc - sm * af.conjugate()
         return objective, k * (af * ycg + afg * resid).imag, k * (af * ycq + afq * resid).imag
+
+    def second_gradient(self, vx, vy) -> float:
+        """evaluate(vx, vy)[2] from the four products it reads: one 4 x M product."""
+        d = self._doppler(vx, vy)
+        af, afq, yc, ycq = np.matmul(self._W_second, d, out=self._r_second).tolist()
+        resid = yc - self.scale_m * af.conjugate()
+        return self.grad_scale * (af * ycq + afq * resid).imag
 
 
 def _check_finite(k, t, r, objective, to_xy):
@@ -144,7 +160,7 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, recor
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    evaluate = prob.evaluate
+    evaluate, second_gradient = prob.evaluate, prob.second_gradient
     adam, alternating = variant != "plain-gd", variant == "adam-ao"
     step, beta1, beta2, eps = hyper.step, hyper.beta1, hyper.beta2, hyper.epsilon
     tol, floor = hyper.rel_tol, REL_CHANGE_FLOOR
@@ -174,7 +190,7 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, recor
             nt = beta2 * nt + (1.0 - beta2) * gt * gt
             t_new = t + step * (mt / c1) / math.sqrt(nt / c2 + eps)
             if alternating:
-                gr = evaluate(t_new, r)[2]
+                gr = second_gradient(t_new, r)
             mr = beta1 * mr + (1.0 - beta1) * gr
             nr = beta2 * nr + (1.0 - beta2) * gr * gr
             r_new = r + step * (mr / c1) / math.sqrt(nr / c2 + eps)

@@ -3,8 +3,9 @@
 Quick independent cross-checks of the analytic pieces: geometry identities,
 the beam and channel phasor rows against their direct phases, the
 closed-form matched-filter SNR, finite differences against the velocity
-gradient and the observation Jacobian, and the dense stacked-real Kalman
-update against the production low-rank form on the factored Jacobian.
+gradient and the observation Jacobian, and a square-root-information Kalman
+update on the dense stacked-real Jacobian against the production low-rank
+form on the factored Jacobian.
 """
 from __future__ import annotations
 
@@ -194,26 +195,33 @@ def check_jacobian(seed: int = 0, trials: int = 10):
 
 
 def _dense_reference_update(prior, y, jac, predicted_mean, echo_noise_power):
-    """Textbook stacked-real Kalman update; O(M^3), used only as an oracle."""
+    """Square-root-information Kalman update on the stacked-real J; an oracle only.
+
+    With P = L L^T and r the per-part noise variance, the QR of
+    A = [J_r / sqrt(r); L^-1] gives the posterior information A^T A = R^T R,
+    so delta = R^-1 Q^T b with b = [nu_r / sqrt(r); 0] and P_post = R^-1 R^-T.
+    It forms no 2M x 2M innovation covariance and shares no algebra with
+    kalman_update.
+    """
     nu = np.asarray(y) - np.asarray(predicted_mean)
     j_r = np.vstack([np.real(jac), np.imag(jac)])
     nu_r = np.concatenate([np.real(nu), np.imag(nu)])
-    p = np.asarray(prior.covariance, dtype=float)
-    r_cov = (echo_noise_power / 2.0) * np.eye(j_r.shape[0])
-    s = j_r @ p @ j_r.T + r_cov
-    k = p @ j_r.T @ np.linalg.inv(s)
-    mean = prior.mean + k @ nu_r
-    cov = (np.eye(4) - k @ j_r) @ p
-    return mean, 0.5 * (cov + cov.T)
+    sqrt_r = np.sqrt(echo_noise_power / 2.0)
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.asarray(prior.covariance, dtype=float)))
+    q, r = np.linalg.qr(np.vstack([j_r / sqrt_r, l_inv]))
+    r_inv = np.linalg.inv(r)
+    delta = r_inv @ (q[: len(nu_r)].T @ (nu_r / sqrt_r))
+    cov = r_inv @ r_inv.T
+    return prior.mean + delta, 0.5 * (cov + cov.T)
 
 
 def check_kalman(seed: int = 0, trials: int = 10):
-    """Low-rank update on the factored Jacobian vs the dense stacked-real
+    """Low-rank update on the factored Jacobian vs the square-root-information
     reference on its dense expansion.
 
-    Two noise regimes: a well-conditioned one where the routes must agree to
-    near machine precision, and the operating echo noise where cond(A) ~ 1e9
-    caps double-precision agreement near 1e-7.
+    Two noise regimes: a well-conditioned one, and the operating echo noise,
+    where the production update's 4 x 4 system has cond ~1e9 and the two
+    routes agree to ~1e-10.
     """
     rng = np.random.default_rng(seed)
     geoms = _conventions(8)
@@ -241,8 +249,12 @@ def check_kalman(seed: int = 0, trials: int = 10):
                 worst_sharp = max(worst_sharp, dev)
             else:
                 worst_op = max(worst_op, dev)
-    ok = worst_sharp < 1e-11 and worst_op < 1e-6
-    return ok, f"deviation {worst_sharp:.2e} (well-conditioned), {worst_op:.2e} (operating noise)"
+    bound_sharp, bound_op = 1e-11, 1e-8
+    ok = worst_sharp < bound_sharp and worst_op < bound_op
+    return ok, (
+        f"deviation {worst_sharp:.2e} (well-conditioned, bound {bound_sharp:g}), "
+        f"{worst_op:.2e} (operating noise, bound {bound_op:g})"
+    )
 
 
 def run_all(seed: int = 0):

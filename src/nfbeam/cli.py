@@ -12,6 +12,7 @@ from . import checks
 from .agdao import VARIANTS
 from .config import METHODS, ConfigError, build_config
 from .harness import (
+    TRACE_COLUMNS,
     convergence_study,
     power_sweep,
     run_experiment,
@@ -150,13 +151,13 @@ def cmd_converge(args) -> int:
     cfg = build_config(args.config, args.assignments, seed=args.seed)
     out = _out_dir(args)
     variants = (args.method,) if args.method else VARIANTS
-    rows = convergence_study(cfg, variants=variants, num_seeds=args.seeds)
-    write_trace_csv(out / "trace.csv", rows)
-    last_k = max(r.k for r in rows)
+    traces = convergence_study(cfg, variants=variants, num_seeds=args.seeds)
+    write_trace_csv(out / "trace.csv", traces)
+    err = [TRACE_COLUMNS.index("err_vx"), TRACE_COLUMNS.index("err_vy")]
+    last_k = max(int(table[-1, 0]) for table in traces.values())
     for variant in variants:
-        finals = [r for r in rows if r.variant == variant and r.k == last_k]
-        med_x = float(np.median([r.err_vx for r in finals]))
-        med_y = float(np.median([r.err_vy for r in finals]))
+        finals = np.array([table[-1, err] for (v, _), table in traces.items() if v == variant])
+        med_x, med_y = np.median(finals, axis=0).tolist()
         print(
             f"{variant}: median |v error| at k={last_k} "
             f"= ({med_x:.4f}, {med_y:.4f}) m/s over {len(finals)} seeds"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,14 @@ STREAM_IDS = {"trajectory": 0, "echo-noise": 1}
 # The loop handles K CPIs a chunk with K * N * M at most this many (complex)
 # elements, about 0.5 MB a beam slot; K = 6 at N = 10, M = 512.
 BASELINE_CHUNK_ELEMENTS = 2**15
+
+# Columns of one convergence trace's table, one row per iterate; a trace.csv
+# row is the trace's variant and seed, then these.
+TRACE_COLUMNS = ("k", "vx", "vy", "objective", "grad_x", "grad_y", "err_vx", "err_vy")
+
+# The CSV writers format and write at most this many rows at a time.
+CSV_BLOCK_ROWS = 256
+
 
 def stream(master_seed: int, name: str, *extra: int) -> np.random.Generator:
     """Named generator fanned out from one master seed.
@@ -76,22 +85,6 @@ class BeliefRow:
     var_vy: float
     innovation_norm: float
     ridged: int
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    """One optimizer iterate of a convergence study."""
-
-    variant: str
-    seed: int
-    k: int
-    vx: float
-    vy: float
-    objective: float
-    grad_x: float
-    grad_y: float
-    err_vx: float
-    err_vy: float
 
 
 @dataclass(frozen=True)
@@ -271,12 +264,14 @@ def convergence_study(
     variants=VARIANTS,
     num_seeds: int = 10,
     max_iters: int | None = None,
-) -> list[TraceRow]:
+) -> dict[tuple[str, int], np.ndarray]:
     """Single-CPI optimizer traces at the known-position instance.
 
     Per seed, one echo is synthesized at the ground-truth state and every
     variant runs on that same echo from the configured v_init. The stop rule
-    is disabled so traces cover the full iteration budget.
+    is disabled so traces cover the full iteration budget. Returns one
+    (iterates, len(TRACE_COLUMNS)) float table per (variant, seed), seed-major;
+    row k is iterate k, row 0 the init, and err_* = |v - v_gt| per axis.
     """
     if num_seeds < 1:
         raise ConfigError("seeds", f"must be >= 1, got {num_seeds}")
@@ -291,7 +286,6 @@ def convergence_study(
     s_amp = echo_amplitude(sys_cfg.tx_power_w, sys_cfg.include_transmit_power)
     eta_gt = np.array(config.convergence_state, dtype=float)
     p_gt, v_gt = eta_gt[:2], eta_gt[2:]
-    vx_gt, vy_gt = v_gt.tolist()
     v_init = np.asarray(config.convergence_v_init, dtype=float)
 
     overrides = {"rel_tol": 0.0}
@@ -300,7 +294,7 @@ def convergence_study(
     hyper = dataclasses.replace(config.adam, **overrides)
 
     bf = predictive_beamformers(geom, p_gt, v_init, num_symbols, ts)
-    rows: list[TraceRow] = []
+    traces: dict[tuple[str, int], np.ndarray] = {}
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
         y = synthesize_observation(
@@ -311,24 +305,25 @@ def convergence_study(
                 variant, y, geom, model, p_gt, v_init, bf[-1],
                 s_amp, num_symbols, ts, hyper=hyper,
             )
-            for k, vx, vy, objective, gx, gy in trace.rows:
-                rows.append(
-                    TraceRow(
-                        variant=variant, seed=trial, k=k,
-                        vx=vx, vy=vy, objective=objective,
-                        grad_x=gx, grad_y=gy,
-                        err_vx=abs(vx - vx_gt), err_vy=abs(vy - vy_gt),
-                    )
-                )
-    return rows
+            table = np.empty((len(trace.rows), len(TRACE_COLUMNS)))
+            table[:, :6] = trace.rows  # k, vx, vy, objective, grad_x, grad_y
+            np.abs(table[:, 1:3] - v_gt, out=table[:, 6:])
+            traces[variant, trial] = table
+    return traces
 
 
-def _write_rows(path, fieldnames, value_rows) -> None:
-    # str of a float (Python's or numpy's) is its shortest round-trip repr
-    lines = [",".join(fieldnames)]
-    for row in value_rows:
-        lines.append(",".join(map(str, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_rows(path, fieldnames, rows) -> None:
+    """Write a header line, then rows, CSV_BLOCK_ROWS at a time, one str per cell.
+
+    str of a float (Python's or numpy's) is its shortest round-trip repr. Each
+    block is formatted and written before the next is read, so neither the file
+    nor all of its rows are ever held at once.
+    """
+    rows = iter(rows)
+    with open(path, "w") as out:
+        out.write(",".join(fieldnames) + "\n")
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            out.write("".join([",".join(map(str, row)) + "\n" for row in block]))
 
 
 def _dataclass_csv(path, row_type, rows) -> None:
@@ -345,8 +340,14 @@ def write_belief_csv(path, rows: list[BeliefRow]) -> None:
     _dataclass_csv(path, BeliefRow, rows)
 
 
-def write_trace_csv(path, rows: list[TraceRow]) -> None:
-    _dataclass_csv(path, TraceRow, rows)
+def write_trace_csv(path, traces: dict[tuple[str, int], np.ndarray]) -> None:
+    """convergence_study's tables as rows of variant, seed, then TRACE_COLUMNS; k as an int."""
+    rows = (
+        (variant, seed, k, *cells)
+        for (variant, seed), table in traces.items()
+        for k, cells in zip(table[:, 0].astype(int).tolist(), table[:, 1:].tolist())
+    )
+    _write_rows(path, ("variant", "seed", *TRACE_COLUMNS), rows)
 
 
 def write_summary_csv(path, rows: list[SweepRow]) -> None:

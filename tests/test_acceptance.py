@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nfbeam import (
+    TRACE_COLUMNS,
     ExperimentConfig,
     VelocityProblem,
     convergence_study,
@@ -178,27 +179,25 @@ def test_criterion_04_estimator_converges_and_variants_order():
     cfg = dataclasses.replace(
         base, system=dataclasses.replace(base.system, signed_projection=True)
     )
-    rows = convergence_study(cfg, num_seeds=10)
+    traces = convergence_study(cfg, num_seeds=10)
     elapsed = time.perf_counter() - t0
-
-    traces: dict[tuple, list] = {}
-    for r in rows:
-        traces.setdefault((r.variant, r.seed), []).append(r)
+    err = {axis: TRACE_COLUMNS.index(axis) for axis in ("err_vx", "err_vy")}
 
     med = {}
-    for axis in ("err_vx", "err_vy"):
+    for axis, col in err.items():
         mins = [
-            min(getattr(r, axis) for r in trace)
-            for (variant, _), trace in traces.items()
+            min(table[:, col].tolist())
+            for (variant, _), table in traces.items()
             if variant == "adam-ao"
         ]
         med[axis] = float(np.median(mins))
 
     rse = {}
     for variant in ("adam-ao", "adam-joint", "plain-gd"):
+        # row k of a trace is iterate k
         at100 = [
-            next(r.err_vx**2 + r.err_vy**2 for r in trace if r.k == 100)
-            for (v, _), trace in traces.items()
+            table[100, err["err_vx"]].item() ** 2 + table[100, err["err_vy"]].item() ** 2
+            for (v, _), table in traces.items()
             if v == variant
         ]
         rse[variant] = float(np.sqrt(np.mean(at100)))

@@ -452,13 +452,15 @@ def test_trace_length_counts_iterations_when_stop_rule_fires(
 ):
     geom, model, p, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
     calls = []
-    evaluate = VelocityProblem.evaluate
+    # adam-ao's mid-iteration evaluation computes the second-axis gradient alone
+    for name in ("evaluate", "second_gradient"):
+        method = getattr(VelocityProblem, name)
 
-    def counted(self, vx, vy):
-        calls.append((vx, vy))
-        return evaluate(self, vx, vy)
+        def counted(self, vx, vy, method=method):
+            calls.append((vx, vy))
+            return method(self, vx, vy)
 
-    monkeypatch.setattr(VelocityProblem, "evaluate", counted)
+        monkeypatch.setattr(VelocityProblem, name, counted)
     # from rest the Adam variants stop after 568 iterations here, past the
     # default cap of 500: the radial speed travels ~10 m/s at one step per
     # iteration, at any bearing (test_cold_start_count_does_not_depend_on_bearing)

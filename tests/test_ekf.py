@@ -549,7 +549,7 @@ def test_gram_and_score_against_long_double(m, signed):
 
 
 def _dense_update(prior, y, jac, predicted_mean, echo_noise_power):
-    """kalman_update's signature over the textbook stacked-real update."""
+    """kalman_update's signature over the square-root-information reference update."""
     mean, cov = checks._dense_reference_update(
         prior, y, np.asarray(jac), predicted_mean, echo_noise_power
     )
@@ -561,11 +561,9 @@ def _dense_update(prior, y, jac, predicted_mean, echo_noise_power):
 def test_closed_loop_agrees_with_the_dense_update(monkeypatch, front):
     # 200 CPIs at M=64, from the default start and from the signed
     # front-of-aperture start: the production update on the factored Jacobian
-    # and the textbook update on its dense expansion keep the same means.
-    # The prior starts at 1e-8 I: from the default 0.1 I, the first 128 x 128
-    # innovation covariance has cond ~5e11, the textbook inverse errs by ~2e-9
-    # there (the low-rank update by ~2e-13), and the loop carries a position
-    # error into velocity about 1e4 times larger
+    # and the reference update on its dense expansion keep the same means,
+    # here from a narrow 1e-8 I prior (the default prior is the next test).
+    # The loop carries a position error into velocity about 1e4 times larger
     system = SystemConfig(num_antennas=64, signed_projection=front)
     start = (0.05, 3.0, 8.0, 7.0) if front else (5.0, 10.0, 8.0, 7.0)
     cfg = ExperimentConfig(
@@ -578,6 +576,26 @@ def test_closed_loop_agrees_with_the_dense_update(monkeypatch, front):
     got = means()
     monkeypatch.setattr(ekf, "kalman_update", _dense_update)
     want = means()
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("front", [False, True])
+def test_closed_loop_agrees_with_the_dense_update_from_the_default_prior(monkeypatch, front):
+    # as above from the default 0.1 I prior, where the first 128 x 128
+    # innovation covariance has cond ~5e11: the reference forms none, and the
+    # two runs keep every estimate within 1e-8 relative (bound fixed before
+    # the run; an explicit inverse of that covariance parted by up to 0.9)
+    system = SystemConfig(num_antennas=64, signed_projection=front)
+    start = (0.05, 3.0, 8.0, 7.0) if front else (5.0, 10.0, 8.0, 7.0)
+    cfg = ExperimentConfig(system=system, method="ekf", num_cpis=200, initial_state=start)
+
+    def estimates():
+        rows = run_experiment(cfg).rows
+        return np.array([(r.x_hat, r.y_hat, r.vx_hat, r.vy_hat) for r in rows])
+
+    got = estimates()
+    monkeypatch.setattr(ekf, "kalman_update", _dense_update)
+    want = estimates()
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
 

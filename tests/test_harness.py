@@ -3,14 +3,20 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nfbeam import (
+    TRACE_COLUMNS,
+    VARIANTS,
     AdamHyper,
+    BeliefRow,
     ConfigError,
     ExperimentConfig,
+    MetricRow,
+    SweepRow,
     SystemConfig,
     build_config,
     convergence_study,
@@ -324,20 +330,42 @@ def test_power_sweep_orderings():
 
 def test_convergence_study_shape_and_determinism():
     cfg = small_config()
-    rows = convergence_study(cfg, num_seeds=2, max_iters=30)
-    assert len(rows) == 3 * 2 * 31
+    traces = convergence_study(cfg, num_seeds=2, max_iters=30)
+    assert list(traces) == [(v, seed) for seed in range(2) for v in VARIANTS]
     gt_v = cfg.convergence_state[2:]
-    for row in rows:
-        if row.k == 0:
-            assert (row.vx, row.vy) == tuple(cfg.convergence_v_init)
-            assert row.err_vx == abs(cfg.convergence_v_init[0] - gt_v[0])
-            assert row.err_vy == abs(cfg.convergence_v_init[1] - gt_v[1])
+    for table in traces.values():
+        assert table.shape == (31, len(TRACE_COLUMNS))
+        assert table[:, 0].tolist() == list(range(31))
+        assert tuple(table[0, 1:3].tolist()) == tuple(cfg.convergence_v_init)
+        # err_* as |v - v_gt| in Python floats, bit for bit
+        for _, vx, vy, *_, err_vx, err_vy in table.tolist():
+            assert err_vx == abs(vx - gt_v[0])
+            assert err_vy == abs(vy - gt_v[1])
     again = convergence_study(cfg, num_seeds=2, max_iters=30)
-    assert rows == again
+    assert list(again) == list(traces)
+    for key, table in traces.items():
+        np.testing.assert_array_equal(again[key], table)
     with pytest.raises(ConfigError):
         convergence_study(cfg, num_seeds=0)
     with pytest.raises(ConfigError):
         convergence_study(cfg, variants=("newton",), num_seeds=1, max_iters=5)
+
+
+def test_convergence_study_and_trace_writer_stay_small(tmp_path):
+    # the defaults with signed projection, 10 seeds x 3 variants x 501
+    # iterates at M=512: the traces are 30 float tables of 32 kB (~1 MiB);
+    # per-iterate row objects or the whole file as one string take over 10 MiB
+    base = ExperimentConfig()
+    cfg = dataclasses.replace(
+        base, system=dataclasses.replace(base.system, signed_projection=True)
+    )
+    tracemalloc.start()
+    try:
+        write_trace_csv(tmp_path / "trace.csv", convergence_study(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_convergence_study_checks_variants_before_any_ascent(monkeypatch):
@@ -388,6 +416,46 @@ def test_all_writers_are_byte_stable(tmp_path):
         assert path.read_bytes() == first
         header = first.decode().splitlines()[0]
         assert "," in header and header.lower() == header
+
+
+def _reference_csv(fieldnames, rows) -> bytes:
+    return ("\n".join([",".join(fieldnames), *(",".join(map(str, row)) for row in rows)])
+            + "\n").encode()
+
+
+def test_writers_match_a_row_by_row_reference(tmp_path, monkeypatch):
+    # blocks of 3 rows, so every file spans several; cells cover -0.0,
+    # exponent forms, integer-valued and numpy floats, and the int columns
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 3)
+    cells = [-0.0, 1e-05, 3.0, 0.1, -2.5e-300, 1.7976931348623157e308, np.float64(1e16), 12.0]
+    floats = [cells[i % len(cells):] + cells[:i % len(cells)] for i in range(8)]
+    metrics = [MetricRow(i + 1, *(f * 2)[:14]) for i, f in enumerate(floats)]
+    beliefs = [BeliefRow(i + 1, *f[:8], f[0], i % 2) for i, f in enumerate(floats)]
+    sweep = [SweepRow(("ekf", "agdao")[i % 2], *f[:7]) for i, f in enumerate(floats)]
+    for name, writer, rows in (
+        ("metrics.csv", write_metrics_csv, metrics),
+        ("belief.csv", write_belief_csv, beliefs),
+        ("summary.csv", write_summary_csv, sweep),
+    ):
+        writer(tmp_path / name, rows)
+        fields = [f.name for f in dataclasses.fields(rows[0])]
+        want = _reference_csv(fields, [dataclasses.astuple(r) for r in rows])
+        assert (tmp_path / name).read_bytes() == want, name
+
+    tables = {
+        key: np.array([[float(k), *floats[k][:7]] for k in range(n)])
+        for key, n in ((("adam-ao", 0), 4), (("plain-gd", 3), 7))
+    }
+    write_trace_csv(tmp_path / "trace.csv", tables)
+    want = _reference_csv(
+        ("variant", "seed", *TRACE_COLUMNS),
+        [
+            (variant, seed, int(row[0]), *row[1:])
+            for (variant, seed), table in tables.items()
+            for row in table.tolist()
+        ],
+    )
+    assert (tmp_path / "trace.csv").read_bytes() == want
 
 
 def test_config_defaults_match_operating_point():
