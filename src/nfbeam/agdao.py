@@ -217,6 +217,9 @@ def _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration):
     return VelocityProblem(y, geom, model, nf, f, s_amp, num_symbols, symbol_duration, frame)
 
 
+# adam_ao_estimate, gd_estimate and estimate_velocity are thin entry points over
+# _ascend that perfbench/spans.py binds by name; the benchmark's rework
+# (ROADMAP.md item 2) rebinds those spans and removes them.
 def adam_ao_estimate(
     y,
     geom: geo.ArrayGeometry,

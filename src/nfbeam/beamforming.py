@@ -44,6 +44,8 @@ def predictive_beamformers(
     return _scale_by_rsqrt(f, geom.num_antennas)
 
 
+# perfbench/spans.py binds this name to time the baselines; it goes when the
+# benchmark's rework (ROADMAP.md item 2) rebinds that span.
 def opt_beamformers(
     geom: geo.ArrayGeometry,
     p_true,

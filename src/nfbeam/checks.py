@@ -65,8 +65,8 @@ def check_geometry(seed: int = 0, trials: int = 200):
         geom = geoms[t % 2]
         a = geo.array_response(geom, _N, _TS, v, p)
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
-        g, q = geo.projection_coeffs(geom, p)
-        worst_proj = max(worst_proj, float(np.max(np.abs(g * g + q * q - 1.0))))
+        nf = geo.NearField(geom, p)
+        worst_proj = max(worst_proj, float(np.max(np.abs(nf.g * nf.g + nf.q * nf.q - 1.0))))
         if t < 20:
             h = geo.roundtrip_channel(smalls[t % 2], model, _N, _TS, v, p)
             worst_sym = max(worst_sym, float(np.max(np.abs(h - h.T))))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,6 +123,9 @@ def _parse_powers(text: str) -> list[float]:
         raise ConfigError("powers", f"bad power list {text!r}: {exc}") from exc
     if not powers:
         raise ConfigError("powers", f"no powers in {text!r}")
+    for dbm in powers:
+        if not math.isfinite(dbm):
+            raise ConfigError("powers", f"must be finite, got {dbm!r}")
     return powers
 
 

@@ -60,6 +60,11 @@ class SystemConfig:
         _require(self, "spacing_m", self.spacing_m is None or self.spacing_m > 0, "positive")
         _require(self, "symbol_duration_s", self.symbol_duration_s > 0, "positive")
         _require(self, "symbols_per_cpi", self.symbols_per_cpi >= 1, ">= 1")
+        try:
+            finite = math.isfinite(self.tx_power_dbm) and math.isfinite(self.tx_power_w)
+        except OverflowError:
+            finite = False
+        _require(self, "tx_power_dbm", finite, "finite with a finite power in watts")
         _require(self, "comm_noise_power", self.comm_noise_power > 0, "positive")
         _require(self, "echo_noise_power", self.echo_noise_power >= 0, "nonnegative")
         _require(self, "ref_gain", self.ref_gain > 0, "positive")

@@ -70,13 +70,6 @@ def element_offsets(geom: ArrayGeometry) -> np.ndarray:
     return (m - (geom.num_antennas - 1) / 2.0) * geom.spacing
 
 
-def antenna_positions(geom: ArrayGeometry) -> np.ndarray:
-    """Antenna coordinates in the plane, shape (M, 2)."""
-    pos = np.zeros((geom.num_antennas, 2))
-    pos[:, 0] = element_offsets(geom)
-    return pos
-
-
 def _as_position(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (2,):
@@ -132,7 +125,8 @@ class NearField:
 
     Holds the per-antenna ranges r, the offsets ux = x - k_m1 and uy = y, the
     steering phasor a_tilde = exp(-j * 2pi/lambda * r) and the projections
-    (g, q) under geom's convention; every array is (..., M) except uy, (..., 1).
+    (g, q) = (ux, uy) / r, numerators folded to |.| unless geom.signed_projection
+    (g^2 + q^2 = 1 either way); every array is (..., M) except uy, (..., 1).
     Every function that reads more than the ranges or the steering phasor
     takes a snapshot wherever it takes a position, so the beamformer, the
     echo model, its Jacobian and the throughput of one CPI share one build.
@@ -175,20 +169,11 @@ def near_field(geom: ArrayGeometry, p) -> NearField:
     return p
 
 
+# A read of NearField that perfbench/spans.py binds by name; it goes when the
+# benchmark's rework (ROADMAP.md item 2) drops that span.
 def steering_vector(geom: ArrayGeometry, p) -> np.ndarray:
     """Near-field phase profile exp(-j * 2pi/lambda * r_m), shape (..., M)."""
     return NearField(geom, p).steering
-
-
-def projection_coeffs(geom: ArrayGeometry, p):
-    """Per-antenna projections (g, q) of the two axes onto the line of sight.
-
-    The magnitude convention uses numerators |x - k_m1| / r_m and |y| / r_m;
-    under geom.signed_projection the numerators keep their signs. Either way
-    g^2 + q^2 = 1. Each has shape (..., M) for positions of shape (..., 2).
-    """
-    nf = near_field(geom, p)
-    return nf.g, nf.q
 
 
 def radial_speeds(geom: ArrayGeometry, v, p) -> np.ndarray:

@@ -5,7 +5,6 @@ import dataclasses
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -244,18 +243,16 @@ def power_sweep(
     if len(powers_dbm) == 0:
         raise ConfigError("powers", "at least one power level is required")
     names = [f.name for f in dataclasses.fields(SweepRow)]
+    # every power is checked before the first cell runs
+    systems = [dataclasses.replace(config.system, tx_power_dbm=float(dbm)) for dbm in powers_dbm]
     rows: list[SweepRow] = []
     for method in methods:
-        for dbm in powers_dbm:
-            cfg = dataclasses.replace(
-                config,
-                method=method,
-                system=dataclasses.replace(config.system, tx_power_dbm=float(dbm)),
-            )
+        for system in systems:
+            cfg = dataclasses.replace(config, method=method, system=system)
             summary = run_experiment(cfg).summary()
             rows.append(SweepRow(**{name: summary[name] for name in names}))
             if progress is not None:
-                progress(method, float(dbm))
+                progress(method, system.tx_power_dbm)
     return rows
 
 
@@ -352,18 +349,3 @@ def write_trace_csv(path, traces: dict[tuple[str, int], np.ndarray]) -> None:
 
 def write_summary_csv(path, rows: list[SweepRow]) -> None:
     _dataclass_csv(path, SweepRow, rows)
-
-
-def read_metrics_csv(path) -> list[MetricRow]:
-    """Inverse of write_metrics_csv; exact because floats are written as round-trip reprs."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln]
-    expected = [f.name for f in dataclasses.fields(MetricRow)]
-    header = lines[0].split(",")
-    if header != expected:
-        raise ValueError(f"unexpected metrics header {header}")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        out.append(MetricRow(int(cells[0]), *(float(c) for c in cells[1:])))
-    return out

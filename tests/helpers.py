@@ -1,10 +1,12 @@
 """Shared samplers and independent finite-difference oracles for the tests."""
 
+import csv
 import dataclasses
 
 import numpy as np
 
 from nfbeam.geometry import ArrayGeometry, PathlossModel
+from nfbeam.harness import MetricRow
 
 CARRIER = 30e9
 TS = 1e-5
@@ -62,3 +64,11 @@ def fd_central4_vec(fun, x0: float, step: float) -> np.ndarray:
 
 def default_model() -> PathlossModel:
     return PathlossModel()
+
+
+def read_metric_rows(path) -> list[MetricRow]:
+    """metrics.csv parsed with csv and float: exact where cells are round-trip reprs."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        assert next(reader) == [field.name for field in dataclasses.fields(MetricRow)]
+        return [MetricRow(int(row[0]), *map(float, row[1:])) for row in reader]

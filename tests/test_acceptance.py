@@ -10,26 +10,20 @@ import time
 import numpy as np
 import pytest
 
-from nfbeam import (
-    TRACE_COLUMNS,
-    ExperimentConfig,
-    VelocityProblem,
-    convergence_study,
-    observation_jacobian,
-    observation_mean,
-    opt_beamformers,
+from nfbeam.agdao import VelocityProblem
+from nfbeam.beamforming import opt_beamformers, predictive_beamformers
+from nfbeam.cli import main
+from nfbeam.config import ExperimentConfig
+from nfbeam.ekf import kalman_update, observation_jacobian
+from nfbeam.geometry import (
+    NearField,
+    doppler_vector,
     pathloss,
-    power_sweep,
-    predictive_beamformers,
-    projection_coeffs,
-    received_snr,
     roundtrip_channel,
-    run_experiment,
     steering_vector,
 )
-from nfbeam import doppler_vector
-from nfbeam.cli import main
-from nfbeam.ekf import kalman_update
+from nfbeam.harness import TRACE_COLUMNS, convergence_study, power_sweep, run_experiment
+from nfbeam.signals import observation_mean, received_snr
 
 from helpers import (
     N_SYM,
@@ -280,8 +274,8 @@ def test_criterion_08_geometry_identities_hold_in_bulk():
         worst_a = max(worst_a, float(np.max(np.abs(np.abs(atil) - 1.0))))
         d = doppler_vector(geom, int(rng.integers(1, 11)), TS, v, (x, y))
         worst_d = max(worst_d, float(np.max(np.abs(np.abs(d) - 1.0))))
-        g, q = projection_coeffs(geom, (x, y))
-        worst_gq = max(worst_gq, float(np.max(np.abs(g**2 + q**2 - 1.0))))
+        nf = NearField(geom, (x, y))
+        worst_gq = max(worst_gq, float(np.max(np.abs(nf.g**2 + nf.q**2 - 1.0))))
 
     geom16 = geom_for(16)
     worst_rank = 0.0

@@ -5,30 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nfbeam import (
-    AdamHyper,
+from nfbeam import agdao
+from nfbeam.agdao import (
+    VARIANTS,
     DivergenceError,
-    ExperimentConfig,
-    MotionNoise,
-    SystemConfig,
     VelocityProblem,
     adam_ao_estimate,
     agdao_track_step,
-    array_response,
     estimate_velocity,
     gd_estimate,
-    generate_trajectory,
-    observation_mean,
-    pathloss,
-    predictive_beamformers,
-    projection_coeffs,
-    run_experiment,
-    stream,
-    synthesize_observation,
 )
-from nfbeam import agdao
-from nfbeam.agdao import VARIANTS
-from nfbeam.geometry import ROUNDTRIP
+from nfbeam.beamforming import predictive_beamformers
+from nfbeam.config import AdamHyper, ExperimentConfig, SystemConfig
+from nfbeam.geometry import ROUNDTRIP, NearField, array_response, pathloss
+from nfbeam.harness import run_experiment, stream
+from nfbeam.motion import MotionNoise, generate_trajectory
+from nfbeam.signals import observation_mean, synthesize_observation
 
 from helpers import N_SYM, TS, default_model, fd_central, geom_for, sample_state
 
@@ -57,7 +49,8 @@ def direct_likelihood(y, geom, model, p, v, f):
     rot = geom.wavenumber * N_SYM * TS
     resid = y - b
     out = [float(2.0 * np.vdot(y, b).real - np.vdot(b, b).real)]
-    for u in projection_coeffs(geom, p):
+    nf = NearField(geom, p)
+    for u in (nf.g, nf.q):
         da = -1j * rot * u * a
         db = scale * (da * (a @ f) + a * (da @ f))
         out.append(float(2.0 * np.vdot(resid, db).real))
@@ -243,7 +236,8 @@ def test_sloppy_geometry_recovers_observable_speeds():
     yy = float(np.vdot(y, y).real)
     gap = yy - VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate(*v_hat)[0]
     assert gap <= 1e-4 * yy
-    g, q = projection_coeffs(geom, p)
+    nf = NearField(geom, p)
+    g, q = nf.g, nf.q
     dv = v_hat - V_TRUE
     assert np.abs(g * dv[0] + q * dv[1]).max() < 0.15
     valley = np.array([q.mean(), -g.mean()])

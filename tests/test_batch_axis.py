@@ -11,11 +11,11 @@ import pytest
 from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamformers
 from nfbeam.geometry import (
     DegeneratePositionError,
+    NearField,
     PathlossModel,
-    antenna_positions,
     element_distances,
+    element_offsets,
     pathloss,
-    projection_coeffs,
     radial_speeds,
     steering_vector,
 )
@@ -44,10 +44,15 @@ def _pv(eta):
 def _calls(signed):
     """name -> one call (p, v) for one state, shape (2,), or a batch, shape (..., 2)."""
     geom = geom_for(32, signed)
+
+    def projection_coeffs(p, v):
+        nf = NearField(geom, p)
+        return np.stack([nf.g, nf.q], axis=-2)
+
     return {
         "element_distances": lambda p, v: element_distances(GEOM, p),
         "steering_vector": lambda p, v: steering_vector(GEOM, p),
-        "projection_coeffs": lambda p, v: np.stack(projection_coeffs(geom, p), axis=-2),
+        "projection_coeffs": projection_coeffs,
         "radial_speeds": lambda p, v: radial_speeds(geom, v, p),
         "pathloss_downlink": lambda p, v: pathloss(MODEL, p, "downlink"),
         "pathloss_roundtrip": lambda p, v: pathloss(MODEL, p, "roundtrip"),
@@ -121,7 +126,7 @@ def _batch_with(*bad):
     "name", [n for n in NAMES if not n.startswith("pathloss") and n != "ff_beamformers"]
 )
 def test_batch_with_a_position_on_an_antenna_is_rejected(name):
-    first, second = antenna_positions(GEOM)[[5, 9]]
+    first, second = np.stack([element_offsets(GEOM)[[5, 9]], [0.0, 0.0]], axis=-1)
     batch = _batch_with((4, first), (6, second))
     # the message names the first degenerate position of the batch
     with pytest.raises(DegeneratePositionError, match=re.escape(str(first.tolist()))):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import nfbeam.harness as harness
-from nfbeam import ExperimentConfig, SystemConfig
 from nfbeam.cli import main
+from nfbeam.config import ExperimentConfig, SystemConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

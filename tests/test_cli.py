@@ -4,7 +4,8 @@ import json
 import pytest
 
 from nfbeam.cli import main
-from nfbeam.harness import read_metrics_csv
+
+from helpers import read_metric_rows
 
 SMALL = ["--set", "system.num_antennas=16"]
 
@@ -16,7 +17,7 @@ def lines_of(path):
 def test_track_writes_metrics_and_belief(tmp_path, capsys):
     code = main(["track", "--out", str(tmp_path), "--cpis", "8", "--method", "ekf", *SMALL])
     assert code == 0
-    rows = read_metrics_csv(tmp_path / "metrics.csv")
+    rows = read_metric_rows(tmp_path / "metrics.csv")
     assert len(rows) == 8
     assert rows[0].cpi == 1
     belief = lines_of(tmp_path / "belief.csv")
@@ -130,6 +131,34 @@ def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message
     assert payload == {"error": "config", "field": field, "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv,field,message",
+    [
+        (["sweep-power", "--powers", "nan"], "powers", "must be finite, got nan"),
+        (["sweep-power", "--powers", "10,inf"], "powers", "must be finite, got inf"),
+        (["sweep-power", "--powers", "1e400"], "powers", "must be finite, got inf"),
+        (
+            ["sweep-power", "--method", "agdao", "--powers", "nan"], "powers",
+            "must be finite, got nan",
+        ),
+        (
+            ["sweep-power", "--powers", "10,4000"], "tx_power_dbm",
+            "must be finite with a finite power in watts, got 4000.0",
+        ),
+        (
+            ["track", "--set", "system.tx_power_dbm=4000"], "system.tx_power_dbm",
+            "must be finite with a finite power in watts, got 4000.0",
+        ),
+    ],
+)
+def test_power_without_finite_watts_names_its_field(tmp_path, capsys, argv, field, message):
+    code = main([*argv, "--cpis", "2", "--out", str(tmp_path), *SMALL])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "config", "field": field, "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_config_key_is_reported(tmp_path, capsys):
     code = main(["track", "--out", str(tmp_path), "--set", "system.antennas=4"])
     assert code == 2
@@ -157,10 +186,10 @@ def test_config_file_drives_the_run(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["track", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = read_metrics_csv(out / "metrics.csv")
+    rows = read_metric_rows(out / "metrics.csv")
     assert len(rows) == 4
     assert not (out / "belief.csv").exists()
     # command-line count overrides the file
     out2 = tmp_path / "out2"
     assert main(["track", "--config", str(cfg_path), "--cpis", "2", "--out", str(out2)]) == 0
-    assert len(read_metrics_csv(out2 / "metrics.csv")) == 2
+    assert len(read_metric_rows(out2 / "metrics.csv")) == 2

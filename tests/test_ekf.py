@@ -4,30 +4,27 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam import (
-    BeamNormError,
-    ExperimentConfig,
-    FilterHealthError,
-    MotionNoise,
-    ProjectionKinkError,
-    SystemConfig,
-    TrackerBelief,
-    cpi_throughput,
-    ekf_forecast,
-    ekf_track_step,
-    generate_trajectory,
-    kalman_update,
-    observation_jacobian,
-    observation_mean,
-    pathloss,
-    predictive_beamformers,
-    run_experiment,
-    stream,
-    synthesize_observation,
-    transition_matrix,
-)
 from nfbeam import checks, ekf
 from nfbeam import geometry as geo
+from nfbeam.beamforming import predictive_beamformers
+from nfbeam.config import ExperimentConfig, SystemConfig
+from nfbeam.ekf import (
+    FilterHealthError,
+    TrackerBelief,
+    ekf_forecast,
+    ekf_track_step,
+    kalman_update,
+    observation_jacobian,
+)
+from nfbeam.geometry import ProjectionKinkError, pathloss
+from nfbeam.harness import run_experiment, stream
+from nfbeam.motion import MotionNoise, generate_trajectory, transition_matrix
+from nfbeam.signals import (
+    BeamNormError,
+    cpi_throughput,
+    observation_mean,
+    synthesize_observation,
+)
 
 from helpers import (
     N_SYM,
@@ -128,10 +125,8 @@ def test_jacobian_velocity_columns_at_rest():
     f = rng.normal(size=24) + 1j * rng.normal(size=24)
     f /= np.linalg.norm(f)
     jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
-    from nfbeam import projection_coeffs, steering_vector
-
-    atil = steering_vector(geom, eta[:2])
-    g, q = projection_coeffs(geom, eta[:2])
+    nf = geo.NearField(geom, eta[:2])
+    atil, g, q = nf.steering, nf.g, nf.q
     alpha2 = pathloss(model, eta[:2], "roundtrip")
     fac = -1j * geom.wavenumber * DT * alpha2
     af = atil @ f
@@ -158,9 +153,7 @@ def test_jacobian_linear_in_beam_phase():
 def test_jacobian_kink_guard():
     geom = geom_for(8)
     model = default_model()
-    from nfbeam import element_offsets
-
-    x_on_antenna = float(element_offsets(geom)[2])
+    x_on_antenna = float(geo.element_offsets(geom)[2])
     p, v = (x_on_antenna, 9.0), (1.0, 1.0)
     f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     with pytest.raises(ProjectionKinkError):

@@ -12,8 +12,8 @@ from nfbeam.geometry import (
     ArrayGeometry,
     DegeneratePositionError,
     PathlossModel,
+    NearField,
     ProjectionKinkError,
-    antenna_positions,
     array_response,
     doppler_vector,
     downlink_channel,
@@ -22,7 +22,6 @@ from nfbeam.geometry import (
     pathloss,
     pathloss_gradient,
     projection_coeff_gradients,
-    projection_coeffs,
     radial_speeds,
     roundtrip_channel,
     steering_vector,
@@ -52,14 +51,6 @@ def test_element_offsets_centered():
     assert mid[1] == 0.0
 
 
-def test_antenna_positions_on_x_axis():
-    geom = geom_for(5)
-    pos = antenna_positions(geom)
-    assert pos.shape == (5, 2)
-    np.testing.assert_array_equal(pos[:, 1], 0.0)
-    np.testing.assert_allclose(pos[:, 0], element_offsets(geom), rtol=0, atol=0)
-
-
 def test_element_distances_against_hypot():
     rng = np.random.default_rng(3)
     geom = geom_for(16)
@@ -73,7 +64,7 @@ def test_element_distances_against_hypot():
 
 def test_element_distances_rejects_contact():
     geom = geom_for(4)
-    p = antenna_positions(geom)[2]
+    p = (element_offsets(geom)[2], 0.0)
     with pytest.raises(DegeneratePositionError):
         element_distances(geom, p)
 
@@ -97,8 +88,8 @@ def test_steering_vector_phase_and_modulus():
 )
 def test_projection_identity(x, y, signed):
     geom = geom_for(16, signed)
-    g, q = projection_coeffs(geom, (x, y))
-    np.testing.assert_allclose(g * g + q * q, 1.0, atol=1e-12)
+    nf = NearField(geom, (x, y))
+    np.testing.assert_allclose(nf.g * nf.g + nf.q * nf.q, 1.0, atol=1e-12)
 
 
 def test_conventions_agree_off_to_the_side():
@@ -109,22 +100,23 @@ def test_conventions_agree_off_to_the_side():
     geom_signed = geom_for(64, signed=True)
     for _ in range(20):
         eta = sample_state(rng, geom)
-        ga, qa = projection_coeffs(geom, eta[:2])
-        gs, qs = projection_coeffs(geom_signed, eta[:2])
-        np.testing.assert_array_equal(ga, gs)
-        np.testing.assert_array_equal(qa, qs)
+        a = NearField(geom, eta[:2])
+        s = NearField(geom_signed, eta[:2])
+        np.testing.assert_array_equal(a.g, s.g)
+        np.testing.assert_array_equal(a.q, s.q)
 
 
 def test_signed_projection_is_physical_cosine():
     rng = np.random.default_rng(6)
     geom = geom_for(16, signed=True)
-    pos = antenna_positions(geom)
+    off = element_offsets(geom)
     for _ in range(10):
         p = rng.uniform([-2.0, 2.0], [2.0, 20.0])
         v = rng.uniform(-10.0, 10.0, size=2)
         vm = radial_speeds(geom, v, p)
         for m in range(geom.num_antennas):
-            u = (p - pos[m]) / np.linalg.norm(p - pos[m])
+            d = p - (off[m], 0.0)
+            u = d / np.linalg.norm(d)
             assert vm[m] == pytest.approx(float(u @ v), rel=1e-12, abs=1e-12)
 
 
@@ -134,8 +126,9 @@ def test_radial_speeds_compose_projections():
         geom = geom_for(16, signed)
         p = rng.uniform([-1.0, 3.0], [1.0, 20.0])
         v = rng.uniform(-10.0, 10.0, size=2)
-        g, q = projection_coeffs(geom, p)
-        np.testing.assert_allclose(radial_speeds(geom, v, p), g * v[0] + q * v[1], rtol=1e-15)
+        nf = NearField(geom, p)
+        want = nf.g * v[0] + nf.q * v[1]
+        np.testing.assert_allclose(radial_speeds(geom, v, p), want, rtol=1e-15)
 
 
 def test_doppler_vector_basics():
@@ -218,12 +211,12 @@ def test_projection_gradients_match_fd():
                 def g_of(t, axis=axis):
                     q = np.array(p, dtype=float)
                     q[axis] = t
-                    return projection_coeffs(geom, q)[0]
+                    return NearField(geom, q).g
 
                 def q_of(t, axis=axis):
                     q = np.array(p, dtype=float)
                     q[axis] = t
-                    return projection_coeffs(geom, q)[1]
+                    return NearField(geom, q).q
 
                 fd_g = (g_of(p[axis] + step) - g_of(p[axis] - step)) / (2 * step)
                 fd_q = (q_of(p[axis] + step) - q_of(p[axis] - step)) / (2 * step)
@@ -237,7 +230,8 @@ def test_projection_gradient_identity():
     for signed in (False, True):
         geom = geom_for(32, signed)
         p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
-        g, q = projection_coeffs(geom, p)
+        nf = NearField(geom, p)
+        g, q = nf.g, nf.q
         dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p)
         np.testing.assert_allclose(g * dg_dx + q * dq_dx, 0.0, atol=1e-15)
         np.testing.assert_allclose(g * dg_dy + q * dq_dy, 0.0, atol=1e-15)

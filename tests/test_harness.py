@@ -8,39 +8,42 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nfbeam import (
-    TRACE_COLUMNS,
-    VARIANTS,
-    AdamHyper,
-    BeliefRow,
-    ConfigError,
-    ExperimentConfig,
-    MetricRow,
-    SweepRow,
-    SystemConfig,
-    build_config,
-    convergence_study,
-    dbm_to_watts,
-    pathloss,
-    power_sweep,
-    run_experiment,
-    save_config,
-    stream,
-    write_belief_csv,
-    write_metrics_csv,
-    write_summary_csv,
-    write_trace_csv,
-)
 from nfbeam import harness
+from nfbeam.agdao import VARIANTS
 from nfbeam.beamforming import (
     feedback_latch_index,
     ff_beamformers,
     opt_beamformers,
     predictive_beamformers,
 )
-from nfbeam.harness import read_metrics_csv
+from nfbeam.config import (
+    AdamHyper,
+    ConfigError,
+    ExperimentConfig,
+    SystemConfig,
+    build_config,
+    dbm_to_watts,
+    save_config,
+)
+from nfbeam.geometry import pathloss
+from nfbeam.harness import (
+    TRACE_COLUMNS,
+    BeliefRow,
+    MetricRow,
+    SweepRow,
+    convergence_study,
+    power_sweep,
+    run_experiment,
+    stream,
+    write_belief_csv,
+    write_metrics_csv,
+    write_summary_csv,
+    write_trace_csv,
+)
 from nfbeam.motion import generate_trajectory
 from nfbeam.signals import cpi_throughput
+
+from helpers import read_metric_rows
 
 
 def small_config(**kw):
@@ -381,7 +384,7 @@ def test_metrics_csv_round_trip(tmp_path):
     result = run_experiment(small_config(method="ekf", num_cpis=8))
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, result.rows)
-    assert read_metrics_csv(path) == result.rows
+    assert read_metric_rows(path) == result.rows
     first = path.read_bytes()
     write_metrics_csv(path, result.rows)
     assert path.read_bytes() == first
@@ -396,7 +399,7 @@ def test_metrics_csv_reads_numpy_floats_back_as_floats(tmp_path):
     })
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, [twin])
-    assert read_metrics_csv(path) == [row]
+    assert read_metric_rows(path) == [row]
 
 
 def test_all_writers_are_byte_stable(tmp_path):

@@ -1,20 +1,35 @@
 """No module in src/, tests/ or tools/ imports a name it never uses.
 
-A stdlib-ast stand-in for a linter's unused-import rule. Package __init__.py
-files are exempt: their imports are the package's re-exports.
+A stdlib-ast stand-in for a linter's unused-import rule, and a check that the
+package root loads nothing and each submodule imports on its own.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
-    path
-    for folder in ("src", "tests", "tools")
-    for path in (ROOT / folder).rglob("*.py")
-    if path.name != "__init__.py"
+    path for folder in ("src", "tests", "tools") for path in (ROOT / folder).rglob("*.py")
 )
+SUBMODULES = sorted(path.stem for path in (ROOT / "src" / "nfbeam").glob("[!_]*.py"))
+
+# argv: submodule names. Fails if `import nfbeam` loads a submodule, or if a
+# submodule fails to import with every other nfbeam.* module unloaded.
+_IMPORT_ALONE = """
+import importlib, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("nfbeam."))
+import nfbeam
+assert loaded() == [], f"import nfbeam loaded {loaded()}"
+for name in sys.argv[1:]:
+    for done in loaded():
+        del sys.modules[done]
+    importlib.import_module("nfbeam." + name)
+"""
 
 
 def _annotations(tree):
@@ -66,3 +81,16 @@ def test_the_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_root_loads_nothing_and_each_submodule_imports_alone():
+    # a fresh process: this one has imported the package already
+    env = dict(os.environ)
+    path = (str(ROOT / "src"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALONE, *SUBMODULES],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert SUBMODULES
+    assert result.returncode == 0, result.stderr

@@ -20,14 +20,13 @@ from nfbeam.geometry import (
     DegeneratePositionError,
     NearField,
     PathlossModel,
-    antenna_positions,
     array_response,
     doppler_vector,
     downlink_channel,
     element_distances,
     element_offsets,
+    near_field,
     projection_coeff_gradients,
-    projection_coeffs,
     radial_speeds,
     roundtrip_channel,
     steering_vector,
@@ -65,8 +64,12 @@ def _calls(signed):
         prob = agdao.VelocityProblem(y, geom, MODEL, p, f[-1], 2.0, N_SYM, TS)
         return np.concatenate([prob.W.ravel(), prob.exponent.ravel(), [prob.scale]])
 
+    def projection_coeffs(p, v):
+        nf = near_field(geom, p)
+        return np.stack([nf.g, nf.q])
+
     return {
-        "projection_coeffs": lambda p, v: np.stack(projection_coeffs(geom, p)),
+        "projection_coeffs": projection_coeffs,
         "radial_speeds": lambda p, v: radial_speeds(geom, v, p),
         "doppler_vector": lambda p, v: doppler_vector(geom, N_SYM, TS, v, p),
         "array_response": lambda p, v: array_response(geom, N_SYM, TS, v, p),
@@ -140,9 +143,11 @@ def test_snapshot_fields_match_the_geometry_functions(signed):
     np.testing.assert_array_equal(
         near.steering, np.exp(-1j * GEOM.wavenumber * element_distances(GEOM, points))
     )
-    g, q = projection_coeffs(near.geom, points)
-    np.testing.assert_array_equal(near.g, g)
-    np.testing.assert_array_equal(near.q, q)
+    r = element_distances(GEOM, points)
+    ux, uy = points[:, :1] - element_offsets(GEOM), points[:, 1:]
+    fold = np.positive if signed else np.abs
+    np.testing.assert_array_equal(near.g, fold(ux) / r)
+    np.testing.assert_array_equal(near.q, fold(uy) / r)
     assert near.position.shape == (5, 2) and near.uy.shape == (5, 1)
 
 
@@ -163,8 +168,8 @@ def test_indexed_snapshot_equals_a_single_build(signed):
 
 @pytest.mark.parametrize("where", ["single", "batch"])
 def test_degenerate_position_in_a_snapshot_is_rejected(where):
-    on_antenna = antenna_positions(GEOM)[4]
-    later = antenna_positions(GEOM)[9]
+    on_antenna = np.array([element_offsets(GEOM)[4], 0.0])
+    later = np.array([element_offsets(GEOM)[9], 0.0])
     p = on_antenna if where == "single" else np.array([[3.0, 9.0], on_antenna, later])
     first = re.escape(f"position {on_antenna.tolist()}")
     with pytest.raises(DegeneratePositionError, match=first):
