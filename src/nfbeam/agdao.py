@@ -63,17 +63,14 @@ class OptimizerTrace:
 class VelocityProblem:
     """Echo likelihood at one CPI with everything but the velocity frozen.
 
-    Holds the six-row W of the module docstring; needs |a~_m| = 1. p_hat may
-    be its geo.NearField snapshot. With frame, the rows of a rotation,
+    Holds the six-row W of the module docstring, from the snapshot nf at the
+    position estimate; needs |a~_m| = 1. With frame, the rows of a rotation,
     evaluate works in frame coordinates, else in (vx, vy).
     """
 
-    def __init__(
-        self, y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration, frame=None
-    ):
+    def __init__(self, y, model, nf, f, s_amp, num_symbols, symbol_duration, frame=None):
         f = np.asarray(f)
         check_unit_norm(f)
-        nf = geo.near_field(geom, p_hat)
         atil, g, q = nf.steering, nf.g, nf.q
         if frame is None:
             frame = IDENTITY
@@ -83,7 +80,7 @@ class VelocityProblem:
         self.frame = frame
         scale = float(s_amp * geo.pathloss(model, nf.position, geo.ROUNDTRIP))
         # phase advance per unit composite speed over the CPI
-        rot = geom.wavenumber * num_symbols * symbol_duration
+        rot = nf.geom.wavenumber * num_symbols * symbol_duration
         # exponent of d per unit speed along the frame's first and second axis
         self.exponent = -1j * rot * np.stack([g, q])
         w = atil * f
@@ -211,10 +208,9 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, recor
     return np.array(to_xy(t, r)), trace
 
 
-def _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration):
-    nf = geo.near_field(geom, p_hat)
+def _los_problem(y, model, nf, f, s_amp, num_symbols, symbol_duration):
     frame = line_of_sight_frame(nf.position)
-    return VelocityProblem(y, geom, model, nf, f, s_amp, num_symbols, symbol_duration, frame)
+    return VelocityProblem(y, model, nf, f, s_amp, num_symbols, symbol_duration, frame)
 
 
 # adam_ao_estimate, gd_estimate and estimate_velocity are thin entry points over
@@ -222,9 +218,8 @@ def _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration):
 # (ROADMAP.md item 2) rebinds those spans and removes them.
 def adam_ao_estimate(
     y,
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p_hat,
+    nf_hat: geo.NearField,
     v_init,
     f,
     s_amp: float,
@@ -235,18 +230,18 @@ def adam_ao_estimate(
 ):
     """Alternating Adam ascent: t moves first, r sees the fresh t each iteration.
 
-    Returns (v_hat, trace). Stops at max_iters or by the module's stop rule.
-    record=False leaves the trace's rows empty and keeps only its length.
+    nf_hat is the snapshot at the position estimate. Returns (v_hat, trace).
+    Stops at max_iters or by the module's stop rule. record=False leaves the
+    trace's rows empty and keeps only its length.
     """
-    prob = _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
+    prob = _los_problem(y, model, nf_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, "adam-ao", record)
 
 
 def gd_estimate(
     y,
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p_hat,
+    nf_hat: geo.NearField,
     v_init,
     f,
     s_amp: float,
@@ -258,7 +253,7 @@ def gd_estimate(
     """Comparison optimizers on the same objective: plain-gd or adam-joint."""
     if variant not in ("plain-gd", "adam-joint"):
         raise ValueError(f"variant must be 'plain-gd' or 'adam-joint', got {variant!r}")
-    prob = _los_problem(y, geom, model, p_hat, f, s_amp, num_symbols, symbol_duration)
+    prob = _los_problem(y, model, nf_hat, f, s_amp, num_symbols, symbol_duration)
     return _ascend(prob, v_init, hyper, variant)
 
 
@@ -292,9 +287,9 @@ def agdao_track_step(
     prev_v_hat = np.asarray(prev_v_hat, dtype=float)
     p_pred = prev_p_hat + cpi_duration * prev_v_hat
     near = geo.NearField(geom, p_pred)
-    bf = predictive_beamformers(geom, near, prev_v_hat, num_symbols, symbol_duration)
+    bf = predictive_beamformers(near, prev_v_hat, num_symbols, symbol_duration)
     v_hat, trace = adam_ao_estimate(
-        observe(bf), geom, model, near, prev_v_hat, bf[-1], s_amp,
+        observe(bf), model, near, prev_v_hat, bf[-1], s_amp,
         num_symbols, symbol_duration, hyper=hyper, record=False,
     )
     return bf, p_pred, v_hat, trace

@@ -21,40 +21,37 @@ def _scale_by_rsqrt(z: np.ndarray, num_antennas: int) -> np.ndarray:
 
 
 def predictive_beamformers(
-    geom: geo.ArrayGeometry,
-    p_pred,
+    nf_pred: geo.NearField,
     v_pred,
     num_symbols: int,
     symbol_duration: float,
 ) -> np.ndarray:
     """Matched filter to the channel implied by an already-predicted state.
 
-    Row n-1 is f(n) = conj(a_tilde(p_pred) * d(n; v_pred)) / sqrt(M); each row
-    has unit norm. Shape (num_symbols, M), or (..., num_symbols, M) for
-    states of shape (..., 2). p_pred may be its geo.NearField snapshot.
-    Scaling by the real 1/sqrt(M) keeps the bits of dividing by sqrt(M).
+    Row n-1 is f(n) = conj(a_tilde(p_pred) * d(n; v_pred)) / sqrt(M), with
+    nf_pred the snapshot at p_pred; each row has unit norm. Shape
+    (num_symbols, M), or (..., num_symbols, M) for a snapshot of positions
+    (..., 2). Scaling by the real 1/sqrt(M) keeps the bits of dividing by sqrt(M).
     """
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    nf = geo.near_field(geom, p_pred)
-    f = geo.symbol_dopplers(geom, num_symbols, symbol_duration, v_pred, nf)
+    f = geo.symbol_dopplers(num_symbols, symbol_duration, v_pred, nf_pred)
     # f = conj(atil * d) / sqrt(M), built in place
-    np.multiply(nf.steering[..., None, :], f, out=f)
+    np.multiply(nf_pred.steering[..., None, :], f, out=f)
     np.conjugate(f, out=f)
-    return _scale_by_rsqrt(f, geom.num_antennas)
+    return _scale_by_rsqrt(f, nf_pred.geom.num_antennas)
 
 
 # perfbench/spans.py binds this name to time the baselines; it goes when the
 # benchmark's rework (ROADMAP.md item 2) rebinds that span.
 def opt_beamformers(
-    geom: geo.ArrayGeometry,
-    p_true,
+    nf_true: geo.NearField,
     v_true,
     num_symbols: int,
     symbol_duration: float,
 ) -> np.ndarray:
     """Genie matched filter: the predictive beamformer fed the true state."""
-    return predictive_beamformers(geom, p_true, v_true, num_symbols, symbol_duration)
+    return predictive_beamformers(nf_true, v_true, num_symbols, symbol_duration)
 
 
 def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

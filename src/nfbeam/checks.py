@@ -63,12 +63,12 @@ def check_geometry(seed: int = 0, trials: int = 200):
     for t in range(trials):
         p, v = _random_state(rng)
         geom = geoms[t % 2]
-        a = geo.array_response(geom, _N, _TS, v, p)
-        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
         nf = geo.NearField(geom, p)
+        a = geo.array_response(_N, _TS, v, nf)
+        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
         worst_proj = max(worst_proj, float(np.max(np.abs(nf.g * nf.g + nf.q * nf.q - 1.0))))
         if t < 20:
-            h = geo.roundtrip_channel(smalls[t % 2], model, _N, _TS, v, p)
+            h = geo.roundtrip_channel(model, _N, _TS, v, geo.NearField(smalls[t % 2], p))
             worst_sym = max(worst_sym, float(np.max(np.abs(h - h.T))))
             s = np.linalg.svd(h, compute_uv=False)
             worst_rank = max(worst_rank, float(s[1] / np.linalg.norm(h)))
@@ -93,9 +93,9 @@ def check_beam_phasors(seed: int = 0, trials: int = 40):
         p, v = _random_state(rng)
         geom = geoms[t % 2]
         nf = geo.NearField(geom, p)
-        d = geo.symbol_dopplers(geom, num_symbols, _TS, v, nf)
+        d = geo.symbol_dopplers(num_symbols, _TS, v, nf)
         for row, sym in zip(d, n.tolist()):
-            direct = geo.doppler_vector(geom, sym, _TS, v, nf)
+            direct = geo.doppler_vector(sym, _TS, v, nf)
             worst_dop = max(worst_dop, float(np.max(np.abs(row - direct))))
         u = p / np.linalg.norm(p)
         v_r = float(v @ u)
@@ -116,8 +116,9 @@ def check_mrt_snr(seed: int = 0, trials: int = 100):
     worst = 0.0
     for _ in range(trials):
         p, v = _random_state(rng)
-        bf = predictive_beamformers(geom, p, v, _N, _TS)
-        rate = cpi_throughput(geom, model, p, v, bf, _TS, power_w, sigma_c2)
+        nf = geo.NearField(geom, p)
+        bf = predictive_beamformers(nf, v, _N, _TS)
+        rate = cpi_throughput(model, nf, v, bf, _TS, power_w, sigma_c2)
         alpha1 = geo.pathloss(model, p, geo.DOWNLINK)
         snr = power_w * geom.num_antennas * alpha1 ** 2 / sigma_c2
         expected = float(np.log2(1.0 + snr))
@@ -127,12 +128,12 @@ def check_mrt_snr(seed: int = 0, trials: int = 100):
 
 def _spot_instance(rng, geom, model):
     p, v = _random_state(rng)
-    p_hat = p + rng.normal(0.0, 0.05, 2)
+    nf_hat = geo.NearField(geom, p + rng.normal(0.0, 0.05, 2))
     v_trial = rng.uniform(-15.0, 15.0, 2)
-    bf = predictive_beamformers(geom, p_hat, v_trial, _N, _TS)
+    bf = predictive_beamformers(nf_hat, v_trial, _N, _TS)
     s_amp, sigma_e2 = echo_amplitude(1.0), 1e-8
-    y = synthesize_observation(geom, model, p, v, bf, sigma_e2, s_amp, _TS, rng)
-    return p_hat, v_trial, bf[-1], s_amp, y
+    y = synthesize_observation(model, geo.NearField(geom, p), v, bf, sigma_e2, s_amp, _TS, rng)
+    return nf_hat, v_trial, bf[-1], s_amp, y
 
 
 def check_gradient(seed: int = 0, trials: int = 20):
@@ -144,8 +145,8 @@ def check_gradient(seed: int = 0, trials: int = 20):
     worst = 0.0
     for t in range(trials):
         geom = geoms[t % 2]
-        p_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
-        evaluate = VelocityProblem(y, geom, model, p_hat, f, s_amp, _N, _TS).evaluate
+        nf_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
+        evaluate = VelocityProblem(y, model, nf_hat, f, s_amp, _N, _TS).evaluate
         for axis, e in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
             hi = evaluate(*(v + step * e))[0]
             lo = evaluate(*(v - step * e))[0]
@@ -173,12 +174,15 @@ def check_jacobian(seed: int = 0, trials: int = 10):
     for t in range(trials):
         geom = geoms[t % 2]
         p, v = _random_state(rng)
-        bf = predictive_beamformers(geom, p, v, _N, _TS)
+        nf = geo.NearField(geom, p)
+        bf = predictive_beamformers(nf, v, _N, _TS)
         f = bf[-1]
-        jac = np.asarray(observation_jacobian(geom, model, p, v, f, s_amp, _N, _TS))
+        jac = np.asarray(observation_jacobian(model, nf, v, f, s_amp, _N, _TS))
 
         def mean_at(eta):
-            return observation_mean(geom, model, eta[:2], eta[2:], f, s_amp, _N, _TS)
+            return observation_mean(
+                model, geo.NearField(geom, eta[:2]), eta[2:], f, s_amp, _N, _TS
+            )
 
         base = np.concatenate([p, v])
         for col in range(4):
@@ -232,10 +236,11 @@ def check_kalman(seed: int = 0, trials: int = 10):
     for t in range(trials):
         geom = geoms[t % 2]
         p, v = _random_state(rng)
-        bf = predictive_beamformers(geom, p, v, _N, _TS)
+        nf = geo.NearField(geom, p)
+        bf = predictive_beamformers(nf, v, _N, _TS)
         f = bf[-1]
-        h_bar = observation_mean(geom, model, p, v, f, s_amp, _N, _TS)
-        jac = observation_jacobian(geom, model, p, v, f, s_amp, _N, _TS)
+        h_bar = observation_mean(model, nf, v, f, s_amp, _N, _TS)
+        jac = observation_jacobian(model, nf, v, f, s_amp, _N, _TS)
         y = h_bar + (rng.normal(0, 1e-4, geom.num_antennas) + 1j * rng.normal(0, 1e-4, geom.num_antennas))
         prior = TrackerBelief(mean=np.concatenate([p, v]), covariance=0.1 * np.eye(4))
         for sigma_e2 in (1e-2, 1e-8):

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .agdao import VARIANTS
+from .agdao import VARIANTS, DivergenceError
 from .config import METHODS, ConfigError, build_config
+from .ekf import FilterHealthError
 from .harness import (
     TRACE_COLUMNS,
     convergence_study,
@@ -194,6 +195,10 @@ def main(argv=None) -> int:
         return _fail("config", exc.field, exc.message)
     except ValueError as exc:
         return _fail("validation", "", str(exc))
+    except (FilterHealthError, DivergenceError) as exc:
+        # a valid config that drives a tracker non-finite
+        _fail("numerical", "", str(exc))
+        return 3
 
 
 if __name__ == "__main__":

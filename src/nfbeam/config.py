@@ -51,7 +51,6 @@ class SystemConfig:
     echo_noise_power: float = 1.0e-8
     ref_gain: float = 1.0
     rcs: float = 1.0
-    include_transmit_power: bool = True
     signed_projection: bool = False
 
     def __post_init__(self) -> None:

@@ -114,39 +114,35 @@ class FactoredJacobian:
 
 
 def observation_jacobian(
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p,
+    nf: geo.NearField,
     v,
     f: np.ndarray,
     s_amp: float,
     num_symbols: int,
     symbol_duration: float,
 ) -> FactoredJacobian:
-    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy] at position p and
-    velocity v, factored; np.asarray of the result is the dense (M, 4) J.
-
-    p may be its geo.NearField snapshot; the array response is the one
-    observation_mean builds.
+    """Derivative of the noise-free echo w.r.t. [x, y, vx, vy] at the snapshot's
+    position and velocity v, factored; np.asarray of the result is the dense
+    (M, 4) J. The array response is the one observation_mean builds.
     """
-    nf = geo.near_field(geom, p)
     dtt = num_symbols * symbol_duration
-    a = geo.array_response(geom, num_symbols, symbol_duration, v, nf)
+    a = geo.array_response(num_symbols, symbol_duration, v, nf)
     af = a @ f
     alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
     da2_dx, da2_dy = geo.pathloss_gradient(model, nf.position)
-    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(geom, nf)
+    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(nf)
 
     # da/d(state_k) = -j*kappa*a*phi_k: phi_x = dtt * d(v_m)/dx + dr/dx (likewise
     # y), phi_vx = dtt * g and phi_vy = dtt * q
     vx_dtt, vy_dtt = v[0] * dtt, v[1] * dtt
-    phi = np.empty((4, geom.num_antennas))
+    phi = np.empty((4, nf.geom.num_antennas))
     phi[0] = vx_dtt * dg_dx + vy_dtt * dq_dx + nf.ux / nf.r
     phi[1] = vx_dtt * dg_dy + vy_dtt * dq_dy + nf.uy / nf.r
     np.multiply(dtt, nf.g, out=phi[2])
     np.multiply(dtt, nf.q, out=phi[3])
     # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
-    c = -1j * geom.wavenumber * alpha2 * s_amp
+    c = -1j * nf.geom.wavenumber * alpha2 * s_amp
     w = (a * f).view(float).reshape(-1, 2)
     big_a = c * (phi @ w).view(complex)
     big_a[0] += s_amp * da2_dx * af
@@ -159,7 +155,7 @@ def observation_jacobian(
 def kalman_update(
     prior: TrackerBelief,
     y: np.ndarray,
-    jacobian: FactoredJacobian | np.ndarray,
+    jacobian: FactoredJacobian,
     predicted_mean: np.ndarray,
     echo_noise_power: float,
 ):
@@ -169,8 +165,6 @@ def kalman_update(
     # the posterior's mean is prior.mean + delta, which would broadcast any other shape
     if np.shape(prior.mean) != (4,):
         raise ValueError(f"prior mean must have shape (4,), got {np.shape(prior.mean)}")
-    if not isinstance(jacobian, FactoredJacobian):  # a dense (M, 4) J: unit response
-        jacobian = FactoredJacobian(np.ones(len(jacobian)), np.asarray(jacobian, complex).T.copy())
     nu = np.asarray(y) - np.asarray(predicted_mean)
     gram, u = jacobian.gram_and_score(nu)
     p = np.asarray(prior.covariance, dtype=float)
@@ -228,11 +222,11 @@ def ekf_track_step(
     response for both); observe checks the beam's norm, as synthesize_observation does.
     """
     prior = ekf_forecast(belief, cpi_duration, process_noise)
-    p, v = geo.NearField(geom, prior.mean[:2]), prior.mean[2:]
-    bf = predictive_beamformers(geom, p, v, num_symbols, symbol_duration)
+    nf, v = geo.NearField(geom, prior.mean[:2]), prior.mean[2:]
+    bf = predictive_beamformers(nf, v, num_symbols, symbol_duration)
     y = observe(bf)
     f_last = bf[-1]
-    h_bar = observation_mean(geom, model, p, v, f_last, s_amp, num_symbols, symbol_duration)
-    jac = observation_jacobian(geom, model, p, v, f_last, s_amp, num_symbols, symbol_duration)
+    h_bar = observation_mean(model, nf, v, f_last, s_amp, num_symbols, symbol_duration)
+    jac = observation_jacobian(model, nf, v, f_last, s_amp, num_symbols, symbol_duration)
     posterior, diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
     return bf, posterior, diag

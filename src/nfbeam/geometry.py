@@ -128,9 +128,9 @@ class NearField:
     (g, q) = (ux, uy) / r, numerators folded to |.| unless geom.signed_projection
     (g^2 + q^2 = 1 either way); every array is (..., M) except uy, (..., 1).
     Every function that reads more than the ranges or the steering phasor
-    takes a snapshot wherever it takes a position, so the beamformer, the
-    echo model, its Jacobian and the throughput of one CPI share one build.
-    Indexing the leading axes gives the snapshot of a subset.
+    takes a snapshot, never a position, and reads the array from its geom, so
+    the beamformer, the echo model, its Jacobian and the throughput of one CPI
+    share one build. Indexing the leading axes gives the snapshot of a subset.
     """
 
     __slots__ = ("geom", "position", "r", "ux", "uy", "steering", "g", "q", "response")
@@ -157,18 +157,6 @@ class NearField:
         return part
 
 
-def near_field(geom: ArrayGeometry, p) -> NearField:
-    """The snapshot at p: p itself if it already is one, else a new build.
-
-    A snapshot must come from the same array, projection convention included.
-    """
-    if not isinstance(p, NearField):
-        return NearField(geom, p)
-    if p.geom is not geom and p.geom != geom:
-        raise ValueError(f"snapshot was built for {p.geom}, not {geom}")
-    return p
-
-
 # A read of NearField that perfbench/spans.py binds by name; it goes when the
 # benchmark's rework (ROADMAP.md item 2) drops that span.
 def steering_vector(geom: ArrayGeometry, p) -> np.ndarray:
@@ -176,29 +164,26 @@ def steering_vector(geom: ArrayGeometry, p) -> np.ndarray:
     return NearField(geom, p).steering
 
 
-def radial_speeds(geom: ArrayGeometry, v, p) -> np.ndarray:
+def _radial_speeds(v, nf: NearField) -> np.ndarray:
     """Composite per-antenna speed g_m * vx + q_m * vy, shape (..., M)."""
     v = as_points(v, "velocity")
-    nf = near_field(geom, p)
     return nf.g * v[..., 0, None] + nf.q * v[..., 1, None]
 
 
-def doppler_vector(geom: ArrayGeometry, n: int, symbol_duration: float, v, p) -> np.ndarray:
+def doppler_vector(n: int, symbol_duration: float, v, nf: NearField) -> np.ndarray:
     """Doppler rotation accumulated after n symbol periods, shape (..., M)."""
-    vm = radial_speeds(geom, v, p)
-    return unit_phasor((-geom.wavenumber * n * symbol_duration) * vm)
+    vm = _radial_speeds(v, nf)
+    return unit_phasor((-nf.geom.wavenumber * n * symbol_duration) * vm)
 
 
-def symbol_dopplers(
-    geom: ArrayGeometry, num_symbols: int, symbol_duration: float, v, p
-) -> np.ndarray:
+def symbol_dopplers(num_symbols: int, symbol_duration: float, v, nf: NearField) -> np.ndarray:
     """Doppler rotations of symbols n = 1..num_symbols, shape (..., num_symbols, M).
 
-    Built by the recurrence d(n) = d(n-1) * d(1): row 1 is doppler_vector(geom,
-    1, ...) bit for bit, and row n is within about 0.5 * n * eps of exact.
+    Built by the recurrence d(n) = d(n-1) * d(1): row 1 is doppler_vector(1,
+    ...) bit for bit, and row n is within about 0.5 * n * eps of exact.
     """
-    vm = radial_speeds(geom, v, p)
-    d1 = unit_phasor((-geom.wavenumber * symbol_duration) * vm)
+    vm = _radial_speeds(v, nf)
+    d1 = unit_phasor((-nf.geom.wavenumber * symbol_duration) * vm)
     out = np.empty(vm.shape[:-1] + (num_symbols, vm.shape[-1]), dtype=complex)
     out[..., 0, :] = d1
     for n in range(1, num_symbols):
@@ -206,18 +191,17 @@ def symbol_dopplers(
     return out
 
 
-def array_response(geom: ArrayGeometry, n: int, symbol_duration: float, v, p) -> np.ndarray:
+def array_response(n: int, symbol_duration: float, v, nf: NearField) -> np.ndarray:
     """Steering vector times Doppler at symbol n: a = a_tilde * d(n), read-only.
 
     The snapshot keeps the last response and returns it for the same n,
     symbol_duration and v.
     """
-    nf = near_field(geom, p)
     v = as_points(v, "velocity")
     key = (n, symbol_duration, v.shape, v.tobytes())
     if nf.response[0] == key:
         return nf.response[1]
-    a = nf.steering * doppler_vector(geom, n, symbol_duration, v, nf)
+    a = nf.steering * doppler_vector(n, symbol_duration, v, nf)
     a.flags.writeable = False
     nf.response = (key, a)
     return a
@@ -263,39 +247,36 @@ def pathloss_gradient(model: PathlossModel, p):
 
 
 def downlink_channel(
-    geom: ArrayGeometry, model: PathlossModel, n: int, symbol_duration: float, v, p
+    model: PathlossModel, n: int, symbol_duration: float, v, nf: NearField
 ) -> np.ndarray:
     """One-way channel h(n) = alpha1 * a(n), shape (M,)."""
-    nf = near_field(geom, p)
-    return pathloss(model, nf.position, DOWNLINK) * array_response(geom, n, symbol_duration, v, nf)
+    return pathloss(model, nf.position, DOWNLINK) * array_response(n, symbol_duration, v, nf)
 
 
 def roundtrip_channel(
-    geom: ArrayGeometry, model: PathlossModel, n: int, symbol_duration: float, v, p
+    model: PathlossModel, n: int, symbol_duration: float, v, nf: NearField
 ) -> np.ndarray:
     """Echo channel H(n) = alpha2 * a(n) a(n)^T, shape (M, M), symmetric rank 1."""
-    nf = near_field(geom, p)
-    a = array_response(geom, n, symbol_duration, v, nf)
+    a = array_response(n, symbol_duration, v, nf)
     h = pathloss(model, nf.position, ROUNDTRIP) * np.outer(a, a)
     # complex multiply can contract to FMA, leaving H_ij and H_ji a ulp
     # apart; mirror the upper triangle so symmetry holds bit-exactly
-    low = np.tril_indices(geom.num_antennas, -1)
+    low = np.tril_indices(nf.geom.num_antennas, -1)
     h[low] = h.T[low]
     return h
 
 
-def projection_coeff_gradients(geom: ArrayGeometry, p):
+def projection_coeff_gradients(nf: NearField):
     """Spatial derivatives of (g, q): returns (dg_dx, dq_dx, dg_dy, dq_dy).
 
     Under the default magnitude convention the derivative is undefined where
     x crosses an antenna (or y crosses the array plane); those points raise
     ProjectionKinkError.
     """
-    nf = near_field(geom, p)
     p = _as_position(nf.position)
     r, ux, uy = nf.r, nf.ux, p[1]
     r3 = r ** 3
-    if geom.signed_projection:
+    if nf.geom.signed_projection:
         dg_dx = uy * uy / r3
         dq_dx = -ux * uy / r3
         dg_dy = -ux * uy / r3

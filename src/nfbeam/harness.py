@@ -165,7 +165,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     ts = sys_cfg.symbol_duration_s
     dt = sys_cfg.cpi_duration_s
     power_w = sys_cfg.tx_power_w
-    s_amp = echo_amplitude(power_w, sys_cfg.include_transmit_power)
+    s_amp = echo_amplitude(power_w)
     process_noise = config.motion_noise
     method = config.method
     num_cpis = config.num_cpis
@@ -191,7 +191,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
 
     def observe(bf):  # reads the current CPI's true state, near[i] and vel[i]
         return synthesize_observation(
-            geom, model, near[i], vel[i], bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng
+            model, near[i], vel[i], bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng
         )
 
     for lo in range(0, num_cpis, chunk):
@@ -199,9 +199,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         pos, vel = truth[part, :2], truth[part, 2:]
         near = NearField(geom, pos)
         bf = beams[:, : len(pos)]
-        bf[0] = opt_beamformers(geom, near, vel, num_symbols, ts)
+        bf[0] = opt_beamformers(near, vel, num_symbols, ts)
         bf[1] = ff_beamformers(geom, pos, vel, num_symbols, ts)
-        bf[2] = predictive_beamformers(geom, fd[part, :2], fd[part, 2:], num_symbols, ts)
+        bf[2] = predictive_beamformers(
+            NearField(geom, fd[part, :2]), fd[part, 2:], num_symbols, ts
+        )
         if lo == 0:
             # initial access: every pointer starts from the reported true
             # state, so every slot holds the genie beam
@@ -223,7 +225,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             if progress is not None:
                 progress(cpi, num_cpis)
 
-        rates = cpi_throughput(geom, model, near, vel, bf, ts, power_w, sys_cfg.comm_noise_power)
+        rates = cpi_throughput(model, near, vel, bf, ts, power_w, sys_cfg.comm_noise_power)
         table = np.column_stack([
             truth[part], est[part], rates[[slot, 0, 1, 2]].T,
             np.abs(truth[part, 2:] - est[part, 2:]),
@@ -280,9 +282,11 @@ def convergence_study(
     model = sys_cfg.pathloss_model()
     num_symbols = sys_cfg.symbols_per_cpi
     ts = sys_cfg.symbol_duration_s
-    s_amp = echo_amplitude(sys_cfg.tx_power_w, sys_cfg.include_transmit_power)
+    s_amp = echo_amplitude(sys_cfg.tx_power_w)
     eta_gt = np.array(config.convergence_state, dtype=float)
-    p_gt, v_gt = eta_gt[:2], eta_gt[2:]
+    # one snapshot of the ground-truth position serves the beam, every echo
+    # and every ascent
+    near, v_gt = NearField(geom, eta_gt[:2]), eta_gt[2:]
     v_init = np.asarray(config.convergence_v_init, dtype=float)
 
     overrides = {"rel_tol": 0.0}
@@ -290,16 +294,16 @@ def convergence_study(
         overrides["max_iters"] = max_iters
     hyper = dataclasses.replace(config.adam, **overrides)
 
-    bf = predictive_beamformers(geom, p_gt, v_init, num_symbols, ts)
+    bf = predictive_beamformers(near, v_init, num_symbols, ts)
     traces: dict[tuple[str, int], np.ndarray] = {}
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
         y = synthesize_observation(
-            geom, model, p_gt, v_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng
+            model, near, v_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng
         )
         for variant in variants:
             _, trace = estimate_velocity(
-                variant, y, geom, model, p_gt, v_init, bf[-1],
+                variant, y, model, near, v_init, bf[-1],
                 s_amp, num_symbols, ts, hyper=hyper,
             )
             table = np.empty((len(trace.rows), len(TRACE_COLUMNS)))

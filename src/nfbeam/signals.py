@@ -23,11 +23,11 @@ def check_unit_norm(f: np.ndarray, tol: float = BEAM_NORM_TOL) -> None:
         raise BeamNormError(f"beamformer norm deviates from 1 by {err:.3e} (tol {tol})")
 
 
-def echo_amplitude(tx_power_w: float, include_transmit_power: bool = True) -> float:
-    """Deterministic symbol amplitude at the echo snapshot."""
+def echo_amplitude(tx_power_w: float) -> float:
+    """Deterministic symbol amplitude at the echo snapshot: sqrt(P)."""
     if tx_power_w < 0.0:
         raise ValueError(f"transmit power must be nonnegative, got {tx_power_w}")
-    return math.sqrt(tx_power_w) if include_transmit_power else 1.0
+    return math.sqrt(tx_power_w)
 
 
 def complex_gaussian(rng: np.random.Generator, size: int, power: float) -> np.ndarray:
@@ -42,9 +42,8 @@ def complex_gaussian(rng: np.random.Generator, size: int, power: float) -> np.nd
 
 
 def observation_mean(
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p,
+    nf: geo.NearField,
     v,
     f: np.ndarray,
     s_amp: float,
@@ -52,20 +51,15 @@ def observation_mean(
     symbol_duration: float,
 ) -> np.ndarray:
     """Noise-free echo s * H(N) f at the CPI's last symbol, shape (M,), for the
-    state at position p and velocity v, shape (2,).
-
-    p may be its geo.NearField snapshot.
-    """
-    nf = geo.near_field(geom, p)
-    a = geo.array_response(geom, num_symbols, symbol_duration, v, nf)
+    state at the snapshot's position and velocity v, shape (2,)."""
+    a = geo.array_response(num_symbols, symbol_duration, v, nf)
     alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
     return s_amp * alpha2 * a * (a @ f)
 
 
 def synthesize_observation(
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p,
+    nf: geo.NearField,
     v,
     beamformers: np.ndarray,
     echo_noise_power: float,
@@ -74,22 +68,22 @@ def synthesize_observation(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Echo snapshot, shape (M,), at the last symbol, sent with beamformers[N-1]."""
+    num_antennas = nf.geom.num_antennas
     beamformers = np.asarray(beamformers)
-    if beamformers.ndim != 2 or beamformers.shape[1] != geom.num_antennas:
+    if beamformers.ndim != 2 or beamformers.shape[1] != num_antennas:
         raise ValueError(
-            f"beamformers must have shape (N, {geom.num_antennas}), got {beamformers.shape}"
+            f"beamformers must have shape (N, {num_antennas}), got {beamformers.shape}"
         )
     check_unit_norm(beamformers)
     num_symbols = beamformers.shape[0]
-    mean = observation_mean(geom, model, p, v, beamformers[-1], s_amp, num_symbols, symbol_duration)
-    z = complex_gaussian(rng, geom.num_antennas, echo_noise_power)
+    mean = observation_mean(model, nf, v, beamformers[-1], s_amp, num_symbols, symbol_duration)
+    z = complex_gaussian(rng, num_antennas, echo_noise_power)
     return mean + z
 
 
 def received_snr(
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p,
+    nf: geo.NearField,
     v,
     f: np.ndarray,
     n: int,
@@ -98,14 +92,13 @@ def received_snr(
     comm_noise_power: float,
 ) -> float:
     """Downlink SNR at symbol n: P |h(n)^T f|^2 / sigma_c^2."""
-    h = geo.downlink_channel(geom, model, n, symbol_duration, v, p)
+    h = geo.downlink_channel(model, n, symbol_duration, v, nf)
     return tx_power_w * abs(h @ f) ** 2 / comm_noise_power
 
 
 def cpi_throughput(
-    geom: geo.ArrayGeometry,
     model: geo.PathlossModel,
-    p,
+    nf: geo.NearField,
     v,
     beamformers: np.ndarray,
     symbol_duration: float,
@@ -114,15 +107,14 @@ def cpi_throughput(
 ):
     """Average rate over the CPI's symbols, bits/s/Hz.
 
-    A float for one state, p and v of shape (2,), and beamformers of shape
-    (N, M). K states, p and v of shape (K, 2), take beamformers whose leading
-    axes broadcast against (K,): (K, N, M) gives K rates, (B, K, N, M) gives B
-    rates per state from one build of each state's channel. p may be its
-    geo.NearField snapshot.
+    A float for one state: a snapshot of one position, v of shape (2,), and
+    beamformers of shape (N, M). K states, a snapshot of positions (K, 2) and
+    v of shape (K, 2), take beamformers whose leading axes broadcast against
+    (K,): (K, N, M) gives K rates, (B, K, N, M) gives B rates per state from
+    one build of each state's channel.
     """
     beamformers = np.asarray(beamformers)
-    nf = geo.near_field(geom, p)
-    h = geo.symbol_dopplers(geom, beamformers.shape[-2], symbol_duration, v, nf)
+    h = geo.symbol_dopplers(beamformers.shape[-2], symbol_duration, v, nf)
     np.multiply(h, nf.steering[..., None, :], out=h)  # the channel up to alpha1
     alpha1 = geo.pathloss(model, nf.position, geo.DOWNLINK)
     gains = alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)

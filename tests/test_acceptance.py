@@ -79,14 +79,13 @@ def test_criterion_01_matched_beam_snr_closed_form():
     worst = 0.0
     for _ in range(100):
         eta = sample_state(rng, geom)
-        bf = opt_beamformers(
-            geom, eta[:2], eta[2:], sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s
-        )
+        nf = NearField(geom, eta[:2])
+        bf = opt_beamformers(nf, eta[2:], sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s)
         alpha1 = pathloss(model, eta[:2], "downlink")
         want = p_w * sys_cfg.num_antennas * alpha1**2 / sys_cfg.comm_noise_power
         for n in range(1, sys_cfg.symbols_per_cpi + 1):
             got = received_snr(
-                geom, model, eta[:2], eta[2:], bf[n - 1], n, sys_cfg.symbol_duration_s,
+                model, nf, eta[2:], bf[n - 1], n, sys_cfg.symbol_duration_s,
                 p_w, sys_cfg.comm_noise_power,
             )
             worst = max(worst, abs(got - want) / want)
@@ -106,15 +105,15 @@ def test_criterion_02_velocity_gradient_matches_finite_differences():
             rng = np.random.default_rng(1000 + m + int(signed))
             for _ in range(25):
                 eta = sample_state(rng, geom)
-                p = eta[:2]
+                nf = NearField(geom, eta[:2])
                 v_beam = eta[2:] + rng.uniform(-2.0, 2.0, 2)
-                bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS)
+                bf = predictive_beamformers(nf, v_beam, N_SYM, TS)
                 f = bf[-1]
-                mean = observation_mean(geom, model, p, eta[2:], f, 1.0, N_SYM, TS)
+                mean = observation_mean(model, nf, eta[2:], f, 1.0, N_SYM, TS)
                 scale = 0.01 * np.linalg.norm(mean) / np.sqrt(m)
                 y = mean + scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 v = eta[2:] + rng.uniform(-3.0, 3.0, 2)
-                evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+                evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
                 for axis in (0, 1):
                     got = evaluate(*v)[1 + axis]
 
@@ -140,15 +139,18 @@ def test_criterion_03_observation_jacobian_matches_finite_differences():
         rng = np.random.default_rng(21 + int(signed))
         for _ in range(25):
             eta = sample_state(rng, geom)
-            bf = predictive_beamformers(geom, eta[:2], (0.0, 0.0), N_SYM, TS)
+            nf = NearField(geom, eta[:2])
+            bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
             f = bf[-1]
-            jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
+            jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
 
             for col in range(4):
                 def along(t, col=col, geom=geom, f=f):
                     s = eta.copy()
                     s[col] = t
-                    return observation_mean(geom, model, s[:2], s[2:], f, 1.0, N_SYM, TS)
+                    return observation_mean(
+                        model, NearField(geom, s[:2]), s[2:], f, 1.0, N_SYM, TS
+                    )
 
                 # position columns oscillate at carrier scale, so the second-order
                 # difference is all truncation there; use the 5-point stencil
@@ -272,9 +274,9 @@ def test_criterion_08_geometry_identities_hold_in_bulk():
         geom = geoms[i % 2]
         atil = steering_vector(geom, (x, y))
         worst_a = max(worst_a, float(np.max(np.abs(np.abs(atil) - 1.0))))
-        d = doppler_vector(geom, int(rng.integers(1, 11)), TS, v, (x, y))
-        worst_d = max(worst_d, float(np.max(np.abs(np.abs(d) - 1.0))))
         nf = NearField(geom, (x, y))
+        d = doppler_vector(int(rng.integers(1, 11)), TS, v, nf)
+        worst_d = max(worst_d, float(np.max(np.abs(np.abs(d) - 1.0))))
         worst_gq = max(worst_gq, float(np.max(np.abs(nf.g**2 + nf.q**2 - 1.0))))
 
     geom16 = geom_for(16)
@@ -284,7 +286,7 @@ def test_criterion_08_geometry_identities_hold_in_bulk():
         x = float(rng.uniform(-30.0, 30.0))
         y = float(rng.uniform(2.0, 50.0))
         v = rng.uniform(-20.0, 20.0, 2)
-        h = roundtrip_channel(geom16, model, int(rng.integers(1, 11)), TS, v, (x, y))
+        h = roundtrip_channel(model, int(rng.integers(1, 11)), TS, v, NearField(geom16, (x, y)))
         symmetric = symmetric and bool(np.array_equal(h, h.T))
         s = np.linalg.svd(h, compute_uv=False)
         worst_rank = max(worst_rank, float(s[1] / s[0]))

@@ -28,28 +28,27 @@ V_TRUE = np.array([8.0, 7.0])
 
 
 def make_instance(m, position, v_echo, v_beam, signed=False, noise_power=0.0, seed=0):
-    """Echo snapshot and last-symbol beam for a known-position estimation problem."""
-    geom = geom_for(m, signed)
+    """Model, snapshot at the position, echo and last-symbol beam for a
+    known-position estimation problem."""
     model = default_model()
-    p = np.asarray(position, dtype=float)
-    bf = predictive_beamformers(geom, p, v_beam, N_SYM, TS)
+    nf = NearField(geom_for(m, signed), np.asarray(position, dtype=float))
+    bf = predictive_beamformers(nf, v_beam, N_SYM, TS)
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
-        y = synthesize_observation(geom, model, p, v_echo, bf, noise_power, 1.0, TS, rng)
+        y = synthesize_observation(model, nf, v_echo, bf, noise_power, 1.0, TS, rng)
     else:
-        y = observation_mean(geom, model, p, v_echo, bf[-1], 1.0, N_SYM, TS)
-    return geom, model, p, y, bf[-1]
+        y = observation_mean(model, nf, v_echo, bf[-1], 1.0, N_SYM, TS)
+    return model, nf, y, bf[-1]
 
 
-def direct_likelihood(y, geom, model, p, v, f):
+def direct_likelihood(y, model, nf, v, f):
     """Objective and both gradients from M-length fields, without |a_m| = 1."""
-    b = observation_mean(geom, model, p, v, f, 1.0, N_SYM, TS)
-    a = array_response(geom, N_SYM, TS, v, p)
-    scale = pathloss(model, p, ROUNDTRIP)
-    rot = geom.wavenumber * N_SYM * TS
+    b = observation_mean(model, nf, v, f, 1.0, N_SYM, TS)
+    a = array_response(N_SYM, TS, v, nf)
+    scale = pathloss(model, nf.position, ROUNDTRIP)
+    rot = nf.geom.wavenumber * N_SYM * TS
     resid = y - b
     out = [float(2.0 * np.vdot(y, b).real - np.vdot(b, b).real)]
-    nf = NearField(geom, p)
     for u in (nf.g, nf.q):
         da = -1j * rot * u * a
         db = scale * (da * (a @ f) + a * (da @ f))
@@ -66,13 +65,13 @@ def test_evaluate_matches_direct_fields(m, signed):
     noise = 1e-8
     for _ in range(4):
         eta = sample_state(rng, geom)
-        p = eta[:2]
-        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
-        y = synthesize_observation(geom, model, p, eta[2:], bf, noise, 1.0, TS, rng)
-        prob = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS)
+        nf = NearField(geom, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
+        y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
+        prob = VelocityProblem(y, model, nf, bf[-1], 1.0, N_SYM, TS)
         v = rng.uniform(-12.0, 12.0, 2)
         got = prob.evaluate(float(v[0]), float(v[1]))
-        ref = direct_likelihood(y, geom, model, p, v, bf[-1])
+        ref = direct_likelihood(y, model, nf, v, bf[-1])
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-10 * abs(r)
 
@@ -83,14 +82,14 @@ def test_objective_two_forms_agree():
     model = default_model()
     for _ in range(6):
         eta = sample_state(rng, geom)
-        p = eta[:2]
-        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
+        nf = NearField(geom, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
         noise = 1e-8
-        y = synthesize_observation(geom, model, p, eta[2:], bf, noise, 1.0, TS, rng)
+        y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
-        got = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS).evaluate(*v)[0]
+        got = VelocityProblem(y, model, nf, bf[-1], 1.0, N_SYM, TS).evaluate(*v)[0]
         # model echo at the trial velocity, assembled through the public channel path
-        b = observation_mean(geom, model, p, v, bf[-1], 1.0, N_SYM, TS)
+        b = observation_mean(model, nf, v, bf[-1], 1.0, N_SYM, TS)
         yy = float(np.vdot(y, y).real)
         residual_form = yy - float(np.vdot(y - b, y - b).real)
         direct_form = float(2.0 * np.real(np.vdot(y, b).conjugate()) - np.vdot(b, b).real)
@@ -100,9 +99,9 @@ def test_objective_two_forms_agree():
 
 
 def test_noiseless_objective_peaks_at_truth():
-    geom, model, p, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    model, nf, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     yy = float(np.vdot(y, y).real)
-    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
     peak = evaluate(*V_TRUE)[0]
     assert abs(peak - yy) <= 1e-12 * yy
     rng = np.random.default_rng(5)
@@ -119,12 +118,12 @@ def test_gradient_matches_finite_difference(m, signed):
     model = default_model()
     for _ in range(3):
         eta = sample_state(rng, geom)
-        p = eta[:2]
-        bf = predictive_beamformers(geom, p, (0.0, 0.0), N_SYM, TS)
+        nf = NearField(geom, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
         noise = 1e-8
-        y = synthesize_observation(geom, model, p, eta[2:], bf, noise, 1.0, TS, rng)
+        y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
         v = rng.uniform(-12.0, 12.0, 2)
-        evaluate = VelocityProblem(y, geom, model, p, bf[-1], 1.0, N_SYM, TS).evaluate
+        evaluate = VelocityProblem(y, model, nf, bf[-1], 1.0, N_SYM, TS).evaluate
         for axis in (0, 1):
             got = evaluate(*v)[1 + axis]
 
@@ -138,8 +137,8 @@ def test_gradient_matches_finite_difference(m, signed):
 
 
 def test_gradient_zero_at_noiseless_truth():
-    geom, model, p, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
-    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+    model, nf, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
     for axis in (0, 1):
         g = evaluate(*V_TRUE)[1 + axis]
         assert abs(g) < 1e-9
@@ -148,8 +147,8 @@ def test_gradient_zero_at_noiseless_truth():
 def test_broadside_x_gradient_vanishes_signed():
     # head-on geometry: the signed x-projection is odd across the array while the
     # echo and beam are even, so the x-slope cancels pairwise for any vy
-    geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
-    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+    model, nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
+    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
     for v in ((0.0, 0.0), (0.0, 2.5)):
         gx = evaluate(*v)[1]
         gy = evaluate(*v)[2]
@@ -160,8 +159,8 @@ def test_broadside_x_gradient_vanishes_signed():
 def test_broadside_objective_even_in_vx_default():
     # with the default |.| projection the head-on objective cannot tell +vx
     # from -vx when the echo itself carries no transverse motion
-    geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 0.0), (0.0, 0.0))
-    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate
+    model, nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 0.0), (0.0, 0.0))
+    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
     for vx in (0.5, 1.7, 6.0):
         left = evaluate(-vx, 0.0)[0]
         right = evaluate(vx, 0.0)[0]
@@ -180,17 +179,17 @@ def _adam_step(state, v, grad, step, beta1, beta2, epsilon):
 
 @pytest.mark.parametrize("variant", ["adam-joint", "adam-ao"])
 def test_first_iteration_step_from_zero_moments(variant):
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=3
     )
     # the estimators step along the line of sight's transverse axis t, then
     # its radial axis r; rows carry (vx, vy) = t_1 t + r_1 r from v_init 0
-    frame = (tx, ty), (rx, ry) = agdao.line_of_sight_frame(p)
-    evaluate = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS, frame).evaluate
+    frame = (tx, ty), (rx, ry) = agdao.line_of_sight_frame(nf.position)
+    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS, frame).evaluate
     for eps in (AdamHyper().epsilon, 1e-30):
         hyper = AdamHyper(max_iters=1, rel_tol=0.0, epsilon=eps)
         _, trace = estimate_velocity(
-            variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+            variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
         )
         # mirror of the in-loop update arithmetic at k=1 (zero moments)
         adam = (hyper.step, hyper.beta1, hyper.beta2, hyper.epsilon)
@@ -211,16 +210,16 @@ def test_first_iteration_step_from_zero_moments(variant):
 
 def test_stationary_init_stops_after_one_iteration():
     # echo synthesized at the initial velocity: nothing to correct
-    geom, model, p, y, f = make_instance(64, (5.0, 10.0), V_TRUE, V_TRUE)
-    v_hat, trace = adam_ao_estimate(y, geom, model, p, V_TRUE, f, 1.0, N_SYM, TS)
+    model, nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, V_TRUE)
+    v_hat, trace = adam_ao_estimate(y, model, nf, V_TRUE, f, 1.0, N_SYM, TS)
     assert len(trace) == 2
     np.testing.assert_allclose(v_hat, V_TRUE, atol=1e-9)
 
 
 def test_converges_on_head_on_reference_instance():
     # the well-conditioned convergence geometry: head-on target, signed projection
-    geom, model, p, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
-    v_hat, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    model, nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
+    v_hat, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
     assert len(trace) <= 501
     err = np.abs(v_hat - V_TRUE)
     assert err[0] < 0.05
@@ -231,12 +230,11 @@ def test_sloppy_geometry_recovers_observable_speeds():
     # off to the side both projections ride nearly the same direction, so the
     # estimator pins the per-element radial speeds long before the velocity
     # components separate; the leftover error lies along the insensitive line
-    geom, model, p, y, f = make_instance(512, (5.0, 10.0), V_TRUE, (0.0, 0.0))
-    v_hat, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    model, nf, y, f = make_instance(512, (5.0, 10.0), V_TRUE, (0.0, 0.0))
+    v_hat, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
     yy = float(np.vdot(y, y).real)
-    gap = yy - VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS).evaluate(*v_hat)[0]
+    gap = yy - VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate(*v_hat)[0]
     assert gap <= 1e-4 * yy
-    nf = NearField(geom, p)
     g, q = nf.g, nf.q
     dv = v_hat - V_TRUE
     assert np.abs(g * dv[0] + q * dv[1]).max() < 0.15
@@ -246,12 +244,12 @@ def test_sloppy_geometry_recovers_observable_speeds():
 
 
 def test_plain_gd_with_vanishing_step_stays_put():
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=7
     )
     hyper = AdamHyper(step=1e-300)
     v_hat, trace = gd_estimate(
-        y, geom, model, p, (3.0, -2.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="plain-gd"
+        y, model, nf, (3.0, -2.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="plain-gd"
     )
     assert len(trace) == 2
     assert v_hat[0] == 3.0 and v_hat[1] == -2.0
@@ -260,13 +258,13 @@ def test_plain_gd_with_vanishing_step_stays_put():
 def test_joint_equals_alternating_when_x_axis_dormant():
     # structurally zero x-gradient (head-on, signed, even echo): the alternating
     # refresh of vx changes nothing, so both variants walk the same vy path
-    geom, model, p, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
+    model, nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
     hyper = AdamHyper(max_iters=40, rel_tol=0.0)
     v_ao, tr_ao = adam_ao_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     v_jt, tr_jt = gd_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="adam-joint"
+        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="adam-joint"
     )
     ao = np.array([(r[1], r[2]) for r in tr_ao.rows])
     jt = np.array([(r[1], r[2]) for r in tr_jt.rows])
@@ -276,14 +274,14 @@ def test_joint_equals_alternating_when_x_axis_dormant():
 
 
 def test_stop_rule_extremes():
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=9
     )
     loose = AdamHyper(rel_tol=1e6)
-    _, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=loose)
+    _, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=loose)
     assert len(trace) == 2
     strict = AdamHyper(max_iters=25, rel_tol=0.0)
-    _, trace = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=strict)
+    _, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=strict)
     assert len(trace) == 26
     assert trace.rows[-1][0] == 25
 
@@ -314,16 +312,16 @@ def reference_ascent(fields, v_init, hyper, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_ascent_matches_reference_on_convergence_instance(variant):
     # the convergence-study instance: head-on, signed, M=512, noisy echo, v_init 0
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True, noise_power=1e-8, seed=4
     )
     hyper = AdamHyper(rel_tol=0.0)
     _, trace = estimate_velocity(
-        variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+        variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     got = np.array([(r[1], r[2], r[3]) for r in trace.rows])
     ref = reference_ascent(
-        lambda vx, vy: direct_likelihood(y, geom, model, p, (vx, vy), f),
+        lambda vx, vy: direct_likelihood(y, model, nf, (vx, vy), f),
         (0.0, 0.0), hyper, variant,
     )
     assert got.shape == (hyper.max_iters + 1, 3)
@@ -377,10 +375,10 @@ def _reference_ascend(prob, v_init, hyper, variant):
 
 
 def _problem(m, position, v_beam, noise_power, seed, signed=False, echo_scale=1.0):
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         m, position, V_TRUE, v_beam, signed=signed, noise_power=noise_power, seed=seed
     )
-    return VelocityProblem(echo_scale * y, geom, model, p, f, 1.0, N_SYM, TS)
+    return VelocityProblem(echo_scale * y, model, nf, f, 1.0, N_SYM, TS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 128, 512])
@@ -444,7 +442,7 @@ def test_ascent_allocates_no_m_length_array_per_evaluation():
 def test_trace_length_counts_iterations_when_stop_rule_fires(
     variant, step, evals_per_iter, monkeypatch
 ):
-    geom, model, p, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
+    model, nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
     calls = []
     # adam-ao's mid-iteration evaluation computes the second-axis gradient alone
     for name in ("evaluate", "second_gradient"):
@@ -460,7 +458,7 @@ def test_trace_length_counts_iterations_when_stop_rule_fires(
     # iteration, at any bearing (test_cold_start_count_does_not_depend_on_bearing)
     hyper = AdamHyper(step=step, max_iters=1000)
     _, trace = estimate_velocity(
-        variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+        variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     iters = trace.rows[-1][0]
     assert 1 < iters < hyper.max_iters
@@ -483,15 +481,15 @@ def _tracking_hyper(variant):
 def test_broadside_estimate_equals_the_identity_frame_ascent(variant, signed):
     # at (0, y) the line of sight is the y axis: t = -x and r = y, an exact
     # sign flip, so the frame changes no bit of the rows or of the estimate
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         64, (0.0, 10.0), V_TRUE, (7.5, 7.5), signed=signed, noise_power=1e-8, seed=5
     )
-    assert agdao.line_of_sight_frame(p) == ((-1.0, 0.0), (0.0, 1.0))
+    assert agdao.line_of_sight_frame(nf.position) == ((-1.0, 0.0), (0.0, 1.0))
     hyper = _tracking_hyper(variant)
-    identity = VelocityProblem(y, geom, model, p, f, 1.0, N_SYM, TS)
+    identity = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS)
     for v_init in ((0.0, 0.0), (7.5, 7.5)):
         v_hat, trace = estimate_velocity(
-            variant, y, geom, model, p, v_init, f, 1.0, N_SYM, TS, hyper=hyper
+            variant, y, model, nf, v_init, f, 1.0, N_SYM, TS, hyper=hyper
         )
         v_ref, ref = agdao._ascend(identity, v_init, hyper, variant)
         assert 2 < len(trace) == len(ref) < hyper.max_iters + 1
@@ -505,16 +503,17 @@ def test_stop_rule_count_is_the_same_for_the_geometry_mirrored_in_x(variant):
     # (vx, vy) are y and f reversed at (-x, y) with (-vx, vy): one problem with
     # the antennas renumbered. The frames differ by the sign of t, to which
     # a Euclidean stop rule is blind.
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         64, (5.0, 10.0), V_TRUE, (7.5, 7.5), signed=True, noise_power=1e-8, seed=2
     )
     hyper = _tracking_hyper(variant)
     mirror = np.array([-1.0, 1.0])
     v_right, right = estimate_velocity(
-        variant, y, geom, model, p, (7.5, 7.5), f, 1.0, N_SYM, TS, hyper=hyper
+        variant, y, model, nf, (7.5, 7.5), f, 1.0, N_SYM, TS, hyper=hyper
     )
     v_left, left = estimate_velocity(
-        variant, y[::-1], geom, model, mirror * p, mirror * (7.5, 7.5), f[::-1],
+        variant, y[::-1], model, NearField(nf.geom, mirror * nf.position), mirror * (7.5, 7.5),
+        f[::-1],
         1.0, N_SYM, TS, hyper=hyper,
     )
     assert 2 < len(right) == len(left) < hyper.max_iters + 1
@@ -531,9 +530,9 @@ def test_cold_start_count_does_not_depend_on_bearing(variant):
     vt, vr = tx * V_TRUE[0] + ty * V_TRUE[1], rx * V_TRUE[0] + ry * V_TRUE[1]
     counts = []
     for position, v_echo in (((5.0, 10.0), V_TRUE), ((0.0, math.hypot(5.0, 10.0)), (-vt, vr))):
-        geom, model, p, y, f = make_instance(64, position, np.array(v_echo), (0.0, 0.0))
+        model, nf, y, f = make_instance(64, position, np.array(v_echo), (0.0, 0.0))
         _, trace = estimate_velocity(
-            variant, y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+            variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
         )
         counts.append(len(trace))
     assert max(counts) < hyper.max_iters
@@ -551,10 +550,10 @@ def _map_back(frame, v_init, t, r):
 def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
     # off the array's axis the frame mixes x and y; what the rows record and
     # what a DivergenceError names are (vx, vy), not frame coordinates
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         64, (5.0, 10.0), V_TRUE, (7.5, 7.5), noise_power=1e-8, seed=2
     )
-    frame = agdao.line_of_sight_frame(p)
+    frame = agdao.line_of_sight_frame(nf.position)
     v_init = (7.5, 7.5)
     checked = []
     check = agdao._check_finite
@@ -564,7 +563,7 @@ def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(agdao, "_check_finite", spy)
-    v_hat, trace = adam_ao_estimate(y, geom, model, p, v_init, f, 1.0, N_SYM, TS)
+    v_hat, trace = adam_ao_estimate(y, model, nf, v_init, f, 1.0, N_SYM, TS)
     assert [k for k, *_ in checked] == list(range(1, len(trace)))
     assert [(k, *_map_back(frame, v_init, t, r), obj) for k, t, r, obj in checked] == [
         row[:4] for row in trace.rows[1:]
@@ -574,7 +573,7 @@ def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
     checked.clear()
     hyper = AdamHyper(step=1e308, rel_tol=0.0)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError) as err:
-        adam_ao_estimate(y, geom, model, p, v_init, f, 1.0, N_SYM, TS, hyper=hyper)
+        adam_ao_estimate(y, model, nf, v_init, f, 1.0, N_SYM, TS, hyper=hyper)
     k, t, r, objective = checked[-1]
     with np.errstate(invalid="ignore", over="ignore"):
         vx, vy = _map_back(frame, v_init, t, r)
@@ -605,17 +604,17 @@ def test_unknown_variant_rejected_before_any_evaluation():
 
 
 def test_non_finite_observation_raises():
-    geom, model, p, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    model, nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     bad = np.full(16, np.nan + 1j * np.nan)
     with pytest.raises(DivergenceError):
-        adam_ao_estimate(bad, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
+        adam_ao_estimate(bad, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
 
 
 def test_bounded_steps_and_mostly_rising_objective():
-    geom, model, p, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
+    model, nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
     hyper = AdamHyper(rel_tol=0.0)
     _, trace = adam_ao_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
+        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
     )
     rows = np.array([(r[1], r[2], r[3]) for r in trace.rows])
     steps = np.abs(np.diff(rows[:, :2], axis=0))
@@ -626,29 +625,29 @@ def test_bounded_steps_and_mostly_rising_objective():
 
 
 def test_estimator_never_mutates_observation():
-    geom, model, p, y, f = make_instance(
+    model, nf, y, f = make_instance(
         32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=13
     )
     snapshot = y.copy()
-    first = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
-    second = adam_ao_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    first = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    second = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
     np.testing.assert_array_equal(y, snapshot)
     np.testing.assert_array_equal(first[0], second[0])
     assert first[1].rows == second[1].rows
 
 
 def test_variant_dispatch_and_hyper_validation():
-    geom, model, p, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    model, nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     with pytest.raises(ValueError):
-        gd_estimate(y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, variant="newton")
+        gd_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, variant="newton")
     with pytest.raises(ValueError):
-        estimate_velocity("newton", y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS)
+        estimate_velocity("newton", y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
     assert set(VARIANTS) == {"adam-ao", "adam-joint", "plain-gd"}
     via_dispatch = estimate_velocity(
-        "adam-joint", y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS
+        "adam-joint", y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS
     )
     direct = gd_estimate(
-        y, geom, model, p, (0.0, 0.0), f, 1.0, N_SYM, TS, variant="adam-joint"
+        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, variant="adam-joint"
     )
     np.testing.assert_array_equal(via_dispatch[0], direct[0])
     for bad in (
@@ -681,7 +680,7 @@ def test_track_step_noiseless_closed_loop():
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, rng
+                model, NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, rng
             )
 
         bf, p_hat, v_hat, trace = agdao_track_step(
@@ -690,7 +689,7 @@ def test_track_step_noiseless_closed_loop():
         if l == 1:
             # dead reckoning from the exact previous state lands on the truth
             assert p_hat[0] == eta[0] and p_hat[1] == eta[1]
-            ref = predictive_beamformers(geom, p_hat, (8.0, 7.0), N_SYM, TS)
+            ref = predictive_beamformers(NearField(geom, p_hat), (8.0, 7.0), N_SYM, TS)
             np.testing.assert_array_equal(bf, ref)
         worst_p = max(worst_p, math.hypot(p_hat[0] - eta[0], p_hat[1] - eta[1]))
         worst_v = max(worst_v, math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
@@ -718,7 +717,7 @@ def test_track_error_grows_with_range():
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, noise_rng
+                model, NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, noise_rng
             )
 
         bf, p_hat, v_hat, trace = agdao_track_step(
@@ -739,13 +738,13 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     model = default_model()
     p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
     dt = N_SYM * TS
-    p, v = p_prev + dt * v_prev, V_TRUE
+    nf, v = NearField(geom, p_prev + dt * v_prev), V_TRUE
     noise = 1e-8
     echoes = []
 
     def observe(bf):
         echoes.append(synthesize_observation(
-            geom, model, p, v, bf, noise, 1.0, TS, np.random.default_rng(2)
+            model, nf, v, bf, noise, 1.0, TS, np.random.default_rng(2)
         ))
         return echoes[-1]
 
@@ -769,7 +768,9 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     assert trace.rows == [] and not trace.record
     assert checks == list(range(1, len(trace)))
 
-    v_rec, recorded = estimate(echoes[0], geom, model, p_hat, v_prev, bf[-1], 1.0, N_SYM, TS)
+    v_rec, recorded = estimate(
+        echoes[0], model, NearField(geom, p_hat), v_prev, bf[-1], 1.0, N_SYM, TS
+    )
     assert len(trace) == len(recorded.rows) == recorded.rows[-1][0] + 1
     assert 2 < len(trace) <= AdamHyper().max_iters + 1
     np.testing.assert_array_equal(v_hat, v_rec)

@@ -13,10 +13,10 @@ from nfbeam.geometry import (
     DegeneratePositionError,
     NearField,
     PathlossModel,
+    doppler_vector,
     element_distances,
     element_offsets,
     pathloss,
-    radial_speeds,
     steering_vector,
 )
 from nfbeam.signals import cpi_throughput
@@ -53,15 +53,18 @@ def _calls(signed):
         "element_distances": lambda p, v: element_distances(GEOM, p),
         "steering_vector": lambda p, v: steering_vector(GEOM, p),
         "projection_coeffs": projection_coeffs,
-        "radial_speeds": lambda p, v: radial_speeds(geom, v, p),
+        # the radial speeds, read through the Doppler phasor they drive
+        "radial_speeds": lambda p, v: doppler_vector(1, TS, v, NearField(geom, p)),
         "pathloss_downlink": lambda p, v: pathloss(MODEL, p, "downlink"),
         "pathloss_roundtrip": lambda p, v: pathloss(MODEL, p, "roundtrip"),
-        "predictive_beamformers": lambda p, v: predictive_beamformers(geom, p, v, N_SYM, TS),
-        "opt_beamformers": lambda p, v: opt_beamformers(geom, p, v, N_SYM, TS),
+        "predictive_beamformers": lambda p, v: predictive_beamformers(
+            NearField(geom, p), v, N_SYM, TS
+        ),
+        "opt_beamformers": lambda p, v: opt_beamformers(NearField(geom, p), v, N_SYM, TS),
         "ff_beamformers": lambda p, v: ff_beamformers(GEOM, p, v, N_SYM, TS),
         # the far-field beam: partial gains, and no check on antenna contact
         "cpi_throughput": lambda p, v: cpi_throughput(
-            geom, MODEL, p, v, ff_beamformers(GEOM, p, v, N_SYM, TS), TS, 2.0, 1e-8
+            MODEL, NearField(geom, p), v, ff_beamformers(GEOM, p, v, N_SYM, TS), TS, 2.0, 1e-8
         ),
     }
 
@@ -93,13 +96,14 @@ def test_throughput_scores_stacked_beams_on_each_state(signed):
     geom = geom_for(32, signed)
     states = _states(16)
     p, v = _pv(states)
+    nf = NearField(geom, p)
     beams = np.stack([
-        opt_beamformers(geom, p, v, N_SYM, TS),
+        opt_beamformers(nf, v, N_SYM, TS),
         ff_beamformers(GEOM, p, v, N_SYM, TS),
     ])
-    rates = cpi_throughput(geom, MODEL, p, v, beams, TS, 2.0, 1e-8)
+    rates = cpi_throughput(MODEL, nf, v, beams, TS, 2.0, 1e-8)
     want = [
-        [cpi_throughput(geom, MODEL, *_pv(s), bf, TS, 2.0, 1e-8)
+        [cpi_throughput(MODEL, NearField(geom, s[:2]), s[2:], bf, TS, 2.0, 1e-8)
          for s, bf in zip(states, beams[b])]
         for b in range(2)
     ]
@@ -109,8 +113,9 @@ def test_throughput_scores_stacked_beams_on_each_state(signed):
 def test_single_state_keeps_its_types():
     p, v = _pv(_states(12)[0])
     assert type(pathloss(MODEL, p, "downlink")) is np.float64
-    bf = opt_beamformers(GEOM, p, v, N_SYM, TS)
-    assert type(cpi_throughput(GEOM, MODEL, p, v, bf, TS, 1.0, 1e-8)) is float
+    nf = NearField(GEOM, p)
+    bf = opt_beamformers(nf, v, N_SYM, TS)
+    assert type(cpi_throughput(MODEL, nf, v, bf, TS, 1.0, 1e-8)) is float
     assert bf.shape == (N_SYM, GEOM.num_antennas)
 
 

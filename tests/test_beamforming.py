@@ -13,7 +13,7 @@ from nfbeam.beamforming import (
     predictive_beamformers,
 )
 from nfbeam import geometry as geo
-from nfbeam.geometry import DegeneratePositionError, array_response, element_offsets
+from nfbeam.geometry import DegeneratePositionError, NearField, array_response, element_offsets
 from nfbeam.motion import MotionNoise, generate_trajectory
 from nfbeam.signals import check_unit_norm, cpi_throughput
 
@@ -24,27 +24,29 @@ def test_predictive_rows_match_conjugate_response():
     rng = np.random.default_rng(0)
     geom = geom_for(32)
     eta = sample_state(rng, geom)
-    bf = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)
+    nf = NearField(geom, eta[:2])
+    bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
     assert bf.shape == (N_SYM, 32)
     check_unit_norm(bf)
     for n in range(1, N_SYM + 1):
-        a = array_response(geom, n, TS, eta[2:], eta[:2])
+        a = array_response(n, TS, eta[2:], nf)
         np.testing.assert_allclose(bf[n - 1], np.conj(a) / math.sqrt(32), rtol=1e-12)
 
 
 def test_predictive_rejects_empty_cpi():
     geom = geom_for(4)
     with pytest.raises(ValueError):
-        predictive_beamformers(geom, (1.0, 5.0), (0.0, 0.0), 0, TS)
+        predictive_beamformers(NearField(geom, (1.0, 5.0)), (0.0, 0.0), 0, TS)
 
 
 def test_opt_equals_predictive_at_truth():
     rng = np.random.default_rng(1)
     geom = geom_for(16)
     eta = sample_state(rng, geom)
+    nf = NearField(geom, eta[:2])
     np.testing.assert_array_equal(
-        opt_beamformers(geom, eta[:2], eta[2:], N_SYM, TS),
-        predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS),
+        opt_beamformers(nf, eta[2:], N_SYM, TS),
+        predictive_beamformers(nf, eta[2:], N_SYM, TS),
     )
 
 
@@ -53,8 +55,9 @@ def test_matched_gain_is_full_and_translation_stable():
     geom = geom_for(64)
     v = (8.0, 7.0)
     for p in ((0.0, 10.0), (5.0, 10.0), (2.0, 6.0)):
-        bf = predictive_beamformers(geom, p, v, N_SYM, TS)
-        a = array_response(geom, N_SYM, TS, v, p)
+        nf = NearField(geom, p)
+        bf = predictive_beamformers(nf, v, N_SYM, TS)
+        a = array_response(N_SYM, TS, v, nf)
         assert abs(a @ bf[-1]) == pytest.approx(math.sqrt(64), rel=1e-12)
 
 
@@ -84,11 +87,12 @@ def test_opt_dominates_ff_in_near_field():
     model = default_model()
     for _ in range(10):
         p, v = np.split(sample_state(rng, geom), 2)
+        nf = NearField(geom, p)
         r_opt = cpi_throughput(
-            geom, model, p, v, opt_beamformers(geom, p, v, N_SYM, TS), TS, 1.0, 1e-8
+            model, nf, v, opt_beamformers(nf, v, N_SYM, TS), TS, 1.0, 1e-8
         )
         r_ff = cpi_throughput(
-            geom, model, p, v, ff_beamformers(geom, p, v, N_SYM, TS), TS, 1.0, 1e-8
+            model, nf, v, ff_beamformers(geom, p, v, N_SYM, TS), TS, 1.0, 1e-8
         )
         assert r_opt >= r_ff - 1e-12
 
@@ -143,8 +147,8 @@ def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
 
 def _divided_predictive(geom, p, v):
     """conj(a_tilde * d(n)) built as predictive_beamformers does, then / sqrt(M)."""
-    nf = geo.near_field(geom, p)
-    d = geo.symbol_dopplers(geom, N_SYM, TS, v, nf)
+    nf = NearField(geom, p)
+    d = geo.symbol_dopplers(N_SYM, TS, v, nf)
     return np.conj(nf.steering[..., None, :] * d) / math.sqrt(geom.num_antennas)
 
 
@@ -183,7 +187,8 @@ def test_beams_are_bit_identical_to_dividing_by_sqrt_m(m):
     for eta in [*states, np.stack(states)]:
         p, v = eta[..., :2], eta[..., 2:]
         want = _divided_predictive(geom, p, v).tobytes()
-        got = predictive_beamformers(geom, p, v, N_SYM, TS)
+        nf = NearField(geom, p)
+        got = predictive_beamformers(nf, v, N_SYM, TS)
         assert got.tobytes() == want
-        assert opt_beamformers(geom, p, v, N_SYM, TS).tobytes() == want
+        assert opt_beamformers(nf, v, N_SYM, TS).tobytes() == want
         assert ff_beamformers(geom, p, v, N_SYM, TS).tobytes() == _divided_ff(geom, p, v).tobytes()

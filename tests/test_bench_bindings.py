@@ -149,11 +149,11 @@ def test_traced_split_reads_one_snapshot_per_tracked_cpi(monkeypatch):
         geometry, "element_distances", counted("element_distances", geometry.element_distances)
     )
     monkeypatch.setattr(ekf, "predictive_beamformers", recorded(
-        "predictive_beamformers", ekf.predictive_beamformers, lambda args: args[1]
+        "predictive_beamformers", ekf.predictive_beamformers, lambda args: args[0]
     ))
     for name in ("observation_mean", "observation_jacobian"):
         monkeypatch.setattr(
-            ekf, name, recorded(name, getattr(ekf, name), lambda args: args[2])
+            ekf, name, recorded(name, getattr(ekf, name), lambda args: args[1])
         )
 
     cpis = 50

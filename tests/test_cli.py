@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in process."""
 import json
 
+import numpy as np
 import pytest
 
 from nfbeam.cli import main
@@ -164,6 +165,26 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "antennas" in payload["field"]
+
+
+@pytest.mark.parametrize(
+    "method,message",
+    [
+        ("ekf", "non-finite mean [nan nan nan nan]"),
+        ("agdao", "non-finite iterate at iteration 1: v=(nan, nan), objective=nan"),
+    ],
+    ids=["ekf", "agdao"],
+)
+def test_numerical_failure_is_machine_readable(tmp_path, capsys, method, message):
+    # every value passes its range check, but the echo overflows and the
+    # tracker goes non-finite on its first update
+    argv = ["track", "--cpis", "3", "--method", method, "--out", str(tmp_path), *SMALL]
+    with np.errstate(all="ignore"):
+        code = main([*argv, "--set", "system.ref_gain=1e300"])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "numerical", "field": "", "message": message}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_method_flag_exits_via_argparse(tmp_path):

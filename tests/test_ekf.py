@@ -9,6 +9,7 @@ from nfbeam import geometry as geo
 from nfbeam.beamforming import predictive_beamformers
 from nfbeam.config import ExperimentConfig, SystemConfig
 from nfbeam.ekf import (
+    FactoredJacobian,
     FilterHealthError,
     TrackerBelief,
     ekf_forecast,
@@ -48,6 +49,11 @@ def reference_update(prior_mean, prior_cov, y, jac, h_mean, sigma_e2):
     mean = prior_mean + k @ nu
     cov = (np.eye(4) - k @ j_r) @ prior_cov
     return mean, 0.5 * (cov + cov.T)
+
+
+def factored(jac):
+    """A dense (M, 4) J as kalman_update takes it: unit response, Z = J^T."""
+    return FactoredJacobian(np.ones(len(jac)), np.asarray(jac, complex).T.copy())
 
 
 def make_problem(rng, m=8):
@@ -94,12 +100,15 @@ def test_jacobian_matches_finite_difference(signed):
     model = default_model()
     for _ in range(6):
         eta = sample_state(rng, geom)
-        bf = predictive_beamformers(geom, eta[:2], (0.0, 0.0), N_SYM, TS)
+        nf = geo.NearField(geom, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
         f = bf[-1]
-        jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
+        jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
 
         def mean_at(state):
-            return observation_mean(geom, model, state[:2], state[2:], f, 1.0, N_SYM, TS)
+            return observation_mean(
+                model, geo.NearField(geom, state[:2]), state[2:], f, 1.0, N_SYM, TS
+            )
 
         for col in range(4):
             def along(t, col=col):
@@ -124,8 +133,8 @@ def test_jacobian_velocity_columns_at_rest():
     rng = np.random.default_rng(3)
     f = rng.normal(size=24) + 1j * rng.normal(size=24)
     f /= np.linalg.norm(f)
-    jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
     nf = geo.NearField(geom, eta[:2])
+    jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
     atil, g, q = nf.steering, nf.g, nf.q
     alpha2 = pathloss(model, eta[:2], "roundtrip")
     fac = -1j * geom.wavenumber * DT * alpha2
@@ -143,10 +152,9 @@ def test_jacobian_linear_in_beam_phase():
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
     f /= np.linalg.norm(f)
     phase = np.exp(1j * 0.83)
-    jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
-    rotated = np.asarray(
-        observation_jacobian(geom, model, eta[:2], eta[2:], phase * f, 1.0, N_SYM, TS)
-    )
+    nf = geo.NearField(geom, eta[:2])
+    jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
+    rotated = np.asarray(observation_jacobian(model, nf, eta[2:], phase * f, 1.0, N_SYM, TS))
     np.testing.assert_allclose(rotated, phase * jac, rtol=1e-12)
 
 
@@ -157,8 +165,8 @@ def test_jacobian_kink_guard():
     p, v = (x_on_antenna, 9.0), (1.0, 1.0)
     f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     with pytest.raises(ProjectionKinkError):
-        observation_jacobian(geom, model, p, v, f, 1.0, N_SYM, TS)
-    observation_jacobian(geom_for(8, signed=True), model, p, v, f, 1.0, N_SYM, TS)
+        observation_jacobian(model, geo.NearField(geom, p), v, f, 1.0, N_SYM, TS)
+    observation_jacobian(model, geo.NearField(geom_for(8, signed=True), p), v, f, 1.0, N_SYM, TS)
 
 
 def test_update_matches_dense_reference():
@@ -166,7 +174,7 @@ def test_update_matches_dense_reference():
     for trial in range(8):
         prior, y, jac, h = make_problem(rng)
         for sigma_e2, tol in ((1e-2, 1e-11), (1e-8, 1e-6)):
-            post, diag = kalman_update(prior, y, jac, h, sigma_e2)
+            post, diag = kalman_update(prior, y, factored(jac), h, sigma_e2)
             ref_mean, ref_cov = reference_update(
                 prior.mean, prior.covariance, y, jac, h, sigma_e2
             )
@@ -190,7 +198,7 @@ def test_update_scalar_closed_form():
     sigma_e2 = 1e-3
     r = sigma_e2 / 2.0
     prior = TrackerBelief(mean=np.array([1.0, 2.0, 3.0, 4.0]), covariance=p0)
-    post, diag = kalman_update(prior, np.array([nu]), jac, np.array([0j]), sigma_e2)
+    post, diag = kalman_update(prior, np.array([nu]), factored(jac), np.array([0j]), sigma_e2)
     denom = abs(j1) ** 2 * 0.4 + r
     assert abs(post.mean[0] - (1.0 + 0.4 * (j1.conjugate() * nu).real / denom)) < 1e-12
     assert abs(post.covariance[0, 0] - 0.4 * r / denom) < 1e-15
@@ -202,7 +210,7 @@ def test_update_scalar_closed_form():
 def test_update_infinite_noise_keeps_prior():
     rng = np.random.default_rng(8)
     prior, y, jac, h = make_problem(rng)
-    post, _ = kalman_update(prior, y, jac, h, 1e30)
+    post, _ = kalman_update(prior, y, factored(jac), h, 1e30)
     np.testing.assert_allclose(post.mean, prior.mean, atol=1e-12)
     np.testing.assert_allclose(post.covariance, prior.covariance, rtol=1e-9)
 
@@ -210,7 +218,7 @@ def test_update_infinite_noise_keeps_prior():
 def test_update_zero_innovation_keeps_mean_and_contracts():
     rng = np.random.default_rng(9)
     prior, _, jac, h = make_problem(rng)
-    post, diag = kalman_update(prior, h.copy(), jac, h, 1e-4)
+    post, diag = kalman_update(prior, h.copy(), factored(jac), h, 1e-4)
     np.testing.assert_array_equal(post.mean, prior.mean)
     assert diag.innovation_norm == 0.0
     assert np.trace(post.covariance) <= np.trace(prior.covariance) * (1.0 + 1e-12)
@@ -220,8 +228,8 @@ def test_update_invariant_to_common_phase():
     rng = np.random.default_rng(10)
     prior, y, jac, h = make_problem(rng)
     rot = np.exp(1j * 1.234)
-    base, _ = kalman_update(prior, y, jac, h, 1e-4)
-    spun, _ = kalman_update(prior, rot * y, rot * jac, rot * h, 1e-4)
+    base, _ = kalman_update(prior, y, factored(jac), h, 1e-4)
+    spun, _ = kalman_update(prior, rot * y, factored(rot * jac), rot * h, 1e-4)
     np.testing.assert_allclose(spun.mean, base.mean, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(spun.covariance, base.covariance, rtol=1e-9, atol=1e-12)
 
@@ -231,12 +239,12 @@ def test_update_ridge_and_zero_sensitivity_paths():
     jac = np.zeros((1, 4), complex)
     jac[0, 0] = 1.0
     # r = 0 with a rank-1 gram: the innovation system is exactly singular
-    post, diag = kalman_update(prior, np.array([0.3 + 0j]), jac, np.array([0j]), 0.0)
+    post, diag = kalman_update(prior, np.array([0.3 + 0j]), factored(jac), np.array([0j]), 0.0)
     assert diag.ridged
     assert np.all(np.isfinite(post.covariance))
     # no sensitivity and no noise: nothing to assimilate
     post2, diag2 = kalman_update(
-        prior, np.array([0.3 + 0j]), np.zeros((1, 4), complex), np.array([0j]), 0.0
+        prior, np.array([0.3 + 0j]), factored(np.zeros((1, 4))), np.array([0j]), 0.0
     )
     assert not diag2.ridged
     np.testing.assert_array_equal(post2.mean, prior.mean)
@@ -260,7 +268,7 @@ def test_config_validation():
     belief = TrackerBelief(np.array([5.0, 10.0, 8.0, 7.0]), 0.1 * np.eye(4))
     y = np.zeros(4, dtype=complex)
     with pytest.raises(ValueError, match="echo_noise_power"):
-        kalman_update(belief, y, np.zeros((4, 4), dtype=complex), y, -1e-9)
+        kalman_update(belief, y, factored(np.zeros((4, 4))), y, -1e-9)
     # a run's initial belief is ekf_init_cov (default 0.1) times the identity
     cfg = ExperimentConfig(system=SystemConfig(num_antennas=16), num_cpis=1)
     first = run_experiment(cfg).belief_rows[0]
@@ -275,14 +283,15 @@ def test_track_step_composes_forecast_beam_update():
     truth = np.array([5.0009, 10.0006, 8.1, 6.9])
 
     prior = ekf_forecast(belief, DT, process_noise)
-    p, v = prior.mean[:2], prior.mean[2:]
-    bf_ref = predictive_beamformers(geom, p, v, N_SYM, TS)
+    nf, v = geo.NearField(geom, prior.mean[:2]), prior.mean[2:]
+    bf_ref = predictive_beamformers(nf, v, N_SYM, TS)
     noise = 1e-8
     y = synthesize_observation(
-        geom, model, truth[:2], truth[2:], bf_ref, noise, 1.0, TS, np.random.default_rng(4)
+        model, geo.NearField(geom, truth[:2]), truth[2:], bf_ref, noise, 1.0, TS,
+        np.random.default_rng(4),
     )
-    h_bar = observation_mean(geom, model, p, v, bf_ref[-1], 1.0, N_SYM, TS)
-    jac = observation_jacobian(geom, model, p, v, bf_ref[-1], 1.0, N_SYM, TS)
+    h_bar = observation_mean(model, nf, v, bf_ref[-1], 1.0, N_SYM, TS)
+    jac = observation_jacobian(model, nf, v, bf_ref[-1], 1.0, N_SYM, TS)
     want, want_diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
 
     bf, post, diag = ekf_track_step(
@@ -310,7 +319,7 @@ def test_track_step_noiseless_fixed_point():
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, rng
+                model, geo.NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, rng
             )
 
         bf, belief, diag = ekf_track_step(
@@ -345,13 +354,15 @@ def test_track_step_throughput_near_matched():
 
         def observe(bf, eta=eta):
             return synthesize_observation(
-                geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, noise_rng
+                model, geo.NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, noise_rng
             )
 
         bf, belief, diag = ekf_track_step(
             belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
         )
-        rates.append(cpi_throughput(geom, model, eta[:2], eta[2:], bf, TS, 1.0, 1e-8))
+        rates.append(
+            cpi_throughput(model, geo.NearField(geom, eta[:2]), eta[2:], bf, TS, 1.0, 1e-8)
+        )
         a1 = pathloss(model, eta[:2], "downlink")
         opts.append(math.log2(1.0 + 64 * a1 * a1 / 1e-8))
     assert np.mean(rates) / np.mean(opts) > 0.98
@@ -376,7 +387,7 @@ def test_belief_sequence_deterministic():
 
             def observe(bf, eta=eta):
                 return synthesize_observation(
-                    geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, noise_rng
+                    model, geo.NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, noise_rng
                 )
 
             bf, belief, diag = ekf_track_step(
@@ -408,7 +419,7 @@ def test_update_refuses_a_prior_mean_that_broadcasts(shape):
     # prior.mean + delta would broadcast () and (1,) to a (4,) posterior
     # mean, and the others to a posterior mean that is not (4,)
     prior = TrackerBelief(mean=np.ones(shape), covariance=np.eye(4))
-    jac = np.ones((3, 4), complex)
+    jac = factored(np.ones((3, 4)))
     with pytest.raises(ValueError, match=r"mean must have shape \(4,\)"):
         kalman_update(prior, np.ones(3, complex), jac, np.zeros(3, complex), 0.1)
 
@@ -441,10 +452,12 @@ def test_update_refuses_a_non_finite_ridged_solve():
     jac = np.zeros((1, 4), complex)
     jac[0, 0] = 1.0
     with pytest.raises(FilterHealthError, match="non-finite mean"):
-        kalman_update(prior, np.array([complex(math.nan, 0.0)]), jac, np.array([0j]), 0.1)
+        kalman_update(
+            prior, np.array([complex(math.nan, 0.0)]), factored(jac), np.array([0j]), 0.1
+        )
 
 
-def _long_double_jacobian(geom, model, p, v, f, s_amp, num_symbols, symbol_duration):
+def _long_double_jacobian(model, nf, v, f, s_amp, num_symbols, symbol_duration):
     """The echo Jacobian's four columns assembled in np.longdouble arithmetic.
 
     The inputs (array response, ranges, projections and their gradients,
@@ -454,13 +467,12 @@ def _long_double_jacobian(geom, model, p, v, f, s_amp, num_symbols, symbol_durat
     """
     dtype = np.longdouble
     cplx = np.result_type(dtype, 1j).type
-    nf = geo.near_field(geom, p)
     r, ux, uy, g, q = (np.asarray(x, dtype) for x in (nf.r, nf.ux, nf.uy, nf.g, nf.q))
-    grads = geo.projection_coeff_gradients(geom, nf)
+    grads = geo.projection_coeff_gradients(nf)
     dg_dx, dq_dx, dg_dy, dq_dy = (np.asarray(d, dtype) for d in grads)
-    a = np.asarray(geo.array_response(geom, num_symbols, symbol_duration, v, nf), cplx)
+    a = np.asarray(geo.array_response(num_symbols, symbol_duration, v, nf), cplx)
     v = np.asarray(v, dtype)
-    kappa = dtype(geom.wavenumber)
+    kappa = dtype(nf.geom.wavenumber)
     dtt = dtype(num_symbols) * dtype(symbol_duration)
     s_amp = dtype(s_amp)
     f = np.asarray(f, cplx)
@@ -495,10 +507,11 @@ def _jacobian_cases(m, signed):
         states = states[2:]  # x = 0 is the middle antenna: a magnitude kink
     rng = np.random.default_rng(m + 1000 * int(signed))
     for eta in states:
-        matched = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)[-1]
+        nf, v = geo.NearField(geom, eta[:2]), eta[2:]
+        matched = predictive_beamformers(nf, v, N_SYM, TS)[-1]
         other = rng.normal(size=m) + 1j * rng.normal(size=m)
         for f in (matched, other / np.linalg.norm(other)):
-            yield geom, eta, f
+            yield nf, v, f
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -507,14 +520,15 @@ def test_jacobian_against_long_double(m, signed):
     # error of a column: its distance to the long-double assembly over that
     # column's norm, within a few units of round-off
     model = default_model()
-    for geom, eta, f in _jacobian_cases(m, signed):
-        exact = _long_double_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS)
+    for nf, v, f in _jacobian_cases(m, signed):
+        exact = _long_double_jacobian(model, nf, v, f, 1.0, N_SYM, TS)
         size = np.linalg.norm(exact, axis=0)
         live = size > 0  # broadside at rest: the x column vanishes
-        jac = np.asarray(observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS))
+        jac = np.asarray(observation_jacobian(model, nf, v, f, 1.0, N_SYM, TS))
         err = np.linalg.norm(jac - exact, axis=0)
         assert np.all(err[~live] == 0.0)
-        assert np.all(err[live] < 8 * np.finfo(float).eps * size[live]), (eta, err / size)
+        bound = 8 * np.finfo(float).eps * size[live]
+        assert np.all(err[live] < bound), (nf.position, v, err / size)
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -526,19 +540,19 @@ def test_gram_and_score_against_long_double(m, signed):
     model = default_model()
     eps = np.finfo(float).eps
     rng = np.random.default_rng(m + 1000 * int(signed))
-    for geom, eta, f in _jacobian_cases(m, signed):
-        exact = _long_double_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS)
+    for nf, v, f in _jacobian_cases(m, signed):
+        exact = _long_double_jacobian(model, nf, v, f, 1.0, N_SYM, TS)
         nu = rng.normal(size=m) + 1j * rng.normal(size=m)
-        jac = observation_jacobian(geom, model, eta[:2], eta[2:], f, 1.0, N_SYM, TS)
+        jac = observation_jacobian(model, nf, v, f, 1.0, N_SYM, TS)
         gram, score = jac.gram_and_score(nu)
         exact_h = np.conj(exact).T
         want_gram = np.real(exact_h @ exact)
         want_score = np.real(exact_h @ nu.astype(exact.dtype))
         size = np.sqrt(np.diag(want_gram))
-        assert np.all(np.abs(gram - want_gram) <= 16 * eps * np.outer(size, size)), eta
+        assert np.all(np.abs(gram - want_gram) <= 16 * eps * np.outer(size, size)), (nf.position, v)
         assert np.all(
             np.abs(score - want_score) <= 16 * eps * size * np.linalg.norm(nu)
-        ), eta
+        ), (nf.position, v)
 
 
 def _dense_update(prior, y, jac, predicted_mean, echo_noise_power):
@@ -622,7 +636,7 @@ def test_tracked_cpi_builds_two_doppler_vectors(monkeypatch):
     build = geo.doppler_vector
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[0])
         return build(*args)
 
     monkeypatch.setattr(geo, "doppler_vector", counted)

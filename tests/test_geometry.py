@@ -22,7 +22,6 @@ from nfbeam.geometry import (
     pathloss,
     pathloss_gradient,
     projection_coeff_gradients,
-    radial_speeds,
     roundtrip_channel,
     steering_vector,
 )
@@ -113,7 +112,8 @@ def test_signed_projection_is_physical_cosine():
     for _ in range(10):
         p = rng.uniform([-2.0, 2.0], [2.0, 20.0])
         v = rng.uniform(-10.0, 10.0, size=2)
-        vm = radial_speeds(geom, v, p)
+        nf = NearField(geom, p)
+        vm = nf.g * v[0] + nf.q * v[1]
         for m in range(geom.num_antennas):
             d = p - (off[m], 0.0)
             u = d / np.linalg.norm(d)
@@ -128,35 +128,38 @@ def test_radial_speeds_compose_projections():
         v = rng.uniform(-10.0, 10.0, size=2)
         nf = NearField(geom, p)
         want = nf.g * v[0] + nf.q * v[1]
-        np.testing.assert_allclose(radial_speeds(geom, v, p), want, rtol=1e-15)
+        np.testing.assert_allclose(
+            doppler_vector(1, TS, v, nf), np.exp(-1j * geom.wavenumber * TS * want), rtol=1e-15
+        )
 
 
 def test_doppler_vector_basics():
     geom = geom_for(16)
-    p = (0.3, 9.0)
+    nf = NearField(geom, (0.3, 9.0))
     v = (4.0, -2.0)
-    assert np.array_equal(doppler_vector(geom, 0, TS, v, p), np.ones(16))
-    d1 = doppler_vector(geom, 3, TS, v, p)
+    assert np.array_equal(doppler_vector(0, TS, v, nf), np.ones(16))
+    d1 = doppler_vector(3, TS, v, nf)
     np.testing.assert_allclose(np.abs(d1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(doppler_vector(geom, 0, TS, (0.0, 0.0), p), 1.0, atol=0)
+    np.testing.assert_allclose(doppler_vector(0, TS, (0.0, 0.0), nf), 1.0, atol=0)
 
 
 def test_doppler_phase_linear_in_symbol_index():
     rng = np.random.default_rng(8)
     geom = geom_for(16)
     for n in (1, 2, 5):
-        p = rng.uniform([-1.0, 3.0], [1.0, 20.0])
+        nf = NearField(geom, rng.uniform([-1.0, 3.0], [1.0, 20.0]))
         v = rng.uniform(-10.0, 10.0, size=2)
-        d_n = doppler_vector(geom, n, TS, v, p)
-        d_2n = doppler_vector(geom, 2 * n, TS, v, p)
+        d_n = doppler_vector(n, TS, v, nf)
+        d_2n = doppler_vector(2 * n, TS, v, nf)
         np.testing.assert_allclose(d_n * d_n, d_2n, atol=1e-12)
 
 
 def test_array_response_is_steering_times_doppler():
     geom = geom_for(16)
     p, v = (0.5, 8.0), (3.0, 1.0)
-    a = array_response(geom, 7, TS, v, p)
-    np.testing.assert_array_equal(a, steering_vector(geom, p) * doppler_vector(geom, 7, TS, v, p))
+    nf = NearField(geom, p)
+    a = array_response(7, TS, v, nf)
+    np.testing.assert_array_equal(a, steering_vector(geom, p) * doppler_vector(7, TS, v, nf))
 
 
 def test_pathloss_values_and_gradient():
@@ -178,7 +181,7 @@ def test_downlink_channel_at_zero_velocity():
     geom = geom_for(32)
     model = PathlossModel()
     p = (1.2, 11.0)
-    h = downlink_channel(geom, model, 5, TS, (0.0, 0.0), p)
+    h = downlink_channel(model, 5, TS, (0.0, 0.0), NearField(geom, p))
     alpha1 = pathloss(model, p, "downlink")
     np.testing.assert_array_equal(h, alpha1 * steering_vector(geom, p))
 
@@ -189,12 +192,13 @@ def test_roundtrip_channel_symmetric_rank_one():
     model = PathlossModel()
     for _ in range(10):
         eta = sample_state(rng, geom)
-        h2 = roundtrip_channel(geom, model, 10, TS, eta[2:], eta[:2])
+        nf = NearField(geom, eta[:2])
+        h2 = roundtrip_channel(model, 10, TS, eta[2:], nf)
         np.testing.assert_array_equal(h2, h2.T)
         s = np.linalg.svd(h2, compute_uv=False)
         assert s[1] / s[0] < 1e-12
         # H = alpha2 * a a^T elementwise
-        a = array_response(geom, 10, TS, eta[2:], eta[:2])
+        a = array_response(10, TS, eta[2:], nf)
         alpha2 = pathloss(model, eta[:2], "roundtrip")
         np.testing.assert_allclose(h2, alpha2 * np.outer(a, a), rtol=1e-12)
 
@@ -206,7 +210,7 @@ def test_projection_gradients_match_fd():
         geom = geom_for(16, signed)
         for _ in range(25):
             p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
-            dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p)
+            dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(NearField(geom, p))
             for axis, got_g, got_q in ((0, dg_dx, dq_dx), (1, dg_dy, dq_dy)):
                 def g_of(t, axis=axis):
                     q = np.array(p, dtype=float)
@@ -232,7 +236,7 @@ def test_projection_gradient_identity():
         p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
         nf = NearField(geom, p)
         g, q = nf.g, nf.q
-        dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(geom, p)
+        dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(nf)
         np.testing.assert_allclose(g * dg_dx + q * dq_dx, 0.0, atol=1e-15)
         np.testing.assert_allclose(g * dg_dy + q * dq_dy, 0.0, atol=1e-15)
 
@@ -241,9 +245,9 @@ def test_projection_gradient_kink_guard():
     geom = geom_for(8)
     x_kink = float(element_offsets(geom)[3])
     with pytest.raises(ProjectionKinkError, match=r"system\.signed_projection=true"):
-        projection_coeff_gradients(geom, (x_kink, 10.0))
+        projection_coeff_gradients(NearField(geom, (x_kink, 10.0)))
     # signed convention has no kink there
-    projection_coeff_gradients(geom_for(8, signed=True), (x_kink, 10.0))
+    projection_coeff_gradients(NearField(geom_for(8, signed=True), (x_kink, 10.0)))
     # y = 0 is a kink for the |.| convention too, but already degenerate
     # geometry for distances; x-aligned antennas are the practical case
 

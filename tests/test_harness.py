@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nfbeam import harness
+from nfbeam import geometry, harness
 from nfbeam.agdao import VARIANTS
 from nfbeam.beamforming import (
     feedback_latch_index,
@@ -25,7 +25,7 @@ from nfbeam.config import (
     dbm_to_watts,
     save_config,
 )
-from nfbeam.geometry import pathloss
+from nfbeam.geometry import NearField, pathloss
 from nfbeam.harness import (
     TRACE_COLUMNS,
     BeliefRow,
@@ -113,7 +113,7 @@ def _single_rate(cfg, bf, eta):
     """cpi_throughput of one beam at one true state."""
     sys_cfg = cfg.system
     return cpi_throughput(
-        sys_cfg.geometry(), sys_cfg.pathloss_model(), eta[:2], eta[2:], bf,
+        sys_cfg.pathloss_model(), NearField(sys_cfg.geometry(), eta[:2]), eta[2:], bf,
         sys_cfg.symbol_duration_s, sys_cfg.tx_power_w, sys_cfg.comm_noise_power,
     )
 
@@ -126,13 +126,13 @@ def _per_cpi_baseline_rates(cfg):
     traj = _trajectory(cfg)
     out = []
     for cpi, eta in enumerate(traj, start=1):
-        bf_opt = opt_beamformers(geom, eta[:2], eta[2:], n_sym, ts)
+        bf_opt = opt_beamformers(NearField(geom, eta[:2]), eta[2:], n_sym, ts)
         if cpi == 1:
             bf_ff = bf_fd = bf_opt
         else:
             bf_ff = ff_beamformers(geom, eta[:2], eta[2:], n_sym, ts)
             fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, dt)
-            bf_fd = predictive_beamformers(geom, fd_p, fd_v, n_sym, ts)
+            bf_fd = predictive_beamformers(NearField(geom, fd_p), fd_v, n_sym, ts)
         out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
     return out
 
@@ -380,6 +380,38 @@ def test_convergence_study_checks_variants_before_any_ascent(monkeypatch):
     assert calls == []
 
 
+def _count_snapshot_builds(monkeypatch):
+    """A list that grows by one per near-field build (one element_distances call each)."""
+    builds = []
+    distances = geometry.element_distances
+
+    def counted(*args):
+        builds.append(args)
+        return distances(*args)
+
+    monkeypatch.setattr(geometry, "element_distances", counted)
+    return builds
+
+
+def test_convergence_study_builds_one_snapshot(monkeypatch):
+    # the beam, every echo and every ascent read one snapshot of the known position
+    builds = _count_snapshot_builds(monkeypatch)
+    convergence_study(ExperimentConfig())
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("method", ["ekf", "agdao"])
+def test_tracking_run_builds_two_snapshots_a_chunk_and_one_a_tracked_cpi(monkeypatch, method):
+    # per chunk, the true positions and the feedback pointer's; per tracked
+    # CPI, the tracker's prediction, shared by its beam and its estimate
+    builds = _count_snapshot_builds(monkeypatch)
+    cfg = ExperimentConfig(method=method, num_cpis=60)
+    run_experiment(cfg)
+    system = cfg.system
+    chunk = harness.BASELINE_CHUNK_ELEMENTS // (system.symbols_per_cpi * system.num_antennas)
+    assert len(builds) == 2 * -(-cfg.num_cpis // chunk) + cfg.num_cpis - 1 == 79
+
+
 def test_metrics_csv_round_trip(tmp_path):
     result = run_experiment(small_config(method="ekf", num_cpis=8))
     path = tmp_path / "metrics.csv"
@@ -496,7 +528,6 @@ NON_DEFAULT = ExperimentConfig(
         echo_noise_power=3.0e-8,
         ref_gain=0.5,
         rcs=2.0,
-        include_transmit_power=False,
         signed_projection=True,
     ),
     method="agdao",
@@ -600,6 +631,7 @@ def test_config_rejections(tmp_path):
         ("adam.step=0", "adam.step"),
         ("adam.beta2=1", "adam.beta2"),
         ("ma_window=20", "ma_window"),
+        ("system.include_transmit_power=false", "system.include_transmit_power"),
     ):
         with pytest.raises(ConfigError) as err:
             build_config(None, [assignment])

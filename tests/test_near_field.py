@@ -1,49 +1,28 @@
-"""The per-position near-field snapshot, the cos/sin phasor, and the N×M phasor builds.
-
-Every consumer that takes a position must give, bit for bit, the same result
-when fed the geo.NearField snapshot of that position; a snapshot built for
-another array, including the same array under the other projection
-convention, is refused.
-"""
+"""The per-position near-field snapshot, the cos/sin phasor, and the N×M phasor builds."""
 import math
 import re
 
 import numpy as np
 import pytest
 
-from nfbeam import agdao
 from nfbeam import geometry as geo
-from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamformers
+from nfbeam.beamforming import ff_beamformers
 from nfbeam.config import SystemConfig
-from nfbeam.ekf import observation_jacobian
 from nfbeam.geometry import (
     DegeneratePositionError,
     NearField,
-    PathlossModel,
     array_response,
     doppler_vector,
-    downlink_channel,
     element_distances,
     element_offsets,
-    near_field,
-    projection_coeff_gradients,
-    radial_speeds,
-    roundtrip_channel,
     steering_vector,
     symbol_dopplers,
     unit_phasor,
-)
-from nfbeam.signals import (
-    cpi_throughput,
-    observation_mean,
-    synthesize_observation,
 )
 
 from helpers import N_SYM, TS, geom_for, sample_broadside_state, sample_state
 
 GEOM = geom_for(32)
-MODEL = PathlossModel(ref_gain=1.5, rcs=2.0)
-NOISE = 1e-6
 
 
 def _state(signed):
@@ -52,74 +31,6 @@ def _state(signed):
     rng = np.random.default_rng(41 + int(signed))
     eta = sample_broadside_state(rng) if signed else sample_state(rng, GEOM)
     return eta[:2], eta[2:]
-
-
-def _calls(signed):
-    """name -> call(p, v), where p is a position or its snapshot."""
-    geom = geom_for(32, signed)
-    f = predictive_beamformers(geom, (1.0, 9.0), (3.0, -2.0), N_SYM, TS)
-    y = np.random.default_rng(7).standard_normal(geom.num_antennas) * (1 + 1j)
-
-    def velocity_problem(p, v):
-        prob = agdao.VelocityProblem(y, geom, MODEL, p, f[-1], 2.0, N_SYM, TS)
-        return np.concatenate([prob.W.ravel(), prob.exponent.ravel(), [prob.scale]])
-
-    def projection_coeffs(p, v):
-        nf = near_field(geom, p)
-        return np.stack([nf.g, nf.q])
-
-    return {
-        "projection_coeffs": projection_coeffs,
-        "radial_speeds": lambda p, v: radial_speeds(geom, v, p),
-        "doppler_vector": lambda p, v: doppler_vector(geom, N_SYM, TS, v, p),
-        "array_response": lambda p, v: array_response(geom, N_SYM, TS, v, p),
-        "downlink_channel": lambda p, v: downlink_channel(geom, MODEL, 3, TS, v, p),
-        "roundtrip_channel": lambda p, v: roundtrip_channel(geom, MODEL, 3, TS, v, p),
-        "projection_coeff_gradients": lambda p, v: np.stack(projection_coeff_gradients(geom, p)),
-        "predictive_beamformers": lambda p, v: predictive_beamformers(geom, p, v, N_SYM, TS),
-        "opt_beamformers": lambda p, v: opt_beamformers(geom, p, v, N_SYM, TS),
-        "observation_mean": lambda p, v: observation_mean(
-            geom, MODEL, p, v, f[-1], 2.0, N_SYM, TS
-        ),
-        "observation_jacobian": lambda p, v: observation_jacobian(
-            geom, MODEL, p, v, f[-1], 2.0, N_SYM, TS
-        ),
-        "synthesize_observation": lambda p, v: synthesize_observation(
-            geom, MODEL, p, v, f, NOISE, 2.0, TS, np.random.default_rng(5)
-        ),
-        "cpi_throughput": lambda p, v: cpi_throughput(geom, MODEL, p, v, f, TS, 2.0, 1e-8),
-        "velocity_problem": velocity_problem,
-    }
-
-
-NAMES = sorted(_calls(False))
-
-
-@pytest.mark.parametrize("signed", [False, True])
-@pytest.mark.parametrize("name", NAMES)
-def test_snapshot_equals_position_call(name, signed):
-    p, v = _state(signed)
-    call = _calls(signed)[name]
-    want = call(p, v)
-    got = call(NearField(geom_for(32, signed), p), v)
-    assert np.shape(got) == np.shape(want)
-    np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("signed", [False, True])
-@pytest.mark.parametrize("name", NAMES)
-def test_snapshot_under_the_other_convention_is_refused(name, signed):
-    p, v = _state(True)  # broadside: the magnitude kinks stay clear anyway
-    other = NearField(geom_for(32, not signed), p)
-    with pytest.raises(ValueError, match="snapshot was built for"):
-        _calls(signed)[name](other, v)
-
-
-def test_snapshot_of_another_array_is_refused():
-    p, v = _state(False)
-    near = NearField(geom_for(16), p)
-    with pytest.raises(ValueError, match="snapshot was built for"):
-        predictive_beamformers(GEOM, near, v, N_SYM, TS)
 
 
 def test_config_convention_reaches_the_snapshot():
@@ -228,10 +139,11 @@ def test_symbol_doppler_recurrence_against_long_double(num_symbols, signed, batc
     rng = np.random.default_rng(num_symbols + 7 * len(batch) + 100 * signed)
     geom = geom_for(32, signed)
     p, v = _states_both_sides(rng, geom, batch)
-    d = symbol_dopplers(geom, num_symbols, TS, v, p)
+    nf = NearField(geom, p)
+    d = symbol_dopplers(num_symbols, TS, v, nf)
     assert d.shape == batch + (num_symbols, GEOM.num_antennas)
-    assert np.array_equal(d[..., 0, :], doppler_vector(geom, 1, TS, v, p))
-    vm = radial_speeds(geom, v, p).astype(np.longdouble)
+    assert np.array_equal(d[..., 0, :], doppler_vector(1, TS, v, nf))
+    vm = (nf.g * v[..., 0, None] + nf.q * v[..., 1, None]).astype(np.longdouble)
     n = np.arange(1, num_symbols + 1, dtype=np.longdouble)
     k_ts = np.longdouble(GEOM.wavenumber) * np.longdouble(TS)
     re, im = _ld_phasor(-k_ts * n[:, None] * vm[..., None, :])
@@ -277,14 +189,14 @@ def test_snapshot_returns_its_array_response_read_only(monkeypatch):
     calls = _counting_doppler(monkeypatch)
     p, v = _state(True)
     nf = NearField(GEOM, p)
-    first = array_response(GEOM, N_SYM, TS, v, nf)
-    again = array_response(GEOM, N_SYM, TS, tuple(v), nf)
+    first = array_response(N_SYM, TS, v, nf)
+    again = array_response(N_SYM, TS, tuple(v), nf)
     assert again is first and len(calls) == 1
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 0.0
     fresh = NearField(GEOM, p)
-    expected = fresh.steering * doppler_vector(GEOM, N_SYM, TS, v, fresh)
+    expected = fresh.steering * doppler_vector(N_SYM, TS, v, fresh)
     np.testing.assert_array_equal(first, expected)
 
 
@@ -293,7 +205,7 @@ def test_snapshot_rebuilds_the_response_when_an_input_changes(monkeypatch, chang
     p, v = _state(False)
     nf = NearField(GEOM, p)
     args = {"n": N_SYM, "symbol_duration": TS, "v": v.copy()}
-    first = array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf)
+    first = array_response(args["n"], args["symbol_duration"], args["v"], nf)
     if change == "n":
         args["n"] += 1
     elif change == "symbol_duration":
@@ -301,15 +213,15 @@ def test_snapshot_rebuilds_the_response_when_an_input_changes(monkeypatch, chang
     else:
         args["v"][0 if change == "vx" else 1] += 0.25
     calls = _counting_doppler(monkeypatch)
-    fresh = array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf)
+    fresh = array_response(args["n"], args["symbol_duration"], args["v"], nf)
     assert fresh is not first and len(calls) == 1
     np.testing.assert_array_equal(
         fresh,
-        array_response(GEOM, args["n"], args["symbol_duration"], args["v"], p),
+        array_response(args["n"], args["symbol_duration"], args["v"], NearField(GEOM, p)),
     )
     assert not np.array_equal(fresh, first)
     # the snapshot now holds the new response
-    assert array_response(GEOM, args["n"], args["symbol_duration"], args["v"], nf) is fresh
+    assert array_response(args["n"], args["symbol_duration"], args["v"], nf) is fresh
 
 
 def test_snapshot_parts_start_without_a_response():
@@ -317,11 +229,11 @@ def test_snapshot_parts_start_without_a_response():
     states = np.array([sample_state(rng, GEOM) for _ in range(3)])
     p, v = states[:, :2], states[:, 2:]
     nf = NearField(GEOM, p)
-    whole = array_response(GEOM, N_SYM, TS, v, nf)
+    whole = array_response(N_SYM, TS, v, nf)
     assert nf.response[1] is whole
     part = nf[1]
     assert part.response == (None, None)
-    row = array_response(GEOM, N_SYM, TS, v[1], part)
+    row = array_response(N_SYM, TS, v[1], part)
     assert row is not whole[1] and row.shape == (GEOM.num_antennas,)
     np.testing.assert_array_equal(row, whole[1])
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam.geometry import array_response, pathloss
+from nfbeam.geometry import NearField, array_response, pathloss
 from nfbeam.signals import (
     BeamNormError,
     check_unit_norm,
@@ -53,18 +53,19 @@ def test_check_unit_norm_refuses_non_finite_rows(bad):
 def test_synthesize_observation_checks_echo_noise_power():
     geom = geom_for(8)
     model = default_model()
-    p, v = (2.0, 9.0), (4.0, -1.0)
-    bf = predictive_beamformers(geom, p, v, N_SYM, TS)
+    nf, v = NearField(geom, (2.0, 9.0)), (4.0, -1.0)
+    bf = predictive_beamformers(nf, v, N_SYM, TS)
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="nonnegative"):
-        synthesize_observation(geom, model, p, v, bf, -1e-9, 1.0, TS, rng)
-    y = synthesize_observation(geom, model, p, v, bf, 0.0, 1.0, TS, rng)
+        synthesize_observation(model, nf, v, bf, -1e-9, 1.0, TS, rng)
+    y = synthesize_observation(model, nf, v, bf, 0.0, 1.0, TS, rng)
     assert y.shape == (8,)
 
 
-def test_echo_amplitude_flag():
+def test_echo_amplitude_is_sqrt_power():
     assert echo_amplitude(4.0) == 2.0
-    assert echo_amplitude(4.0, include_transmit_power=False) == 1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        echo_amplitude(-1.0)
 
 
 def test_complex_gaussian_statistics():
@@ -106,9 +107,10 @@ def test_observation_mean_matches_hand_assembly():
     for signed in (False, True):
         geom = geom_for(6, signed)
         eta = sample_state(rng, geom)
-        f = predictive_beamformers(geom_for(6), eta[:2], eta[2:], N_SYM, TS)[-1]
-        got = observation_mean(geom, model, eta[:2], eta[2:], f, 1.7, N_SYM, TS)
-        a = array_response(geom, N_SYM, TS, eta[2:], eta[:2])
+        f = predictive_beamformers(NearField(geom_for(6), eta[:2]), eta[2:], N_SYM, TS)[-1]
+        nf = NearField(geom, eta[:2])
+        got = observation_mean(model, nf, eta[2:], f, 1.7, N_SYM, TS)
+        a = array_response(N_SYM, TS, eta[2:], nf)
         alpha2 = pathloss(model, eta[:2], "roundtrip")
         inner = sum(a[k] * f[k] for k in range(6))
         expect = [1.7 * alpha2 * a[m] * inner for m in range(6)]
@@ -120,10 +122,11 @@ def test_synthesize_observation_noiseless_equals_mean():
     geom = geom_for(16)
     model = default_model()
     eta = sample_state(rng, geom)
-    bf = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)
+    nf = NearField(geom, eta[:2])
+    bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
     noise = 0.0
-    y = synthesize_observation(geom, model, eta[:2], eta[2:], bf, noise, 1.0, TS, rng)
-    mean = observation_mean(geom, model, eta[:2], eta[2:], bf[-1], 1.0, N_SYM, TS)
+    y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
+    mean = observation_mean(model, nf, eta[2:], bf[-1], 1.0, N_SYM, TS)
     np.testing.assert_array_equal(y, mean)
 
 
@@ -133,21 +136,22 @@ def test_synthesize_observation_validates_input():
     model = default_model()
     eta = sample_state(rng, geom)
     noise = 1e-8
-    bf = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)
+    nf = NearField(geom, eta[:2])
+    bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
     with pytest.raises(ValueError):
-        synthesize_observation(geom, model, eta[:2], eta[2:], bf[:, :4], noise, 1.0, TS, rng)
+        synthesize_observation(model, nf, eta[2:], bf[:, :4], noise, 1.0, TS, rng)
     with pytest.raises(BeamNormError):
-        synthesize_observation(geom, model, eta[:2], eta[2:], 1.5 * bf, noise, 1.0, TS, rng)
+        synthesize_observation(model, nf, eta[2:], 1.5 * bf, noise, 1.0, TS, rng)
 
 
 def test_synthesize_observation_deterministic():
     geom = geom_for(8)
     model = default_model()
-    p, v = (2.0, 9.0), (4.0, -1.0)
-    bf = predictive_beamformers(geom, p, v, N_SYM, TS)
+    nf, v = NearField(geom, (2.0, 9.0)), (4.0, -1.0)
+    bf = predictive_beamformers(nf, v, N_SYM, TS)
     noise = 1e-8
-    a = synthesize_observation(geom, model, p, v, bf, noise, 1.0, TS, np.random.default_rng(9))
-    b = synthesize_observation(geom, model, p, v, bf, noise, 1.0, TS, np.random.default_rng(9))
+    a = synthesize_observation(model, nf, v, bf, noise, 1.0, TS, np.random.default_rng(9))
+    b = synthesize_observation(model, nf, v, bf, noise, 1.0, TS, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
@@ -158,11 +162,12 @@ def test_matched_beamformer_hits_closed_form_snr():
     p_w, sigma_c2 = 1.0, 1e-8
     for _ in range(25):
         eta = sample_state(rng, geom)
-        bf = predictive_beamformers(geom, eta[:2], eta[2:], N_SYM, TS)
+        nf = NearField(geom, eta[:2])
+        bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
         alpha1 = pathloss(model, eta[:2], "downlink")
         expect = p_w * 64 * alpha1**2 / sigma_c2
         for n in (1, N_SYM):
-            got = received_snr(geom, model, eta[:2], eta[2:], bf[n - 1], n, TS, p_w, sigma_c2)
+            got = received_snr(model, nf, eta[2:], bf[n - 1], n, TS, p_w, sigma_c2)
             assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -172,11 +177,12 @@ def test_cpi_throughput_matches_per_symbol_snr():
     model = default_model()
     p, v = np.split(sample_state(rng, geom), 2)
     # mismatched beam so the per-symbol SNRs actually vary
-    bf = predictive_beamformers(geom, p + 0.05, v + 1.0, N_SYM, TS)
+    bf = predictive_beamformers(NearField(geom, p + 0.05), v + 1.0, N_SYM, TS)
     p_w, sigma_c2 = 0.5, 1e-8
-    rate = cpi_throughput(geom, model, p, v, bf, TS, p_w, sigma_c2)
+    nf = NearField(geom, p)
+    rate = cpi_throughput(model, nf, v, bf, TS, p_w, sigma_c2)
     per_symbol = [
-        math.log2(1.0 + received_snr(geom, model, p, v, bf[n - 1], n, TS, p_w, sigma_c2))
+        math.log2(1.0 + received_snr(model, nf, v, bf[n - 1], n, TS, p_w, sigma_c2))
         for n in range(1, N_SYM + 1)
     ]
     assert rate == pytest.approx(float(np.mean(per_symbol)), rel=1e-12)
@@ -187,7 +193,8 @@ def test_throughput_invariant_to_global_beam_phase():
     geom = geom_for(16)
     model = default_model()
     eta = sample_state(rng, geom)
-    bf = predictive_beamformers(geom, eta[:2] + 0.02, eta[2:], N_SYM, TS)
-    base = cpi_throughput(geom, model, eta[:2], eta[2:], bf, TS, 1.0, 1e-8)
-    rotated = cpi_throughput(geom, model, eta[:2], eta[2:], bf * np.exp(1j * 0.7), TS, 1.0, 1e-8)
+    bf = predictive_beamformers(NearField(geom, eta[:2] + 0.02), eta[2:], N_SYM, TS)
+    nf = NearField(geom, eta[:2])
+    base = cpi_throughput(model, nf, eta[2:], bf, TS, 1.0, 1e-8)
+    rotated = cpi_throughput(model, nf, eta[2:], bf * np.exp(1j * 0.7), TS, 1.0, 1e-8)
     assert rotated == pytest.approx(base, rel=1e-12)
