@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry as geo
 from .beamforming import predictive_beamformers
-from .config import AdamHyper
+from .config import AdamHyper, SystemConfig
 from .signals import check_unit_norm
 
 VARIANTS = ("adam-ao", "adam-joint", "plain-gd")
@@ -68,7 +68,7 @@ class VelocityProblem:
     evaluate works in frame coordinates, else in (vx, vy).
     """
 
-    def __init__(self, y, model, nf, f, s_amp, num_symbols, symbol_duration, frame=None):
+    def __init__(self, y, nf, f, frame=None):
         f = np.asarray(f)
         check_unit_norm(f)
         atil, g, q = nf.steering, nf.g, nf.q
@@ -78,9 +78,11 @@ class VelocityProblem:
             (tx, ty), (rx, ry) = frame
             g, q = tx * g + ty * q, rx * g + ry * q
         self.frame = frame
-        scale = float(s_amp * geo.pathloss(model, nf.position, geo.ROUNDTRIP))
+        system = nf.system
+        s_amp = math.sqrt(system.tx_power_w)
+        scale = float(s_amp * geo.pathloss(system, nf.position, geo.ROUNDTRIP))
         # phase advance per unit composite speed over the CPI
-        rot = nf.geom.wavenumber * num_symbols * symbol_duration
+        rot = system.wavenumber * system.symbols_per_cpi * system.symbol_duration_s
         # exponent of d per unit speed along the frame's first and second axis
         self.exponent = -1j * rot * np.stack([g, q])
         w = atil * f
@@ -208,9 +210,8 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, recor
     return np.array(to_xy(t, r)), trace
 
 
-def _los_problem(y, model, nf, f, s_amp, num_symbols, symbol_duration):
-    frame = line_of_sight_frame(nf.position)
-    return VelocityProblem(y, model, nf, f, s_amp, num_symbols, symbol_duration, frame)
+def _los_problem(y, nf, f):
+    return VelocityProblem(y, nf, f, line_of_sight_frame(nf.position))
 
 
 # adam_ao_estimate, gd_estimate and estimate_velocity are thin entry points over
@@ -218,13 +219,9 @@ def _los_problem(y, model, nf, f, s_amp, num_symbols, symbol_duration):
 # (ROADMAP.md item 2) rebinds those spans and removes them.
 def adam_ao_estimate(
     y,
-    model: geo.PathlossModel,
     nf_hat: geo.NearField,
     v_init,
     f,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
     hyper: AdamHyper = AdamHyper(),
     record: bool = True,
 ):
@@ -234,27 +231,21 @@ def adam_ao_estimate(
     Stops at max_iters or by the module's stop rule. record=False leaves the
     trace's rows empty and keeps only its length.
     """
-    prob = _los_problem(y, model, nf_hat, f, s_amp, num_symbols, symbol_duration)
-    return _ascend(prob, v_init, hyper, "adam-ao", record)
+    return _ascend(_los_problem(y, nf_hat, f), v_init, hyper, "adam-ao", record)
 
 
 def gd_estimate(
     y,
-    model: geo.PathlossModel,
     nf_hat: geo.NearField,
     v_init,
     f,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
     hyper: AdamHyper = AdamHyper(),
     variant: str = "plain-gd",
 ):
     """Comparison optimizers on the same objective: plain-gd or adam-joint."""
     if variant not in ("plain-gd", "adam-joint"):
         raise ValueError(f"variant must be 'plain-gd' or 'adam-joint', got {variant!r}")
-    prob = _los_problem(y, model, nf_hat, f, s_amp, num_symbols, symbol_duration)
-    return _ascend(prob, v_init, hyper, variant)
+    return _ascend(_los_problem(y, nf_hat, f), v_init, hyper, variant)
 
 
 def estimate_velocity(variant: str, *args, **kwargs):
@@ -268,12 +259,7 @@ def agdao_track_step(
     prev_p_hat,
     prev_v_hat,
     observe,
-    geom: geo.ArrayGeometry,
-    model: geo.PathlossModel,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
-    cpi_duration: float,
+    system: SystemConfig,
     hyper: AdamHyper = AdamHyper(),
 ):
     """One closed-loop CPI: point from the previous estimate, observe, re-estimate.
@@ -285,11 +271,10 @@ def agdao_track_step(
     """
     prev_p_hat = np.asarray(prev_p_hat, dtype=float)
     prev_v_hat = np.asarray(prev_v_hat, dtype=float)
-    p_pred = prev_p_hat + cpi_duration * prev_v_hat
-    near = geo.NearField(geom, p_pred)
-    bf = predictive_beamformers(near, prev_v_hat, num_symbols, symbol_duration)
+    p_pred = prev_p_hat + system.cpi_duration_s * prev_v_hat
+    near = geo.NearField(system, p_pred)
+    bf = predictive_beamformers(near, prev_v_hat)
     v_hat, trace = adam_ao_estimate(
-        observe(bf), model, near, prev_v_hat, bf[-1], s_amp,
-        num_symbols, symbol_duration, hyper=hyper, record=False,
+        observe(bf), near, prev_v_hat, bf[-1], hyper=hyper, record=False
     )
     return bf, p_pred, v_hat, trace

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from . import geometry as geo
+from .config import SystemConfig
 
 
 def _scale_by_rsqrt(z: np.ndarray, num_antennas: int) -> np.ndarray:
@@ -20,38 +21,27 @@ def _scale_by_rsqrt(z: np.ndarray, num_antennas: int) -> np.ndarray:
     return z
 
 
-def predictive_beamformers(
-    nf_pred: geo.NearField,
-    v_pred,
-    num_symbols: int,
-    symbol_duration: float,
-) -> np.ndarray:
+def predictive_beamformers(nf_pred: geo.NearField, v_pred) -> np.ndarray:
     """Matched filter to the channel implied by an already-predicted state.
 
     Row n-1 is f(n) = conj(a_tilde(p_pred) * d(n; v_pred)) / sqrt(M), with
-    nf_pred the snapshot at p_pred; each row has unit norm. Shape
-    (num_symbols, M), or (..., num_symbols, M) for a snapshot of positions
-    (..., 2). Scaling by the real 1/sqrt(M) keeps the bits of dividing by sqrt(M).
+    nf_pred the snapshot at p_pred; each row has unit norm. Shape (N, M), or
+    (..., N, M) for a snapshot of positions (..., 2). Scaling by the real
+    1/sqrt(M) keeps the bits of dividing by sqrt(M).
     """
-    if num_symbols < 1:
-        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
-    f = geo.symbol_dopplers(num_symbols, symbol_duration, v_pred, nf_pred)
+    system = nf_pred.system
+    f = geo.symbol_dopplers(v_pred, nf_pred)
     # f = conj(atil * d) / sqrt(M), built in place
     np.multiply(nf_pred.steering[..., None, :], f, out=f)
     np.conjugate(f, out=f)
-    return _scale_by_rsqrt(f, nf_pred.geom.num_antennas)
+    return _scale_by_rsqrt(f, system.num_antennas)
 
 
 # perfbench/spans.py binds this name to time the baselines; it goes when the
 # benchmark's rework (ROADMAP.md item 2) rebinds that span.
-def opt_beamformers(
-    nf_true: geo.NearField,
-    v_true,
-    num_symbols: int,
-    symbol_duration: float,
-) -> np.ndarray:
+def opt_beamformers(nf_true: geo.NearField, v_true) -> np.ndarray:
     """Genie matched filter: the predictive beamformer fed the true state."""
-    return predictive_beamformers(nf_true, v_true, num_symbols, symbol_duration)
+    return predictive_beamformers(nf_true, v_true)
 
 
 def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,34 +53,26 @@ def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def ff_beamformers(
-    geom: geo.ArrayGeometry,
-    p_true,
-    v_true,
-    num_symbols: int,
-    symbol_duration: float,
-) -> np.ndarray:
+def ff_beamformers(system: SystemConfig, p_true, v_true) -> np.ndarray:
     """Far-field codebook at the true state: planar phases along u = p/||p||
     plus a common radial-Doppler rotation per symbol.
 
     The phase is a symbol term plus an element term, so the beam is the outer
     product of N and M phasors, within about eps * max|phase| of exact.
 
-    Shape (num_symbols, M), or (..., num_symbols, M) for states of shape
-    (..., 2).
+    Shape (N, M), or (..., N, M) for states of shape (..., 2).
     """
-    if num_symbols < 1:
-        raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
     p = geo.as_points(p_true, "position")
     rnorm = np.sqrt(_dot2(p, p))
     geo.reject_degenerate(p, rnorm, geo.MIN_RANGE, "the array center")
     u = p / rnorm[..., None]
     v_radial = _dot2(geo.as_points(v_true, "velocity"), u)
-    n = np.arange(1, num_symbols + 1)
-    symbol = geo.unit_phasor((-geom.wavenumber * symbol_duration) * (n * v_radial[..., None]))
+    n = np.arange(1, system.symbols_per_cpi + 1)
+    k = system.wavenumber
+    symbol = geo.unit_phasor((-k * system.symbol_duration_s) * (n * v_radial[..., None]))
     # antennas sit on the x-axis, so u^T k_m reduces to u_x * k_m1
-    element = geo.unit_phasor((-geom.wavenumber * geo.element_offsets(geom)) * u[..., 0, None])
-    _scale_by_rsqrt(element, geom.num_antennas)
+    element = geo.unit_phasor((-k * geo.element_offsets(system)) * u[..., 0, None])
+    _scale_by_rsqrt(element, system.num_antennas)
     return symbol[..., :, None] * element[..., None, :]
 
 

@@ -9,35 +9,21 @@ form on the factored Jacobian.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import geometry as geo
 from .agdao import VelocityProblem
 from .beamforming import ff_beamformers, predictive_beamformers
+from .config import SystemConfig
 from .ekf import TrackerBelief, kalman_update, observation_jacobian
-from .signals import (
-    cpi_throughput,
-    echo_amplitude,
-    observation_mean,
-    synthesize_observation,
-)
-
-# Shared desk-scale setup for the spot checks.
-_CARRIER = 30.0e9
-_TS = 1.0e-5
-_N = 10
+from .signals import cpi_throughput, observation_mean, synthesize_observation
 
 
-def _geom(m: int) -> geo.ArrayGeometry:
-    return geo.ArrayGeometry.half_wavelength(m, _CARRIER)
-
-
-def _conventions(m: int) -> tuple[geo.ArrayGeometry, geo.ArrayGeometry]:
-    """The m-antenna array under the magnitude and under the signed projection."""
-    geom = _geom(m)
-    return geom, dataclasses.replace(geom, signed_projection=True)
+def _conventions(m: int, **link) -> tuple[SystemConfig, SystemConfig]:
+    """The default link with m antennas, under the magnitude and the signed projection."""
+    return tuple(
+        SystemConfig(num_antennas=m, signed_projection=signed, **link) for signed in (False, True)
+    )
 
 
 def _random_state(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -53,8 +39,8 @@ def _random_state(rng) -> tuple[np.ndarray, np.ndarray]:
 def check_geometry(seed: int = 0, trials: int = 200):
     """Unit modulus, projection identity, and echo-channel rank-1 symmetry."""
     rng = np.random.default_rng(seed)
-    geoms = _conventions(64)
-    model = geo.PathlossModel()
+    systems = _conventions(64)
+    n = systems[0].symbols_per_cpi
     worst_mod = 0.0
     worst_proj = 0.0
     worst_rank = 0.0
@@ -62,13 +48,12 @@ def check_geometry(seed: int = 0, trials: int = 200):
     smalls = _conventions(16)
     for t in range(trials):
         p, v = _random_state(rng)
-        geom = geoms[t % 2]
-        nf = geo.NearField(geom, p)
-        a = geo.array_response(_N, _TS, v, nf)
+        nf = geo.NearField(systems[t % 2], p)
+        a = geo.array_response(n, v, nf)
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
         worst_proj = max(worst_proj, float(np.max(np.abs(nf.g * nf.g + nf.q * nf.q - 1.0))))
         if t < 20:
-            h = geo.roundtrip_channel(model, _N, _TS, v, geo.NearField(smalls[t % 2], p))
+            h = geo.roundtrip_channel(n, v, geo.NearField(smalls[t % 2], p))
             worst_sym = max(worst_sym, float(np.max(np.abs(h - h.T))))
             s = np.linalg.svd(h, compute_uv=False)
             worst_rank = max(worst_rank, float(s[1] / np.linalg.norm(h)))
@@ -83,25 +68,26 @@ def check_beam_phasors(seed: int = 0, trials: int = 40):
     """Doppler rows built by recurrence and far-field beams built as outer
     products, each against the phasor of its direct phase."""
     rng = np.random.default_rng(seed)
-    geoms = _conventions(128)
     num_symbols = 64  # the recurrence's error grows with the row index
+    systems = _conventions(128, symbols_per_cpi=num_symbols)
+    ts = systems[0].symbol_duration_s
     n = np.arange(1, num_symbols + 1)
-    x_m = geo.element_offsets(geoms[0])
+    x_m = geo.element_offsets(systems[0])
     worst_dop = 0.0
     worst_ff = 0.0
     for t in range(trials):
         p, v = _random_state(rng)
-        geom = geoms[t % 2]
-        nf = geo.NearField(geom, p)
-        d = geo.symbol_dopplers(num_symbols, _TS, v, nf)
+        system = systems[t % 2]
+        nf = geo.NearField(system, p)
+        d = geo.symbol_dopplers(v, nf)
         for row, sym in zip(d, n.tolist()):
-            direct = geo.doppler_vector(sym, _TS, v, nf)
+            direct = geo.doppler_vector(sym, v, nf)
             worst_dop = max(worst_dop, float(np.max(np.abs(row - direct))))
         u = p / np.linalg.norm(p)
         v_r = float(v @ u)
-        phase = geom.wavenumber * (n[:, None] * _TS * v_r + x_m * u[0])
-        want = np.exp(-1j * phase) / np.sqrt(geom.num_antennas)
-        got = ff_beamformers(geom, p, v, num_symbols, _TS)
+        phase = system.wavenumber * (n[:, None] * ts * v_r + x_m * u[0])
+        want = np.exp(-1j * phase) / np.sqrt(system.num_antennas)
+        got = ff_beamformers(system, p, v)
         worst_ff = max(worst_ff, float(np.max(np.abs(got - want))))
     ok = worst_dop < 1e-12 and worst_ff < 1e-12
     return ok, f"Doppler rows {worst_dop:.2e}, far-field beams {worst_ff:.2e} over {trials} states"
@@ -110,43 +96,38 @@ def check_beam_phasors(seed: int = 0, trials: int = 40):
 def check_mrt_snr(seed: int = 0, trials: int = 100):
     """Matched filter at the true state hits P*M*alpha1^2/sigma_c^2 exactly."""
     rng = np.random.default_rng(seed)
-    geom = _geom(64)
-    model = geo.PathlossModel()
-    power_w, sigma_c2 = 1.0, 1e-8
+    system = SystemConfig(num_antennas=64)
+    power_w, sigma_c2 = system.tx_power_w, system.comm_noise_power
     worst = 0.0
     for _ in range(trials):
         p, v = _random_state(rng)
-        nf = geo.NearField(geom, p)
-        bf = predictive_beamformers(nf, v, _N, _TS)
-        rate = cpi_throughput(model, nf, v, bf, _TS, power_w, sigma_c2)
-        alpha1 = geo.pathloss(model, p, geo.DOWNLINK)
-        snr = power_w * geom.num_antennas * alpha1 ** 2 / sigma_c2
+        nf = geo.NearField(system, p)
+        rate = cpi_throughput(nf, v, predictive_beamformers(nf, v))
+        alpha1 = geo.pathloss(system, p, geo.DOWNLINK)
+        snr = power_w * system.num_antennas * alpha1 ** 2 / sigma_c2
         expected = float(np.log2(1.0 + snr))
         worst = max(worst, abs(rate - expected) / expected)
     return worst < 1e-9, f"max rel error {worst:.2e} over {trials} states"
 
 
-def _spot_instance(rng, geom, model):
+def _spot_instance(rng, system):
     p, v = _random_state(rng)
-    nf_hat = geo.NearField(geom, p + rng.normal(0.0, 0.05, 2))
+    nf_hat = geo.NearField(system, p + rng.normal(0.0, 0.05, 2))
     v_trial = rng.uniform(-15.0, 15.0, 2)
-    bf = predictive_beamformers(nf_hat, v_trial, _N, _TS)
-    s_amp, sigma_e2 = echo_amplitude(1.0), 1e-8
-    y = synthesize_observation(model, geo.NearField(geom, p), v, bf, sigma_e2, s_amp, _TS, rng)
-    return nf_hat, v_trial, bf[-1], s_amp, y
+    bf = predictive_beamformers(nf_hat, v_trial)
+    y = synthesize_observation(geo.NearField(system, p), v, bf, rng)
+    return nf_hat, v_trial, bf[-1], y
 
 
 def check_gradient(seed: int = 0, trials: int = 20):
     """Analytic velocity gradient vs central differences of the objective."""
     rng = np.random.default_rng(seed)
-    geoms = _conventions(64)
-    model = geo.PathlossModel()
+    systems = _conventions(64)
     step = 1e-4
     worst = 0.0
     for t in range(trials):
-        geom = geoms[t % 2]
-        nf_hat, v, f, s_amp, y = _spot_instance(rng, geom, model)
-        evaluate = VelocityProblem(y, model, nf_hat, f, s_amp, _N, _TS).evaluate
+        nf_hat, v, f, y = _spot_instance(rng, systems[t % 2])
+        evaluate = VelocityProblem(y, nf_hat, f).evaluate
         for axis, e in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
             hi = evaluate(*(v + step * e))[0]
             lo = evaluate(*(v - step * e))[0]
@@ -166,23 +147,18 @@ def _fd4(fun, x0, step):
 def check_jacobian(seed: int = 0, trials: int = 10):
     """Analytic observation Jacobian vs finite differences, all four columns."""
     rng = np.random.default_rng(seed)
-    geoms = _conventions(64)
-    model = geo.PathlossModel()
-    s_amp = echo_amplitude(1.0)
+    systems = _conventions(64)
     pos_step, vel_step = 1e-4, 1e-4
     worst = 0.0
     for t in range(trials):
-        geom = geoms[t % 2]
+        system = systems[t % 2]
         p, v = _random_state(rng)
-        nf = geo.NearField(geom, p)
-        bf = predictive_beamformers(nf, v, _N, _TS)
-        f = bf[-1]
-        jac = np.asarray(observation_jacobian(model, nf, v, f, s_amp, _N, _TS))
+        nf = geo.NearField(system, p)
+        f = predictive_beamformers(nf, v)[-1]
+        jac = np.asarray(observation_jacobian(nf, v, f))
 
         def mean_at(eta):
-            return observation_mean(
-                model, geo.NearField(geom, eta[:2]), eta[2:], f, s_amp, _N, _TS
-            )
+            return observation_mean(geo.NearField(system, eta[:2]), eta[2:], f)
 
         base = np.concatenate([p, v])
         for col in range(4):
@@ -228,20 +204,17 @@ def check_kalman(seed: int = 0, trials: int = 10):
     routes agree to ~1e-10.
     """
     rng = np.random.default_rng(seed)
-    geoms = _conventions(8)
-    model = geo.PathlossModel()
-    s_amp = echo_amplitude(1.0)
+    systems = _conventions(8)
     worst_sharp = 0.0
     worst_op = 0.0
     for t in range(trials):
-        geom = geoms[t % 2]
         p, v = _random_state(rng)
-        nf = geo.NearField(geom, p)
-        bf = predictive_beamformers(nf, v, _N, _TS)
-        f = bf[-1]
-        h_bar = observation_mean(model, nf, v, f, s_amp, _N, _TS)
-        jac = observation_jacobian(model, nf, v, f, s_amp, _N, _TS)
-        y = h_bar + (rng.normal(0, 1e-4, geom.num_antennas) + 1j * rng.normal(0, 1e-4, geom.num_antennas))
+        nf = geo.NearField(systems[t % 2], p)
+        m = nf.system.num_antennas
+        f = predictive_beamformers(nf, v)[-1]
+        h_bar = observation_mean(nf, v, f)
+        jac = observation_jacobian(nf, v, f)
+        y = h_bar + (rng.normal(0, 1e-4, m) + 1j * rng.normal(0, 1e-4, m))
         prior = TrackerBelief(mean=np.concatenate([p, v]), covariance=0.1 * np.eye(4))
         for sigma_e2 in (1e-2, 1e-8):
             post, _ = kalman_update(prior, y, jac, h_bar, sigma_e2)

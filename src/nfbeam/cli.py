@@ -23,6 +23,7 @@ from .harness import (
     write_summary_csv,
     write_trace_csv,
 )
+from .signals import NonFiniteRateError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -195,8 +196,8 @@ def main(argv=None) -> int:
         return _fail("config", exc.field, exc.message)
     except ValueError as exc:
         return _fail("validation", "", str(exc))
-    except (FilterHealthError, DivergenceError) as exc:
-        # a valid config that drives a tracker non-finite
+    except (FilterHealthError, DivergenceError, NonFiniteRateError) as exc:
+        # a valid config that drives a tracker or a rate non-finite
         _fail("numerical", "", str(exc))
         return 3
 

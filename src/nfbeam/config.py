@@ -13,8 +13,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, PathlossModel
-from .motion import MotionNoise
+from .geometry import SPEED_OF_LIGHT
 
 METHODS = ("opt", "ff", "fd", "agdao", "ekf")
 
@@ -39,7 +38,11 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Physical layer: array, carrier, frame timing, powers, reflection."""
+    """Physical layer: array, carrier, frame timing, powers, reflection.
+
+    The one description of the link that geometry.NearField carries and every
+    model function reads.
+    """
 
     num_antennas: int = 512
     carrier_freq_hz: float = 30.0e9
@@ -74,6 +77,11 @@ class SystemConfig:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
     @property
+    def wavenumber(self) -> float:
+        """Free-space wavenumber 2*pi/lambda."""
+        return 2.0 * math.pi / self.wavelength_m
+
+    @property
     def spacing(self) -> float:
         return self.wavelength_m / 2.0 if self.spacing_m is None else self.spacing_m
 
@@ -84,17 +92,6 @@ class SystemConfig:
     @property
     def tx_power_w(self) -> float:
         return dbm_to_watts(self.tx_power_dbm)
-
-    def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(
-            num_antennas=self.num_antennas,
-            spacing=self.spacing,
-            wavelength=self.wavelength_m,
-            signed_projection=self.signed_projection,
-        )
-
-    def pathloss_model(self) -> PathlossModel:
-        return PathlossModel(ref_gain=self.ref_gain, rcs=self.rcs)
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,6 @@ class ExperimentConfig:
             self, "feedback_period_s", self.feedback_period_cpis >= 1,
             f"at least one CPI ({self.system.cpi_duration_s} s)",
         )
-
-    @property
-    def motion_noise(self) -> MotionNoise:
-        return MotionNoise(var_vx=self.motion_var[0], var_vy=self.motion_var[1])
 
     @property
     def feedback_period_cpis(self) -> int:

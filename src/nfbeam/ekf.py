@@ -16,13 +16,15 @@ Zv = Z.view(float), (4, 2M): one real product, no (M, 4) complex J.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .beamforming import predictive_beamformers
-from .motion import MotionNoise, kinematic_forecast, transition_matrix
+from .config import SystemConfig
+from .motion import kinematic_forecast, transition_matrix
 from .signals import observation_mean
 
 SYMMETRY_TOL = 1e-10
@@ -77,16 +79,19 @@ class UpdateDiagnostics:
 
 
 @functools.lru_cache(maxsize=8)
-def _forecast_model(dt: float, noise: MotionNoise) -> tuple[np.ndarray, np.ndarray]:
+def _forecast_model(dt: float, motion_var: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Transition and process-noise matrices (F, Q) of one CPI, read-only."""
-    f, q = transition_matrix(dt), noise.covariance()
+    f, q = transition_matrix(dt), np.diag([0.0, 0.0, *motion_var])
     f.flags.writeable = q.flags.writeable = False
     return f, q
 
 
-def ekf_forecast(belief: TrackerBelief, dt: float, noise: MotionNoise) -> TrackerBelief:
-    """Constant-velocity prediction of mean and covariance over one CPI."""
-    f, q = _forecast_model(dt, noise)
+def ekf_forecast(
+    belief: TrackerBelief, dt: float, motion_var: tuple[float, float]
+) -> TrackerBelief:
+    """Constant-velocity prediction of mean and covariance over one CPI, with
+    velocity kicks of variances motion_var = (var_vx, var_vy)."""
+    f, q = _forecast_model(dt, motion_var)
     mean = kinematic_forecast(belief.mean, dt)
     cov = f @ belief.covariance @ f.T + q
     return TrackerBelief(mean=mean, covariance=cov)
@@ -113,36 +118,30 @@ class FactoredJacobian:
         return prod[:, :4], prod[:, 4]
 
 
-def observation_jacobian(
-    model: geo.PathlossModel,
-    nf: geo.NearField,
-    v,
-    f: np.ndarray,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
-) -> FactoredJacobian:
+def observation_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobian:
     """Derivative of the noise-free echo w.r.t. [x, y, vx, vy] at the snapshot's
     position and velocity v, factored; np.asarray of the result is the dense
     (M, 4) J. The array response is the one observation_mean builds.
     """
-    dtt = num_symbols * symbol_duration
-    a = geo.array_response(num_symbols, symbol_duration, v, nf)
+    system = nf.system
+    dtt = system.cpi_duration_s
+    s_amp = math.sqrt(system.tx_power_w)
+    a = geo.array_response(system.symbols_per_cpi, v, nf)
     af = a @ f
-    alpha2 = geo.pathloss(model, nf.position, geo.ROUNDTRIP)
-    da2_dx, da2_dy = geo.pathloss_gradient(model, nf.position)
+    alpha2 = geo.pathloss(system, nf.position, geo.ROUNDTRIP)
+    da2_dx, da2_dy = geo.pathloss_gradient(system, nf.position)
     dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(nf)
 
     # da/d(state_k) = -j*kappa*a*phi_k: phi_x = dtt * d(v_m)/dx + dr/dx (likewise
     # y), phi_vx = dtt * g and phi_vy = dtt * q
     vx_dtt, vy_dtt = v[0] * dtt, v[1] * dtt
-    phi = np.empty((4, nf.geom.num_antennas))
+    phi = np.empty((4, system.num_antennas))
     phi[0] = vx_dtt * dg_dx + vy_dtt * dq_dx + nf.ux / nf.r
     phi[1] = vx_dtt * dg_dy + vy_dtt * dq_dy + nf.uy / nf.r
     np.multiply(dtt, nf.g, out=phi[2])
     np.multiply(dtt, nf.q, out=phi[3])
     # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
-    c = -1j * nf.geom.wavenumber * alpha2 * s_amp
+    c = -1j * system.wavenumber * alpha2 * s_amp
     w = (a * f).view(float).reshape(-1, 2)
     big_a = c * (phi @ w).view(complex)
     big_a[0] += s_amp * da2_dx * af
@@ -205,14 +204,8 @@ def kalman_update(
 def ekf_track_step(
     belief: TrackerBelief,
     observe,
-    geom: geo.ArrayGeometry,
-    model: geo.PathlossModel,
-    process_noise: MotionNoise,
-    echo_noise_power: float,
-    s_amp: float,
-    num_symbols: int,
-    symbol_duration: float,
-    cpi_duration: float,
+    system: SystemConfig,
+    motion_var: tuple[float, float],
 ):
     """One closed-loop CPI: forecast, point from the forecast, observe, assimilate.
 
@@ -221,12 +214,12 @@ def ekf_track_step(
     the prior mean serves the beam, the echo mean and the Jacobian (one array
     response for both); observe checks the beam's norm, as synthesize_observation does.
     """
-    prior = ekf_forecast(belief, cpi_duration, process_noise)
-    nf, v = geo.NearField(geom, prior.mean[:2]), prior.mean[2:]
-    bf = predictive_beamformers(nf, v, num_symbols, symbol_duration)
+    prior = ekf_forecast(belief, system.cpi_duration_s, motion_var)
+    nf, v = geo.NearField(system, prior.mean[:2]), prior.mean[2:]
+    bf = predictive_beamformers(nf, v)
     y = observe(bf)
     f_last = bf[-1]
-    h_bar = observation_mean(model, nf, v, f_last, s_amp, num_symbols, symbol_duration)
-    jac = observation_jacobian(model, nf, v, f_last, s_amp, num_symbols, symbol_duration)
-    posterior, diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
+    h_bar = observation_mean(nf, v, f_last)
+    jac = observation_jacobian(nf, v, f_last)
+    posterior, diag = kalman_update(prior, y, jac, h_bar, system.echo_noise_power)
     return bf, posterior, diag

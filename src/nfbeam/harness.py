@@ -19,7 +19,7 @@ from .config import ConfigError, ExperimentConfig
 from .ekf import TrackerBelief, ekf_track_step
 from .geometry import NearField
 from .motion import generate_trajectory
-from .signals import cpi_throughput, echo_amplitude, synthesize_observation
+from .signals import cpi_throughput, synthesize_observation
 
 # Fixed ids keep the fan-out stable if stream names are ever added or reordered.
 STREAM_IDS = {"trajectory": 0, "echo-noise": 1}
@@ -158,20 +158,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     of each true channel, and the chunk's rows are read off the tables and
     rates. progress(cpi, num_cpis) is called once per CPI.
     """
-    sys_cfg = config.system
-    geom = sys_cfg.geometry()
-    model = sys_cfg.pathloss_model()
-    num_symbols = sys_cfg.symbols_per_cpi
-    ts = sys_cfg.symbol_duration_s
-    dt = sys_cfg.cpi_duration_s
-    power_w = sys_cfg.tx_power_w
-    s_amp = echo_amplitude(power_w)
-    process_noise = config.motion_noise
-    method = config.method
-    num_cpis = config.num_cpis
-
+    system, method, num_cpis = config.system, config.method, config.num_cpis
+    dt = system.cpi_duration_s
     truth = generate_trajectory(
-        config.initial_state, process_noise, dt, num_cpis, stream(config.seed, "trajectory"),
+        config.initial_state, config.motion_var, dt, num_cpis, stream(config.seed, "trajectory"),
     )
     echo_rng = stream(config.seed, "echo-noise")
     fd = fd_predicted_state(truth, config.feedback_period_cpis, dt)
@@ -180,30 +170,25 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     # beam slots of a chunk: opt, ff, fd, and a tracker's own beams after them
     slots = tuple(dict.fromkeys(("opt", "ff", "fd", method)))
     slot = slots.index(method)
-    chunk = max(1, BASELINE_CHUNK_ELEMENTS // (num_symbols * geom.num_antennas))
-    beams = np.empty(
-        (len(slots), min(chunk, num_cpis), num_symbols, geom.num_antennas), dtype=complex
-    )
+    beam_shape = (system.symbols_per_cpi, system.num_antennas)
+    chunk = max(1, BASELINE_CHUNK_ELEMENTS // (beam_shape[0] * beam_shape[1]))
+    beams = np.empty((len(slots), min(chunk, num_cpis), *beam_shape), dtype=complex)
     # a fresh array, not a view of truth: the belief never aliases a table
     belief = TrackerBelief(np.array(config.initial_state, float), config.ekf_init_cov * np.eye(4))
     belief_rows = [_belief_row(1, belief, 0.0, False)]
     rows: list[MetricRow] = []
 
     def observe(bf):  # reads the current CPI's true state, near[i] and vel[i]
-        return synthesize_observation(
-            model, near[i], vel[i], bf, sys_cfg.echo_noise_power, s_amp, ts, echo_rng
-        )
+        return synthesize_observation(near[i], vel[i], bf, echo_rng)
 
     for lo in range(0, num_cpis, chunk):
         part = slice(lo, lo + chunk)
         pos, vel = truth[part, :2], truth[part, 2:]
-        near = NearField(geom, pos)
+        near = NearField(system, pos)
         bf = beams[:, : len(pos)]
-        bf[0] = opt_beamformers(near, vel, num_symbols, ts)
-        bf[1] = ff_beamformers(geom, pos, vel, num_symbols, ts)
-        bf[2] = predictive_beamformers(
-            NearField(geom, fd[part, :2]), fd[part, 2:], num_symbols, ts
-        )
+        bf[0] = opt_beamformers(near, vel)
+        bf[1] = ff_beamformers(system, pos, vel)
+        bf[2] = predictive_beamformers(NearField(system, fd[part, :2]), fd[part, 2:])
         if lo == 0:
             # initial access: every pointer starts from the reported true
             # state, so every slot holds the genie beam
@@ -212,20 +197,18 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             cpi = lo + i + 1
             if method == "agdao" and cpi > 1:
                 bf[slot, i], est[cpi - 1, :2], est[cpi - 1, 2:], _ = agdao_track_step(
-                    est[cpi - 2, :2], est[cpi - 2, 2:], observe, geom, model, s_amp,
-                    num_symbols, ts, dt, hyper=config.adam,
+                    est[cpi - 2, :2], est[cpi - 2, 2:], observe, system, hyper=config.adam
                 )
             elif method == "ekf" and cpi > 1:
                 bf[slot, i], belief, diag = ekf_track_step(
-                    belief, observe, geom, model, process_noise, sys_cfg.echo_noise_power,
-                    s_amp, num_symbols, ts, dt,
+                    belief, observe, system, config.motion_var
                 )
                 est[cpi - 1] = belief.mean
                 belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
             if progress is not None:
                 progress(cpi, num_cpis)
 
-        rates = cpi_throughput(model, near, vel, bf, ts, power_w, sys_cfg.comm_noise_power)
+        rates = cpi_throughput(near, vel, bf)
         table = np.column_stack([
             truth[part], est[part], rates[[slot, 0, 1, 2]].T,
             np.abs(truth[part, 2:] - est[part, 2:]),
@@ -277,16 +260,10 @@ def convergence_study(
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError("variant", f"must be one of {list(VARIANTS)}, got {variant!r}")
-    sys_cfg = config.system
-    geom = sys_cfg.geometry()
-    model = sys_cfg.pathloss_model()
-    num_symbols = sys_cfg.symbols_per_cpi
-    ts = sys_cfg.symbol_duration_s
-    s_amp = echo_amplitude(sys_cfg.tx_power_w)
     eta_gt = np.array(config.convergence_state, dtype=float)
     # one snapshot of the ground-truth position serves the beam, every echo
     # and every ascent
-    near, v_gt = NearField(geom, eta_gt[:2]), eta_gt[2:]
+    near, v_gt = NearField(config.system, eta_gt[:2]), eta_gt[2:]
     v_init = np.asarray(config.convergence_v_init, dtype=float)
 
     overrides = {"rel_tol": 0.0}
@@ -294,18 +271,13 @@ def convergence_study(
         overrides["max_iters"] = max_iters
     hyper = dataclasses.replace(config.adam, **overrides)
 
-    bf = predictive_beamformers(near, v_init, num_symbols, ts)
+    bf = predictive_beamformers(near, v_init)
     traces: dict[tuple[str, int], np.ndarray] = {}
     for trial in range(num_seeds):
         rng = stream(config.seed, "echo-noise", trial)
-        y = synthesize_observation(
-            model, near, v_gt, bf, sys_cfg.echo_noise_power, s_amp, ts, rng
-        )
+        y = synthesize_observation(near, v_gt, bf, rng)
         for variant in variants:
-            _, trace = estimate_velocity(
-                variant, y, model, near, v_init, bf[-1],
-                s_amp, num_symbols, ts, hyper=hyper,
-            )
+            _, trace = estimate_velocity(variant, y, near, v_init, bf[-1], hyper=hyper)
             table = np.empty((len(trace.rows), len(TRACE_COLUMNS)))
             table[:, :6] = trace.rows  # k, vx, vy, objective, grad_x, grad_y
             np.abs(table[:, 1:3] - v_gt, out=table[:, 6:])

@@ -2,27 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MotionNoise:
-    """Variances of the independent per-interval velocity kicks."""
-
-    var_vx: float = 0.01
-    var_vy: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.var_vx < 0.0 or self.var_vy < 0.0:
-            raise ValueError(
-                f"velocity variances must be nonnegative, got ({self.var_vx}, {self.var_vy})"
-            )
-
-    def covariance(self) -> np.ndarray:
-        """Process-noise covariance for [x, y, vx, vy] over one interval."""
-        return np.diag([0.0, 0.0, self.var_vx, self.var_vy])
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -43,7 +24,7 @@ def kinematic_forecast(eta, dt: float) -> np.ndarray:
 
 def generate_trajectory(
     eta0,
-    noise: MotionNoise,
+    motion_var: tuple[float, float],
     dt: float,
     num_cpis: int,
     rng: np.random.Generator,
@@ -52,11 +33,12 @@ def generate_trajectory(
     the initial [x, y, vx, vy].
 
     Each interval moves with the pre-step velocity, then perturbs the
-    velocity; the x kick is drawn before the y kick.
+    velocity by independent kicks of variances motion_var = (var_vx, var_vy);
+    the x kick is drawn before the y kick.
     """
     if num_cpis < 1:
         raise ValueError(f"num_cpis must be >= 1, got {num_cpis}")
-    sd_x, sd_y = math.sqrt(noise.var_vx), math.sqrt(noise.var_vy)
+    sd_x, sd_y = map(math.sqrt, motion_var)
     x, y, vx, vy = map(float, eta0)
     traj = np.empty((num_cpis, 4))
     traj[0] = x, y, vx, vy

@@ -5,27 +5,27 @@ import dataclasses
 
 import numpy as np
 
-from nfbeam.geometry import ArrayGeometry, PathlossModel
+from nfbeam.config import SystemConfig
 from nfbeam.harness import MetricRow
 
-CARRIER = 30e9
-TS = 1e-5
-N_SYM = 10
+# SystemConfig's defaults, for oracles written out by hand
+TS = SystemConfig.symbol_duration_s
+N_SYM = SystemConfig.symbols_per_cpi
 
 
-def geom_for(m: int, signed: bool = False) -> ArrayGeometry:
-    """Half-wavelength array of m antennas; signed picks the signed projection."""
-    geom = ArrayGeometry.half_wavelength(m, CARRIER)
-    return dataclasses.replace(geom, signed_projection=signed)
+def system_for(m: int, signed: bool = False, **link) -> SystemConfig:
+    """The default link (30 GHz, half-wavelength spacing, P = 1 W) with m
+    antennas; signed picks the signed projection; link overrides other fields."""
+    return SystemConfig(num_antennas=m, signed_projection=signed, **link)
 
 
-def sample_state(rng: np.random.Generator, geom: ArrayGeometry) -> np.ndarray:
+def sample_state(rng: np.random.Generator, system: SystemConfig) -> np.ndarray:
     """Random [x, y, vx, vy] clear of the aperture and of |.|-convention kinks.
 
     x starts beyond the array edge so both projection conventions see the
     same geometry-sign structure and no antenna aligns with the target.
     """
-    edge = geom.aperture / 2.0
+    edge = (system.num_antennas - 1) * system.spacing / 2.0
     x = rng.uniform(edge + 0.5, edge + 8.0)
     y = rng.uniform(5.0, 30.0)
     return np.array([x, y, *rng.uniform(-15.0, 15.0, size=2)])
@@ -60,10 +60,6 @@ def fd_central4_vec(fun, x0: float, step: float) -> np.ndarray:
         8.0 * (fun(x0 + step) - fun(x0 - step))
         - (fun(x0 + 2.0 * step) - fun(x0 - 2.0 * step))
     ) / (12.0 * step)
-
-
-def default_model() -> PathlossModel:
-    return PathlossModel()
 
 
 def read_metric_rows(path) -> list[MetricRow]:

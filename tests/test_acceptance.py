@@ -26,14 +26,11 @@ from nfbeam.harness import TRACE_COLUMNS, convergence_study, power_sweep, run_ex
 from nfbeam.signals import observation_mean, received_snr
 
 from helpers import (
-    N_SYM,
-    TS,
-    default_model,
     fd_central,
     fd_central4_vec,
     fd_central_vec,
-    geom_for,
     sample_state,
+    system_for,
 )
 
 _CACHE: dict[str, object] = {}
@@ -72,22 +69,17 @@ def _tracking_runs():
 def test_criterion_01_matched_beam_snr_closed_form():
     t0 = time.perf_counter()
     sys_cfg = ExperimentConfig().system
-    geom = sys_cfg.geometry()
-    model = sys_cfg.pathloss_model()
     p_w = sys_cfg.tx_power_w
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
-        eta = sample_state(rng, geom)
-        nf = NearField(geom, eta[:2])
-        bf = opt_beamformers(nf, eta[2:], sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s)
-        alpha1 = pathloss(model, eta[:2], "downlink")
+        eta = sample_state(rng, sys_cfg)
+        nf = NearField(sys_cfg, eta[:2])
+        bf = opt_beamformers(nf, eta[2:])
+        alpha1 = pathloss(sys_cfg, eta[:2], "downlink")
         want = p_w * sys_cfg.num_antennas * alpha1**2 / sys_cfg.comm_noise_power
         for n in range(1, sys_cfg.symbols_per_cpi + 1):
-            got = received_snr(
-                model, nf, eta[2:], bf[n - 1], n, sys_cfg.symbol_duration_s,
-                p_w, sys_cfg.comm_noise_power,
-            )
+            got = received_snr(nf, eta[2:], bf[n - 1], n)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: worst relative SNR deviation {worst:.2e} ({elapsed:.1f}s)")
@@ -97,23 +89,21 @@ def test_criterion_01_matched_beam_snr_closed_form():
 
 def test_criterion_02_velocity_gradient_matches_finite_differences():
     t0 = time.perf_counter()
-    model = default_model()
     worst = 0.0
     for m in (64, 512):
         for signed in (False, True):
-            geom = geom_for(m, signed)
+            system = system_for(m, signed)
             rng = np.random.default_rng(1000 + m + int(signed))
             for _ in range(25):
-                eta = sample_state(rng, geom)
-                nf = NearField(geom, eta[:2])
+                eta = sample_state(rng, system)
+                nf = NearField(system, eta[:2])
                 v_beam = eta[2:] + rng.uniform(-2.0, 2.0, 2)
-                bf = predictive_beamformers(nf, v_beam, N_SYM, TS)
-                f = bf[-1]
-                mean = observation_mean(model, nf, eta[2:], f, 1.0, N_SYM, TS)
+                f = predictive_beamformers(nf, v_beam)[-1]
+                mean = observation_mean(nf, eta[2:], f)
                 scale = 0.01 * np.linalg.norm(mean) / np.sqrt(m)
                 y = mean + scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 v = eta[2:] + rng.uniform(-3.0, 3.0, 2)
-                evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
+                evaluate = VelocityProblem(y, nf, f).evaluate
                 for axis in (0, 1):
                     got = evaluate(*v)[1 + axis]
 
@@ -132,25 +122,21 @@ def test_criterion_02_velocity_gradient_matches_finite_differences():
 
 def test_criterion_03_observation_jacobian_matches_finite_differences():
     t0 = time.perf_counter()
-    model = default_model()
     worst = 0.0
     for signed in (False, True):
-        geom = geom_for(64, signed)
+        system = system_for(64, signed)
         rng = np.random.default_rng(21 + int(signed))
         for _ in range(25):
-            eta = sample_state(rng, geom)
-            nf = NearField(geom, eta[:2])
-            bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
-            f = bf[-1]
-            jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
+            eta = sample_state(rng, system)
+            nf = NearField(system, eta[:2])
+            f = predictive_beamformers(nf, (0.0, 0.0))[-1]
+            jac = np.asarray(observation_jacobian(nf, eta[2:], f))
 
             for col in range(4):
-                def along(t, col=col, geom=geom, f=f):
+                def along(t, col=col, system=system, f=f):
                     s = eta.copy()
                     s[col] = t
-                    return observation_mean(
-                        model, NearField(geom, s[:2]), s[2:], f, 1.0, N_SYM, TS
-                    )
+                    return observation_mean(NearField(system, s[:2]), s[2:], f)
 
                 # position columns oscillate at carrier scale, so the second-order
                 # difference is all truncation there; use the 5-point stencil
@@ -263,30 +249,29 @@ def test_criterion_07_filter_covariance_stays_healthy():
 
 
 def test_criterion_08_geometry_identities_hold_in_bulk():
-    model = default_model()
-    geoms = (geom_for(64), geom_for(64, signed=True))
+    systems = (system_for(64), system_for(64, signed=True))
     rng = np.random.default_rng(31)
     worst_a = worst_d = worst_gq = 0.0
     for i in range(1000):
         x = float(rng.uniform(-30.0, 30.0))
         y = float(rng.uniform(2.0, 50.0))
         v = rng.uniform(-20.0, 20.0, 2)
-        geom = geoms[i % 2]
-        atil = steering_vector(geom, (x, y))
+        system = systems[i % 2]
+        atil = steering_vector(system, (x, y))
         worst_a = max(worst_a, float(np.max(np.abs(np.abs(atil) - 1.0))))
-        nf = NearField(geom, (x, y))
-        d = doppler_vector(int(rng.integers(1, 11)), TS, v, nf)
+        nf = NearField(system, (x, y))
+        d = doppler_vector(int(rng.integers(1, 11)), v, nf)
         worst_d = max(worst_d, float(np.max(np.abs(np.abs(d) - 1.0))))
         worst_gq = max(worst_gq, float(np.max(np.abs(nf.g**2 + nf.q**2 - 1.0))))
 
-    geom16 = geom_for(16)
+    system16 = system_for(16)
     worst_rank = 0.0
     symmetric = True
     for _ in range(1000):
         x = float(rng.uniform(-30.0, 30.0))
         y = float(rng.uniform(2.0, 50.0))
         v = rng.uniform(-20.0, 20.0, 2)
-        h = roundtrip_channel(model, int(rng.integers(1, 11)), TS, v, NearField(geom16, (x, y)))
+        h = roundtrip_channel(int(rng.integers(1, 11)), v, NearField(system16, (x, y)))
         symmetric = symmetric and bool(np.array_equal(h, h.T))
         s = np.linalg.svd(h, compute_uv=False)
         worst_rank = max(worst_rank, float(s[1] / s[0]))

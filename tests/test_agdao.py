@@ -19,34 +19,33 @@ from nfbeam.beamforming import predictive_beamformers
 from nfbeam.config import AdamHyper, ExperimentConfig, SystemConfig
 from nfbeam.geometry import ROUNDTRIP, NearField, array_response, pathloss
 from nfbeam.harness import run_experiment, stream
-from nfbeam.motion import MotionNoise, generate_trajectory
+from nfbeam.motion import generate_trajectory
 from nfbeam.signals import observation_mean, synthesize_observation
 
-from helpers import N_SYM, TS, default_model, fd_central, geom_for, sample_state
+from helpers import N_SYM, fd_central, sample_state, system_for
 
 V_TRUE = np.array([8.0, 7.0])
 
 
 def make_instance(m, position, v_echo, v_beam, signed=False, noise_power=0.0, seed=0):
-    """Model, snapshot at the position, echo and last-symbol beam for a
+    """Snapshot at the position, echo and last-symbol beam for a
     known-position estimation problem."""
-    model = default_model()
-    nf = NearField(geom_for(m, signed), np.asarray(position, dtype=float))
-    bf = predictive_beamformers(nf, v_beam, N_SYM, TS)
+    system = system_for(m, signed, echo_noise_power=noise_power)
+    nf = NearField(system, np.asarray(position, dtype=float))
+    bf = predictive_beamformers(nf, v_beam)
     if noise_power > 0.0:
-        rng = np.random.default_rng(seed)
-        y = synthesize_observation(model, nf, v_echo, bf, noise_power, 1.0, TS, rng)
+        y = synthesize_observation(nf, v_echo, bf, np.random.default_rng(seed))
     else:
-        y = observation_mean(model, nf, v_echo, bf[-1], 1.0, N_SYM, TS)
-    return model, nf, y, bf[-1]
+        y = observation_mean(nf, v_echo, bf[-1])
+    return nf, y, bf[-1]
 
 
-def direct_likelihood(y, model, nf, v, f):
+def direct_likelihood(y, nf, v, f):
     """Objective and both gradients from M-length fields, without |a_m| = 1."""
-    b = observation_mean(model, nf, v, f, 1.0, N_SYM, TS)
-    a = array_response(N_SYM, TS, v, nf)
-    scale = pathloss(model, nf.position, ROUNDTRIP)
-    rot = nf.geom.wavenumber * N_SYM * TS
+    b = observation_mean(nf, v, f)
+    a = array_response(N_SYM, v, nf)
+    scale = pathloss(nf.system, nf.position, ROUNDTRIP)
+    rot = nf.system.wavenumber * N_SYM * nf.system.symbol_duration_s
     resid = y - b
     out = [float(2.0 * np.vdot(y, b).real - np.vdot(b, b).real)]
     for u in (nf.g, nf.q):
@@ -60,36 +59,32 @@ def direct_likelihood(y, model, nf, v, f):
 @pytest.mark.parametrize("m", [1, 16, 128])
 def test_evaluate_matches_direct_fields(m, signed):
     rng = np.random.default_rng(300 + m + int(signed))
-    geom = geom_for(m, signed)
-    model = default_model()
-    noise = 1e-8
+    system = system_for(m, signed)
     for _ in range(4):
-        eta = sample_state(rng, geom)
-        nf = NearField(geom, eta[:2])
-        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
-        y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
-        prob = VelocityProblem(y, model, nf, bf[-1], 1.0, N_SYM, TS)
+        eta = sample_state(rng, system)
+        nf = NearField(system, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0))
+        y = synthesize_observation(nf, eta[2:], bf, rng)
+        prob = VelocityProblem(y, nf, bf[-1])
         v = rng.uniform(-12.0, 12.0, 2)
         got = prob.evaluate(float(v[0]), float(v[1]))
-        ref = direct_likelihood(y, model, nf, v, bf[-1])
+        ref = direct_likelihood(y, nf, v, bf[-1])
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-10 * abs(r)
 
 
 def test_objective_two_forms_agree():
     rng = np.random.default_rng(11)
-    geom = geom_for(32)
-    model = default_model()
+    system = system_for(32)
     for _ in range(6):
-        eta = sample_state(rng, geom)
-        nf = NearField(geom, eta[:2])
-        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
-        noise = 1e-8
-        y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
+        eta = sample_state(rng, system)
+        nf = NearField(system, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0))
+        y = synthesize_observation(nf, eta[2:], bf, rng)
         v = rng.uniform(-12.0, 12.0, 2)
-        got = VelocityProblem(y, model, nf, bf[-1], 1.0, N_SYM, TS).evaluate(*v)[0]
+        got = VelocityProblem(y, nf, bf[-1]).evaluate(*v)[0]
         # model echo at the trial velocity, assembled through the public channel path
-        b = observation_mean(model, nf, v, bf[-1], 1.0, N_SYM, TS)
+        b = observation_mean(nf, v, bf[-1])
         yy = float(np.vdot(y, y).real)
         residual_form = yy - float(np.vdot(y - b, y - b).real)
         direct_form = float(2.0 * np.real(np.vdot(y, b).conjugate()) - np.vdot(b, b).real)
@@ -99,9 +94,9 @@ def test_objective_two_forms_agree():
 
 
 def test_noiseless_objective_peaks_at_truth():
-    model, nf, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    nf, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     yy = float(np.vdot(y, y).real)
-    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
+    evaluate = VelocityProblem(y, nf, f).evaluate
     peak = evaluate(*V_TRUE)[0]
     assert abs(peak - yy) <= 1e-12 * yy
     rng = np.random.default_rng(5)
@@ -114,16 +109,14 @@ def test_noiseless_objective_peaks_at_truth():
 @pytest.mark.parametrize("m", [16, 48])
 def test_gradient_matches_finite_difference(m, signed):
     rng = np.random.default_rng(200 + m + int(signed))
-    geom = geom_for(m, signed)
-    model = default_model()
+    system = system_for(m, signed)
     for _ in range(3):
-        eta = sample_state(rng, geom)
-        nf = NearField(geom, eta[:2])
-        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
-        noise = 1e-8
-        y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
+        eta = sample_state(rng, system)
+        nf = NearField(system, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0))
+        y = synthesize_observation(nf, eta[2:], bf, rng)
         v = rng.uniform(-12.0, 12.0, 2)
-        evaluate = VelocityProblem(y, model, nf, bf[-1], 1.0, N_SYM, TS).evaluate
+        evaluate = VelocityProblem(y, nf, bf[-1]).evaluate
         for axis in (0, 1):
             got = evaluate(*v)[1 + axis]
 
@@ -137,8 +130,8 @@ def test_gradient_matches_finite_difference(m, signed):
 
 
 def test_gradient_zero_at_noiseless_truth():
-    model, nf, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
-    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
+    nf, y, f = make_instance(48, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    evaluate = VelocityProblem(y, nf, f).evaluate
     for axis in (0, 1):
         g = evaluate(*V_TRUE)[1 + axis]
         assert abs(g) < 1e-9
@@ -147,8 +140,8 @@ def test_gradient_zero_at_noiseless_truth():
 def test_broadside_x_gradient_vanishes_signed():
     # head-on geometry: the signed x-projection is odd across the array while the
     # echo and beam are even, so the x-slope cancels pairwise for any vy
-    model, nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
-    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
+    nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
+    evaluate = VelocityProblem(y, nf, f).evaluate
     for v in ((0.0, 0.0), (0.0, 2.5)):
         gx = evaluate(*v)[1]
         gy = evaluate(*v)[2]
@@ -159,8 +152,8 @@ def test_broadside_x_gradient_vanishes_signed():
 def test_broadside_objective_even_in_vx_default():
     # with the default |.| projection the head-on objective cannot tell +vx
     # from -vx when the echo itself carries no transverse motion
-    model, nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 0.0), (0.0, 0.0))
-    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate
+    nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 0.0), (0.0, 0.0))
+    evaluate = VelocityProblem(y, nf, f).evaluate
     for vx in (0.5, 1.7, 6.0):
         left = evaluate(-vx, 0.0)[0]
         right = evaluate(vx, 0.0)[0]
@@ -179,18 +172,14 @@ def _adam_step(state, v, grad, step, beta1, beta2, epsilon):
 
 @pytest.mark.parametrize("variant", ["adam-joint", "adam-ao"])
 def test_first_iteration_step_from_zero_moments(variant):
-    model, nf, y, f = make_instance(
-        32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=3
-    )
+    nf, y, f = make_instance(32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=3)
     # the estimators step along the line of sight's transverse axis t, then
     # its radial axis r; rows carry (vx, vy) = t_1 t + r_1 r from v_init 0
     frame = (tx, ty), (rx, ry) = agdao.line_of_sight_frame(nf.position)
-    evaluate = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS, frame).evaluate
+    evaluate = VelocityProblem(y, nf, f, frame).evaluate
     for eps in (AdamHyper().epsilon, 1e-30):
         hyper = AdamHyper(max_iters=1, rel_tol=0.0, epsilon=eps)
-        _, trace = estimate_velocity(
-            variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
-        )
+        _, trace = estimate_velocity(variant, y, nf, (0.0, 0.0), f, hyper=hyper)
         # mirror of the in-loop update arithmetic at k=1 (zero moments)
         adam = (hyper.step, hyper.beta1, hyper.beta2, hyper.epsilon)
         _, gt, gr = evaluate(0.0, 0.0)
@@ -210,16 +199,16 @@ def test_first_iteration_step_from_zero_moments(variant):
 
 def test_stationary_init_stops_after_one_iteration():
     # echo synthesized at the initial velocity: nothing to correct
-    model, nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, V_TRUE)
-    v_hat, trace = adam_ao_estimate(y, model, nf, V_TRUE, f, 1.0, N_SYM, TS)
+    nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, V_TRUE)
+    v_hat, trace = adam_ao_estimate(y, nf, V_TRUE, f)
     assert len(trace) == 2
     np.testing.assert_allclose(v_hat, V_TRUE, atol=1e-9)
 
 
 def test_converges_on_head_on_reference_instance():
     # the well-conditioned convergence geometry: head-on target, signed projection
-    model, nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
-    v_hat, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
+    v_hat, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f)
     assert len(trace) <= 501
     err = np.abs(v_hat - V_TRUE)
     assert err[0] < 0.05
@@ -230,10 +219,10 @@ def test_sloppy_geometry_recovers_observable_speeds():
     # off to the side both projections ride nearly the same direction, so the
     # estimator pins the per-element radial speeds long before the velocity
     # components separate; the leftover error lies along the insensitive line
-    model, nf, y, f = make_instance(512, (5.0, 10.0), V_TRUE, (0.0, 0.0))
-    v_hat, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    nf, y, f = make_instance(512, (5.0, 10.0), V_TRUE, (0.0, 0.0))
+    v_hat, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f)
     yy = float(np.vdot(y, y).real)
-    gap = yy - VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS).evaluate(*v_hat)[0]
+    gap = yy - VelocityProblem(y, nf, f).evaluate(*v_hat)[0]
     assert gap <= 1e-4 * yy
     g, q = nf.g, nf.q
     dv = v_hat - V_TRUE
@@ -244,13 +233,9 @@ def test_sloppy_geometry_recovers_observable_speeds():
 
 
 def test_plain_gd_with_vanishing_step_stays_put():
-    model, nf, y, f = make_instance(
-        32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=7
-    )
+    nf, y, f = make_instance(32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=7)
     hyper = AdamHyper(step=1e-300)
-    v_hat, trace = gd_estimate(
-        y, model, nf, (3.0, -2.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="plain-gd"
-    )
+    v_hat, trace = gd_estimate(y, nf, (3.0, -2.0), f, hyper=hyper, variant="plain-gd")
     assert len(trace) == 2
     assert v_hat[0] == 3.0 and v_hat[1] == -2.0
 
@@ -258,14 +243,10 @@ def test_plain_gd_with_vanishing_step_stays_put():
 def test_joint_equals_alternating_when_x_axis_dormant():
     # structurally zero x-gradient (head-on, signed, even echo): the alternating
     # refresh of vx changes nothing, so both variants walk the same vy path
-    model, nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
+    nf, y, f = make_instance(32, (0.0, 12.0), (0.0, 5.0), (0.0, 0.0), signed=True)
     hyper = AdamHyper(max_iters=40, rel_tol=0.0)
-    v_ao, tr_ao = adam_ao_estimate(
-        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
-    )
-    v_jt, tr_jt = gd_estimate(
-        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper, variant="adam-joint"
-    )
+    v_ao, tr_ao = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=hyper)
+    v_jt, tr_jt = gd_estimate(y, nf, (0.0, 0.0), f, hyper=hyper, variant="adam-joint")
     ao = np.array([(r[1], r[2]) for r in tr_ao.rows])
     jt = np.array([(r[1], r[2]) for r in tr_jt.rows])
     assert np.abs(ao[:, 0]).max() < 1e-12
@@ -274,14 +255,12 @@ def test_joint_equals_alternating_when_x_axis_dormant():
 
 
 def test_stop_rule_extremes():
-    model, nf, y, f = make_instance(
-        32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=9
-    )
+    nf, y, f = make_instance(32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=9)
     loose = AdamHyper(rel_tol=1e6)
-    _, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=loose)
+    _, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=loose)
     assert len(trace) == 2
     strict = AdamHyper(max_iters=25, rel_tol=0.0)
-    _, trace = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=strict)
+    _, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=strict)
     assert len(trace) == 26
     assert trace.rows[-1][0] == 25
 
@@ -312,16 +291,14 @@ def reference_ascent(fields, v_init, hyper, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_ascent_matches_reference_on_convergence_instance(variant):
     # the convergence-study instance: head-on, signed, M=512, noisy echo, v_init 0
-    model, nf, y, f = make_instance(
+    nf, y, f = make_instance(
         512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True, noise_power=1e-8, seed=4
     )
     hyper = AdamHyper(rel_tol=0.0)
-    _, trace = estimate_velocity(
-        variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
-    )
+    _, trace = estimate_velocity(variant, y, nf, (0.0, 0.0), f, hyper=hyper)
     got = np.array([(r[1], r[2], r[3]) for r in trace.rows])
     ref = reference_ascent(
-        lambda vx, vy: direct_likelihood(y, model, nf, (vx, vy), f),
+        lambda vx, vy: direct_likelihood(y, nf, (vx, vy), f),
         (0.0, 0.0), hyper, variant,
     )
     assert got.shape == (hyper.max_iters + 1, 3)
@@ -375,10 +352,10 @@ def _reference_ascend(prob, v_init, hyper, variant):
 
 
 def _problem(m, position, v_beam, noise_power, seed, signed=False, echo_scale=1.0):
-    model, nf, y, f = make_instance(
+    nf, y, f = make_instance(
         m, position, V_TRUE, v_beam, signed=signed, noise_power=noise_power, seed=seed
     )
-    return VelocityProblem(echo_scale * y, model, nf, f, 1.0, N_SYM, TS)
+    return VelocityProblem(echo_scale * y, nf, f)
 
 
 @pytest.mark.parametrize("m", [1, 2, 128, 512])
@@ -442,7 +419,7 @@ def test_ascent_allocates_no_m_length_array_per_evaluation():
 def test_trace_length_counts_iterations_when_stop_rule_fires(
     variant, step, evals_per_iter, monkeypatch
 ):
-    model, nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
+    nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (0.0, 0.0))
     calls = []
     # adam-ao's mid-iteration evaluation computes the second-axis gradient alone
     for name in ("evaluate", "second_gradient"):
@@ -457,9 +434,7 @@ def test_trace_length_counts_iterations_when_stop_rule_fires(
     # default cap of 500: the radial speed travels ~10 m/s at one step per
     # iteration, at any bearing (test_cold_start_count_does_not_depend_on_bearing)
     hyper = AdamHyper(step=step, max_iters=1000)
-    _, trace = estimate_velocity(
-        variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
-    )
+    _, trace = estimate_velocity(variant, y, nf, (0.0, 0.0), f, hyper=hyper)
     iters = trace.rows[-1][0]
     assert 1 < iters < hyper.max_iters
     assert len(trace) - 1 == iters
@@ -481,16 +456,14 @@ def _tracking_hyper(variant):
 def test_broadside_estimate_equals_the_identity_frame_ascent(variant, signed):
     # at (0, y) the line of sight is the y axis: t = -x and r = y, an exact
     # sign flip, so the frame changes no bit of the rows or of the estimate
-    model, nf, y, f = make_instance(
+    nf, y, f = make_instance(
         64, (0.0, 10.0), V_TRUE, (7.5, 7.5), signed=signed, noise_power=1e-8, seed=5
     )
     assert agdao.line_of_sight_frame(nf.position) == ((-1.0, 0.0), (0.0, 1.0))
     hyper = _tracking_hyper(variant)
-    identity = VelocityProblem(y, model, nf, f, 1.0, N_SYM, TS)
+    identity = VelocityProblem(y, nf, f)
     for v_init in ((0.0, 0.0), (7.5, 7.5)):
-        v_hat, trace = estimate_velocity(
-            variant, y, model, nf, v_init, f, 1.0, N_SYM, TS, hyper=hyper
-        )
+        v_hat, trace = estimate_velocity(variant, y, nf, v_init, f, hyper=hyper)
         v_ref, ref = agdao._ascend(identity, v_init, hyper, variant)
         assert 2 < len(trace) == len(ref) < hyper.max_iters + 1
         assert np.array(trace.rows).tobytes() == np.array(ref.rows).tobytes()
@@ -503,18 +476,15 @@ def test_stop_rule_count_is_the_same_for_the_geometry_mirrored_in_x(variant):
     # (vx, vy) are y and f reversed at (-x, y) with (-vx, vy): one problem with
     # the antennas renumbered. The frames differ by the sign of t, to which
     # a Euclidean stop rule is blind.
-    model, nf, y, f = make_instance(
+    nf, y, f = make_instance(
         64, (5.0, 10.0), V_TRUE, (7.5, 7.5), signed=True, noise_power=1e-8, seed=2
     )
     hyper = _tracking_hyper(variant)
     mirror = np.array([-1.0, 1.0])
-    v_right, right = estimate_velocity(
-        variant, y, model, nf, (7.5, 7.5), f, 1.0, N_SYM, TS, hyper=hyper
-    )
+    v_right, right = estimate_velocity(variant, y, nf, (7.5, 7.5), f, hyper=hyper)
     v_left, left = estimate_velocity(
-        variant, y[::-1], model, NearField(nf.geom, mirror * nf.position), mirror * (7.5, 7.5),
-        f[::-1],
-        1.0, N_SYM, TS, hyper=hyper,
+        variant, y[::-1], NearField(nf.system, mirror * nf.position), mirror * (7.5, 7.5),
+        f[::-1], hyper=hyper,
     )
     assert 2 < len(right) == len(left) < hyper.max_iters + 1
     np.testing.assert_allclose(mirror * v_left, v_right, rtol=1e-9)
@@ -530,10 +500,8 @@ def test_cold_start_count_does_not_depend_on_bearing(variant):
     vt, vr = tx * V_TRUE[0] + ty * V_TRUE[1], rx * V_TRUE[0] + ry * V_TRUE[1]
     counts = []
     for position, v_echo in (((5.0, 10.0), V_TRUE), ((0.0, math.hypot(5.0, 10.0)), (-vt, vr))):
-        model, nf, y, f = make_instance(64, position, np.array(v_echo), (0.0, 0.0))
-        _, trace = estimate_velocity(
-            variant, y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
-        )
+        nf, y, f = make_instance(64, position, np.array(v_echo), (0.0, 0.0))
+        _, trace = estimate_velocity(variant, y, nf, (0.0, 0.0), f, hyper=hyper)
         counts.append(len(trace))
     assert max(counts) < hyper.max_iters
     assert abs(counts[0] - counts[1]) <= 0.01 * counts[1]
@@ -550,9 +518,7 @@ def _map_back(frame, v_init, t, r):
 def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
     # off the array's axis the frame mixes x and y; what the rows record and
     # what a DivergenceError names are (vx, vy), not frame coordinates
-    model, nf, y, f = make_instance(
-        64, (5.0, 10.0), V_TRUE, (7.5, 7.5), noise_power=1e-8, seed=2
-    )
+    nf, y, f = make_instance(64, (5.0, 10.0), V_TRUE, (7.5, 7.5), noise_power=1e-8, seed=2)
     frame = agdao.line_of_sight_frame(nf.position)
     v_init = (7.5, 7.5)
     checked = []
@@ -563,7 +529,7 @@ def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(agdao, "_check_finite", spy)
-    v_hat, trace = adam_ao_estimate(y, model, nf, v_init, f, 1.0, N_SYM, TS)
+    v_hat, trace = adam_ao_estimate(y, nf, v_init, f)
     assert [k for k, *_ in checked] == list(range(1, len(trace)))
     assert [(k, *_map_back(frame, v_init, t, r), obj) for k, t, r, obj in checked] == [
         row[:4] for row in trace.rows[1:]
@@ -573,7 +539,7 @@ def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
     checked.clear()
     hyper = AdamHyper(step=1e308, rel_tol=0.0)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError) as err:
-        adam_ao_estimate(y, model, nf, v_init, f, 1.0, N_SYM, TS, hyper=hyper)
+        adam_ao_estimate(y, nf, v_init, f, hyper=hyper)
     k, t, r, objective = checked[-1]
     with np.errstate(invalid="ignore", over="ignore"):
         vx, vy = _map_back(frame, v_init, t, r)
@@ -604,18 +570,16 @@ def test_unknown_variant_rejected_before_any_evaluation():
 
 
 def test_non_finite_observation_raises():
-    model, nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     bad = np.full(16, np.nan + 1j * np.nan)
     with pytest.raises(DivergenceError):
-        adam_ao_estimate(bad, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
+        adam_ao_estimate(bad, nf, (0.0, 0.0), f)
 
 
 def test_bounded_steps_and_mostly_rising_objective():
-    model, nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
+    nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
     hyper = AdamHyper(rel_tol=0.0)
-    _, trace = adam_ao_estimate(
-        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, hyper=hyper
-    )
+    _, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=hyper)
     rows = np.array([(r[1], r[2], r[3]) for r in trace.rows])
     steps = np.abs(np.diff(rows[:, :2], axis=0))
     assert steps.max() <= hyper.step * 1.05
@@ -625,30 +589,24 @@ def test_bounded_steps_and_mostly_rising_objective():
 
 
 def test_estimator_never_mutates_observation():
-    model, nf, y, f = make_instance(
-        32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=13
-    )
+    nf, y, f = make_instance(32, (4.0, 11.0), V_TRUE, (0.0, 0.0), noise_power=1e-8, seed=13)
     snapshot = y.copy()
-    first = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
-    second = adam_ao_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
+    first = adam_ao_estimate(y, nf, (0.0, 0.0), f)
+    second = adam_ao_estimate(y, nf, (0.0, 0.0), f)
     np.testing.assert_array_equal(y, snapshot)
     np.testing.assert_array_equal(first[0], second[0])
     assert first[1].rows == second[1].rows
 
 
 def test_variant_dispatch_and_hyper_validation():
-    model, nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
     with pytest.raises(ValueError):
-        gd_estimate(y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, variant="newton")
+        gd_estimate(y, nf, (0.0, 0.0), f, variant="newton")
     with pytest.raises(ValueError):
-        estimate_velocity("newton", y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS)
+        estimate_velocity("newton", y, nf, (0.0, 0.0), f)
     assert set(VARIANTS) == {"adam-ao", "adam-joint", "plain-gd"}
-    via_dispatch = estimate_velocity(
-        "adam-joint", y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS
-    )
-    direct = gd_estimate(
-        y, model, nf, (0.0, 0.0), f, 1.0, N_SYM, TS, variant="adam-joint"
-    )
+    via_dispatch = estimate_velocity("adam-joint", y, nf, (0.0, 0.0), f)
+    direct = gd_estimate(y, nf, (0.0, 0.0), f, variant="adam-joint")
     np.testing.assert_array_equal(via_dispatch[0], direct[0])
     for bad in (
         dict(step=0.0),
@@ -663,14 +621,9 @@ def test_variant_dispatch_and_hyper_validation():
 
 
 def test_track_step_noiseless_closed_loop():
-    geom = geom_for(64)
-    model = default_model()
-    dt = N_SYM * TS
-    noise = 0.0
+    system = system_for(64, echo_noise_power=0.0)
     rng = np.random.default_rng(0)
-    traj = generate_trajectory(
-        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), dt, 2000, rng
-    )
+    traj = generate_trajectory((5.0, 10.0, 8.0, 7.0), (0.0, 0.0), system.cpi_duration_s, 2000, rng)
     p_hat = np.array([5.0, 10.0])
     v_hat = np.array([8.0, 7.0])
     worst_p = 0.0
@@ -679,17 +632,13 @@ def test_track_step_noiseless_closed_loop():
         eta = traj[l]
 
         def observe(bf, eta=eta):
-            return synthesize_observation(
-                model, NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, rng
-            )
+            return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, rng)
 
-        bf, p_hat, v_hat, trace = agdao_track_step(
-            p_hat, v_hat, observe, geom, model, 1.0, N_SYM, TS, dt
-        )
+        bf, p_hat, v_hat, trace = agdao_track_step(p_hat, v_hat, observe, system)
         if l == 1:
             # dead reckoning from the exact previous state lands on the truth
             assert p_hat[0] == eta[0] and p_hat[1] == eta[1]
-            ref = predictive_beamformers(NearField(geom, p_hat), (8.0, 7.0), N_SYM, TS)
+            ref = predictive_beamformers(NearField(system, p_hat), (8.0, 7.0))
             np.testing.assert_array_equal(bf, ref)
         worst_p = max(worst_p, math.hypot(p_hat[0] - eta[0], p_hat[1] - eta[1]))
         worst_v = max(worst_v, math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
@@ -699,16 +648,13 @@ def test_track_step_noiseless_closed_loop():
 
 def test_track_error_grows_with_range():
     # receding target: echo weakens as range climbs, velocity estimates wander more
-    geom = geom_for(64)
-    model = default_model()
-    dt = N_SYM * TS
+    system = system_for(64)
     cpis = 1200
     traj_rng = stream(0, "trajectory")
     noise_rng = stream(0, "echo-noise")
     traj = generate_trajectory(
-        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), dt, cpis, traj_rng
+        (5.0, 10.0, 8.0, 7.0), (0.01, 0.01), system.cpi_duration_s, cpis, traj_rng
     )
-    noise = 1e-8
     p_hat = np.array([5.0, 10.0])
     v_hat = np.array([8.0, 7.0])
     verr = []
@@ -716,13 +662,9 @@ def test_track_error_grows_with_range():
         eta = traj[l]
 
         def observe(bf, eta=eta):
-            return synthesize_observation(
-                model, NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, noise_rng
-            )
+            return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, noise_rng)
 
-        bf, p_hat, v_hat, trace = agdao_track_step(
-            p_hat, v_hat, observe, geom, model, 1.0, N_SYM, TS, dt
-        )
+        bf, p_hat, v_hat, trace = agdao_track_step(p_hat, v_hat, observe, system)
         verr.append(math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
     early = float(np.mean(verr[:400]))
     late = float(np.mean(verr[-400:]))
@@ -734,18 +676,13 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     # tracking reads only the final velocity: the step's trace keeps its
     # length (the benchmark counts iterations as len - 1) but no rows, still
     # goes through adam_ao_estimate and checks every iterate for finiteness
-    geom = geom_for(32, signed)
-    model = default_model()
+    system = system_for(32, signed)
     p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
-    dt = N_SYM * TS
-    nf, v = NearField(geom, p_prev + dt * v_prev), V_TRUE
-    noise = 1e-8
+    nf, v = NearField(system, p_prev + system.cpi_duration_s * v_prev), V_TRUE
     echoes = []
 
     def observe(bf):
-        echoes.append(synthesize_observation(
-            model, nf, v, bf, noise, 1.0, TS, np.random.default_rng(2)
-        ))
+        echoes.append(synthesize_observation(nf, v, bf, np.random.default_rng(2)))
         return echoes[-1]
 
     estimates, checks = [], []
@@ -761,16 +698,12 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
 
     monkeypatch.setattr(agdao, "adam_ao_estimate", spy_estimate)
     monkeypatch.setattr(agdao, "_check_finite", spy_check)
-    bf, p_hat, v_hat, trace = agdao_track_step(
-        p_prev, v_prev, observe, geom, model, 1.0, N_SYM, TS, dt
-    )
+    bf, p_hat, v_hat, trace = agdao_track_step(p_prev, v_prev, observe, system)
     assert estimates == [False]
     assert trace.rows == [] and not trace.record
     assert checks == list(range(1, len(trace)))
 
-    v_rec, recorded = estimate(
-        echoes[0], model, NearField(geom, p_hat), v_prev, bf[-1], 1.0, N_SYM, TS
-    )
+    v_rec, recorded = estimate(echoes[0], NearField(system, p_hat), v_prev, bf[-1])
     assert len(trace) == len(recorded.rows) == recorded.rows[-1][0] + 1
     assert 2 < len(trace) <= AdamHyper().max_iters + 1
     np.testing.assert_array_equal(v_hat, v_rec)

@@ -12,7 +12,6 @@ from nfbeam.beamforming import ff_beamformers, opt_beamformers, predictive_beamf
 from nfbeam.geometry import (
     DegeneratePositionError,
     NearField,
-    PathlossModel,
     doppler_vector,
     element_distances,
     element_offsets,
@@ -21,10 +20,11 @@ from nfbeam.geometry import (
 )
 from nfbeam.signals import cpi_throughput
 
-from helpers import N_SYM, TS, geom_for, sample_broadside_state, sample_state
+from helpers import N_SYM, sample_broadside_state, sample_state, system_for
 
-GEOM = geom_for(32)
-MODEL = PathlossModel(ref_gain=1.5, rcs=2.0)
+# a link off the defaults: pathloss gains and a transmit power other than 1
+LINK = dict(ref_gain=1.5, rcs=2.0, tx_power_dbm=33.0)
+SYSTEM = system_for(32, **LINK)
 K = 7
 
 
@@ -33,7 +33,7 @@ def _states(seed):
     rng = np.random.default_rng(seed)
     # broadside states put antennas on both sides, where the conventions differ
     return np.array(
-        [sample_state(rng, GEOM) if k % 2 else sample_broadside_state(rng) for k in range(K)]
+        [sample_state(rng, SYSTEM) if k % 2 else sample_broadside_state(rng) for k in range(K)]
     )
 
 
@@ -43,28 +43,26 @@ def _pv(eta):
 
 def _calls(signed):
     """name -> one call (p, v) for one state, shape (2,), or a batch, shape (..., 2)."""
-    geom = geom_for(32, signed)
+    system = system_for(32, signed, **LINK)
 
     def projection_coeffs(p, v):
-        nf = NearField(geom, p)
+        nf = NearField(system, p)
         return np.stack([nf.g, nf.q], axis=-2)
 
     return {
-        "element_distances": lambda p, v: element_distances(GEOM, p),
-        "steering_vector": lambda p, v: steering_vector(GEOM, p),
+        "element_distances": lambda p, v: element_distances(SYSTEM, p),
+        "steering_vector": lambda p, v: steering_vector(SYSTEM, p),
         "projection_coeffs": projection_coeffs,
         # the radial speeds, read through the Doppler phasor they drive
-        "radial_speeds": lambda p, v: doppler_vector(1, TS, v, NearField(geom, p)),
-        "pathloss_downlink": lambda p, v: pathloss(MODEL, p, "downlink"),
-        "pathloss_roundtrip": lambda p, v: pathloss(MODEL, p, "roundtrip"),
-        "predictive_beamformers": lambda p, v: predictive_beamformers(
-            NearField(geom, p), v, N_SYM, TS
-        ),
-        "opt_beamformers": lambda p, v: opt_beamformers(NearField(geom, p), v, N_SYM, TS),
-        "ff_beamformers": lambda p, v: ff_beamformers(GEOM, p, v, N_SYM, TS),
+        "radial_speeds": lambda p, v: doppler_vector(1, v, NearField(system, p)),
+        "pathloss_downlink": lambda p, v: pathloss(SYSTEM, p, "downlink"),
+        "pathloss_roundtrip": lambda p, v: pathloss(SYSTEM, p, "roundtrip"),
+        "predictive_beamformers": lambda p, v: predictive_beamformers(NearField(system, p), v),
+        "opt_beamformers": lambda p, v: opt_beamformers(NearField(system, p), v),
+        "ff_beamformers": lambda p, v: ff_beamformers(SYSTEM, p, v),
         # the far-field beam: partial gains, and no check on antenna contact
         "cpi_throughput": lambda p, v: cpi_throughput(
-            MODEL, NearField(geom, p), v, ff_beamformers(GEOM, p, v, N_SYM, TS), TS, 2.0, 1e-8
+            NearField(system, p), v, ff_beamformers(SYSTEM, p, v)
         ),
     }
 
@@ -93,18 +91,14 @@ def test_batch_equals_stacked_single_calls(name, signed):
 @pytest.mark.parametrize("signed", [False, True])
 def test_throughput_scores_stacked_beams_on_each_state(signed):
     # the harness scores the opt, ff and fd beams of a chunk in one call
-    geom = geom_for(32, signed)
+    system = system_for(32, signed, **LINK)
     states = _states(16)
     p, v = _pv(states)
-    nf = NearField(geom, p)
-    beams = np.stack([
-        opt_beamformers(nf, v, N_SYM, TS),
-        ff_beamformers(GEOM, p, v, N_SYM, TS),
-    ])
-    rates = cpi_throughput(MODEL, nf, v, beams, TS, 2.0, 1e-8)
+    nf = NearField(system, p)
+    beams = np.stack([opt_beamformers(nf, v), ff_beamformers(SYSTEM, p, v)])
+    rates = cpi_throughput(nf, v, beams)
     want = [
-        [cpi_throughput(MODEL, NearField(geom, s[:2]), s[2:], bf, TS, 2.0, 1e-8)
-         for s, bf in zip(states, beams[b])]
+        [cpi_throughput(NearField(system, s[:2]), s[2:], bf) for s, bf in zip(states, beams[b])]
         for b in range(2)
     ]
     np.testing.assert_array_equal(rates, want)
@@ -112,11 +106,11 @@ def test_throughput_scores_stacked_beams_on_each_state(signed):
 
 def test_single_state_keeps_its_types():
     p, v = _pv(_states(12)[0])
-    assert type(pathloss(MODEL, p, "downlink")) is np.float64
-    nf = NearField(GEOM, p)
-    bf = opt_beamformers(nf, v, N_SYM, TS)
-    assert type(cpi_throughput(MODEL, nf, v, bf, TS, 1.0, 1e-8)) is float
-    assert bf.shape == (N_SYM, GEOM.num_antennas)
+    assert type(pathloss(SYSTEM, p, "downlink")) is np.float64
+    nf = NearField(SYSTEM, p)
+    bf = opt_beamformers(nf, v)
+    assert type(cpi_throughput(nf, v, bf)) is float
+    assert bf.shape == (N_SYM, SYSTEM.num_antennas)
 
 
 def _batch_with(*bad):
@@ -131,7 +125,7 @@ def _batch_with(*bad):
     "name", [n for n in NAMES if not n.startswith("pathloss") and n != "ff_beamformers"]
 )
 def test_batch_with_a_position_on_an_antenna_is_rejected(name):
-    first, second = np.stack([element_offsets(GEOM)[[5, 9]], [0.0, 0.0]], axis=-1)
+    first, second = np.stack([element_offsets(SYSTEM)[[5, 9]], [0.0, 0.0]], axis=-1)
     batch = _batch_with((4, first), (6, second))
     # the message names the first degenerate position of the batch
     with pytest.raises(DegeneratePositionError, match=re.escape(str(first.tolist()))):

@@ -14,86 +14,81 @@ from nfbeam.beamforming import (
 )
 from nfbeam import geometry as geo
 from nfbeam.geometry import DegeneratePositionError, NearField, array_response, element_offsets
-from nfbeam.motion import MotionNoise, generate_trajectory
+from nfbeam.motion import generate_trajectory
 from nfbeam.signals import check_unit_norm, cpi_throughput
 
-from helpers import N_SYM, TS, default_model, geom_for, sample_broadside_state, sample_state
+from helpers import N_SYM, TS, sample_broadside_state, sample_state, system_for
 
 
 def test_predictive_rows_match_conjugate_response():
     rng = np.random.default_rng(0)
-    geom = geom_for(32)
-    eta = sample_state(rng, geom)
-    nf = NearField(geom, eta[:2])
-    bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
+    system = system_for(32)
+    eta = sample_state(rng, system)
+    nf = NearField(system, eta[:2])
+    bf = predictive_beamformers(nf, eta[2:])
     assert bf.shape == (N_SYM, 32)
     check_unit_norm(bf)
     for n in range(1, N_SYM + 1):
-        a = array_response(n, TS, eta[2:], nf)
+        a = array_response(n, eta[2:], nf)
         np.testing.assert_allclose(bf[n - 1], np.conj(a) / math.sqrt(32), rtol=1e-12)
 
 
 def test_predictive_rejects_empty_cpi():
-    geom = geom_for(4)
-    with pytest.raises(ValueError):
-        predictive_beamformers(NearField(geom, (1.0, 5.0)), (0.0, 0.0), 0, TS)
+    # the beams have one row per symbol of the system's CPI, which has at least one
+    with pytest.raises(ValueError, match="symbols_per_cpi"):
+        system_for(4, symbols_per_cpi=0)
 
 
 def test_opt_equals_predictive_at_truth():
     rng = np.random.default_rng(1)
-    geom = geom_for(16)
-    eta = sample_state(rng, geom)
-    nf = NearField(geom, eta[:2])
+    system = system_for(16)
+    eta = sample_state(rng, system)
+    nf = NearField(system, eta[:2])
     np.testing.assert_array_equal(
-        opt_beamformers(nf, eta[2:], N_SYM, TS),
-        predictive_beamformers(nf, eta[2:], N_SYM, TS),
+        opt_beamformers(nf, eta[2:]),
+        predictive_beamformers(nf, eta[2:]),
     )
 
 
 def test_matched_gain_is_full_and_translation_stable():
     # perfectly matched beam collects gain sqrt(M) whatever the position
-    geom = geom_for(64)
+    system = system_for(64)
     v = (8.0, 7.0)
     for p in ((0.0, 10.0), (5.0, 10.0), (2.0, 6.0)):
-        nf = NearField(geom, p)
-        bf = predictive_beamformers(nf, v, N_SYM, TS)
-        a = array_response(N_SYM, TS, v, nf)
+        nf = NearField(system, p)
+        bf = predictive_beamformers(nf, v)
+        a = array_response(N_SYM, v, nf)
         assert abs(a @ bf[-1]) == pytest.approx(math.sqrt(64), rel=1e-12)
 
 
 def test_ff_phases_are_planar():
-    geom = geom_for(32)
-    bf = ff_beamformers(geom, (3.0, 4.0), (2.0, -1.0), N_SYM, TS)
+    system = system_for(32)
+    bf = ff_beamformers(system, (3.0, 4.0), (2.0, -1.0))
     check_unit_norm(bf)
     u = np.array([3.0, 4.0]) / 5.0
     v_rad = float(np.array([2.0, -1.0]) @ u)
-    kappa = geom.wavenumber
+    kappa = system.wavenumber
     for n in (1, N_SYM):
         expect = np.exp(
-            -1j * kappa * (n * TS * v_rad + element_offsets(geom) * u[0])
+            -1j * kappa * (n * TS * v_rad + element_offsets(system) * u[0])
         ) / math.sqrt(32)
         np.testing.assert_allclose(bf[n - 1], expect, rtol=1e-12)
 
 
 def test_ff_rejects_origin():
-    geom = geom_for(8)
+    system = system_for(8)
     with pytest.raises(DegeneratePositionError):
-        ff_beamformers(geom, (0.0, 0.0), (1.0, 1.0), N_SYM, TS)
+        ff_beamformers(system, (0.0, 0.0), (1.0, 1.0))
 
 
 def test_opt_dominates_ff_in_near_field():
     rng = np.random.default_rng(2)
-    geom = geom_for(128)
-    model = default_model()
+    system = system_for(128)
     for _ in range(10):
-        p, v = np.split(sample_state(rng, geom), 2)
-        nf = NearField(geom, p)
-        r_opt = cpi_throughput(
-            model, nf, v, opt_beamformers(nf, v, N_SYM, TS), TS, 1.0, 1e-8
-        )
-        r_ff = cpi_throughput(
-            model, nf, v, ff_beamformers(geom, p, v, N_SYM, TS), TS, 1.0, 1e-8
-        )
+        p, v = np.split(sample_state(rng, system), 2)
+        nf = NearField(system, p)
+        r_opt = cpi_throughput(nf, v, opt_beamformers(nf, v))
+        r_ff = cpi_throughput(nf, v, ff_beamformers(system, p, v))
         assert r_opt >= r_ff - 1e-12
 
 
@@ -114,9 +109,7 @@ def test_feedback_latch_schedule():
 
 def test_fd_predicted_state_dead_reckons():
     eta0 = np.array([5.0, 10.0, 8.0, 7.0])
-    traj = generate_trajectory(
-        eta0, MotionNoise(0.01, 0.01), 1e-4, 12, np.random.default_rng(3)
-    )
+    traj = generate_trajectory(eta0, (0.01, 0.01), 1e-4, 12, np.random.default_rng(3))
     fd = fd_predicted_state(traj, 4, 1e-4)
     p, v = fd[8, :2], fd[8, 2:]
     latch = traj[4]  # latch index 5 (1-based) for cpi 9, period 4
@@ -132,7 +125,7 @@ def test_fd_predicted_state_dead_reckons():
 @pytest.mark.parametrize("period", [1, 4, 20])
 def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
     traj = generate_trajectory(
-        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), 1e-4, num_cpis,
+        (5.0, 10.0, 8.0, 7.0), (0.01, 0.01), 1e-4, num_cpis,
         np.random.default_rng(5),
     )
     want = []
@@ -145,14 +138,14 @@ def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
     assert got.tobytes() == np.array(want).tobytes()
 
 
-def _divided_predictive(geom, p, v):
+def _divided_predictive(system, p, v):
     """conj(a_tilde * d(n)) built as predictive_beamformers does, then / sqrt(M)."""
-    nf = NearField(geom, p)
-    d = geo.symbol_dopplers(N_SYM, TS, v, nf)
-    return np.conj(nf.steering[..., None, :] * d) / math.sqrt(geom.num_antennas)
+    nf = NearField(system, p)
+    d = geo.symbol_dopplers(v, nf)
+    return np.conj(nf.steering[..., None, :] * d) / math.sqrt(system.num_antennas)
 
 
-def _divided_ff(geom, p, v):
+def _divided_ff(system, p, v):
     """The far-field beam built as ff_beamformers does, its element phasor / sqrt(M)."""
     def dot2(a, b):
         return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -161,9 +154,9 @@ def _divided_ff(geom, p, v):
     u = p / np.sqrt(dot2(p, p))[..., None]
     v_radial = dot2(geo.as_points(v, "velocity"), u)
     n = np.arange(1, N_SYM + 1)
-    symbol = geo.unit_phasor((-geom.wavenumber * TS) * (n * v_radial[..., None]))
-    element = geo.unit_phasor((-geom.wavenumber * element_offsets(geom)) * u[..., 0, None])
-    element = element / math.sqrt(geom.num_antennas)
+    symbol = geo.unit_phasor((-system.wavenumber * TS) * (n * v_radial[..., None]))
+    element = geo.unit_phasor((-system.wavenumber * element_offsets(system)) * u[..., 0, None])
+    element = element / math.sqrt(system.num_antennas)
     return symbol[..., :, None] * element[..., None, :]
 
 
@@ -175,10 +168,10 @@ def test_beams_are_bit_identical_to_dividing_by_sqrt_m(m):
     element phasors (u_x = 0) and the symbol phasors (v_radial = 0): a zero
     imaginary part whose sign a complex multiply by 1/sqrt(M) would flip.
     """
-    geom = geom_for(m)
+    system = system_for(m)
     rng = np.random.default_rng(m)
     states = [
-        sample_state(rng, geom),
+        sample_state(rng, system),
         sample_broadside_state(rng),
         np.array([0.0, 10.0, 0.0, 0.0]),
         np.array([0.0, 10.0, 0.0, -3.0]),
@@ -186,9 +179,9 @@ def test_beams_are_bit_identical_to_dividing_by_sqrt_m(m):
     ]
     for eta in [*states, np.stack(states)]:
         p, v = eta[..., :2], eta[..., 2:]
-        want = _divided_predictive(geom, p, v).tobytes()
-        nf = NearField(geom, p)
-        got = predictive_beamformers(nf, v, N_SYM, TS)
+        want = _divided_predictive(system, p, v).tobytes()
+        nf = NearField(system, p)
+        got = predictive_beamformers(nf, v)
         assert got.tobytes() == want
-        assert opt_beamformers(nf, v, N_SYM, TS).tobytes() == want
-        assert ff_beamformers(geom, p, v, N_SYM, TS).tobytes() == _divided_ff(geom, p, v).tobytes()
+        assert opt_beamformers(nf, v).tobytes() == want
+        assert ff_beamformers(system, p, v).tobytes() == _divided_ff(system, p, v).tobytes()

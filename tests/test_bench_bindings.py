@@ -153,7 +153,7 @@ def test_traced_split_reads_one_snapshot_per_tracked_cpi(monkeypatch):
     ))
     for name in ("observation_mean", "observation_jacobian"):
         monkeypatch.setattr(
-            ekf, name, recorded(name, getattr(ekf, name), lambda args: args[1])
+            ekf, name, recorded(name, getattr(ekf, name), lambda args: args[0])
         )
 
     cpis = 50

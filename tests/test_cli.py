@@ -172,12 +172,15 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
     [
         ("ekf", "non-finite mean [nan nan nan nan]"),
         ("agdao", "non-finite iterate at iteration 1: v=(nan, nan), objective=nan"),
+        *((name, "non-finite rate: the downlink SNR overflows a float")
+          for name in ("opt", "ff", "fd")),
     ],
-    ids=["ekf", "agdao"],
+    ids=["ekf", "agdao", "opt", "ff", "fd"],
 )
 def test_numerical_failure_is_machine_readable(tmp_path, capsys, method, message):
     # every value passes its range check, but the echo overflows and the
-    # tracker goes non-finite on its first update
+    # tracker goes non-finite on its first update; the baselines track
+    # nothing, and their downlink SNR overflows where the rate is finite
     argv = ["track", "--cpis", "3", "--method", method, "--out", str(tmp_path), *SMALL]
     with np.errstate(all="ignore"):
         code = main([*argv, "--set", "system.ref_gain=1e300"])

@@ -19,7 +19,7 @@ from nfbeam.ekf import (
 )
 from nfbeam.geometry import ProjectionKinkError, pathloss
 from nfbeam.harness import run_experiment, stream
-from nfbeam.motion import MotionNoise, generate_trajectory, transition_matrix
+from nfbeam.motion import generate_trajectory, transition_matrix
 from nfbeam.signals import (
     BeamNormError,
     cpi_throughput,
@@ -30,11 +30,10 @@ from nfbeam.signals import (
 from helpers import (
     N_SYM,
     TS,
-    default_model,
     fd_central4_vec,
     fd_central_vec,
-    geom_for,
     sample_state,
+    system_for,
 )
 
 DT = N_SYM * TS
@@ -69,7 +68,7 @@ def make_problem(rng, m=8):
 
 def test_forecast_reference_values():
     belief = TrackerBelief(mean=np.array([5.0, 10.0, 8.0, 7.0]), covariance=0.1 * np.eye(4))
-    prior = ekf_forecast(belief, 1e-4, MotionNoise(0.0, 0.0))
+    prior = ekf_forecast(belief, 1e-4, (0.0, 0.0))
     np.testing.assert_allclose(
         prior.mean, [5.0008, 10.0007, 8.0, 7.0], rtol=1e-12
     )
@@ -78,13 +77,13 @@ def test_forecast_reference_values():
     assert abs(prior.covariance[0, 2] - 0.1e-4) <= 1e-15
 
     zero = ekf_forecast(
-        TrackerBelief(mean=belief.mean, covariance=np.zeros((4, 4))), 1e-4, MotionNoise(0.0, 0.0)
+        TrackerBelief(mean=belief.mean, covariance=np.zeros((4, 4))), 1e-4, (0.0, 0.0)
     )
     np.testing.assert_array_equal(zero.covariance, np.zeros((4, 4)))
     seeded = ekf_forecast(
         TrackerBelief(mean=belief.mean, covariance=np.zeros((4, 4))),
         1e-4,
-        MotionNoise(0.02, 0.03),
+        (0.02, 0.03),
     )
     np.testing.assert_array_equal(seeded.covariance, np.diag([0.0, 0.0, 0.02, 0.03]))
     f = transition_matrix(1e-4)
@@ -96,19 +95,16 @@ def test_forecast_reference_values():
 @pytest.mark.parametrize("signed", [False, True])
 def test_jacobian_matches_finite_difference(signed):
     rng = np.random.default_rng(77 + int(signed))
-    geom = geom_for(32, signed)
-    model = default_model()
+    system = system_for(32, signed)
     for _ in range(6):
-        eta = sample_state(rng, geom)
-        nf = geo.NearField(geom, eta[:2])
-        bf = predictive_beamformers(nf, (0.0, 0.0), N_SYM, TS)
+        eta = sample_state(rng, system)
+        nf = geo.NearField(system, eta[:2])
+        bf = predictive_beamformers(nf, (0.0, 0.0))
         f = bf[-1]
-        jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
+        jac = np.asarray(observation_jacobian(nf, eta[2:], f))
 
         def mean_at(state):
-            return observation_mean(
-                model, geo.NearField(geom, state[:2]), state[2:], f, 1.0, N_SYM, TS
-            )
+            return observation_mean(geo.NearField(system, state[:2]), state[2:], f)
 
         for col in range(4):
             def along(t, col=col):
@@ -127,17 +123,16 @@ def test_jacobian_matches_finite_difference(signed):
 
 
 def test_jacobian_velocity_columns_at_rest():
-    geom = geom_for(24)
-    model = default_model()
+    system = system_for(24)
     eta = np.array([4.0, 11.0, 0.0, 0.0])
     rng = np.random.default_rng(3)
     f = rng.normal(size=24) + 1j * rng.normal(size=24)
     f /= np.linalg.norm(f)
-    nf = geo.NearField(geom, eta[:2])
-    jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
+    nf = geo.NearField(system, eta[:2])
+    jac = np.asarray(observation_jacobian(nf, eta[2:], f))
     atil, g, q = nf.steering, nf.g, nf.q
-    alpha2 = pathloss(model, eta[:2], "roundtrip")
-    fac = -1j * geom.wavenumber * DT * alpha2
+    alpha2 = pathloss(system, eta[:2], "roundtrip")
+    fac = -1j * system.wavenumber * DT * alpha2
     af = atil @ f
     for col, proj in ((2, g), (3, q)):
         expect = fac * ((proj * atil) * af + atil * ((proj * atil) @ f))
@@ -145,28 +140,26 @@ def test_jacobian_velocity_columns_at_rest():
 
 
 def test_jacobian_linear_in_beam_phase():
-    geom = geom_for(16)
-    model = default_model()
+    system = system_for(16)
     eta = np.array([3.0, 9.0, 4.0, -2.0])
     rng = np.random.default_rng(5)
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
     f /= np.linalg.norm(f)
     phase = np.exp(1j * 0.83)
-    nf = geo.NearField(geom, eta[:2])
-    jac = np.asarray(observation_jacobian(model, nf, eta[2:], f, 1.0, N_SYM, TS))
-    rotated = np.asarray(observation_jacobian(model, nf, eta[2:], phase * f, 1.0, N_SYM, TS))
+    nf = geo.NearField(system, eta[:2])
+    jac = np.asarray(observation_jacobian(nf, eta[2:], f))
+    rotated = np.asarray(observation_jacobian(nf, eta[2:], phase * f))
     np.testing.assert_allclose(rotated, phase * jac, rtol=1e-12)
 
 
 def test_jacobian_kink_guard():
-    geom = geom_for(8)
-    model = default_model()
-    x_on_antenna = float(geo.element_offsets(geom)[2])
+    system = system_for(8)
+    x_on_antenna = float(geo.element_offsets(system)[2])
     p, v = (x_on_antenna, 9.0), (1.0, 1.0)
     f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     with pytest.raises(ProjectionKinkError):
-        observation_jacobian(model, geo.NearField(geom, p), v, f, 1.0, N_SYM, TS)
-    observation_jacobian(model, geo.NearField(geom_for(8, signed=True), p), v, f, 1.0, N_SYM, TS)
+        observation_jacobian(geo.NearField(system, p), v, f)
+    observation_jacobian(geo.NearField(system_for(8, signed=True), p), v, f)
 
 
 def test_update_matches_dense_reference():
@@ -276,27 +269,22 @@ def test_config_validation():
 
 
 def test_track_step_composes_forecast_beam_update():
-    geom = geom_for(32)
-    model = default_model()
-    process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
+    system = system_for(32)
+    motion_var = (0.01, 0.01)
     belief = TrackerBelief(np.array([5.0, 10.0, 8.0, 7.0]), 0.1 * np.eye(4))
     truth = np.array([5.0009, 10.0006, 8.1, 6.9])
 
-    prior = ekf_forecast(belief, DT, process_noise)
-    nf, v = geo.NearField(geom, prior.mean[:2]), prior.mean[2:]
-    bf_ref = predictive_beamformers(nf, v, N_SYM, TS)
-    noise = 1e-8
+    prior = ekf_forecast(belief, DT, motion_var)
+    nf, v = geo.NearField(system, prior.mean[:2]), prior.mean[2:]
+    bf_ref = predictive_beamformers(nf, v)
     y = synthesize_observation(
-        model, geo.NearField(geom, truth[:2]), truth[2:], bf_ref, noise, 1.0, TS,
-        np.random.default_rng(4),
+        geo.NearField(system, truth[:2]), truth[2:], bf_ref, np.random.default_rng(4)
     )
-    h_bar = observation_mean(model, nf, v, bf_ref[-1], 1.0, N_SYM, TS)
-    jac = observation_jacobian(model, nf, v, bf_ref[-1], 1.0, N_SYM, TS)
-    want, want_diag = kalman_update(prior, y, jac, h_bar, echo_noise_power)
+    h_bar = observation_mean(nf, v, bf_ref[-1])
+    jac = observation_jacobian(nf, v, bf_ref[-1])
+    want, want_diag = kalman_update(prior, y, jac, h_bar, system.echo_noise_power)
 
-    bf, post, diag = ekf_track_step(
-        belief, lambda b: y, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
-    )
+    bf, post, diag = ekf_track_step(belief, lambda b: y, system, motion_var)
     np.testing.assert_array_equal(bf, bf_ref)
     np.testing.assert_array_equal(post.mean, want.mean)
     np.testing.assert_array_equal(post.covariance, want.covariance)
@@ -304,27 +292,18 @@ def test_track_step_composes_forecast_beam_update():
 
 
 def test_track_step_noiseless_fixed_point():
-    geom = geom_for(64)
-    model = default_model()
-    process_noise, echo_noise_power = MotionNoise(0.0, 0.0), 0.0
+    system = system_for(64, echo_noise_power=0.0)
     rng = np.random.default_rng(0)
-    traj = generate_trajectory(
-        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.0, 0.0), DT, 100, rng
-    )
-    noise = 0.0
+    traj = generate_trajectory((5.0, 10.0, 8.0, 7.0), (0.0, 0.0), DT, 100, rng)
     belief = TrackerBelief(traj[0].copy(), 0.1 * np.eye(4))
     worst = 0.0
     for l in range(1, 100):
         eta = traj[l]
 
         def observe(bf, eta=eta):
-            return synthesize_observation(
-                model, geo.NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, rng
-            )
+            return synthesize_observation(geo.NearField(system, eta[:2]), eta[2:], bf, rng)
 
-        bf, belief, diag = ekf_track_step(
-            belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
-        )
+        bf, belief, diag = ekf_track_step(belief, observe, system, (0.0, 0.0))
         worst = max(
             worst,
             math.hypot(*(belief.mean[:2] - eta[:2])),
@@ -337,49 +316,33 @@ def test_track_step_noiseless_fixed_point():
 def test_track_step_throughput_near_matched():
     # closed loop at operating noise: designed beams give essentially the
     # matched-filter rate once the filter locks
-    geom = geom_for(64)
-    model = default_model()
-    process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
+    system = system_for(64)
     traj_rng = stream(0, "trajectory")
     noise_rng = stream(0, "echo-noise")
     cpis = 600
-    traj = generate_trajectory(
-        (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, cpis, traj_rng
-    )
-    noise = 1e-8
+    traj = generate_trajectory((5.0, 10.0, 8.0, 7.0), (0.01, 0.01), DT, cpis, traj_rng)
     belief = TrackerBelief(traj[0].copy(), 0.1 * np.eye(4))
     rates, opts = [], []
     for l in range(1, cpis):
         eta = traj[l]
 
         def observe(bf, eta=eta):
-            return synthesize_observation(
-                model, geo.NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, noise_rng
-            )
+            return synthesize_observation(geo.NearField(system, eta[:2]), eta[2:], bf, noise_rng)
 
-        bf, belief, diag = ekf_track_step(
-            belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
-        )
-        rates.append(
-            cpi_throughput(model, geo.NearField(geom, eta[:2]), eta[2:], bf, TS, 1.0, 1e-8)
-        )
-        a1 = pathloss(model, eta[:2], "downlink")
+        bf, belief, diag = ekf_track_step(belief, observe, system, (0.01, 0.01))
+        rates.append(cpi_throughput(geo.NearField(system, eta[:2]), eta[2:], bf))
+        a1 = pathloss(system, eta[:2], "downlink")
         opts.append(math.log2(1.0 + 64 * a1 * a1 / 1e-8))
     assert np.mean(rates) / np.mean(opts) > 0.98
 
 
 def test_belief_sequence_deterministic():
-    geom = geom_for(32)
-    model = default_model()
-    process_noise, echo_noise_power = MotionNoise(0.01, 0.01), 1e-8
+    system = system_for(32)
 
     def run():
         traj_rng = stream(5, "trajectory")
         noise_rng = stream(5, "echo-noise")
-        traj = generate_trajectory(
-            (5.0, 10.0, 8.0, 7.0), MotionNoise(0.01, 0.01), DT, 40, traj_rng
-        )
-        noise = 1e-8
+        traj = generate_trajectory((5.0, 10.0, 8.0, 7.0), (0.01, 0.01), DT, 40, traj_rng)
         belief = TrackerBelief(traj[0].copy(), 0.1 * np.eye(4))
         means = []
         for l in range(1, 40):
@@ -387,12 +350,10 @@ def test_belief_sequence_deterministic():
 
             def observe(bf, eta=eta):
                 return synthesize_observation(
-                    model, geo.NearField(geom, eta[:2]), eta[2:], bf, noise, 1.0, TS, noise_rng
+                    geo.NearField(system, eta[:2]), eta[2:], bf, noise_rng
                 )
 
-            bf, belief, diag = ekf_track_step(
-                belief, observe, geom, model, process_noise, echo_noise_power, 1.0, N_SYM, TS, DT
-            )
+            bf, belief, diag = ekf_track_step(belief, observe, system, (0.01, 0.01))
             means.append(np.concatenate([belief.mean, belief.covariance.ravel()]))
         return np.array(means)
 
@@ -457,7 +418,7 @@ def test_update_refuses_a_non_finite_ridged_solve():
         )
 
 
-def _long_double_jacobian(model, nf, v, f, s_amp, num_symbols, symbol_duration):
+def _long_double_jacobian(nf, v, f):
     """The echo Jacobian's four columns assembled in np.longdouble arithmetic.
 
     The inputs (array response, ranges, projections and their gradients,
@@ -470,14 +431,15 @@ def _long_double_jacobian(model, nf, v, f, s_amp, num_symbols, symbol_duration):
     r, ux, uy, g, q = (np.asarray(x, dtype) for x in (nf.r, nf.ux, nf.uy, nf.g, nf.q))
     grads = geo.projection_coeff_gradients(nf)
     dg_dx, dq_dx, dg_dy, dq_dy = (np.asarray(d, dtype) for d in grads)
-    a = np.asarray(geo.array_response(num_symbols, symbol_duration, v, nf), cplx)
+    system = nf.system
+    a = np.asarray(geo.array_response(system.symbols_per_cpi, v, nf), cplx)
     v = np.asarray(v, dtype)
-    kappa = dtype(nf.geom.wavenumber)
-    dtt = dtype(num_symbols) * dtype(symbol_duration)
-    s_amp = dtype(s_amp)
+    kappa = dtype(system.wavenumber)
+    dtt = dtype(system.symbols_per_cpi) * dtype(system.symbol_duration_s)
+    s_amp = dtype(math.sqrt(system.tx_power_w))
     f = np.asarray(f, cplx)
-    alpha2 = dtype(geo.pathloss(model, nf.position, geo.ROUNDTRIP))
-    da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(model, nf.position))
+    alpha2 = dtype(geo.pathloss(system, nf.position, geo.ROUNDTRIP))
+    da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(system, nf.position))
     minus_j = -cplx(1j)
 
     af = a @ f
@@ -496,7 +458,7 @@ def _long_double_jacobian(model, nf, v, f, s_amp, num_symbols, symbol_duration):
 def _jacobian_cases(m, signed):
     """Broadside (at rest and moving), off-axis and front-of-aperture states,
     each with the predictive beam at the state and with a random unit beam."""
-    geom = geom_for(m, signed)
+    system = system_for(m, signed)
     states = [
         np.array([0.0, 10.0, 0.0, 0.0]),
         np.array([0.0, 10.0, 3.0, -2.0]),
@@ -507,8 +469,8 @@ def _jacobian_cases(m, signed):
         states = states[2:]  # x = 0 is the middle antenna: a magnitude kink
     rng = np.random.default_rng(m + 1000 * int(signed))
     for eta in states:
-        nf, v = geo.NearField(geom, eta[:2]), eta[2:]
-        matched = predictive_beamformers(nf, v, N_SYM, TS)[-1]
+        nf, v = geo.NearField(system, eta[:2]), eta[2:]
+        matched = predictive_beamformers(nf, v)[-1]
         other = rng.normal(size=m) + 1j * rng.normal(size=m)
         for f in (matched, other / np.linalg.norm(other)):
             yield nf, v, f
@@ -519,12 +481,11 @@ def _jacobian_cases(m, signed):
 def test_jacobian_against_long_double(m, signed):
     # error of a column: its distance to the long-double assembly over that
     # column's norm, within a few units of round-off
-    model = default_model()
     for nf, v, f in _jacobian_cases(m, signed):
-        exact = _long_double_jacobian(model, nf, v, f, 1.0, N_SYM, TS)
+        exact = _long_double_jacobian(nf, v, f)
         size = np.linalg.norm(exact, axis=0)
         live = size > 0  # broadside at rest: the x column vanishes
-        jac = np.asarray(observation_jacobian(model, nf, v, f, 1.0, N_SYM, TS))
+        jac = np.asarray(observation_jacobian(nf, v, f))
         err = np.linalg.norm(jac - exact, axis=0)
         assert np.all(err[~live] == 0.0)
         bound = 8 * np.finfo(float).eps * size[live]
@@ -537,13 +498,12 @@ def test_gram_and_score_against_long_double(m, signed):
     # G = Re(J^H J) and u = Re(J^H nu) from the factored Jacobian against
     # their long-double assembly from the long-double columns: G_kl within
     # 16 eps sqrt(G_kk G_ll), u_k within 16 eps sqrt(G_kk) |nu|
-    model = default_model()
     eps = np.finfo(float).eps
     rng = np.random.default_rng(m + 1000 * int(signed))
     for nf, v, f in _jacobian_cases(m, signed):
-        exact = _long_double_jacobian(model, nf, v, f, 1.0, N_SYM, TS)
+        exact = _long_double_jacobian(nf, v, f)
         nu = rng.normal(size=m) + 1j * rng.normal(size=m)
-        jac = observation_jacobian(model, nf, v, f, 1.0, N_SYM, TS)
+        jac = observation_jacobian(nf, v, f)
         gram, score = jac.gram_and_score(nu)
         exact_h = np.conj(exact).T
         want_gram = np.real(exact_h @ exact)
@@ -607,12 +567,11 @@ def test_closed_loop_agrees_with_the_dense_update_from_the_default_prior(monkeyp
 
 
 def test_forecast_matrices_are_built_once_and_read_only():
-    noise = MotionNoise(0.02, 0.03)
-    f, q = ekf._forecast_model(DT, noise)
-    assert ekf._forecast_model(DT, MotionNoise(0.02, 0.03))[0] is f
+    f, q = ekf._forecast_model(DT, (0.02, 0.03))
+    assert ekf._forecast_model(DT, (0.02, 0.03))[0] is f
     assert not f.flags.writeable and not q.flags.writeable
     np.testing.assert_array_equal(f, transition_matrix(DT))
-    np.testing.assert_array_equal(q, noise.covariance())
+    np.testing.assert_array_equal(q, np.diag([0.0, 0.0, 0.02, 0.03]))
 
 
 def test_harness_ekf_refuses_a_non_unit_beam(monkeypatch):

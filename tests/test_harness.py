@@ -97,7 +97,7 @@ def test_matched_method_rides_the_opt_column():
 
 def _trajectory(cfg):
     return generate_trajectory(
-        cfg.initial_state, cfg.motion_noise, cfg.system.cpi_duration_s, cfg.num_cpis,
+        cfg.initial_state, cfg.motion_var, cfg.system.cpi_duration_s, cfg.num_cpis,
         stream(cfg.seed, "trajectory"),
     )
 
@@ -111,28 +111,22 @@ def _fd_state(traj, cpi, period_cpis, dt):
 
 def _single_rate(cfg, bf, eta):
     """cpi_throughput of one beam at one true state."""
-    sys_cfg = cfg.system
-    return cpi_throughput(
-        sys_cfg.pathloss_model(), NearField(sys_cfg.geometry(), eta[:2]), eta[2:], bf,
-        sys_cfg.symbol_duration_s, sys_cfg.tx_power_w, sys_cfg.comm_noise_power,
-    )
+    return cpi_throughput(NearField(cfg.system, eta[:2]), eta[2:], bf)
 
 
 def _per_cpi_baseline_rates(cfg):
     """(opt, ff, fd) rates built one CPI at a time with single-state calls."""
-    sys_cfg = cfg.system
-    geom = sys_cfg.geometry()
-    n_sym, ts, dt = sys_cfg.symbols_per_cpi, sys_cfg.symbol_duration_s, sys_cfg.cpi_duration_s
+    system = cfg.system
     traj = _trajectory(cfg)
     out = []
     for cpi, eta in enumerate(traj, start=1):
-        bf_opt = opt_beamformers(NearField(geom, eta[:2]), eta[2:], n_sym, ts)
+        bf_opt = opt_beamformers(NearField(system, eta[:2]), eta[2:])
         if cpi == 1:
             bf_ff = bf_fd = bf_opt
         else:
-            bf_ff = ff_beamformers(geom, eta[:2], eta[2:], n_sym, ts)
-            fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, dt)
-            bf_fd = predictive_beamformers(NearField(geom, fd_p), fd_v, n_sym, ts)
+            bf_ff = ff_beamformers(system, eta[:2], eta[2:])
+            fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, system.cpi_duration_s)
+            bf_fd = predictive_beamformers(NearField(system, fd_p), fd_v)
         out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
     return out
 
@@ -240,11 +234,10 @@ def test_estimate_columns_of_every_method(method, signed, num_cpis, monkeypatch)
 def test_opt_column_closed_form_and_dominance():
     cfg = small_config(method="ekf", num_cpis=20)
     result = run_experiment(cfg)
-    model = cfg.system.pathloss_model()
     p_w = cfg.system.tx_power_w
     m = cfg.system.num_antennas
     for row in result.rows:
-        a1 = pathloss(model, np.array([row.x, row.y]), "downlink")
+        a1 = pathloss(cfg.system, np.array([row.x, row.y]), "downlink")
         want = math.log2(1.0 + p_w * m * a1 * a1 / cfg.system.comm_noise_power)
         assert abs(row.rate_opt - want) <= 1e-9 * want
         for other in (row.rate, row.rate_ff, row.rate_fd):
@@ -627,6 +620,10 @@ def test_config_rejections(tmp_path):
         ("system.echo_noise_power=-1e-9", "system.echo_noise_power"),
         ("ekf_init_cov=0", "ekf_init_cov"),
         ("system.spacing_m=0", "system.spacing_m"),
+        ("system.carrier_freq_hz=0", "system.carrier_freq_hz"),
+        ("system.symbol_duration_s=0", "system.symbol_duration_s"),
+        ("system.ref_gain=0", "system.ref_gain"),
+        ("system.rcs=0", "system.rcs"),
         ("system=4", "system"),
         ("adam.step=0", "adam.step"),
         ("adam.beta2=1", "adam.beta2"),

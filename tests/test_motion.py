@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from nfbeam.ekf import TrackerBelief, ekf_forecast
 from nfbeam.motion import (
-    MotionNoise,
     generate_trajectory,
     kinematic_forecast,
     transition_matrix,
 )
 
 
-def _reference_trajectory(eta0, noise, dt, num_cpis, rng):
+def _reference_trajectory(eta0, motion_var, dt, num_cpis, rng):
     """The state-by-state loop: move with the pre-step velocity, then kick it."""
+    var_vx, var_vy = motion_var
     traj = [np.array(eta0)]
     for _ in range(num_cpis - 1):
         moved = kinematic_forecast(traj[-1], dt)
-        moved[2] += rng.normal(0.0, math.sqrt(noise.var_vx))
-        moved[3] += rng.normal(0.0, math.sqrt(noise.var_vy))
+        moved[2] += rng.normal(0.0, math.sqrt(var_vx))
+        moved[3] += rng.normal(0.0, math.sqrt(var_vy))
         traj.append(moved)
     return np.array(traj)
 
@@ -54,7 +55,9 @@ def test_forecast_leaves_its_input_unwritten():
 
 
 def test_noise_covariance_layout():
-    q = MotionNoise(var_vx=0.01, var_vy=0.02).covariance()
+    # the filter's process noise over one interval: the velocity kicks' variances
+    zero = TrackerBelief(np.zeros(4), np.zeros((4, 4)))
+    q = ekf_forecast(zero, 1e-4, (0.01, 0.02)).covariance
     np.testing.assert_array_equal(q, np.diag([0.0, 0.0, 0.01, 0.02]))
 
 
@@ -62,7 +65,7 @@ def test_step_motion_moves_with_pre_step_velocity():
     rng = np.random.default_rng(1)
     eta = (5.0, 10.0, 8.0, 7.0)
     dt = 1e-4
-    x, y, vx, vy = generate_trajectory(eta, MotionNoise(0.01, 0.01), dt, 2, rng)[1]
+    x, y, vx, vy = generate_trajectory(eta, (0.01, 0.01), dt, 2, rng)[1]
     # position must use the old velocity; the perturbation lands on velocity only
     assert x == 5.0 + dt * 8.0
     assert y == 10.0 + dt * 7.0
@@ -75,21 +78,21 @@ def test_step_motion_moves_with_pre_step_velocity():
 def test_step_motion_zero_noise_is_forecast():
     rng = np.random.default_rng(2)
     eta = np.array([1.0, 9.0, -3.0, 2.0])
-    stepped = generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng)[1]
+    stepped = generate_trajectory(eta, (0.0, 0.0), 1e-4, 2, rng)[1]
     np.testing.assert_array_equal(stepped, kinematic_forecast(eta, 1e-4))
 
 
 def test_trajectory_shape_and_start():
     rng = np.random.default_rng(3)
     eta0 = (5.0, 10.0, 8.0, 7.0)
-    traj = generate_trajectory(eta0, MotionNoise(0.01, 0.01), 1e-4, 50, rng)
+    traj = generate_trajectory(eta0, (0.01, 0.01), 1e-4, 50, rng)
     assert len(traj) == 50
     assert tuple(traj[0]) == eta0
 
 
 def test_trajectory_deterministic_per_seed():
     eta0 = (5.0, 10.0, 8.0, 7.0)
-    noise = MotionNoise(0.01, 0.01)
+    noise = (0.01, 0.01)
     a = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(7))
     b = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(7))
     c = generate_trajectory(eta0, noise, 1e-4, 30, np.random.default_rng(8))
@@ -100,7 +103,7 @@ def test_trajectory_deterministic_per_seed():
 def test_noiseless_trajectory_is_uniform_motion():
     eta0 = (2.0, 8.0, -1.5, 3.0)
     dt = 1e-3
-    traj = generate_trajectory(eta0, MotionNoise(0.0, 0.0), dt, 200, np.random.default_rng(4))
+    traj = generate_trajectory(eta0, (0.0, 0.0), dt, 200, np.random.default_rng(4))
     for l, (x, y, vx, vy) in enumerate(traj):
         np.testing.assert_allclose(x, 2.0 - 1.5 * l * dt, rtol=1e-12)
         np.testing.assert_allclose(y, 8.0 + 3.0 * l * dt, rtol=1e-12)
@@ -109,9 +112,7 @@ def test_noiseless_trajectory_is_uniform_motion():
 
 def test_velocity_increments_uncorrelated():
     eta0 = (0.0, 10.0, 0.0, 0.0)
-    traj = generate_trajectory(
-        eta0, MotionNoise(0.01, 0.01), 1e-4, 100_001, np.random.default_rng(5)
-    )
+    traj = generate_trajectory(eta0, (0.01, 0.01), 1e-4, 100_001, np.random.default_rng(5))
     dvx = np.diff(traj[:, 2])
     dvx -= dvx.mean()
     lag1 = float(np.dot(dvx[1:], dvx[:-1]) / np.dot(dvx, dvx))
@@ -124,8 +125,8 @@ def test_rng_draw_count_is_stable():
     rng_a = np.random.default_rng(6)
     rng_b = np.random.default_rng(6)
     eta = (1.0, 5.0, 1.0, 1.0)
-    generate_trajectory(eta, MotionNoise(0.0, 0.0), 1e-4, 2, rng_a)
-    generate_trajectory(eta, MotionNoise(0.01, 0.01), 1e-4, 2, rng_b)
+    generate_trajectory(eta, (0.0, 0.0), 1e-4, 2, rng_a)
+    generate_trajectory(eta, (0.01, 0.01), 1e-4, 2, rng_b)
     assert rng_a.normal() == rng_b.normal()
 
 
@@ -133,7 +134,7 @@ def test_rng_draw_count_is_stable():
 @pytest.mark.parametrize("variances", [(0.0, 0.0), (0.0, 0.02), (0.01, 0.04), (0.01, 0.01)])
 def test_trajectory_is_bit_identical_to_the_state_loop(variances, num_cpis):
     eta0 = (5.0, 10.0, 8.0, 7.0)
-    noise = MotionNoise(*variances)
+    noise = variances
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     got = generate_trajectory(eta0, noise, 1e-4, num_cpis, rng_a)
     want = _reference_trajectory(eta0, noise, 1e-4, num_cpis, rng_b)

@@ -11,14 +11,13 @@ from nfbeam.signals import (
     check_unit_norm,
     complex_gaussian,
     cpi_throughput,
-    echo_amplitude,
     observation_mean,
     received_snr,
     synthesize_observation,
 )
 from nfbeam.beamforming import predictive_beamformers
 
-from helpers import N_SYM, TS, default_model, geom_for, sample_state
+from helpers import N_SYM, sample_state, system_for
 
 
 def test_check_unit_norm_accepts_and_rejects():
@@ -51,21 +50,12 @@ def test_check_unit_norm_refuses_non_finite_rows(bad):
 
 
 def test_synthesize_observation_checks_echo_noise_power():
-    geom = geom_for(8)
-    model = default_model()
-    nf, v = NearField(geom, (2.0, 9.0)), (4.0, -1.0)
-    bf = predictive_beamformers(nf, v, N_SYM, TS)
-    rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="nonnegative"):
-        synthesize_observation(model, nf, v, bf, -1e-9, 1.0, TS, rng)
-    y = synthesize_observation(model, nf, v, bf, 0.0, 1.0, TS, rng)
+        system_for(8, echo_noise_power=-1e-9)
+    nf, v = NearField(system_for(8, echo_noise_power=0.0), (2.0, 9.0)), (4.0, -1.0)
+    bf = predictive_beamformers(nf, v)
+    y = synthesize_observation(nf, v, bf, np.random.default_rng(3))
     assert y.shape == (8,)
-
-
-def test_echo_amplitude_is_sqrt_power():
-    assert echo_amplitude(4.0) == 2.0
-    with pytest.raises(ValueError, match="nonnegative"):
-        echo_amplitude(-1.0)
 
 
 def test_complex_gaussian_statistics():
@@ -103,98 +93,86 @@ def test_complex_gaussian_zero_power():
 
 def test_observation_mean_matches_hand_assembly():
     rng = np.random.default_rng(2)
-    model = default_model()
     for signed in (False, True):
-        geom = geom_for(6, signed)
-        eta = sample_state(rng, geom)
-        f = predictive_beamformers(NearField(geom_for(6), eta[:2]), eta[2:], N_SYM, TS)[-1]
-        nf = NearField(geom, eta[:2])
-        got = observation_mean(model, nf, eta[2:], f, 1.7, N_SYM, TS)
-        a = array_response(N_SYM, TS, eta[2:], nf)
-        alpha2 = pathloss(model, eta[:2], "roundtrip")
+        system = system_for(6, signed, tx_power_dbm=35.0)
+        eta = sample_state(rng, system)
+        f = predictive_beamformers(NearField(system_for(6), eta[:2]), eta[2:])[-1]
+        nf = NearField(system, eta[:2])
+        got = observation_mean(nf, eta[2:], f)
+        a = array_response(N_SYM, eta[2:], nf)
+        alpha2 = pathloss(system, eta[:2], "roundtrip")
         inner = sum(a[k] * f[k] for k in range(6))
-        expect = [1.7 * alpha2 * a[m] * inner for m in range(6)]
+        s_amp = math.sqrt(10.0 ** 0.5)  # 35 dBm in watts, square-rooted
+        expect = [s_amp * alpha2 * a[m] * inner for m in range(6)]
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
 
 def test_synthesize_observation_noiseless_equals_mean():
     rng = np.random.default_rng(3)
-    geom = geom_for(16)
-    model = default_model()
-    eta = sample_state(rng, geom)
-    nf = NearField(geom, eta[:2])
-    bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
-    noise = 0.0
-    y = synthesize_observation(model, nf, eta[2:], bf, noise, 1.0, TS, rng)
-    mean = observation_mean(model, nf, eta[2:], bf[-1], 1.0, N_SYM, TS)
+    system = system_for(16, echo_noise_power=0.0)
+    eta = sample_state(rng, system)
+    nf = NearField(system, eta[:2])
+    bf = predictive_beamformers(nf, eta[2:])
+    y = synthesize_observation(nf, eta[2:], bf, rng)
+    mean = observation_mean(nf, eta[2:], bf[-1])
     np.testing.assert_array_equal(y, mean)
 
 
 def test_synthesize_observation_validates_input():
     rng = np.random.default_rng(4)
-    geom = geom_for(8)
-    model = default_model()
-    eta = sample_state(rng, geom)
-    noise = 1e-8
-    nf = NearField(geom, eta[:2])
-    bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
+    system = system_for(8)
+    eta = sample_state(rng, system)
+    nf = NearField(system, eta[:2])
+    bf = predictive_beamformers(nf, eta[2:])
     with pytest.raises(ValueError):
-        synthesize_observation(model, nf, eta[2:], bf[:, :4], noise, 1.0, TS, rng)
+        synthesize_observation(nf, eta[2:], bf[:, :4], rng)
     with pytest.raises(BeamNormError):
-        synthesize_observation(model, nf, eta[2:], 1.5 * bf, noise, 1.0, TS, rng)
+        synthesize_observation(nf, eta[2:], 1.5 * bf, rng)
 
 
 def test_synthesize_observation_deterministic():
-    geom = geom_for(8)
-    model = default_model()
-    nf, v = NearField(geom, (2.0, 9.0)), (4.0, -1.0)
-    bf = predictive_beamformers(nf, v, N_SYM, TS)
-    noise = 1e-8
-    a = synthesize_observation(model, nf, v, bf, noise, 1.0, TS, np.random.default_rng(9))
-    b = synthesize_observation(model, nf, v, bf, noise, 1.0, TS, np.random.default_rng(9))
+    nf, v = NearField(system_for(8), (2.0, 9.0)), (4.0, -1.0)
+    bf = predictive_beamformers(nf, v)
+    a = synthesize_observation(nf, v, bf, np.random.default_rng(9))
+    b = synthesize_observation(nf, v, bf, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
 def test_matched_beamformer_hits_closed_form_snr():
     rng = np.random.default_rng(5)
-    geom = geom_for(64)
-    model = default_model()
-    p_w, sigma_c2 = 1.0, 1e-8
+    system = system_for(64)
+    p_w, sigma_c2 = 1.0, 1e-8  # the default link's power and noise
     for _ in range(25):
-        eta = sample_state(rng, geom)
-        nf = NearField(geom, eta[:2])
-        bf = predictive_beamformers(nf, eta[2:], N_SYM, TS)
-        alpha1 = pathloss(model, eta[:2], "downlink")
+        eta = sample_state(rng, system)
+        nf = NearField(system, eta[:2])
+        bf = predictive_beamformers(nf, eta[2:])
+        alpha1 = pathloss(system, eta[:2], "downlink")
         expect = p_w * 64 * alpha1**2 / sigma_c2
         for n in (1, N_SYM):
-            got = received_snr(model, nf, eta[2:], bf[n - 1], n, TS, p_w, sigma_c2)
+            got = received_snr(nf, eta[2:], bf[n - 1], n)
             assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_cpi_throughput_matches_per_symbol_snr():
     rng = np.random.default_rng(6)
-    geom = geom_for(16)
-    model = default_model()
-    p, v = np.split(sample_state(rng, geom), 2)
+    system = system_for(16, tx_power_dbm=27.0)
+    p, v = np.split(sample_state(rng, system), 2)
     # mismatched beam so the per-symbol SNRs actually vary
-    bf = predictive_beamformers(NearField(geom, p + 0.05), v + 1.0, N_SYM, TS)
-    p_w, sigma_c2 = 0.5, 1e-8
-    nf = NearField(geom, p)
-    rate = cpi_throughput(model, nf, v, bf, TS, p_w, sigma_c2)
+    bf = predictive_beamformers(NearField(system, p + 0.05), v + 1.0)
+    nf = NearField(system, p)
+    rate = cpi_throughput(nf, v, bf)
     per_symbol = [
-        math.log2(1.0 + received_snr(model, nf, v, bf[n - 1], n, TS, p_w, sigma_c2))
-        for n in range(1, N_SYM + 1)
+        math.log2(1.0 + received_snr(nf, v, bf[n - 1], n)) for n in range(1, N_SYM + 1)
     ]
     assert rate == pytest.approx(float(np.mean(per_symbol)), rel=1e-12)
 
 
 def test_throughput_invariant_to_global_beam_phase():
     rng = np.random.default_rng(7)
-    geom = geom_for(16)
-    model = default_model()
-    eta = sample_state(rng, geom)
-    bf = predictive_beamformers(NearField(geom, eta[:2] + 0.02), eta[2:], N_SYM, TS)
-    nf = NearField(geom, eta[:2])
-    base = cpi_throughput(model, nf, eta[2:], bf, TS, 1.0, 1e-8)
-    rotated = cpi_throughput(model, nf, eta[2:], bf * np.exp(1j * 0.7), TS, 1.0, 1e-8)
+    system = system_for(16)
+    eta = sample_state(rng, system)
+    bf = predictive_beamformers(NearField(system, eta[:2] + 0.02), eta[2:])
+    nf = NearField(system, eta[:2])
+    base = cpi_throughput(nf, eta[2:], bf)
+    rotated = cpi_throughput(nf, eta[2:], bf * np.exp(1j * 0.7))
     assert rotated == pytest.approx(base, rel=1e-12)
