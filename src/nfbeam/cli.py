@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,10 +102,10 @@ def cmd_track(args) -> int:
     )
     out = _out_dir(args)
     result = run_experiment(cfg, progress=_progress)
-    write_metrics_csv(out / "metrics.csv", result.rows)
+    write_metrics_csv(out / "metrics.csv", result.metrics)
     written = [out / "metrics.csv"]
-    if result.belief_rows is not None:
-        write_belief_csv(out / "belief.csv", result.belief_rows)
+    if result.belief is not None:
+        write_belief_csv(out / "belief.csv", result.belief)
         written.append(out / "belief.csv")
     s = result.summary()
     print(f"method {s['method']}, {s['num_cpis']} cpis, {s['tx_power_dbm']:g} dBm")
@@ -142,9 +143,9 @@ def cmd_sweep(args) -> int:
     def progress(method, dbm):
         print(f"  done {method} @ {dbm:g} dBm", file=sys.stderr)
 
-    rows = power_sweep(cfg, powers_dbm=powers, methods=methods, progress=progress)
-    write_summary_csv(out / "summary.csv", rows)
-    for row in rows:
+    summary = power_sweep(cfg, powers_dbm=powers, methods=methods, progress=progress)
+    write_summary_csv(out / "summary.csv", summary)
+    for row in summary:
         print(
             f"{row.method} @ {row.tx_power_dbm:g} dBm: mean rate {row.mean_rate:.6f} "
             f"(opt {row.mean_rate_opt:.6f})"
@@ -184,22 +185,26 @@ def cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "track":
-            return cmd_track(args)
-        if args.command == "sweep-power":
-            return cmd_sweep(args)
-        if args.command == "converge":
-            return cmd_converge(args)
-        return cmd_check(args)
-    except ConfigError as exc:
-        return _fail("config", exc.field, exc.message)
-    except ValueError as exc:
-        return _fail("validation", "", str(exc))
-    except (FilterHealthError, DivergenceError, NonFiniteRateError) as exc:
-        # a valid config that drives a tracker or a rate non-finite
-        _fail("numerical", "", str(exc))
-        return 3
+    commands = {
+        "track": cmd_track, "sweep-power": cmd_sweep, "converge": cmd_converge, "check": cmd_check,
+    }
+    # warnings (numpy's overflow ones, say) wait for the command's end: a
+    # failed command's stderr is its one JSON line, and a command that ran to
+    # its end shows them after its output
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = commands[args.command](args)
+        except ConfigError as exc:
+            return _fail("config", exc.field, exc.message)
+        except ValueError as exc:
+            return _fail("validation", "", str(exc))
+        except (FilterHealthError, DivergenceError, NonFiniteRateError) as exc:
+            # a valid config that drives a tracker or a rate non-finite
+            _fail("numerical", "", str(exc))
+            return 3
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ covariance (sigma_e^2 / 2) I. That update is evaluated exactly through the
 low-rank identity: with G = Re(J^H J), u = Re(J^H nu), r = sigma_e^2 / 2,
 
     delta  = P (G P + r I)^(-1) u
-    P_post = P - P (G P + r I)^(-1) G P
+    P_post = P - P (G P + r I)^(-1) G P = r P (G P + r I)^(-1)
 
 which costs one 4x4 solve per CPI instead of factorizing a 2M x 2M innovation
 covariance. Tests pin it against the dense textbook form. The Jacobian comes
@@ -172,29 +172,28 @@ def kalman_update(
     a = gram @ p + r * _I4
     rhs = np.empty((4, 5))
     rhs[:, 0], rhs[:, 1:] = u, _I4
-    ridged = False
     if not a.any():
         # no sensitivity and no noise: nothing to assimilate
         posterior = TrackerBelief(mean=prior.mean.copy(), covariance=p.copy())
         posterior.validate()
         return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), False)
+    ridged, load = False, r
     try:
         x = np.linalg.solve(a, rhs)
         if not np.isfinite(x).all():
             raise np.linalg.LinAlgError("non-finite solve result")
     except np.linalg.LinAlgError:
         ridged = True
-        a = a + RIDGE_FACTOR * float(np.trace(a)) * _I4
+        ridge = RIDGE_FACTOR * float(np.trace(a))
+        a, load = a + ridge * _I4, r + ridge
         x = np.linalg.solve(a, rhs)
 
     delta = p @ x[:, 0]
-    c = p @ x[:, 1:]                 # K_r J_r^T-free factor: P (G P + r I)^-1
-    gain_jac = c @ gram              # K_r J_r
+    c = p @ x[:, 1:]                 # P (G P + load I)^-1
     mean = prior.mean + delta
-    # Joseph form, contracted to 4x4: PSD by construction even when the
-    # plain (I - K J) P form cancels catastrophically (r -> 0 collapse).
-    imb = _I4 - gain_jac
-    cov = imb @ p @ imb.T + r * (c @ gram @ c.T)
+    # P - c G P = c (G P + load I - G P) = load c, load = r plus any ridge: no
+    # difference to cancel, and exactly 0 at r = 0 without a ridge
+    cov = load * c
     cov = 0.5 * (cov + cov.T)
     posterior = TrackerBelief(mean=mean, covariance=cov)
     posterior.validate()

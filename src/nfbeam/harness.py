@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
-import operator
+import functools
 from dataclasses import dataclass
 from itertools import islice
 
@@ -48,93 +48,64 @@ def stream(master_seed: int, name: str, *extra: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    """Per-CPI log: truth, estimate, throughputs, velocity errors."""
+# Columns of a tracking run's metrics table, one row per CPI: truth, estimate,
+# the method's and the baselines' rates, and the velocity errors.
+METRIC_COLUMNS = (
+    "cpi", "x", "y", "vx", "vy", "x_hat", "y_hat", "vx_hat", "vy_hat",
+    "rate", "rate_opt", "rate_ff", "rate_fd", "verr_x", "verr_y",
+)
 
-    cpi: int
-    x: float
-    y: float
-    vx: float
-    vy: float
-    x_hat: float
-    y_hat: float
-    vx_hat: float
-    vy_hat: float
-    rate: float
-    rate_opt: float
-    rate_ff: float
-    rate_fd: float
-    verr_x: float
-    verr_y: float
+# Columns of an EKF run's belief table, one row per CPI: the posterior mean,
+# its marginal variances and the update's health readouts.
+BELIEF_COLUMNS = (
+    "cpi", "x", "y", "vx", "vy", "var_x", "var_y", "var_vx", "var_vy",
+    "innovation_norm", "ridged",
+)
 
+# Columns of power_sweep's summary table, one row per (method, power) cell.
+SUMMARY_COLUMNS = (
+    "method", "tx_power_dbm", "mean_rate", "mean_rate_opt", "mean_rate_ff", "mean_rate_fd",
+    "mean_verr_x", "mean_verr_y",
+)
 
-@dataclass(frozen=True)
-class BeliefRow:
-    """Per-CPI filter readout: posterior mean, marginal variances, health."""
-
-    cpi: int
-    x: float
-    y: float
-    vx: float
-    vy: float
-    var_x: float
-    var_y: float
-    var_vx: float
-    var_vy: float
-    innovation_norm: float
-    ridged: int
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Averaged outcome of one (method, transmit power) cell."""
-
-    method: str
-    tx_power_dbm: float
-    mean_rate: float
-    mean_rate_opt: float
-    mean_rate_ff: float
-    mean_rate_fd: float
-    mean_verr_x: float
-    mean_verr_y: float
+# One metrics row as an object, for RunResult.rows only.
+MetricRow = dataclasses.make_dataclass(
+    "MetricRow", [("cpi", int), *((name, float) for name in METRIC_COLUMNS[1:])], frozen=True
+)
 
 
 @dataclass
 class RunResult:
-    """Everything a tracking run produced."""
+    """Everything a tracking run produced: a (num_cpis, len(METRIC_COLUMNS))
+    float metrics table and, for the EKF, a (num_cpis, len(BELIEF_COLUMNS))
+    belief table; cpi and ridged are integer-valued floats."""
 
     config: ExperimentConfig
-    rows: list[MetricRow]
-    belief_rows: list[BeliefRow] | None = None
+    metrics: np.ndarray
+    belief: np.ndarray | None = None
 
-    def mean(self, attr: str) -> float:
-        return float(np.mean([getattr(r, attr) for r in self.rows]))
+    @functools.cached_property
+    def rows(self) -> list[MetricRow]:
+        """The metrics table as MetricRow objects, built on first access.
+
+        The benchmark's output checks and its process probe read dataclass
+        rows; this view goes once they read the table.
+        """
+        return [MetricRow(int(cpi), *cells) for cpi, *cells in self.metrics.tolist()]
 
     def summary(self) -> dict:
+        # one strided column mean each: the bits of the mean of a contiguous
+        # copy, where a mean over axis 0 would sum in another order
+        column = dict(zip(METRIC_COLUMNS, self.metrics.T))
         return {
             "method": self.config.method,
-            "num_cpis": len(self.rows),
+            "num_cpis": len(self.metrics),
             "tx_power_dbm": self.config.system.tx_power_dbm,
-            "mean_rate": self.mean("rate"),
-            "mean_rate_opt": self.mean("rate_opt"),
-            "mean_rate_ff": self.mean("rate_ff"),
-            "mean_rate_fd": self.mean("rate_fd"),
-            "mean_verr_x": self.mean("verr_x"),
-            "mean_verr_y": self.mean("verr_y"),
+            **{
+                name: float(column[name.removeprefix("mean_")].mean())
+                for name in SUMMARY_COLUMNS[2:]
+            },
         }
-
-
-def _belief_row(cpi: int, belief: TrackerBelief, innovation_norm: float, ridged: bool) -> BeliefRow:
-    x, y, vx, vy = belief.mean.tolist()
-    d = np.diag(belief.covariance)
-    return BeliefRow(
-        cpi=int(cpi),
-        x=x, y=y, vx=vx, vy=vy,
-        var_x=float(d[0]), var_y=float(d[1]), var_vx=float(d[2]), var_vy=float(d[3]),
-        innovation_norm=float(innovation_norm),
-        ridged=int(bool(ridged)),
-    )
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
@@ -155,8 +126,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     opt/ff/fd beams (one batched call each), runs the tracker CPI by CPI with
     each echo drawn from the snapshot, and writes the tracker's beams into a
     fourth slot; one cpi_throughput call then scores every slot on one build
-    of each true channel, and the chunk's rows are read off the tables and
-    rates. progress(cpi, num_cpis) is called once per CPI.
+    of each true channel, and the chunk's rows of the metrics table are filled
+    from the state tables and the rates. The EKF fills its belief table's row
+    at each CPI. progress(cpi, num_cpis) is called once per CPI.
     """
     system, method, num_cpis = config.system, config.method, config.num_cpis
     dt = system.cpi_duration_s
@@ -175,8 +147,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     beams = np.empty((len(slots), min(chunk, num_cpis), *beam_shape), dtype=complex)
     # a fresh array, not a view of truth: the belief never aliases a table
     belief = TrackerBelief(np.array(config.initial_state, float), config.ekf_init_cov * np.eye(4))
-    belief_rows = [_belief_row(1, belief, 0.0, False)]
-    rows: list[MetricRow] = []
+    metrics = np.empty((num_cpis, len(METRIC_COLUMNS)))
+    metrics[:, 0] = np.arange(1, num_cpis + 1)
+    belief_table = None
+    if method == "ekf":
+        belief_table = np.zeros((num_cpis, len(BELIEF_COLUMNS)))
+        belief_table[:, 0] = metrics[:, 0]
+        # CPI 1 holds the initial belief, with no innovation and no ridge
+        belief_table[0, 1:5], belief_table[0, 5:9] = belief.mean, belief.covariance.diagonal()
 
     def observe(bf):  # reads the current CPI's true state, near[i] and vel[i]
         return synthesize_observation(near[i], vel[i], bf, echo_rng)
@@ -204,18 +182,19 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
                     belief, observe, system, config.motion_var
                 )
                 est[cpi - 1] = belief.mean
-                belief_rows.append(_belief_row(cpi, belief, diag.innovation_norm, diag.ridged))
+                row = belief_table[cpi - 1]
+                row[1:5], row[5:9] = belief.mean, belief.covariance.diagonal()
+                row[9], row[10] = diag.innovation_norm, diag.ridged
             if progress is not None:
                 progress(cpi, num_cpis)
 
         rates = cpi_throughput(near, vel, bf)
-        table = np.column_stack([
+        metrics[part, 1:] = np.column_stack([
             truth[part], est[part], rates[[slot, 0, 1, 2]].T,
             np.abs(truth[part, 2:] - est[part, 2:]),
         ])
-        rows += [MetricRow(cpi, *cells) for cpi, cells in enumerate(table.tolist(), lo + 1)]
 
-    return RunResult(config, rows, belief_rows if method == "ekf" else None)
+    return RunResult(config, metrics, belief_table)
 
 
 def power_sweep(
@@ -223,22 +202,26 @@ def power_sweep(
     powers_dbm=(10.0, 20.0, 30.0, 40.0),
     methods=("ekf", "agdao"),
     progress=None,
-) -> list[SweepRow]:
-    """One tracking run per (method, power) cell on the shared trajectory seed."""
+) -> np.recarray:
+    """One tracking run per (method, power) cell on the shared trajectory seed.
+
+    Returns the summary table, one record of SUMMARY_COLUMNS per cell,
+    method-major: method is a str column, the others float.
+    """
     if len(powers_dbm) == 0:
         raise ConfigError("powers", "at least one power level is required")
-    names = [f.name for f in dataclasses.fields(SweepRow)]
     # every power is checked before the first cell runs
     systems = [dataclasses.replace(config.system, tx_power_dbm=float(dbm)) for dbm in powers_dbm]
-    rows: list[SweepRow] = []
+    cells = []
     for method in methods:
         for system in systems:
             cfg = dataclasses.replace(config, method=method, system=system)
             summary = run_experiment(cfg).summary()
-            rows.append(SweepRow(**{name: summary[name] for name in names}))
+            cells.append(tuple(summary[name] for name in SUMMARY_COLUMNS))
             if progress is not None:
                 progress(method, system.tx_power_dbm)
-    return rows
+    dtype = [("method", object), *((name, float) for name in SUMMARY_COLUMNS[1:])]
+    return np.array(cells, dtype).view(np.recarray)
 
 
 def convergence_study(
@@ -299,29 +282,36 @@ def _write_rows(path, fieldnames, rows) -> None:
             out.write("".join([",".join(map(str, row)) + "\n" for row in block]))
 
 
-def _dataclass_csv(path, row_type, rows) -> None:
-    names = [f.name for f in dataclasses.fields(row_type)]
-    # a flat field read; astuple would deep-copy every row
-    _write_rows(path, names, map(operator.attrgetter(*names), rows))
+def _table_rows(table, ints=()):
+    """The rows of a table as Python values, converted CSV_BLOCK_ROWS at a time;
+    the float columns at the indices in ints become ints."""
+    for lo in range(0, len(table), CSV_BLOCK_ROWS):
+        for row in table[lo : lo + CSV_BLOCK_ROWS].tolist():
+            for i in ints:
+                row[i] = int(row[i])
+            yield row
 
 
-def write_metrics_csv(path, rows: list[MetricRow]) -> None:
-    _dataclass_csv(path, MetricRow, rows)
+def write_metrics_csv(path, metrics: np.ndarray) -> None:
+    """A run's metrics table under METRIC_COLUMNS; cpi as an int."""
+    _write_rows(path, METRIC_COLUMNS, _table_rows(metrics, ints=(0,)))
 
 
-def write_belief_csv(path, rows: list[BeliefRow]) -> None:
-    _dataclass_csv(path, BeliefRow, rows)
+def write_belief_csv(path, belief: np.ndarray) -> None:
+    """An EKF run's belief table under BELIEF_COLUMNS; cpi and ridged as ints."""
+    _write_rows(path, BELIEF_COLUMNS, _table_rows(belief, ints=(0, -1)))
 
 
 def write_trace_csv(path, traces: dict[tuple[str, int], np.ndarray]) -> None:
     """convergence_study's tables as rows of variant, seed, then TRACE_COLUMNS; k as an int."""
     rows = (
-        (variant, seed, k, *cells)
+        (variant, seed, *row)
         for (variant, seed), table in traces.items()
-        for k, cells in zip(table[:, 0].astype(int).tolist(), table[:, 1:].tolist())
+        for row in _table_rows(table, ints=(0,))
     )
     _write_rows(path, ("variant", "seed", *TRACE_COLUMNS), rows)
 
 
-def write_summary_csv(path, rows: list[SweepRow]) -> None:
-    _dataclass_csv(path, SweepRow, rows)
+def write_summary_csv(path, summary: np.ndarray) -> None:
+    """power_sweep's summary table under SUMMARY_COLUMNS."""
+    _write_rows(path, SUMMARY_COLUMNS, _table_rows(summary))

@@ -1,12 +1,11 @@
 """Shared samplers and independent finite-difference oracles for the tests."""
 
 import csv
-import dataclasses
 
 import numpy as np
 
 from nfbeam.config import SystemConfig
-from nfbeam.harness import MetricRow
+from nfbeam.harness import BELIEF_COLUMNS, METRIC_COLUMNS
 
 # SystemConfig's defaults, for oracles written out by hand
 TS = SystemConfig.symbol_duration_s
@@ -62,9 +61,25 @@ def fd_central4_vec(fun, x0: float, step: float) -> np.ndarray:
     ) / (12.0 * step)
 
 
-def read_metric_rows(path) -> list[MetricRow]:
-    """metrics.csv parsed with csv and float: exact where cells are round-trip reprs."""
+def _pick(table, columns, names) -> list[tuple]:
+    idx = [columns.index(name) for name in names]
+    return [tuple(row) for row in table[:, idx].tolist()]
+
+
+def metric_rows(result, *names) -> list[tuple]:
+    """Per CPI, the named columns of a run's metrics table as a tuple of floats."""
+    return _pick(result.metrics, METRIC_COLUMNS, names)
+
+
+def belief_rows(result, *names) -> list[tuple]:
+    """Per CPI, the named columns of an EKF run's belief table as a tuple of floats."""
+    return _pick(result.belief, BELIEF_COLUMNS, names)
+
+
+def read_csv_table(path) -> tuple[list[str], np.ndarray]:
+    """A CSV of numbers parsed with csv and float: its header and a float table,
+    exact where cells are round-trip reprs."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        assert next(reader) == [field.name for field in dataclasses.fields(MetricRow)]
-        return [MetricRow(int(row[0]), *map(float, row[1:])) for row in reader]
+        header = next(reader)
+        return header, np.array([[float(cell) for cell in row] for row in reader])

@@ -555,9 +555,9 @@ def test_closed_loop_at_high_snr_tracks_the_velocity():
         method="agdao", num_cpis=200,
         system=SystemConfig(num_antennas=128, tx_power_dbm=40.0),
     )
-    result = run_experiment(cfg)
-    assert result.mean("verr_x") < 0.5
-    assert result.mean("verr_y") < 0.5
+    summary = run_experiment(cfg).summary()
+    assert summary["mean_verr_x"] < 0.5
+    assert summary["mean_verr_y"] < 0.5
 
 
 def test_unknown_variant_rejected_before_any_evaluation():

@@ -136,9 +136,11 @@ def test_traced_split_reads_one_snapshot_per_tracked_cpi(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recorded(name, fn, position_of):
+    def recorded(name, fn):
+        # the call's one NearField argument, picked by type, not by slot
         def wrapper(*args, **kwargs):
-            snapshots[name].append(position_of(args))
+            near = [a for a in (*args, *kwargs.values()) if isinstance(a, geometry.NearField)]
+            snapshots[name].append(near[0] if len(near) == 1 else None)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -148,13 +150,8 @@ def test_traced_split_reads_one_snapshot_per_tracked_cpi(monkeypatch):
     monkeypatch.setattr(
         geometry, "element_distances", counted("element_distances", geometry.element_distances)
     )
-    monkeypatch.setattr(ekf, "predictive_beamformers", recorded(
-        "predictive_beamformers", ekf.predictive_beamformers, lambda args: args[0]
-    ))
-    for name in ("observation_mean", "observation_jacobian"):
-        monkeypatch.setattr(
-            ekf, name, recorded(name, getattr(ekf, name), lambda args: args[0])
-        )
+    for name in snapshots:
+        monkeypatch.setattr(ekf, name, recorded(name, getattr(ekf, name)))
 
     cpis = 50
     cfg = ExperimentConfig(method="ekf", num_cpis=cpis)

@@ -1,14 +1,22 @@
 """Command-line entry points, exercised in process."""
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nfbeam import cli
 from nfbeam.cli import main
+from nfbeam.harness import METRIC_COLUMNS
 
-from helpers import read_metric_rows
+from helpers import read_csv_table
 
 SMALL = ["--set", "system.num_antennas=16"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def lines_of(path):
@@ -18,9 +26,9 @@ def lines_of(path):
 def test_track_writes_metrics_and_belief(tmp_path, capsys):
     code = main(["track", "--out", str(tmp_path), "--cpis", "8", "--method", "ekf", *SMALL])
     assert code == 0
-    rows = read_metric_rows(tmp_path / "metrics.csv")
-    assert len(rows) == 8
-    assert rows[0].cpi == 1
+    header, metrics = read_csv_table(tmp_path / "metrics.csv")
+    assert header == list(METRIC_COLUMNS)
+    assert metrics[:, 0].tolist() == list(range(1, 9))
     belief = lines_of(tmp_path / "belief.csv")
     assert belief[0].startswith("cpi,")
     assert len(belief) == 9
@@ -190,6 +198,35 @@ def test_numerical_failure_is_machine_readable(tmp_path, capsys, method, message
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method", ["ekf", "agdao", "opt"])
+def test_numerical_failure_is_all_of_stderr(tmp_path, method):
+    # a fresh process, whose numpy overflow warnings reach stderr as from a
+    # shell (pytest records them in process): stderr is the one JSON line
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfbeam.cli", "track", "--cpis", "3", "--method", method,
+         "--out", str(tmp_path), *SMALL, "--set", "system.ref_gain=1e300"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "numerical"
+    assert proc.stdout == ""
+
+
+def test_warnings_of_a_finished_command_follow_its_output(capsys, monkeypatch):
+    def warned(args):
+        warnings.warn("overflow in an intermediate", RuntimeWarning)
+        print("report")
+        return 0
+
+    # main holds the warning back and shows it once the command has returned
+    monkeypatch.setattr(cli, "cmd_check", warned)
+    with pytest.warns(RuntimeWarning, match="overflow in an intermediate"):
+        assert main(["check"]) == 0
+    assert capsys.readouterr().out == "report\n"
+
+
 def test_bad_method_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["track", "--out", str(tmp_path), "--method", "oracle"])
@@ -210,10 +247,9 @@ def test_config_file_drives_the_run(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["track", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = read_metric_rows(out / "metrics.csv")
-    assert len(rows) == 4
+    assert len(read_csv_table(out / "metrics.csv")[1]) == 4
     assert not (out / "belief.csv").exists()
     # command-line count overrides the file
     out2 = tmp_path / "out2"
     assert main(["track", "--config", str(cfg_path), "--cpis", "2", "--out", str(out2)]) == 0
-    assert len(read_metric_rows(out2 / "metrics.csv")) == 2
+    assert len(read_csv_table(out2 / "metrics.csv")[1]) == 2

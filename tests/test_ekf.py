@@ -30,8 +30,10 @@ from nfbeam.signals import (
 from helpers import (
     N_SYM,
     TS,
+    belief_rows,
     fd_central4_vec,
     fd_central_vec,
+    metric_rows,
     sample_state,
     system_for,
 )
@@ -235,6 +237,9 @@ def test_update_ridge_and_zero_sensitivity_paths():
     post, diag = kalman_update(prior, np.array([0.3 + 0j]), factored(jac), np.array([0j]), 0.0)
     assert diag.ridged
     assert np.all(np.isfinite(post.covariance))
+    # the ridge's load keeps the three unobserved axes at their prior variance
+    np.testing.assert_allclose(np.diag(post.covariance)[1:], 1.0, rtol=1e-9)
+    assert 0.0 < post.covariance[0, 0] <= 1e-11
     # no sensitivity and no noise: nothing to assimilate
     post2, diag2 = kalman_update(
         prior, np.array([0.3 + 0j]), factored(np.zeros((1, 4))), np.array([0j]), 0.0
@@ -264,8 +269,8 @@ def test_config_validation():
         kalman_update(belief, y, factored(np.zeros((4, 4))), y, -1e-9)
     # a run's initial belief is ekf_init_cov (default 0.1) times the identity
     cfg = ExperimentConfig(system=SystemConfig(num_antennas=16), num_cpis=1)
-    first = run_experiment(cfg).belief_rows[0]
-    assert (first.var_x, first.var_y, first.var_vx, first.var_vy) == (0.1,) * 4
+    first = belief_rows(run_experiment(cfg), "var_x", "var_y", "var_vx", "var_vy")[0]
+    assert first == (0.1,) * 4
 
 
 def test_track_step_composes_forecast_beam_update():
@@ -538,7 +543,7 @@ def test_closed_loop_agrees_with_the_dense_update(monkeypatch, front):
     )
 
     def means():
-        return np.array([(b.x, b.y, b.vx, b.vy) for b in run_experiment(cfg).belief_rows])
+        return np.array(belief_rows(run_experiment(cfg), "x", "y", "vx", "vy"))
 
     got = means()
     monkeypatch.setattr(ekf, "kalman_update", _dense_update)
@@ -557,13 +562,59 @@ def test_closed_loop_agrees_with_the_dense_update_from_the_default_prior(monkeyp
     cfg = ExperimentConfig(system=system, method="ekf", num_cpis=200, initial_state=start)
 
     def estimates():
-        rows = run_experiment(cfg).rows
-        return np.array([(r.x_hat, r.y_hat, r.vx_hat, r.vy_hat) for r in rows])
+        return np.array(metric_rows(run_experiment(cfg), "x_hat", "y_hat", "vx_hat", "vy_hat"))
 
     got = estimates()
     monkeypatch.setattr(ekf, "kalman_update", _dense_update)
     want = estimates()
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("front", [False, True])
+def test_closed_loop_variances_agree_with_the_dense_update(monkeypatch, front):
+    # the posterior r (G P + r I)^-1-form keeps every marginal variance of the
+    # 200-CPI runs within 1e-8 of the square-root-information reference's; the
+    # Joseph form parted from it by up to 3.5e-6 (var_x, front start)
+    system = SystemConfig(num_antennas=64, signed_projection=front)
+    start = (0.05, 3.0, 8.0, 7.0) if front else (5.0, 10.0, 8.0, 7.0)
+    cfg = ExperimentConfig(system=system, method="ekf", num_cpis=200, initial_state=start)
+
+    def variances():
+        return np.array(belief_rows(run_experiment(cfg), "var_x", "var_y", "var_vx", "var_vy"))
+
+    got = variances()
+    monkeypatch.setattr(ekf, "kalman_update", _dense_update)
+    want = variances()
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("x0", [5.0, -5.0])
+def test_noiseless_filter_holds_the_fixed_point(monkeypatch, signed, x0):
+    # no echo noise and no motion noise, 2000 CPIs at M=64: the prior mean is
+    # the truth, each update keeps it, and no update may grow the covariance.
+    # The Joseph form's I - K J kept O(1) error at r = 0, blew the covariance
+    # up at the first update and ended in FilterHealthError within 150 CPIs
+    traces = []
+    update = ekf.kalman_update
+
+    def spy(prior, *args):
+        posterior, diag = update(prior, *args)
+        traces.append((np.trace(prior.covariance), np.trace(posterior.covariance)))
+        return posterior, diag
+
+    monkeypatch.setattr(ekf, "kalman_update", spy)
+    system = SystemConfig(num_antennas=64, signed_projection=signed, echo_noise_power=0.0)
+    cfg = ExperimentConfig(
+        system=system, method="ekf", num_cpis=2000,
+        initial_state=(x0, 10.0, 8.0, 7.0), motion_var=(0.0, 0.0),
+    )
+    result = run_experiment(cfg)
+    assert len(traces) == cfg.num_cpis - 1
+    assert all(posterior <= prior for prior, posterior in traces)
+    truth = metric_rows(result, "x", "y", "vx", "vy")
+    assert metric_rows(result, "x_hat", "y_hat", "vx_hat", "vy_hat") == truth
+    assert belief_rows(result, "x", "y", "vx", "vy") == truth
 
 
 def test_forecast_matrices_are_built_once_and_read_only():

@@ -27,10 +27,10 @@ from nfbeam.config import (
 )
 from nfbeam.geometry import NearField, pathloss
 from nfbeam.harness import (
+    BELIEF_COLUMNS,
+    METRIC_COLUMNS,
+    SUMMARY_COLUMNS,
     TRACE_COLUMNS,
-    BeliefRow,
-    MetricRow,
-    SweepRow,
     convergence_study,
     power_sweep,
     run_experiment,
@@ -43,7 +43,7 @@ from nfbeam.harness import (
 from nfbeam.motion import generate_trajectory
 from nfbeam.signals import cpi_throughput
 
-from helpers import read_metric_rows
+from helpers import belief_rows, metric_rows, read_csv_table
 
 
 def small_config(**kw):
@@ -72,27 +72,27 @@ def test_stream_determinism_and_independence():
 def test_first_cpi_is_initial_access():
     for method in ("ekf", "agdao", "ff", "fd"):
         result = run_experiment(small_config(method=method, num_cpis=3))
-        first = result.rows[0]
-        assert first.cpi == 1
+        first = dict(zip(METRIC_COLUMNS, result.metrics[0].tolist()))
+        assert first["cpi"] == 1
         # every pointer starts from the reported true state, so all four
         # throughput columns coincide on the first CPI
-        assert first.rate == first.rate_opt == first.rate_ff == first.rate_fd
-        assert (first.x_hat, first.y_hat) == (first.x, first.y)
-        assert (first.vx_hat, first.vy_hat) == (first.vx, first.vy)
-        assert first.verr_x == 0.0 and first.verr_y == 0.0
+        assert first["rate"] == first["rate_opt"] == first["rate_ff"] == first["rate_fd"]
+        for axis in ("x", "y", "vx", "vy"):
+            assert first[f"{axis}_hat"] == first[axis]
+        assert first["verr_x"] == 0.0 and first["verr_y"] == 0.0
 
 
 def test_single_cpi_run():
     result = run_experiment(small_config(method="ekf", num_cpis=1))
-    assert len(result.rows) == 1
-    assert result.rows[0].rate == result.rows[0].rate_opt
+    assert result.metrics.shape == (1, len(METRIC_COLUMNS))
+    assert result.belief.shape == (1, len(BELIEF_COLUMNS))
+    assert metric_rows(result, "rate") == metric_rows(result, "rate_opt")
 
 
 def test_matched_method_rides_the_opt_column():
     result = run_experiment(small_config(method="opt", num_cpis=10))
-    for row in result.rows:
-        assert row.rate == row.rate_opt
-        assert row.verr_x == 0.0 and row.verr_y == 0.0
+    assert metric_rows(result, "rate") == metric_rows(result, "rate_opt")
+    assert metric_rows(result, "verr_x", "verr_y") == [(0.0, 0.0)] * 10
 
 
 def _trajectory(cfg):
@@ -146,10 +146,10 @@ def test_batched_baselines_equal_the_per_cpi_loop(num_cpis, signed):
         seed=3, feedback_period_s=4e-4, initial_state=(0.5, 6.0, 8.0, 7.0),
     )
     assert cfg.feedback_period_cpis == 4
-    rows = run_experiment(cfg).rows
+    result = run_experiment(cfg)
     want = _per_cpi_baseline_rates(cfg)
-    assert [(r.rate_opt, r.rate_ff, r.rate_fd) for r in rows] == want
-    assert [r.rate for r in rows] == [fd for _, _, fd in want]
+    assert metric_rows(result, "rate_opt", "rate_ff", "rate_fd") == want
+    assert metric_rows(result, "rate") == [(fd,) for _, _, fd in want]
 
 
 def _spy_beams(monkeypatch, method):
@@ -178,14 +178,14 @@ def test_tracker_rate_is_its_beam_scored_alone(method, signed, num_cpis, monkeyp
         seed=3, feedback_period_s=4e-4, initial_state=(0.5, 6.0, 8.0, 7.0),
     )
     beams = _spy_beams(monkeypatch, method)
-    rows = run_experiment(cfg).rows
+    result = run_experiment(cfg)
     assert len(beams) == num_cpis - 1
     baselines = _per_cpi_baseline_rates(cfg)
     traj = _trajectory(cfg)
     # CPI 1 is initial access: the tracker points the genie beam
     want = [baselines[0][0]] + [_single_rate(cfg, bf, eta) for bf, eta in zip(beams, traj[1:])]
-    assert [r.rate for r in rows] == want
-    assert [(r.rate_opt, r.rate_ff, r.rate_fd) for r in rows] == baselines
+    assert metric_rows(result, "rate") == [(rate,) for rate in want]
+    assert metric_rows(result, "rate_opt", "rate_ff", "rate_fd") == baselines
 
 
 @pytest.mark.parametrize("num_cpis", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
@@ -217,17 +217,17 @@ def test_estimate_columns_of_every_method(method, signed, num_cpis, monkeypatch)
             p, v = _fd_state(traj, cpi, cfg.feedback_period_cpis, cfg.system.cpi_duration_s)
             want.append((*p, *v))
     elif method == "ekf":
-        want = [(b.x, b.y, b.vx, b.vy) for b in result.belief_rows]
+        want = belief_rows(result, "x", "y", "vx", "vy")
     elif method == "agdao":
         want = truth[:1] + steps
     else:
         want = truth
-    rows = result.rows
     assert len(steps) == (num_cpis - 1 if method == "agdao" else 0)
-    assert [(r.x, r.y, r.vx, r.vy) for r in rows] == truth
-    assert [(r.x_hat, r.y_hat, r.vx_hat, r.vy_hat) for r in rows] == want
-    assert [(r.verr_x, r.verr_y) for r in rows] == [
-        (abs(r.vx - r.vx_hat), abs(r.vy - r.vy_hat)) for r in rows
+    assert metric_rows(result, "x", "y", "vx", "vy") == truth
+    assert metric_rows(result, "x_hat", "y_hat", "vx_hat", "vy_hat") == want
+    assert metric_rows(result, "verr_x", "verr_y") == [
+        (abs(vx - vx_hat), abs(vy - vy_hat))
+        for vx, vy, vx_hat, vy_hat in metric_rows(result, "vx", "vy", "vx_hat", "vy_hat")
     ]
 
 
@@ -236,20 +236,22 @@ def test_opt_column_closed_form_and_dominance():
     result = run_experiment(cfg)
     p_w = cfg.system.tx_power_w
     m = cfg.system.num_antennas
-    for row in result.rows:
-        a1 = pathloss(cfg.system, np.array([row.x, row.y]), "downlink")
+    for x, y, rate_opt, *others in metric_rows(
+        result, "x", "y", "rate_opt", "rate", "rate_ff", "rate_fd"
+    ):
+        a1 = pathloss(cfg.system, np.array([x, y]), "downlink")
         want = math.log2(1.0 + p_w * m * a1 * a1 / cfg.system.comm_noise_power)
-        assert abs(row.rate_opt - want) <= 1e-9 * want
-        for other in (row.rate, row.rate_ff, row.rate_fd):
-            assert other <= row.rate_opt * (1.0 + 1e-12)
+        assert abs(rate_opt - want) <= 1e-9 * want
+        for other in others:
+            assert other <= rate_opt * (1.0 + 1e-12)
 
 
 def test_run_is_deterministic():
     cfg = small_config(method="ekf", num_cpis=15)
     first = run_experiment(cfg)
     second = run_experiment(cfg)
-    assert first.rows == second.rows
-    assert first.belief_rows == second.belief_rows
+    assert first.metrics.tobytes() == second.metrics.tobytes()
+    assert first.belief.tobytes() == second.belief.tobytes()
 
 
 def test_ekf_run_shares_no_state_memory(monkeypatch):
@@ -290,10 +292,10 @@ def test_ekf_run_shares_no_state_memory(monkeypatch):
 
 def test_belief_rows_only_for_ekf():
     ekf = run_experiment(small_config(method="ekf", num_cpis=5))
-    assert ekf.belief_rows is not None and len(ekf.belief_rows) == 5
-    assert ekf.belief_rows[0].cpi == 1
+    assert ekf.belief.shape == (5, len(BELIEF_COLUMNS))
+    assert belief_rows(ekf, "cpi") == [(1.0,), (2.0,), (3.0,), (4.0,), (5.0,)]
     agdao = run_experiment(small_config(method="agdao", num_cpis=5))
-    assert agdao.belief_rows is None
+    assert agdao.belief is None
 
 
 def test_unknown_method_rejected():
@@ -303,12 +305,10 @@ def test_unknown_method_rejected():
 
 def test_power_sweep_single_cell_matches_run():
     cfg = small_config(num_cpis=12)
-    rows = power_sweep(cfg, powers_dbm=(30.0,), methods=("ekf",))
-    assert len(rows) == 1
+    summary = power_sweep(cfg, powers_dbm=(30.0,), methods=("ekf",))
+    assert summary.dtype.names == SUMMARY_COLUMNS
     direct = run_experiment(dataclasses.replace(cfg, method="ekf")).summary()
-    assert rows[0].mean_rate == direct["mean_rate"]
-    assert rows[0].mean_rate_opt == direct["mean_rate_opt"]
-    assert rows[0].mean_verr_x == direct["mean_verr_x"]
+    assert summary.tolist() == [tuple(direct[name] for name in SUMMARY_COLUMNS)]
     with pytest.raises(ConfigError):
         power_sweep(cfg, powers_dbm=())
     with pytest.raises(ConfigError):
@@ -408,23 +408,61 @@ def test_tracking_run_builds_two_snapshots_a_chunk_and_one_a_tracked_cpi(monkeyp
 def test_metrics_csv_round_trip(tmp_path):
     result = run_experiment(small_config(method="ekf", num_cpis=8))
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, result.rows)
-    assert read_metric_rows(path) == result.rows
+    write_metrics_csv(path, result.metrics)
+    header, table = read_csv_table(path)
+    assert header == list(METRIC_COLUMNS)
+    assert table.tolist() == result.metrics.tolist()
     first = path.read_bytes()
-    write_metrics_csv(path, result.rows)
+    # cpi as an int
+    assert [line.split(",")[0] for line in first.decode().splitlines()[1:]] == [
+        str(cpi) for cpi in range(1, 9)
+    ]
+    write_metrics_csv(path, result.metrics)
     assert path.read_bytes() == first
 
 
 def test_metrics_csv_reads_numpy_floats_back_as_floats(tmp_path):
-    # a cell may arrive as np.float64, whose repr is not a plain number
-    row = run_experiment(small_config(method="ekf", num_cpis=2)).rows[-1]
-    twin = dataclasses.replace(row, **{
-        f.name: np.float64(getattr(row, f.name))
-        for f in dataclasses.fields(row) if f.name != "cpi"
-    })
+    # the table's cells are np.float64, whose repr is not a plain number; each
+    # is written as its Python float's repr, from any memory layout of the table
+    metrics = run_experiment(small_config(method="ekf", num_cpis=2)).metrics
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [twin])
-    assert read_metric_rows(path) == [row]
+    write_metrics_csv(path, metrics)
+    first = path.read_bytes()
+    assert read_csv_table(path)[1].tolist() == metrics.tolist()
+    for layout in (np.asfortranarray(metrics), np.repeat(metrics, 2, axis=1)[:, ::2]):
+        write_metrics_csv(path, layout)
+        assert path.read_bytes() == first
+
+
+def test_tracking_run_and_its_writers_build_no_row_objects(tmp_path, monkeypatch):
+    # 2000 EKF CPIs at M=64: the metrics and belief tables take 0.4 MiB, and
+    # the run's peak is mostly a chunk's four beam slots (2 MiB). A MetricRow
+    # and a BeliefRow kept per CPI took the peak to 5.8 MiB.
+    built = []
+    init = harness.MetricRow.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness.MetricRow, "__init__", counted)
+    cfg = ExperimentConfig(system=SystemConfig(num_antennas=64), method="ekf", num_cpis=2000)
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg)
+        write_metrics_csv(tmp_path / "metrics.csv", result.metrics)
+        write_belief_csv(tmp_path / "belief.csv", result.belief)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert not hasattr(harness, "BeliefRow")
+    assert peak <= 5 * 2**20, peak / 2**20
+    # the rows view is built on first access, once, from the table
+    rows = result.rows
+    assert result.rows is rows and len(built) == 2000
+    assert [dataclasses.astuple(row) for row in rows[:3]] == metric_rows(result, *METRIC_COLUMNS)[:3]
+    assert type(rows[0].cpi) is int
 
 
 def test_all_writers_are_byte_stable(tmp_path):
@@ -432,15 +470,15 @@ def test_all_writers_are_byte_stable(tmp_path):
     result = run_experiment(cfg)
     sweep = power_sweep(small_config(num_cpis=4), powers_dbm=(30.0,), methods=("ekf",))
     trace = convergence_study(cfg, num_seeds=1, max_iters=5)
-    for name, writer, rows in (
-        ("belief.csv", write_belief_csv, result.belief_rows),
+    for name, writer, table in (
+        ("belief.csv", write_belief_csv, result.belief),
         ("summary.csv", write_summary_csv, sweep),
         ("trace.csv", write_trace_csv, trace),
     ):
         path = tmp_path / name
-        writer(path, rows)
+        writer(path, table)
         first = path.read_bytes()
-        writer(path, rows)
+        writer(path, table)
         assert path.read_bytes() == first
         header = first.decode().splitlines()[0]
         assert "," in header and header.lower() == header
@@ -457,18 +495,17 @@ def test_writers_match_a_row_by_row_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 3)
     cells = [-0.0, 1e-05, 3.0, 0.1, -2.5e-300, 1.7976931348623157e308, np.float64(1e16), 12.0]
     floats = [cells[i % len(cells):] + cells[:i % len(cells)] for i in range(8)]
-    metrics = [MetricRow(i + 1, *(f * 2)[:14]) for i, f in enumerate(floats)]
-    beliefs = [BeliefRow(i + 1, *f[:8], f[0], i % 2) for i, f in enumerate(floats)]
-    sweep = [SweepRow(("ekf", "agdao")[i % 2], *f[:7]) for i, f in enumerate(floats)]
-    for name, writer, rows in (
-        ("metrics.csv", write_metrics_csv, metrics),
-        ("belief.csv", write_belief_csv, beliefs),
-        ("summary.csv", write_summary_csv, sweep),
+    metrics = [(i + 1, *(f * 2)[:14]) for i, f in enumerate(floats)]
+    beliefs = [(i + 1, *f[:8], f[0], i % 2) for i, f in enumerate(floats)]
+    sweep = [(("ekf", "agdao")[i % 2], *f[:7]) for i, f in enumerate(floats)]
+    for name, writer, columns, rows, table in (
+        ("metrics.csv", write_metrics_csv, METRIC_COLUMNS, metrics, np.array(metrics, float)),
+        ("belief.csv", write_belief_csv, BELIEF_COLUMNS, beliefs, np.array(beliefs, float)),
+        ("summary.csv", write_summary_csv, SUMMARY_COLUMNS, sweep,
+         np.rec.fromrecords(sweep, names=SUMMARY_COLUMNS)),
     ):
-        writer(tmp_path / name, rows)
-        fields = [f.name for f in dataclasses.fields(rows[0])]
-        want = _reference_csv(fields, [dataclasses.astuple(r) for r in rows])
-        assert (tmp_path / name).read_bytes() == want, name
+        writer(tmp_path / name, table)
+        assert (tmp_path / name).read_bytes() == _reference_csv(columns, rows), name
 
     tables = {
         key: np.array([[float(k), *floats[k][:7]] for k in range(n)])

@@ -45,8 +45,8 @@ def cell(num_antennas: int, dbm: float, seeds: int, cpis: int):
         for seed in range(seeds):
             system = SystemConfig(num_antennas=num_antennas, tx_power_dbm=float(dbm))
             config = ExperimentConfig(method="agdao", num_cpis=cpis, seed=seed, system=system)
-            result = harness.run_experiment(config)
-            verr.append((result.mean("verr_x"), result.mean("verr_y")))
+            summary = harness.run_experiment(config).summary()
+            verr.append((summary["mean_verr_x"], summary["mean_verr_y"]))
     finally:
         harness.agdao_track_step = step
     iters = np.array(iters)

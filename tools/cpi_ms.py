@@ -35,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from nfbeam.config import ExperimentConfig, SystemConfig  # noqa: E402
-from nfbeam.harness import run_experiment  # noqa: E402
+from nfbeam.harness import METRIC_COLUMNS, run_experiment  # noqa: E402
 
 # perfbench's reference loop and its fast-state time, loaded by path so that
 # perfbench's module names stay off sys.path
@@ -81,11 +81,12 @@ def timed_run(method: str, num_antennas: int, num_cpis: int) -> tuple[float, np.
             refs.append(child.reference_s())
             cut = time.perf_counter()
 
-    rows = run_experiment(config, sample).rows
+    metrics = run_experiment(config, sample).metrics
     sample()
     seconds = sum(seg * 2.0 * child.REFERENCE_FAST_S / (refs[i] + refs[i + 1])
                   for i, seg in enumerate(segments))
-    return seconds, np.array([(row.verr_x, row.verr_y) for row in rows]).mean(axis=0)
+    verr = [METRIC_COLUMNS.index("verr_x"), METRIC_COLUMNS.index("verr_y")]
+    return seconds, metrics[:, verr].mean(axis=0)
 
 
 def table(num_cpis: int = 400, antennas=ANTENNAS, budget_s: float = 10.0, rounds: int = 3):
