@@ -80,7 +80,7 @@ class VelocityProblem:
         self.frame = frame
         system = nf.system
         s_amp = math.sqrt(system.tx_power_w)
-        scale = float(s_amp * geo.pathloss(system, nf.position, geo.ROUNDTRIP))
+        scale = float(s_amp * nf.alpha2)
         # phase advance per unit composite speed over the CPI
         rot = system.wavenumber * system.symbols_per_cpi * system.symbol_duration_s
         # exponent of d per unit speed along the frame's first and second axis

@@ -103,7 +103,7 @@ def check_mrt_snr(seed: int = 0, trials: int = 100):
         p, v = _random_state(rng)
         nf = geo.NearField(system, p)
         rate = cpi_throughput(nf, v, predictive_beamformers(nf, v))
-        alpha1 = geo.pathloss(system, p, geo.DOWNLINK)
+        alpha1 = system.ref_gain / (p[0] * p[0] + p[1] * p[1])
         snr = power_w * system.num_antennas * alpha1 ** 2 / sigma_c2
         expected = float(np.log2(1.0 + snr))
         worst = max(worst, abs(rate - expected) / expected)

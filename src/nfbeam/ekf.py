@@ -128,8 +128,7 @@ def observation_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobia
     s_amp = math.sqrt(system.tx_power_w)
     a = geo.array_response(system.symbols_per_cpi, v, nf)
     af = a @ f
-    alpha2 = geo.pathloss(system, nf.position, geo.ROUNDTRIP)
-    da2_dx, da2_dy = geo.pathloss_gradient(system, nf.position)
+    da2_dx, da2_dy = geo.pathloss_gradient(nf)
     dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(nf)
 
     # da/d(state_k) = -j*kappa*a*phi_k: phi_x = dtt * d(v_m)/dx + dr/dx (likewise
@@ -141,7 +140,7 @@ def observation_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobia
     np.multiply(dtt, nf.g, out=phi[2])
     np.multiply(dtt, nf.q, out=phi[3])
     # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
-    c = -1j * system.wavenumber * alpha2 * s_amp
+    c = -1j * system.wavenumber * nf.alpha2 * s_amp
     w = (a * f).view(float).reshape(-1, 2)
     big_a = c * (phi @ w).view(complex)
     big_a[0] += s_amp * da2_dx * af

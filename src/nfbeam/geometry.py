@@ -1,8 +1,10 @@
-"""Uniform linear array geometry, near-field response, and pathloss.
+"""Uniform linear array geometry, near-field response, and channel gains.
 
 The array and the link are a config.SystemConfig: M antennas along the
 x-axis, centered on the origin, antenna m (0-based) at ((m - (M-1)/2) *
 spacing, 0), with ref_gain at 1 m one-way and rcs scaling the reflection.
+A NearField snapshot holds everything per position, gains included, and
+refuses a position on an antenna or at the array center when it is built.
 """
 from __future__ import annotations
 
@@ -14,9 +16,6 @@ SPEED_OF_LIGHT = 299792458.0
 MIN_RANGE = 1e-9
 # Below this |x - k_m1| the magnitude-projection derivative sits on its kink.
 KINK_TOL = 1e-9
-
-DOWNLINK = "downlink"
-ROUNDTRIP = "roundtrip"
 
 
 class DegeneratePositionError(ValueError):
@@ -87,32 +86,44 @@ class NearField:
     """Near-field model of the array at position(s) p of shape (..., 2), built once.
 
     Holds the per-antenna ranges r, the offsets ux = x - k_m1 and uy = y, the
-    steering phasor a_tilde = exp(-j * 2pi/lambda * r) and the projections
+    steering phasor a_tilde = exp(-j * 2pi/lambda * r), the projections
     (g, q) = (ux, uy) / r, numerators folded to |.| unless system.signed_projection
-    (g^2 + q^2 = 1 either way); every array is (..., M) except uy, (..., 1).
+    (g^2 + q^2 = 1 either way), and the downlink and round-trip gains
+    alpha1 = ref_gain / |p|^2 and alpha2 = rcs * ref_gain / (4 |p|^2); every
+    array is (..., M) except uy, (..., 1), and the gains, (...). A position on
+    an antenna or at the array center raises DegeneratePositionError here.
     Every function that reads more than the ranges or the steering phasor
-    takes a snapshot, never a position, and reads the array, the pathloss,
-    the frame timing and the powers from its system, so the beamformer, the
+    takes a snapshot, never a position, and reads the array, the gains,
+    the frame timing and the powers from it, so the beamformer, the
     echo model, its Jacobian and the throughput of one CPI share one build.
     Indexing the leading axes gives the snapshot of a subset.
     """
 
-    __slots__ = ("system", "position", "r", "ux", "uy", "steering", "g", "q", "response")
+    __slots__ = (
+        "system", "position", "r", "ux", "uy", "steering", "g", "q", "alpha1", "alpha2",
+        "response",
+    )
 
     def __init__(self, system, p):
         p = as_points(p, "position")
         r = element_distances(system, p)
-        ux = p[..., 0, None] - element_offsets(system)
-        uy = p[..., 1, None]
+        x, y = p[..., 0], p[..., 1]
+        rr = x * x + y * y
+        reject_degenerate(p, rr, MIN_RANGE * MIN_RANGE, "the array center")
+        ux = x[..., None] - element_offsets(system)
+        uy = y[..., None]
         if system.signed_projection:
             g, q = ux / r, uy / r
         else:
             g, q = np.abs(ux) / r, np.abs(uy) / r
-        self._set(system, p, r, ux, uy, unit_phasor(-system.wavenumber * r), g, q)
+        alpha1 = system.ref_gain / rr
+        alpha2 = system.rcs * system.ref_gain / (4.0 * rr)
+        self._set(system, p, r, ux, uy, unit_phasor(-system.wavenumber * r), g, q, alpha1, alpha2)
 
     def _set(self, system, *arrays) -> None:
         self.system = system
-        self.position, self.r, self.ux, self.uy, self.steering, self.g, self.q = arrays
+        (self.position, self.r, self.ux, self.uy, self.steering, self.g, self.q,
+         self.alpha1, self.alpha2) = arrays
         self.response = (None, None)  # (key, a) of the last array_response
 
     def __getitem__(self, index) -> "NearField":
@@ -170,40 +181,23 @@ def array_response(n: int, v, nf: NearField) -> np.ndarray:
     return a
 
 
-def pathloss(system, p, kind: str):
-    """Amplitude gain to position(s) p: downlink (one-way) or roundtrip (echo).
-
-    A float for one position; shape (...) for positions of shape (..., 2).
-    """
-    p = as_points(p, "position")
-    x, y = p[..., 0], p[..., 1]
-    rr = x * x + y * y
-    reject_degenerate(p, rr, MIN_RANGE * MIN_RANGE, "the array center")
-    if kind == DOWNLINK:
-        return system.ref_gain / rr
-    if kind == ROUNDTRIP:
-        return system.rcs * system.ref_gain / (4.0 * rr)
-    raise ValueError(f"unknown pathloss kind {kind!r}")
-
-
-def pathloss_gradient(system, p):
-    """Spatial gradient (d/dx, d/dy) of the roundtrip gain."""
-    p = _as_position(p)
+def pathloss_gradient(nf: NearField):
+    """Spatial gradient (d/dx, d/dy) of the round-trip gain alpha2."""
+    p = _as_position(nf.position)
     rr = p[0] * p[0] + p[1] * p[1]
-    reject_degenerate(p, rr, MIN_RANGE * MIN_RANGE, "the array center")
-    c = -system.rcs * system.ref_gain / (2.0 * rr * rr)
+    c = -nf.system.rcs * nf.system.ref_gain / (2.0 * rr * rr)
     return c * p[0], c * p[1]
 
 
 def downlink_channel(n: int, v, nf: NearField) -> np.ndarray:
     """One-way channel h(n) = alpha1 * a(n), shape (M,)."""
-    return pathloss(nf.system, nf.position, DOWNLINK) * array_response(n, v, nf)
+    return nf.alpha1 * array_response(n, v, nf)
 
 
 def roundtrip_channel(n: int, v, nf: NearField) -> np.ndarray:
     """Echo channel H(n) = alpha2 * a(n) a(n)^T, shape (M, M), symmetric rank 1."""
     a = array_response(n, v, nf)
-    h = pathloss(nf.system, nf.position, ROUNDTRIP) * np.outer(a, a)
+    h = nf.alpha2 * np.outer(a, a)
     # complex multiply can contract to FMA, leaving H_ij and H_ji a ulp
     # apart; mirror the upper triangle so symmetry holds bit-exactly
     low = np.tril_indices(nf.system.num_antennas, -1)

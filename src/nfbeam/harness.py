@@ -228,7 +228,6 @@ def convergence_study(
     config: ExperimentConfig,
     variants=VARIANTS,
     num_seeds: int = 10,
-    max_iters: int | None = None,
 ) -> dict[tuple[str, int], np.ndarray]:
     """Single-CPI optimizer traces at the known-position instance.
 
@@ -249,10 +248,7 @@ def convergence_study(
     near, v_gt = NearField(config.system, eta_gt[:2]), eta_gt[2:]
     v_init = np.asarray(config.convergence_v_init, dtype=float)
 
-    overrides = {"rel_tol": 0.0}
-    if max_iters is not None:
-        overrides["max_iters"] = max_iters
-    hyper = dataclasses.replace(config.adam, **overrides)
+    hyper = dataclasses.replace(config.adam, rel_tol=0.0)
 
     bf = predictive_beamformers(near, v_init)
     traces: dict[tuple[str, int], np.ndarray] = {}

@@ -18,13 +18,13 @@ class NonFiniteRateError(ArithmeticError):
     """A throughput came out inf or NaN."""
 
 
-def check_unit_norm(f: np.ndarray, tol: float = BEAM_NORM_TOL) -> None:
+def check_unit_norm(f: np.ndarray) -> None:
     """Raise BeamNormError unless every beamformer row has unit 2-norm."""
     f = np.asarray(f)
     norms = np.linalg.norm(f, axis=-1)
     err = np.abs(norms - 1.0).max()
-    if not err <= tol:  # a non-finite row makes err NaN, which fails here
-        raise BeamNormError(f"beamformer norm deviates from 1 by {err:.3e} (tol {tol})")
+    if not err <= BEAM_NORM_TOL:  # a non-finite row makes err NaN, which fails here
+        raise BeamNormError(f"beamformer norm deviates from 1 by {err:.3e} (tol {BEAM_NORM_TOL})")
 
 
 def complex_gaussian(rng: np.random.Generator, size: int, power: float) -> np.ndarray:
@@ -43,8 +43,7 @@ def observation_mean(nf: geo.NearField, v, f: np.ndarray) -> np.ndarray:
     state at the snapshot's position and velocity v, shape (2,); s = sqrt(P)."""
     system = nf.system
     a = geo.array_response(system.symbols_per_cpi, v, nf)
-    alpha2 = geo.pathloss(system, nf.position, geo.ROUNDTRIP)
-    return math.sqrt(system.tx_power_w) * alpha2 * a * (a @ f)
+    return math.sqrt(system.tx_power_w) * nf.alpha2 * a * (a @ f)
 
 
 def synthesize_observation(
@@ -81,8 +80,7 @@ def cpi_throughput(nf: geo.NearField, v, beamformers: np.ndarray):
     beamformers = np.asarray(beamformers)
     h = geo.symbol_dopplers(v, nf)
     np.multiply(h, nf.steering[..., None, :], out=h)  # the channel up to alpha1
-    alpha1 = geo.pathloss(system, nf.position, geo.DOWNLINK)
-    gains = alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)
+    gains = nf.alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)
     snr = system.tx_power_w * np.abs(gains) ** 2 / system.comm_noise_power
     rate = np.mean(np.log2(1.0 + snr), axis=-1)
     if not np.isfinite(rate).all():

@@ -18,7 +18,6 @@ from nfbeam.ekf import kalman_update, observation_jacobian
 from nfbeam.geometry import (
     NearField,
     doppler_vector,
-    pathloss,
     roundtrip_channel,
     steering_vector,
 )
@@ -76,7 +75,7 @@ def test_criterion_01_matched_beam_snr_closed_form():
         eta = sample_state(rng, sys_cfg)
         nf = NearField(sys_cfg, eta[:2])
         bf = opt_beamformers(nf, eta[2:])
-        alpha1 = pathloss(sys_cfg, eta[:2], "downlink")
+        alpha1 = nf.alpha1
         want = p_w * sys_cfg.num_antennas * alpha1**2 / sys_cfg.comm_noise_power
         for n in range(1, sys_cfg.symbols_per_cpi + 1):
             got = received_snr(nf, eta[2:], bf[n - 1], n)

@@ -17,7 +17,7 @@ from nfbeam.agdao import (
 )
 from nfbeam.beamforming import predictive_beamformers
 from nfbeam.config import AdamHyper, ExperimentConfig, SystemConfig
-from nfbeam.geometry import ROUNDTRIP, NearField, array_response, pathloss
+from nfbeam.geometry import NearField, array_response
 from nfbeam.harness import run_experiment, stream
 from nfbeam.motion import generate_trajectory
 from nfbeam.signals import observation_mean, synthesize_observation
@@ -44,7 +44,7 @@ def direct_likelihood(y, nf, v, f):
     """Objective and both gradients from M-length fields, without |a_m| = 1."""
     b = observation_mean(nf, v, f)
     a = array_response(N_SYM, v, nf)
-    scale = pathloss(nf.system, nf.position, ROUNDTRIP)
+    scale = nf.alpha2
     rot = nf.system.wavenumber * N_SYM * nf.system.symbol_duration_s
     resid = y - b
     out = [float(2.0 * np.vdot(y, b).real - np.vdot(b, b).real)]

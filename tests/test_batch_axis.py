@@ -15,7 +15,6 @@ from nfbeam.geometry import (
     doppler_vector,
     element_distances,
     element_offsets,
-    pathloss,
     steering_vector,
 )
 from nfbeam.signals import cpi_throughput
@@ -55,8 +54,8 @@ def _calls(signed):
         "projection_coeffs": projection_coeffs,
         # the radial speeds, read through the Doppler phasor they drive
         "radial_speeds": lambda p, v: doppler_vector(1, v, NearField(system, p)),
-        "pathloss_downlink": lambda p, v: pathloss(SYSTEM, p, "downlink"),
-        "pathloss_roundtrip": lambda p, v: pathloss(SYSTEM, p, "roundtrip"),
+        "pathloss_downlink": lambda p, v: NearField(SYSTEM, p).alpha1,
+        "pathloss_roundtrip": lambda p, v: NearField(SYSTEM, p).alpha2,
         "predictive_beamformers": lambda p, v: predictive_beamformers(NearField(system, p), v),
         "opt_beamformers": lambda p, v: opt_beamformers(NearField(system, p), v),
         "ff_beamformers": lambda p, v: ff_beamformers(SYSTEM, p, v),
@@ -106,8 +105,8 @@ def test_throughput_scores_stacked_beams_on_each_state(signed):
 
 def test_single_state_keeps_its_types():
     p, v = _pv(_states(12)[0])
-    assert type(pathloss(SYSTEM, p, "downlink")) is np.float64
     nf = NearField(SYSTEM, p)
+    assert type(nf.alpha1) is np.float64 and type(nf.alpha2) is np.float64
     bf = opt_beamformers(nf, v)
     assert type(cpi_throughput(nf, v, bf)) is float
     assert bf.shape == (N_SYM, SYSTEM.num_antennas)

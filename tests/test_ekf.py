@@ -17,7 +17,7 @@ from nfbeam.ekf import (
     kalman_update,
     observation_jacobian,
 )
-from nfbeam.geometry import ProjectionKinkError, pathloss
+from nfbeam.geometry import ProjectionKinkError
 from nfbeam.harness import run_experiment, stream
 from nfbeam.motion import generate_trajectory, transition_matrix
 from nfbeam.signals import (
@@ -133,8 +133,7 @@ def test_jacobian_velocity_columns_at_rest():
     nf = geo.NearField(system, eta[:2])
     jac = np.asarray(observation_jacobian(nf, eta[2:], f))
     atil, g, q = nf.steering, nf.g, nf.q
-    alpha2 = pathloss(system, eta[:2], "roundtrip")
-    fac = -1j * system.wavenumber * DT * alpha2
+    fac = -1j * system.wavenumber * DT * nf.alpha2
     af = atil @ f
     for col, proj in ((2, g), (3, q)):
         expect = fac * ((proj * atil) * af + atil * ((proj * atil) @ f))
@@ -335,8 +334,9 @@ def test_track_step_throughput_near_matched():
             return synthesize_observation(geo.NearField(system, eta[:2]), eta[2:], bf, noise_rng)
 
         bf, belief, diag = ekf_track_step(belief, observe, system, (0.01, 0.01))
-        rates.append(cpi_throughput(geo.NearField(system, eta[:2]), eta[2:], bf))
-        a1 = pathloss(system, eta[:2], "downlink")
+        nf = geo.NearField(system, eta[:2])
+        rates.append(cpi_throughput(nf, eta[2:], bf))
+        a1 = nf.alpha1
         opts.append(math.log2(1.0 + 64 * a1 * a1 / 1e-8))
     assert np.mean(rates) / np.mean(opts) > 0.98
 
@@ -427,7 +427,7 @@ def _long_double_jacobian(nf, v, f):
     """The echo Jacobian's four columns assembled in np.longdouble arithmetic.
 
     The inputs (array response, ranges, projections and their gradients,
-    pathloss) are the float64 values of the geometry layer; only the
+    gains) are the float64 values of the geometry layer; only the
     assembly of the columns runs in long double, so this is a reference for
     the round-off of the assembly alone.
     """
@@ -443,8 +443,8 @@ def _long_double_jacobian(nf, v, f):
     dtt = dtype(system.symbols_per_cpi) * dtype(system.symbol_duration_s)
     s_amp = dtype(math.sqrt(system.tx_power_w))
     f = np.asarray(f, cplx)
-    alpha2 = dtype(geo.pathloss(system, nf.position, geo.ROUNDTRIP))
-    da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(system, nf.position))
+    alpha2 = dtype(nf.alpha2)
+    da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(nf))
     minus_j = -cplx(1j)
 
     af = a @ f

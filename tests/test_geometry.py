@@ -17,7 +17,6 @@ from nfbeam.geometry import (
     downlink_channel,
     element_distances,
     element_offsets,
-    pathloss,
     pathloss_gradient,
     projection_coeff_gradients,
     roundtrip_channel,
@@ -165,14 +164,13 @@ def test_array_response_is_steering_times_doppler():
 def test_pathloss_values_and_gradient():
     system = SystemConfig(ref_gain=2.0, rcs=3.0)
     p = (3.0, 4.0)  # x^2 + y^2 = 25
-    assert pathloss(system, p, "downlink") == pytest.approx(2.0 / 25.0, rel=1e-15)
-    assert pathloss(system, p, "roundtrip") == pytest.approx(3.0 * 2.0 / 100.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        pathloss(system, p, "sideways")
-    ddx, ddy = pathloss_gradient(system, p)
+    nf = NearField(system, p)
+    assert nf.alpha1 == pytest.approx(2.0 / 25.0, rel=1e-15)
+    assert nf.alpha2 == pytest.approx(3.0 * 2.0 / 100.0, rel=1e-15)
+    ddx, ddy = pathloss_gradient(nf)
     step = 1e-6
-    fdx = fd_central(lambda x: pathloss(system, (x, 4.0), "roundtrip"), 3.0, step)
-    fdy = fd_central(lambda y: pathloss(system, (3.0, y), "roundtrip"), 4.0, step)
+    fdx = fd_central(lambda x: NearField(system, (x, 4.0)).alpha2, 3.0, step)
+    fdy = fd_central(lambda y: NearField(system, (3.0, y)).alpha2, 4.0, step)
     assert ddx == pytest.approx(fdx, rel=1e-8)
     assert ddy == pytest.approx(fdy, rel=1e-8)
 
@@ -180,9 +178,9 @@ def test_pathloss_values_and_gradient():
 def test_downlink_channel_at_zero_velocity():
     system = system_for(32)
     p = (1.2, 11.0)
-    h = downlink_channel(5, (0.0, 0.0), NearField(system, p))
-    alpha1 = pathloss(system, p, "downlink")
-    np.testing.assert_array_equal(h, alpha1 * steering_vector(system, p))
+    nf = NearField(system, p)
+    h = downlink_channel(5, (0.0, 0.0), nf)
+    np.testing.assert_array_equal(h, nf.alpha1 * steering_vector(system, p))
 
 
 def test_roundtrip_channel_symmetric_rank_one():
@@ -197,8 +195,7 @@ def test_roundtrip_channel_symmetric_rank_one():
         assert s[1] / s[0] < 1e-12
         # H = alpha2 * a a^T elementwise
         a = array_response(10, eta[2:], nf)
-        alpha2 = pathloss(system, eta[:2], "roundtrip")
-        np.testing.assert_allclose(h2, alpha2 * np.outer(a, a), rtol=1e-12)
+        np.testing.assert_allclose(h2, nf.alpha2 * np.outer(a, a), rtol=1e-12)
 
 
 def test_projection_gradients_match_fd():

@@ -25,7 +25,7 @@ from nfbeam.config import (
     dbm_to_watts,
     save_config,
 )
-from nfbeam.geometry import NearField, pathloss
+from nfbeam.geometry import NearField
 from nfbeam.harness import (
     BELIEF_COLUMNS,
     METRIC_COLUMNS,
@@ -239,7 +239,7 @@ def test_opt_column_closed_form_and_dominance():
     for x, y, rate_opt, *others in metric_rows(
         result, "x", "y", "rate_opt", "rate", "rate_ff", "rate_fd"
     ):
-        a1 = pathloss(cfg.system, np.array([x, y]), "downlink")
+        a1 = NearField(cfg.system, np.array([x, y])).alpha1
         want = math.log2(1.0 + p_w * m * a1 * a1 / cfg.system.comm_noise_power)
         assert abs(rate_opt - want) <= 1e-9 * want
         for other in others:
@@ -325,8 +325,8 @@ def test_power_sweep_orderings():
 
 
 def test_convergence_study_shape_and_determinism():
-    cfg = small_config()
-    traces = convergence_study(cfg, num_seeds=2, max_iters=30)
+    cfg = small_config(adam=AdamHyper(max_iters=30))
+    traces = convergence_study(cfg, num_seeds=2)
     assert list(traces) == [(v, seed) for seed in range(2) for v in VARIANTS]
     gt_v = cfg.convergence_state[2:]
     for table in traces.values():
@@ -337,14 +337,14 @@ def test_convergence_study_shape_and_determinism():
         for _, vx, vy, *_, err_vx, err_vy in table.tolist():
             assert err_vx == abs(vx - gt_v[0])
             assert err_vy == abs(vy - gt_v[1])
-    again = convergence_study(cfg, num_seeds=2, max_iters=30)
+    again = convergence_study(cfg, num_seeds=2)
     assert list(again) == list(traces)
     for key, table in traces.items():
         np.testing.assert_array_equal(again[key], table)
     with pytest.raises(ConfigError):
         convergence_study(cfg, num_seeds=0)
     with pytest.raises(ConfigError):
-        convergence_study(cfg, variants=("newton",), num_seeds=1, max_iters=5)
+        convergence_study(cfg, variants=("newton",), num_seeds=1)
 
 
 def test_convergence_study_and_trace_writer_stay_small(tmp_path):
@@ -469,7 +469,7 @@ def test_all_writers_are_byte_stable(tmp_path):
     cfg = small_config(method="ekf", num_cpis=6)
     result = run_experiment(cfg)
     sweep = power_sweep(small_config(num_cpis=4), powers_dbm=(30.0,), methods=("ekf",))
-    trace = convergence_study(cfg, num_seeds=1, max_iters=5)
+    trace = convergence_study(dataclasses.replace(cfg, adam=AdamHyper(max_iters=5)), num_seeds=1)
     for name, writer, table in (
         ("belief.csv", write_belief_csv, result.belief),
         ("summary.csv", write_summary_csv, sweep),

@@ -118,6 +118,31 @@ def test_degenerate_position_in_a_snapshot_is_rejected(where):
         NearField(SYSTEM, p)
 
 
+def test_snapshot_carries_its_gains_and_refuses_the_array_center():
+    system = system_for(32, ref_gain=1.5, rcs=2.0)
+    rng = np.random.default_rng(5)
+    points = np.array([sample_broadside_state(rng)[:2] for _ in range(6)]).reshape(2, 3, 2)
+    for p in (points[0, 1], points):
+        nf = NearField(system, p)
+        rr = p[..., 0] ** 2 + p[..., 1] ** 2
+        np.testing.assert_array_equal(nf.alpha1, 1.5 / rr)
+        np.testing.assert_array_equal(nf.alpha2, 2.0 * 1.5 / (4.0 * rr))
+        assert np.shape(nf.alpha1) == np.shape(nf.alpha2) == p.shape[:-1]
+    assert type(NearField(system, points[0, 1]).alpha1) is np.float64
+    # an indexed part carries the batch's gains, bit for bit
+    near = NearField(system, points)
+    part = near[1, 2]
+    assert part.alpha1 == near.alpha1[1, 2] and part.alpha2 == near.alpha2[1, 2]
+    assert type(part.alpha1) is np.float64
+    # with M even no antenna sits at the center, so the snapshot itself refuses it
+    with pytest.raises(DegeneratePositionError, match="the array center"):
+        NearField(system, (0.0, 0.0))
+    # a batch names its first antenna contact before any center
+    on_antenna = [element_offsets(system)[4], 0.0]
+    with pytest.raises(DegeneratePositionError, match="an antenna"):
+        NearField(system, [[0.0, 0.0], on_antenna])
+
+
 @pytest.mark.parametrize("shape", [(), (SYSTEM.num_antennas,), (4, N_SYM, SYSTEM.num_antennas)])
 @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
 def test_unit_phasor_matches_complex_exp(shape, scale):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam.geometry import NearField, array_response, pathloss
+from nfbeam.geometry import NearField, array_response
 from nfbeam.signals import (
     BeamNormError,
     check_unit_norm,
@@ -100,7 +100,7 @@ def test_observation_mean_matches_hand_assembly():
         nf = NearField(system, eta[:2])
         got = observation_mean(nf, eta[2:], f)
         a = array_response(N_SYM, eta[2:], nf)
-        alpha2 = pathloss(system, eta[:2], "roundtrip")
+        alpha2 = nf.alpha2
         inner = sum(a[k] * f[k] for k in range(6))
         s_amp = math.sqrt(10.0 ** 0.5)  # 35 dBm in watts, square-rooted
         expect = [s_amp * alpha2 * a[m] * inner for m in range(6)]
@@ -146,7 +146,7 @@ def test_matched_beamformer_hits_closed_form_snr():
         eta = sample_state(rng, system)
         nf = NearField(system, eta[:2])
         bf = predictive_beamformers(nf, eta[2:])
-        alpha1 = pathloss(system, eta[:2], "downlink")
+        alpha1 = nf.alpha1
         expect = p_w * 64 * alpha1**2 / sigma_c2
         for n in (1, N_SYM):
             got = received_snr(nf, eta[2:], bf[n - 1], n)
