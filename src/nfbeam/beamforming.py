@@ -1,4 +1,5 @@
-"""Transmit beamformers: predictive matched filter and the baseline pointers."""
+"""Transmit beamformers: predictive matched filter and the baseline pointers. The
+feedback table is one batched kinematic_forecast; latch indices take an int or an array."""
 from __future__ import annotations
 
 import math
@@ -7,6 +8,7 @@ import numpy as np
 
 from . import geometry as geo
 from .config import SystemConfig
+from .motion import kinematic_forecast
 
 
 def _scale_by_rsqrt(z: np.ndarray, num_antennas: int) -> np.ndarray:
@@ -76,31 +78,27 @@ def ff_beamformers(system: SystemConfig, p_true, v_true) -> np.ndarray:
     return symbol[..., :, None] * element[..., None, :]
 
 
-def feedback_latch_index(cpi_index: int, period_cpis: int) -> int:
+def feedback_latch_index(cpi_index, period_cpis: int):
     """CPI whose state was most recently reported before cpi_index began.
 
     Reports arrive at CPIs 1, 1+T, 1+2T, ...; CPI 1 itself uses the initial
-    report.
+    report. cpi_index is an int or an array of CPI indices; the result has
+    its shape.
     """
     if period_cpis < 1:
         raise ValueError(f"feedback period must be >= 1 CPI, got {period_cpis}")
-    if cpi_index < 1:
-        raise ValueError(f"cpi_index must be >= 1, got {cpi_index}")
-    if cpi_index == 1:
-        return 1
-    return 1 + ((cpi_index - 2) // period_cpis) * period_cpis
+    if np.any(np.less(cpi_index, 1)):
+        raise ValueError(f"cpi_index must be >= 1, got {np.min(cpi_index)}")
+    return 1 + (np.maximum(cpi_index, 2) - 2) // period_cpis * period_cpis
 
 
 def fd_predicted_state(truth: np.ndarray, period_cpis: int, cpi_duration: float) -> np.ndarray:
     """Dead-reckoned [x, y, vx, vy] pointing each CPI between reports.
 
-    truth is the (num_cpis, 4) trajectory table; so is the result. Row
-    cpi - 1 holds the velocity reported at CPI latch for cpi - latch intervals.
+    truth is the (num_cpis, 4) trajectory table; so is the result, one
+    batched forecast: row cpi - 1 is the state reported at CPI latch, moved
+    by (cpi - latch) * cpi_duration.
     """
-    fd = np.empty((len(truth), 4))
-    for cpi in range(1, len(truth) + 1):
-        latch = feedback_latch_index(cpi, period_cpis)
-        st = truth[latch - 1]
-        fd[cpi - 1, :2] = st[:2] + (cpi - latch) * cpi_duration * st[2:]
-        fd[cpi - 1, 2:] = st[2:]
-    return fd
+    cpi = np.arange(1, len(truth) + 1)
+    latch = feedback_latch_index(cpi, period_cpis)
+    return kinematic_forecast(truth[latch - 1], (cpi - latch) * cpi_duration)

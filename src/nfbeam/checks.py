@@ -36,7 +36,7 @@ def _random_state(rng) -> tuple[np.ndarray, np.ndarray]:
     return eta[:2], eta[2:]
 
 
-def check_geometry(seed: int = 0, trials: int = 200):
+def check_geometry(seed: int):
     """Unit modulus, projection identity, and echo-channel rank-1 symmetry."""
     rng = np.random.default_rng(seed)
     systems = _conventions(64)
@@ -46,7 +46,7 @@ def check_geometry(seed: int = 0, trials: int = 200):
     worst_rank = 0.0
     worst_sym = 0.0
     smalls = _conventions(16)
-    for t in range(trials):
+    for t in range(200):
         p, v = _random_state(rng)
         nf = geo.NearField(systems[t % 2], p)
         a = geo.array_response(n, v, nf)
@@ -64,10 +64,10 @@ def check_geometry(seed: int = 0, trials: int = 200):
     )
 
 
-def check_beam_phasors(seed: int = 0, trials: int = 40):
+def check_beam_phasors(seed: int):
     """Doppler rows built by recurrence and far-field beams built as outer
     products, each against the phasor of its direct phase."""
-    rng = np.random.default_rng(seed)
+    rng, trials = np.random.default_rng(seed), 40
     num_symbols = 64  # the recurrence's error grows with the row index
     systems = _conventions(128, symbols_per_cpi=num_symbols)
     ts = systems[0].symbol_duration_s
@@ -93,9 +93,9 @@ def check_beam_phasors(seed: int = 0, trials: int = 40):
     return ok, f"Doppler rows {worst_dop:.2e}, far-field beams {worst_ff:.2e} over {trials} states"
 
 
-def check_mrt_snr(seed: int = 0, trials: int = 100):
+def check_mrt_snr(seed: int):
     """Matched filter at the true state hits P*M*alpha1^2/sigma_c^2 exactly."""
-    rng = np.random.default_rng(seed)
+    rng, trials = np.random.default_rng(seed), 100
     system = SystemConfig(num_antennas=64)
     power_w, sigma_c2 = system.tx_power_w, system.comm_noise_power
     worst = 0.0
@@ -119,9 +119,9 @@ def _spot_instance(rng, system):
     return nf_hat, v_trial, bf[-1], y
 
 
-def check_gradient(seed: int = 0, trials: int = 20):
+def check_gradient(seed: int):
     """Analytic velocity gradient vs central differences of the objective."""
-    rng = np.random.default_rng(seed)
+    rng, trials = np.random.default_rng(seed), 20
     systems = _conventions(64)
     step = 1e-4
     worst = 0.0
@@ -144,9 +144,9 @@ def _fd4(fun, x0, step):
     ) / (12.0 * step)
 
 
-def check_jacobian(seed: int = 0, trials: int = 10):
+def check_jacobian(seed: int):
     """Analytic observation Jacobian vs finite differences, all four columns."""
-    rng = np.random.default_rng(seed)
+    rng, trials = np.random.default_rng(seed), 10
     systems = _conventions(64)
     pos_step, vel_step = 1e-4, 1e-4
     worst = 0.0
@@ -195,7 +195,7 @@ def _dense_reference_update(prior, y, jac, predicted_mean, echo_noise_power):
     return prior.mean + delta, 0.5 * (cov + cov.T)
 
 
-def check_kalman(seed: int = 0, trials: int = 10):
+def check_kalman(seed: int):
     """Low-rank update on the factored Jacobian vs the square-root-information
     reference on its dense expansion.
 
@@ -207,7 +207,7 @@ def check_kalman(seed: int = 0, trials: int = 10):
     systems = _conventions(8)
     worst_sharp = 0.0
     worst_op = 0.0
-    for t in range(trials):
+    for t in range(10):
         p, v = _random_state(rng)
         nf = geo.NearField(systems[t % 2], p)
         m = nf.system.num_antennas
@@ -235,7 +235,7 @@ def check_kalman(seed: int = 0, trials: int = 10):
     )
 
 
-def run_all(seed: int = 0):
+def run_all(seed: int):
     """All suites; returns [(name, ok, detail)]."""
     return [
         ("geometry-identities", *check_geometry(seed)),

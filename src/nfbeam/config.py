@@ -134,7 +134,7 @@ class ExperimentConfig:
         _require(self, "method", self.method in METHODS, f"one of {list(METHODS)}")
         _require(self, "num_cpis", self.num_cpis >= 1, ">= 1")
         _require(self, "seed", self.seed >= 0, "nonnegative")
-        _require(self, "motion_var", min(self.motion_var) >= 0, "nonnegative")
+        _require(self, "motion_var", all(var >= 0 for var in self.motion_var), "nonnegative")
         _require(self, "ekf_init_cov", self.ekf_init_cov > 0, "positive")
         _require(
             self, "feedback_period_s", self.feedback_period_cpis >= 1,

@@ -1,4 +1,5 @@
-"""Constant-velocity motion with per-interval velocity perturbations."""
+"""Constant-velocity motion: kinematic_forecast steps a batch of states (..., 4),
+and generate_trajectory builds a trajectory as running sums of kicks and steps."""
 from __future__ import annotations
 
 import math
@@ -14,11 +15,12 @@ def transition_matrix(dt: float) -> np.ndarray:
     return f
 
 
-def kinematic_forecast(eta, dt: float) -> np.ndarray:
-    """Noise-free propagation of [x, y, vx, vy] into a new array: position
-    moves with the current velocity. eta itself is not written."""
+def kinematic_forecast(eta, dt) -> np.ndarray:
+    """Noise-free propagation of states (..., 4) into a new array: position
+    moves with the current velocity over dt, a float or one interval per state
+    (shape (...)). eta is not written; each state rounds as it would alone."""
     out = np.array(eta, dtype=float)
-    out[:2] += dt * out[2:]
+    out[..., :2] += np.asarray(dt, dtype=float)[..., None] * out[..., 2:]
     return out
 
 
@@ -34,18 +36,17 @@ def generate_trajectory(
 
     Each interval moves with the pre-step velocity, then perturbs the
     velocity by independent kicks of variances motion_var = (var_vx, var_vy);
-    the x kick is drawn before the y kick.
+    the x kick is drawn before the y kick. Velocities and positions are
+    running sums; np.cumsum folds in order, so each row rounds as one step.
     """
     if num_cpis < 1:
         raise ValueError(f"num_cpis must be >= 1, got {num_cpis}")
-    sd_x, sd_y = map(math.sqrt, motion_var)
-    x, y, vx, vy = map(float, eta0)
+    # + 0.0 turns a variance of -0.0 into 0.0, whose root the generator accepts
+    sd = [math.sqrt(var + 0.0) for var in motion_var]
     traj = np.empty((num_cpis, 4))
-    traj[0] = x, y, vx, vy
-    for row in traj[1:]:
-        x += dt * vx
-        vx += rng.normal(0.0, sd_x)
-        y += dt * vy
-        vy += rng.normal(0.0, sd_y)
-        row[:] = x, y, vx, vy
+    traj[0] = eta0
+    traj[1:, 2:] = rng.normal(0.0, sd, size=(num_cpis - 1, 2))
+    np.cumsum(traj[:, 2:], axis=0, out=traj[:, 2:])
+    traj[1:, :2] = dt * traj[:-1, 2:]
+    np.cumsum(traj[:, :2], axis=0, out=traj[:, :2])
     return traj

@@ -105,6 +105,12 @@ def test_feedback_latch_schedule():
         latch = feedback_latch_index(cpi, 5)
         assert 1 <= latch <= cpi - 1
         assert (latch - 1) % 5 == 0
+    cpis = np.arange(1, 41)
+    for period in (1, 3, 5):
+        want = [feedback_latch_index(int(cpi), period) for cpi in cpis]
+        assert feedback_latch_index(cpis, period).tolist() == want
+    with pytest.raises(ValueError):
+        feedback_latch_index(np.array([3, 0, 5]), 3)
 
 
 def test_fd_predicted_state_dead_reckons():
@@ -121,8 +127,11 @@ def test_fd_predicted_state_dead_reckons():
     np.testing.assert_allclose(p1, eta0[:2] + 2 * 1e-4 * eta0[2:], rtol=1e-15)
 
 
-@pytest.mark.parametrize("num_cpis", [1, 2, 13])
-@pytest.mark.parametrize("period", [1, 4, 20])
+@pytest.mark.parametrize(
+    "period,num_cpis",
+    # the last pair is the default track schedule: 2000 CPIs, a report every 1000
+    [*((t, n) for t in (1, 4, 20) for n in (1, 2, 13)), (1000, 2000)],
+)
 def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
     traj = generate_trajectory(
         (5.0, 10.0, 8.0, 7.0), (0.01, 0.01), 1e-4, num_cpis,

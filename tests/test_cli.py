@@ -227,6 +227,15 @@ def test_warnings_of_a_finished_command_follow_its_output(capsys, monkeypatch):
     assert capsys.readouterr().out == "report\n"
 
 
+def test_negative_zero_variance_runs_as_zero(tmp_path):
+    argv = ["track", "--cpis", "10", "--method", "ekf", *SMALL]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([*argv, "--set", "motion_var=[-0.0, 0.01]", "--out", str(a)]) == 0
+    assert main([*argv, "--set", "motion_var=[0, 0.01]", "--out", str(b)]) == 0
+    for name in ("metrics.csv", "belief.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_bad_method_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["track", "--out", str(tmp_path), "--method", "oracle"])

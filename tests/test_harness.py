@@ -671,6 +671,11 @@ def test_config_rejections(tmp_path):
             build_config(None, [assignment])
         assert err.value.field == field, assignment
         assert "got" in err.value.message or err.value.message == "unknown key", assignment
+    # every entry is checked: a NaN after a valid variance is refused too
+    for motion_var in ((0.0, math.nan), (math.nan, 0.0)):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(motion_var=motion_var)
+        assert err.value.field == "motion_var", motion_var
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

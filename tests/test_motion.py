@@ -54,6 +54,20 @@ def test_forecast_leaves_its_input_unwritten():
     assert out.tolist() == [5.0 + 1e-4 * 8.0, 10.0 + 1e-4 * 7.0, 8.0, 7.0]
 
 
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+@pytest.mark.parametrize("per_state_dt", [False, True])
+def test_batch_forecast_rounds_as_its_rows(shape, per_state_dt):
+    rng = np.random.default_rng(12)
+    eta = rng.uniform(-20.0, 20.0, size=(*shape, 4))
+    dt = rng.uniform(0.0, 0.1, size=shape) if per_state_dt else 1e-3
+    got = kinematic_forecast(eta, dt)
+    assert got.shape == eta.shape
+    rows = eta.reshape(-1, 4)
+    dts = np.ravel(dt) if per_state_dt else [dt] * len(rows)
+    want = np.array([kinematic_forecast(row, float(d)) for row, d in zip(rows, dts)])
+    assert got.reshape(-1, 4).tobytes() == want.tobytes()
+
+
 def test_noise_covariance_layout():
     # the filter's process noise over one interval: the velocity kicks' variances
     zero = TrackerBelief(np.zeros(4), np.zeros((4, 4)))
@@ -133,12 +147,13 @@ def test_rng_draw_count_is_stable():
 @pytest.mark.parametrize("num_cpis", [1, 2, 2000])
 @pytest.mark.parametrize("variances", [(0.0, 0.0), (0.0, 0.02), (0.01, 0.04), (0.01, 0.01)])
 def test_trajectory_is_bit_identical_to_the_state_loop(variances, num_cpis):
-    eta0 = (5.0, 10.0, 8.0, 7.0)
     noise = variances
-    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-    got = generate_trajectory(eta0, noise, 1e-4, num_cpis, rng_a)
-    want = _reference_trajectory(eta0, noise, 1e-4, num_cpis, rng_b)
-    assert got.shape == (num_cpis, 4)
-    assert got.tobytes() == want.tobytes()
-    # both drew the same number of kicks, in the same order
-    assert rng_a.normal() == rng_b.normal()
+    # the default start, and a longer interval with both velocities negative
+    for eta0, dt in (((5.0, 10.0, 8.0, 7.0), 1e-4), ((2.0, 8.0, -1.5, -3.0), 1e-3)):
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        got = generate_trajectory(eta0, noise, dt, num_cpis, rng_a)
+        want = _reference_trajectory(eta0, noise, dt, num_cpis, rng_b)
+        assert got.shape == (num_cpis, 4)
+        assert got.tobytes() == want.tobytes()
+        # both drew the same number of kicks, in the same order
+        assert rng_a.normal() == rng_b.normal()
