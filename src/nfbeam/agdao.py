@@ -28,6 +28,7 @@ import numpy as np
 from . import geometry as geo
 from .beamforming import predictive_beamformers
 from .config import AdamHyper, SystemConfig
+from .motion import kinematic_forecast
 from .signals import check_unit_norm
 
 VARIANTS = ("adam-ao", "adam-joint", "plain-gd")
@@ -256,22 +257,20 @@ def estimate_velocity(variant: str, *args, **kwargs):
 
 
 def agdao_track_step(
-    prev_p_hat,
-    prev_v_hat,
+    prev_state,
     observe,
     system: SystemConfig,
     hyper: AdamHyper = AdamHyper(),
 ):
     """One closed-loop CPI: point from the previous estimate, observe, re-estimate.
 
-    observe maps the transmitted beamformers to this CPI's echo snapshot, shape (M,).
-    Returns (beamformers, p_hat, v_hat, trace); p_hat is the dead-reckoned
-    position also used to point the beam, and one near-field snapshot of it
-    serves both. The trace keeps its length (iterations + 1) but no rows.
+    prev_state is the last estimate [x, y, vx, vy]; observe maps the beams to
+    this CPI's echo snapshot, shape (M,). Returns (beamformers, p_hat, v_hat,
+    trace); p_hat, the forecast position, points the beam, and one snapshot of
+    it serves both. The trace keeps its length (iterations + 1) but no rows.
     """
-    prev_p_hat = np.asarray(prev_p_hat, dtype=float)
-    prev_v_hat = np.asarray(prev_v_hat, dtype=float)
-    p_pred = prev_p_hat + system.cpi_duration_s * prev_v_hat
+    prev_v_hat = np.asarray(prev_state, dtype=float)[2:]
+    p_pred = kinematic_forecast(prev_state, system.cpi_duration_s)[:2]
     near = geo.NearField(system, p_pred)
     bf = predictive_beamformers(near, prev_v_hat)
     v_hat, trace = adam_ao_estimate(

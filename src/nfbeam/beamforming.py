@@ -100,5 +100,6 @@ def fd_predicted_state(truth: np.ndarray, period_cpis: int, cpi_duration: float)
     by (cpi - latch) * cpi_duration.
     """
     cpi = np.arange(1, len(truth) + 1)
-    latch = feedback_latch_index(cpi, period_cpis)
+    # a period past the last CPI reports only at CPI 1; the clamp fits int64
+    latch = feedback_latch_index(cpi, min(period_cpis, len(truth)))
     return kinematic_forecast(truth[latch - 1], (cpi - latch) * cpi_duration)

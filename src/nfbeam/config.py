@@ -1,8 +1,8 @@
-"""Experiment configuration: dataclasses, JSON I/O, and --set overrides.
+"""Experiment configuration: dataclasses, JSON input, and --set overrides.
 
 The dataclass fields are the schema. JSON keys, their types and their defaults
-are read from the fields, and each dataclass checks its own ranges when it is
-constructed, so every config in a run has passed the same checks.
+are read from the fields, and each dataclass checks its own numbers (finite,
+then in range) when it is constructed, so every config has passed them.
 """
 from __future__ import annotations
 
@@ -32,6 +32,14 @@ def _require(cfg, name: str, ok: bool, rule: str) -> None:
         raise ConfigError(name, f"must be {rule}, got {getattr(cfg, name)!r}")
 
 
+def _require_finite(cfg) -> None:
+    """Every float field, alone or in a tuple, is finite; JSON reads NaN and Infinity."""
+    for name, value in vars(cfg).items():  # the fields, in their order
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(name, f"must be finite, got {x!r}")
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -57,13 +65,14 @@ class SystemConfig:
     signed_projection: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self, "num_antennas", self.num_antennas >= 1, ">= 1")
         _require(self, "carrier_freq_hz", self.carrier_freq_hz > 0, "positive")
         _require(self, "spacing_m", self.spacing_m is None or self.spacing_m > 0, "positive")
         _require(self, "symbol_duration_s", self.symbol_duration_s > 0, "positive")
         _require(self, "symbols_per_cpi", self.symbols_per_cpi >= 1, ">= 1")
         try:
-            finite = math.isfinite(self.tx_power_dbm) and math.isfinite(self.tx_power_w)
+            finite = math.isfinite(self.tx_power_w)
         except OverflowError:
             finite = False
         _require(self, "tx_power_dbm", finite, "finite with a finite power in watts")
@@ -106,6 +115,7 @@ class AdamHyper:
     rel_tol: float = 1e-5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("step", "epsilon"):
             _require(self, name, getattr(self, name) > 0, "positive")
         for name in ("beta1", "beta2"):
@@ -131,15 +141,16 @@ class ExperimentConfig:
     convergence_v_init: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self, "method", self.method in METHODS, f"one of {list(METHODS)}")
         _require(self, "num_cpis", self.num_cpis >= 1, ">= 1")
         _require(self, "seed", self.seed >= 0, "nonnegative")
         _require(self, "motion_var", all(var >= 0 for var in self.motion_var), "nonnegative")
         _require(self, "ekf_init_cov", self.ekf_init_cov > 0, "positive")
-        _require(
-            self, "feedback_period_s", self.feedback_period_cpis >= 1,
-            f"at least one CPI ({self.system.cpi_duration_s} s)",
-        )
+        cpi = self.system.cpi_duration_s
+        count = self.feedback_period_s / cpi  # finite operands can overflow it
+        _require(self, "feedback_period_s", math.isfinite(count), f"finitely many CPIs ({cpi} s)")
+        _require(self, "feedback_period_s", round(count) >= 1, f"at least one CPI ({cpi} s)")
 
     @property
     def feedback_period_cpis(self) -> int:
@@ -185,14 +196,7 @@ def _from_json(tp, value, field: str):
     # bool is an int subclass: only a bool field takes true/false
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepts):
         raise ConfigError(field, f"expected {name}, got {value!r}")
-    # json.loads reads NaN and Infinity, which no range check below would catch
-    if tp is float and not math.isfinite(value):
-        raise ConfigError(field, f"must be finite, got {value!r}")
     return tp(value)
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")
 
 
 def _parse_override_value(text: str):

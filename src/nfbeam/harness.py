@@ -118,8 +118,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     The run keeps three (num_cpis, 4) tables of [x, y, vx, vy]: the true
     trajectory, the feedback pointer's dead-reckoned states, and the method's
     estimates. The baselines' estimates are the truth (opt, ff) or the
-    feedback table (fd); a tracker starts from the truth and overwrites rows
-    2..num_cpis (AGD-AO steps from its previous row, the EKF from its belief).
+    feedback table (fd); AGD-AO steps rows 2..num_cpis of a copy of the truth
+    from the row before, and the EKF's rows are its belief table's means.
 
     The loop walks chunks of K CPIs, K * N * M at most BASELINE_CHUNK_ELEMENTS.
     Per chunk it builds one near-field snapshot of the true positions and the
@@ -137,7 +137,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     )
     echo_rng = stream(config.seed, "echo-noise")
     fd = fd_predicted_state(truth, config.feedback_period_cpis, dt)
-    est = (fd if method == "fd" else truth).copy()
 
     # beam slots of a chunk: opt, ff, fd, and a tracker's own beams after them
     slots = tuple(dict.fromkeys(("opt", "ff", "fd", method)))
@@ -153,8 +152,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     if method == "ekf":
         belief_table = np.zeros((num_cpis, len(BELIEF_COLUMNS)))
         belief_table[:, 0] = metrics[:, 0]
-        # CPI 1 holds the initial belief, with no innovation and no ridge
-        belief_table[0, 1:5], belief_table[0, 5:9] = belief.mean, belief.covariance.diagonal()
+        # est holds the posterior means; CPI 1 holds the prior, no innovation, no ridge
+        est = belief_table[:, 1:5]
+        est[0], belief_table[0, 5:9] = belief.mean, belief.covariance.diagonal()
+    else:
+        est = (fd if method == "fd" else truth).copy()
 
     def observe(bf):  # reads the current CPI's true state, near[i] and vel[i]
         return synthesize_observation(near[i], vel[i], bf, echo_rng)
@@ -175,13 +177,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             cpi = lo + i + 1
             if method == "agdao" and cpi > 1:
                 bf[slot, i], est[cpi - 1, :2], est[cpi - 1, 2:], _ = agdao_track_step(
-                    est[cpi - 2, :2], est[cpi - 2, 2:], observe, system, hyper=config.adam
+                    est[cpi - 2], observe, system, hyper=config.adam
                 )
             elif method == "ekf" and cpi > 1:
                 bf[slot, i], belief, diag = ekf_track_step(
                     belief, observe, system, config.motion_var
                 )
-                est[cpi - 1] = belief.mean
                 row = belief_table[cpi - 1]
                 row[1:5], row[5:9] = belief.mean, belief.covariance.diagonal()
                 row[9], row[10] = diag.innovation_norm, diag.ridged

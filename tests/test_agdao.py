@@ -634,7 +634,7 @@ def test_track_step_noiseless_closed_loop():
         def observe(bf, eta=eta):
             return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, rng)
 
-        bf, p_hat, v_hat, trace = agdao_track_step(p_hat, v_hat, observe, system)
+        bf, p_hat, v_hat, trace = agdao_track_step(np.concatenate([p_hat, v_hat]), observe, system)
         if l == 1:
             # dead reckoning from the exact previous state lands on the truth
             assert p_hat[0] == eta[0] and p_hat[1] == eta[1]
@@ -664,7 +664,7 @@ def test_track_error_grows_with_range():
         def observe(bf, eta=eta):
             return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, noise_rng)
 
-        bf, p_hat, v_hat, trace = agdao_track_step(p_hat, v_hat, observe, system)
+        bf, p_hat, v_hat, trace = agdao_track_step(np.concatenate([p_hat, v_hat]), observe, system)
         verr.append(math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
     early = float(np.mean(verr[:400]))
     late = float(np.mean(verr[-400:]))
@@ -698,7 +698,7 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
 
     monkeypatch.setattr(agdao, "adam_ao_estimate", spy_estimate)
     monkeypatch.setattr(agdao, "_check_finite", spy_check)
-    bf, p_hat, v_hat, trace = agdao_track_step(p_prev, v_prev, observe, system)
+    bf, p_hat, v_hat, trace = agdao_track_step(np.concatenate([p_prev, v_prev]), observe, system)
     assert estimates == [False]
     assert trace.rows == [] and not trace.record
     assert checks == list(range(1, len(trace)))
@@ -707,3 +707,29 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
     assert len(trace) == len(recorded.rows) == recorded.rows[-1][0] + 1
     assert 2 < len(trace) <= AdamHyper().max_iters + 1
     np.testing.assert_array_equal(v_hat, v_rec)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_track_step_from_a_state_row_keeps_the_bits_of_p_plus_dt_v(signed):
+    # the step forecasts with motion.kinematic_forecast; the reference is the
+    # dead reckoning p + dt * v that it replaced, with the same beam and ascent
+    system = system_for(32, signed, echo_noise_power=1e-8)
+    hyper = AdamHyper(max_iters=60)
+    states = np.array([[4.0, 11.0, 7.5, 7.5], [-3.25, 9.5, -6.0, 8.125], [0.5, 14.0, 0.0, -9.0]])
+    before = states.copy()
+    for k, state in enumerate(states):
+        def observe(bf, k=k):
+            return synthesize_observation(
+                NearField(system, state[:2]), V_TRUE, bf, np.random.default_rng(k)
+            )
+
+        p, v = state[:2], state[2:]
+        p_ref = p + system.cpi_duration_s * v
+        nf = NearField(system, p_ref)
+        bf_ref = predictive_beamformers(nf, v)
+        v_ref, _ = adam_ao_estimate(observe(bf_ref), nf, v, bf_ref[-1], hyper=hyper)
+        bf, p_hat, v_hat, trace = agdao_track_step(state, observe, system, hyper=hyper)
+        assert bf.tobytes() == bf_ref.tobytes()
+        assert p_hat.tobytes() == p_ref.tobytes()
+        assert v_hat.tobytes() == v_ref.tobytes()
+    assert states.tobytes() == before.tobytes()  # no row is written

@@ -147,6 +147,18 @@ def test_fd_table_is_bit_identical_to_per_cpi_reckoning(period, num_cpis):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+def test_fd_table_past_the_run_reckons_from_cpi_1():
+    # a period of more CPIs than int64 holds (feedback_period_s=1e20 at the
+    # default CPI) reports only at CPI 1, as any period past the last CPI does
+    traj = generate_trajectory(
+        (5.0, 10.0, 8.0, 7.0), (0.01, 0.01), 1e-4, 13, np.random.default_rng(5),
+    )
+    st = traj[0]
+    want = [np.concatenate([st[:2] + (cpi - 1) * 1e-4 * st[2:], st[2:]]) for cpi in range(1, 14)]
+    for period in (13, 10**24):
+        assert fd_predicted_state(traj, period, 1e-4).tobytes() == np.array(want).tobytes()
+
+
 def _divided_predictive(system, p, v):
     """conj(a_tilde * d(n)) built as predictive_beamformers does, then / sqrt(M)."""
     nf = NearField(system, p)

@@ -131,6 +131,15 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
         ("initial_state=[NaN,10,8,7]", "initial_state", "must be finite, got nan"),
         ("feedback_period_s=NaN", "feedback_period_s", "must be finite, got nan"),
         ("adam.step=0", "adam.step", "must be positive, got 0.0"),
+        # finite operands whose count of CPIs overflows to inf
+        (
+            "feedback_period_s=1e308", "feedback_period_s",
+            "must be finitely many CPIs (0.0001 s), got 1e+308",
+        ),
+        (
+            "system.symbol_duration_s=1e-320", "feedback_period_s",
+            "must be finitely many CPIs (1e-319 s), got 0.1",
+        ),
     ],
 )
 def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message):

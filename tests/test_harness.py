@@ -23,7 +23,6 @@ from nfbeam.config import (
     SystemConfig,
     build_config,
     dbm_to_watts,
-    save_config,
 )
 from nfbeam.geometry import NearField
 from nfbeam.harness import (
@@ -594,7 +593,7 @@ def test_config_file_round_trip(tmp_path):
     assert changed.keys() == DEFAULT_LEAVES.keys()
     assert [k for k in changed if changed[k] == DEFAULT_LEAVES[k]] == []
     path = tmp_path / "config.json"
-    save_config(NON_DEFAULT, path)
+    path.write_text(json.dumps(dataclasses.asdict(NON_DEFAULT)))
     assert build_config(path) == NON_DEFAULT
 
 
@@ -676,6 +675,19 @@ def test_config_rejections(tmp_path):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(motion_var=motion_var)
         assert err.value.field == "motion_var", motion_var
+    # the constructors check finiteness, so no construction path skips it
+    for build, field in (
+        (lambda: ExperimentConfig(initial_state=(math.nan, 10, 8, 7)), "initial_state"),
+        (lambda: ExperimentConfig(convergence_v_init=(math.nan, 0.0)), "convergence_v_init"),
+        (lambda: ExperimentConfig(feedback_period_s=math.inf), "feedback_period_s"),
+        (lambda: SystemConfig(carrier_freq_hz=math.inf), "carrier_freq_hz"),
+        (lambda: AdamHyper(epsilon=math.inf), "epsilon"),
+        (lambda: dataclasses.replace(ExperimentConfig(), ekf_init_cov=math.inf), "ekf_init_cov"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.field == field
+        assert err.value.message.startswith("must be finite, got "), field
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
@@ -689,7 +701,7 @@ def test_config_rejections(tmp_path):
 
 def test_build_config_layering(tmp_path):
     path = tmp_path / "config.json"
-    save_config(small_config(seed=1), path)
+    path.write_text(json.dumps(dataclasses.asdict(small_config(seed=1))))
     cfg = build_config(
         path,
         ["system.num_antennas=64", "method=agdao", "adam.max_iters=50"],
