@@ -12,10 +12,10 @@ Every entry of the steering vector a~ and of the Doppler vector
 d(v) = exp(-j*rot*(g*vx + q*vy)) has unit modulus, so ||b(v)||^2 = s^2 M |w @ d|^2
 and g(v) and both gradients are scalar functions of six inner products
 W @ d, with W = [w, g o w, q o w, c, g o c, q o c], w = a~ o f and
-c = conj(y) o a~ fixed for the CPI. One evaluation costs one exp over M and
-one 6 x M product, both written into buffers the problem owns; the ascent
-reuses the evaluation at each new iterate for that iteration's objective and
-the next iteration's gradients. The alternating variant's mid-iteration
+c = conj(y) o a~ fixed for the CPI. One evaluation costs one cos and one sin
+over M and one 6 x M product, all written into buffers the problem owns; the
+ascent reuses the evaluation at each new iterate for that iteration's objective
+and the next iteration's gradients. The alternating variant's mid-iteration
 radial gradient reads four of the six sums and takes one 4 x M product.
 """
 from __future__ import annotations
@@ -94,24 +94,32 @@ class VelocityProblem:
         self.scale = scale
         self.scale_m = scale * atil.shape[0]
         self.grad_scale = 2.0 * rot * scale
-        # evaluation buffers: the trial velocity, d(v), W @ d(v) and its four
-        # rows; the velocity is held complex, the exponent's type, so np.dot
-        # casts nothing
+        # evaluation buffers: the trial velocity, d(v) and its real and
+        # imaginary views, W @ d(v) and its four rows; the velocity is held
+        # complex, the exponent's type, so np.dot casts nothing
         self._v = np.empty(2, dtype=complex)
         self._d = np.empty(atil.shape[0], dtype=complex)
+        self._d_re, self._d_im = self._d.real, self._d.imag
         self._r = np.empty(6, dtype=complex)
         self._r_second = np.empty(4, dtype=complex)
 
     def _doppler(self, vx, vy):
-        """d(v) at one trial velocity, written into the problem's buffer."""
-        v, d = self._v, self._d
+        """d(v) at one trial velocity, written into the problem's buffer.
+
+        v @ exponent is purely imaginary (its real part is +-0), so exp of it
+        is cos + j sin of its imaginary part; as in geo.unit_phasor, this equals
+        the complex exp bit for bit where sin and cos round as glibc's sincos.
+        """
+        v, d, im = self._v, self._d, self._d_im
         v[0] = vx
         v[1] = vy
         np.dot(v, self.exponent, out=d)
-        return np.exp(d, out=d)
+        np.cos(im, out=self._d_re)
+        np.sin(im, out=im)
+        return d
 
     def evaluate(self, vx, vy) -> tuple[float, float, float]:
-        """(objective, d/dvx, d/dvy) at one trial velocity: one exp, one W @ d.
+        """(objective, d/dvx, d/dvy) at one trial velocity: one d(v), one W @ d.
 
         objective = 2 Re{y^H b} - ||b||^2 = 2 s Re{af yc} - s^2 M |af|^2 with
         af = w @ d and yc = c @ d. The axis-u gradient is 2 Re{(y - b)^H db/du};

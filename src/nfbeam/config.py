@@ -7,8 +7,10 @@ then in range) when it is constructed, so every config has passed them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import numbers
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,12 +34,50 @@ def _require(cfg, name: str, ok: bool, rule: str) -> None:
         raise ConfigError(name, f"must be {rule}, got {getattr(cfg, name)!r}")
 
 
+def _finite(compute) -> bool:
+    """Whether compute() gives a finite float; an overflow to inf or past
+    float range is not."""
+    try:
+        return math.isfinite(compute())
+    except OverflowError:
+        return False
+
+
 def _require_finite(cfg) -> None:
     """Every float field, alone or in a tuple, is finite; JSON reads NaN and Infinity."""
     for name, value in vars(cfg).items():  # the fields, in their order
         for x in value if isinstance(value, tuple) else (value,):
             if isinstance(x, float) and not math.isfinite(x):
                 raise ConfigError(name, f"must be finite, got {x!r}")
+
+
+@functools.cache
+def _tuple_lengths(cls) -> dict[str, int]:
+    """The tuple-typed fields of dataclass cls and the lengths they are annotated with."""
+    return {
+        name: len(typing.get_args(tp))
+        for name, tp in typing.get_type_hints(cls).items()
+        if typing.get_origin(tp) is tuple
+    }
+
+
+def _require_float_tuples(cfg) -> None:
+    """Each tuple-typed field, given as any sequence of numbers (a list, an
+    array), becomes a tuple of floats of its annotated length."""
+    for name, length in _tuple_lengths(type(cfg)).items():
+        value = getattr(cfg, name)
+        try:
+            items = list(value)
+            ok = len(items) == length and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items
+            )
+            if ok:
+                items = tuple(map(float, items))
+        except (TypeError, OverflowError):  # not iterable; an int beyond float range
+            ok = False
+        if not ok:
+            raise ConfigError(name, f"must be {length} numbers, got {value!r}")
+        object.__setattr__(cfg, name, items)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -71,11 +111,14 @@ class SystemConfig:
         _require(self, "spacing_m", self.spacing_m is None or self.spacing_m > 0, "positive")
         _require(self, "symbol_duration_s", self.symbol_duration_s > 0, "positive")
         _require(self, "symbols_per_cpi", self.symbols_per_cpi >= 1, ">= 1")
-        try:
-            finite = math.isfinite(self.tx_power_w)
-        except OverflowError:
-            finite = False
-        _require(self, "tx_power_dbm", finite, "finite with a finite power in watts")
+        _require(
+            self, "symbol_duration_s", _finite(lambda: self.cpi_duration_s),
+            f"small enough that {self.symbols_per_cpi} symbols last a finite time",
+        )
+        _require(
+            self, "tx_power_dbm", _finite(lambda: self.tx_power_w),
+            "finite with a finite power in watts",
+        )
         _require(self, "comm_noise_power", self.comm_noise_power > 0, "positive")
         _require(self, "echo_noise_power", self.echo_noise_power >= 0, "nonnegative")
         _require(self, "ref_gain", self.ref_gain > 0, "positive")
@@ -141,6 +184,7 @@ class ExperimentConfig:
     convergence_v_init: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _require_float_tuples(self)
         _require_finite(self)
         _require(self, "method", self.method in METHODS, f"one of {list(METHODS)}")
         _require(self, "num_cpis", self.num_cpis >= 1, ">= 1")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -265,50 +265,54 @@ def convergence_study(
     return traces
 
 
-def _write_rows(path, fieldnames, rows) -> None:
-    """Write a header line, then rows, CSV_BLOCK_ROWS at a time, one str per cell.
+def _template(kinds: str) -> str:
+    """A CSV row's %-template, one kind per column: d an int, r a float, s a str.
 
-    str of a float (Python's or numpy's) is its shortest round-trip repr. Each
-    block is formatted and written before the next is read, so neither the file
-    nor all of its rows are ever held at once.
+    A float's %r is its str, the shortest round-trip repr, and %d of an
+    integer-valued float is its int's str.
     """
-    rows = iter(rows)
+    return ",".join("%" + kind for kind in kinds) + "\n"
+
+
+def _write_csv(path, fieldnames, parts) -> None:
+    """A header line, then each (template, table) part's rows through its
+    template, CSV_BLOCK_ROWS rows a format.
+
+    Each block is converted, formatted and written before the next is read, so
+    neither the file nor all of a table's cells are ever held at once.
+    """
     with open(path, "w") as out:
         out.write(",".join(fieldnames) + "\n")
-        while block := list(islice(rows, CSV_BLOCK_ROWS)):
-            out.write("".join([",".join(map(str, row)) + "\n" for row in block]))
-
-
-def _table_rows(table, ints=()):
-    """The rows of a table as Python values, converted CSV_BLOCK_ROWS at a time;
-    the float columns at the indices in ints become ints."""
-    for lo in range(0, len(table), CSV_BLOCK_ROWS):
-        for row in table[lo : lo + CSV_BLOCK_ROWS].tolist():
-            for i in ints:
-                row[i] = int(row[i])
-            yield row
+        for template, table in parts:
+            for lo in range(0, len(table), CSV_BLOCK_ROWS):
+                rows = table[lo : lo + CSV_BLOCK_ROWS].tolist()
+                out.write((template * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def write_metrics_csv(path, metrics: np.ndarray) -> None:
     """A run's metrics table under METRIC_COLUMNS; cpi as an int."""
-    _write_rows(path, METRIC_COLUMNS, _table_rows(metrics, ints=(0,)))
+    template = _template("d" + "r" * (len(METRIC_COLUMNS) - 1))
+    _write_csv(path, METRIC_COLUMNS, [(template, metrics)])
 
 
 def write_belief_csv(path, belief: np.ndarray) -> None:
     """An EKF run's belief table under BELIEF_COLUMNS; cpi and ridged as ints."""
-    _write_rows(path, BELIEF_COLUMNS, _table_rows(belief, ints=(0, -1)))
+    template = _template("d" + "r" * (len(BELIEF_COLUMNS) - 2) + "d")
+    _write_csv(path, BELIEF_COLUMNS, [(template, belief)])
 
 
 def write_trace_csv(path, traces: dict[tuple[str, int], np.ndarray]) -> None:
     """convergence_study's tables as rows of variant, seed, then TRACE_COLUMNS; k as an int."""
-    rows = (
-        (variant, seed, *row)
+    columns = _template("d" + "r" * (len(TRACE_COLUMNS) - 1))
+    # each key's str, its % escaped, leads its table's template
+    parts = (
+        (f"{variant},{seed},".replace("%", "%%") + columns, table)
         for (variant, seed), table in traces.items()
-        for row in _table_rows(table, ints=(0,))
     )
-    _write_rows(path, ("variant", "seed", *TRACE_COLUMNS), rows)
+    _write_csv(path, ("variant", "seed", *TRACE_COLUMNS), parts)
 
 
 def write_summary_csv(path, summary: np.ndarray) -> None:
     """power_sweep's summary table under SUMMARY_COLUMNS."""
-    _write_rows(path, SUMMARY_COLUMNS, _table_rows(summary))
+    template = _template("s" + "r" * (len(SUMMARY_COLUMNS) - 1))
+    _write_csv(path, SUMMARY_COLUMNS, [(template, summary)])

@@ -316,6 +316,21 @@ def _reference_evaluate(prob, vx, vy):
     return objective, k * (af * ycg + afg * resid).imag, k * (af * ycq + afq * resid).imag
 
 
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 64, 512])
+def test_evaluation_is_bit_identical_to_a_fresh_complex_exp(m, framed):
+    # off broadside, at speeds up to 1e4 m/s: Doppler phases up to ~1e3 rad
+    nf, y, f = make_instance(m, (5.0, 10.0), V_TRUE, (7.5, 7.5), noise_power=1e-8, seed=3)
+    prob = VelocityProblem(y, nf, f, agdao.line_of_sight_frame(nf.position) if framed else None)
+    speeds = np.random.default_rng(m).uniform(-1e4, 1e4, size=(40, 2)).tolist()
+    for vx, vy in [(0.0, 0.0), (-0.0, 0.0), (8.0, 7.0), (1e4, -1e4), (5e-324, -3.0), *speeds]:
+        d = np.exp(np.dot((vx, vy), prob.exponent))
+        assert prob._doppler(vx, vy).tobytes() == d.tobytes(), (vx, vy)
+        want = np.array(_reference_evaluate(prob, vx, vy))
+        assert np.array(prob.evaluate(vx, vy)).tobytes() == want.tobytes(), (vx, vy)
+        assert np.float64(prob.second_gradient(vx, vy)).tobytes() == want[2].tobytes(), (vx, vy)
+
+
 def _stop_rule_fires(rel_tol, v_old, v_new):
     """|v_new - v_old| < rel_tol * max(|v_new|, floor), Euclidean; never at rel_tol 0."""
     change = math.hypot(v_new[0] - v_old[0], v_new[1] - v_old[1])

@@ -140,6 +140,11 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
             "system.symbol_duration_s=1e-320", "feedback_period_s",
             "must be finitely many CPIs (1e-319 s), got 0.1",
         ),
+        # a finite symbol duration whose CPI duration overflows to inf
+        (
+            "system.symbol_duration_s=1e308", "system.symbol_duration_s",
+            "must be small enough that 10 symbols last a finite time, got 1e+308",
+        ),
     ],
 )
 def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message):

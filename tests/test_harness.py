@@ -522,6 +522,44 @@ def test_writers_match_a_row_by_row_reference(tmp_path, monkeypatch):
     assert (tmp_path / "trace.csv").read_bytes() == want
 
 
+def test_writers_on_zero_rows_write_only_the_header(tmp_path):
+    sweep = np.rec.fromrecords([("ekf", *[1.0] * 7)], names=SUMMARY_COLUMNS)[:0]
+    for name, writer, columns, table in (
+        ("metrics.csv", write_metrics_csv, METRIC_COLUMNS, np.empty((0, len(METRIC_COLUMNS)))),
+        ("belief.csv", write_belief_csv, BELIEF_COLUMNS, np.empty((0, len(BELIEF_COLUMNS)))),
+        ("summary.csv", write_summary_csv, SUMMARY_COLUMNS, sweep),
+    ):
+        writer(tmp_path / name, table)
+        assert (tmp_path / name).read_bytes() == _reference_csv(columns, []), name
+    header = ("variant", "seed", *TRACE_COLUMNS)
+    for traces in ({}, {("adam-ao", 0): np.empty((0, len(TRACE_COLUMNS)))}):
+        write_trace_csv(tmp_path / "trace.csv", traces)
+        assert (tmp_path / "trace.csv").read_bytes() == _reference_csv(header, [])
+
+
+def test_writers_write_non_finite_cells_and_percent_signs_as_str_does(tmp_path):
+    cells = [math.nan, math.inf, -math.inf]
+    rows = [(1, *(cells * 5)[:14]), (2, *(cells * 5)[1:15])]
+    write_metrics_csv(tmp_path / "metrics.csv", np.array(rows, float))
+    assert (tmp_path / "metrics.csv").read_bytes() == _reference_csv(METRIC_COLUMNS, rows)
+    sweep = [("e%sk%%", *(cells * 3)[:7])]
+    write_summary_csv(tmp_path / "summary.csv", np.rec.fromrecords(sweep, names=SUMMARY_COLUMNS))
+    assert (tmp_path / "summary.csv").read_bytes() == _reference_csv(SUMMARY_COLUMNS, sweep)
+    # a key's variant is written verbatim, % and all
+    table = np.array([[0.0, *(cells * 3)[:7]], [1.0, 0.5, *(cells * 2)[:6]]])
+    traces = {("adam-ao%d%%s", 3): table, ("100%", 4): table[:1]}
+    write_trace_csv(tmp_path / "trace.csv", traces)
+    want = _reference_csv(
+        ("variant", "seed", *TRACE_COLUMNS),
+        [
+            (variant, seed, int(row[0]), *row[1:])
+            for (variant, seed), t in traces.items()
+            for row in t.tolist()
+        ],
+    )
+    assert (tmp_path / "trace.csv").read_bytes() == want
+
+
 def test_config_defaults_match_operating_point():
     cfg = ExperimentConfig()
     assert cfg.system.num_antennas == 512
@@ -631,6 +669,48 @@ def test_direct_construction_is_checked():
     with pytest.raises(ConfigError) as err:
         dataclasses.replace(ExperimentConfig(), motion_var=(-0.01, 0.01))
     assert err.value.message == "must be nonnegative, got (-0.01, 0.01)"
+
+
+def test_tuple_fields_take_a_list_or_an_array_of_numbers():
+    # each becomes the tuple of floats the field is annotated with, so the
+    # config hashes, compares and runs as one built from tuples does
+    cfg = small_config(
+        num_cpis=3, motion_var=[0.01, 0.01], initial_state=np.array([5, 10, 8, 7]),
+        convergence_state=[0, 10.0, np.float64(8), 7], convergence_v_init=np.zeros(2),
+    )
+    assert cfg == small_config(num_cpis=3) and hash(cfg) == hash(small_config(num_cpis=3))
+    for name in ("initial_state", "motion_var", "convergence_state", "convergence_v_init"):
+        assert all(type(x) is float for x in getattr(cfg, name)), name
+    # the EKF caches its forecast model on motion_var, which must hash
+    want = run_experiment(small_config(num_cpis=3)).metrics
+    np.testing.assert_array_equal(run_experiment(cfg).metrics, want)
+
+
+@pytest.mark.parametrize("value", [[math.nan, 10, 8, 7], np.array([5.0, math.inf, 8.0, 7.0])])
+def test_a_non_finite_entry_of_a_list_or_an_array_is_refused(value):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(initial_state=value)
+    assert err.value.field == "initial_state"
+    assert err.value.message.startswith("must be finite, got ")
+
+
+@pytest.mark.parametrize(
+    "name, value, length",
+    [
+        ("initial_state", [5.0, 10.0, 8.0], 4),
+        ("initial_state", np.zeros(5), 4),
+        ("convergence_state", np.zeros((4, 1)), 4),
+        ("convergence_state", ["0", 10.0, 8.0, 7.0], 4),
+        ("motion_var", 0.01, 2),
+        ("motion_var", (True, 0.01), 2),
+        ("convergence_v_init", None, 2),
+    ],
+)
+def test_a_tuple_field_of_the_wrong_length_or_type_names_itself(name, value, length):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{name: value})
+    assert err.value.field == name
+    assert err.value.message == f"must be {length} numbers, got {value!r}"
 
 
 def test_adam_hyper_import_paths():
