@@ -124,8 +124,6 @@ def _parse_powers(text: str) -> list[float]:
         powers = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError("powers", f"bad power list {text!r}: {exc}") from exc
-    if not powers:
-        raise ConfigError("powers", f"no powers in {text!r}")
     for dbm in powers:
         if not math.isfinite(dbm):
             raise ConfigError("powers", f"must be finite, got {dbm!r}")

@@ -229,18 +229,19 @@ def _from_json(tp, value, field: str):
         if not isinstance(value, dict):
             raise ConfigError(field, f"expected an object, got {value!r}")
         return _from_dict(tp, value, field + ".")
+    if typing.get_origin(tp) is tuple:  # the constructor checks and converts it
+        return value
     args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)) or len(value) != len(args):
-            raise ConfigError(field, f"expected a list of {len(args)} numbers, got {value!r}")
-        return tuple(_from_json(arg, v, field) for arg, v in zip(args, value))
     if args:  # T | None
         return None if value is None else _from_json(args[0], value, field)
     accepts, name = _LEAVES[tp]
     # bool is an int subclass: only a bool field takes true/false
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepts):
         raise ConfigError(field, f"expected {name}, got {value!r}")
-    return tp(value)
+    try:
+        return tp(value)
+    except OverflowError:  # an int beyond float range
+        raise ConfigError(field, f"must be within float range, got {value!r}") from None
 
 
 def _parse_override_value(text: str):

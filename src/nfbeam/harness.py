@@ -108,27 +108,59 @@ class RunResult:
         }
 
 
+class AgdaoTracker:
+    """AGD-AO re-estimates each CPI's velocity from its echo alone, pointing
+    from row i - 1 of est, a copy of the truth; it keeps no belief table."""
+
+    def __init__(self, config: ExperimentConfig, truth: np.ndarray):
+        self.config, self.est, self.belief = config, truth.copy(), None
+
+    def step(self, i: int, observe) -> np.ndarray:
+        bf, self.est[i, :2], self.est[i, 2:], _ = agdao_track_step(
+            self.est[i - 1], observe, self.config.system, hyper=self.config.adam
+        )
+        return bf
+
+
+class EkfTracker:
+    """The EKF forecasts and updates one belief across CPIs. belief is its
+    BELIEF_COLUMNS table, row 0 the prior; est is a view of its means."""
+
+    def __init__(self, config: ExperimentConfig, truth: np.ndarray):
+        self.system, self.motion_var = config.system, config.motion_var
+        # a fresh array, not a view of truth: the belief never aliases a table
+        mean, cov = np.array(config.initial_state, float), config.ekf_init_cov * np.eye(4)
+        self.state = TrackerBelief(mean, cov)
+        self.belief = np.zeros((len(truth), len(BELIEF_COLUMNS)))
+        self.belief[:, 0] = np.arange(1, len(truth) + 1)
+        self.est = self.belief[:, 1:5]
+        self.est[0], self.belief[0, 5:9] = mean, cov.diagonal()
+
+    def step(self, i: int, observe) -> np.ndarray:
+        bf, self.state, diag = ekf_track_step(self.state, observe, self.system, self.motion_var)
+        row = self.belief[i]
+        row[1:5], row[5:9] = self.state.mean, self.state.covariance.diagonal()
+        row[9], row[10] = diag.innovation_norm, diag.ridged
+        return bf
+
+
+# The tracked methods, built from (config, truth): step(i, observe) fills row i of
+# est, (num_cpis, 4), and of belief, a table or None, and returns the beams sent.
+TRACKERS = {"agdao": AgdaoTracker, "ekf": EkfTracker}
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     """Run the closed tracking loop for config.method over config.num_cpis CPIs.
 
     CPI 1 points with the true initial state for every method (initial access);
-    the trackers start consuming echoes at CPI 2. Opt/FF/FD throughputs are
-    logged alongside whichever method ran, on the shared trajectory.
-
-    The run keeps three (num_cpis, 4) tables of [x, y, vx, vy]: the true
-    trajectory, the feedback pointer's dead-reckoned states, and the method's
-    estimates. The baselines' estimates are the truth (opt, ff) or the
-    feedback table (fd); AGD-AO steps rows 2..num_cpis of a copy of the truth
-    from the row before, and the EKF's rows are its belief table's means.
+    from CPI 2 on, a tracked method's TRACKERS entry steps once per CPI, its
+    observe drawing that CPI's echo. The baselines' estimates are the truth
+    (opt, ff) or the feedback pointer's dead-reckoned states (fd).
 
     The loop walks chunks of K CPIs, K * N * M at most BASELINE_CHUNK_ELEMENTS.
-    Per chunk it builds one near-field snapshot of the true positions and the
-    opt/ff/fd beams (one batched call each), runs the tracker CPI by CPI with
-    each echo drawn from the snapshot, and writes the tracker's beams into a
-    fourth slot; one cpi_throughput call then scores every slot on one build
-    of each true channel, and the chunk's rows of the metrics table are filled
-    from the state tables and the rates. The EKF fills its belief table's row
-    at each CPI. progress(cpi, num_cpis) is called once per CPI.
+    Per chunk, one near-field snapshot of the true positions serves the opt/ff/fd
+    beams (one batched call each) and one cpi_throughput call, which scores them
+    and the tracker's beams. progress(cpi, num_cpis) is called once per CPI.
     """
     system, method, num_cpis = config.system, config.method, config.num_cpis
     dt = system.cpi_duration_s
@@ -137,29 +169,16 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     )
     echo_rng = stream(config.seed, "echo-noise")
     fd = fd_predicted_state(truth, config.feedback_period_cpis, dt)
+    tracker = TRACKERS[method](config, truth) if method in TRACKERS else None
+    est = tracker.est if tracker else fd if method == "fd" else truth
 
     # beam slots of a chunk: opt, ff, fd, and a tracker's own beams after them
-    slots = tuple(dict.fromkeys(("opt", "ff", "fd", method)))
-    slot = slots.index(method)
+    slot = 3 if tracker else ("opt", "ff", "fd").index(method)
     beam_shape = (system.symbols_per_cpi, system.num_antennas)
     chunk = max(1, BASELINE_CHUNK_ELEMENTS // (beam_shape[0] * beam_shape[1]))
-    beams = np.empty((len(slots), min(chunk, num_cpis), *beam_shape), dtype=complex)
-    # a fresh array, not a view of truth: the belief never aliases a table
-    belief = TrackerBelief(np.array(config.initial_state, float), config.ekf_init_cov * np.eye(4))
+    beams = np.empty((3 + bool(tracker), min(chunk, num_cpis), *beam_shape), dtype=complex)
     metrics = np.empty((num_cpis, len(METRIC_COLUMNS)))
     metrics[:, 0] = np.arange(1, num_cpis + 1)
-    belief_table = None
-    if method == "ekf":
-        belief_table = np.zeros((num_cpis, len(BELIEF_COLUMNS)))
-        belief_table[:, 0] = metrics[:, 0]
-        # est holds the posterior means; CPI 1 holds the prior, no innovation, no ridge
-        est = belief_table[:, 1:5]
-        est[0], belief_table[0, 5:9] = belief.mean, belief.covariance.diagonal()
-    else:
-        est = (fd if method == "fd" else truth).copy()
-
-    def observe(bf):  # reads the current CPI's true state, near[i] and vel[i]
-        return synthesize_observation(near[i], vel[i], bf, echo_rng)
 
     for lo in range(0, num_cpis, chunk):
         part = slice(lo, lo + chunk)
@@ -173,19 +192,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             # initial access: every pointer starts from the reported true
             # state, so every slot holds the genie beam
             bf[1:, 0] = bf[0, 0]
-        for i in range(len(bf[0])):
+        for i in range(len(pos)):
             cpi = lo + i + 1
-            if method == "agdao" and cpi > 1:
-                bf[slot, i], est[cpi - 1, :2], est[cpi - 1, 2:], _ = agdao_track_step(
-                    est[cpi - 2], observe, system, hyper=config.adam
-                )
-            elif method == "ekf" and cpi > 1:
-                bf[slot, i], belief, diag = ekf_track_step(
-                    belief, observe, system, config.motion_var
-                )
-                row = belief_table[cpi - 1]
-                row[1:5], row[5:9] = belief.mean, belief.covariance.diagonal()
-                row[9], row[10] = diag.innovation_norm, diag.ridged
+            if tracker and cpi > 1:  # no name keeps observe, nor its chunk's snapshot
+                bf[slot, i] = tracker.step(cpi - 1, functools.partial(
+                    synthesize_observation, near[i], vel[i], rng=echo_rng))
             if progress is not None:
                 progress(cpi, num_cpis)
 
@@ -195,7 +206,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
             np.abs(truth[part, 2:] - est[part, 2:]),
         ])
 
-    return RunResult(config, metrics, belief_table)
+    return RunResult(config, metrics, tracker.belief if tracker else None)
 
 
 def power_sweep(

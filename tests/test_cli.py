@@ -145,6 +145,16 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
             "system.symbol_duration_s=1e308", "system.symbol_duration_s",
             "must be small enough that 10 symbols last a finite time, got 1e+308",
         ),
+        # JSON integers beyond float range, alone or in a tuple
+        pytest.param(
+            "feedback_period_s=1" + "0" * 400, "feedback_period_s",
+            f"must be within float range, got {10**400}", id="scalar-beyond-float-range",
+        ),
+        pytest.param(
+            "initial_state=[1,2,3,1" + "0" * 400 + "]", "initial_state",
+            f"must be 4 numbers, got [1, 2, 3, {10**400}]", id="tuple-beyond-float-range",
+        ),
+        ("initial_state=[1,2,3]", "initial_state", "must be 4 numbers, got [1, 2, 3]"),
     ],
 )
 def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message):
@@ -172,6 +182,7 @@ def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message
             ["track", "--set", "system.tx_power_dbm=4000"], "system.tx_power_dbm",
             "must be finite with a finite power in watts, got 4000.0",
         ),
+        (["sweep-power", "--powers", ","], "powers", "at least one power level is required"),
     ],
 )
 def test_power_without_finite_watts_names_its_field(tmp_path, capsys, argv, field, message):

@@ -40,7 +40,7 @@ from nfbeam.harness import (
     write_trace_csv,
 )
 from nfbeam.motion import generate_trajectory
-from nfbeam.signals import cpi_throughput
+from nfbeam.signals import cpi_throughput, observation_mean
 
 from helpers import belief_rows, metric_rows, read_csv_table
 
@@ -287,6 +287,78 @@ def test_ekf_run_shares_no_state_memory(monkeypatch):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
     assert tables["truth"].tobytes() == _trajectory(cfg).tobytes()
+
+
+def test_a_kept_observe_draws_its_own_cpis_echo(monkeypatch):
+    # observe is a function of its CPI's true state, not of the loop's chunk
+    # and index at call time: kept past the run, CPI 2's observe still draws
+    # CPI 2's echo, noiseless here so that it is the echo mean
+    kept = []
+    step = harness.ekf_track_step
+
+    def spy(belief, observe, *args):
+        out = step(belief, observe, *args)
+        kept.append((observe, out[0]))
+        return out
+
+    monkeypatch.setattr(harness, "ekf_track_step", spy)
+    system = SystemConfig(num_antennas=512, echo_noise_power=0.0)
+    cfg = ExperimentConfig(system=system, method="ekf", num_cpis=8)
+    # the run spans two chunks
+    assert harness.BASELINE_CHUNK_ELEMENTS // (system.symbols_per_cpi * 512) < cfg.num_cpis
+    run_experiment(cfg)
+    observe, bf = kept[0]
+    truth = _trajectory(cfg)
+    expected = observation_mean(NearField(system, truth[1, :2]), truth[1, 2:], bf[-1])
+    np.testing.assert_array_equal(observe(bf), expected)
+
+
+class FakeTracker:
+    """A stand-in for TRACKERS' entries: a fixed offset from the truth as its
+    estimates, each CPI's beams pointed from them, and every step recorded."""
+
+    made = []
+
+    def __init__(self, config, truth):
+        self.system = config.system
+        self.est = truth + [1.0, 2.0, 0.5, -0.5]
+        self.belief = object()
+        self.steps, self.beams = [], []
+        FakeTracker.made.append(self)
+
+    def step(self, i, observe):
+        bf = predictive_beamformers(NearField(self.system, self.est[i, :2]), self.est[i, 2:])
+        observe(bf)
+        self.steps.append(i)
+        self.beams.append(bf)
+        return bf
+
+
+@pytest.mark.parametrize("chunks,extra", [(1, 1), (2, 3)], ids=["chunk+1", "2chunks+3"])
+def test_run_experiment_steps_a_substitute_tracker(monkeypatch, chunks, extra):
+    # the loop knows trackers only through TRACKERS: one step per CPI from CPI
+    # 2 on, in order across chunks; its beams are scored as rate, its est rows
+    # are the estimate columns and its belief is the run's
+    system = SystemConfig(num_antennas=16)
+    chunk = harness.BASELINE_CHUNK_ELEMENTS // (system.symbols_per_cpi * system.num_antennas)
+    num_cpis = chunks * chunk + extra
+    monkeypatch.setattr(harness, "TRACKERS", {"ekf": FakeTracker})
+    monkeypatch.setattr(FakeTracker, "made", [])
+    cfg = ExperimentConfig(system=system, method="ekf", num_cpis=num_cpis)
+    result = run_experiment(cfg)
+    (fake,) = FakeTracker.made
+    assert fake.steps == list(range(1, num_cpis))
+    assert result.belief is fake.belief
+    column = dict(zip(METRIC_COLUMNS, result.metrics.T))
+    est = np.column_stack([column[name] for name in ("x_hat", "y_hat", "vx_hat", "vy_hat")])
+    np.testing.assert_array_equal(est, fake.est)
+    truth = _trajectory(cfg)
+    near, vel = NearField(system, truth[1:, :2]), truth[1:, 2:]
+    np.testing.assert_allclose(
+        column["rate"][1:], cpi_throughput(near, vel, np.array(fake.beams)), rtol=1e-12
+    )
+    # CPI 1 is initial access, on the genie beam
+    assert column["rate"][0] == column["rate_opt"][0]
 
 
 def test_belief_rows_only_for_ekf():
