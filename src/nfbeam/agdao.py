@@ -17,6 +17,11 @@ over M and one 6 x M product, all written into buffers the problem owns; the
 ascent reuses the evaluation at each new iterate for that iteration's objective
 and the next iteration's gradients. The alternating variant's mid-iteration
 radial gradient reads four of the six sums and takes one 4 x M product.
+
+The closed loop (agdao_track_step) does not run Adam: it takes the velocity's
+MAP estimate under the prior N(v_prev, P-) carried from the last CPI, by
+Gauss-Newton on the EKF's measurement model (ekf.velocity_jacobian), which is
+the velocity-only iterated EKF update. The convergence study keeps Adam.
 """
 from __future__ import annotations
 
@@ -28,8 +33,9 @@ import numpy as np
 from . import geometry as geo
 from .beamforming import predictive_beamformers
 from .config import AdamHyper, SystemConfig
+from .ekf import ridged_solve, velocity_jacobian
 from .motion import kinematic_forecast
-from .signals import check_unit_norm
+from .signals import check_unit_norm, observation_mean
 
 VARIANTS = ("adam-ao", "adam-joint", "plain-gd")
 
@@ -45,20 +51,26 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class OptimizerTrace:
-    """Iterates (k, vx, vy, objective, grad_x, grad_y); row 0 is the init.
-
-    len() counts the iterates. With record=False only that count is kept and
-    rows stays empty, as in tracking, which reads the final velocity alone.
-    """
+    """Iterates (k, vx, vy, objective, grad_x, grad_y); row 0 is the init."""
 
     rows: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
     )
-    record: bool = True
-    count: int = field(default=0, init=False)
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.rows)
+
+
+@dataclass(frozen=True)
+class VelocityPosterior:
+    """The MAP step's velocity covariance P+, (2, 2), and its Gauss-Newton
+    steps; len() counts the iterates, steps + 1, as an OptimizerTrace's does."""
+
+    covariance: np.ndarray
+    steps: int
+
+    def __len__(self) -> int:
+        return self.steps + 1
 
 
 class VelocityProblem:
@@ -157,8 +169,8 @@ def line_of_sight_frame(position):
     return (-uy, ux), (ux, uy)
 
 
-def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, record: bool = True):
-    """Run one variant from v_init; record=False keeps only the iterate count.
+def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
+    """Run one variant from v_init, recording every iterate.
 
     The ascent moves in prob's frame from R v_init, keeping each axis's Adam
     moments as floats, and stops once |v_k - v_{k-1}| < rel_tol * |v_k|
@@ -186,10 +198,9 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, recor
 
     t, r = t0, r0
     objective, gt, gr = evaluate(t, r)
-    trace = OptimizerTrace(record=record)
+    trace = OptimizerTrace()
     rows = trace.rows
-    if record:
-        rows.append((0, x0, y0, objective, 0.0, 0.0))
+    rows.append((0, x0, y0, objective, 0.0, 0.0))
     mt = nt = mr = nr = 0.0
     for k in range(1, hyper.max_iters + 1):
         if adam:
@@ -207,15 +218,13 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str, recor
             r_new = r + step * gr
         objective, gt_new, gr_new = evaluate(t_new, r_new)
         _check_finite(k, t_new, r_new, objective, to_xy)
-        if record:
-            rows.append((k, *to_xy(t_new, r_new), objective, tx * gt + rx * gr, ty * gt + ry * gr))
+        rows.append((k, *to_xy(t_new, r_new), objective, tx * gt + rx * gr, ty * gt + ry * gr))
         done = tol and (
             math.hypot(t_new - t, r_new - r) < tol * max(math.hypot(t_new, r_new), floor)
         )
         t, r, gt, gr = t_new, r_new, gt_new, gr_new
         if done:
             break
-    trace.count = k + 1
     return np.array(to_xy(t, r)), trace
 
 
@@ -232,15 +241,13 @@ def adam_ao_estimate(
     v_init,
     f,
     hyper: AdamHyper = AdamHyper(),
-    record: bool = True,
 ):
     """Alternating Adam ascent: t moves first, r sees the fresh t each iteration.
 
     nf_hat is the snapshot at the position estimate. Returns (v_hat, trace).
-    Stops at max_iters or by the module's stop rule. record=False leaves the
-    trace's rows empty and keeps only its length.
+    Stops at max_iters or by the module's stop rule.
     """
-    return _ascend(_los_problem(y, nf_hat, f), v_init, hyper, "adam-ao", record)
+    return _ascend(_los_problem(y, nf_hat, f), v_init, hyper, "adam-ao")
 
 
 def gd_estimate(
@@ -264,24 +271,67 @@ def estimate_velocity(variant: str, *args, **kwargs):
     return gd_estimate(*args, variant=variant, **kwargs)
 
 
+def map_velocity(y, nf_hat: geo.NearField, v_prev, f, prior_cov, echo_noise_power: float,
+                 hyper: AdamHyper = AdamHyper()):
+    """The velocity's MAP estimate under the prior N(v_prev, prior_cov), by Gauss-Newton.
+
+    From v = v_prev, each step takes G and u, the velocity Gram and score of
+    y - h(v) at the snapshot nf_hat, and sets v += (P G + r I)^-1 (P u - r (v - v_prev)),
+    r = echo_noise_power / 2: kalman_update's load form, plain Gauss-Newton at
+    r = 0. It stops by the ascent's rule, |step| < rel_tol * |v| (|v| floored),
+    or after hyper.max_iters steps; a zero P G + r I has nothing to assimilate.
+    Returns (v_hat, VelocityPosterior) with P+ = r (P G + r I)^-1 P at the last
+    step's G, kalman_update's posterior; a singular solve is ridged as there.
+    """
+    v_prev = np.array(v_prev, dtype=float)
+    p = np.asarray(prior_cov, dtype=float)
+    r = echo_noise_power / 2.0
+    r_eye = r * np.eye(2)
+    tol, floor = hyper.rel_tol, REL_CHANGE_FLOOR
+    # columns: the step's right-hand side, then P, whose solve gives P+ / load
+    rhs = np.empty((2, 3))
+    rhs[:, 1:] = p
+    v, steps, cov = v_prev, 0, p
+    for k in range(1, hyper.max_iters + 1):
+        gram, u = velocity_jacobian(nf_hat, v, f).gram_and_score(y - observation_mean(nf_hat, v, f))
+        a = p @ gram + r_eye
+        if not a.any():
+            break
+        rhs[:, 0] = p @ u - r * (v - v_prev)
+        x, ridge = ridged_solve(a, rhs)
+        step = x[:, 0]
+        v, steps, cov = v + step, k, (r + ridge) * x[:, 1:]
+        (vx, vy), (dx, dy) = v.tolist(), step.tolist()
+        if not (math.isfinite(vx) and math.isfinite(vy)):
+            raise DivergenceError(f"non-finite iterate at Gauss-Newton step {k}: v=({vx}, {vy})")
+        if tol and math.hypot(dx, dy) < tol * max(math.hypot(vx, vy), floor):
+            break
+    return v, VelocityPosterior(0.5 * (cov + cov.T), steps)
+
+
 def agdao_track_step(
     prev_state,
+    prev_cov,
     observe,
     system: SystemConfig,
+    motion_var: tuple[float, float],
     hyper: AdamHyper = AdamHyper(),
 ):
     """One closed-loop CPI: point from the previous estimate, observe, re-estimate.
 
-    prev_state is the last estimate [x, y, vx, vy]; observe maps the beams to
-    this CPI's echo snapshot, shape (M,). Returns (beamformers, p_hat, v_hat,
-    trace); p_hat, the forecast position, points the beam, and one snapshot of
-    it serves both. The trace keeps its length (iterations + 1) but no rows.
+    prev_state is the last estimate [x, y, vx, vy] and prev_cov its velocity
+    covariance, (2, 2); observe maps the beams to this CPI's echo snapshot,
+    shape (M,). The position is dead-reckoned, and the velocity is
+    map_velocity's under the prior N(v_prev, prev_cov + diag(motion_var)).
+    Returns (beamformers, p_hat, v_hat, posterior); p_hat, the forecast
+    position, points the beam, and one snapshot of it serves both.
     """
     prev_v_hat = np.asarray(prev_state, dtype=float)[2:]
     p_pred = kinematic_forecast(prev_state, system.cpi_duration_s)[:2]
     near = geo.NearField(system, p_pred)
     bf = predictive_beamformers(near, prev_v_hat)
-    v_hat, trace = adam_ao_estimate(
-        observe(bf), near, prev_v_hat, bf[-1], hyper=hyper, record=False
+    prior_cov = np.asarray(prev_cov, dtype=float) + np.diag(motion_var)
+    v_hat, posterior = map_velocity(
+        observe(bf), near, prev_v_hat, bf[-1], prior_cov, system.echo_noise_power, hyper
     )
-    return bf, p_pred, v_hat, trace
+    return bf, p_pred, v_hat, posterior

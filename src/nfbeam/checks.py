@@ -3,7 +3,8 @@
 Quick independent cross-checks of the analytic pieces: geometry identities,
 the beam and channel phasor rows against their direct phases, the
 closed-form matched-filter SNR, finite differences against the velocity
-gradient and the observation Jacobian, and a square-root-information Kalman
+gradient, the observation Jacobian and the velocity Fisher matrix (the
+closed-loop MAP step's Gram), and a square-root-information Kalman
 update on the dense stacked-real Jacobian against the production low-rank
 form on the factored Jacobian.
 """
@@ -15,7 +16,7 @@ from . import geometry as geo
 from .agdao import VelocityProblem
 from .beamforming import ff_beamformers, predictive_beamformers
 from .config import SystemConfig
-from .ekf import TrackerBelief, kalman_update, observation_jacobian
+from .ekf import TrackerBelief, kalman_update, observation_jacobian, velocity_jacobian
 from .signals import cpi_throughput, observation_mean, synthesize_observation
 
 
@@ -174,6 +175,30 @@ def check_jacobian(seed: int):
     return worst < 1e-4, f"max column rel error {worst:.2e} over {trials} states"
 
 
+def check_velocity_fisher(seed: int):
+    """G_vv = Re(J_v^H J_v) from velocity_jacobian's Gram vs central
+    differences of the echo mean, with the beam up to 0.5 m/s off the velocity."""
+    rng, trials = np.random.default_rng(seed), 20
+    systems = _conventions(64)
+    step = 1e-5
+    worst = 0.0
+    for t in range(trials):
+        system = systems[t % 2]
+        p, v = _random_state(rng)
+        nf = geo.NearField(system, p)
+        f = predictive_beamformers(nf, v + rng.uniform(-0.5, 0.5, 2))[-1]
+        gram, _ = velocity_jacobian(nf, v, f).gram_and_score(np.zeros(system.num_antennas))
+        cols = [
+            (observation_mean(nf, v + step * e, f) - observation_mean(nf, v - step * e, f))
+            / (2.0 * step)
+            for e in np.eye(2)
+        ]
+        jac = np.column_stack(cols)
+        ref = (jac.conj().T @ jac).real
+        worst = max(worst, float(np.linalg.norm(gram - ref) / np.linalg.norm(ref)))
+    return worst < 1e-8, f"max rel error {worst:.2e} over {trials} states"
+
+
 def _dense_reference_update(prior, y, jac, predicted_mean, echo_noise_power):
     """Square-root-information Kalman update on the stacked-real J; an oracle only.
 
@@ -243,5 +268,6 @@ def run_all(seed: int):
         ("matched-filter-snr", *check_mrt_snr(seed)),
         ("velocity-gradient-fd", *check_gradient(seed)),
         ("observation-jacobian-fd", *check_jacobian(seed)),
+        ("velocity-fisher", *check_velocity_fisher(seed)),
         ("kalman-low-rank-vs-dense", *check_kalman(seed)),
     ]

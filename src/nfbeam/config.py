@@ -15,9 +15,14 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .geometry import SPEED_OF_LIGHT
 
 METHODS = ("opt", "ff", "fd", "agdao", "ekf")
+
+# The most bytes one numpy array can address
+MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 class ConfigError(ValueError):
@@ -111,6 +116,12 @@ class SystemConfig:
         _require(self, "spacing_m", self.spacing_m is None or self.spacing_m > 0, "positive")
         _require(self, "symbol_duration_s", self.symbol_duration_s > 0, "positive")
         _require(self, "symbols_per_cpi", self.symbols_per_cpi >= 1, ">= 1")
+        _require(
+            self, "num_antennas",
+            16 * self.symbols_per_cpi * self.num_antennas <= MAX_ARRAY_BYTES,
+            f"small enough that a {self.symbols_per_cpi} x num_antennas complex beam "
+            f"fits in {MAX_ARRAY_BYTES} bytes",
+        )
         _require(
             self, "symbol_duration_s", _finite(lambda: self.cpi_duration_s),
             f"small enough that {self.symbols_per_cpi} symbols last a finite time",

@@ -100,7 +100,8 @@ def ekf_forecast(
 @dataclass(frozen=True)
 class FactoredJacobian:
     """J = response[:, None] * sensitivity.T: the unit-modulus response a, (M,),
-    and a C-contiguous Z, (4, M). np.asarray gives the dense (M, 4) J."""
+    and a C-contiguous Z, (k, M), one row per state coordinate. np.asarray
+    gives the dense (M, k) J."""
 
     response: np.ndarray
     sensitivity: np.ndarray
@@ -111,11 +112,48 @@ class FactoredJacobian:
     def gram_and_score(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = Re(J^H J) and u = Re(J^H nu): Z's float view times [Z; conj(a) nu]'s."""
         z = self.sensitivity
-        rows = np.empty((5, z.shape[1]), complex)
-        rows[:4] = z
-        np.multiply(np.conj(self.response), nu, out=rows[4])
+        k = z.shape[0]
+        rows = np.empty((k + 1, z.shape[1]), complex)
+        rows[:k] = z
+        np.multiply(np.conj(self.response), nu, out=rows[k])
         prod = z.view(float) @ rows.view(float).T
-        return prod[:, :4], prod[:, 4]
+        return prod[:, :k], prod[:, k]
+
+
+def _jacobian(nf: geo.NearField, v, f: np.ndarray, position: bool) -> FactoredJacobian:
+    """observation_jacobian's rows for [x, y, vx, vy], or for [vx, vy] alone.
+
+    The velocity rows leave the position rows of phi zero: the sums phi @ w
+    are one 4-row product either way, so both give them bit for bit.
+    """
+    system = nf.system
+    dtt = system.cpi_duration_s
+    s_amp = math.sqrt(system.tx_power_w)
+    a = geo.array_response(system.symbols_per_cpi, v, nf)
+    af = a @ f
+
+    # da/d(state_k) = -j*kappa*a*phi_k: phi_x = dtt * d(v_m)/dx + dr/dx (likewise
+    # y), phi_vx = dtt * g and phi_vy = dtt * q
+    phi = np.zeros((4, system.num_antennas))
+    if position:
+        dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(nf)
+        vx_dtt, vy_dtt = v[0] * dtt, v[1] * dtt
+        phi[0] = vx_dtt * dg_dx + vy_dtt * dq_dx + nf.ux / nf.r
+        phi[1] = vx_dtt * dg_dy + vy_dtt * dq_dy + nf.uy / nf.r
+    np.multiply(dtt, nf.g, out=phi[2])
+    np.multiply(dtt, nf.q, out=phi[3])
+    # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
+    c = -1j * system.wavenumber * nf.alpha2 * s_amp
+    w = (a * f).view(float).reshape(-1, 2)
+    big_a = c * (phi @ w).view(complex)
+    if position:
+        da2_dx, da2_dy = geo.pathloss_gradient(nf)
+        big_a[0] += s_amp * da2_dx * af
+        big_a[1] += s_amp * da2_dy * af
+    rows = slice(0 if position else 2, 4)
+    z = np.multiply(phi[rows], c * af)
+    z += big_a[rows]
+    return FactoredJacobian(a, z)
 
 
 def observation_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobian:
@@ -123,31 +161,26 @@ def observation_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobia
     position and velocity v, factored; np.asarray of the result is the dense
     (M, 4) J. The array response is the one observation_mean builds.
     """
-    system = nf.system
-    dtt = system.cpi_duration_s
-    s_amp = math.sqrt(system.tx_power_w)
-    a = geo.array_response(system.symbols_per_cpi, v, nf)
-    af = a @ f
-    da2_dx, da2_dy = geo.pathloss_gradient(nf)
-    dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(nf)
+    return _jacobian(nf, v, f, position=True)
 
-    # da/d(state_k) = -j*kappa*a*phi_k: phi_x = dtt * d(v_m)/dx + dr/dx (likewise
-    # y), phi_vx = dtt * g and phi_vy = dtt * q
-    vx_dtt, vy_dtt = v[0] * dtt, v[1] * dtt
-    phi = np.empty((4, system.num_antennas))
-    phi[0] = vx_dtt * dg_dx + vy_dtt * dq_dx + nf.ux / nf.r
-    phi[1] = vx_dtt * dg_dy + vy_dtt * dq_dy + nf.uy / nf.r
-    np.multiply(dtt, nf.g, out=phi[2])
-    np.multiply(dtt, nf.q, out=phi[3])
-    # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
-    c = -1j * system.wavenumber * nf.alpha2 * s_amp
-    w = (a * f).view(float).reshape(-1, 2)
-    big_a = c * (phi @ w).view(complex)
-    big_a[0] += s_amp * da2_dx * af
-    big_a[1] += s_amp * da2_dy * af
-    z = np.multiply(phi, c * af)
-    z += big_a
-    return FactoredJacobian(a, z)
+
+def velocity_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobian:
+    """observation_jacobian's velocity rows, Z (2, M), bit for bit; it forms no
+    position derivative, so no projection kink can stop it."""
+    return _jacobian(nf, v, f, position=False)
+
+
+def ridged_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x, ridge): x solves (a + ridge I) x = rhs, ridge 0.0 unless a is
+    singular or its solve is not finite, then RIDGE_FACTOR * trace(a)."""
+    try:
+        x = np.linalg.solve(a, rhs)
+        if np.isfinite(x).all():
+            return x, 0.0
+    except np.linalg.LinAlgError:
+        pass
+    ridge = RIDGE_FACTOR * float(np.trace(a))
+    return np.linalg.solve(a + ridge * np.eye(len(a)), rhs), ridge
 
 
 def kalman_update(
@@ -176,16 +209,8 @@ def kalman_update(
         posterior = TrackerBelief(mean=prior.mean.copy(), covariance=p.copy())
         posterior.validate()
         return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), False)
-    ridged, load = False, r
-    try:
-        x = np.linalg.solve(a, rhs)
-        if not np.isfinite(x).all():
-            raise np.linalg.LinAlgError("non-finite solve result")
-    except np.linalg.LinAlgError:
-        ridged = True
-        ridge = RIDGE_FACTOR * float(np.trace(a))
-        a, load = a + ridge * _I4, r + ridge
-        x = np.linalg.solve(a, rhs)
+    x, ridge = ridged_solve(a, rhs)
+    ridged, load = ridge > 0.0, r + ridge
 
     delta = p @ x[:, 0]
     c = p @ x[:, 1:]                 # P (G P + load I)^-1

@@ -109,16 +109,21 @@ class RunResult:
 
 
 class AgdaoTracker:
-    """AGD-AO re-estimates each CPI's velocity from its echo alone, pointing
-    from row i - 1 of est, a copy of the truth; it keeps no belief table."""
+    """AGD-AO points from row i - 1 of est, a copy of the truth, and re-estimates
+    the velocity by a MAP step, carrying its velocity covariance cov from CPI
+    to CPI; cov starts at the EKF's ekf_init_cov I. It keeps no belief table."""
 
     def __init__(self, config: ExperimentConfig, truth: np.ndarray):
         self.config, self.est, self.belief = config, truth.copy(), None
+        self.cov = config.ekf_init_cov * np.eye(2)
 
     def step(self, i: int, observe) -> np.ndarray:
-        bf, self.est[i, :2], self.est[i, 2:], _ = agdao_track_step(
-            self.est[i - 1], observe, self.config.system, hyper=self.config.adam
+        config = self.config
+        bf, self.est[i, :2], self.est[i, 2:], posterior = agdao_track_step(
+            self.est[i - 1], self.cov, observe, config.system, config.motion_var,
+            hyper=config.adam,
         )
+        self.cov = posterior.covariance
         return bf
 
 

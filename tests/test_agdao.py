@@ -17,7 +17,8 @@ from nfbeam.agdao import (
 )
 from nfbeam.beamforming import predictive_beamformers
 from nfbeam.config import AdamHyper, ExperimentConfig, SystemConfig
-from nfbeam.geometry import NearField, array_response
+from nfbeam.ekf import TrackerBelief, kalman_update, observation_jacobian
+from nfbeam.geometry import NearField, array_response, element_offsets
 from nfbeam.harness import run_experiment, stream
 from nfbeam.motion import generate_trajectory
 from nfbeam.signals import observation_mean, synthesize_observation
@@ -388,13 +389,13 @@ def test_ascent_is_bit_identical_to_the_reference_loop(variant, m):
 
 @pytest.mark.parametrize("variant, step", [("adam-ao", 0.05), ("adam-joint", 0.05), ("plain-gd", 200.0)])
 def test_tracking_ascent_is_bit_identical_to_the_reference_loop(variant, step):
-    # a tracking CPI: beam and start at the previous estimate, stop rule on, count only
+    # a tracking-like CPI: beam and start at the previous estimate, stop rule on
     prob = _problem(64, (5.0, 10.0), (7.5, 7.5), 1e-8, 2)
     hyper = AdamHyper(step=step)
-    v_hat, trace = agdao._ascend(prob, (7.5, 7.5), hyper, variant, record=False)
+    v_hat, trace = agdao._ascend(prob, (7.5, 7.5), hyper, variant)
     v_ref, rows = _reference_ascend(prob, (7.5, 7.5), hyper, variant)
-    assert trace.rows == []
     assert 2 < len(trace) == len(rows) < hyper.max_iters + 1
+    np.testing.assert_array_equal(np.array(trace.rows), np.array(rows))
     np.testing.assert_array_equal(v_hat, v_ref)
 
 
@@ -415,15 +416,16 @@ def test_ascent_allocates_no_m_length_array_per_evaluation():
     m = 4096
     prob = _problem(m, (5.0, 10.0), (0.0, 0.0), 1e-8, 1)
     hyper = AdamHyper(max_iters=50, rel_tol=0.0)
-    agdao._ascend(prob, (0.0, 0.0), hyper, "adam-ao", record=False)
+    agdao._ascend(prob, (0.0, 0.0), hyper, "adam-ao")
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        agdao._ascend(prob, (0.0, 0.0), hyper, "adam-ao", record=False)
+        agdao._ascend(prob, (0.0, 0.0), hyper, "adam-ao")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 101 evaluations: one fresh complex M-vector each would show as >= 16 M bytes
+    # 101 evaluations: one fresh complex M-vector each would show as >= 16 M
+    # bytes; with the 51 recorded rows the peak reads about 6 KB
     assert peak - base < 16 * m
 
 
@@ -635,28 +637,45 @@ def test_variant_dispatch_and_hyper_validation():
             AdamHyper(**bad)
 
 
-def test_track_step_noiseless_closed_loop():
-    system = system_for(64, echo_noise_power=0.0)
-    rng = np.random.default_rng(0)
-    traj = generate_trajectory((5.0, 10.0, 8.0, 7.0), (0.0, 0.0), system.cpi_duration_s, 2000, rng)
-    p_hat = np.array([5.0, 10.0])
-    v_hat = np.array([8.0, 7.0])
-    worst_p = 0.0
-    worst_v = 0.0
-    for l in range(1, 2000):
+def _track(system, traj, observe_rng, motion_var, cpis):
+    """Run agdao_track_step from the true first state over traj's CPIs, carrying
+    the velocity covariance from ExperimentConfig's ekf_init_cov I; yields each
+    CPI's (true state, bf, p_hat, v_hat, posterior)."""
+    state, cov = traj[0], ExperimentConfig().ekf_init_cov * np.eye(2)
+    for l in range(1, cpis):
         eta = traj[l]
 
         def observe(bf, eta=eta):
-            return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, rng)
+            return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, observe_rng)
 
-        bf, p_hat, v_hat, trace = agdao_track_step(np.concatenate([p_hat, v_hat]), observe, system)
+        bf, p_hat, v_hat, posterior = agdao_track_step(state, cov, observe, system, motion_var)
+        state, cov = np.concatenate([p_hat, v_hat]), posterior.covariance
+        yield eta, bf, p_hat, v_hat, posterior
+
+
+def test_track_step_noiseless_closed_loop():
+    # no echo noise (r = 0): every CPI takes plain Gauss-Newton steps, as the
+    # tracker's motion_var keeps its prior open, and must hold the true state
+    system = system_for(64, echo_noise_power=0.0)
+    rng = np.random.default_rng(0)
+    traj = generate_trajectory((5.0, 10.0, 8.0, 7.0), (0.0, 0.0), system.cpi_duration_s, 2000, rng)
+    worst_p = 0.0
+    worst_v = 0.0
+    steps = []
+    for l, (eta, bf, p_hat, v_hat, posterior) in enumerate(
+        _track(system, traj, rng, (0.01, 0.01), 2000), start=1
+    ):
         if l == 1:
             # dead reckoning from the exact previous state lands on the truth
             assert p_hat[0] == eta[0] and p_hat[1] == eta[1]
             ref = predictive_beamformers(NearField(system, p_hat), (8.0, 7.0))
             np.testing.assert_array_equal(bf, ref)
+        # r = 0: the posterior is exact
+        assert not posterior.covariance.any()
+        steps.append(posterior.steps)
         worst_p = max(worst_p, math.hypot(p_hat[0] - eta[0], p_hat[1] - eta[1]))
         worst_v = max(worst_v, math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
+    assert min(steps) >= 1
     assert worst_p < 1e-3
     assert worst_v < 1e-6
 
@@ -670,66 +689,142 @@ def test_track_error_grows_with_range():
     traj = generate_trajectory(
         (5.0, 10.0, 8.0, 7.0), (0.01, 0.01), system.cpi_duration_s, cpis, traj_rng
     )
-    p_hat = np.array([5.0, 10.0])
-    v_hat = np.array([8.0, 7.0])
-    verr = []
-    for l in range(1, cpis):
-        eta = traj[l]
-
-        def observe(bf, eta=eta):
-            return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, noise_rng)
-
-        bf, p_hat, v_hat, trace = agdao_track_step(np.concatenate([p_hat, v_hat]), observe, system)
-        verr.append(math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
+    verr = [
+        math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3])
+        for eta, _, _, v_hat, _ in _track(system, traj, noise_rng, (0.01, 0.01), cpis)
+    ]
     early = float(np.mean(verr[:400]))
     late = float(np.mean(verr[-400:]))
     assert late > 1.3 * early
 
 
 @pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [32, 512])
+def test_first_map_step_is_the_ekf_velocity_update(m, signed):
+    # with P = blockdiag(0, P-), kalman_update moves only the velocity, and by
+    # the MAP step's first step from v_prev; its posterior's velocity block is
+    # that step's P+. Worst here: 4.1e-13 of the step, 2.6e-13 of P+ (8.3e-13 and
+    # 8.0e-13 over 80 other random instances).
+    rng = np.random.default_rng(40 + m + int(signed))
+    system = system_for(m, signed)
+    one_step = AdamHyper(max_iters=1)
+    for _ in range(8):
+        eta = sample_state(rng, system)
+        nf = NearField(system, eta[:2])
+        v_prev = eta[2:] + rng.normal(0.0, 0.3, 2)
+        bf = predictive_beamformers(nf, v_prev)
+        y = synthesize_observation(nf, eta[2:], bf, rng)
+        root = rng.normal(size=(2, 2))
+        prior_v = 0.01 * (root @ root.T) + 0.01 * np.eye(2)
+        prior = np.zeros((4, 4))
+        prior[2:, 2:] = prior_v
+        post, _ = kalman_update(
+            TrackerBelief(np.concatenate([eta[:2], v_prev]), prior), y,
+            observation_jacobian(nf, v_prev, bf[-1]), observation_mean(nf, v_prev, bf[-1]),
+            system.echo_noise_power,
+        )
+        v_map, posterior = agdao.map_velocity(
+            y, nf, v_prev, bf[-1], prior_v, system.echo_noise_power, one_step
+        )
+        assert posterior.steps == 1
+        assert post.mean[:2].tobytes() == eta[:2].tobytes()
+        step = post.mean[2:] - v_prev
+        np.testing.assert_allclose(v_map - v_prev, step, rtol=0, atol=1e-12 * np.abs(step).max())
+        cov = post.covariance[2:, 2:]
+        np.testing.assert_allclose(posterior.covariance, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+
+
+def test_map_step_without_noise_or_prior_spread_keeps_the_prior():
+    # r = 0 and P- = 0: nothing to assimilate, as in kalman_update
+    nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (7.5, 7.5))
+    v_hat, posterior = agdao.map_velocity(y, nf, (7.5, 7.5), f, np.zeros((2, 2)), 0.0)
+    assert v_hat.tolist() == [7.5, 7.5]
+    assert posterior.steps == 0 and len(posterior) == 1
+    assert not posterior.covariance.any()
+
+
+def test_map_step_with_a_singular_noiseless_system_is_ridged():
+    # r = 0 and a prior spread on vx alone: P- G is singular, and the step is
+    # ridged as kalman_update ridges; vy, with no spread, keeps its prior bits
+    nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (7.5, 7.0))
+    v_hat, posterior = agdao.map_velocity(y, nf, (7.5, 7.0), f, np.diag([0.01, 0.0]), 0.0)
+    assert posterior.steps >= 1
+    assert v_hat[1] == 7.0
+    assert abs(v_hat[0] - V_TRUE[0]) < 1e-6
+    assert np.isfinite(posterior.covariance).all()
+
+
+def test_map_step_on_a_non_finite_echo_raises():
+    nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (0.0, 0.0))
+    bad = np.full(16, np.nan + 1j * np.nan)
+    with pytest.raises(DivergenceError, match="non-finite iterate at Gauss-Newton step 1"):
+        agdao.map_velocity(bad, nf, (0.0, 0.0), f, 0.1 * np.eye(2), 1e-8)
+
+
+def test_track_step_at_a_projection_kink_steps():
+    # the magnitude projection kinks where x sits on an antenna; the velocity
+    # rows never differentiate it, so the closed loop steps through
+    system = system_for(8)
+    state = np.array([float(element_offsets(system)[2]), 9.0, 0.0, 1.0])
+    nf = NearField(system, state[:2])  # zero vx: the forecast stays on the antenna
+
+    def observe(bf):
+        return synthesize_observation(nf, (0.0, 1.0), bf, np.random.default_rng(1))
+
+    _, p_hat, v_hat, posterior = agdao_track_step(
+        state, 0.1 * np.eye(2), observe, system, (0.01, 0.01)
+    )
+    assert p_hat[0] == state[0]
+    assert posterior.steps >= 1 and np.isfinite(v_hat).all()
+
+
+@pytest.mark.parametrize("signed", [False, True])
 def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
-    # tracking reads only the final velocity: the step's trace keeps its
-    # length (the benchmark counts iterations as len - 1) but no rows, still
-    # goes through adam_ao_estimate and checks every iterate for finiteness
+    # the step returns a count, not rows: its posterior has len() = steps + 1
+    # (the benchmark counts steps as len - 1), one velocity Jacobian per step,
+    # and the estimate and covariance of map_velocity alone on the same echo
     system = system_for(32, signed)
     p_prev, v_prev = np.array([4.0, 11.0]), np.array([7.5, 7.5])
     nf, v = NearField(system, p_prev + system.cpi_duration_s * v_prev), V_TRUE
+    cov, motion_var = np.array([[0.1, 0.02], [0.02, 0.05]]), (0.01, 0.03)
     echoes = []
 
     def observe(bf):
         echoes.append(synthesize_observation(nf, v, bf, np.random.default_rng(2)))
         return echoes[-1]
 
-    estimates, checks = [], []
-    estimate, check = agdao.adam_ao_estimate, agdao._check_finite
+    jacobians = []
+    jacobian = agdao.velocity_jacobian
 
-    def spy_estimate(*args, **kwargs):
-        estimates.append(kwargs.get("record", True))
-        return estimate(*args, **kwargs)
+    def spy_jacobian(*args):
+        jacobians.append(args[1])
+        return jacobian(*args)
 
-    def spy_check(*args):
-        checks.append(args[0])
-        return check(*args)
+    monkeypatch.setattr(agdao, "velocity_jacobian", spy_jacobian)
+    bf, p_hat, v_hat, posterior = agdao_track_step(
+        np.concatenate([p_prev, v_prev]), cov, observe, system, motion_var
+    )
+    assert len(jacobians) == len(posterior) - 1 == posterior.steps
+    np.testing.assert_array_equal(jacobians[0], v_prev)
+    assert 2 < len(posterior) <= AdamHyper().max_iters + 1
 
-    monkeypatch.setattr(agdao, "adam_ao_estimate", spy_estimate)
-    monkeypatch.setattr(agdao, "_check_finite", spy_check)
-    bf, p_hat, v_hat, trace = agdao_track_step(np.concatenate([p_prev, v_prev]), observe, system)
-    assert estimates == [False]
-    assert trace.rows == [] and not trace.record
-    assert checks == list(range(1, len(trace)))
-
-    v_rec, recorded = estimate(echoes[0], NearField(system, p_hat), v_prev, bf[-1])
-    assert len(trace) == len(recorded.rows) == recorded.rows[-1][0] + 1
-    assert 2 < len(trace) <= AdamHyper().max_iters + 1
-    np.testing.assert_array_equal(v_hat, v_rec)
+    prior = cov + np.diag(motion_var)
+    v_ref, ref = agdao.map_velocity(
+        echoes[0], NearField(system, p_hat), v_prev, bf[-1], prior, system.echo_noise_power
+    )
+    assert ref.steps == posterior.steps
+    np.testing.assert_array_equal(v_hat, v_ref)
+    np.testing.assert_array_equal(posterior.covariance, ref.covariance)
+    np.testing.assert_array_equal(posterior.covariance, posterior.covariance.T)
 
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_track_step_from_a_state_row_keeps_the_bits_of_p_plus_dt_v(signed):
     # the step forecasts with motion.kinematic_forecast; the reference is the
-    # dead reckoning p + dt * v that it replaced, with the same beam and ascent
+    # dead reckoning p + dt * v that it replaced, with the same beam and MAP step
     system = system_for(32, signed, echo_noise_power=1e-8)
     hyper = AdamHyper(max_iters=60)
+    cov, motion_var = 0.1 * np.eye(2), (0.01, 0.01)
     states = np.array([[4.0, 11.0, 7.5, 7.5], [-3.25, 9.5, -6.0, 8.125], [0.5, 14.0, 0.0, -9.0]])
     before = states.copy()
     for k, state in enumerate(states):
@@ -742,9 +837,15 @@ def test_track_step_from_a_state_row_keeps_the_bits_of_p_plus_dt_v(signed):
         p_ref = p + system.cpi_duration_s * v
         nf = NearField(system, p_ref)
         bf_ref = predictive_beamformers(nf, v)
-        v_ref, _ = adam_ao_estimate(observe(bf_ref), nf, v, bf_ref[-1], hyper=hyper)
-        bf, p_hat, v_hat, trace = agdao_track_step(state, observe, system, hyper=hyper)
+        v_ref, ref = agdao.map_velocity(
+            observe(bf_ref), nf, v, bf_ref[-1], cov + np.diag(motion_var),
+            system.echo_noise_power, hyper,
+        )
+        bf, p_hat, v_hat, posterior = agdao_track_step(
+            state, cov, observe, system, motion_var, hyper=hyper
+        )
         assert bf.tobytes() == bf_ref.tobytes()
         assert p_hat.tobytes() == p_ref.tobytes()
         assert v_hat.tobytes() == v_ref.tobytes()
+        assert posterior.covariance.tobytes() == ref.covariance.tobytes()
     assert states.tobytes() == before.tobytes()  # no row is written

@@ -155,6 +155,18 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
             f"must be 4 numbers, got [1, 2, 3, {10**400}]", id="tuple-beyond-float-range",
         ),
         ("initial_state=[1,2,3]", "initial_state", "must be 4 numbers, got [1, 2, 3]"),
+        # antenna counts whose 10 x M complex beam no array can address: one
+        # beyond any array, one where only the product with 10 symbols is
+        pytest.param(
+            "system.num_antennas=1" + "0" * 400, "system.num_antennas",
+            "must be small enough that a 10 x num_antennas complex beam fits in "
+            f"{2**63 - 1} bytes, got {10**400}", id="antennas-beyond-any-array",
+        ),
+        pytest.param(
+            f"system.num_antennas={10**17}", "system.num_antennas",
+            "must be small enough that a 10 x num_antennas complex beam fits in "
+            f"{2**63 - 1} bytes, got {10**17}", id="antennas-times-symbols-beyond-any-array",
+        ),
     ],
 )
 def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message):
@@ -204,7 +216,7 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
     "method,message",
     [
         ("ekf", "non-finite mean [nan nan nan nan]"),
-        ("agdao", "non-finite iterate at iteration 1: v=(nan, nan), objective=nan"),
+        ("agdao", "non-finite iterate at Gauss-Newton step 1: v=(nan, nan)"),
         *((name, "non-finite rate: the downlink SNR overflows a float")
           for name in ("opt", "ff", "fd")),
     ],

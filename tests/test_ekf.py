@@ -16,6 +16,7 @@ from nfbeam.ekf import (
     ekf_track_step,
     kalman_update,
     observation_jacobian,
+    velocity_jacobian,
 )
 from nfbeam.geometry import ProjectionKinkError
 from nfbeam.harness import run_experiment, stream
@@ -161,6 +162,59 @@ def test_jacobian_kink_guard():
     with pytest.raises(ProjectionKinkError):
         observation_jacobian(geo.NearField(system, p), v, f)
     observation_jacobian(geo.NearField(system_for(8, signed=True), p), v, f)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [32, 512])
+def test_velocity_jacobian_is_the_velocity_rows(m, signed):
+    # the same Z rows, bit for bit, and the velocity blocks of the Gram and score
+    rng = np.random.default_rng(m + int(signed))
+    system = system_for(m, signed)
+    for _ in range(5):
+        eta = sample_state(rng, system)
+        nf = geo.NearField(system, eta[:2])
+        v = eta[2:] + rng.normal(0.0, 0.3, 2)
+        bf = predictive_beamformers(nf, v)
+        y = synthesize_observation(nf, eta[2:], bf, rng)
+        full, vel = observation_jacobian(nf, v, bf[-1]), velocity_jacobian(nf, v, bf[-1])
+        assert vel.sensitivity.shape == (2, m) and vel.sensitivity.flags.c_contiguous
+        assert vel.sensitivity.tobytes() == full.sensitivity[2:].tobytes()
+        assert vel.response is full.response
+        nu = y - observation_mean(nf, v, bf[-1])
+        gram, u = full.gram_and_score(nu)
+        gram_v, u_v = vel.gram_and_score(nu)
+        np.testing.assert_allclose(gram_v, gram[2:, 2:], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(u_v, u[2:], rtol=1e-13, atol=1e-13 * np.abs(u[2:]).max())
+
+
+def test_velocity_jacobian_passes_a_projection_kink():
+    # with the target's x on an antenna, only the position rows need the kink's derivative
+    system = system_for(8)
+    p, v = (float(geo.element_offsets(system)[2]), 9.0), (1.0, 1.0)
+    f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    dense = np.asarray(velocity_jacobian(geo.NearField(system, p), v, f))
+    for col, speed in enumerate(v):
+        def along(t, col=col):
+            s = np.array(v)
+            s[col] = t
+            return observation_mean(geo.NearField(system, p), s, f)
+
+        ref = fd_central_vec(along, speed, 1e-4)
+        assert np.linalg.norm(dense[:, col] - ref) / np.linalg.norm(ref) < 1e-4
+
+
+def test_velocity_fisher_check_passes_and_catches_a_scaled_gram(monkeypatch):
+    ok, detail = checks.check_velocity_fisher(0)
+    assert ok, detail
+    jacobian = checks.velocity_jacobian
+
+    def scaled(*args):
+        jac = jacobian(*args)
+        return FactoredJacobian(jac.response, jac.sensitivity * (1.0 + 1e-7))
+
+    monkeypatch.setattr(checks, "velocity_jacobian", scaled)
+    ok, detail = checks.check_velocity_fisher(0)
+    assert not ok, detail
 
 
 def test_update_matches_dense_reference():

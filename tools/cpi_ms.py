@@ -37,25 +37,22 @@ import numpy as np  # noqa: E402
 from nfbeam.config import ExperimentConfig, SystemConfig  # noqa: E402
 from nfbeam.harness import METRIC_COLUMNS, run_experiment  # noqa: E402
 
-# perfbench's reference loop and its fast-state time, loaded by path so that
-# perfbench's module names stay off sys.path
-_spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
-child = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(child)
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# perfbench's reference loop and its fast-state time, and the CPU model as
+# tools/bench_record.py reads it, loaded by path so that their module names
+# stay off sys.path
+child = _load("perfbench_child", ROOT / "perfbench" / "child.py")
+cpu_model = _load("bench_record", ROOT / "tools" / "bench_record.py").cpu_model
 
 METHODS = ("opt", "ff", "fd", "ekf", "agdao")
 ANTENNAS = (128, 512)
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as info:
-            for line in info:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def timed_run(method: str, num_antennas: int, num_cpis: int) -> tuple[float, np.ndarray]:
