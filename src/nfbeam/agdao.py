@@ -1,11 +1,16 @@
-"""Per-CPI velocity estimation by Adam ascent on the echo log-likelihood.
+"""Per-CPI velocity estimation: a MAP step for the closed loop, Adam for converge.
 
 The position is dead-reckoned between CPIs; only the velocity is re-estimated
-from the echo snapshot, by maximizing g(v) = 2 Re{y^H b(v)} - ||b(v)||^2 where
-b(v) is the model echo at the trial velocity. The estimators ascend along the
-line of sight's transverse and radial axes, t = (-u_y, u_x) and r = u with
-u = p/|p|, where the likelihood's ridge lies. The default optimizer alternates
-axes (t step, then r step with the fresh t); a joint-update variant and a plain
+from the echo snapshot. The closed loop (agdao_track_step) takes its MAP estimate
+under the prior N(v_prev, P-) carried from the last CPI: map_velocity relinearizes
+the EKF's measurement model (ekf.velocity_jacobian) and iterates ekf.load_update,
+the velocity-only iterated EKF update.
+
+The convergence study maximizes g(v) = 2 Re{y^H b(v)} - ||b(v)||^2, where
+b(v) is the model echo at the trial velocity, by Adam ascent along the line of
+sight's transverse and radial axes, t = (-u_y, u_x) and r = u with u = p/|p|,
+where the likelihood's ridge lies. The default optimizer alternates axes
+(t step, then r step with the fresh t); a joint-update variant and a plain
 gradient ascent are included for comparison.
 
 Every entry of the steering vector a~ and of the Doppler vector
@@ -17,11 +22,6 @@ over M and one 6 x M product, all written into buffers the problem owns; the
 ascent reuses the evaluation at each new iterate for that iteration's objective
 and the next iteration's gradients. The alternating variant's mid-iteration
 radial gradient reads four of the six sums and takes one 4 x M product.
-
-The closed loop (agdao_track_step) does not run Adam: it takes the velocity's
-MAP estimate under the prior N(v_prev, P-) carried from the last CPI, by
-Gauss-Newton on the EKF's measurement model (ekf.velocity_jacobian), which is
-the velocity-only iterated EKF update. The convergence study keeps Adam.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import geometry as geo
 from .beamforming import predictive_beamformers
 from .config import AdamHyper, SystemConfig
-from .ekf import ridged_solve, velocity_jacobian
+from .ekf import load_update, velocity_jacobian
 from .motion import kinematic_forecast
 from .signals import check_unit_norm, observation_mean
 
@@ -169,6 +169,11 @@ def line_of_sight_frame(position):
     return (-uy, ux), (ux, uy)
 
 
+def _settled(tol, dx, dy, x, y):
+    """The stop rule: |(dx, dy)| < tol * |(x, y)|, |(x, y)| floored; never at tol = 0."""
+    return tol and math.hypot(dx, dy) < tol * max(math.hypot(x, y), REL_CHANGE_FLOOR)
+
+
 def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
     """Run one variant from v_init, recording every iterate.
 
@@ -183,7 +188,6 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
     evaluate, second_gradient = prob.evaluate, prob.second_gradient
     adam, alternating = variant != "plain-gd", variant == "adam-ao"
     step, beta1, beta2, eps = hyper.step, hyper.beta1, hyper.beta2, hyper.epsilon
-    tol, floor = hyper.rel_tol, REL_CHANGE_FLOOR
     (tx, ty), (rx, ry) = prob.frame
     x0, y0 = float(v_init[0]), float(v_init[1])
     t0, r0 = tx * x0 + ty * y0, rx * x0 + ry * y0
@@ -219,9 +223,7 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
         objective, gt_new, gr_new = evaluate(t_new, r_new)
         _check_finite(k, t_new, r_new, objective, to_xy)
         rows.append((k, *to_xy(t_new, r_new), objective, tx * gt + rx * gr, ty * gt + ry * gr))
-        done = tol and (
-            math.hypot(t_new - t, r_new - r) < tol * max(math.hypot(t_new, r_new), floor)
-        )
+        done = _settled(hyper.rel_tol, t_new - t, r_new - r, t_new, r_new)
         t, r, gt, gr = t_new, r_new, gt_new, gr_new
         if done:
             break
@@ -276,37 +278,31 @@ def map_velocity(y, nf_hat: geo.NearField, v_prev, f, prior_cov, echo_noise_powe
     """The velocity's MAP estimate under the prior N(v_prev, prior_cov), by Gauss-Newton.
 
     From v = v_prev, each step takes G and u, the velocity Gram and score of
-    y - h(v) at the snapshot nf_hat, and sets v += (P G + r I)^-1 (P u - r (v - v_prev)),
-    r = echo_noise_power / 2: kalman_update's load form, plain Gauss-Newton at
-    r = 0. It stops by the ascent's rule, |step| < rel_tol * |v| (|v| floored),
-    or after hyper.max_iters steps; a zero P G + r I has nothing to assimilate.
-    Returns (v_hat, VelocityPosterior) with P+ = r (P G + r I)^-1 P at the last
-    step's G, kalman_update's posterior; a singular solve is ridged as there.
+    y - h(v) at the snapshot nf_hat, and sets v = v_prev + delta with delta
+    ekf.load_update's for the score u + G (v - v_prev), r = echo_noise_power / 2:
+    the iterated EKF update in Bell-Cathey form, plain Gauss-Newton at r = 0.
+    It stops by the ascent's rule, _settled, or after hyper.max_iters steps, or
+    once load_update has nothing to assimilate. Returns (v_hat, VelocityPosterior)
+    with load_update's P+ at the last step's G.
     """
     v_prev = np.array(v_prev, dtype=float)
     p = np.asarray(prior_cov, dtype=float)
     r = echo_noise_power / 2.0
-    r_eye = r * np.eye(2)
-    tol, floor = hyper.rel_tol, REL_CHANGE_FLOOR
-    # columns: the step's right-hand side, then P, whose solve gives P+ / load
-    rhs = np.empty((2, 3))
-    rhs[:, 1:] = p
-    v, steps, cov = v_prev, 0, p
+    v, steps, cov = v_prev, 0, p.copy()
     for k in range(1, hyper.max_iters + 1):
         gram, u = velocity_jacobian(nf_hat, v, f).gram_and_score(y - observation_mean(nf_hat, v, f))
-        a = p @ gram + r_eye
-        if not a.any():
+        update = load_update(p, gram, u + gram @ (v - v_prev), r)
+        if update is None:
             break
-        rhs[:, 0] = p @ u - r * (v - v_prev)
-        x, ridge = ridged_solve(a, rhs)
-        step = x[:, 0]
-        v, steps, cov = v + step, k, (r + ridge) * x[:, 1:]
-        (vx, vy), (dx, dy) = v.tolist(), step.tolist()
+        delta, cov, _ = update
+        v_new = v_prev + delta
+        (vx, vy), (dx, dy) = v_new.tolist(), (v_new - v).tolist()
+        v, steps = v_new, k
         if not (math.isfinite(vx) and math.isfinite(vy)):
             raise DivergenceError(f"non-finite iterate at Gauss-Newton step {k}: v=({vx}, {vy})")
-        if tol and math.hypot(dx, dy) < tol * max(math.hypot(vx, vy), floor):
+        if _settled(hyper.rel_tol, dx, dy, vx, vy):
             break
-    return v, VelocityPosterior(0.5 * (cov + cov.T), steps)
+    return v, VelocityPosterior(cov, steps)
 
 
 def agdao_track_step(

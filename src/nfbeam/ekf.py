@@ -8,10 +8,11 @@ low-rank identity: with G = Re(J^H J), u = Re(J^H nu), r = sigma_e^2 / 2,
     P_post = P - P (G P + r I)^(-1) G P = r P (G P + r I)^(-1)
 
 which costs one 4x4 solve per CPI instead of factorizing a 2M x 2M innovation
-covariance. Tests pin it against the dense textbook form. The Jacobian comes
-factored, J = a[:, None] * Z.T, with a the array response and Z (4, M); as
-|a_m| = 1, G = Zv Zv^T and u = Zv (conj(a) nu).view(float) for the real view
-Zv = Z.view(float), (4, 2M): one real product, no (M, 4) complex J.
+covariance; load_update holds it for any state size, and AGD-AO's MAP step
+iterates it on the velocity. Tests pin it against the dense form. The Jacobian
+comes factored, J = a[:, None] * Z.T, with a the array response and Z (4, M);
+as |a_m| = 1, G = Zv Zv^T and u = Zv (conj(a) nu).view(float) for the real
+view Zv = Z.view(float), (4, 2M): one real product, no (M, 4) complex J.
 """
 from __future__ import annotations
 
@@ -33,8 +34,6 @@ PSD_TOL_FACTOR = 1e-9
 # collapses P to machine-epsilon scale.
 PSD_TOL_FLOOR = 1e-15
 RIDGE_FACTOR = 1e-12
-_I4 = np.eye(4)
-_I4.flags.writeable = False
 
 
 class FilterHealthError(RuntimeError):
@@ -170,17 +169,34 @@ def velocity_jacobian(nf: geo.NearField, v, f: np.ndarray) -> FactoredJacobian:
     return _jacobian(nf, v, f, position=False)
 
 
-def ridged_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x, ridge): x solves (a + ridge I) x = rhs, ridge 0.0 unless a is
-    singular or its solve is not finite, then RIDGE_FACTOR * trace(a)."""
+def load_update(p: np.ndarray, gram: np.ndarray, u: np.ndarray, r: float):
+    """The load form's update of a k-state prior P, k from u: (delta, P+, ridge).
+
+    delta = P (G P + load I)^-1 u and P+ = load P (G P + load I)^-1, symmetrized,
+    with load = r + ridge; ridge is 0.0 unless G P + r I is singular or its
+    solve is not finite, then RIDGE_FACTOR * trace(G P + r I). None when
+    G P + r I is zero: no sensitivity and no noise, nothing to assimilate.
+    """
+    eye = np.eye(len(u))
+    a = gram @ p + r * eye
+    if not a.any():
+        return None
+    # columns: u, then I, whose solve gives P+ / load
+    rhs = np.empty((len(u), len(u) + 1))
+    rhs[:, 0], rhs[:, 1:] = u, eye
+    ridge = 0.0
     try:
         x = np.linalg.solve(a, rhs)
-        if np.isfinite(x).all():
-            return x, 0.0
+        finite = np.isfinite(x).all()
     except np.linalg.LinAlgError:
-        pass
-    ridge = RIDGE_FACTOR * float(np.trace(a))
-    return np.linalg.solve(a + ridge * np.eye(len(a)), rhs), ridge
+        finite = False
+    if not finite:
+        ridge = RIDGE_FACTOR * float(np.trace(a))
+        x = np.linalg.solve(a + ridge * eye, rhs)
+    # P - c G P = c (G P + load I - G P) = load c with c = P (G P + load I)^-1:
+    # no difference to cancel, and exactly 0 at r = 0 without a ridge
+    cov = (r + ridge) * (p @ x[:, 1:])
+    return p @ x[:, 0], 0.5 * (cov + cov.T), ridge
 
 
 def kalman_update(
@@ -190,7 +206,7 @@ def kalman_update(
     predicted_mean: np.ndarray,
     echo_noise_power: float,
 ):
-    """Assimilate one echo snapshot; returns (posterior, UpdateDiagnostics)."""
+    """Assimilate one echo snapshot by load_update; returns (posterior, UpdateDiagnostics)."""
     if echo_noise_power < 0.0:
         raise ValueError(f"echo_noise_power must be nonnegative, got {echo_noise_power}")
     # the posterior's mean is prior.mean + delta, which would broadcast any other shape
@@ -199,29 +215,14 @@ def kalman_update(
     nu = np.asarray(y) - np.asarray(predicted_mean)
     gram, u = jacobian.gram_and_score(nu)
     p = np.asarray(prior.covariance, dtype=float)
-    r = echo_noise_power / 2.0
-
-    a = gram @ p + r * _I4
-    rhs = np.empty((4, 5))
-    rhs[:, 0], rhs[:, 1:] = u, _I4
-    if not a.any():
-        # no sensitivity and no noise: nothing to assimilate
-        posterior = TrackerBelief(mean=prior.mean.copy(), covariance=p.copy())
-        posterior.validate()
-        return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), False)
-    x, ridge = ridged_solve(a, rhs)
-    ridged, load = ridge > 0.0, r + ridge
-
-    delta = p @ x[:, 0]
-    c = p @ x[:, 1:]                 # P (G P + load I)^-1
-    mean = prior.mean + delta
-    # P - c G P = c (G P + load I - G P) = load c, load = r plus any ridge: no
-    # difference to cancel, and exactly 0 at r = 0 without a ridge
-    cov = load * c
-    cov = 0.5 * (cov + cov.T)
-    posterior = TrackerBelief(mean=mean, covariance=cov)
+    update = load_update(p, gram, u, echo_noise_power / 2.0)
+    if update is None:
+        posterior, ridge = TrackerBelief(mean=prior.mean.copy(), covariance=p.copy()), 0.0
+    else:
+        delta, cov, ridge = update
+        posterior = TrackerBelief(mean=prior.mean + delta, covariance=cov)
     posterior.validate()
-    return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), ridged)
+    return posterior, UpdateDiagnostics(float(np.linalg.norm(nu)), ridge > 0.0)
 
 
 def ekf_track_step(

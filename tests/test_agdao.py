@@ -1,11 +1,12 @@
 """Velocity estimator: likelihood algebra, Adam mechanics, closed-loop tracking."""
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nfbeam import agdao
+from nfbeam import agdao, ekf, harness
 from nfbeam.agdao import (
     VARIANTS,
     DivergenceError,
@@ -737,10 +738,44 @@ def test_first_map_step_is_the_ekf_velocity_update(m, signed):
 def test_map_step_without_noise_or_prior_spread_keeps_the_prior():
     # r = 0 and P- = 0: nothing to assimilate, as in kalman_update
     nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (7.5, 7.5))
-    v_hat, posterior = agdao.map_velocity(y, nf, (7.5, 7.5), f, np.zeros((2, 2)), 0.0)
+    prior = np.zeros((2, 2))
+    v_hat, posterior = agdao.map_velocity(y, nf, (7.5, 7.5), f, prior, 0.0)
     assert v_hat.tolist() == [7.5, 7.5]
     assert posterior.steps == 0 and len(posterior) == 1
     assert not posterior.covariance.any()
+    # a copy, as kalman_update returns: the carried covariance never aliases the caller's
+    assert not np.shares_memory(posterior.covariance, prior)
+
+
+@pytest.mark.parametrize("method", ["ekf", "agdao"])
+def test_one_load_update_serves_both_trackers(method, monkeypatch):
+    # the load form lives once, in ekf: kalman_update calls it once per tracked
+    # CPI on the 4-state belief, map_velocity once per Gauss-Newton step on the velocity
+    sizes, per_cpi = [], []
+    update, track_step = ekf.load_update, harness.agdao_track_step
+
+    def spy_update(p, gram, u, r):
+        sizes.append(len(u))
+        return update(p, gram, u, r)
+
+    def spy_step(*args, **kwargs):
+        before = len(sizes)
+        out = track_step(*args, **kwargs)
+        per_cpi.append((len(sizes) - before, out[3].steps))
+        return out
+
+    monkeypatch.setattr(ekf, "load_update", spy_update)
+    monkeypatch.setattr(agdao, "load_update", spy_update)
+    monkeypatch.setattr(harness, "agdao_track_step", spy_step)
+    run_experiment(ExperimentConfig(method=method, num_cpis=12, system=system_for(16)))
+    if method == "ekf":
+        assert sizes == [4] * 11 and per_cpi == []
+    else:
+        assert len(per_cpi) == 11 and all(calls == steps >= 1 for calls, steps in per_cpi)
+        assert sizes == [2] * sum(steps for _, steps in per_cpi)
+    # and agdao keeps no solve of its own
+    assert not hasattr(agdao, "ridged_solve") and not hasattr(ekf, "ridged_solve")
+    assert "np.linalg" not in inspect.getsource(agdao)
 
 
 def test_map_step_with_a_singular_noiseless_system_is_ridged():

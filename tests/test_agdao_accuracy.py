@@ -1,5 +1,6 @@
 """tools/agdao_accuracy.py: the AGD-AO accuracy table, run small."""
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -17,10 +18,11 @@ def test_table_has_a_row_per_cell():
     assert lines[0] == tool.HEADER
     rows = [line.strip("| ").split(" | ") for line in lines[1:]]
     assert [row[:3] for row in rows] == [["128", "10", "1 x 5"], ["128", "40", "1 x 5"]]
-    for _, _, _, iters, share, verr in rows:
+    for _, _, _, iters, share, verr, nees in rows:
         assert 1.0 <= float(iters) <= 500.0
         assert 0.0 <= float(share) <= 1.0
         assert re.fullmatch(r"\S+, \S+", verr)
         assert all(float(v) > 0.0 for v in verr.split(", "))
+        assert 0.0 < float(nees) < math.inf
     # the iteration counter is taken off the harness again
     assert harness.agdao_track_step is step

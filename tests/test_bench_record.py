@@ -2,11 +2,15 @@
 the benchmark itself is not run."""
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_record.py"
 
 # perfbench/run.py --workload all --seconds 1 --seed 1001 --trace 0, its last two workloads
 CAPTURED = """\
@@ -63,3 +67,25 @@ def test_summary_takes_median_min_and_max_over_runs(tool):
     assert summary["converge"]["metrics"]["verr_mps"]["median"] == 4.3269258587095365
     # the summary is what the record writes: plain JSON types throughout
     assert json.loads(json.dumps(summary)) == summary
+
+
+def test_machine_block_names_the_blas_and_run_py_thread_variables(tool):
+    machine = tool.machine(ROOT)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert machine["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert all(isinstance(v, str) and v for v in machine["blas"].values())
+    # run.py's own BLAS_THREADS, imported in a child so that its sibling
+    # modules stay out of this process
+    imported = subprocess.run(
+        [sys.executable, "-c", "import run; print(*run.BLAS_THREADS)"],
+        cwd=ROOT / "perfbench", capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert machine["blas_threads"] == imported and imported
+    assert json.loads(json.dumps(machine)) == machine
+
+
+def test_blas_threads_refuses_a_run_py_without_them(tool, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("THREADS = ('OMP_NUM_THREADS',)\n")
+    with pytest.raises(ValueError, match="no BLAS_THREADS"):
+        tool.blas_threads(tmp_path)

@@ -9,7 +9,9 @@ Run it from the root of a checkout, as perfbench/run.py is run. It runs
 per workload and end-to-end metric, the median, min and max over the runs,
 with the operations attempted and failed and whether every run's outputs were
 correct. One ``--trace 1`` run gives the per-layer metrics. The file also
-holds the CPU model, the numpy and Python versions, the run settings, and
+holds the CPU model, the numpy and Python versions, the BLAS library numpy was
+built against, the BLAS thread variables that run.py sets to 1 in its children
+(its ``BLAS_THREADS``), the run settings, and
 ``git rev-parse HEAD`` with a flag for uncommitted changes under ``src/`` or
 ``perfbench/``. It writes BENCH_<N>.json in the checkout unless --out names
 another path.
@@ -17,6 +19,7 @@ another path.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import platform
 import re
@@ -80,6 +83,33 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
+def blas_library() -> dict[str, str]:
+    """Name and version of the BLAS numpy was built against, from np.show_config."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
+
+
+def blas_threads(root: Path) -> list[str]:
+    """The thread variables that root's perfbench/run.py sets in its children,
+    from its BLAS_THREADS assignment, read without importing run.py."""
+    for node in ast.parse((root / "perfbench" / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "BLAS_THREADS"
+        ]:
+            return list(ast.literal_eval(node.value))
+    raise ValueError(f"no BLAS_THREADS assignment in {root / 'perfbench' / 'run.py'}")
+
+
+def machine(root: Path) -> dict:
+    return {
+        "cpu": cpu_model(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "blas": blas_library(),
+        "blas_threads": blas_threads(root),
+    }
+
+
 def _git(root: Path, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=False)
 
@@ -102,11 +132,7 @@ def record(root: Path, pr: int, repeats: int, seconds: float, seed: int) -> dict
     return {
         "pr": pr,
         "settings": {"repeats": repeats, "seconds": seconds, "seed": seed},
-        "machine": {
-            "cpu": cpu_model(),
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "machine": machine(root),
         "git_head": _git(root, "rev-parse", "HEAD").stdout.strip(),
         "uncommitted_changes": _git(root, "diff", "--quiet", "HEAD", "--", "src", "perfbench")
         .returncode != 0,
