@@ -39,8 +39,8 @@ def predictive_beamformers(nf_pred: geo.NearField, v_pred) -> np.ndarray:
     return _scale_by_rsqrt(f, system.num_antennas)
 
 
-# perfbench/spans.py binds this name to time the baselines; it goes when the
-# benchmark's rework (ROADMAP.md item 2) rebinds that span.
+# The loop builds only CPI 1's genie beam here, once a run; perfbench/spans.py binds
+# this name to time the baselines, so it stays until the rework of ROADMAP.md item 2.
 def opt_beamformers(nf_true: geo.NearField, v_true) -> np.ndarray:
     """Genie matched filter: the predictive beamformer fed the true state."""
     return predictive_beamformers(nf_true, v_true)

@@ -8,6 +8,8 @@ refuses a position on an antenna or at the array center when it is built.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
@@ -27,9 +29,15 @@ class ProjectionKinkError(ValueError):
 
 
 def element_offsets(system) -> np.ndarray:
-    """x-coordinates of the antennas, shape (M,)."""
-    m = np.arange(system.num_antennas, dtype=float)
-    return (m - (system.num_antennas - 1) / 2.0) * system.spacing
+    """x-coordinates of the antennas, shape (M,): one read-only array per (M, spacing)."""
+    return _element_offsets(system.num_antennas, system.spacing)
+
+
+@functools.lru_cache(maxsize=16)
+def _element_offsets(num_antennas: int, spacing: float) -> np.ndarray:
+    x = (np.arange(num_antennas, dtype=float) - (num_antennas - 1) / 2.0) * spacing
+    x.flags.writeable = False
+    return x
 
 
 def _as_position(p) -> np.ndarray:

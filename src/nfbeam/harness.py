@@ -9,17 +9,12 @@ from itertools import chain
 import numpy as np
 
 from .agdao import VARIANTS, agdao_track_step, estimate_velocity
-from .beamforming import (
-    fd_predicted_state,
-    ff_beamformers,
-    opt_beamformers,
-    predictive_beamformers,
-)
+from .beamforming import fd_predicted_state, ff_beamformers, opt_beamformers, predictive_beamformers
 from .config import ConfigError, ExperimentConfig
 from .ekf import TrackerBelief, ekf_track_step
 from .geometry import NearField
 from .motion import generate_trajectory
-from .signals import cpi_throughput, synthesize_observation
+from .signals import cpi_throughput, genie_rate, synthesize_observation
 
 # Fixed ids keep the fan-out stable if stream names are ever added or reordered.
 STREAM_IDS = {"trajectory": 0, "echo-noise": 1}
@@ -157,15 +152,15 @@ TRACKERS = {"agdao": AgdaoTracker, "ekf": EkfTracker}
 def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     """Run the closed tracking loop for config.method over config.num_cpis CPIs.
 
-    CPI 1 points with the true initial state for every method (initial access);
-    from CPI 2 on, a tracked method's TRACKERS entry steps once per CPI, its
-    observe drawing that CPI's echo. The baselines' estimates are the truth
-    (opt, ff) or the feedback pointer's dead-reckoned states (fd).
+    CPI 1 points the genie beam, built once a run, for every method (initial
+    access). From CPI 2 on, a tracked method's TRACKERS entry steps once per CPI,
+    its observe drawing that CPI's echo, and rate_opt is genie_rate. opt and ff
+    estimate the truth, fd the feedback pointer's states; opt's rate is rate_opt.
 
     The loop walks chunks of K CPIs, K * N * M at most BASELINE_CHUNK_ELEMENTS.
-    Per chunk, one near-field snapshot of the true positions serves the opt/ff/fd
-    beams (one batched call each) and one cpi_throughput call, which scores them
-    and the tracker's beams. progress(cpi, num_cpis) is called once per CPI.
+    Per chunk, one snapshot of the true positions serves genie_rate, the ff/fd
+    beams (one batched call each) and one cpi_throughput call, which scores
+    them and the tracker's beams. progress(cpi, num_cpis) is called once per CPI.
     """
     system, method, num_cpis = config.system, config.method, config.num_cpis
     dt = system.cpi_duration_s
@@ -177,11 +172,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
     tracker = TRACKERS[method](config, truth) if method in TRACKERS else None
     est = tracker.est if tracker else fd if method == "fd" else truth
 
-    # beam slots of a chunk: opt, ff, fd, and a tracker's own beams after them
+    # rates of a chunk: opt, then its beam slots, ff, fd and a tracker's own beams
     slot = 3 if tracker else ("opt", "ff", "fd").index(method)
     beam_shape = (system.symbols_per_cpi, system.num_antennas)
     chunk = max(1, BASELINE_CHUNK_ELEMENTS // (beam_shape[0] * beam_shape[1]))
-    beams = np.empty((3 + bool(tracker), min(chunk, num_cpis), *beam_shape), dtype=complex)
+    beams = np.empty((2 + bool(tracker), min(chunk, num_cpis), *beam_shape), dtype=complex)
     metrics = np.empty((num_cpis, len(METRIC_COLUMNS)))
     metrics[:, 0] = np.arange(1, num_cpis + 1)
 
@@ -190,22 +185,23 @@ def run_experiment(config: ExperimentConfig, progress=None) -> RunResult:
         pos, vel = truth[part, :2], truth[part, 2:]
         near = NearField(system, pos)
         bf = beams[:, : len(pos)]
-        bf[0] = opt_beamformers(near, vel)
-        bf[1] = ff_beamformers(system, pos, vel)
-        bf[2] = predictive_beamformers(NearField(system, fd[part, :2]), fd[part, 2:])
+        bf[0] = ff_beamformers(system, pos, vel)
+        bf[1] = predictive_beamformers(NearField(system, fd[part, :2]), fd[part, 2:])
         if lo == 0:
             # initial access: every pointer starts from the reported true
             # state, so every slot holds the genie beam
-            bf[1:, 0] = bf[0, 0]
+            bf[:, 0] = opt_beamformers(near[0], vel[0])
         for i in range(len(pos)):
             cpi = lo + i + 1
             if tracker and cpi > 1:  # no name keeps observe, nor its chunk's snapshot
-                bf[slot, i] = tracker.step(cpi - 1, functools.partial(
+                bf[-1, i] = tracker.step(cpi - 1, functools.partial(
                     synthesize_observation, near[i], vel[i], rng=echo_rng))
             if progress is not None:
                 progress(cpi, num_cpis)
 
-        rates = cpi_throughput(near, vel, bf)
+        rates = np.vstack([genie_rate(near), cpi_throughput(near, vel, bf)])
+        if lo == 0:
+            rates[0, 0] = rates[1, 0]  # CPI 1 scores the genie beam itself
         metrics[part, 1:] = np.column_stack([
             truth[part], est[part], rates[[slot, 0, 1, 2]].T,
             np.abs(truth[part, 2:] - est[part, 2:]),

@@ -70,19 +70,30 @@ def cpi_throughput(nf: geo.NearField, v, beamformers: np.ndarray):
     """Average rate over the CPI's symbols, bits/s/Hz.
 
     A float for one state: a snapshot of one position, v of shape (2,), and
-    beamformers of shape (N, M), N the system's symbols_per_cpi. K states, a snapshot of positions (K, 2) and
-    v of shape (K, 2), take beamformers whose leading axes broadcast against
-    (K,): (K, N, M) gives K rates, (B, K, N, M) gives B rates per state from
-    one build of each state's channel. A rate that is not finite raises
-    NonFiniteRateError.
+    beamformers (N, M), N symbols_per_cpi. K states, positions and v (K, 2),
+    take beamformers whose leading axes broadcast against (K,): (K, N, M) gives
+    K rates, (B, K, N, M) B rates per state from one build of each state's
+    channel. A rate that is not finite raises NonFiniteRateError.
     """
     system = nf.system
     beamformers = np.asarray(beamformers)
     h = geo.symbol_dopplers(v, nf)
     np.multiply(h, nf.steering[..., None, :], out=h)  # the channel up to alpha1
-    gains = nf.alpha1[..., None] * np.einsum("...nm,...nm->...n", h, beamformers)
-    snr = system.tx_power_w * np.abs(gains) ** 2 / system.comm_noise_power
-    rate = np.mean(np.log2(1.0 + snr), axis=-1)
+    dots = np.matmul(beamformers[..., None, :], h[..., :, None])[..., 0, 0]  # a BLAS dot each
+    snr = system.tx_power_w * np.abs(nf.alpha1[..., None] * dots) ** 2 / system.comm_noise_power
+    return _finite(np.mean(np.log2(1.0 + snr), axis=-1))
+
+
+def genie_rate(nf: geo.NearField):
+    """The matched beam's rate at the true state, bits/s/Hz: its gain is alpha1 * sqrt(M)
+    at every symbol, so log2(1 + P M alpha1^2 / sigma_c^2). One per position of nf."""
+    system = nf.system
+    snr = system.tx_power_w * system.num_antennas * nf.alpha1**2 / system.comm_noise_power
+    return _finite(np.log2(1.0 + snr))
+
+
+def _finite(rate):
+    """rate, a float if 0-d; raise NonFiniteRateError if any rate is inf or NaN."""
     if not np.isfinite(rate).all():
         raise NonFiniteRateError("non-finite rate: the downlink SNR overflows a float")
     return float(rate) if rate.ndim == 0 else rate

@@ -89,3 +89,31 @@ def test_blas_threads_refuses_a_run_py_without_them(tool, tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("THREADS = ('OMP_NUM_THREADS',)\n")
     with pytest.raises(ValueError, match="no BLAS_THREADS"):
         tool.blas_threads(tmp_path)
+
+
+def test_cpi_ms_table_is_the_tools_own_table(tool):
+    # the tool's table, run small in this process: its header, then a row per method
+    lines = tool.cpi_ms_table(ROOT, num_cpis=5, antennas=(16,), budget_s=0.0, rounds=1)
+    assert lines[0].startswith("CPU: ") and "ms/CPI" in lines[1]
+    rows = lines[-5:]
+    assert [row.split(" | ")[0] for row in rows] == [
+        f"| {m}" for m in ("opt", "ff", "fd", "ekf", "agdao")
+    ]
+    assert all(float(row.split(" | ")[1]) > 0.0 for row in rows)
+
+
+def test_record_keeps_the_cpi_ms_table_beside_the_runs(tool, monkeypatch):
+    seen = []
+
+    def run_bench(root, seed, seconds, trace):
+        seen.append(trace)
+        return tool.parse_run(CAPTURED)
+
+    table = ["CPU: x", "| opt | 0.1 |"]
+    monkeypatch.setattr(tool, "run_bench", run_bench)
+    monkeypatch.setattr(tool, "cpi_ms_table", lambda root: table)
+    out = tool.record(ROOT, 29, repeats=2, seconds=1.0, seed=1001)
+    assert seen == [0, 0, 1]
+    assert out["cpi_ms"] == table
+    assert list(out["end_to_end"]) == ["sweep-power", "converge"]
+    assert json.loads(json.dumps(out)) == out

@@ -49,6 +49,20 @@ def test_element_offsets_centered():
     assert mid[1] == 0.0
 
 
+@pytest.mark.parametrize("spacing_m", [None, 0.0123])
+@pytest.mark.parametrize("m", [1, 3, 8, 512])
+def test_element_offsets_are_one_read_only_array_per_size_and_spacing(m, spacing_m):
+    system = system_for(m, spacing_m=spacing_m)
+    off = element_offsets(system)
+    want = (np.arange(m, dtype=float) - (m - 1) / 2.0) * system.spacing
+    assert off.tobytes() == want.tobytes()
+    assert not off.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        off[0] = 1.0
+    # a system that differs only elsewhere shares the array
+    assert element_offsets(system_for(m, spacing_m=spacing_m, tx_power_dbm=10.0)) is off
+
+
 def test_element_distances_against_hypot():
     rng = np.random.default_rng(3)
     system = system_for(16)

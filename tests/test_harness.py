@@ -40,7 +40,7 @@ from nfbeam.harness import (
     write_trace_csv,
 )
 from nfbeam.motion import generate_trajectory
-from nfbeam.signals import cpi_throughput, observation_mean
+from nfbeam.signals import cpi_throughput, genie_rate, observation_mean
 
 from helpers import belief_rows, metric_rows, read_csv_table
 
@@ -114,19 +114,21 @@ def _single_rate(cfg, bf, eta):
 
 
 def _per_cpi_baseline_rates(cfg):
-    """(opt, ff, fd) rates built one CPI at a time with single-state calls."""
+    """(opt, ff, fd) rates built one CPI at a time with single-state calls; from
+    CPI 2 on, opt's is the genie's closed form."""
     system = cfg.system
     traj = _trajectory(cfg)
     out = []
     for cpi, eta in enumerate(traj, start=1):
-        bf_opt = opt_beamformers(NearField(system, eta[:2]), eta[2:])
         if cpi == 1:
-            bf_ff = bf_fd = bf_opt
-        else:
-            bf_ff = ff_beamformers(system, eta[:2], eta[2:])
-            fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, system.cpi_duration_s)
-            bf_fd = predictive_beamformers(NearField(system, fd_p), fd_v)
-        out.append(tuple(_single_rate(cfg, bf, eta) for bf in (bf_opt, bf_ff, bf_fd)))
+            bf_opt = opt_beamformers(NearField(system, eta[:2]), eta[2:])
+            out.append((_single_rate(cfg, bf_opt, eta),) * 3)
+            continue
+        bf_ff = ff_beamformers(system, eta[:2], eta[2:])
+        fd_p, fd_v = _fd_state(traj, cpi, cfg.feedback_period_cpis, system.cpi_duration_s)
+        bf_fd = predictive_beamformers(NearField(system, fd_p), fd_v)
+        rate_opt = genie_rate(NearField(system, eta[:2]))
+        out.append((rate_opt, *(_single_rate(cfg, bf, eta) for bf in (bf_ff, bf_fd))))
     return out
 
 
@@ -149,6 +151,33 @@ def test_batched_baselines_equal_the_per_cpi_loop(num_cpis, signed):
     want = _per_cpi_baseline_rates(cfg)
     assert metric_rows(result, "rate_opt", "rate_ff", "rate_fd") == want
     assert metric_rows(result, "rate") == [(fd,) for _, _, fd in want]
+
+
+@pytest.mark.parametrize("num_cpis", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("method", ["opt", "ff", "fd", "ekf", "agdao"])
+def test_rate_opt_is_the_genie_closed_form_after_initial_access(method, num_cpis):
+    cfg = ExperimentConfig(method=method, num_cpis=num_cpis, seed=3, feedback_period_s=4e-4)
+    column = dict(zip(METRIC_COLUMNS, run_experiment(cfg).metrics.T))
+    want = genie_rate(NearField(cfg.system, _trajectory(cfg)[1:, :2]))
+    assert column["rate_opt"][1:].tobytes() == want.tobytes()
+    # CPI 1 scores one genie beam in every slot
+    first = {column[name][0] for name in ("rate", "rate_opt", "rate_ff", "rate_fd")}
+    assert len(first) == 1
+
+
+@pytest.mark.parametrize("num_cpis", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
+@pytest.mark.parametrize("method", ["opt", "ff", "fd", "ekf", "agdao"])
+def test_genie_beam_is_built_once_a_run(method, num_cpis, monkeypatch):
+    calls = []
+    build = harness.opt_beamformers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "opt_beamformers", counted)
+    run_experiment(ExperimentConfig(method=method, num_cpis=num_cpis))
+    assert len(calls) == 1
 
 
 def _spy_beams(monkeypatch, method):

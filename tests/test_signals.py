@@ -11,11 +11,12 @@ from nfbeam.signals import (
     check_unit_norm,
     complex_gaussian,
     cpi_throughput,
+    genie_rate,
     observation_mean,
     received_snr,
     synthesize_observation,
 )
-from nfbeam.beamforming import predictive_beamformers
+from nfbeam.beamforming import opt_beamformers, predictive_beamformers
 
 from helpers import N_SYM, sample_state, system_for
 
@@ -176,3 +177,26 @@ def test_throughput_invariant_to_global_beam_phase():
     base = cpi_throughput(nf, eta[2:], bf)
     rotated = cpi_throughput(nf, eta[2:], bf * np.exp(1j * 0.7))
     assert rotated == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 16, 512])
+def test_genie_rate_is_the_scored_matched_beam(m, signed):
+    # the matched beam's gain is alpha1 * sqrt(M) at every symbol; half the
+    # states sit in front of the aperture, where the two projections differ
+    system = system_for(m, signed)
+    rng = np.random.default_rng(29 + m)
+    states = np.array([sample_state(rng, system) for _ in range(8)])
+    edge = (m - 1) * system.spacing / 2.0
+    states[:4, 0] = rng.uniform(-edge - 0.5, edge + 0.5, 4)
+    near = NearField(system, states[:, :2])
+    batch = genie_rate(near)
+    assert batch.shape == (8,)
+    scored = cpi_throughput(near, states[:, 2:], opt_beamformers(near, states[:, 2:]))
+    assert np.all(np.abs(batch - scored) <= 1e-14 * scored)
+    for eta, rate in zip(states, batch):
+        nf = NearField(system, eta[:2])
+        single = genie_rate(nf)
+        assert isinstance(single, float) and single == rate
+        want = cpi_throughput(nf, eta[2:], opt_beamformers(nf, eta[2:]))
+        assert abs(single - want) <= 1e-14 * want

@@ -13,14 +13,18 @@ holds the CPU model, the numpy and Python versions, the BLAS library numpy was
 built against, the BLAS thread variables that run.py sets to 1 in its children
 (its ``BLAS_THREADS``), the run settings, and
 ``git rev-parse HEAD`` with a flag for uncommitted changes under ``src/`` or
-``perfbench/``. It writes BENCH_<N>.json in the checkout unless --out names
-another path.
+``perfbench/``. Last, it runs tools/cpi_ms.py's ms/CPI table of the
+checkout in this process, with run.py's BLAS thread variables set to 1, and
+keeps its lines under "cpi_ms". It writes BENCH_<N>.json in the checkout
+unless --out names another path.
 """
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
+import os
 import platform
 import re
 import statistics
@@ -28,7 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+# numpy loads in the functions that read it, so that __main__ sets the BLAS
+# thread variables before it does
 
 # run.py's line before a workload's metrics, e.g. "converge: 30 operations attempted, ..."
 _WORKLOAD_LINE = re.compile(r"^(\S+): \d+ operations attempted, \d+ failed, outputs \w+$")
@@ -85,6 +90,8 @@ def cpu_model() -> str:
 
 def blas_library() -> dict[str, str]:
     """Name and version of the BLAS numpy was built against, from np.show_config."""
+    import numpy as np
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"name": blas["name"], "version": blas["version"]}
 
@@ -101,6 +108,8 @@ def blas_threads(root: Path) -> list[str]:
 
 
 def machine(root: Path) -> dict:
+    import numpy as np
+
     return {
         "cpu": cpu_model(),
         "numpy": np.__version__,
@@ -123,6 +132,15 @@ def run_bench(root: Path, seed: int, seconds: float, trace: int) -> dict[str, di
     return parse_run(proc.stdout)
 
 
+def cpi_ms_table(root: Path, **kw) -> list[str]:
+    """The lines of root's tools/cpi_ms.py table, run in this process; kw go
+    to its table(). The tool is loaded by path, as its tests load it."""
+    spec = importlib.util.spec_from_file_location("cpi_ms", root / "tools" / "cpi_ms.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.table(**kw))
+
+
 def record(root: Path, pr: int, repeats: int, seconds: float, seed: int) -> dict:
     runs = []
     for k in range(repeats):
@@ -141,6 +159,7 @@ def record(root: Path, pr: int, repeats: int, seconds: float, seed: int) -> dict
             name: {key: m["value"] for key, m in result["metrics"].items()}
             for name, result in traced.items()
         },
+        "cpi_ms": cpi_ms_table(root),
     }
 
 
@@ -157,6 +176,7 @@ if __name__ == "__main__":
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         parser.error(f"no perfbench/run.py under {root}; run from the repository root")
+    os.environ.update(dict.fromkeys(blas_threads(root), "1"))
     result = record(root, args.pr, args.repeats, args.seconds, args.seed)
     out = args.out or root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
