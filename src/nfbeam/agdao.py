@@ -4,7 +4,9 @@ The position is dead-reckoned between CPIs; only the velocity is re-estimated
 from the echo snapshot. The closed loop (agdao_track_step) takes its MAP estimate
 under the prior N(v_prev, P-) carried from the last CPI: map_velocity relinearizes
 the EKF's measurement model (ekf.velocity_jacobian) and iterates ekf.load_update,
-the velocity-only iterated EKF update.
+the velocity-only iterated EKF update. Beside the estimate, each estimator
+returns its iterates as a plain array: the ascent its (k, vx, vy, objective,
+grad_x, grad_y) table, the MAP step its Gauss-Newton path and P+.
 
 The convergence study maximizes g(v) = 2 Re{y^H b(v)} - ||b(v)||^2, where
 b(v) is the model echo at the trial velocity, by Adam ascent along the line of
@@ -26,7 +28,6 @@ radial gradient reads four of the six sums and takes one 4 x M product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,30 +48,6 @@ IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 class DivergenceError(RuntimeError):
     """Optimizer produced a non-finite iterate or objective."""
-
-
-@dataclass
-class OptimizerTrace:
-    """Iterates (k, vx, vy, objective, grad_x, grad_y); row 0 is the init."""
-
-    rows: list[tuple[int, float, float, float, float, float]] = field(
-        default_factory=list
-    )
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class VelocityPosterior:
-    """The MAP step's velocity covariance P+, (2, 2), and its Gauss-Newton
-    steps; len() counts the iterates, steps + 1, as an OptimizerTrace's does."""
-
-    covariance: np.ndarray
-    steps: int
-
-    def __len__(self) -> int:
-        return self.steps + 1
 
 
 class VelocityProblem:
@@ -175,7 +152,8 @@ def _settled(tol, dx, dy, x, y):
 
 
 def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
-    """Run one variant from v_init, recording every iterate.
+    """Run one variant from v_init; returns (v_hat, trace), trace the float
+    table of iterates (k, vx, vy, objective, grad_x, grad_y), row 0 the init.
 
     The ascent moves in prob's frame from R v_init, keeping each axis's Adam
     moments as floats, and stops once |v_k - v_{k-1}| < rel_tol * |v_k|
@@ -202,9 +180,7 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
 
     t, r = t0, r0
     objective, gt, gr = evaluate(t, r)
-    trace = OptimizerTrace()
-    rows = trace.rows
-    rows.append((0, x0, y0, objective, 0.0, 0.0))
+    rows = [(0, x0, y0, objective, 0.0, 0.0)]
     mt = nt = mr = nr = 0.0
     for k in range(1, hyper.max_iters + 1):
         if adam:
@@ -227,7 +203,7 @@ def _ascend(prob: VelocityProblem, v_init, hyper: AdamHyper, variant: str):
         t, r, gt, gr = t_new, r_new, gt_new, gr_new
         if done:
             break
-    return np.array(to_xy(t, r)), trace
+    return np.array(to_xy(t, r)), np.array(rows, dtype=float)
 
 
 def _los_problem(y, nf, f):
@@ -282,13 +258,14 @@ def map_velocity(y, nf_hat: geo.NearField, v_prev, f, prior_cov, echo_noise_powe
     ekf.load_update's for the score u + G (v - v_prev), r = echo_noise_power / 2:
     the iterated EKF update in Bell-Cathey form, plain Gauss-Newton at r = 0.
     It stops by the ascent's rule, _settled, or after hyper.max_iters steps, or
-    once load_update has nothing to assimilate. Returns (v_hat, VelocityPosterior)
-    with load_update's P+ at the last step's G.
+    once load_update has nothing to assimilate. Returns (v_hat, path, cov): the
+    (steps + 1, 2) iterates from v_prev to v_hat, and load_update's P+ at the
+    last step's G (a copy of prior_cov if no step was taken).
     """
     v_prev = np.array(v_prev, dtype=float)
     p = np.asarray(prior_cov, dtype=float)
     r = echo_noise_power / 2.0
-    v, steps, cov = v_prev, 0, p.copy()
+    v, path, cov = v_prev, [v_prev], p.copy()
     for k in range(1, hyper.max_iters + 1):
         gram, u = velocity_jacobian(nf_hat, v, f).gram_and_score(y - observation_mean(nf_hat, v, f))
         update = load_update(p, gram, u + gram @ (v - v_prev), r)
@@ -297,12 +274,13 @@ def map_velocity(y, nf_hat: geo.NearField, v_prev, f, prior_cov, echo_noise_powe
         delta, cov, _ = update
         v_new = v_prev + delta
         (vx, vy), (dx, dy) = v_new.tolist(), (v_new - v).tolist()
-        v, steps = v_new, k
+        v = v_new
+        path.append(v)
         if not (math.isfinite(vx) and math.isfinite(vy)):
             raise DivergenceError(f"non-finite iterate at Gauss-Newton step {k}: v=({vx}, {vy})")
         if _settled(hyper.rel_tol, dx, dy, vx, vy):
             break
-    return v, VelocityPosterior(cov, steps)
+    return v, np.array(path), cov
 
 
 def agdao_track_step(
@@ -319,15 +297,15 @@ def agdao_track_step(
     covariance, (2, 2); observe maps the beams to this CPI's echo snapshot,
     shape (M,). The position is dead-reckoned, and the velocity is
     map_velocity's under the prior N(v_prev, prev_cov + diag(motion_var)).
-    Returns (beamformers, p_hat, v_hat, posterior); p_hat, the forecast
-    position, points the beam, and one snapshot of it serves both.
+    Returns (beamformers, p_hat, v_hat, path, cov), the last three
+    map_velocity's; p_hat, the forecast position, points the beam, and one
+    snapshot of it serves both.
     """
     prev_v_hat = np.asarray(prev_state, dtype=float)[2:]
     p_pred = kinematic_forecast(prev_state, system.cpi_duration_s)[:2]
     near = geo.NearField(system, p_pred)
     bf = predictive_beamformers(near, prev_v_hat)
     prior_cov = np.asarray(prev_cov, dtype=float) + np.diag(motion_var)
-    v_hat, posterior = map_velocity(
+    return bf, p_pred, *map_velocity(
         observe(bf), near, prev_v_hat, bf[-1], prior_cov, system.echo_noise_power, hyper
     )
-    return bf, p_pred, v_hat, posterior

@@ -114,11 +114,10 @@ class AgdaoTracker:
 
     def step(self, i: int, observe) -> np.ndarray:
         config = self.config
-        bf, self.est[i, :2], self.est[i, 2:], posterior = agdao_track_step(
+        bf, self.est[i, :2], self.est[i, 2:], _, self.cov = agdao_track_step(
             self.est[i - 1], self.cov, observe, config.system, config.motion_var,
             hyper=config.adam,
         )
-        self.cov = posterior.covariance
         return bf
 
 
@@ -270,10 +269,8 @@ def convergence_study(
         y = synthesize_observation(near, v_gt, bf, rng)
         for variant in variants:
             _, trace = estimate_velocity(variant, y, near, v_init, bf[-1], hyper=hyper)
-            table = np.empty((len(trace.rows), len(TRACE_COLUMNS)))
-            table[:, :6] = trace.rows  # k, vx, vy, objective, grad_x, grad_y
-            np.abs(table[:, 1:3] - v_gt, out=table[:, 6:])
-            traces[variant, trial] = table
+            # TRACE_COLUMNS: the trace's six, then |v - v_gt| per axis
+            traces[variant, trial] = np.hstack([trace, np.abs(trace[:, 1:3] - v_gt)])
     return traces
 
 

@@ -37,24 +37,13 @@ def sample_broadside_state(rng: np.random.Generator) -> np.ndarray:
     return np.array([x, y, *rng.uniform(-15.0, 15.0, size=2)])
 
 
-def fd_central(fun, x0: float, step: float) -> float:
+def fd_central(fun, x0: float, step: float):
     return (fun(x0 + step) - fun(x0 - step)) / (2.0 * step)
 
 
-def fd_central4(fun, x0: float, step: float) -> float:
+def fd_central4(fun, x0: float, step: float):
     # 4th-order stencil; needed where the phase curvature at 30 GHz makes
     # the 2nd-order truncation term larger than the comparison tolerance
-    return (
-        8.0 * (fun(x0 + step) - fun(x0 - step))
-        - (fun(x0 + 2.0 * step) - fun(x0 - 2.0 * step))
-    ) / (12.0 * step)
-
-
-def fd_central_vec(fun, x0: float, step: float) -> np.ndarray:
-    return (fun(x0 + step) - fun(x0 - step)) / (2.0 * step)
-
-
-def fd_central4_vec(fun, x0: float, step: float) -> np.ndarray:
     return (
         8.0 * (fun(x0 + step) - fun(x0 - step))
         - (fun(x0 + 2.0 * step) - fun(x0 - 2.0 * step))

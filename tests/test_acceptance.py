@@ -24,13 +24,7 @@ from nfbeam.geometry import (
 from nfbeam.harness import TRACE_COLUMNS, convergence_study, power_sweep, run_experiment
 from nfbeam.signals import observation_mean, received_snr
 
-from helpers import (
-    fd_central,
-    fd_central4_vec,
-    fd_central_vec,
-    sample_state,
-    system_for,
-)
+from helpers import fd_central, fd_central4, sample_state, system_for
 
 _CACHE: dict[str, object] = {}
 
@@ -140,9 +134,9 @@ def test_criterion_03_observation_jacobian_matches_finite_differences():
                 # position columns oscillate at carrier scale, so the second-order
                 # difference is all truncation there; use the 5-point stencil
                 if col < 2:
-                    ref = fd_central4_vec(along, eta[col], 1e-4)
+                    ref = fd_central4(along, eta[col], 1e-4)
                 else:
-                    ref = fd_central_vec(along, eta[col], 1e-4)
+                    ref = fd_central(along, eta[col], 1e-4)
                 worst = max(
                     worst, np.linalg.norm(jac[:, col] - ref) / np.linalg.norm(ref)
                 )

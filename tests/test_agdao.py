@@ -189,7 +189,7 @@ def test_first_iteration_step_from_zero_moments(variant):
         if variant == "adam-ao":
             gr = evaluate(t1, 0.0)[2]
         r1 = _adam_step([0.0, 0.0, 0], 0.0, gr, *adam)
-        _, vx1, vy1, _, gx, gy = trace.rows[1]
+        _, vx1, vy1, _, gx, gy = trace[1]
         assert (vx1, vy1) == (tx * t1 + rx * r1, ty * t1 + ry * r1)
         assert (gx, gy) == (tx * gt + rx * gr, ty * gt + ry * gr)
         assert abs(t1) <= hyper.step * (1.0 + 1e-12)
@@ -249,8 +249,8 @@ def test_joint_equals_alternating_when_x_axis_dormant():
     hyper = AdamHyper(max_iters=40, rel_tol=0.0)
     v_ao, tr_ao = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=hyper)
     v_jt, tr_jt = gd_estimate(y, nf, (0.0, 0.0), f, hyper=hyper, variant="adam-joint")
-    ao = np.array([(r[1], r[2]) for r in tr_ao.rows])
-    jt = np.array([(r[1], r[2]) for r in tr_jt.rows])
+    ao = tr_ao[:, 1:3]
+    jt = tr_jt[:, 1:3]
     assert np.abs(ao[:, 0]).max() < 1e-12
     assert np.abs(jt[:, 0]).max() < 1e-12
     assert np.abs(ao[:, 1] - jt[:, 1]).max() < 1e-15
@@ -264,7 +264,7 @@ def test_stop_rule_extremes():
     strict = AdamHyper(max_iters=25, rel_tol=0.0)
     _, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=strict)
     assert len(trace) == 26
-    assert trace.rows[-1][0] == 25
+    assert trace[-1, 0] == 25
 
 
 def reference_ascent(fields, v_init, hyper, variant):
@@ -298,7 +298,7 @@ def test_ascent_matches_reference_on_convergence_instance(variant):
     )
     hyper = AdamHyper(rel_tol=0.0)
     _, trace = estimate_velocity(variant, y, nf, (0.0, 0.0), f, hyper=hyper)
-    got = np.array([(r[1], r[2], r[3]) for r in trace.rows])
+    got = trace[:, 1:4]
     ref = reference_ascent(
         lambda vx, vy: direct_likelihood(y, nf, (vx, vy), f),
         (0.0, 0.0), hyper, variant,
@@ -384,7 +384,7 @@ def test_ascent_is_bit_identical_to_the_reference_loop(variant, m):
     v_hat, trace = agdao._ascend(prob, (0.0, 0.0), hyper, variant)
     v_ref, rows = _reference_ascend(prob, (0.0, 0.0), hyper, variant)
     assert len(trace) == len(rows) == hyper.max_iters + 1
-    np.testing.assert_array_equal(np.array(trace.rows), np.array(rows))
+    np.testing.assert_array_equal(trace, np.array(rows))
     np.testing.assert_array_equal(v_hat, v_ref)
 
 
@@ -396,7 +396,7 @@ def test_tracking_ascent_is_bit_identical_to_the_reference_loop(variant, step):
     v_hat, trace = agdao._ascend(prob, (7.5, 7.5), hyper, variant)
     v_ref, rows = _reference_ascend(prob, (7.5, 7.5), hyper, variant)
     assert 2 < len(trace) == len(rows) < hyper.max_iters + 1
-    np.testing.assert_array_equal(np.array(trace.rows), np.array(rows))
+    np.testing.assert_array_equal(trace, np.array(rows))
     np.testing.assert_array_equal(v_hat, v_ref)
 
 
@@ -453,14 +453,14 @@ def test_trace_length_counts_iterations_when_stop_rule_fires(
     # iteration, at any bearing (test_cold_start_count_does_not_depend_on_bearing)
     hyper = AdamHyper(step=step, max_iters=1000)
     _, trace = estimate_velocity(variant, y, nf, (0.0, 0.0), f, hyper=hyper)
-    iters = trace.rows[-1][0]
+    iters = int(trace[-1, 0])
     assert 1 < iters < hyper.max_iters
     assert len(trace) - 1 == iters
-    assert [r[0] for r in trace.rows] == list(range(iters + 1))
+    assert trace[:, 0].tolist() == list(range(iters + 1))
     # one evaluation at the init, then evals_per_iter per iteration
     assert len(calls) == 1 + evals_per_iter * iters
     # the rule fires on the last step and on no step before it
-    v = [(r[1], r[2]) for r in trace.rows]
+    v = trace[:, 1:3].tolist()
     fires = [_stop_rule_fires(hyper.rel_tol, a, b) for a, b in zip(v, v[1:])]
     assert fires == [False] * (iters - 1) + [True]
 
@@ -484,7 +484,7 @@ def test_broadside_estimate_equals_the_identity_frame_ascent(variant, signed):
         v_hat, trace = estimate_velocity(variant, y, nf, v_init, f, hyper=hyper)
         v_ref, ref = agdao._ascend(identity, v_init, hyper, variant)
         assert 2 < len(trace) == len(ref) < hyper.max_iters + 1
-        assert np.array(trace.rows).tobytes() == np.array(ref.rows).tobytes()
+        assert trace.tobytes() == ref.tobytes()
         assert v_hat.tobytes() == v_ref.tobytes()
 
 
@@ -550,9 +550,9 @@ def test_an_off_axis_frame_checks_and_reports_vx_vy(monkeypatch):
     v_hat, trace = adam_ao_estimate(y, nf, v_init, f)
     assert [k for k, *_ in checked] == list(range(1, len(trace)))
     assert [(k, *_map_back(frame, v_init, t, r), obj) for k, t, r, obj in checked] == [
-        row[:4] for row in trace.rows[1:]
+        tuple(row) for row in trace[1:, :4].tolist()
     ]
-    assert tuple(v_hat) == trace.rows[-1][1:3]
+    assert tuple(v_hat) == tuple(trace[-1, 1:3])
 
     checked.clear()
     hyper = AdamHyper(step=1e308, rel_tol=0.0)
@@ -598,7 +598,7 @@ def test_bounded_steps_and_mostly_rising_objective():
     nf, y, f = make_instance(512, (0.0, 10.0), V_TRUE, (0.0, 0.0), signed=True)
     hyper = AdamHyper(rel_tol=0.0)
     _, trace = adam_ao_estimate(y, nf, (0.0, 0.0), f, hyper=hyper)
-    rows = np.array([(r[1], r[2], r[3]) for r in trace.rows])
+    rows = trace[:, 1:4]
     steps = np.abs(np.diff(rows[:, :2], axis=0))
     assert steps.max() <= hyper.step * 1.05
     objs = rows[:, 2]
@@ -613,7 +613,7 @@ def test_estimator_never_mutates_observation():
     second = adam_ao_estimate(y, nf, (0.0, 0.0), f)
     np.testing.assert_array_equal(y, snapshot)
     np.testing.assert_array_equal(first[0], second[0])
-    assert first[1].rows == second[1].rows
+    assert first[1].tobytes() == second[1].tobytes()
 
 
 def test_variant_dispatch_and_hyper_validation():
@@ -641,7 +641,7 @@ def test_variant_dispatch_and_hyper_validation():
 def _track(system, traj, observe_rng, motion_var, cpis):
     """Run agdao_track_step from the true first state over traj's CPIs, carrying
     the velocity covariance from ExperimentConfig's ekf_init_cov I; yields each
-    CPI's (true state, bf, p_hat, v_hat, posterior)."""
+    CPI's (true state, bf, p_hat, v_hat, path, cov)."""
     state, cov = traj[0], ExperimentConfig().ekf_init_cov * np.eye(2)
     for l in range(1, cpis):
         eta = traj[l]
@@ -649,9 +649,9 @@ def _track(system, traj, observe_rng, motion_var, cpis):
         def observe(bf, eta=eta):
             return synthesize_observation(NearField(system, eta[:2]), eta[2:], bf, observe_rng)
 
-        bf, p_hat, v_hat, posterior = agdao_track_step(state, cov, observe, system, motion_var)
-        state, cov = np.concatenate([p_hat, v_hat]), posterior.covariance
-        yield eta, bf, p_hat, v_hat, posterior
+        bf, p_hat, v_hat, path, cov = agdao_track_step(state, cov, observe, system, motion_var)
+        state = np.concatenate([p_hat, v_hat])
+        yield eta, bf, p_hat, v_hat, path, cov
 
 
 def test_track_step_noiseless_closed_loop():
@@ -663,7 +663,7 @@ def test_track_step_noiseless_closed_loop():
     worst_p = 0.0
     worst_v = 0.0
     steps = []
-    for l, (eta, bf, p_hat, v_hat, posterior) in enumerate(
+    for l, (eta, bf, p_hat, v_hat, path, cov) in enumerate(
         _track(system, traj, rng, (0.01, 0.01), 2000), start=1
     ):
         if l == 1:
@@ -672,8 +672,8 @@ def test_track_step_noiseless_closed_loop():
             ref = predictive_beamformers(NearField(system, p_hat), (8.0, 7.0))
             np.testing.assert_array_equal(bf, ref)
         # r = 0: the posterior is exact
-        assert not posterior.covariance.any()
-        steps.append(posterior.steps)
+        assert not cov.any()
+        steps.append(len(path) - 1)
         worst_p = max(worst_p, math.hypot(p_hat[0] - eta[0], p_hat[1] - eta[1]))
         worst_v = max(worst_v, math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3]))
     assert min(steps) >= 1
@@ -692,7 +692,7 @@ def test_track_error_grows_with_range():
     )
     verr = [
         math.hypot(v_hat[0] - eta[2], v_hat[1] - eta[3])
-        for eta, _, _, v_hat, _ in _track(system, traj, noise_rng, (0.01, 0.01), cpis)
+        for eta, _, _, v_hat, _, _ in _track(system, traj, noise_rng, (0.01, 0.01), cpis)
     ]
     early = float(np.mean(verr[:400]))
     late = float(np.mean(verr[-400:]))
@@ -724,27 +724,27 @@ def test_first_map_step_is_the_ekf_velocity_update(m, signed):
             observation_jacobian(nf, v_prev, bf[-1]), observation_mean(nf, v_prev, bf[-1]),
             system.echo_noise_power,
         )
-        v_map, posterior = agdao.map_velocity(
+        v_map, path, cov_map = agdao.map_velocity(
             y, nf, v_prev, bf[-1], prior_v, system.echo_noise_power, one_step
         )
-        assert posterior.steps == 1
+        assert len(path) - 1 == 1
         assert post.mean[:2].tobytes() == eta[:2].tobytes()
         step = post.mean[2:] - v_prev
         np.testing.assert_allclose(v_map - v_prev, step, rtol=0, atol=1e-12 * np.abs(step).max())
         cov = post.covariance[2:, 2:]
-        np.testing.assert_allclose(posterior.covariance, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+        np.testing.assert_allclose(cov_map, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
 
 
 def test_map_step_without_noise_or_prior_spread_keeps_the_prior():
     # r = 0 and P- = 0: nothing to assimilate, as in kalman_update
     nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (7.5, 7.5))
     prior = np.zeros((2, 2))
-    v_hat, posterior = agdao.map_velocity(y, nf, (7.5, 7.5), f, prior, 0.0)
+    v_hat, path, cov = agdao.map_velocity(y, nf, (7.5, 7.5), f, prior, 0.0)
     assert v_hat.tolist() == [7.5, 7.5]
-    assert posterior.steps == 0 and len(posterior) == 1
-    assert not posterior.covariance.any()
+    assert len(path) - 1 == 0 and len(path) == 1
+    assert not cov.any()
     # a copy, as kalman_update returns: the carried covariance never aliases the caller's
-    assert not np.shares_memory(posterior.covariance, prior)
+    assert not np.shares_memory(cov, prior)
 
 
 @pytest.mark.parametrize("method", ["ekf", "agdao"])
@@ -761,7 +761,7 @@ def test_one_load_update_serves_both_trackers(method, monkeypatch):
     def spy_step(*args, **kwargs):
         before = len(sizes)
         out = track_step(*args, **kwargs)
-        per_cpi.append((len(sizes) - before, out[3].steps))
+        per_cpi.append((len(sizes) - before, len(out[3]) - 1))
         return out
 
     monkeypatch.setattr(ekf, "load_update", spy_update)
@@ -782,11 +782,11 @@ def test_map_step_with_a_singular_noiseless_system_is_ridged():
     # r = 0 and a prior spread on vx alone: P- G is singular, and the step is
     # ridged as kalman_update ridges; vy, with no spread, keeps its prior bits
     nf, y, f = make_instance(16, (4.0, 11.0), V_TRUE, (7.5, 7.0))
-    v_hat, posterior = agdao.map_velocity(y, nf, (7.5, 7.0), f, np.diag([0.01, 0.0]), 0.0)
-    assert posterior.steps >= 1
+    v_hat, path, cov = agdao.map_velocity(y, nf, (7.5, 7.0), f, np.diag([0.01, 0.0]), 0.0)
+    assert len(path) - 1 >= 1
     assert v_hat[1] == 7.0
     assert abs(v_hat[0] - V_TRUE[0]) < 1e-6
-    assert np.isfinite(posterior.covariance).all()
+    assert np.isfinite(cov).all()
 
 
 def test_map_step_on_a_non_finite_echo_raises():
@@ -806,16 +806,16 @@ def test_track_step_at_a_projection_kink_steps():
     def observe(bf):
         return synthesize_observation(nf, (0.0, 1.0), bf, np.random.default_rng(1))
 
-    _, p_hat, v_hat, posterior = agdao_track_step(
+    _, p_hat, v_hat, path, _ = agdao_track_step(
         state, 0.1 * np.eye(2), observe, system, (0.01, 0.01)
     )
     assert p_hat[0] == state[0]
-    assert posterior.steps >= 1 and np.isfinite(v_hat).all()
+    assert len(path) - 1 >= 1 and np.isfinite(v_hat).all()
 
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
-    # the step returns a count, not rows: its posterior has len() = steps + 1
+    # the step returns its Gauss-Newton path, steps + 1 iterates from v_prev
     # (the benchmark counts steps as len - 1), one velocity Jacobian per step,
     # and the estimate and covariance of map_velocity alone on the same echo
     system = system_for(32, signed)
@@ -836,21 +836,21 @@ def test_track_step_keeps_the_count_not_the_rows(signed, monkeypatch):
         return jacobian(*args)
 
     monkeypatch.setattr(agdao, "velocity_jacobian", spy_jacobian)
-    bf, p_hat, v_hat, posterior = agdao_track_step(
+    bf, p_hat, v_hat, path, cov_hat = agdao_track_step(
         np.concatenate([p_prev, v_prev]), cov, observe, system, motion_var
     )
-    assert len(jacobians) == len(posterior) - 1 == posterior.steps
+    assert len(jacobians) == len(path) - 1
     np.testing.assert_array_equal(jacobians[0], v_prev)
-    assert 2 < len(posterior) <= AdamHyper().max_iters + 1
+    assert 2 < len(path) <= AdamHyper().max_iters + 1
 
     prior = cov + np.diag(motion_var)
-    v_ref, ref = agdao.map_velocity(
+    v_ref, path_ref, cov_ref = agdao.map_velocity(
         echoes[0], NearField(system, p_hat), v_prev, bf[-1], prior, system.echo_noise_power
     )
-    assert ref.steps == posterior.steps
+    assert len(path_ref) == len(path)
     np.testing.assert_array_equal(v_hat, v_ref)
-    np.testing.assert_array_equal(posterior.covariance, ref.covariance)
-    np.testing.assert_array_equal(posterior.covariance, posterior.covariance.T)
+    np.testing.assert_array_equal(cov_hat, cov_ref)
+    np.testing.assert_array_equal(cov_hat, cov_hat.T)
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -872,15 +872,15 @@ def test_track_step_from_a_state_row_keeps_the_bits_of_p_plus_dt_v(signed):
         p_ref = p + system.cpi_duration_s * v
         nf = NearField(system, p_ref)
         bf_ref = predictive_beamformers(nf, v)
-        v_ref, ref = agdao.map_velocity(
+        v_ref, _, cov_ref = agdao.map_velocity(
             observe(bf_ref), nf, v, bf_ref[-1], cov + np.diag(motion_var),
             system.echo_noise_power, hyper,
         )
-        bf, p_hat, v_hat, posterior = agdao_track_step(
+        bf, p_hat, v_hat, _, cov_hat = agdao_track_step(
             state, cov, observe, system, motion_var, hyper=hyper
         )
         assert bf.tobytes() == bf_ref.tobytes()
         assert p_hat.tobytes() == p_ref.tobytes()
         assert v_hat.tobytes() == v_ref.tobytes()
-        assert posterior.covariance.tobytes() == ref.covariance.tobytes()
+        assert cov_hat.tobytes() == cov_ref.tobytes()
     assert states.tobytes() == before.tobytes()  # no row is written

@@ -8,11 +8,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import nfbeam.agdao as agdao
 import nfbeam.harness as harness
+from nfbeam.beamforming import predictive_beamformers
 from nfbeam.cli import main
-from nfbeam.config import ExperimentConfig, SystemConfig
+from nfbeam.config import AdamHyper, ExperimentConfig, SystemConfig
+from nfbeam.geometry import NearField
+from nfbeam.signals import synthesize_observation
+
+from helpers import system_for
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,6 +102,44 @@ def test_agdao_track_step_gets_hyper_by_keyword(monkeypatch):
     cfg = ExperimentConfig(system=SystemConfig(num_antennas=16), method="agdao", num_cpis=3)
     harness.run_experiment(cfg)
     assert seen == [cfg.adam, cfg.adam]
+
+
+def test_span_counts_are_the_iterations_and_steps_taken(monkeypatch):
+    # spans.py counts an ascent's iterations as len(result[1]) - 1 and a
+    # tracking step's Gauss-Newton steps as len(result[3]) - 1
+    tracer = _spans_module().Tracer()
+    system = system_for(64, echo_noise_power=1e-8)
+    nf = NearField(system, np.array([5.0, 10.0]))
+    v_prev = np.array([7.5, 7.5])
+    bf = predictive_beamformers(nf, v_prev)
+    y = synthesize_observation(nf, (8.0, 7.0), bf, np.random.default_rng(2))
+
+    kwargs = {"hyper": AdamHyper(step=0.05)}
+    ascent = agdao.adam_ao_estimate(y, nf, v_prev, bf[-1], **kwargs)
+    v_hat, trace = ascent
+    tracer._observe("agdao.ascent", ascent, kwargs)
+    # the stop rule fires before the cap
+    assert 1 < trace[-1, 0] < kwargs["hyper"].max_iters
+    assert tracer.counts["agdao.iters"] == trace[-1, 0]
+    assert trace[-1, 1:3].tobytes() == v_hat.tobytes()
+
+    calls = []
+    load_update = agdao.load_update
+
+    def spy(*args):
+        calls.append(args)
+        return load_update(*args)
+
+    monkeypatch.setattr(agdao, "load_update", spy)
+    state, cov = np.array([4.0, 11.0, 7.5, 7.5]), 0.1 * np.eye(2)
+    kwargs = {"hyper": AdamHyper()}
+    step = agdao.agdao_track_step(state, cov, lambda beams: y, system, (0.01, 0.01), **kwargs)
+    _, _, v_hat, path, _ = step
+    tracer._observe("agdao.track_step", step, kwargs)
+    assert tracer.counts["agdao.track_step.iters"] == len(calls) >= 1
+    assert tracer.counts["agdao.max_iter_hits"] == 0
+    assert path[-1].tobytes() == v_hat.tobytes()
+    assert path[0].tobytes() == state[2:].tobytes()
 
 
 def test_baselines_are_batched_through_the_spanned_bindings(monkeypatch):

@@ -2,6 +2,7 @@
 the benchmark itself is not run."""
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,47 @@ def test_cpi_ms_table_is_the_tools_own_table(tool):
     assert all(float(row.split(" | ")[1]) > 0.0 for row in rows)
 
 
+# the last lines of the tier-1 suite's stdout under pytest -q
+TIER1_PASSED = """\
+0.98s call     tests/test_agdao.py::test_track_error_grows_with_range
+763 passed in 48.71s
+"""
+TIER1_FAILED = """\
+FAILED tests/test_agdao.py::test_track_error_grows_with_range - AssertionError
+ERROR tests/test_cli.py - ImportError: cannot import name 'main'
+2 failed, 760 passed, 3 warnings, 1 error in 61.30s (0:01:01)
+"""
+
+
+def test_tier1_summary_of_a_passing_run(tool, monkeypatch):
+    # the child is stubbed: its command and environment are checked, not run
+    seen = []
+
+    def run(cmd, **kwargs):
+        seen.append((cmd, kwargs))
+        return subprocess.CompletedProcess(cmd, 0, stdout=TIER1_PASSED, stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.parse_tier1(*tool.run_tier1(ROOT)) == {
+        "seconds": 48.71, "passed": 763, "failed": 0, "exit_code": 0
+    }
+    [(cmd, kwargs)] = seen
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert kwargs["cwd"] == ROOT
+    env = kwargs["env"]
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
+    assert {env[var] for var in tool.blas_threads(ROOT)} == {"1"}
+
+
+def test_tier1_summary_of_a_failing_run(tool):
+    # an error, here a module that did not collect, counts as a failure
+    assert tool.parse_tier1(TIER1_FAILED, 1) == {
+        "seconds": 61.3, "passed": 760, "failed": 3, "exit_code": 1
+    }
+    with pytest.raises(ValueError, match="no pytest summary line"):
+        tool.parse_tier1(TIER1_FAILED.rsplit("\n", 2)[0], 2)
+
+
 def test_record_keeps_the_cpi_ms_table_beside_the_runs(tool, monkeypatch):
     seen = []
 
@@ -112,8 +154,10 @@ def test_record_keeps_the_cpi_ms_table_beside_the_runs(tool, monkeypatch):
     table = ["CPU: x", "| opt | 0.1 |"]
     monkeypatch.setattr(tool, "run_bench", run_bench)
     monkeypatch.setattr(tool, "cpi_ms_table", lambda root: table)
+    monkeypatch.setattr(tool, "run_tier1", lambda root: (TIER1_PASSED, 0))
     out = tool.record(ROOT, 29, repeats=2, seconds=1.0, seed=1001)
     assert seen == [0, 0, 1]
     assert out["cpi_ms"] == table
+    assert out["tier1"] == {"seconds": 48.71, "passed": 763, "failed": 0, "exit_code": 0}
     assert list(out["end_to_end"]) == ["sweep-power", "converge"]
     assert json.loads(json.dumps(out)) == out

@@ -32,8 +32,8 @@ from helpers import (
     N_SYM,
     TS,
     belief_rows,
-    fd_central4_vec,
-    fd_central_vec,
+    fd_central,
+    fd_central4,
     metric_rows,
     sample_state,
     system_for,
@@ -118,9 +118,9 @@ def test_jacobian_matches_finite_difference(signed):
             # position columns oscillate at carrier scale: a plain second-order
             # difference at 1e-4 m is all truncation, the 5-point stencil is not
             if col < 2:
-                ref = fd_central4_vec(along, eta[col], 1e-4)
+                ref = fd_central4(along, eta[col], 1e-4)
             else:
-                ref = fd_central_vec(along, eta[col], 1e-4)
+                ref = fd_central(along, eta[col], 1e-4)
             err = np.linalg.norm(jac[:, col] - ref) / np.linalg.norm(ref)
             assert err < 1e-4
 
@@ -199,7 +199,7 @@ def test_velocity_jacobian_passes_a_projection_kink():
             s[col] = t
             return observation_mean(geo.NearField(system, p), s, f)
 
-        ref = fd_central_vec(along, speed, 1e-4)
+        ref = fd_central(along, speed, 1e-4)
         assert np.linalg.norm(dense[:, col] - ref) / np.linalg.norm(ref) < 1e-4
 
 

@@ -42,7 +42,7 @@ def cell(num_antennas: int, dbm: float, seeds: int, cpis: int):
     def counted(*args, **kwargs):
         out = step(*args, **kwargs)
         iters.append(len(out[3]) - 1)
-        covs.append(out[3].covariance)
+        covs.append(out[4])
         return out
 
     harness.agdao_track_step = counted

@@ -13,10 +13,13 @@ holds the CPU model, the numpy and Python versions, the BLAS library numpy was
 built against, the BLAS thread variables that run.py sets to 1 in its children
 (its ``BLAS_THREADS``), the run settings, and
 ``git rev-parse HEAD`` with a flag for uncommitted changes under ``src/`` or
-``perfbench/``. Last, it runs tools/cpi_ms.py's ms/CPI table of the
+``perfbench/``. Then it runs tools/cpi_ms.py's ms/CPI table of the
 checkout in this process, with run.py's BLAS thread variables set to 1, and
-keeps its lines under "cpi_ms". It writes BENCH_<N>.json in the checkout
-unless --out names another path.
+keeps its lines under "cpi_ms". Last, it runs the tier-1 suite once,
+``python -m pytest -q --continue-on-collection-errors`` with ``src/`` on
+PYTHONPATH, in a child process with the same variables set to 1, and keeps
+pytest's wall time and counts under "tier1" (errors count as failed). It
+writes BENCH_<N>.json in the checkout unless --out names another path.
 """
 from __future__ import annotations
 
@@ -37,6 +40,10 @@ from pathlib import Path
 
 # run.py's line before a workload's metrics, e.g. "converge: 30 operations attempted, ..."
 _WORKLOAD_LINE = re.compile(r"^(\S+): \d+ operations attempted, \d+ failed, outputs \w+$")
+
+
+# pytest -q's closing line, e.g. "1 failed, 762 passed, 2 warnings in 61.30s (0:01:01)"
+_PYTEST_SUMMARY = re.compile(r"^[= ]*(\d+ \w+.*) in ([\d.]+)s\b")
 
 
 def parse_run(stdout: str) -> dict[str, dict]:
@@ -141,6 +148,29 @@ def cpi_ms_table(root: Path, **kw) -> list[str]:
     return list(module.table(**kw))
 
 
+def parse_tier1(stdout: str, exit_code: int) -> dict:
+    """{seconds, passed, failed, exit_code} from pytest's summary line; a
+    collection or fixture error counts as a failure."""
+    for line in reversed(stdout.splitlines()):
+        match = _PYTEST_SUMMARY.match(line)
+        if match:
+            counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", match.group(1))}
+            failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+            return {"seconds": float(match.group(2)), "passed": counts.get("passed", 0),
+                    "failed": failed, "exit_code": exit_code}
+    raise ValueError(f"no pytest summary line in:\n{stdout[-2000:]}")
+
+
+def run_tier1(root: Path) -> tuple[str, int]:
+    """The tier-1 suite's stdout and exit code, run once in a child with src/
+    first on PYTHONPATH and run.py's BLAS thread variables set to 1."""
+    env = dict(os.environ, **dict.fromkeys(blas_threads(root), "1"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
+    return proc.stdout, proc.returncode
+
+
 def record(root: Path, pr: int, repeats: int, seconds: float, seed: int) -> dict:
     runs = []
     for k in range(repeats):
@@ -160,6 +190,7 @@ def record(root: Path, pr: int, repeats: int, seconds: float, seed: int) -> dict
             for name, result in traced.items()
         },
         "cpi_ms": cpi_ms_table(root),
+        "tier1": parse_tier1(*run_tier1(root)),
     }
 
 
