@@ -123,7 +123,9 @@ def _jacobian(nf: geo.NearField, v, f: np.ndarray, position: bool) -> FactoredJa
     """observation_jacobian's rows for [x, y, vx, vy], or for [vx, vy] alone.
 
     The velocity rows leave the position rows of phi zero: the sums phi @ w
-    are one 4-row product either way, so both give them bit for bit.
+    are one 4-row product either way, so both give them bit for bit. The position
+    rows refuse a snapshot of several positions (ValueError) and, under the
+    magnitude convention, one within KINK_TOL of a kink (ProjectionKinkError).
     """
     system = nf.system
     dtt = system.cpi_duration_s
@@ -135,10 +137,29 @@ def _jacobian(nf: geo.NearField, v, f: np.ndarray, position: bool) -> FactoredJa
     # y), phi_vx = dtt * g and phi_vy = dtt * q
     phi = np.zeros((4, system.num_antennas))
     if position:
-        dg_dx, dq_dx, dg_dy, dq_dy = geo.projection_coeff_gradients(nf)
-        vx_dtt, vy_dtt = v[0] * dtt, v[1] * dtt
-        phi[0] = vx_dtt * dg_dx + vy_dtt * dq_dx + nf.ux / nf.r
-        phi[1] = vx_dtt * dg_dy + vy_dtt * dq_dy + nf.uy / nf.r
+        p, ux, uy, r = nf.position, nf.ux, nf.uy, nf.r
+        if p.shape != (2,):
+            raise ValueError(f"position must have shape (2,), got {p.shape}")
+        # (g, q) = (sx * ux, sy * uy) / r with s = 1 if signed, else sx = sign(ux), sy = sign(y):
+        # phi_x = dtt * uy * cross / r^3 + ux / r, phi_y = uy / r - dtt * ux * cross / r^3
+        # with cross = sx * vx * uy - sy * vy * ux
+        if system.signed_projection:
+            cross = v[0] * uy - v[1] * ux
+        else:
+            if np.min(np.abs(ux)) < geo.KINK_TOL:
+                raise geo.ProjectionKinkError(
+                    f"x = {p[0]} is within {geo.KINK_TOL} m of an antenna; the magnitude "
+                    "projection has no derivative there (set system.signed_projection=true)"
+                )
+            if abs(p[1]) < geo.KINK_TOL:
+                raise geo.ProjectionKinkError(
+                    f"y = {p[1]} is within {geo.KINK_TOL} m of the array plane; the "
+                    "magnitude projection has no derivative there"
+                )
+            cross = np.sign(ux) * (v[0] * uy) - (np.sign(p[1]) * v[1]) * ux
+        cross *= dtt / (r * r * r)
+        phi[0] = ux / r + uy * cross
+        phi[1] = uy / r - ux * cross
     np.multiply(dtt, nf.g, out=phi[2])
     np.multiply(dtt, nf.q, out=phi[3])
     # J[:, k] = a * (A_k + B * phi_k); the sums phi_k @ (a f) are one real product
@@ -146,9 +167,8 @@ def _jacobian(nf: geo.NearField, v, f: np.ndarray, position: bool) -> FactoredJa
     w = (a * f).view(float).reshape(-1, 2)
     big_a = c * (phi @ w).view(complex)
     if position:
-        da2_dx, da2_dy = geo.pathloss_gradient(nf)
-        big_a[0] += s_amp * da2_dx * af
-        big_a[1] += s_amp * da2_dy * af
+        # d(alpha2)/dp = -2 * alpha2 * p / |p|^2
+        big_a[:2, 0] += (-2.0 * s_amp * nf.alpha2 / (p @ p) * af) * p
     rows = slice(0 if position else 2, 4)
     z = np.multiply(phi[rows], c * af)
     z += big_a[rows]

@@ -5,6 +5,7 @@ x-axis, centered on the origin, antenna m (0-based) at ((m - (M-1)/2) *
 spacing, 0), with ref_gain at 1 m one-way and rcs scaling the reflection.
 A NearField snapshot holds everything per position, gains included, and
 refuses a position on an antenna or at the array center when it is built.
+The EKF's Jacobian (ekf._jacobian) differentiates it in closed form.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 # Positions closer than this to an antenna (or the array center) are rejected.
 MIN_RANGE = 1e-9
-# Below this |x - k_m1| the magnitude-projection derivative sits on its kink.
+# Below this |x - k_m1| or |y| the magnitude projection's derivative is on a kink.
 KINK_TOL = 1e-9
 
 
@@ -38,13 +39,6 @@ def _element_offsets(num_antennas: int, spacing: float) -> np.ndarray:
     x = (np.arange(num_antennas, dtype=float) - (num_antennas - 1) / 2.0) * spacing
     x.flags.writeable = False
     return x
-
-
-def _as_position(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
-        raise ValueError(f"position must have shape (2,), got {p.shape}")
-    return p
 
 
 def as_points(x, what: str) -> np.ndarray:
@@ -189,14 +183,6 @@ def array_response(n: int, v, nf: NearField) -> np.ndarray:
     return a
 
 
-def pathloss_gradient(nf: NearField):
-    """Spatial gradient (d/dx, d/dy) of the round-trip gain alpha2."""
-    p = _as_position(nf.position)
-    rr = p[0] * p[0] + p[1] * p[1]
-    c = -nf.system.rcs * nf.system.ref_gain / (2.0 * rr * rr)
-    return c * p[0], c * p[1]
-
-
 def downlink_channel(n: int, v, nf: NearField) -> np.ndarray:
     """One-way channel h(n) = alpha1 * a(n), shape (M,)."""
     return nf.alpha1 * array_response(n, v, nf)
@@ -211,36 +197,3 @@ def roundtrip_channel(n: int, v, nf: NearField) -> np.ndarray:
     low = np.tril_indices(nf.system.num_antennas, -1)
     h[low] = h.T[low]
     return h
-
-
-def projection_coeff_gradients(nf: NearField):
-    """Spatial derivatives of (g, q): returns (dg_dx, dq_dx, dg_dy, dq_dy).
-
-    Under the default magnitude convention the derivative is undefined where
-    x crosses an antenna (or y crosses the array plane); those points raise
-    ProjectionKinkError.
-    """
-    p = _as_position(nf.position)
-    r, ux, uy = nf.r, nf.ux, p[1]
-    r3 = r ** 3
-    if nf.system.signed_projection:
-        dg_dx = uy * uy / r3
-        dq_dx = -ux * uy / r3
-        dg_dy = -ux * uy / r3
-        dq_dy = ux * ux / r3
-        return dg_dx, dq_dx, dg_dy, dq_dy
-    if np.min(np.abs(ux)) < KINK_TOL:
-        raise ProjectionKinkError(
-            f"x = {p[0]} is within {KINK_TOL} m of an antenna; the magnitude "
-            "projection has no derivative there (set system.signed_projection=true)"
-        )
-    if abs(uy) < KINK_TOL:
-        raise ProjectionKinkError(
-            f"y = {p[1]} is within {KINK_TOL} m of the array plane; the "
-            "magnitude projection has no derivative there"
-        )
-    dg_dx = np.sign(ux) / r - ux * np.abs(ux) / r3
-    dq_dx = -abs(uy) * ux / r3
-    dg_dy = -np.abs(ux) * uy / r3
-    dq_dy = np.sign(uy) / r - uy * abs(uy) / r3
-    return dg_dx, dq_dx, dg_dy, dq_dy

@@ -222,8 +222,12 @@ def power_sweep(
     """
     if len(powers_dbm) == 0:
         raise ConfigError("powers", "at least one power level is required")
-    # every power is checked before the first cell runs
-    systems = [dataclasses.replace(config.system, tx_power_dbm=float(dbm)) for dbm in powers_dbm]
+    # every power is checked before the first cell runs; a bad one is
+    # reported as field powers, with SystemConfig's message
+    try:
+        systems = [dataclasses.replace(config.system, tx_power_dbm=float(p)) for p in powers_dbm]
+    except ConfigError as exc:
+        raise ConfigError("powers", exc.message) from exc
     cells = []
     for method in methods:
         for system in systems:

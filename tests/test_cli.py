@@ -187,7 +187,7 @@ def test_bad_number_names_its_field(tmp_path, capsys, assignment, field, message
             "must be finite, got nan",
         ),
         (
-            ["sweep-power", "--powers", "10,4000"], "tx_power_dbm",
+            ["sweep-power", "--powers", "10,4000"], "powers",
             "must be finite with a finite power in watts, got 4000.0",
         ),
         (

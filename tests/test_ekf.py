@@ -155,13 +155,27 @@ def test_jacobian_linear_in_beam_phase():
 
 
 def test_jacobian_kink_guard():
-    system = system_for(8)
-    x_on_antenna = float(geo.element_offsets(system)[2])
-    p, v = (x_on_antenna, 9.0), (1.0, 1.0)
+    system, signed = system_for(8), system_for(8, signed=True)
+    offsets = geo.element_offsets(system)
+    v = (1.0, 1.0)
     f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
-    with pytest.raises(ProjectionKinkError):
-        observation_jacobian(geo.NearField(system, p), v, f)
-    observation_jacobian(geo.NearField(system_for(8, signed=True), p), v, f)
+    on_antenna = (float(offsets[2]), 9.0)
+    with pytest.raises(ProjectionKinkError, match=r"system\.signed_projection=true"):
+        observation_jacobian(geo.NearField(system, on_antenna), v, f)
+    observation_jacobian(geo.NearField(signed, on_antenna), v, f)
+    # off every antenna, within KINK_TOL of the array plane: a kink of |y|
+    near_plane = (0.5 * float(offsets[2] + offsets[3]), 0.5 * geo.KINK_TOL)
+    with pytest.raises(ProjectionKinkError, match="of the array plane"):
+        observation_jacobian(geo.NearField(system, near_plane), v, f)
+    observation_jacobian(geo.NearField(signed, near_plane), v, f)
+
+
+def test_jacobian_refuses_a_snapshot_of_two_positions():
+    system = system_for(8, signed=True)
+    nf = geo.NearField(system, [(0.5, 9.0), (1.0, 7.0)])
+    f = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    with pytest.raises(ValueError, match=r"position must have shape \(2,\), got \(2, 2\)"):
+        observation_jacobian(nf, (1.0, 1.0), f)
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -480,16 +494,23 @@ def test_update_refuses_a_non_finite_ridged_solve():
 def _long_double_jacobian(nf, v, f):
     """The echo Jacobian's four columns assembled in np.longdouble arithmetic.
 
-    The inputs (array response, ranges, projections and their gradients,
-    gains) are the float64 values of the geometry layer; only the
-    assembly of the columns runs in long double, so this is a reference for
-    the round-off of the assembly alone.
+    The inputs (array response, ranges, offsets, projections, gains) are the
+    float64 values of the geometry layer. The derivatives of the projections
+    (g, q) = (sx * ux, sy * uy) / r, signs s = 1 when signed and else
+    sx = sign(ux), sy = sign(y), and of alpha2 = rcs * ref_gain / (4 |p|^2)
+    follow from these definitions in long double, as does the assembly of
+    the columns; so this is a reference for the code's closed form and its
+    round-off, not only for the assembly.
     """
     dtype = np.longdouble
     cplx = np.result_type(dtype, 1j).type
     r, ux, uy, g, q = (np.asarray(x, dtype) for x in (nf.r, nf.ux, nf.uy, nf.g, nf.q))
-    grads = geo.projection_coeff_gradients(nf)
-    dg_dx, dq_dx, dg_dy, dq_dy = (np.asarray(d, dtype) for d in grads)
+    px, py = np.asarray(nf.position, dtype)
+    one = dtype(1)
+    sx, sy = (one, one) if nf.system.signed_projection else (np.sign(ux), np.sign(py))
+    r3 = r * r * r
+    dg_dx, dq_dx = sx * (one / r - ux * ux / r3), -sy * uy * ux / r3
+    dg_dy, dq_dy = -sx * ux * uy / r3, sy * (one / r - uy * uy / r3)
     system = nf.system
     a = np.asarray(geo.array_response(system.symbols_per_cpi, v, nf), cplx)
     v = np.asarray(v, dtype)
@@ -498,7 +519,9 @@ def _long_double_jacobian(nf, v, f):
     s_amp = dtype(math.sqrt(system.tx_power_w))
     f = np.asarray(f, cplx)
     alpha2 = dtype(nf.alpha2)
-    da2_dx, da2_dy = (dtype(d) for d in geo.pathloss_gradient(nf))
+    pp = px * px + py * py
+    da2_dp = -dtype(system.rcs) * dtype(system.ref_gain) / (dtype(2) * pp * pp)
+    da2_dx, da2_dy = da2_dp * px, da2_dp * py
     minus_j = -cplx(1j)
 
     af = a @ f

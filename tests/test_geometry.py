@@ -11,21 +11,18 @@ from nfbeam.geometry import (
     SPEED_OF_LIGHT,
     DegeneratePositionError,
     NearField,
-    ProjectionKinkError,
     array_response,
     doppler_vector,
     downlink_channel,
     element_distances,
     element_offsets,
-    pathloss_gradient,
-    projection_coeff_gradients,
     roundtrip_channel,
     steering_vector,
 )
 
 from nfbeam.config import SystemConfig
 
-from helpers import TS, fd_central, sample_state, system_for
+from helpers import TS, sample_state, system_for
 
 
 def test_half_wavelength_constructor():
@@ -176,17 +173,13 @@ def test_array_response_is_steering_times_doppler():
 
 
 def test_pathloss_values_and_gradient():
+    # the gradient of alpha2 is checked through the EKF Jacobian's position
+    # rows (test_ekf.py: finite differences and the long-double reference)
     system = SystemConfig(ref_gain=2.0, rcs=3.0)
     p = (3.0, 4.0)  # x^2 + y^2 = 25
     nf = NearField(system, p)
     assert nf.alpha1 == pytest.approx(2.0 / 25.0, rel=1e-15)
     assert nf.alpha2 == pytest.approx(3.0 * 2.0 / 100.0, rel=1e-15)
-    ddx, ddy = pathloss_gradient(nf)
-    step = 1e-6
-    fdx = fd_central(lambda x: NearField(system, (x, 4.0)).alpha2, 3.0, step)
-    fdy = fd_central(lambda y: NearField(system, (3.0, y)).alpha2, 4.0, step)
-    assert ddx == pytest.approx(fdx, rel=1e-8)
-    assert ddy == pytest.approx(fdy, rel=1e-8)
 
 
 def test_downlink_channel_at_zero_velocity():
@@ -210,55 +203,6 @@ def test_roundtrip_channel_symmetric_rank_one():
         # H = alpha2 * a a^T elementwise
         a = array_response(10, eta[2:], nf)
         np.testing.assert_allclose(h2, nf.alpha2 * np.outer(a, a), rtol=1e-12)
-
-
-def test_projection_gradients_match_fd():
-    rng = np.random.default_rng(10)
-    step = 1e-7
-    for signed in (False, True):
-        system = system_for(16, signed)
-        for _ in range(25):
-            p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
-            dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(NearField(system, p))
-            for axis, got_g, got_q in ((0, dg_dx, dq_dx), (1, dg_dy, dq_dy)):
-                def g_of(t, axis=axis):
-                    q = np.array(p, dtype=float)
-                    q[axis] = t
-                    return NearField(system, q).g
-
-                def q_of(t, axis=axis):
-                    q = np.array(p, dtype=float)
-                    q[axis] = t
-                    return NearField(system, q).q
-
-                fd_g = (g_of(p[axis] + step) - g_of(p[axis] - step)) / (2 * step)
-                fd_q = (q_of(p[axis] + step) - q_of(p[axis] - step)) / (2 * step)
-                np.testing.assert_allclose(got_g, fd_g, rtol=1e-6, atol=1e-6)
-                np.testing.assert_allclose(got_q, fd_q, rtol=1e-6, atol=1e-6)
-
-
-def test_projection_gradient_identity():
-    # g^2 + q^2 = 1 differentiates to g dg + q dq = 0
-    rng = np.random.default_rng(11)
-    for signed in (False, True):
-        system = system_for(32, signed)
-        p = rng.uniform([-2.0, 3.0], [2.0, 25.0])
-        nf = NearField(system, p)
-        g, q = nf.g, nf.q
-        dg_dx, dq_dx, dg_dy, dq_dy = projection_coeff_gradients(nf)
-        np.testing.assert_allclose(g * dg_dx + q * dq_dx, 0.0, atol=1e-15)
-        np.testing.assert_allclose(g * dg_dy + q * dq_dy, 0.0, atol=1e-15)
-
-
-def test_projection_gradient_kink_guard():
-    system = system_for(8)
-    x_kink = float(element_offsets(system)[3])
-    with pytest.raises(ProjectionKinkError, match=r"system\.signed_projection=true"):
-        projection_coeff_gradients(NearField(system, (x_kink, 10.0)))
-    # signed convention has no kink there
-    projection_coeff_gradients(NearField(system_for(8, signed=True), (x_kink, 10.0)))
-    # y = 0 is a kink for the |.| convention too, but already degenerate
-    # geometry for distances; x-aligned antennas are the practical case
 
 
 def test_geometry_is_frozen():

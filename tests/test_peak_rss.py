@@ -1,10 +1,13 @@
 """tools/peak_rss.py: peak RSS of fresh nfbeam processes, run small."""
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "peak_rss.py"
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +38,16 @@ def test_main_prints_one_median_line_per_command(tool, monkeypatch, capsys):
     assert lines == [f"20.00  {name}  (30.00, 10.00, 20.00)" for name, _ in tool.COMMANDS]
     with pytest.raises(SystemExit):
         tool.main(["--runs", "0"])
+
+
+def test_commands_are_the_benchmark_workloads_in_order(tool, monkeypatch):
+    # perfbench/workloads.py imports its sibling checks.py: perfbench/ goes on
+    # sys.path, and those two modules leave sys.modules, for this test alone
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    new = {"workloads", "checks"} - set(sys.modules)
+    try:
+        workloads = importlib.import_module("workloads").WORKLOADS
+    finally:
+        for name in new:
+            sys.modules.pop(name, None)
+    assert [args for _, args in tool.COMMANDS] == [w.command for w in workloads.values()]
