@@ -11,6 +11,7 @@ from nfbeam.geometry import (
     SPEED_OF_LIGHT,
     DegeneratePositionError,
     NearField,
+    ProjectionKinkError,
     array_response,
     doppler_vector,
     downlink_channel,
@@ -21,6 +22,7 @@ from nfbeam.geometry import (
 )
 
 from nfbeam.config import SystemConfig
+from nfbeam.ekf import observation_jacobian
 
 from helpers import TS, sample_state, system_for
 
@@ -203,6 +205,18 @@ def test_roundtrip_channel_symmetric_rank_one():
         # H = alpha2 * a a^T elementwise
         a = array_response(10, eta[2:], nf)
         np.testing.assert_allclose(h2, nf.alpha2 * np.outer(a, a), rtol=1e-12)
+
+
+def test_projection_gradient_kink_guard():
+    # the projections' gradients are formed in the EKF Jacobian's position rows,
+    # which refuse a kink of the magnitude convention
+    system = system_for(8)
+    x_kink = float(element_offsets(system)[3])
+    v, f = (1.0, 1.0), np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    with pytest.raises(ProjectionKinkError, match=r"system\.signed_projection=true"):
+        observation_jacobian(NearField(system, (x_kink, 10.0)), v, f)
+    # signed convention has no kink there
+    observation_jacobian(NearField(system_for(8, signed=True), (x_kink, 10.0)), v, f)
 
 
 def test_geometry_is_frozen():
